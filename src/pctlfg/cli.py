@@ -74,15 +74,15 @@ def _load_loop(path: str) -> ProgressLoop:
     try:
         with open(path) as handle:
             data = json.load(handle)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, json.JSONDecodeError, RecursionError) as exc:
         raise UsageError(f"cannot read loop {path!r}: {exc}") from exc
-    sets = data["sets"] if isinstance(data, dict) else data
-    try:
-        levels = tuple(
-            frozenset(_parse_formula_arg(text) for text in level) for level in sets)
-    except TypeError as exc:
-        raise UsageError("loop file must hold a list of formula lists") from exc
-    return ProgressLoop(levels)
+    sets = data.get("sets") if isinstance(data, dict) else data
+    if not (isinstance(sets, list) and all(
+            isinstance(level, list) and all(isinstance(text, str) for text in level)
+            for level in sets)):
+        raise UsageError(f"loop {path!r} must hold a list of formula lists")
+    return ProgressLoop(tuple(
+        frozenset(_parse_formula_arg(text) for text in level) for level in sets))
 
 
 def _emit(args, human: str, data: dict) -> None:

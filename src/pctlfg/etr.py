@@ -22,12 +22,11 @@ import tempfile
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import linalg
 from .formula import (
     And, Atom, Cmp, NegAtom, Or, PathOp, Prob, StateFormula, conj, disj,
     is_core, iter_subformulas,
 )
-from .markov import MarkovChain
+from .markov import MarkovChain, absorption, states_with_path_to
 from .modelcheck import ModelChecker
 
 
@@ -269,20 +268,19 @@ class ETRSystem:
             for b in self.blocks)
 
 
-def _out_set(size: int, edges, body_set: frozenset[int]) -> frozenset[int]:
-    """Vertices with no path into `body_set`."""
-    preds: dict[int, list[int]] = {v: [] for v in range(size)}
-    for i, j in edges:
-        preds[j].append(i)
-    seen = set(body_set)
-    frontier = list(body_set)
-    while frontier:
-        v = frontier.pop()
-        for p in preds[v]:
-            if p not in seen:
-                seen.add(p)
-                frontier.append(p)
-    return frozenset(range(size)) - frozenset(seen)
+def _block(size: int, edges, node: Prob, body_set: frozenset[int],
+           in_set: frozenset[int]) -> CorrectnessBlock:
+    """The block of `node` for the given body set: the cut-off set holds the
+    vertices with no path into it."""
+    reaching = states_with_path_to(edges, body_set)
+    return CorrectnessBlock(
+        formula=node,
+        body_set=body_set,
+        out_set=frozenset(range(size)) - reaching,
+        other=tuple(v for v in range(size)
+                    if v in reaching and v not in body_set),
+        in_set=in_set,
+    )
 
 
 def encode(candidate: ETRCandidate, f: StateFormula | None = None) -> ETRSystem:
@@ -290,19 +288,9 @@ def encode(candidate: ETRCandidate, f: StateFormula | None = None) -> ETRSystem:
     candidate's own formula and must equal it when given."""
     if f is not None and f != candidate.formula:
         raise ValueError("formula does not match the candidate")
-    blocks = []
-    for node in _f_nodes(candidate.formula):
-        body_set = candidate.labeling[node.body]
-        out_set = _out_set(candidate.size, candidate.edges, body_set)
-        other = tuple(v for v in range(candidate.size)
-                      if v not in body_set and v not in out_set)
-        blocks.append(CorrectnessBlock(
-            formula=node,
-            body_set=body_set,
-            out_set=out_set,
-            other=other,
-            in_set=candidate.labeling[node],
-        ))
+    blocks = [_block(candidate.size, candidate.edges, node,
+                     candidate.labeling[node.body], candidate.labeling[node])
+              for node in _f_nodes(candidate.formula)]
     return ETRSystem(candidate.size, candidate.edges, tuple(blocks))
 
 
@@ -340,29 +328,18 @@ def solve_block_values(system: ETRSystem, block: CorrectnessBlock,
                        ) -> dict[int, Fraction]:
     """The unique reach values of one block under fixed edge probabilities:
     1 on the body set, 0 on the cut-off set, and the solution of the linear
-    system elsewhere (nonsingular because every remaining vertex reaches the
-    body set through positive-probability edges)."""
-    values: dict[int, Fraction] = {}
-    for v in block.body_set:
-        values[v] = Fraction(1)
-    for v in block.out_set:
-        values[v] = Fraction(0)
-    if block.other:
-        pos = {v: i for i, v in enumerate(block.other)}
-        n = len(block.other)
-        a = [[Fraction(0)] * n for _ in range(n)]
-        b = [Fraction(0)] * n
-        for v in block.other:
-            a[pos[v]][pos[v]] = Fraction(1)
-            for i, j in (e for e in system.edges if e[0] == v):
-                p = Fraction(assignment[(i, j)])
-                if j in pos:
-                    a[pos[v]][pos[j]] -= p
-                else:
-                    b[pos[v]] += p * values[j]
-        solution = linalg.solve_vector(a, b)
-        for v, value in zip(block.other, solution):
-            values[v] = value
+    system elsewhere, solved by the shared absorption kernel (nonsingular
+    because every remaining vertex reaches the body set through
+    positive-probability edges)."""
+    successors: dict[int, dict[int, Fraction]] = {v: {} for v in range(system.size)}
+    for i, j in system.edges:
+        successors[i][j] = Fraction(assignment[(i, j)])
+    values = dict.fromkeys(block.out_set, Fraction(0))
+    values.update(dict.fromkeys(block.body_set, Fraction(1)))
+    boundary = dict.fromkeys(block.body_set, (1,))
+    for v, (value,) in absorption(block.other, successors.__getitem__,
+                                  boundary).items():
+        values[v] = value
     return values
 
 
@@ -632,13 +609,7 @@ def solve_bounded_sat(f: StateFormula, bound: int, *,
 
     def prune(size: int, edges, node: Prob, free) -> bool:
         labeling = _propagate(node, free, size)
-        body_set = labeling[node.body]
-        out_set = _out_set(size, edges, body_set)
-        block = CorrectnessBlock(
-            formula=node, body_set=body_set, out_set=out_set,
-            other=tuple(v for v in range(size)
-                        if v not in body_set and v not in out_set),
-            in_set=free[node])
+        block = _block(size, edges, node, labeling[node.body], free[node])
         if _block_interval_contradiction(size, block):
             result.refuted += 1
             return True

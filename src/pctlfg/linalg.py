@@ -1,8 +1,11 @@
 """Exact linear algebra over rationals.
 
-Gaussian elimination on Fraction matrices: no floating point, no tolerance
-thresholds.  Pivots are chosen by the magnitude of numerator*denominator,
-which keeps intermediate fractions small in practice; any nonzero pivot is
+One Gauss-Jordan elimination on Fraction matrices serves both the square
+solves of the absorption kernel (`markov.absorption`, shared by model
+checking, first passage and the ETR oracle) and the kernel vectors of the
+Caratheodory reduction.  No floating point, no tolerance thresholds.
+Pivots are chosen by the magnitude of numerator*denominator, which keeps
+intermediate fractions small in practice; any nonzero pivot is
 mathematically valid.
 """
 
@@ -21,49 +24,15 @@ def _pivot_weight(x: Fraction) -> int:
     return abs(x.numerator * x.denominator)
 
 
-def solve(a: Matrix, rhs: Matrix) -> Matrix:
-    """Solves A X = RHS for a square nonsingular A; RHS holds one column per
-    unknown system.  Returns X with the same column count."""
-    n = len(a)
-    if n == 0:
-        return []
-    m = len(rhs[0]) if rhs else 0
-    aug = [list(a[i]) + list(rhs[i]) for i in range(n)]
-    for col in range(n):
-        pivot_row = max(
-            (r for r in range(col, n) if aug[r][col] != 0),
-            key=lambda r: _pivot_weight(aug[r][col]),
-            default=None,
-        )
-        if pivot_row is None:
-            raise SingularMatrixError(f"singular at column {col}")
-        if pivot_row != col:
-            aug[col], aug[pivot_row] = aug[pivot_row], aug[col]
-        pivot = aug[col][col]
-        for r in range(n):
-            if r == col or aug[r][col] == 0:
-                continue
-            factor = aug[r][col] / pivot
-            row, prow = aug[r], aug[col]
-            for c in range(col, n + m):
-                row[c] -= factor * prow[c]
-    return [[aug[i][n + j] / aug[i][i] for j in range(m)] for i in range(n)]
-
-
-def solve_vector(a: Matrix, b: list[Fraction]) -> list[Fraction]:
-    x = solve(a, [[v] for v in b])
-    return [row[0] for row in x]
-
-
-def null_vector(a: Matrix, width: int) -> list[Fraction] | None:
-    """A nonzero rational solution of A x = 0 for a matrix with `width`
-    columns, or None if the kernel is trivial.  Deterministic: reduces in
-    column order and assigns 1 to the first free column."""
-    rows = [list(r) for r in a]
+def _eliminate(rows: Matrix, ncols: int) -> list[tuple[int, int]]:
+    """Reduces `rows` in place over its first `ncols` columns, in column
+    order, carrying every further column along.  Returns the pivots as
+    (row, column) pairs; a column without a nonzero entry below the rows
+    already pivoted is skipped."""
     n = len(rows)
-    pivots: list[tuple[int, int]] = []  # (row, col)
-    rank = 0
-    for col in range(width):
+    pivots: list[tuple[int, int]] = []
+    for col in range(ncols):
+        rank = len(pivots)
         pivot_row = max(
             (r for r in range(rank, n) if rows[r][col] != 0),
             key=lambda r: _pivot_weight(rows[r][col]),
@@ -72,15 +41,40 @@ def null_vector(a: Matrix, width: int) -> list[Fraction] | None:
         if pivot_row is None:
             continue
         rows[rank], rows[pivot_row] = rows[pivot_row], rows[rank]
-        pivot = rows[rank][col]
+        prow = rows[rank]
+        pivot = prow[col]
         for r in range(n):
-            if r == rank or rows[r][col] == 0:
+            row = rows[r]
+            if r == rank or row[col] == 0:
                 continue
-            factor = rows[r][col] / pivot
-            for c in range(col, width):
-                rows[r][c] -= factor * rows[rank][c]
+            factor = row[col] / pivot
+            for c in range(col, len(row)):
+                row[c] -= factor * prow[c]
         pivots.append((rank, col))
-        rank += 1
+    return pivots
+
+
+def solve(a: Matrix, rhs: Matrix) -> Matrix:
+    """Solves A X = RHS for a square nonsingular A; RHS holds one column per
+    unknown system.  Returns X with the same column count."""
+    n = len(a)
+    if n == 0:
+        return []
+    m = len(rhs[0]) if rhs else 0
+    aug = [list(a[i]) + list(rhs[i]) for i in range(n)]
+    pivots = _eliminate(aug, n)
+    if len(pivots) < n:
+        col = min(set(range(n)) - {c for _, c in pivots})
+        raise SingularMatrixError(f"singular at column {col}")
+    return [[aug[i][n + j] / aug[i][i] for j in range(m)] for i in range(n)]
+
+
+def null_vector(a: Matrix, width: int) -> list[Fraction] | None:
+    """A nonzero rational solution of A x = 0 for a matrix with `width`
+    columns, or None if the kernel is trivial.  Deterministic: reduces in
+    column order and assigns 1 to the first free column."""
+    rows = [list(r) for r in a]
+    pivots = _eliminate(rows, width)
     pivot_cols = {col for _, col in pivots}
     free = next((c for c in range(width) if c not in pivot_cols), None)
     if free is None:

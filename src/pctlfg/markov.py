@@ -10,6 +10,11 @@ JSON model format (rationals are strings, bit-exact):
     {"states": [{"id": "s", "ap": []}, {"id": "t", "ap": ["a"]}],
      "edges":  [{"from": "s", "to": "t", "p": "1"},
                 {"from": "t", "to": "s", "p": "3/5"}]}
+
+`absorption` is the one exact linear solve of the package: reach
+probabilities in model checking, the first-passage distribution here and
+the per-block reach values of the ETR oracle all go through it, and
+`states_with_path_to` is the one backward graph search.
 """
 
 from __future__ import annotations
@@ -40,6 +45,14 @@ def parse_probability(text) -> Fraction:
     except (ValueError, ZeroDivisionError) as exc:
         raise InvalidChainError(f"malformed rational {text!r}") from exc
     return value
+
+
+def _check_record(rec, what: str, keys) -> None:
+    if not isinstance(rec, dict):
+        raise InvalidChainError(f"{what} must be an object")
+    for key in keys:
+        if key not in rec:
+            raise InvalidChainError(f"{what} has no {key!r}")
 
 
 class MarkovChain:
@@ -89,18 +102,22 @@ class MarkovChain:
 
     @classmethod
     def from_dict(cls, data) -> "MarkovChain":
-        try:
-            state_records = data["states"]
-            edge_records = data["edges"]
-        except (TypeError, KeyError) as exc:
-            raise InvalidChainError("model must have 'states' and 'edges'") from exc
+        if not (isinstance(data, dict) and isinstance(data.get("states"), list)
+                and isinstance(data.get("edges"), list)):
+            raise InvalidChainError("model must have 'states' and 'edges' lists")
         states = []
         valuation = {}
-        for rec in state_records:
+        for i, rec in enumerate(data["states"]):
+            _check_record(rec, f"state record {i}", ("id",))
+            ap = rec.get("ap", [])
+            if not (isinstance(ap, list) and all(isinstance(a, str) for a in ap)):
+                raise InvalidChainError(
+                    f"state record {i}: 'ap' must be a list of atom names")
             states.append(str(rec["id"]))
-            valuation[str(rec["id"])] = [str(a) for a in rec.get("ap", [])]
+            valuation[str(rec["id"])] = ap
         edges = {}
-        for rec in edge_records:
+        for i, rec in enumerate(data["edges"]):
+            _check_record(rec, f"edge record {i}", ("from", "to", "p"))
             key = (str(rec["from"]), str(rec["to"]))
             if key in edges:
                 raise InvalidChainError(f"duplicate edge {key[0]!r} -> {key[1]!r}")
@@ -111,7 +128,7 @@ class MarkovChain:
     def from_json(cls, text: str) -> "MarkovChain":
         try:
             data = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise InvalidChainError(f"invalid JSON: {exc}") from exc
         return cls.from_dict(data)
 
@@ -174,9 +191,6 @@ class SccDecomposition:
 
     components: tuple[frozenset[str], ...]
     is_bottom: tuple[bool, ...]
-
-    def component_index(self) -> dict[str, int]:
-        return {s: i for i, comp in enumerate(self.components) for s in comp}
 
     def component_of(self, s: str) -> frozenset[str]:
         for comp in self.components:
@@ -261,20 +275,53 @@ def reachable_from(chain: MarkovChain, start: str) -> frozenset[str]:
     return frozenset(seen)
 
 
-def states_with_path_to(chain: MarkovChain, targets) -> frozenset[str]:
-    """States that have some path into `targets` (targets included)."""
-    preds: dict[str, list[str]] = {s: [] for s in chain.states}
-    for src, dst, _ in chain.edges():
-        preds[dst].append(src)
+def states_with_path_to(edges, targets) -> frozenset:
+    """States that have some path into `targets` (targets included) in the
+    graph with the given (source, destination) edge pairs."""
+    preds: dict = {}
+    for src, dst in edges:
+        preds.setdefault(dst, []).append(src)
     seen = set(targets)
-    frontier = list(targets)
+    frontier = list(seen)
     while frontier:
         s = frontier.pop()
-        for p in preds[s]:
+        for p in preds.get(s, ()):
             if p not in seen:
                 seen.add(p)
                 frontier.append(p)
     return frozenset(seen)
+
+
+# ---------------------------------------------------------------------------
+# The absorption kernel
+
+def absorption(unknown, successors, boundary) -> dict:
+    """Solves x(s) = sum_t P(s,t) x(t) for every state s in `unknown`, with
+    x fixed to the vector `boundary[t]` (of ints or Fractions) on boundary
+    states and to 0 on every other state; `successors(s)` maps each
+    successor t to P(s,t).  Returns {s: x(s)} for the unknown states, each
+    x(s) a list of Fractions as long as the boundary vectors.  Every unknown
+    state must have a path leaving `unknown`, which makes the system I - P
+    nonsingular."""
+    unknown = list(unknown)
+    if not unknown:
+        return {}
+    pos = {s: i for i, s in enumerate(unknown)}
+    n = len(unknown)
+    width = len(next(iter(boundary.values()), ()))
+    a = [[Fraction(0)] * n for _ in range(n)]
+    rhs = [[Fraction(0)] * width for _ in range(n)]
+    for i, s in enumerate(unknown):
+        a[i][i] = Fraction(1)
+        for dst, p in successors(s).items():
+            if dst in pos:
+                a[i][pos[dst]] -= p
+            elif dst in boundary:
+                row = rhs[i]
+                for j, value in enumerate(boundary[dst]):
+                    if value:
+                        row[j] += p * value
+    return dict(zip(unknown, linalg.solve(a, rhs)))
 
 
 # ---------------------------------------------------------------------------
@@ -294,10 +341,8 @@ def first_passage(chain: MarkovChain, source: str, targets) -> dict[str, Fractio
         raise KeyError(source)
     if not targets:
         raise ValueError("empty target set")
-    result = {t: Fraction(0) for t in targets}
     if source in targets:
-        result[source] = Fraction(1)
-        return result
+        return {t: Fraction(int(t == source)) for t in targets}
 
     # Region explorable from the source without crossing a target.
     region = set()
@@ -324,22 +369,9 @@ def first_passage(chain: MarkovChain, source: str, targets) -> dict[str, Fractio
                 certificate=comp,
             )
 
-    order = sorted(region)
-    pos = {s: i for i, s in enumerate(order)}
     tlist = sorted(targets)
-    n = len(order)
-    a = [[Fraction(0)] * n for _ in range(n)]
-    rhs = [[Fraction(0)] * len(tlist) for _ in range(n)]
-    for i, s in enumerate(order):
-        a[i][i] = Fraction(1)
-        for dst, p in chain.successors(s).items():
-            if dst in pos:
-                a[i][pos[dst]] -= p
-            elif dst in targets:
-                rhs[i][tlist.index(dst)] += p
-    hit = linalg.solve(a, rhs)
-    row = hit[pos[source]]
-    for j, t in enumerate(tlist):
-        result[t] = row[j]
+    one_hot = {t: [int(t == u) for u in tlist] for t in tlist}
+    hit = absorption(sorted(region), chain.successors, one_hot)[source]
+    result = dict(zip(tlist, hit))
     assert sum(result.values()) == 1
     return result

@@ -3,18 +3,19 @@
 Probabilities are computed by exact rational linear solves, never by value
 iteration: reachability probabilities satisfy a nonsingular linear system
 once the states with no path to the target are pinned to zero, and
-G-probabilities are the complement of reaching the body's complement.
+G-probabilities are the complement of reaching the body's complement.  The
+system is solved by `markov.absorption`, the exact absorption kernel that
+first passage and the ETR oracle share.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from . import linalg
 from .formula import (
     And, Atom, NegAtom, Or, PathFormula, PathOp, Prob, StateFormula,
 )
-from .markov import MarkovChain, states_with_path_to
+from .markov import MarkovChain, absorption, states_with_path_to
 
 
 class ModelChecker:
@@ -33,29 +34,14 @@ class ModelChecker:
         """P(eventually enter `targets`) for every state, exactly."""
         chain = self.chain
         targets = frozenset(targets)
-        can_reach = states_with_path_to(chain, targets)
-        probs: dict[str, Fraction] = {}
-        for s in chain.states:
-            if s in targets:
-                probs[s] = Fraction(1)
-            elif s not in can_reach:
-                probs[s] = Fraction(0)
-        unknown = [s for s in chain.states if s not in probs]
-        if unknown:
-            pos = {s: i for i, s in enumerate(unknown)}
-            n = len(unknown)
-            a = [[Fraction(0)] * n for _ in range(n)]
-            b = [Fraction(0)] * n
-            for i, s in enumerate(unknown):
-                a[i][i] = Fraction(1)
-                for dst, p in chain.successors(s).items():
-                    if dst in pos:
-                        a[i][pos[dst]] -= p
-                    else:
-                        b[i] += p * probs[dst]
-            solution = linalg.solve_vector(a, b)
-            for s, value in zip(unknown, solution):
-                probs[s] = value
+        can_reach = states_with_path_to(
+            ((src, dst) for src, dst, _ in chain.edges()), targets)
+        unknown = [s for s in chain.states if s in can_reach and s not in targets]
+        probs = {s: Fraction(1) if s in targets else Fraction(0)
+                 for s in chain.states}
+        boundary = dict.fromkeys(targets, (1,))
+        for s, (value,) in absorption(unknown, chain.successors, boundary).items():
+            probs[s] = value
         return probs
 
     # -- path formulas ------------------------------------------------------
@@ -117,20 +103,9 @@ def sat_set(chain: MarkovChain, f: StateFormula) -> frozenset[str]:
     return ModelChecker(chain).sat_set(f)
 
 
-def prob(chain: MarkovChain, state: str, path: PathFormula,
-         sat_body: frozenset[str] | None = None) -> Fraction:
-    """Probability of the path formula at `state`.  When `sat_body` is given
-    it must be the exact satisfaction set of the path formula's body; the
-    reachability is then computed directly from it."""
-    if state not in chain:
-        raise KeyError(state)
-    mc = ModelChecker(chain)
-    if sat_body is None:
-        return mc.probability(state, path)
-    if path.op is PathOp.F:
-        return mc.reach_probabilities(sat_body)[state]
-    outside = frozenset(chain.states) - frozenset(sat_body)
-    return 1 - mc.reach_probabilities(outside)[state]
+def prob(chain: MarkovChain, state: str, path: PathFormula) -> Fraction:
+    """Probability of the path formula at `state`."""
+    return ModelChecker(chain).probability(state, path)
 
 
 def check(chain: MarkovChain, state: str, formulas) -> bool:

@@ -506,8 +506,9 @@ def build_loop_model(loop: ProgressLoop, submodels, entry_for=None,
     Loop states are named L0..Ln and valued with the atoms of their formula
     set; each steps to the next with probability 1; the last returns to L0
     with the loop-return probability and otherwise enters a submodel entry.
-    Submodel states are renamed only on collision.  The returned entry state
-    is the first L_i containing `entry_for` (L0 when it is None).
+    Submodel states are renamed only on collision, to a name no other state
+    of the assembled model holds.  The returned entry state is the first
+    L_i containing `entry_for` (L0 when it is None).
     """
     total = sum((Fraction(w) for _, _, w in submodels), Fraction(0))
     if total != 1:
@@ -518,6 +519,9 @@ def build_loop_model(loop: ProgressLoop, submodels, entry_for=None,
     n = len(loop.sets)
     loop_ids = [f"L{i}" for i in range(n)]
     used = set(loop_ids)
+    # every name the assembled model may hold, so a renamed state never
+    # takes a name that a later submodel keeps
+    taken = used.union(*(sub.states for sub, _, _ in submodels))
     states: list[str] = list(loop_ids)
     valuation: dict[str, list[str]] = {
         lid: sorted(f.name for f in level if isinstance(f, Atom))
@@ -531,9 +535,12 @@ def build_loop_model(loop: ProgressLoop, submodels, entry_for=None,
             raise ValueError(f"entry state {entry!r} not in submodel {k}")
         mapping = {}
         for s in sub.states:
-            name = s if s not in used else f"m{k}_{s}"
+            name = s
             if name in used:
-                raise ValueError(f"state id collision after renaming: {name!r}")
+                name, count = f"m{k}_{s}", 1
+                while name in taken:
+                    name, count = f"m{k}_{s}_{count}", count + 1
+                taken.add(name)
             mapping[s] = name
             used.add(name)
         states.extend(mapping[s] for s in sub.states)

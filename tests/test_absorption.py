@@ -1,0 +1,101 @@
+"""The exact absorption kernel, checked through its three callers: model
+checking reach vectors, first-passage distributions and the ETR block
+values.  The equations are checked by code written here, not by the
+kernel."""
+
+import random
+from fractions import Fraction
+
+from helpers import random_chain, random_core_formula
+
+from pctlfg.etr import candidate_from_chain, encode, f_normal_form, solve_block_values
+from pctlfg.formula import Prob, iter_subformulas
+from pctlfg.linalg import null_vector
+from pctlfg.markov import first_passage, scc_decompose
+from pctlfg.modelcheck import ModelChecker
+from pctlfg.progress import caratheodory_reduce
+
+
+def has_path(chain, source, targets) -> bool:
+    seen, frontier = {source}, [source]
+    while frontier:
+        s = frontier.pop()
+        if s in targets:
+            return True
+        for t in chain.successors(s):
+            if t not in seen:
+                seen.add(t)
+                frontier.append(t)
+    return False
+
+
+def one_step(chain, s, value) -> Fraction:
+    return sum((p * value(t) for t, p in chain.successors(s).items()), Fraction(0))
+
+
+def test_reach_vectors_satisfy_their_equations():
+    rng = random.Random(41)
+    for _ in range(80):
+        chain = random_chain(rng, max_states=7)
+        targets = frozenset(s for s in chain.states if rng.random() < 0.3)
+        x = ModelChecker(chain).reach_probabilities(targets)
+        for s in chain.states:
+            if s in targets:
+                assert x[s] == 1
+            elif not has_path(chain, s, targets):
+                assert x[s] == 0
+            else:
+                assert x[s] == one_step(chain, s, x.__getitem__)
+
+
+def test_first_passage_satisfies_its_equations():
+    rng = random.Random(43)
+    for _ in range(60):
+        chain = random_chain(rng, max_states=7)
+        targets = set(scc_decompose(chain).bottom_states())
+        targets |= {s for s in chain.states if rng.random() < 0.2}
+        hit = {s: first_passage(chain, s, targets) for s in chain.states}
+        for s in chain.states:
+            assert sum(hit[s].values()) == 1
+            for t in targets:
+                if s in targets:
+                    assert hit[s][t] == (1 if s == t else 0)
+                    continue
+
+                def value(u):
+                    return (1 if u == t else 0) if u in targets else hit[u][t]
+
+                assert hit[s][t] == one_step(chain, s, value)
+
+
+def test_block_values_equal_reach_probabilities():
+    rng = random.Random(47)
+    checked = 0
+    for _ in range(80):
+        chain = random_chain(rng, max_states=5)
+        f = f_normal_form(random_core_formula(rng, depth=2))
+        if not any(isinstance(g, Prob) for g in iter_subformulas(f)):
+            continue
+        mc = ModelChecker(chain)
+        pos = {s: i for i, s in enumerate(chain.states)}
+        truth = {(pos[a], pos[b]): p for a, b, p in chain.edges()}
+        system = encode(candidate_from_chain(chain, f))
+        for block in system.blocks:
+            values = solve_block_values(system, block, truth)
+            reach = mc.reach_probabilities(mc.sat_set(block.formula.body))
+            assert {s: values[i] for s, i in pos.items()} == reach
+            checked += 1
+    assert checked > 20
+
+
+def test_elimination_golden():
+    # pins the kernel vector and the reduction the compression relies on
+    F = Fraction
+    rows = [[F(1, 3), F(2), F(-1, 2), F(5, 7), F(0)],
+            [F(1), F(1, 4), F(3), F(0), F(2, 3)],
+            [F(1)] * 5]
+    assert null_vector(rows, 5) == [F(-699, 455), F(12, 455), F(232, 455), F(1), F(0)]
+    points = [(F(1, 2), F(1, 3)), (F(1), F(0)), (F(0), F(1)),
+              (F(1, 4), F(3, 4)), (F(2, 3), F(2, 3)), (F(1, 5), F(1, 5))]
+    assert caratheodory_reduce(points, [F(1, 6)] * 6) == [
+        F(0), F(89, 216), F(101, 216), F(0), F(0), F(13, 108)]

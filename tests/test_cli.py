@@ -176,6 +176,43 @@ def test_bad_model_is_usage_error(capsys, tmp_path):
     assert "sum" in err
 
 
+@pytest.mark.parametrize("model, message", [
+    ({"states": [{"ap": []}], "edges": []}, "has no 'id'"),
+    ({"states": [{"id": "s"}], "edges": [{"from": "s", "to": "s"}]}, "has no 'p'"),
+    ({"states": "x", "edges": []}, "'states' and 'edges' lists"),
+    ({"states": [{"id": "s", "ap": "abc"}],
+      "edges": [{"from": "s", "to": "s", "p": "1"}]}, "'ap' must be a list"),
+    ({"states": [{"id": "s", "ap": [["a"]]}],
+      "edges": [{"from": "s", "to": "s", "p": "1"}]}, "'ap' must be a list"),
+    ({"states": ["s"], "edges": []}, "must be an object"),
+    ("[" * 100000, "invalid JSON"),
+])
+def test_malformed_model_is_usage_error(capsys, tmp_path, model, message):
+    path = tmp_path / "bad.json"
+    path.write_text(model if isinstance(model, str) else json.dumps(model))
+    code, _, err = run(capsys, "check", "--model", str(path), "--formula", "a")
+    assert code == 2
+    assert message in err
+
+
+@pytest.mark.parametrize("loop, message", [
+    ({}, "list of formula lists"),
+    ({"sets": 3}, "list of formula lists"),
+    ({"sets": ["a"]}, "list of formula lists"),
+    ({"sets": [[1]]}, "list of formula lists"),
+    ("[" * 100000, "cannot read loop"),
+])
+def test_malformed_loop_file_is_usage_error(capsys, tmp_path, model_path, loop,
+                                            message):
+    loop_path = tmp_path / "loop.json"
+    loop_path.write_text(loop if isinstance(loop, str) else json.dumps(loop))
+    code, _, err = run(capsys, "loop", "verify", "--model", model_path,
+                       "--state", "s", "--formula", PSI_TEXT,
+                       "--loop", str(loop_path))
+    assert code == 2
+    assert message in err
+
+
 def test_bad_formula_is_usage_error(capsys, model_path):
     code, _, err = run(capsys, "check", "--model", model_path,
                        "--formula", "F>=2[a]")

@@ -159,5 +159,6 @@ def test_runs_enter_bottom_sccs():
 
 
 def test_states_with_path_to(fig1):
-    assert states_with_path_to(fig1, {"u"}) == frozenset({"s", "t", "u"})
-    assert states_with_path_to(fig1, {"s"}) == frozenset({"s", "t"})
+    edges = [(src, dst) for src, dst, _ in fig1.edges()]
+    assert states_with_path_to(edges, {"u"}) == frozenset({"s", "t", "u"})
+    assert states_with_path_to(edges, {"s"}) == frozenset({"s", "t"})

@@ -15,8 +15,9 @@ from pctlfg.modelcheck import ModelChecker, check, prob, sat_set
 def test_prob_f_not_a(fig1, fig1_checker):
     path = PathFormula(PathOp.F, NegAtom("a"))
     assert fig1_checker.probability("t", path) == Fraction(3, 5)
-    # the module-level variant with an explicit body set
-    assert prob(fig1, "t", path, sat_body=frozenset({"s"})) == Fraction(3, 5)
+    assert prob(fig1, "t", path) == Fraction(3, 5)
+    # the reachability of the body's satisfaction set gives the same value
+    assert fig1_checker.reach_probabilities({"s"})["t"] == Fraction(3, 5)
 
 
 def test_prob_reach_globally_a(fig1, fig1_checker):

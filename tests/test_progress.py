@@ -340,6 +340,41 @@ def test_build_loop_model_renames_collisions(psi):
     assert "m0_L0" in model.states
 
 
+def test_build_loop_model_renamed_state_avoids_later_names():
+    # the rename of the first submodel's L0 must not take the name the
+    # second submodel keeps
+    first = MarkovChain(["L0"], {("L0", "L0"): Fraction(1)}, {"L0": ["a"]})
+    second = MarkovChain(["m0_L0"], {("m0_L0", "m0_L0"): Fraction(1)},
+                         {"m0_L0": ["b"]})
+    loop = ProgressLoop((frozenset({Atom("a")}),))
+    model, _ = build_loop_model(loop, [(first, "L0", Fraction(1, 2)),
+                                       (second, "m0_L0", Fraction(1, 2))])
+    assert len(model.states) == 3
+    assert model.atoms("m0_L0") == frozenset({"b"})
+    assert validate(model) == []
+
+
+def test_compress_generic_nested_renames():
+    # the renamed names of two recursion levels used to collide ('m1_s3')
+    chain = MarkovChain.from_dict({
+        "states": [{"id": "s0", "ap": ["a"]}, {"id": "s1", "ap": ["b"]},
+                   {"id": "s2", "ap": ["a"]}, {"id": "s3", "ap": ["a"]},
+                   {"id": "s4", "ap": ["a", "b"]}],
+        "edges": [{"from": "s0", "to": "s4", "p": "2/3"},
+                  {"from": "s0", "to": "s2", "p": "1/3"},
+                  {"from": "s1", "to": "s0", "p": "1"},
+                  {"from": "s2", "to": "s2", "p": "1/7"},
+                  {"from": "s2", "to": "s0", "p": "3/7"},
+                  {"from": "s2", "to": "s1", "p": "3/7"},
+                  {"from": "s3", "to": "s4", "p": "1"},
+                  {"from": "s4", "to": "s3", "p": "1"}]})
+    f = pf("F>0[F>=1/4[!a]]")
+    model, entry, _ = compress_model(chain, "s0", f, fragment="generic", max_n=2)
+    assert validate(model) == []
+    assert simple_loop_components(model) == []
+    assert ModelChecker(model).holds(entry, f)
+
+
 def test_bscc_reduce_singleton(fig1, fig1_checker):
     model, entry = bscc_reduce(fig1, "u", {pf("G=1[a]")}, checker=fig1_checker)
     assert model.states == ("u",)
