@@ -119,9 +119,9 @@ def _cmd_closure(args) -> int:
     f = _parse_formula_arg(args.formula)
     state = _require_state(chain, args.state)
     mc = ModelChecker(chain)
-    c = closure(chain, state, {f}, checker=mc)
-    uc = closure_update(chain, state, {f}, checker=mc)
-    ab = achieved_bounds(chain, state, uc, checker=mc)
+    c = closure(mc, state, {f})
+    uc = closure_update(mc, state, {f})
+    ab = achieved_bounds(mc, state, uc)
     data = {
         "closure": _formula_list(c),
         "closed_update": _formula_list(uc),
@@ -135,12 +135,12 @@ def _cmd_closure(args) -> int:
     return EXIT_OK
 
 
-def _build_set(args, chain: MarkovChain, state: str, mc: ModelChecker):
+def _build_set(args, mc: ModelChecker, state: str):
     f = _parse_formula_arg(args.formula)
     if args.set == "uc":
-        return closure_update(chain, state, {f}, checker=mc)
+        return closure_update(mc, state, {f})
     if args.set == "closure":
-        return closure(chain, state, {f}, checker=mc)
+        return closure(mc, state, {f})
     return frozenset({f})
 
 
@@ -148,9 +148,9 @@ def _cmd_measure(args) -> int:
     chain = _load_model(args.model)
     state = _require_state(chain, args.state)
     mc = ModelChecker(chain)
-    X = _build_set(args, chain, state, mc)
-    parts = aux_sets(chain, state, X, checker=mc)
-    value = progress_measure(chain, state, X, checker=mc)
+    X = _build_set(args, mc, state)
+    parts = aux_sets(mc, state, X)
+    value = progress_measure(mc, state, X)
     norms = {str(p): path_norm(p) for p in formula_sets(X).p}
     data = {
         "set": _formula_list(X),
@@ -177,12 +177,12 @@ def _cmd_loop(args) -> int:
     state = _require_state(chain, args.state)
     mc = ModelChecker(chain)
     f = _parse_formula_arg(args.formula)
-    X = closure_update(chain, state, {f}, checker=mc)
+    X = closure_update(mc, state, {f})
     if args.action == "verify":
         if not args.loop:
             raise UsageError("loop verify requires --loop")
         loop = _load_loop(args.loop)
-        problems = verify_loop(chain, state, X, loop, checker=mc)
+        problems = verify_loop(mc, state, X, loop)
         if problems:
             for p in problems:
                 print(p, file=sys.stderr)
@@ -191,9 +191,9 @@ def _cmd_loop(args) -> int:
         return EXIT_OK
     try:
         if args.method == "l2":
-            loop = search_loop_l2(chain, state, X, checker=mc)
+            loop = search_loop_l2(mc, state, X)
         else:
-            loop = search_loop_generic(chain, state, X, args.max_n, checker=mc)
+            loop = search_loop_generic(mc, state, X, args.max_n)
     except SearchSpaceExceeded as exc:
         print(f"search space exceeded: {exc}", file=sys.stderr)
         return EXIT_BACKEND

@@ -1,17 +1,18 @@
 """Closure and bound-tightening operators on sets of satisfied formulas.
 
-`closure` propagates a satisfied formula set through conjunctions, satisfied
-disjuncts, and satisfied F-bodies.  G-bodies are deliberately never unfolded
-here; the loop machinery treats them separately.  `update` replaces every
-probability bound with the exact probability at the state, which can only
-raise bounds.  `achieved_bounds` records the exact probabilities of a set's
-path formulas at an arbitrary state (no satisfaction precondition).
+Every operator takes the `ModelChecker` of the model it asks about; the
+chain is `mc.chain`.  `closure` propagates a satisfied formula set through
+conjunctions, satisfied disjuncts, and satisfied F-bodies.  G-bodies are
+never unfolded here; `least_closed_set`, the one engine behind these rules,
+unfolds them only when the loop search asks for it.  `update` replaces
+every probability bound with the exact probability at the state, which can
+only raise bounds.  `achieved_bounds` records the exact probabilities of a
+set's path formulas at an arbitrary state (no satisfaction precondition).
 """
 
 from __future__ import annotations
 
 from .formula import And, Cmp, Or, PathOp, Prob, StateFormula
-from .markov import MarkovChain
 from .modelcheck import ModelChecker
 
 
@@ -25,25 +26,17 @@ class UnsatisfiedSetError(ValueError):
         self.formula = formula
 
 
-def _checker(chain: MarkovChain, checker: ModelChecker | None) -> ModelChecker:
-    if checker is not None:
-        return checker
-    return ModelChecker(chain)
-
-
 def _require_satisfied(mc: ModelChecker, state: str, formulas) -> None:
     for f in formulas:
         if not mc.holds(state, f):
             raise UnsatisfiedSetError(state, f)
 
 
-def closure(chain: MarkovChain, state: str, formulas, *,
-            checker: ModelChecker | None = None) -> frozenset[StateFormula]:
+def least_closed_set(mc: ModelChecker, state: str, formulas, *,
+                     unfold_g: bool) -> frozenset[StateFormula]:
     """Least superset of `formulas` closed under: all conjuncts; disjuncts
-    satisfied at `state`; bodies of F-formulas satisfied at `state`.
-    Requires state |= formulas."""
-    mc = _checker(chain, checker)
-    _require_satisfied(mc, state, formulas)
+    satisfied at `state`; bodies of F-formulas satisfied at `state`; and,
+    with `unfold_g`, the bodies of all G-formulas.  No precondition."""
     result: set[StateFormula] = set()
     work = list(formulas)
     while work:
@@ -55,17 +48,26 @@ def closure(chain: MarkovChain, state: str, formulas, *,
             work.extend(f.args)
         elif isinstance(f, Or):
             work.extend(a for a in f.args if mc.holds(state, a))
-        elif isinstance(f, Prob) and f.op is PathOp.F and mc.holds(state, f.body):
-            work.append(f.body)
+        elif isinstance(f, Prob):
+            if f.op is PathOp.G and unfold_g:
+                work.append(f.body)
+            elif f.op is PathOp.F and mc.holds(state, f.body):
+                work.append(f.body)
     return frozenset(result)
 
 
-def update(chain: MarkovChain, state: str, formulas, *,
-           checker: ModelChecker | None = None) -> frozenset[StateFormula]:
+def closure(mc: ModelChecker, state: str, formulas) -> frozenset[StateFormula]:
+    """Least superset of `formulas` closed under: all conjuncts; disjuncts
+    satisfied at `state`; bodies of F-formulas satisfied at `state`.
+    Requires state |= formulas."""
+    _require_satisfied(mc, state, formulas)
+    return least_closed_set(mc, state, formulas, unfold_g=False)
+
+
+def update(mc: ModelChecker, state: str, formulas) -> frozenset[StateFormula]:
     """Replaces every probabilistic member P(Phi) |> r with P(Phi) >= r'
     where r' is the exact probability at `state`; other members are kept.
     Requires state |= formulas, so r' >= r always holds."""
-    mc = _checker(chain, checker)
     _require_satisfied(mc, state, formulas)
     out: set[StateFormula] = set()
     for f in formulas:
@@ -77,21 +79,16 @@ def update(chain: MarkovChain, state: str, formulas, *,
     return frozenset(out)
 
 
-def closure_update(chain: MarkovChain, state: str, formulas, *,
-                   checker: ModelChecker | None = None) -> frozenset[StateFormula]:
+def closure_update(mc: ModelChecker, state: str, formulas) -> frozenset[StateFormula]:
     """update after closure; idempotent."""
-    mc = _checker(chain, checker)
-    return update(chain, state, closure(chain, state, formulas, checker=mc),
-                  checker=mc)
+    return update(mc, state, closure(mc, state, formulas))
 
 
-def achieved_bounds(chain: MarkovChain, state: str, formulas, *,
-                    checker: ModelChecker | None = None) -> frozenset[StateFormula]:
+def achieved_bounds(mc: ModelChecker, state: str, formulas) -> frozenset[StateFormula]:
     """For every probabilistic member with positive probability at `state`,
     the formula P(Phi) >= P(state |= Phi).  Zero-probability path formulas
     and non-probabilistic members are dropped.  Every returned formula holds
     at `state` by construction."""
-    mc = _checker(chain, checker)
     out: set[StateFormula] = set()
     for f in formulas:
         if not isinstance(f, Prob):

@@ -24,7 +24,7 @@ from fractions import Fraction
 
 from .formula import (
     And, Atom, Cmp, NegAtom, Or, PathOp, Prob, StateFormula, conj, disj,
-    is_core, iter_subformulas,
+    is_core, is_trivial_bound, iter_subformulas,
 )
 from .markov import MarkovChain, absorption, states_with_path_to
 from .modelcheck import ModelChecker
@@ -67,8 +67,7 @@ def _fnf(f: StateFormula, positive: bool) -> StateFormula:
         cmp = {Cmp.GE: Cmp.LE, Cmp.GT: Cmp.LT, Cmp.LE: Cmp.GE, Cmp.LT: Cmp.GT}[cmp]
         body = _fnf(f.body, False)
     bound = f.bound if f.op is PathOp.F else 1 - f.bound
-    if (cmp, bound) in ((Cmp.GE, Fraction(0)), (Cmp.GT, Fraction(1)),
-                        (Cmp.LE, Fraction(1)), (Cmp.LT, Fraction(0))):
+    if is_trivial_bound(cmp, bound):
         raise ValueError(f"trivial constraint produced from {f}")
     return Prob(PathOp.F, cmp, bound, body)
 

@@ -162,13 +162,18 @@ def _merge(node_type, args) -> StateFormula:
     return node_type(tuple(flat))
 
 
+def is_trivial_bound(cmp: Cmp, bound: Fraction) -> bool:
+    """Whether the constraint holds for every probability or for none:
+    '>=0', '<=1', '>1' and '<0'."""
+    return (cmp, bound) in ((Cmp.GE, 0), (Cmp.GT, 1), (Cmp.LE, 1), (Cmp.LT, 0))
+
+
 def prob(op: PathOp, cmp: Cmp, bound: Fraction, body: StateFormula) -> Prob:
     """Probabilistic operator node; rejects out-of-range and trivial bounds."""
     bound = Fraction(bound)
     if not 0 <= bound <= 1:
         raise ValueError(f"probability bound {bound} outside [0,1]")
-    if (cmp, bound) in ((Cmp.GE, Fraction(0)), (Cmp.GT, Fraction(1)),
-                        (Cmp.LE, Fraction(1)), (Cmp.LT, Fraction(0))):
+    if is_trivial_bound(cmp, bound):
         raise ValueError(f"trivial probability constraint '{cmp}{bound}'")
     return Prob(op, cmp, bound, body)
 
@@ -285,7 +290,13 @@ def sorted_formulas(X) -> list[StateFormula]:
 #   cmp  := ">=" | ">" | "<=" | "<" | "="
 #   num  := decimal | integer "/" integer
 #
-# "=" is allowed only as "=1".  Whitespace is insignificant.
+# "=" is allowed only as "=1".  Whitespace is insignificant.  Nesting of
+# "!", "(" and "F/G...[" together is capped at MAX_NESTING levels, so that
+# the recursive passes over a parsed formula stay inside Python's recursion
+# limit.
+
+MAX_NESTING = 100
+
 
 @dataclass(frozen=True)
 class SAtom:
@@ -388,6 +399,7 @@ class _Parser:
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
         self.i = 0
+        self.depth = 0
 
     def peek(self) -> _Token:
         return self.tokens[self.i]
@@ -435,20 +447,27 @@ class _Parser:
 
     def unit(self) -> SurfaceFormula:
         tok = self.peek()
+        is_prob = (tok.text in ("F", "G")
+                   and self.tokens[self.i + 1].text in (">=", ">", "<=", "<", "="))
+        if tok.kind == "name" and not is_prob:
+            self.next()
+            return SAtom(tok.text, (tok.line, tok.col))
+        if tok.text not in ("!", "(") and not is_prob:
+            self.error(f"expected a formula, found {tok.text!r}")
+        if self.depth == MAX_NESTING:
+            self.error(f"formula nested deeper than {MAX_NESTING} levels")
+        self.depth += 1
         if tok.text == "!":
             self.next()
-            return SNot(self.unit(), (tok.line, tok.col))
-        if tok.text == "(":
+            f = SNot(self.unit(), (tok.line, tok.col))
+        elif tok.text == "(":
             self.next()
             f = self.disj()
             self.expect(")")
-            return f
-        if tok.kind == "name":
-            if tok.text in ("F", "G") and self.tokens[self.i + 1].text in (">=", ">", "<=", "<", "="):
-                return self.prob_unit()
-            self.next()
-            return SAtom(tok.text, (tok.line, tok.col))
-        self.error(f"expected a formula, found {tok.text!r}")
+        else:
+            f = self.prob_unit()
+        self.depth -= 1
+        return f
 
     def prob_unit(self) -> SurfaceFormula:
         op_tok = self.next()
@@ -544,7 +563,7 @@ def _norm(f, positive: bool) -> StateFormula:
             body = _norm(f.body, False)
         else:
             body = _norm(f.body, True)
-        if (cmp is Cmp.GE and bound == 0) or (cmp is Cmp.GT and bound == 1):
+        if is_trivial_bound(cmp, bound):
             raise NormalizationError(
                 f"normalizing produced the trivial constraint "
                 f"'{op}{cmp}{bound}' in {f}; such bounds are forbidden")

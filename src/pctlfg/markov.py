@@ -20,6 +20,7 @@ the per-block reach values of the ETR oracle all go through it, and
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -39,9 +40,19 @@ class FirstPassageError(ValueError):
         self.certificate = certificate
 
 
+# The numerals `to_dict` writes and the formula grammar reads.  `Fraction`
+# alone also takes exponents, in time growing faster than the exponent, so
+# a 12-byte field such as "1e-999999999" would stall the reader.
+_NUMERAL = re.compile(r"-?[0-9]+(\.[0-9]+)?|-?[0-9]+/[0-9]+")
+
+
 def parse_probability(text) -> Fraction:
+    """An integer, a decimal or `integer/integer`, exactly."""
+    numeral = str(text)
+    if not _NUMERAL.fullmatch(numeral):
+        raise InvalidChainError(f"malformed rational {text!r}")
     try:
-        value = Fraction(str(text))
+        value = Fraction(numeral)
     except (ValueError, ZeroDivisionError) as exc:
         raise InvalidChainError(f"malformed rational {text!r}") from exc
     return value

@@ -7,7 +7,8 @@ path formulas of a set that the state does not yet satisfy almost surely;
 `reachable_eventualities` the F obligations that are unsatisfied locally but
 witnessed by a reachable state that spoils none of the pending G formulas.
 The measure combines the three and strictly decreases along the model
-compression recursion, which is what bounds its depth.
+compression recursion, which is what bounds its depth.  Every function that
+asks about a model takes its `ModelChecker`; the chain is `mc.chain`.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from .formula import (
     PathFormula, PathOp, Prob, StateFormula, formula_sets,
     immediate_path_subformulas, subformulas,
 )
-from .markov import MarkovChain, reachable_from
+from .markov import reachable_from
 from .modelcheck import ModelChecker
 
 
@@ -27,11 +28,9 @@ def path_norm(path: PathFormula) -> int:
     return 1 + sum(path_norm(q) for q in immediate_path_subformulas(path.body))
 
 
-def pending_globals(chain: MarkovChain, state: str, formulas, *,
-                    checker: ModelChecker | None = None) -> frozenset[PathFormula]:
+def pending_globals(mc: ModelChecker, state: str, formulas) -> frozenset[PathFormula]:
     """G path formulas occurring anywhere in the set's subformulas whose
     almost-sure version fails at `state`."""
-    mc = checker or ModelChecker(chain)
     out = set()
     for path in formula_sets(formulas).psub:
         if path.op is PathOp.G and mc.probability(state, path) != 1:
@@ -39,19 +38,18 @@ def pending_globals(chain: MarkovChain, state: str, formulas, *,
     return frozenset(out)
 
 
-def reachable_eventualities(chain: MarkovChain, state: str, formulas, *,
-                            checker: ModelChecker | None = None) -> frozenset[PathFormula]:
+def reachable_eventualities(mc: ModelChecker, state: str,
+                            formulas) -> frozenset[PathFormula]:
     """F path formulas of the set's own F-members whose body fails at
     `state` but holds at some reachable witness that additionally fails
     G=1 for every pending G formula of the set."""
-    mc = checker or ModelChecker(chain)
-    pending = pending_globals(chain, state, formulas, checker=mc)
+    pending = pending_globals(mc, state, formulas)
     candidates = [f for f in formulas
                   if isinstance(f, Prob) and f.op is PathOp.F
                   and not mc.holds(state, f.body)]
     if not candidates:
         return frozenset()
-    region = reachable_from(chain, state)
+    region = reachable_from(mc.chain, state)
     out = set()
     for f in candidates:
         for witness in region:
@@ -80,28 +78,24 @@ class MeasureParts:
     base: int
 
 
-def aux_sets(chain: MarkovChain, state: str, formulas, *,
-             checker: ModelChecker | None = None) -> MeasureParts:
-    mc = checker or ModelChecker(chain)
+def aux_sets(mc: ModelChecker, state: str, formulas) -> MeasureParts:
     return MeasureParts(
-        pending=pending_globals(chain, state, formulas, checker=mc),
-        eventualities=reachable_eventualities(chain, state, formulas, checker=mc),
+        pending=pending_globals(mc, state, formulas),
+        eventualities=reachable_eventualities(mc, state, formulas),
         base=bound_base(formulas),
     )
 
 
-def progress_measure(chain: MarkovChain, state: str, formulas, *,
-                     checker: ModelChecker | None = None) -> int:
+def progress_measure(mc: ModelChecker, state: str, formulas) -> int:
     """1 + |pending| * (1 + sum of norms of the members' path formulas)
     + sum of norms of the reachable eventualities."""
-    mc = checker or ModelChecker(chain)
-    pending = pending_globals(chain, state, formulas, checker=mc)
+    pending = pending_globals(mc, state, formulas)
     member_paths = formula_sets(formulas).p
     total = 1
     if pending:
         total += len(pending) * (1 + sum(path_norm(q) for q in member_paths))
     total += sum(path_norm(q) for q in
-                 reachable_eventualities(chain, state, formulas, checker=mc))
+                 reachable_eventualities(mc, state, formulas))
     return total
 
 

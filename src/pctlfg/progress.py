@@ -6,7 +6,9 @@ residue of obligations (`exit_obligations`) for the cycle's exit successors.
 `compress_model` turns that idea into a recursive construction: find a loop,
 split the exit mass over a small support of successor states (exact
 Caratheodory reduction), recurse on strictly simpler formula sets, and stop
-at bottom SCCs, which collapse to satisfaction-signature cycles.
+at bottom SCCs, which collapse to satisfaction-signature cycles.  Every
+function that asks about a model takes its `ModelChecker`; the chain is
+`mc.chain`.
 """
 
 from __future__ import annotations
@@ -14,9 +16,10 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import Iterator
 
 from . import linalg
-from .closure import achieved_bounds, closure_update
+from .closure import achieved_bounds, closure_update, least_closed_set
 from .formula import (
     And, Atom, Cmp, NegAtom, Or, PathFormula, PathOp, Prob, StateFormula,
     formula_sets, fragment_classify, iter_subformulas, sort_key,
@@ -88,38 +91,35 @@ def exit_obligations(loop: ProgressLoop) -> frozenset[StateFormula]:
 
 
 def _local_rule_violations(i: int, level: frozenset[StateFormula],
-                           loop: ProgressLoop) -> list[str]:
-    problems = []
+                           loop: ProgressLoop) -> Iterator[str]:
+    """Yields the condition (3) violations of L_i, lazily."""
     for f in level:
         if isinstance(f, Atom) and NegAtom(f.name) in level:
-            problems.append(f"condition (3): L{i} contains both {f.name} and !{f.name}")
+            yield f"condition (3): L{i} contains both {f.name} and !{f.name}"
         elif isinstance(f, And):
             for a in f.args:
                 if a not in level:
-                    problems.append(f"condition (3): conjunct {a} of {f} missing from L{i}")
+                    yield f"condition (3): conjunct {a} of {f} missing from L{i}"
         elif isinstance(f, Or):
             if not any(a in level for a in f.args):
-                problems.append(f"condition (3): no disjunct of {f} present in L{i}")
+                yield f"condition (3): no disjunct of {f} present in L{i}"
         elif isinstance(f, Prob) and f.op is PathOp.G:
             for j, other in enumerate(loop.sets):
                 if f.body not in other:
-                    problems.append(
-                        f"condition (3): body of {f} (in L{i}) missing from L{j}")
-    return problems
+                    yield f"condition (3): body of {f} (in L{i}) missing from L{j}"
 
 
-def verify_loop(chain: MarkovChain, state: str, formulas, loop: ProgressLoop, *,
-                checker: ModelChecker | None = None) -> list[str]:
+def verify_loop(mc: ModelChecker, state: str, formulas,
+                loop: ProgressLoop) -> list[str]:
     """Checks the loop hypotheses and all six conditions independently and
     returns every violation (empty list means the loop is valid)."""
-    mc = checker or ModelChecker(chain)
     X = frozenset(formulas)
     problems: list[str] = []
 
     unsatisfied = [f for f in X if not mc.holds(state, f)]
     for f in sorted_formulas(unsatisfied):
         problems.append(f"hypothesis: state {state!r} does not satisfy {f}")
-    if not unsatisfied and closure_update(chain, state, X, checker=mc) != X:
+    if not unsatisfied and closure_update(mc, state, X) != X:
         problems.append("hypothesis: X is not closed and updated")
 
     sub = formula_sets(X).sub
@@ -145,8 +145,8 @@ def verify_loop(chain: MarkovChain, state: str, formulas, loop: ProgressLoop, *,
         if isinstance(f, Prob) and f.op is PathOp.F and mc.holds(state, f.body):
             problems.append(
                 f"condition (5): state {state!r} satisfies the body of {f}")
-    spilled = (reachable_eventualities(chain, state, residue, checker=mc)
-               - reachable_eventualities(chain, state, X, checker=mc))
+    spilled = (reachable_eventualities(mc, state, residue)
+               - reachable_eventualities(mc, state, X))
     for path in sorted(spilled, key=lambda p: sort_key(p.body)):
         problems.append(
             f"condition (6): {path} is a reachable eventuality of the exit "
@@ -166,28 +166,15 @@ def _locally_consistent_sets(universe: list[StateFormula]):
     n = len(universe)
     for mask in range(1, 1 << n):
         level = frozenset(universe[k] for k in range(n) if mask >> k & 1)
-        ok = True
-        for f in level:
-            if isinstance(f, Atom) and NegAtom(f.name) in level:
-                ok = False
-            elif isinstance(f, And) and not all(a in level for a in f.args):
-                ok = False
-            elif isinstance(f, Or) and not any(a in level for a in f.args):
-                ok = False
-            elif (isinstance(f, Prob) and f.op is PathOp.G
-                    and f.body not in level):
-                ok = False
-            if not ok:
-                break
-        if ok:
+        alone = ProgressLoop((level,))
+        if next(_local_rule_violations(0, level, alone), None) is None:
             out.append(level)
     out.sort(key=lambda s: (len(s), tuple(sorted(sort_key(f) for f in s))))
     return out
 
 
-def search_loop_generic(chain: MarkovChain, state: str, formulas, max_n: int, *,
-                        node_budget: int = 200_000,
-                        checker: ModelChecker | None = None) -> ProgressLoop | None:
+def search_loop_generic(mc: ModelChecker, state: str, formulas, max_n: int, *,
+                        node_budget: int = 200_000) -> ProgressLoop | None:
     """Exhaustive bounded search for a progress loop: iterative deepening
     over sequences of distinct locally-consistent subsets of sub(X), with
     the cross-set G-body constraint propagated during the walk.  Returns
@@ -195,11 +182,10 @@ def search_loop_generic(chain: MarkovChain, state: str, formulas, max_n: int, *,
     the space up to max_n is exhausted.  Raises SearchSpaceExceeded when
     `node_budget` extensions were tried first.
     """
-    mc = checker or ModelChecker(chain)
     X = frozenset(formulas)
     if not mc.check(state, X):
         raise ProgressLoopError(f"state {state!r} does not satisfy X")
-    if closure_update(chain, state, X, checker=mc) != X:
+    if closure_update(mc, state, X) != X:
         raise ProgressLoopError("X is not closed and updated")
 
     universe = sorted_formulas(formula_sets(X).sub)
@@ -222,7 +208,7 @@ def search_loop_generic(chain: MarkovChain, state: str, formulas, max_n: int, *,
             if len(chosen) == length:
                 if has_anchor:
                     candidate = ProgressLoop(tuple(chosen))
-                    if not verify_loop(chain, state, X, candidate, checker=mc):
+                    if not verify_loop(mc, state, X, candidate):
                         return candidate
                 return None
             remaining = length - len(chosen)
@@ -257,32 +243,7 @@ def _contains_g(f: StateFormula) -> bool:
                for g in iter_subformulas(f))
 
 
-def _least_closed_set(seed, mc: ModelChecker, witness: str, *,
-                      unfold_g: bool) -> frozenset[StateFormula]:
-    """Closure of `seed` under the loop construction rules evaluated at
-    `witness`: conjunct splitting, satisfied disjuncts, satisfied F-bodies,
-    and (for the initial set only) unconditional G-body unfolding."""
-    result: set[StateFormula] = set()
-    work = list(seed)
-    while work:
-        f = work.pop()
-        if f in result:
-            continue
-        result.add(f)
-        if isinstance(f, And):
-            work.extend(f.args)
-        elif isinstance(f, Or):
-            work.extend(a for a in f.args if mc.holds(witness, a))
-        elif isinstance(f, Prob):
-            if f.op is PathOp.G and unfold_g:
-                work.append(f.body)
-            elif f.op is PathOp.F and mc.holds(witness, f.body):
-                work.append(f.body)
-    return frozenset(result)
-
-
-def search_loop_l2(chain: MarkovChain, state: str, formulas, *,
-                   checker: ModelChecker | None = None) -> ProgressLoop:
+def search_loop_l2(mc: ModelChecker, state: str, formulas) -> ProgressLoop:
     """Constructive loop search for the L2 fragment.
 
     Builds L0 as the closure of X at `state` with G-bodies unfolded, then
@@ -292,17 +253,16 @@ def search_loop_l2(chain: MarkovChain, state: str, formulas, *,
     state id first) and a new set is closed at that witness.  The result is
     re-checked with `verify_loop` before being returned.
     """
-    mc = checker or ModelChecker(chain)
     X = frozenset(formulas)
     outside = [f for f in sorted_formulas(X) if not fragment_classify(f).in_l2]
     if outside:
         raise FragmentError(f"not in fragment L2: {outside[0]}")
     if not mc.check(state, X):
         raise ProgressLoopError(f"state {state!r} does not satisfy X")
-    if closure_update(chain, state, X, checker=mc) != X:
+    if closure_update(mc, state, X) != X:
         raise ProgressLoopError("X is not closed and updated")
 
-    level0 = _least_closed_set(X, mc, state, unfold_g=True)
+    level0 = least_closed_set(mc, state, X, unfold_g=True)
     sets: list[frozenset[StateFormula]] = [level0]
     witnesses = [state]
     # bodies of every G member of L0 must appear in every later set
@@ -327,28 +287,26 @@ def search_loop_l2(chain: MarkovChain, state: str, formulas, *,
         if unserved is None:
             break
         home = next(i for i, level in enumerate(sets) if unserved in level)
-        witness = _find_witness(chain, witnesses[home], unserved.body,
-                                invariant, mc)
+        witness = _find_witness(mc, witnesses[home], unserved.body, invariant)
         if witness is None:
             raise ProgressLoopError(
                 f"no reachable state satisfies the body of {unserved} "
                 "together with all G-bodies")
-        new_level = _least_closed_set(frozenset({unserved.body}) | invariant,
-                                      mc, witness, unfold_g=False)
+        new_level = least_closed_set(mc, witness, {unserved.body} | invariant,
+                                     unfold_g=False)
         sets.append(new_level)
         witnesses.append(witness)
 
     loop = ProgressLoop(tuple(sets))
-    problems = verify_loop(chain, state, X, loop, checker=mc)
+    problems = verify_loop(mc, state, X, loop)
     if problems:
         raise ProgressLoopError(
             "constructed sequence is not a progress loop: " + "; ".join(problems))
     return loop
 
 
-def _find_witness(chain: MarkovChain, start: str, body: StateFormula,
-                  invariant: frozenset[StateFormula],
-                  mc: ModelChecker) -> str | None:
+def _find_witness(mc: ModelChecker, start: str, body: StateFormula,
+                  invariant: frozenset[StateFormula]) -> str | None:
     # breadth-first, successors visited in state-id order: deterministic
     seen = {start}
     queue = deque([start])
@@ -356,7 +314,7 @@ def _find_witness(chain: MarkovChain, start: str, body: StateFormula,
         current = queue.popleft()
         if mc.holds(current, body) and mc.check(current, invariant):
             return current
-        for nxt in sorted(chain.successors(current)):
+        for nxt in sorted(mc.chain.successors(current)):
             if nxt not in seen:
                 seen.add(nxt)
                 queue.append(nxt)
@@ -407,8 +365,8 @@ def caratheodory_reduce(points: list[tuple[Fraction, ...]],
                 raise AssertionError("negative weight in reduction")
 
 
-def successor_selection(chain: MarkovChain, state: str, obligations, *,
-                        checker: ModelChecker | None = None) -> SuccessorSelection:
+def successor_selection(mc: ModelChecker, state: str,
+                        obligations) -> SuccessorSelection:
     """Chooses exit successors for the obligations that a loop at `state`
     pushes outward.
 
@@ -419,7 +377,6 @@ def successor_selection(chain: MarkovChain, state: str, obligations, *,
     |path formulas| + 1 and every obligation's probability at `state` is
     covered by the weighted successors.
     """
-    mc = checker or ModelChecker(chain)
     delta = frozenset(obligations)
     if not mc.check(state, delta):
         raise ProgressLoopError(f"state {state!r} does not satisfy the obligations")
@@ -435,10 +392,10 @@ def successor_selection(chain: MarkovChain, state: str, obligations, *,
             g_paths.append(path)
     paths = tuple(f_paths + g_paths)
 
-    candidates: set[str] = set(scc_decompose(chain).bottom_states())
+    candidates: set[str] = set(scc_decompose(mc.chain).bottom_states())
     for path in f_paths:
         candidates |= mc.sat_set(path.body)
-    passage = first_passage(chain, state, candidates)
+    passage = first_passage(mc.chain, state, candidates)
 
     support = sorted(t for t, y in passage.items() if y > 0)
     vectors = [tuple(mc.probability(t, path) for path in paths) for t in support]
@@ -451,12 +408,10 @@ def successor_selection(chain: MarkovChain, state: str, obligations, *,
     return SuccessorSelection(tuple(kept), kept_weights, delta, paths, achieved)
 
 
-def verify_selection(chain: MarkovChain, state: str, obligations,
-                     selection: SuccessorSelection, *,
-                     checker: ModelChecker | None = None) -> list[str]:
+def verify_selection(mc: ModelChecker, state: str, obligations,
+                     selection: SuccessorSelection) -> list[str]:
     """Independently checks the five selection conditions; returns all
     violations."""
-    mc = checker or ModelChecker(chain)
     problems = []
     if sum(selection.weights.values(), Fraction(0)) != 1:
         problems.append("weights do not sum to 1")
@@ -469,8 +424,8 @@ def verify_selection(chain: MarkovChain, state: str, obligations,
                        for t in selection.support), Fraction(0))
         if mc.probability(state, path) > covered:
             problems.append(f"probability of {path} at {state!r} not covered")
-    region = reachable_from(chain, state)
-    bottoms = scc_decompose(chain).bottom_states()
+    region = reachable_from(mc.chain, state)
+    bottoms = scc_decompose(mc.chain).bottom_states()
     f_bodies = [f.body for f in obligations
                 if isinstance(f, Prob) and f.op is PathOp.F]
     for t in selection.support:
@@ -569,17 +524,16 @@ def build_loop_model(loop: ProgressLoop, submodels, entry_for=None,
     raise ValueError("no loop set contains the requested entry formulas")
 
 
-def bscc_reduce(chain: MarkovChain, state: str, formulas, *,
-                checker: ModelChecker | None = None) -> tuple[MarkovChain, str]:
+def bscc_reduce(mc: ModelChecker, state: str,
+                formulas) -> tuple[MarkovChain, str]:
     """Collapses the bottom SCC containing `state` to a deterministic cycle
     with one representative per satisfaction signature over sub(X).  The
     representative of a class is its smallest state id; the cycle visits
     representatives in id order.  The entry is the representative of
     `state`'s class and is re-checked to satisfy the formulas.
     """
-    mc = checker or ModelChecker(chain)
     X = frozenset(formulas)
-    decomposition = scc_decompose(chain)
+    decomposition = scc_decompose(mc.chain)
     component = decomposition.component_of(state)
     index = decomposition.components.index(component)
     if not decomposition.is_bottom[index]:
@@ -598,7 +552,7 @@ def bscc_reduce(chain: MarkovChain, state: str, formulas, *,
     edges = {}
     for i, rep in enumerate(reps):
         edges[(rep, reps[(i + 1) % len(reps)])] = Fraction(1)
-    reduced = MarkovChain(reps, edges, {r: chain.atoms(r) for r in reps})
+    reduced = MarkovChain(reps, edges, {r: mc.chain.atoms(r) for r in reps})
 
     entry_signature = tuple(mc.holds(state, f) for f in sub)
     entry = classes[entry_signature]
@@ -649,7 +603,6 @@ class CompressionNode:
 
 def compress_model(chain: MarkovChain, state: str, formula: StateFormula, *,
                    fragment: str = "l2", max_n: int = 3,
-                   checker: ModelChecker | None = None,
                    ) -> tuple[MarkovChain, str, CompressionNode]:
     """Builds a small model of `formula` from a satisfying state of `chain`.
 
@@ -661,7 +614,7 @@ def compress_model(chain: MarkovChain, state: str, formula: StateFormula, *,
     """
     if fragment not in ("l2", "generic"):
         raise ValueError(f"unknown fragment {fragment!r}")
-    mc = checker or ModelChecker(chain)
+    mc = ModelChecker(chain)
     if not mc.holds(state, formula):
         raise ProgressLoopError(f"state {state!r} does not satisfy {formula}")
     if fragment == "l2" and not fragment_classify(formula).in_l2:
@@ -671,14 +624,14 @@ def compress_model(chain: MarkovChain, state: str, formula: StateFormula, *,
 
     def build(at: str, X: frozenset[StateFormula],
               parent_measure: int | None) -> tuple[MarkovChain, str, CompressionNode]:
-        m = progress_measure(chain, at, X, checker=mc)
+        m = progress_measure(mc, at, X)
         base = bound_base(X)
         node = CompressionNode(state=at, formulas=X, measure=m, base=base,
                                bound=model_size_bound(base, m + 1), mode="")
 
         if at in bottoms:
             node.mode = "bscc"
-            model, entry = bscc_reduce(chain, at, X, checker=mc)
+            model, entry = bscc_reduce(mc, at, X)
         else:
             # only recursive children must make progress; bottom-SCC children
             # are collapsed directly and need no induction
@@ -688,21 +641,19 @@ def compress_model(chain: MarkovChain, state: str, formula: StateFormula, *,
                     f"{m} >= {parent_measure}")
             node.mode = "loop"
             if fragment == "l2":
-                loop = search_loop_l2(chain, at, X, checker=mc)
+                loop = search_loop_l2(mc, at, X)
             else:
-                loop = search_loop_generic(chain, at, X, max_n, checker=mc)
+                loop = search_loop_generic(mc, at, X, max_n)
                 if loop is None:
                     raise ProgressLoopError(
                         f"no progress loop found for {at!r} within max_n={max_n}")
             node.loop = loop
             node.obligations = exit_obligations(loop)
-            selection = successor_selection(chain, at, node.obligations, checker=mc)
+            selection = successor_selection(mc, at, node.obligations)
             node.selection = selection
             submodels = []
             for t in selection.support:
-                X_t = closure_update(
-                    chain, t, achieved_bounds(chain, t, node.obligations, checker=mc),
-                    checker=mc)
+                X_t = closure_update(mc, t, achieved_bounds(mc, t, node.obligations))
                 child_model, child_entry, child_node = build(t, X_t, m)
                 node.children.append(child_node)
                 submodels.append((child_model, child_entry, selection.weights[t]))
@@ -715,7 +666,7 @@ def compress_model(chain: MarkovChain, state: str, formula: StateFormula, *,
                 f"{node.size} > {node.bound}")
         return model, entry, node
 
-    root_set = closure_update(chain, state, frozenset({formula}), checker=mc)
+    root_set = closure_update(mc, state, frozenset({formula}))
     model, entry, trace = build(state, root_set, None)
     if not ModelChecker(model).holds(entry, formula):
         raise CompressionError("compressed model fails to satisfy the formula")

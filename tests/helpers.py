@@ -114,12 +114,11 @@ def collect_loops(seed, count, max_states=5, depth=3, max_n=2):
     loops = []
     while len(loops) < count:
         chain, state, f, mc = satisfied_instance(rng, max_states, depth)
-        X = closure_update(chain, state, {f}, checker=mc)
+        X = closure_update(mc, state, {f})
         if len(formula_sets(X).sub) > 9:
             continue
         try:
-            loop = search_loop_generic(chain, state, X, max_n,
-                                       node_budget=30_000, checker=mc)
+            loop = search_loop_generic(mc, state, X, max_n, node_budget=30_000)
         except SearchSpaceExceeded:
             continue
         if loop is not None:

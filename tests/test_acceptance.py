@@ -72,10 +72,10 @@ def golden_closure(psi):
     })
 
 
-def test_criterion_02_closure_golden(fig1, psi):
+def test_criterion_02_closure_golden(fig1_checker, psi):
     expected = golden_closure(psi)
-    assert closure(fig1, "s", {psi}) == expected
-    assert closure_update(fig1, "s", {psi}) == expected
+    assert closure(fig1_checker, "s", {psi}) == expected
+    assert closure_update(fig1_checker, "s", {psi}) == expected
     _report(2, "closure and closed-update match the four-formula golden set")
 
 
@@ -88,10 +88,10 @@ def golden_loop(psi):
     return ProgressLoop((l0, l1, l2))
 
 
-def test_criterion_03_progress_loop_golden(fig1, psi):
-    X = closure_update(fig1, "s", {psi})
+def test_criterion_03_progress_loop_golden(fig1_checker, psi):
+    X = closure_update(fig1_checker, "s", {psi})
     loop = golden_loop(psi)
-    assert verify_loop(fig1, "s", X, loop) == []
+    assert verify_loop(fig1_checker, "s", X, loop) == []
     assert exit_obligations(loop) == frozenset({
         pf(f"G=1[{PHI_OR_TEXT}]"), pf("F=1[G=1[a]]")})
     _report(3, "the three-set golden loop verifies and its exit obligations "
@@ -106,8 +106,8 @@ def _count_prob_nodes(path: PathFormula) -> int:
 
 def test_criterion_04_measure_golden(fig1, psi):
     mc = ModelChecker(fig1)
-    X = closure_update(fig1, "s", {psi}, checker=mc)
-    parts = aux_sets(fig1, "s", X, checker=mc)
+    X = closure_update(mc, "s", {psi})
+    parts = aux_sets(mc, "s", X)
     assert parts.pending == frozenset({PathFormula(PathOp.G, Atom("a"))})
     assert parts.eventualities == frozenset()
     g_path = PathFormula(PathOp.G, pf(PHI_OR_TEXT))
@@ -115,7 +115,7 @@ def test_criterion_04_measure_golden(fig1, psi):
     assert path_norm(g_path) == _count_prob_nodes(g_path) == 3
     assert path_norm(f_path) == _count_prob_nodes(f_path) == 2
     # measure assembled from the independently derived pieces
-    assert progress_measure(fig1, "s", X, checker=mc) == 1 + 1 * (1 + 3 + 2) + 0 == 7
+    assert progress_measure(mc, "s", X) == 1 + 1 * (1 + 3 + 2) + 0 == 7
     _report(4, "measure 7 with pending {G a}, no eventualities, norms 3 and 2")
 
 
@@ -124,10 +124,10 @@ def test_criterion_05_idempotence_suite():
     instances = 0
     while instances < 110:
         chain, state, f, mc = satisfied_instance(rng, max_states=6, depth=3)
-        X = closure_update(chain, state, {f}, checker=mc)
-        assert closure_update(chain, state, X, checker=mc) == X
-        once = update(chain, state, X, checker=mc)
-        assert update(chain, state, once, checker=mc) == once
+        X = closure_update(mc, state, {f})
+        assert closure_update(mc, state, X) == X
+        once = update(mc, state, X)
+        assert update(mc, state, once) == once
         instances += 1
     _report(5, f"closed-update and update idempotent on {instances} "
                "randomized instances")
@@ -139,8 +139,8 @@ def test_criterion_06_measure_property_suite():
     count_sub = 0
     while count_sub < 110:
         chain, state, f, mc = satisfied_instance(rng)
-        X = closure_update(chain, state, {f}, checker=mc)
-        assert update(chain, state, X, checker=mc) == X
+        X = closure_update(mc, state, {f})
+        assert update(mc, state, X) == X
         assert len(formula_sets(X).sub) + 1 <= bound_base(X)
         count_sub += 1
 
@@ -148,8 +148,7 @@ def test_criterion_06_measure_property_suite():
     loops = collect_loops(204, 110)
     for chain, state, X, loop, mc in loops:
         residue = exit_obligations(loop)
-        assert progress_measure(chain, state, residue, checker=mc) <= \
-            progress_measure(chain, state, X, checker=mc)
+        assert progress_measure(mc, state, residue) <= progress_measure(mc, state, X)
 
     # (c) strict decrease whenever the three hypotheses hold
     count_strict = 0
@@ -163,14 +162,12 @@ def test_criterion_06_measure_property_suite():
             if not f_bodies:
                 continue
             assert all(not mc.holds(state, b) for b in f_bodies)
-            before = progress_measure(chain, state, residue, checker=mc)
+            before = progress_measure(mc, state, residue)
             for t in sorted(reachable_from(chain, state)):
                 if not any(mc.holds(t, b) for b in f_bodies):
                     continue
-                X_t = closure_update(
-                    chain, t, achieved_bounds(chain, t, residue, checker=mc),
-                    checker=mc)
-                assert progress_measure(chain, t, X_t, checker=mc) < before
+                X_t = closure_update(mc, t, achieved_bounds(mc, t, residue))
+                assert progress_measure(mc, t, X_t) < before
                 count_strict += 1
     assert count_strict >= 100
 
@@ -187,8 +184,8 @@ def test_criterion_06_measure_property_suite():
                f"{count_strict} strict-decrease, 110 bound-chain instances")
 
 
-def test_criterion_07_construction_check(fig1, psi):
-    X = closure_update(fig1, "s", {psi})
+def test_criterion_07_construction_check(fig1_checker, psi):
+    X = closure_update(fig1_checker, "s", {psi})
     u_chain = MarkovChain(["u"], {("u", "u"): Fraction(1)}, {"u": ["a"]})
     model, entry = build_loop_model(golden_loop(psi),
                                     [(u_chain, "u", Fraction(1))], entry_for=X)
@@ -200,7 +197,7 @@ def test_criterion_07_construction_check(fig1, psi):
                "and every non-bottom SCC is a simple loop with one exit")
 
 
-def test_criterion_08_compression_end_to_end(fig1, psi):
+def test_criterion_08_compression_end_to_end(fig1, fig1_checker, psi):
     start = time.perf_counter()
     model, entry, trace = compress_model(fig1, "s", psi, fragment="l2")
     elapsed = time.perf_counter() - start
@@ -210,7 +207,7 @@ def test_criterion_08_compression_end_to_end(fig1, psi):
 
     # independent derivation of the root parameters: enumerate the ten
     # subformulas by hand and recompute the bound base from the counts
-    X = closure_update(fig1, "s", {psi})
+    X = closure_update(fig1_checker, "s", {psi})
     hand_sub = {
         pf(t) for t in (
             PSI_TEXT, f"G=1[{PHI_OR_TEXT}]", PHI_OR_TEXT,
@@ -245,8 +242,8 @@ def test_criterion_09_bscc_reduction():
     done = 0
     while done < 55:
         chain, state, f, mc = bottom_state_instance(rng)
-        X = closure_update(chain, state, {f}, checker=mc)
-        model, entry = bscc_reduce(chain, state, X, checker=mc)
+        X = closure_update(mc, state, {f})
+        model, entry = bscc_reduce(mc, state, X)
         assert len(model.states) <= 2 ** len(formula_sets(X).sub)
         assert ModelChecker(model).check(entry, X)
         done += 1

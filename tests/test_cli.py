@@ -7,6 +7,7 @@ import pytest
 from helpers import PSI_TEXT, fig1_chain
 
 from pctlfg.cli import main
+from pctlfg.formula import MAX_NESTING
 from pctlfg.markov import MarkovChain, validate
 
 
@@ -186,6 +187,10 @@ def test_bad_model_is_usage_error(capsys, tmp_path):
       "edges": [{"from": "s", "to": "s", "p": "1"}]}, "'ap' must be a list"),
     ({"states": ["s"], "edges": []}, "must be an object"),
     ("[" * 100000, "invalid JSON"),
+    ({"states": [{"id": "s"}, {"id": "t"}],
+      "edges": [{"from": "s", "to": "s", "p": "5e-1"},
+                {"from": "s", "to": "t", "p": "1/2"},
+                {"from": "t", "to": "t", "p": "1"}]}, "malformed rational"),
 ])
 def test_malformed_model_is_usage_error(capsys, tmp_path, model, message):
     path = tmp_path / "bad.json"
@@ -211,6 +216,34 @@ def test_malformed_loop_file_is_usage_error(capsys, tmp_path, model_path, loop,
                        "--loop", str(loop_path))
     assert code == 2
     assert message in err
+
+
+NESTINGS = {
+    "negations": lambda n: "!" * n + "a",
+    "parentheses": lambda n: "(" * n + "a" + ")" * n,
+    "path operators": lambda n: "F>0[" * n + "a" + "]" * n,
+}
+
+
+@pytest.mark.parametrize("nest", NESTINGS.values(), ids=NESTINGS.keys())
+def test_nesting_at_the_cap_is_checked(capsys, model_path, nest):
+    text = nest(MAX_NESTING)
+    code, out, _ = run(capsys, "check", "--model", model_path,
+                       "--state", "t", "--formula", text)
+    assert (code, out.strip()) == (0, "true")
+    code, _, _ = run(capsys, "fragment", "--formula", text)
+    assert code == 0
+
+
+@pytest.mark.parametrize("nest", NESTINGS.values(), ids=NESTINGS.keys())
+def test_nesting_past_the_cap_is_usage_error(capsys, model_path, nest):
+    text = nest(MAX_NESTING + 1)
+    for argv in (("check", "--model", model_path, "--formula", text),
+                 ("fragment", "--formula", text),
+                 ("sat", "--formula", text, "--bound", "1")):
+        code, _, err = run(capsys, *argv)
+        assert code == 2
+        assert f"nested deeper than {MAX_NESTING} levels" in err
 
 
 def test_bad_formula_is_usage_error(capsys, model_path):

@@ -10,6 +10,7 @@ from pctlfg.closure import (
 )
 from pctlfg.formula import Atom, Prob, parse_formula
 from pctlfg.markov import MarkovChain
+from pctlfg.modelcheck import ModelChecker
 
 
 def expected_closure(psi):
@@ -21,31 +22,31 @@ def expected_closure(psi):
     })
 
 
-def test_closure_running_example(fig1, psi):
-    assert closure(fig1, "s", {psi}) == expected_closure(psi)
+def test_closure_running_example(fig1_checker, psi):
+    assert closure(fig1_checker, "s", {psi}) == expected_closure(psi)
 
 
-def test_closure_excludes_unsatisfied_g_body(fig1, psi):
-    assert parse_formula("G=1[a]") not in closure(fig1, "s", {psi})
+def test_closure_excludes_unsatisfied_g_body(fig1_checker, psi):
+    assert parse_formula("G=1[a]") not in closure(fig1_checker, "s", {psi})
 
 
-def test_closure_atom(fig1):
-    assert closure(fig1, "t", {Atom("a")}) == frozenset({Atom("a")})
+def test_closure_atom(fig1_checker):
+    assert closure(fig1_checker, "t", {Atom("a")}) == frozenset({Atom("a")})
 
 
-def test_closure_precondition(fig1, psi):
+def test_closure_precondition(fig1_checker, psi):
     with pytest.raises(UnsatisfiedSetError) as err:
-        closure(fig1, "t", {psi})
+        closure(fig1_checker, "t", {psi})
     assert err.value.formula == psi
 
 
-def test_update_running_example(fig1, psi):
-    c = closure(fig1, "s", {psi})
-    assert update(fig1, "s", c) == c  # both bounds already 1
+def test_update_running_example(fig1_checker, psi):
+    c = closure(fig1_checker, "s", {psi})
+    assert update(fig1_checker, "s", c) == c  # both bounds already 1
 
 
-def test_update_atom(fig1):
-    assert update(fig1, "t", {Atom("a")}) == frozenset({Atom("a")})
+def test_update_atom(fig1_checker):
+    assert update(fig1_checker, "t", {Atom("a")}) == frozenset({Atom("a")})
 
 
 def test_update_tightens_bound():
@@ -56,34 +57,35 @@ def test_update_tightens_bound():
         {"t": ["a"]},
     )
     before = parse_formula("F>=1/2[a]")
-    after = update(chain, "s", {before})
+    after = update(ModelChecker(chain), "s", {before})
     assert after == frozenset({parse_formula("F>=3/4[a]")})
 
 
-def test_closure_update_running_example(fig1, psi):
-    assert closure_update(fig1, "s", {psi}) == expected_closure(psi)
+def test_closure_update_running_example(fig1_checker, psi):
+    assert closure_update(fig1_checker, "s", {psi}) == expected_closure(psi)
 
 
-def test_closure_update_idempotent_on_example(fig1, psi):
-    X = closure_update(fig1, "s", {psi})
-    assert closure_update(fig1, "s", X) == X
+def test_closure_update_idempotent_on_example(fig1_checker, psi):
+    X = closure_update(fig1_checker, "s", {psi})
+    assert closure_update(fig1_checker, "s", X) == X
 
 
-def test_achieved_bounds_running_example(fig1, psi):
-    X = closure_update(fig1, "s", {psi})
-    assert achieved_bounds(fig1, "s", X) == frozenset({
+def test_achieved_bounds_running_example(fig1_checker, psi):
+    X = closure_update(fig1_checker, "s", {psi})
+    assert achieved_bounds(fig1_checker, "s", X) == frozenset({
         parse_formula(f"G=1[{PHI_OR_TEXT}]"),
         parse_formula("F=1[G=1[a]]"),
     })
 
 
-def test_achieved_bounds_drops_zero(fig1):
+def test_achieved_bounds_drops_zero(fig1_checker):
     # u never reaches a !a state
-    assert achieved_bounds(fig1, "u", {parse_formula("F>=1/5[!a]")}) == frozenset()
+    assert achieved_bounds(fig1_checker, "u",
+                           {parse_formula("F>=1/5[!a]")}) == frozenset()
 
 
-def test_achieved_bounds_at_bottom_state(fig1):
-    assert achieved_bounds(fig1, "u", {parse_formula("F=1[a]")}) == \
+def test_achieved_bounds_at_bottom_state(fig1_checker):
+    assert achieved_bounds(fig1_checker, "u", {parse_formula("F=1[a]")}) == \
         frozenset({parse_formula("F=1[a]")})
 
 
@@ -91,9 +93,9 @@ def test_achieved_bounds_always_satisfied():
     rng = random.Random(53)
     for _ in range(100):
         chain, state, f, mc = satisfied_instance(rng)
-        X = closure_update(chain, state, {f}, checker=mc)
+        X = closure_update(mc, state, {f})
         for t in chain.states:
-            bounds = achieved_bounds(chain, t, X, checker=mc)
+            bounds = achieved_bounds(mc, t, X)
             assert mc.check(t, bounds)
 
 
@@ -101,18 +103,18 @@ def test_idempotence_properties():
     rng = random.Random(59)
     for _ in range(120):
         chain, state, f, mc = satisfied_instance(rng)
-        X = closure_update(chain, state, {f}, checker=mc)
-        assert closure_update(chain, state, X, checker=mc) == X
-        u1 = update(chain, state, X, checker=mc)
-        assert update(chain, state, u1, checker=mc) == u1
+        X = closure_update(mc, state, {f})
+        assert closure_update(mc, state, X) == X
+        u1 = update(mc, state, X)
+        assert update(mc, state, u1) == u1
 
 
 def test_bounds_only_grow():
     rng = random.Random(61)
     for _ in range(120):
         chain, state, f, mc = satisfied_instance(rng)
-        X = closure(chain, state, {f}, checker=mc)
-        updated = update(chain, state, X, checker=mc)
+        X = closure(mc, state, {f})
+        updated = update(mc, state, X)
         by_path = {}
         for g in updated:
             if isinstance(g, Prob):

@@ -143,10 +143,10 @@ def test_subformula_closure():
         assert again == sub
 
 
-def test_formula_sets_on_running_example(fig1, psi):
+def test_formula_sets_on_running_example(fig1_checker, psi):
     from pctlfg.closure import closure_update
 
-    X = closure_update(fig1, "s", {psi})
+    X = closure_update(fig1_checker, "s", {psi})
     sets = formula_sets(X)
     assert len(sets.sub) == 10
     assert len(sets.nsub) == 5

@@ -12,6 +12,7 @@ from pctlfg.measure import (
     aux_sets, bound_base, model_size_bound, path_norm, pending_globals,
     progress_measure, reachable_eventualities,
 )
+from pctlfg.modelcheck import ModelChecker
 from pctlfg.progress import exit_obligations
 
 
@@ -21,9 +22,9 @@ def test_path_norms_running_example():
     assert path_norm(PathFormula(PathOp.F, Atom("a"))) == 1
 
 
-def test_aux_sets_running_example(fig1, fig1_checker, psi):
-    X = closure_update(fig1, "s", {psi}, checker=fig1_checker)
-    parts = aux_sets(fig1, "s", X, checker=fig1_checker)
+def test_aux_sets_running_example(fig1_checker, psi):
+    X = closure_update(fig1_checker, "s", {psi})
+    parts = aux_sets(fig1_checker, "s", X)
     assert parts.pending == frozenset({PathFormula(PathOp.G, Atom("a"))})
     assert parts.eventualities == frozenset()
     assert parts.base == 21
@@ -31,25 +32,25 @@ def test_aux_sets_running_example(fig1, fig1_checker, psi):
 
 def test_aux_sets_empty():
     chain = MarkovChain(["s"], {("s", "s"): Fraction(1)}, {})
-    parts = aux_sets(chain, "s", frozenset())
+    parts = aux_sets(ModelChecker(chain), "s", frozenset())
     assert parts.pending == frozenset()
     assert parts.eventualities == frozenset()
     assert parts.base == 2
 
 
-def test_measure_running_example(fig1, fig1_checker, psi):
-    X = closure_update(fig1, "s", {psi}, checker=fig1_checker)
-    assert progress_measure(fig1, "s", X, checker=fig1_checker) == 7
+def test_measure_running_example(fig1_checker, psi):
+    X = closure_update(fig1_checker, "s", {psi})
+    assert progress_measure(fig1_checker, "s", X) == 7
 
 
-def test_measure_empty_set(fig1):
-    assert progress_measure(fig1, "s", frozenset()) == 1
+def test_measure_empty_set(fig1_checker):
+    assert progress_measure(fig1_checker, "s", frozenset()) == 1
 
 
-def test_measure_satisfied_eventuality(fig1):
+def test_measure_satisfied_eventuality(fig1_checker):
     # at an a-state, no pending G and the F body already holds
     X = frozenset({parse_formula("F>=1/2[a]")})
-    assert progress_measure(fig1, "t", X) == 1
+    assert progress_measure(fig1_checker, "t", X) == 1
 
 
 def _closed_instances(seed, count, max_states=6, depth=3):
@@ -57,7 +58,7 @@ def _closed_instances(seed, count, max_states=6, depth=3):
     out = []
     while len(out) < count:
         chain, state, f, mc = satisfied_instance(rng, max_states, depth)
-        X = closure_update(chain, state, {f}, checker=mc)
+        X = closure_update(mc, state, {f})
         out.append((chain, state, X, mc))
     return out
 
@@ -66,7 +67,7 @@ def test_subformula_count_below_bound_base():
     # |sub(X)| + 1 <= b(X) whenever X is update-closed
     checked = 0
     for chain, state, X, mc in _closed_instances(67, 120):
-        assert update(chain, state, X, checker=mc) == X
+        assert update(mc, state, X) == X
         assert len(formula_sets(X).sub) + 1 <= bound_base(X)
         checked += 1
     assert checked >= 100
@@ -77,16 +78,15 @@ def test_exit_obligations_never_increase_measure():
     loops = collect_loops(71, 100)
     for chain, state, X, loop, mc in loops:
         residue = exit_obligations(loop)
-        assert progress_measure(chain, state, residue, checker=mc) <= \
-            progress_measure(chain, state, X, checker=mc)
+        assert progress_measure(mc, state, residue) <= progress_measure(mc, state, X)
     assert len(loops) >= 100
 
 
-def test_exit_obligations_measure_on_golden_loop(fig1, fig1_checker, psi):
+def test_exit_obligations_measure_on_golden_loop(fig1_checker, psi):
     from helpers import PSI_TEXT
     from pctlfg.progress import ProgressLoop, verify_loop
 
-    X = closure_update(fig1, "s", {psi}, checker=fig1_checker)
+    X = closure_update(fig1_checker, "s", {psi})
     phi_or = parse_formula(PHI_OR_TEXT)
     loop = ProgressLoop((
         frozenset({psi, parse_formula(f"G=1[{PHI_OR_TEXT}]"), phi_or,
@@ -97,11 +97,11 @@ def test_exit_obligations_measure_on_golden_loop(fig1, fig1_checker, psi):
                    parse_formula("a & F>=0.2[!a]"), Atom("a"),
                    parse_formula("F>=0.2[!a]")}),
     ))
-    assert verify_loop(fig1, "s", X, loop, checker=fig1_checker) == []
+    assert verify_loop(fig1_checker, "s", X, loop) == []
     residue = exit_obligations(loop)
     # the golden loop's obligations carry the same measure as X itself
-    assert progress_measure(fig1, "s", residue, checker=fig1_checker) == 7
-    assert progress_measure(fig1, "s", X, checker=fig1_checker) == 7
+    assert progress_measure(fig1_checker, "s", residue) == 7
+    assert progress_measure(fig1_checker, "s", X) == 7
 
 
 def test_measure_strictly_decreases_at_witnesses():
@@ -119,14 +119,12 @@ def test_measure_strictly_decreases_at_witnesses():
             if not f_bodies:
                 continue
             assert all(not mc.holds(state, b) for b in f_bodies)
-            before = progress_measure(chain, state, residue, checker=mc)
+            before = progress_measure(mc, state, residue)
             for t in sorted(reachable_from(chain, state)):
                 if not any(mc.holds(t, b) for b in f_bodies):
                     continue
-                X_t = closure_update(
-                    chain, t, achieved_bounds(chain, t, residue, checker=mc),
-                    checker=mc)
-                after = progress_measure(chain, t, X_t, checker=mc)
+                X_t = closure_update(mc, t, achieved_bounds(mc, t, residue))
+                after = progress_measure(mc, t, X_t)
                 assert after < before, (
                     f"measure did not decrease: {after} >= {before}")
                 qualifying += 1
@@ -145,15 +143,15 @@ def test_size_bound_monotonicity():
         assert 2 ** b1 <= low <= high
 
 
-def test_pending_globals_uses_nested_subformulas(fig1, fig1_checker, psi):
+def test_pending_globals_uses_nested_subformulas(fig1_checker, psi):
     # G a is nested under F=1 and still counts as pending at s
-    X = closure_update(fig1, "s", {psi}, checker=fig1_checker)
-    pending = pending_globals(fig1, "s", X, checker=fig1_checker)
+    X = closure_update(fig1_checker, "s", {psi})
+    pending = pending_globals(fig1_checker, "s", X)
     assert PathFormula(PathOp.G, Atom("a")) in pending
 
 
-def test_eventualities_respect_pending_filter(fig1, fig1_checker, psi):
+def test_eventualities_respect_pending_filter(fig1_checker, psi):
     # F G=1[a] is not a reachable eventuality at s: the only G=1[a] witness
     # is u, which satisfies G=1[a] itself (the pending formula)
-    X = closure_update(fig1, "s", {psi}, checker=fig1_checker)
-    assert reachable_eventualities(fig1, "s", X, checker=fig1_checker) == frozenset()
+    X = closure_update(fig1_checker, "s", {psi})
+    assert reachable_eventualities(fig1_checker, "s", X) == frozenset()

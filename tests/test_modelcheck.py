@@ -43,7 +43,7 @@ def test_sat_set_psi(fig1, psi):
 def test_check(fig1, fig1_checker, psi):
     from pctlfg.closure import closure_update
 
-    X = closure_update(fig1, "s", {psi}, checker=fig1_checker)
+    X = closure_update(fig1_checker, "s", {psi})
     assert check(fig1, "s", X)
     assert check(fig1, "s", set())
     assert not check(fig1, "u", {NegAtom("a")})

@@ -52,7 +52,7 @@ def expected_obligations():
 
 @pytest.fixture
 def running(fig1, fig1_checker, psi):
-    X = closure_update(fig1, "s", {psi}, checker=fig1_checker)
+    X = closure_update(fig1_checker, "s", {psi})
     return fig1, fig1_checker, psi, X
 
 
@@ -83,7 +83,7 @@ def test_exit_obligations_eventuality_after_the_fact():
 
 def test_verify_example_loop(running, psi):
     fig1, mc, _, X = running
-    assert verify_loop(fig1, "s", X, example_loop(psi), checker=mc) == []
+    assert verify_loop(mc, "s", X, example_loop(psi)) == []
 
 
 def test_verify_detects_missing_g_body(running, psi):
@@ -91,7 +91,7 @@ def test_verify_detects_missing_g_body(running, psi):
     loop = example_loop(psi)
     broken = ProgressLoop((loop.sets[0], loop.sets[1] - {pf(PHI_OR_TEXT)},
                            loop.sets[2]))
-    problems = verify_loop(fig1, "s", X, broken, checker=mc)
+    problems = verify_loop(mc, "s", X, broken)
     assert any("condition (3)" in p for p in problems)
 
 
@@ -99,7 +99,7 @@ def test_verify_detects_duplicates(running, psi):
     fig1, mc, _, X = running
     loop = example_loop(psi)
     doubled = ProgressLoop((loop.sets[0], loop.sets[1], loop.sets[1]))
-    problems = verify_loop(fig1, "s", X, doubled, checker=mc)
+    problems = verify_loop(mc, "s", X, doubled)
     assert any("condition (2)" in p for p in problems)
 
 
@@ -107,7 +107,7 @@ def test_verify_detects_missing_anchor(running, psi):
     fig1, mc, _, X = running
     loop = example_loop(psi)
     no_anchor = ProgressLoop(loop.sets[1:])
-    problems = verify_loop(fig1, "s", X, no_anchor, checker=mc)
+    problems = verify_loop(mc, "s", X, no_anchor)
     assert any("condition (1)" in p for p in problems)
 
 
@@ -115,7 +115,7 @@ def test_verify_reports_all_violations(running, psi):
     fig1, mc, _, X = running
     loop = example_loop(psi)
     broken = ProgressLoop((loop.sets[1], loop.sets[1]))
-    problems = verify_loop(fig1, "s", X, broken, checker=mc)
+    problems = verify_loop(mc, "s", X, broken)
     assert len(problems) >= 2
 
 
@@ -123,34 +123,34 @@ def test_verify_reports_all_violations(running, psi):
 
 def test_generic_search_running_example(running):
     fig1, mc, _, X = running
-    loop = search_loop_generic(fig1, "s", X, 3, checker=mc)
+    loop = search_loop_generic(mc, "s", X, 3)
     assert loop is not None
-    assert verify_loop(fig1, "s", X, loop, checker=mc) == []
+    assert verify_loop(mc, "s", X, loop) == []
 
 
 def test_generic_search_atom():
     chain = MarkovChain(["s"], {("s", "s"): Fraction(1)}, {"s": ["a"]})
     X = frozenset({Atom("a")})
-    loop = search_loop_generic(chain, "s", X, 2)
+    loop = search_loop_generic(ModelChecker(chain), "s", X, 2)
     assert loop is not None and X <= loop.sets[0]
 
 
 def test_generic_search_bound_exhausted(running):
     fig1, mc, _, X = running
     # the running example needs at least two distinct sets
-    assert search_loop_generic(fig1, "s", X, 0, checker=mc) is None
+    assert search_loop_generic(mc, "s", X, 0) is None
 
 
 def test_generic_search_budget_signal(running):
     fig1, mc, _, X = running
     with pytest.raises(SearchSpaceExceeded):
-        search_loop_generic(fig1, "s", X, 3, node_budget=3, checker=mc)
+        search_loop_generic(mc, "s", X, 3, node_budget=3)
 
 
 def test_l2_search_running_example(running):
     fig1, mc, _, X = running
-    loop = search_loop_l2(fig1, "s", X, checker=mc)
-    assert verify_loop(fig1, "s", X, loop, checker=mc) == []
+    loop = search_loop_l2(mc, "s", X)
+    assert verify_loop(mc, "s", X, loop) == []
     # constructed obligations stay inside X
     assert exit_obligations(loop) <= X
     # some set serves the outer eventuality, some set holds its body
@@ -159,9 +159,9 @@ def test_l2_search_running_example(running):
     assert any(pf("a & F>=0.2[!a]") in level for level in loop.sets)
 
 
-def test_l2_search_atom(fig1, fig1_checker):
+def test_l2_search_atom(fig1_checker):
     X = frozenset({Atom("a")})
-    loop = search_loop_l2(fig1, "t", X, checker=fig1_checker)
+    loop = search_loop_l2(fig1_checker, "t", X)
     assert len(loop.sets) == 1
 
 
@@ -171,9 +171,9 @@ def test_l2_search_fragment_violation(fig1, fig1_checker):
     sat = ModelChecker(fig1).sat_set(outside)
     if sat:
         state = sorted(sat)[0]
-        X = closure_update(fig1, state, {outside}, checker=fig1_checker)
+        X = closure_update(fig1_checker, state, {outside})
         with pytest.raises(FragmentError):
-            search_loop_l2(fig1, state, X, checker=fig1_checker)
+            search_loop_l2(fig1_checker, state, X)
 
 
 def test_searches_agree_on_random_l2_instances():
@@ -185,12 +185,11 @@ def test_searches_agree_on_random_l2_instances():
         chain, state, f, mc = satisfied_instance(rng, max_states=5, depth=3)
         if not fragment_classify(f).in_l2:
             continue
-        X = closure_update(chain, state, {f}, checker=mc)
-        loop = search_loop_l2(chain, state, X, checker=mc)
-        assert verify_loop(chain, state, X, loop, checker=mc) == []
+        X = closure_update(mc, state, {f})
+        loop = search_loop_l2(mc, state, X)
+        assert verify_loop(mc, state, X, loop) == []
         residue = exit_obligations(loop)
-        assert progress_measure(chain, state, residue, checker=mc) <= \
-            progress_measure(chain, state, X, checker=mc)
+        assert progress_measure(mc, state, residue) <= progress_measure(mc, state, X)
         found += 1
 
 
@@ -237,7 +236,7 @@ def test_caratheodory_preserves_combination_randomized():
 def test_selection_running_example(running):
     fig1, mc, _, X = running
     residue = expected_obligations()
-    sel = successor_selection(fig1, "s", residue, checker=mc)
+    sel = successor_selection(mc, "s", residue)
     assert sel.support == ("u",)
     assert sel.weights == {"u": Fraction(1)}
     f_path = PathFormula(PathOp.F, pf("G=1[a]"))
@@ -245,15 +244,15 @@ def test_selection_running_example(running):
     assert sel.paths == (f_path, g_path)  # eventualities first
     assert sel.achieved[("u", f_path)] == 1
     assert sel.achieved[("u", g_path)] == 1
-    assert verify_selection(fig1, "s", residue, sel, checker=mc) == []
+    assert verify_selection(mc, "s", residue, sel) == []
 
 
-def test_selection_no_eventualities(fig1, fig1_checker):
+def test_selection_no_eventualities(fig1_checker):
     # G-only obligations: the vectors are constant, so one point remains
     residue = frozenset({pf(f"G=1[{PHI_OR_TEXT}]")})
-    sel = successor_selection(fig1, "s", residue, checker=fig1_checker)
+    sel = successor_selection(fig1_checker, "s", residue)
     assert len(sel.support) == 1
-    assert verify_selection(fig1, "s", residue, sel, checker=fig1_checker) == []
+    assert verify_selection(fig1_checker, "s", residue, sel) == []
 
 
 def test_selection_conditions_randomized():
@@ -261,17 +260,16 @@ def test_selection_conditions_randomized():
     checked = 0
     while checked < 60:
         chain, state, f, mc = satisfied_instance(rng, max_states=5, depth=3)
-        X = closure_update(chain, state, {f}, checker=mc)
+        X = closure_update(mc, state, {f})
         try:
-            loop = search_loop_generic(chain, state, X, 2,
-                                       node_budget=30_000, checker=mc)
+            loop = search_loop_generic(mc, state, X, 2, node_budget=30_000)
         except SearchSpaceExceeded:
             continue
         if loop is None:
             continue
         residue = exit_obligations(loop)
-        sel = successor_selection(chain, state, residue, checker=mc)
-        assert verify_selection(chain, state, residue, sel, checker=mc) == []
+        sel = successor_selection(mc, state, residue)
+        assert verify_selection(mc, state, residue, sel) == []
         checked += 1
 
 
@@ -375,8 +373,8 @@ def test_compress_generic_nested_renames():
     assert ModelChecker(model).holds(entry, f)
 
 
-def test_bscc_reduce_singleton(fig1, fig1_checker):
-    model, entry = bscc_reduce(fig1, "u", {pf("G=1[a]")}, checker=fig1_checker)
+def test_bscc_reduce_singleton(fig1_checker):
+    model, entry = bscc_reduce(fig1_checker, "u", {pf("G=1[a]")})
     assert model.states == ("u",)
     assert model.probability("u", "u") == 1
     assert entry == "u"
@@ -389,7 +387,7 @@ def test_bscc_reduce_uniform_cycle():
          ("a2", "a0"): Fraction(1)},
         {"a0": ["a"], "a1": ["a"], "a2": ["a"]},
     )
-    model, entry = bscc_reduce(chain, "a0", {pf("G=1[a]")})
+    model, entry = bscc_reduce(ModelChecker(chain), "a0", {pf("G=1[a]")})
     assert len(model.states) == 1
     assert ModelChecker(model).holds(entry, pf("G=1[a]"))
 
@@ -402,22 +400,22 @@ def test_bscc_reduce_two_classes():
         {"x": ["a"], "y": ["a"], "z": ["b"]},
     )
     X = {pf("F=1[a]"), pf("F=1[b]")}
-    model, entry = bscc_reduce(chain, "x", X)
+    model, entry = bscc_reduce(ModelChecker(chain), "x", X)
     assert len(model.states) == 2
     assert ModelChecker(model).check(entry, X)
 
 
-def test_bscc_reduce_rejects_non_bottom(fig1):
+def test_bscc_reduce_rejects_non_bottom(fig1_checker):
     with pytest.raises(ValueError):
-        bscc_reduce(fig1, "s", {pf("!a")})
+        bscc_reduce(fig1_checker, "s", {pf("!a")})
 
 
 def test_bscc_reduce_randomized():
     rng = random.Random(97)
     for _ in range(60):
         chain, state, f, mc = bottom_state_instance(rng)
-        X = closure_update(chain, state, {f}, checker=mc)
-        model, entry = bscc_reduce(chain, state, X, checker=mc)
+        X = closure_update(mc, state, {f})
+        model, entry = bscc_reduce(mc, state, X)
         assert validate(model) == []
         assert len(model.states) <= 2 ** len(formula_sets(X).sub)
         assert ModelChecker(model).check(entry, X)
@@ -470,8 +468,7 @@ def test_compress_randomized_l2():
         chain, state, f, mc = satisfied_instance(rng, max_states=5, depth=3)
         if not fragment_classify(f).in_l2:
             continue
-        model, entry, trace = compress_model(chain, state, f, fragment="l2",
-                                             checker=mc)
+        model, entry, trace = compress_model(chain, state, f, fragment="l2")
         assert validate(model) == []
         assert ModelChecker(model).holds(entry, f)
         assert simple_loop_components(model) == []
@@ -524,12 +521,11 @@ def test_compress_randomized_other_fragments():
         flags = fragment_classify(f)
         if flags.in_l2 or not (flags.in_l1 or flags.in_l3 or flags.in_l4):
             continue
-        if len(formula_sets(closure_update(chain, state, {f}, checker=mc)).sub) > 9:
+        if len(formula_sets(closure_update(mc, state, {f})).sub) > 9:
             continue
         try:
             model, entry, _ = compress_model(chain, state, f,
-                                             fragment="generic", max_n=3,
-                                             checker=mc)
+                                             fragment="generic", max_n=3)
         except SearchSpaceExceeded:
             continue
         assert validate(model) == []
