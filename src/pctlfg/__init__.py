@@ -12,7 +12,7 @@ from .markov import (
     FirstPassageError, InvalidChainError, MarkovChain, SccDecomposition,
     first_passage, scc_decompose, validate,
 )
-from .modelcheck import ModelChecker, check, prob, sat_set
+from .modelcheck import ModelChecker
 from .closure import (
     UnsatisfiedSetError, achieved_bounds, closure, closure_update, update,
 )

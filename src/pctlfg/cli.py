@@ -2,7 +2,8 @@
 
 Exit codes: 0 success (or sat / property holds), 1 property fails or
 unsat-up-to-n, 2 usage or input error, 3 backend failure or unknown.
-Rationals are always printed as p/q; diagnostics go to stderr.
+Rationals are read and printed exactly, as p/q, however many digits they
+have; diagnostics go to stderr.
 """
 
 from __future__ import annotations
@@ -369,6 +370,19 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    # Python 3.11+ (and 3.10.7+) cap int <-> str conversions at 4300 digits
+    # by default, which exact rationals pass; lift the cap for this call.
+    if not hasattr(sys, "set_int_max_str_digits"):
+        return _run(argv)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return _run(argv)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def _run(argv) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

@@ -111,12 +111,6 @@ class ETRCandidate:
     labeling: dict[StateFormula, frozenset[int]]
     formula: StateFormula
 
-    def successors(self, v: int) -> list[int]:
-        return [j for i, j in self.edges if i == v]
-
-    def label(self, f: StateFormula) -> frozenset[int]:
-        return self.labeling[f]
-
     def consistent(self) -> list[str]:
         """Boolean labeling rules; returns violations."""
         problems = []
@@ -486,18 +480,10 @@ class SolverBackend:
     command: str
     timeout: float = 10.0
 
-    def solve(self, text: str, keep_path: str | None = None,
-              ) -> tuple[str, dict[str, Fraction]]:
-        if keep_path is not None:
-            path = keep_path
-            with open(path, "w") as handle:
-                handle.write(text)
-            cleanup = False
-        else:
-            fd, path = tempfile.mkstemp(suffix=".smt2")
-            with os.fdopen(fd, "w") as handle:
-                handle.write(text)
-            cleanup = True
+    def solve(self, text: str) -> tuple[str, dict[str, Fraction]]:
+        fd, path = tempfile.mkstemp(suffix=".smt2")
+        with os.fdopen(fd, "w") as handle:
+            handle.write(text)
         try:
             argv = [part.replace("{file}", path)
                     for part in shlex.split(self.command)]
@@ -537,8 +523,7 @@ class SolverBackend:
                 collect(group)
             return "sat", values
         finally:
-            if cleanup:
-                os.unlink(path)
+            os.unlink(path)
 
 
 # ---------------------------------------------------------------------------
@@ -593,8 +578,10 @@ def solve_bounded_sat(f: StateFormula, bound: int, *,
 
     Every candidate is first screened by exact interval reasoning (whole
     labeling subtrees are skipped when a block is already contradictory).
-    Surviving candidates are decided by the backend, if any; a sat answer is
-    rationalized, confirmed by `check_assignment`, rebuilt into a chain, and
+    A surviving candidate with no block (the formula has no path operator)
+    holds under any stochastic assignment, so it is tried with the uniform
+    one; the others are decided by the backend, if any.  Either assignment
+    is confirmed by `check_assignment`, rebuilt into a chain, and
     re-verified against the original formula before being returned.  The
     result is unsat-up-to-n only when every candidate was refuted; unknown
     when undecided candidates remain.
@@ -625,25 +612,32 @@ def solve_bounded_sat(f: StateFormula, bound: int, *,
             path = os.path.join(dump_dir, f"candidate-{result.candidates:06d}.smt2")
             with open(path, "w") as handle:
                 handle.write(smt_text(system))
-        if emit_only or backend is None:
+        if emit_only or (backend is None and system.blocks):
             undecided = True
             continue
-        result.solver_calls += 1
-        verdict, values = backend.solve(smt_text(system))
-        if verdict == "timeout":
-            result.timeouts += 1
-            undecided = True
-            continue
-        if verdict == "unknown":
-            undecided = True
-            continue
-        if verdict == "unsat":
-            continue
-        index = system.edge_index()
-        try:
-            assignment = {e: values[_edge_var(i)] for e, i in index.items()}
-        except KeyError as exc:
-            raise BackendError(f"solver model is missing {exc}") from exc
+        if not system.blocks:
+            out_degree = [0] * system.size
+            for i, _ in system.edges:
+                out_degree[i] += 1
+            assignment = {(i, j): Fraction(1, out_degree[i])
+                          for i, j in system.edges}
+        else:
+            result.solver_calls += 1
+            verdict, values = backend.solve(smt_text(system))
+            if verdict == "timeout":
+                result.timeouts += 1
+                undecided = True
+                continue
+            if verdict == "unknown":
+                undecided = True
+                continue
+            if verdict == "unsat":
+                continue
+            index = system.edge_index()
+            try:
+                assignment = {e: values[_edge_var(i)] for e, i in index.items()}
+            except KeyError as exc:
+                raise BackendError(f"solver model is missing {exc}") from exc
         try:
             confirmed = check_assignment(system, assignment)
         except ValueError:

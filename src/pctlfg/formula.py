@@ -168,24 +168,6 @@ def is_trivial_bound(cmp: Cmp, bound: Fraction) -> bool:
     return (cmp, bound) in ((Cmp.GE, 0), (Cmp.GT, 1), (Cmp.LE, 1), (Cmp.LT, 0))
 
 
-def prob(op: PathOp, cmp: Cmp, bound: Fraction, body: StateFormula) -> Prob:
-    """Probabilistic operator node; rejects out-of-range and trivial bounds."""
-    bound = Fraction(bound)
-    if not 0 <= bound <= 1:
-        raise ValueError(f"probability bound {bound} outside [0,1]")
-    if is_trivial_bound(cmp, bound):
-        raise ValueError(f"trivial probability constraint '{cmp}{bound}'")
-    return Prob(op, cmp, bound, body)
-
-
-def f_ge(bound, body) -> Prob:
-    return prob(PathOp.F, Cmp.GE, Fraction(bound), body)
-
-
-def g_ge(bound, body) -> Prob:
-    return prob(PathOp.G, Cmp.GE, Fraction(bound), body)
-
-
 def is_core(f: StateFormula) -> bool:
     """Core form: negation on atoms only and comparisons from {>=, >}."""
     if isinstance(f, (Atom, NegAtom)):
@@ -269,10 +251,6 @@ def sort_key(f: StateFormula):
     if isinstance(f, (And, Or)):
         return (rank, len(f.args)) + tuple(sort_key(a) for a in f.args)
     return (rank, _OP_RANK[f.op], _CMP_RANK[f.cmp], f.bound, sort_key(f.body))
-
-
-def path_sort_key(p: PathFormula):
-    return (_OP_RANK[p.op], sort_key(p.body))
 
 
 def sorted_formulas(X) -> list[StateFormula]:

@@ -14,7 +14,9 @@ JSON model format (rationals are strings, bit-exact):
 `absorption` is the one exact linear solve of the package: reach
 probabilities in model checking, the first-passage distribution here and
 the per-block reach values of the ETR oracle all go through it, and
-`states_with_path_to` is the one backward graph search.
+`states_with_path_to` is the one backward graph search.  `first_passage`
+takes the chain's `ModelChecker` and reads the SCC decomposition it holds,
+so Tarjan's algorithm runs once per checked chain.
 """
 
 from __future__ import annotations
@@ -23,8 +25,12 @@ import json
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
 from . import linalg
+
+if TYPE_CHECKING:  # modelcheck imports this module
+    from .modelcheck import ModelChecker
 
 
 class InvalidChainError(ValueError):
@@ -187,12 +193,6 @@ def validate(chain: MarkovChain) -> list[str]:
     return problems
 
 
-def assert_valid(chain: MarkovChain) -> None:
-    problems = validate(chain)
-    if problems:
-        raise InvalidChainError("; ".join(problems))
-
-
 # ---------------------------------------------------------------------------
 # Graph structure
 
@@ -202,12 +202,6 @@ class SccDecomposition:
 
     components: tuple[frozenset[str], ...]
     is_bottom: tuple[bool, ...]
-
-    def component_of(self, s: str) -> frozenset[str]:
-        for comp in self.components:
-            if s in comp:
-                return comp
-        raise KeyError(s)
 
     def bottom_states(self) -> frozenset[str]:
         out: set[str] = set()
@@ -338,15 +332,17 @@ def absorption(unknown, successors, boundary) -> dict:
 # ---------------------------------------------------------------------------
 # First-passage distribution
 
-def first_passage(chain: MarkovChain, source: str, targets) -> dict[str, Fraction]:
+def first_passage(mc: ModelChecker, source: str, targets) -> dict[str, Fraction]:
     """Distribution of the first visited target state, over runs from
-    `source` that reach `targets` before visiting any other target.
+    `source` in the checker's chain that reach `targets` before visiting
+    any other target.
 
     Requires that `targets` is hit with probability one from `source`;
     otherwise raises FirstPassageError carrying a reachable bottom SCC
     disjoint from the targets as a certificate.  The returned values sum
     to exactly 1 (all targets appear, unreached ones with 0).
     """
+    chain = mc.chain
     targets = frozenset(targets)
     if source not in chain:
         raise KeyError(source)
@@ -370,8 +366,8 @@ def first_passage(chain: MarkovChain, source: str, targets) -> dict[str, Fractio
 
     # Certificate check: a bottom SCC inside the region can never reach the
     # targets, so the reach probability would be below one.
-    decomposition = scc_decompose(chain)
-    for comp, bottom in zip(decomposition.components, decomposition.is_bottom):
+    sccs = mc.sccs
+    for comp, bottom in zip(sccs.components, sccs.is_bottom):
         if bottom and comp <= region:
             raise FirstPassageError(
                 f"targets not reached almost surely from {source!r}: "

@@ -5,28 +5,40 @@ iteration: reachability probabilities satisfy a nonsingular linear system
 once the states with no path to the target are pinned to zero, and
 G-probabilities are the complement of reaching the body's complement.  The
 system is solved by `markov.absorption`, the exact absorption kernel that
-first passage and the ETR oracle share.
+first passage and the ETR oracle share.  A `ModelChecker` is the per-chain
+context of the package: besides the memoized satisfaction sets and
+probability vectors it holds the chain's SCC decomposition (`sccs`),
+computed on first use, which first passage, successor selection and
+compression read.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 
 from .formula import (
-    And, Atom, NegAtom, Or, PathFormula, PathOp, Prob, StateFormula,
+    And, Atom, NegAtom, Or, PathFormula, PathOp, StateFormula,
 )
-from .markov import MarkovChain, absorption, states_with_path_to
+from .markov import (
+    MarkovChain, SccDecomposition, absorption, scc_decompose, states_with_path_to,
+)
 
 
 class ModelChecker:
-    """Per-chain checker with memoized satisfaction sets and probability
-    vectors.  The memo tables are private to the instance; the chain is
-    treated as immutable."""
+    """Per-chain checker with memoized satisfaction sets, probability
+    vectors and SCC decomposition.  The memo tables are private to the
+    instance; the chain is treated as immutable."""
 
     def __init__(self, chain: MarkovChain):
         self.chain = chain
         self._sat: dict[StateFormula, frozenset[str]] = {}
         self._pvec: dict[PathFormula, dict[str, Fraction]] = {}
+
+    @cached_property
+    def sccs(self) -> SccDecomposition:
+        """The chain's SCC decomposition, computed once on first use."""
+        return scc_decompose(self.chain)
 
     # -- reachability -------------------------------------------------------
 
@@ -95,18 +107,3 @@ class ModelChecker:
     def check(self, state: str, formulas) -> bool:
         """s |= X: membership in the intersection of the satisfaction sets."""
         return all(self.holds(state, f) for f in formulas)
-
-
-# Module-level conveniences for one-shot queries.
-
-def sat_set(chain: MarkovChain, f: StateFormula) -> frozenset[str]:
-    return ModelChecker(chain).sat_set(f)
-
-
-def prob(chain: MarkovChain, state: str, path: PathFormula) -> Fraction:
-    """Probability of the path formula at `state`."""
-    return ModelChecker(chain).probability(state, path)
-
-
-def check(chain: MarkovChain, state: str, formulas) -> bool:
-    return ModelChecker(chain).check(state, formulas)

@@ -8,7 +8,7 @@ split the exit mass over a small support of successor states (exact
 Caratheodory reduction), recurse on strictly simpler formula sets, and stop
 at bottom SCCs, which collapse to satisfaction-signature cycles.  Every
 function that asks about a model takes its `ModelChecker`; the chain is
-`mc.chain`.
+`mc.chain` and its SCC decomposition is `mc.sccs`, computed once per chain.
 """
 
 from __future__ import annotations
@@ -392,10 +392,10 @@ def successor_selection(mc: ModelChecker, state: str,
             g_paths.append(path)
     paths = tuple(f_paths + g_paths)
 
-    candidates: set[str] = set(scc_decompose(mc.chain).bottom_states())
+    candidates: set[str] = set(mc.sccs.bottom_states())
     for path in f_paths:
         candidates |= mc.sat_set(path.body)
-    passage = first_passage(mc.chain, state, candidates)
+    passage = first_passage(mc, state, candidates)
 
     support = sorted(t for t, y in passage.items() if y > 0)
     vectors = [tuple(mc.probability(t, path) for path in paths) for t in support]
@@ -425,7 +425,7 @@ def verify_selection(mc: ModelChecker, state: str, obligations,
         if mc.probability(state, path) > covered:
             problems.append(f"probability of {path} at {state!r} not covered")
     region = reachable_from(mc.chain, state)
-    bottoms = scc_decompose(mc.chain).bottom_states()
+    bottoms = mc.sccs.bottom_states()
     f_bodies = [f.body for f in obligations
                 if isinstance(f, Prob) and f.op is PathOp.F]
     for t in selection.support:
@@ -533,10 +533,10 @@ def bscc_reduce(mc: ModelChecker, state: str,
     `state`'s class and is re-checked to satisfy the formulas.
     """
     X = frozenset(formulas)
-    decomposition = scc_decompose(mc.chain)
-    component = decomposition.component_of(state)
-    index = decomposition.components.index(component)
-    if not decomposition.is_bottom[index]:
+    component = next((comp for comp, bottom in zip(mc.sccs.components,
+                                                    mc.sccs.is_bottom)
+                      if bottom and state in comp), None)
+    if component is None:
         raise ValueError(f"state {state!r} is not in a bottom SCC")
     if not mc.check(state, X):
         raise ProgressLoopError(f"state {state!r} does not satisfy the formulas")
@@ -620,7 +620,7 @@ def compress_model(chain: MarkovChain, state: str, formula: StateFormula, *,
     if fragment == "l2" and not fragment_classify(formula).in_l2:
         raise FragmentError(f"not in fragment L2: {formula}")
 
-    bottoms = scc_decompose(chain).bottom_states()
+    bottoms = mc.sccs.bottom_states()
 
     def build(at: str, X: frozenset[StateFormula],
               parent_measure: int | None) -> tuple[MarkovChain, str, CompressionNode]:

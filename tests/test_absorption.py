@@ -52,9 +52,10 @@ def test_first_passage_satisfies_its_equations():
     rng = random.Random(43)
     for _ in range(60):
         chain = random_chain(rng, max_states=7)
+        mc = ModelChecker(chain)
         targets = set(scc_decompose(chain).bottom_states())
         targets |= {s for s in chain.states if rng.random() < 0.2}
-        hit = {s: first_passage(chain, s, targets) for s in chain.states}
+        hit = {s: first_passage(mc, s, targets) for s in chain.states}
         for s in chain.states:
             assert sum(hit[s].values()) == 1
             for t in targets:

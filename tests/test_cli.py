@@ -125,6 +125,21 @@ def test_sat_contradiction(capsys):
     assert out.strip() == "unsat-up-to-n"
 
 
+def test_sat_without_path_operator_is_decided(capsys, monkeypatch):
+    # no block to solve: the uniform assignment is confirmed exactly
+    monkeypatch.delenv("PCTLFG_SOLVER", raising=False)
+    code, out, _ = run(capsys, "sat", "--formula", "a", "--bound", "1", "--json")
+    assert code == 0
+    data = json.loads(out)
+    assert (data["status"], data["solver_calls"]) == ("sat", 0)
+    model = MarkovChain.from_dict(data["model"])
+    assert model.states == (data["entry"],)
+    assert model.atoms(data["entry"]) == {"a"}
+    code, out, _ = run(capsys, "sat", "--formula", "a & !a", "--bound", "2")
+    assert code == 1
+    assert out.strip() == "unsat-up-to-n"
+
+
 def test_sat_unknown_without_solver(capsys, monkeypatch):
     monkeypatch.delenv("PCTLFG_SOLVER", raising=False)
     code, out, _ = run(capsys, "sat", "--formula", "F>1/2[a] & !a",

@@ -1,6 +1,7 @@
 """Seeded fuzzing of the command line: mutated formula texts and mutated
-model records never raise out of `cli.main`, and every exit code is one of
-the documented four."""
+model records never raise out of `cli.main`, every exit code is one of the
+documented four, and every input the library's own reader rejects exits
+exactly 2."""
 
 import json
 import random
@@ -10,6 +11,8 @@ import pytest
 from helpers import fig1_chain, random_core_formula
 
 from pctlfg.cli import main
+from pctlfg.formula import parse_formula
+from pctlfg.markov import MarkovChain, validate
 
 EXIT_CODES = (0, 1, 2, 3)
 
@@ -22,6 +25,34 @@ FORMULA_CHARS = "abFG!&|()[]<>=/.019 _"
 JSON_CHARS = '{}[]":,0123456789abp-./e '
 JUNK_VALUES = ("", "5e-1", "1e-99999", "1/0", "-1/2", "0", "3/2", "x", 3, 0.5,
                None, True, [], {}, ["a", 1], [["a"]])
+
+# Numerals far past the interpreter's default 4300-digit int <-> str limit,
+# written without converting an int: 10^k + c is "1", k - len(c) zeros, c.
+def _power_plus(k: int, c: str) -> str:
+    return "1" + "0" * (k - len(c)) + c
+
+
+# Two outgoing edges of s, 1/(10^3999+1) and 1/(10^3998+3), which do not sum
+# to 1; the diagnostic prints a sum with an 8000-digit denominator.
+BIG_INVALID = {
+    "states": [{"id": "s", "ap": []}, {"id": "t", "ap": []}],
+    "edges": [{"from": "s", "to": "t", "p": "1/" + _power_plus(3999, "1")},
+              {"from": "s", "to": "s", "p": "1/" + _power_plus(3998, "3")},
+              {"from": "t", "to": "t", "p": "1"}]}
+
+# s -> t with 1/D1 and t -> g{a} with 1/D2, the rest to an absorbing z, so
+# F a holds at s with probability 1/(D1 D2) = 1/(10^4400 + 16 10^2200 + 63).
+D1, D2 = _power_plus(2200, "7"), _power_plus(2200, "9")
+BIG_VALID = {
+    "states": [{"id": "s", "ap": []}, {"id": "t", "ap": []},
+               {"id": "g", "ap": ["a"]}, {"id": "z", "ap": []}],
+    "edges": [{"from": "s", "to": "t", "p": "1/" + D1},
+              {"from": "s", "to": "z", "p": _power_plus(2200, "6") + "/" + D1},
+              {"from": "t", "to": "g", "p": "1/" + D2},
+              {"from": "t", "to": "z", "p": _power_plus(2200, "8") + "/" + D2},
+              {"from": "g", "to": "g", "p": "1"},
+              {"from": "z", "to": "z", "p": "1"}]}
+BIG_VALID_F_A = "1/1" + "0" * 2198 + "16" + "0" * 2198 + "63"
 
 
 def _mutate(rng: random.Random, text: str, alphabet: str) -> str:
@@ -67,6 +98,22 @@ def _model_texts(seed: int, count: int) -> list[str]:
     return texts
 
 
+def _formula_is_malformed(text: str) -> bool:
+    try:
+        parse_formula(text)
+    except Exception:
+        return True
+    return False
+
+
+def _model_is_malformed(text: str) -> bool:
+    try:
+        chain = MarkovChain.from_json(text)
+    except Exception:
+        return True
+    return bool(validate(chain))
+
+
 def _exit_code(capsys, argv) -> int:
     try:
         code = main(argv)
@@ -80,11 +127,12 @@ def test_mutated_formulas_keep_the_exit_contract(capsys, tmp_path):
     model = tmp_path / "fig1.json"
     model.write_text(fig1_chain().to_json())
     for text in _formula_texts(seed=5, count=150):
+        wanted = (2,) if _formula_is_malformed(text) else EXIT_CODES
         for argv in (["check", "--model", str(model), "--state", "s",
                       "--formula", text],
                      ["fragment", "--formula", text],
                      ["sat", "--formula", text, "--bound", "1"]):
-            assert _exit_code(capsys, argv) in EXIT_CODES, argv
+            assert _exit_code(capsys, argv) in wanted, argv
 
 
 def test_mutated_models_keep_the_exit_contract(capsys, tmp_path):
@@ -93,4 +141,18 @@ def test_mutated_models_keep_the_exit_contract(capsys, tmp_path):
         model.write_text(text)
         argv = ["check", "--model", str(model), "--state", "s",
                 "--formula", "F>=1/2[a]"]
-        assert _exit_code(capsys, argv) in EXIT_CODES, text
+        wanted = (2,) if _model_is_malformed(text) else EXIT_CODES
+        assert _exit_code(capsys, argv) in wanted, text
+
+
+def test_rationals_past_the_digit_limit(capsys, tmp_path):
+    model = tmp_path / "model.json"
+    argv = ["check", "--model", str(model), "--state", "s",
+            "--formula", "F>0[a]", "--json"]
+    model.write_text(json.dumps(BIG_INVALID))
+    assert _exit_code(capsys, argv) == 2
+    model.write_text(json.dumps(BIG_VALID))
+    code = main(argv)
+    out = capsys.readouterr().out
+    assert code == 0
+    assert json.loads(out)["probabilities"] == {"F a": BIG_VALID_F_A}

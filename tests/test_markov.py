@@ -9,6 +9,7 @@ from pctlfg.markov import (
     FirstPassageError, InvalidChainError, MarkovChain, first_passage,
     reachable_from, scc_decompose, states_with_path_to, validate,
 )
+from pctlfg.modelcheck import ModelChecker
 
 
 def test_validate_fig1(fig1):
@@ -111,12 +112,12 @@ def test_scc_against_reachability_oracle():
             assert bottom == (not leaves)
 
 
-def test_first_passage_fig1(fig1):
-    assert first_passage(fig1, "s", {"u"}) == {"u": Fraction(1)}
+def test_first_passage_fig1(fig1_checker):
+    assert first_passage(fig1_checker, "s", {"u"}) == {"u": Fraction(1)}
 
 
-def test_first_passage_source_in_targets(fig1):
-    result = first_passage(fig1, "t", {"t", "u"})
+def test_first_passage_source_in_targets(fig1_checker):
+    result = first_passage(fig1_checker, "t", {"t", "u"})
     assert result == {"t": Fraction(1), "u": Fraction(0)}
 
 
@@ -127,14 +128,14 @@ def test_first_passage_coin():
          ("b1", "b1"): Fraction(1), ("b2", "b2"): Fraction(1)},
         {},
     )
-    assert first_passage(chain, "s", {"b1", "b2"}) == \
+    assert first_passage(ModelChecker(chain), "s", {"b1", "b2"}) == \
         {"b1": Fraction(1, 2), "b2": Fraction(1, 2)}
 
 
-def test_first_passage_certificate(fig1):
+def test_first_passage_certificate(fig1_checker):
     # from t the run escapes to u with probability 2/5, never reaching s
     with pytest.raises(FirstPassageError) as err:
-        first_passage(fig1, "t", {"s"})
+        first_passage(fig1_checker, "t", {"s"})
     assert err.value.certificate == frozenset({"u"})
 
 
@@ -142,9 +143,10 @@ def test_first_passage_sums_to_one():
     rng = random.Random(29)
     for _ in range(60):
         chain = random_chain(rng)
-        bottoms = scc_decompose(chain).bottom_states()
+        mc = ModelChecker(chain)
+        bottoms = mc.sccs.bottom_states()
         source = chain.states[rng.randrange(len(chain.states))]
-        result = first_passage(chain, source, bottoms)
+        result = first_passage(mc, source, bottoms)
         assert sum(result.values()) == 1
 
 
@@ -152,10 +154,10 @@ def test_runs_enter_bottom_sccs():
     # from any state, the bottom SCCs are hit with probability exactly one
     rng = random.Random(31)
     for _ in range(40):
-        chain = random_chain(rng)
-        bottoms = scc_decompose(chain).bottom_states()
-        for s in chain.states:
-            assert sum(first_passage(chain, s, bottoms).values()) == 1
+        mc = ModelChecker(random_chain(rng))
+        bottoms = mc.sccs.bottom_states()
+        for s in mc.chain.states:
+            assert sum(first_passage(mc, s, bottoms).values()) == 1
 
 
 def test_states_with_path_to(fig1):

@@ -9,13 +9,12 @@ from pctlfg.formula import (
     Atom, Cmp, NegAtom, PathFormula, PathOp, Prob, parse_formula,
 )
 from pctlfg.markov import scc_decompose
-from pctlfg.modelcheck import ModelChecker, check, prob, sat_set
+from pctlfg.modelcheck import ModelChecker
 
 
-def test_prob_f_not_a(fig1, fig1_checker):
+def test_prob_f_not_a(fig1_checker):
     path = PathFormula(PathOp.F, NegAtom("a"))
     assert fig1_checker.probability("t", path) == Fraction(3, 5)
-    assert prob(fig1, "t", path) == Fraction(3, 5)
     # the reachability of the body's satisfaction set gives the same value
     assert fig1_checker.reach_probabilities({"s"})["t"] == Fraction(3, 5)
 
@@ -27,26 +26,26 @@ def test_prob_reach_globally_a(fig1, fig1_checker):
     assert fig1_checker.probability("s", path) == 1
 
 
-def test_prob_g_everything(fig1):
+def test_prob_g_everything(fig1_checker):
     path = PathFormula(PathOp.G, parse_formula("a | !a"))
-    assert prob(fig1, "s", path) == 1
+    assert fig1_checker.probability("s", path) == 1
 
 
-def test_sat_set_atoms(fig1):
-    assert sat_set(fig1, Atom("a")) == frozenset({"t", "u"})
+def test_sat_set_atoms(fig1_checker):
+    assert fig1_checker.sat_set(Atom("a")) == frozenset({"t", "u"})
 
 
-def test_sat_set_psi(fig1, psi):
-    assert sat_set(fig1, psi) == frozenset({"s"})
+def test_sat_set_psi(fig1_checker, psi):
+    assert fig1_checker.sat_set(psi) == frozenset({"s"})
 
 
-def test_check(fig1, fig1_checker, psi):
+def test_check(fig1_checker, psi):
     from pctlfg.closure import closure_update
 
     X = closure_update(fig1_checker, "s", {psi})
-    assert check(fig1, "s", X)
-    assert check(fig1, "s", set())
-    assert not check(fig1, "u", {NegAtom("a")})
+    assert fig1_checker.check("s", X)
+    assert fig1_checker.check("s", set())
+    assert not fig1_checker.check("u", {NegAtom("a")})
 
 
 def test_g_is_complement_of_reaching_complement():

@@ -461,14 +461,36 @@ def test_compress_bscc_base_case():
     assert ModelChecker(model).holds(entry, pf("G=1[a]"))
 
 
-def test_compress_randomized_l2():
+def test_compress_computes_the_input_sccs_once(monkeypatch, running, psi):
+    import pctlfg.markov
+    import pctlfg.modelcheck
+    import pctlfg.progress
+
+    fig1 = running[0]
+    original = pctlfg.markov.scc_decompose
+    seen = []
+
+    def counting(chain):
+        seen.append(chain)
+        return original(chain)
+
+    for module in (pctlfg.markov, pctlfg.modelcheck, pctlfg.progress):
+        monkeypatch.setattr(module, "scc_decompose", counting, raising=False)
+    compress_model(fig1, "s", psi, fragment="l2")
+    assert sum(chain is fig1 for chain in seen) == 1
+
+
+@pytest.mark.parametrize("fragment", ["l2", "generic"])
+def test_compress_randomized_l2(fragment):
+    # L2 instances, compressed by the constructive and the exhaustive search
     rng = random.Random(101)
     done = 0
     while done < 25:
         chain, state, f, mc = satisfied_instance(rng, max_states=5, depth=3)
         if not fragment_classify(f).in_l2:
             continue
-        model, entry, trace = compress_model(chain, state, f, fragment="l2")
+        model, entry, trace = compress_model(chain, state, f,
+                                             fragment=fragment, max_n=3)
         assert validate(model) == []
         assert ModelChecker(model).holds(entry, f)
         assert simple_loop_components(model) == []
