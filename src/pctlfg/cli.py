@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -297,6 +298,22 @@ def _cmd_export_dot(args) -> int:
 
 # -- argument parsing --------------------------------------------------------
 
+def _int_at_least(low: int):
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+    return integer
+
+
+def _positive_seconds(text: str) -> float:
+    value = float(text)
+    if not 0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be a positive number, got {text}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pctlfg",
@@ -333,24 +350,25 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p, state=True)
     p.add_argument("--loop", help="loop JSON file (for verify)")
     p.add_argument("--method", choices=("l2", "generic"), default="l2")
-    p.add_argument("--max-n", type=int, default=3)
+    p.add_argument("--max-n", type=_int_at_least(0), default=3)
     p.set_defaults(func=_cmd_loop)
 
     p = sub.add_parser("compress", help="bounded model construction")
     common(p, state=True)
     p.add_argument("--fragment", choices=("l2", "generic"), default="l2")
-    p.add_argument("--max-n", type=int, default=3)
+    p.add_argument("--max-n", type=_int_at_least(0), default=3)
     p.add_argument("--out", help="write the model JSON here")
     p.add_argument("--trace", help="write the recursion trace JSON here")
     p.set_defaults(func=_cmd_compress)
 
     p = sub.add_parser("sat", help="bounded satisfiability")
     common(p, model=False)
-    p.add_argument("--bound", type=int, required=True, help="maximum model size")
+    p.add_argument("--bound", type=_int_at_least(1), required=True,
+                   help="maximum model size")
     p.add_argument("--solver-cmd",
                    help="backend command template with a {file} placeholder "
                         f"(default: ${SOLVER_ENV})")
-    p.add_argument("--solver-timeout", type=float, default=10.0,
+    p.add_argument("--solver-timeout", type=_positive_seconds, default=10.0,
                    help="per-candidate wall clock budget in seconds")
     p.add_argument("--dump-smt", help="directory for emitted constraint files")
     p.add_argument("--emit-only", action="store_true",

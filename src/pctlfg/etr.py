@@ -5,10 +5,12 @@ complement duality, all four comparisons allowed on F).  For every model
 size up to the bound, candidate digraphs and subformula labelings are
 enumerated; a candidate fixes the topology, so correctness of each labeled
 F-subformula becomes a polynomial system over the positive edge variables.
-Candidates are dismissed by exact interval reasoning where possible and
-otherwise shipped to a pluggable SMT backend; returned assignments are
-rationalized, confirmed exactly, and rebuilt into a Markov chain that is
-re-verified against the original formula.
+The enumeration builds one labeling as it chooses the label sets and screens
+each F-subformula's block by exact interval reasoning as soon as its set is
+chosen, skipping the whole subtree of labelings on a contradiction.  The
+candidates that survive are shipped to a pluggable SMT backend; returned
+assignments are rationalized, confirmed exactly, and rebuilt into a Markov
+chain that is re-verified against the original formula.
 """
 
 from __future__ import annotations
@@ -72,26 +74,40 @@ def _fnf(f: StateFormula, positive: bool) -> StateFormula:
     return Prob(PathOp.F, cmp, bound, body)
 
 
-def _f_nodes(f: StateFormula) -> list[Prob]:
-    """Distinct F-subformulas in bottom-up order: a node's body precedes it."""
-    seen: list[Prob] = []
+def _choice_order(f: StateFormula,
+                  ) -> list[tuple[StateFormula, tuple[StateFormula, ...]]]:
+    """The distinct subformulas of `f` in the order the enumeration labels
+    them, as (choice, completed) steps.  The choices are the atoms in sorted
+    order (also those that occur only negated, whose sets reconstruction
+    reads back), then the F-subformulas bottom-up, a node's body before it.  The NegAtom/And/Or nodes a choice
+    completes follow it, children before parents."""
+    nodes: dict[StateFormula, None] = {}
 
     def walk(g: StateFormula):
+        if g in nodes:
+            return
         if isinstance(g, (And, Or)):
             for a in g.args:
                 walk(a)
         elif isinstance(g, Prob):
             walk(g.body)
-            if g not in seen:
-                seen.append(g)
+        nodes[g] = None
 
     walk(f)
-    return seen
-
-
-def _atom_names(f: StateFormula) -> list[str]:
-    names = {g.name for g in iter_subformulas(f) if isinstance(g, (Atom, NegAtom))}
-    return sorted(names)
+    names = sorted({g.name for g in nodes if isinstance(g, (Atom, NegAtom))})
+    choices = [Atom(name) for name in names]
+    choices += [g for g in nodes if isinstance(g, Prob)]
+    step = {g: i for i, g in enumerate(choices)}
+    completed: list[list[StateFormula]] = [[] for _ in choices]
+    for g in nodes:
+        if isinstance(g, NegAtom):
+            step[g] = step[Atom(g.name)]
+        elif isinstance(g, (And, Or)):
+            step[g] = max(step[a] for a in g.args)
+        else:
+            continue
+        completed[step[g]].append(g)
+    return [(g, tuple(done)) for g, done in zip(choices, completed)]
 
 
 # ---------------------------------------------------------------------------
@@ -147,80 +163,52 @@ def _graphs(size: int):
         yield edges
 
 
-def _propagate(f: StateFormula, free: dict[StateFormula, frozenset[int]],
-               size: int) -> dict[StateFormula, frozenset[int]]:
-    # the free atom choices stay part of the labeling even when only their
-    # negation occurs in the formula; reconstruction reads them back
-    labeling: dict[StateFormula, frozenset[int]] = {
-        g: vs for g, vs in free.items() if isinstance(g, Atom)}
-    every = frozenset(range(size))
-
-    def visit(g: StateFormula) -> frozenset[int]:
-        if g in labeling:
-            return labeling[g]
-        if isinstance(g, Atom):
-            result = free[g]
-        elif isinstance(g, NegAtom):
-            result = every - free[Atom(g.name)]
-        elif isinstance(g, And):
-            result = every
-            for a in g.args:
-                result &= visit(a)
-        elif isinstance(g, Or):
-            result = frozenset()
-            for a in g.args:
-                result |= visit(a)
-        else:
-            for a in (g.body,):
-                visit(a)
-            result = free[g]
-        labeling[g] = result
-        return result
-
-    visit(f)
-    return labeling
-
-
-def enumerate_candidates(f: StateFormula, bound: int):
-    """Streams every candidate for models of up to `bound` states, in
-    deterministic order: size ascending, then graphs canonically, then
-    labelings lexicographically (atom sets before F-subformula sets, each a
-    subset bitmask counting up).  Only candidates whose whole-formula label
-    set is nonempty are emitted."""
+def enumerate_candidates(f: StateFormula, bound: int,
+                         _result: SatSearchResult | None = None):
+    """Streams every candidate for models of up to `bound` states that the
+    interval screen does not refute, in deterministic order: size
+    ascending, then graphs canonically, then labelings lexicographically
+    (atom sets before F-subformula sets, each a subset bitmask counting
+    up).  One labeling is built as the sets are chosen; right after an
+    F-subformula's set is chosen its block is screened, and on a
+    contradiction the whole subtree of labelings is skipped (and counted
+    in `_result.refuted`).  Only candidates whose whole-formula label set
+    is nonempty are emitted."""
     if bound < 1:
         raise ValueError("bound must be at least 1")
-    yield from _candidate_stream(f, bound, prune=None)
-
-
-def _candidate_stream(f: StateFormula, bound: int, prune):
-    """Shared enumeration; `prune(size, edges, node, labeling)` may reject a
-    partial labeling right after the F-node's set is chosen (used for
-    refutation-in-advance).  Pruned subtrees are counted via the returned
-    counter list."""
-    atoms = [Atom(name) for name in _atom_names(f)]
-    f_nodes = _f_nodes(f)
-    choices = atoms + f_nodes
+    steps = _choice_order(f)
 
     for size in range(1, bound + 1):
+        every = frozenset(range(size))
         subsets = [frozenset(k for k in range(size) if mask >> k & 1)
                    for mask in range(1 << size)]
         for edges in _graphs(size):
-            free: dict[StateFormula, frozenset[int]] = {}
+            labeling: dict[StateFormula, frozenset[int]] = {}
 
             def assign(index: int):
-                if index == len(choices):
-                    labeling = _propagate(f, free, size)
+                if index == len(steps):
                     if labeling[f]:
-                        yield ETRCandidate(size, edges, labeling, f)
+                        yield ETRCandidate(size, edges, dict(labeling), f)
                     return
-                node = choices[index]
+                node, completed = steps[index]
                 for subset in subsets:
-                    free[node] = subset
-                    if (prune is not None and isinstance(node, Prob)
-                            and prune(size, edges, node, free)):
+                    if isinstance(node, Prob) and _block_interval_contradiction(
+                            size, _block(size, edges, node,
+                                         labeling[node.body], subset)):
+                        if _result is not None:
+                            _result.refuted += 1
                         continue
+                    labeling[node] = subset
+                    for g in completed:
+                        if isinstance(g, NegAtom):
+                            labeling[g] = every - labeling[Atom(g.name)]
+                        elif isinstance(g, And):
+                            labeling[g] = every.intersection(
+                                *(labeling[a] for a in g.args))
+                        else:
+                            labeling[g] = frozenset().union(
+                                *(labeling[a] for a in g.args))
                     yield from assign(index + 1)
-                del free[node]
 
             yield from assign(0)
 
@@ -276,14 +264,13 @@ def _block(size: int, edges, node: Prob, body_set: frozenset[int],
     )
 
 
-def encode(candidate: ETRCandidate, f: StateFormula | None = None) -> ETRSystem:
-    """Builds the constraint system of a candidate.  `f` defaults to the
-    candidate's own formula and must equal it when given."""
-    if f is not None and f != candidate.formula:
-        raise ValueError("formula does not match the candidate")
+def encode(candidate: ETRCandidate) -> ETRSystem:
+    """Builds the constraint system of a candidate: one block per
+    F-subformula, bottom-up."""
     blocks = [_block(candidate.size, candidate.edges, node,
                      candidate.labeling[node.body], candidate.labeling[node])
-              for node in _f_nodes(candidate.formula)]
+              for node, _ in _choice_order(candidate.formula)
+              if isinstance(node, Prob)]
     return ETRSystem(candidate.size, candidate.edges, tuple(blocks))
 
 
@@ -576,15 +563,15 @@ def solve_bounded_sat(f: StateFormula, bound: int, *,
     """Searches for a model of the core formula `f` with at most `bound`
     states.
 
-    Every candidate is first screened by exact interval reasoning (whole
-    labeling subtrees are skipped when a block is already contradictory).
-    A surviving candidate with no block (the formula has no path operator)
-    holds under any stochastic assignment, so it is tried with the uniform
-    one; the others are decided by the backend, if any.  Either assignment
-    is confirmed by `check_assignment`, rebuilt into a chain, and
-    re-verified against the original formula before being returned.  The
-    result is unsat-up-to-n only when every candidate was refuted; unknown
-    when undecided candidates remain.
+    The candidates come from `enumerate_candidates`, already screened by
+    exact interval reasoning, so `refuted` counts the labeling subtrees the
+    screen skipped.  A candidate with no block (the formula has no path
+    operator) holds under any stochastic assignment, so it is tried with
+    the uniform one; the others are decided by the backend, if any.  Either
+    assignment is confirmed by `check_assignment`, rebuilt into a chain,
+    and re-verified against the original formula before being returned.
+    The result is unsat-up-to-n only when every candidate was refuted;
+    unknown when undecided candidates remain.
     """
     if bound < 1:
         raise ValueError("bound must be at least 1")
@@ -593,21 +580,10 @@ def solve_bounded_sat(f: StateFormula, bound: int, *,
     if dump_dir is not None:
         os.makedirs(dump_dir, exist_ok=True)
 
-    def prune(size: int, edges, node: Prob, free) -> bool:
-        labeling = _propagate(node, free, size)
-        block = _block(size, edges, node, labeling[node.body], free[node])
-        if _block_interval_contradiction(size, block):
-            result.refuted += 1
-            return True
-        return False
-
     undecided = False
-    for candidate in _candidate_stream(normal, bound, prune=prune):
+    for candidate in enumerate_candidates(normal, bound, _result=result):
         result.candidates += 1
         system = encode(candidate)
-        if interval_refuted(system):
-            result.refuted += 1
-            continue
         if dump_dir is not None:
             path = os.path.join(dump_dir, f"candidate-{result.candidates:06d}.smt2")
             with open(path, "w") as handle:

@@ -279,25 +279,21 @@ MAX_NESTING = 100
 @dataclass(frozen=True)
 class SAtom:
     name: str
-    pos: tuple[int, int]
 
 
 @dataclass(frozen=True)
 class SNot:
     arg: "SurfaceFormula"
-    pos: tuple[int, int]
 
 
 @dataclass(frozen=True)
 class SAnd:
     args: tuple["SurfaceFormula", ...]
-    pos: tuple[int, int]
 
 
 @dataclass(frozen=True)
 class SOr:
     args: tuple["SurfaceFormula", ...]
-    pos: tuple[int, int]
 
 
 @dataclass(frozen=True)
@@ -306,7 +302,6 @@ class SProb:
     cmp: Cmp
     bound: Fraction
     body: "SurfaceFormula"
-    pos: tuple[int, int]
 
 
 SurfaceFormula = Union[SAtom, SNot, SAnd, SOr, SProb]
@@ -411,7 +406,7 @@ class _Parser:
             args.append(self.conj())
         if len(args) == 1:
             return first
-        return SOr(tuple(args), args[0].pos)
+        return SOr(tuple(args))
 
     def conj(self) -> SurfaceFormula:
         first = self.unit()
@@ -421,7 +416,7 @@ class _Parser:
             args.append(self.unit())
         if len(args) == 1:
             return first
-        return SAnd(tuple(args), args[0].pos)
+        return SAnd(tuple(args))
 
     def unit(self) -> SurfaceFormula:
         tok = self.peek()
@@ -429,7 +424,7 @@ class _Parser:
                    and self.tokens[self.i + 1].text in (">=", ">", "<=", "<", "="))
         if tok.kind == "name" and not is_prob:
             self.next()
-            return SAtom(tok.text, (tok.line, tok.col))
+            return SAtom(tok.text)
         if tok.text not in ("!", "(") and not is_prob:
             self.error(f"expected a formula, found {tok.text!r}")
         if self.depth == MAX_NESTING:
@@ -437,7 +432,7 @@ class _Parser:
         self.depth += 1
         if tok.text == "!":
             self.next()
-            f = SNot(self.unit(), (tok.line, tok.col))
+            f = SNot(self.unit())
         elif tok.text == "(":
             self.next()
             f = self.disj()
@@ -463,7 +458,7 @@ class _Parser:
         self.expect("[")
         body = self.disj()
         self.expect("]")
-        return SProb(op, cmp, bound, body, (op_tok.line, op_tok.col))
+        return SProb(op, cmp, bound, body)
 
     def number(self) -> Fraction:
         tok = self.next()
@@ -487,7 +482,7 @@ class _Parser:
 
 
 def parse(text: str) -> SurfaceFormula:
-    """Parses surface syntax into a position-carrying surface AST.
+    """Parses surface syntax into a surface AST.
 
     The surface language permits negation on arbitrary subformulas and all
     four comparisons on F/G; `normalize` turns the result into core form.
@@ -565,9 +560,6 @@ class FragmentMembership:
     in_l2: bool
     in_l3: bool
     in_l4: bool
-
-    def __getitem__(self, name: str) -> bool:
-        return getattr(self, "in_" + name.lower())
 
 
 def _is_eq1(f: Prob) -> bool:

@@ -261,6 +261,28 @@ def test_nesting_past_the_cap_is_usage_error(capsys, model_path, nest):
         assert f"nested deeper than {MAX_NESTING} levels" in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("sat", "--formula", "a", "--bound", "0"), "--bound: must be at least 1"),
+    (("sat", "--formula", "a", "--bound", "-3"), "--bound: must be at least 1"),
+    (("sat", "--formula", "a", "--bound", "1", "--solver-timeout", "-1"),
+     "--solver-timeout: must be a positive number"),
+    (("sat", "--formula", "a", "--bound", "1", "--solver-timeout", "0"),
+     "--solver-timeout: must be a positive number"),
+    (("sat", "--formula", "a", "--bound", "1", "--solver-timeout", "nan"),
+     "--solver-timeout: must be a positive number"),
+    (("loop", "search", "--state", "s", "--formula", "a", "--max-n", "-2"),
+     "--max-n: must be at least 0"),
+    (("compress", "--state", "s", "--formula", "a", "--max-n", "-1"),
+     "--max-n: must be at least 0"),
+])
+def test_out_of_range_option_is_usage_error(capsys, model_path, argv, message):
+    if argv[0] != "sat":
+        argv += ("--model", model_path)
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert message in err
+
+
 def test_bad_formula_is_usage_error(capsys, model_path):
     code, _, err = run(capsys, "check", "--model", model_path,
                        "--formula", "F>=2[a]")

@@ -1,15 +1,16 @@
+import itertools
 import random
 import sys
 from fractions import Fraction
 
 import pytest
 
-from helpers import fig1_chain, random_chain, random_core_formula
+from helpers import PSI_TEXT, fig1_chain, random_chain, random_core_formula
 
 from pctlfg.etr import (
-    BackendError, SolverBackend, candidate_from_chain, chain_from_candidate,
-    check_assignment, encode, enumerate_candidates, f_normal_form,
-    interval_refuted, smt_text, solve_bounded_sat,
+    BackendError, ETRCandidate, SolverBackend, candidate_from_chain,
+    chain_from_candidate, check_assignment, encode, enumerate_candidates,
+    f_normal_form, interval_refuted, smt_text, solve_bounded_sat,
 )
 from pctlfg.formula import (
     And, Atom, Cmp, NegAtom, PathOp, Prob, iter_subformulas, parse_formula,
@@ -69,10 +70,11 @@ def test_enumerate_atom_single_vertex():
 def test_enumerate_simple_eventuality():
     f = pf("F>=1/2[a]")
     cands = list(enumerate_candidates(f, 1))
-    # V(F>=1/2 a) must be {v1}; V(a) is free
-    assert len(cands) == 2
-    assert any(c.labeling[Atom("a")] == frozenset({0}) for c in cands)
-    assert all(c.labeling[f] == frozenset({0}) for c in cands)
+    # V(F>=1/2 a) must be {v1}; V(a) = {} is screened out, since no vertex
+    # reaches a and the reach value 0 is below 1/2
+    assert len(cands) == 1
+    assert cands[0].labeling[Atom("a")] == frozenset({0})
+    assert cands[0].labeling[f] == frozenset({0})
 
 
 def test_enumerate_sizes():
@@ -88,6 +90,49 @@ def test_enumerate_boolean_propagation():
                                         - c.labeling[Atom("b")])
         assert c.labeling[f] == want
         assert c.labeling[f]
+
+
+def _all_graphs(size):
+    pairs = [(i, j) for i in range(size) for j in range(size)]
+    for chosen in itertools.product((False, True), repeat=len(pairs)):
+        edges = tuple(e for e, keep in zip(pairs, chosen) if keep)
+        if {i for i, _ in edges} == set(range(size)):
+            yield edges
+
+
+def _labeled_keys(f):
+    keys = set(iter_subformulas(f))
+    return keys | {Atom(g.name) for g in keys if isinstance(g, NegAtom)}
+
+
+def test_enumeration_is_every_consistent_unrefuted_candidate():
+    # reference: every labeling of every key on every graph, kept when the
+    # Boolean rules hold and the interval screen does not refute it
+    rng = random.Random(127)
+    formulas = []
+    while len(formulas) < 12:
+        f = f_normal_form(random_core_formula(rng, depth=3))
+        if 3 <= len(_labeled_keys(f)) <= 6 and f not in formulas:
+            formulas.append(f)
+    for f in formulas:
+        keys = sorted(_labeled_keys(f), key=str)
+        want = set()
+        for size in (1, 2):
+            subsets = [frozenset(v for v in range(size) if mask >> v & 1)
+                       for mask in range(1 << size)]
+            for sets in itertools.product(subsets, repeat=len(keys)):
+                labeling = dict(zip(keys, sets))
+                # the Boolean rules do not depend on the edges
+                if ETRCandidate(size, (), labeling, f).consistent():
+                    continue
+                for edges in _all_graphs(size):
+                    c = ETRCandidate(size, edges, labeling, f)
+                    if not interval_refuted(encode(c)):
+                        want.add((size, edges, frozenset(labeling.items())))
+        got = [(c.size, c.edges, frozenset(c.labeling.items()))
+               for c in enumerate_candidates(f, 2)]
+        assert len(got) == len(set(got)), f
+        assert set(got) == want, f
 
 
 def test_enumeration_deterministic():
@@ -121,12 +166,6 @@ def test_encode_shape_running_example(psi):
     assert len(system.edges) == 4
     assert len(system.blocks) == 5
     assert system.constraint_count() >= 4 + 3 + 5 * 3
-
-
-def test_encode_rejects_mismatched_formula(psi):
-    _, candidate, _ = fig1_candidate_and_truth(psi)
-    with pytest.raises(ValueError):
-        encode(candidate, Atom("a"))
 
 
 def test_check_assignment_running_example(psi):
@@ -250,6 +289,18 @@ def test_psi_unsat_at_two(psi):
     result = solve_bounded_sat(psi, 2)
     assert result.status == "unsat-up-to-n"
     assert result.solver_calls == 0
+
+
+@pytest.mark.parametrize("text, bound, status, candidates, refuted", [
+    ("F=1[a] & G=1[!a]", 3, "unsat-up-to-n", 0, 57056),
+    (PSI_TEXT, 2, "unsat-up-to-n", 0, 742),
+    ("F>1/2[a] & !a", 2, "unknown", 12, 98),
+    ("F>=0.5[a & F>=0.2[!a]] & !a & b", 2, "unknown", 16, 936),
+])
+def test_search_counts_pinned(text, bound, status, candidates, refuted):
+    result = solve_bounded_sat(pf(text), bound)
+    assert (result.status, result.candidates, result.refuted) == \
+        (status, candidates, refuted)
 
 
 def test_unknown_without_backend():

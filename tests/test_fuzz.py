@@ -1,18 +1,21 @@
 """Seeded fuzzing of the command line: mutated formula texts and mutated
 model records never raise out of `cli.main`, every exit code is one of the
 documented four, and every input the library's own reader rejects exits
-exactly 2."""
+exactly 2.  Seeded satisfied instances go through `compress`, and every
+model it prints is re-read and checked."""
 
 import json
 import random
 
 import pytest
 
-from helpers import fig1_chain, random_core_formula
+from helpers import fig1_chain, random_core_formula, satisfied_instance
 
 from pctlfg.cli import main
 from pctlfg.formula import parse_formula
 from pctlfg.markov import MarkovChain, validate
+from pctlfg.modelcheck import ModelChecker
+from pctlfg.progress import simple_loop_components
 
 EXIT_CODES = (0, 1, 2, 3)
 
@@ -114,13 +117,16 @@ def _model_is_malformed(text: str) -> bool:
     return bool(validate(chain))
 
 
-def _exit_code(capsys, argv) -> int:
+def _run(capsys, argv) -> tuple[int, str]:
     try:
         code = main(argv)
     except Exception as exc:
         pytest.fail(f"{argv!r} raised {exc!r}")
-    capsys.readouterr()
-    return code
+    return code, capsys.readouterr().out
+
+
+def _exit_code(capsys, argv) -> int:
+    return _run(capsys, argv)[0]
 
 
 def test_mutated_formulas_keep_the_exit_contract(capsys, tmp_path):
@@ -156,3 +162,28 @@ def test_rationals_past_the_digit_limit(capsys, tmp_path):
     out = capsys.readouterr().out
     assert code == 0
     assert json.loads(out)["probabilities"] == {"F a": BIG_VALID_F_A}
+
+
+def test_compress_output_is_a_verified_model(capsys, tmp_path):
+    # seeded satisfied instances through both searches: every answer keeps
+    # the exit contract, and every model it prints holds at its entry
+    rng = random.Random(13)
+    model = tmp_path / "model.json"
+    verified = 0
+    for i in range(300):
+        chain, state, f, _ = satisfied_instance(rng, max_states=5, depth=3)
+        model.write_text(chain.to_json())
+        argv = ["compress", "--model", str(model), "--state", state,
+                "--formula", str(f), "--fragment", ("l2", "generic")[i % 2],
+                "--max-n", "2", "--json"]
+        code, out = _run(capsys, argv)
+        assert code in EXIT_CODES, argv
+        if code != 0:
+            continue
+        data = json.loads(out)
+        small = MarkovChain.from_dict(data["model"])
+        assert validate(small) == [], argv
+        assert simple_loop_components(small) == [], argv
+        assert ModelChecker(small).holds(data["entry"], f), argv
+        verified += 1
+    assert verified >= 250
