@@ -13,10 +13,15 @@ JSON model format (rationals are strings, bit-exact):
 
 `absorption` is the one exact linear solve of the package: reach
 probabilities in model checking, the first-passage distribution here and
-the per-block reach values of the ETR oracle all go through it, and
-`states_with_path_to` is the one backward graph search.  `first_passage`
-takes the chain's `ModelChecker` and reads the SCC decomposition it holds,
-so Tarjan's algorithm runs once per checked chain.
+the per-block reach values of the ETR oracle all go through it.  `prob01`
+is the one qualitative kernel: from the graph alone it finds the states
+that reach a target set with probability 0 and with probability 1, so
+model checking solves only the states in between, and `first_passage`
+tests its almost-sure precondition with it.  It shares its backward search
+with `states_with_path_to`.  `first_passage` takes the chain's
+`ModelChecker` and reads the SCC decomposition it holds only to name the
+certificate of a failed precondition, so Tarjan's algorithm runs at most
+once per checked chain.
 """
 
 from __future__ import annotations
@@ -46,22 +51,26 @@ class FirstPassageError(ValueError):
         self.certificate = certificate
 
 
-# The numerals `to_dict` writes and the formula grammar reads.  `Fraction`
-# alone also takes exponents, in time growing faster than the exponent, so
-# a 12-byte field such as "1e-999999999" would stall the reader.
-_NUMERAL = re.compile(r"-?[0-9]+(\.[0-9]+)?|-?[0-9]+/[0-9]+")
+# The numerals `to_dict` writes and the formula grammar reads: a sign, the
+# digits, and then a decimal part or a denominator.  `Fraction(str)` alone
+# also takes exponents, in time growing faster than the exponent, so a
+# 12-byte field such as "1e-999999999" would stall the reader; matching
+# here and building the value from the groups also parses each numeral once.
+_NUMERAL = re.compile(r"(-?)([0-9]+)(?:\.([0-9]+)|/([0-9]+))?")
 
 
 def parse_probability(text) -> Fraction:
     """An integer, a decimal or `integer/integer`, exactly."""
-    numeral = str(text)
-    if not _NUMERAL.fullmatch(numeral):
+    match = _NUMERAL.fullmatch(str(text))
+    if match is None:
         raise InvalidChainError(f"malformed rational {text!r}")
+    sign, whole, decimals, denominator = match.groups()
+    decimals = decimals or ""  # at most one of decimals and denominator
     try:
-        value = Fraction(numeral)
+        return Fraction(int(sign + whole + decimals),
+                        int(denominator or 1) * 10 ** len(decimals))
     except (ValueError, ZeroDivisionError) as exc:
         raise InvalidChainError(f"malformed rational {text!r}") from exc
-    return value
 
 
 def _check_record(rec, what: str, keys) -> None:
@@ -93,7 +102,7 @@ class MarkovChain:
                 raise InvalidChainError(f"edge to unknown state {dst!r}")
             if dst in self._succ[src]:
                 raise InvalidChainError(f"duplicate edge {src!r} -> {dst!r}")
-            self._succ[src][dst] = Fraction(p)
+            self._succ[src][dst] = p
 
     def successors(self, s: str) -> dict[str, Fraction]:
         return self._succ[s]
@@ -280,21 +289,46 @@ def reachable_from(chain: MarkovChain, start: str) -> frozenset[str]:
     return frozenset(seen)
 
 
-def states_with_path_to(edges, targets) -> frozenset:
-    """States that have some path into `targets` (targets included) in the
-    graph with the given (source, destination) edge pairs."""
+def _predecessors(edges) -> dict:
     preds: dict = {}
     for src, dst in edges:
         preds.setdefault(dst, []).append(src)
-    seen = set(targets)
+    return preds
+
+
+def _backward(preds, seeds, blocked=frozenset()) -> set:
+    """`seeds` and every state with a path into them that enters no
+    `blocked` state before it arrives."""
+    seen = set(seeds)
     frontier = list(seen)
     while frontier:
         s = frontier.pop()
         for p in preds.get(s, ()):
-            if p not in seen:
+            if p not in seen and p not in blocked:
                 seen.add(p)
                 frontier.append(p)
-    return frozenset(seen)
+    return seen
+
+
+def states_with_path_to(edges, targets) -> frozenset:
+    """States that have some path into `targets` (targets included) in the
+    graph with the given (source, destination) edge pairs."""
+    return frozenset(_backward(_predecessors(edges), targets))
+
+
+def prob01(states, edges, targets) -> tuple[frozenset, frozenset]:
+    """The states that reach `targets` with probability 0 and with
+    probability 1, from the graph alone (Baier & Katoen, Principles of Model
+    Checking, Sec. 10.1, Alg. 45/46).  prob0 holds the states with no path
+    into the targets; prob1 is the complement of the states that can reach
+    prob0 without passing a target, so it includes the targets.  `edges`
+    are the (source, destination) pairs of the positive-probability edges
+    among `states`, whose outgoing probabilities sum to one."""
+    preds = _predecessors(edges)
+    states, targets = frozenset(states), frozenset(targets)
+    prob0 = states - _backward(preds, targets)
+    prob1 = states - _backward(preds, prob0, blocked=targets)
+    return prob0, prob1
 
 
 # ---------------------------------------------------------------------------
@@ -364,17 +398,20 @@ def first_passage(mc: ModelChecker, source: str, targets) -> dict[str, Fraction]
             seen.add(dst)
             frontier.append(dst)
 
-    # Certificate check: a bottom SCC inside the region can never reach the
-    # targets, so the reach probability would be below one.
-    sccs = mc.sccs
-    for comp, bottom in zip(sccs.components, sccs.is_bottom):
-        if bottom and comp <= region:
-            raise FirstPassageError(
-                f"targets not reached almost surely from {source!r}: "
-                f"bottom SCC {{{', '.join(sorted(comp))}}} is reachable and "
-                "disjoint from the targets",
-                certificate=comp,
-            )
+    _, prob1 = prob01(chain.states,
+                      ((src, dst) for src, dst, _ in chain.edges()), targets)
+    if source not in prob1:
+        # Then some bottom SCC lies inside the region: it can never reach
+        # the targets, and it is the certificate.
+        sccs = mc.sccs
+        comp = next(comp for comp, bottom in zip(sccs.components, sccs.is_bottom)
+                    if bottom and comp <= region)
+        raise FirstPassageError(
+            f"targets not reached almost surely from {source!r}: "
+            f"bottom SCC {{{', '.join(sorted(comp))}}} is reachable and "
+            "disjoint from the targets",
+            certificate=comp,
+        )
 
     tlist = sorted(targets)
     one_hot = {t: [int(t == u) for u in tlist] for t in tlist}

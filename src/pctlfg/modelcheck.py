@@ -1,13 +1,14 @@
 """Exact quantitative model checking for F/G formulas on finite chains.
 
 Probabilities are computed by exact rational linear solves, never by value
-iteration: reachability probabilities satisfy a nonsingular linear system
-once the states with no path to the target are pinned to zero, and
-G-probabilities are the complement of reaching the body's complement.  The
-system is solved by `markov.absorption`, the exact absorption kernel that
-first passage and the ETR oracle share.  A `ModelChecker` is the per-chain
-context of the package: besides the memoized satisfaction sets and
-probability vectors it holds the chain's SCC decomposition (`sccs`),
+iteration.  For reachability, the graph kernel `markov.prob01` first pins
+the states with no path to the target to 0 and the states that reach it
+almost surely to 1; the remaining "maybe" states satisfy a nonsingular
+linear system, solved by `markov.absorption`, the exact absorption kernel
+that first passage and the ETR oracle share.  G-probabilities are the
+complement of reaching the body's complement.  A `ModelChecker` is the
+per-chain context of the package: besides the memoized satisfaction sets
+and probability vectors it holds the chain's SCC decomposition (`sccs`),
 computed on first use, which first passage, successor selection and
 compression read.
 """
@@ -21,8 +22,10 @@ from .formula import (
     And, Atom, NegAtom, Or, PathFormula, PathOp, StateFormula,
 )
 from .markov import (
-    MarkovChain, SccDecomposition, absorption, scc_decompose, states_with_path_to,
+    MarkovChain, SccDecomposition, absorption, prob01, scc_decompose,
 )
+
+_ZERO, _ONE = Fraction(0), Fraction(1)
 
 
 class ModelChecker:
@@ -45,14 +48,12 @@ class ModelChecker:
     def reach_probabilities(self, targets) -> dict[str, Fraction]:
         """P(eventually enter `targets`) for every state, exactly."""
         chain = self.chain
-        targets = frozenset(targets)
-        can_reach = states_with_path_to(
-            ((src, dst) for src, dst, _ in chain.edges()), targets)
-        unknown = [s for s in chain.states if s in can_reach and s not in targets]
-        probs = {s: Fraction(1) if s in targets else Fraction(0)
-                 for s in chain.states}
-        boundary = dict.fromkeys(targets, (1,))
-        for s, (value,) in absorption(unknown, chain.successors, boundary).items():
+        prob0, prob1 = prob01(
+            chain.states, ((src, dst) for src, dst, _ in chain.edges()), targets)
+        probs = {s: _ONE if s in prob1 else _ZERO for s in chain.states}
+        maybe = [s for s in chain.states if s not in prob0 and s not in prob1]
+        boundary = dict.fromkeys(prob1, (1,))
+        for s, (value,) in absorption(maybe, chain.successors, boundary).items():
             probs[s] = value
         return probs
 

@@ -1,8 +1,11 @@
-"""Shared fixtures-in-code: the running example and seeded random generators.
+"""Shared fixtures-in-code: the running example, seeded random generators
+and the reference solvers the fast paths are compared against.
 
 Random chains use small integer weight ratios so every probability is an
 exact small fraction; random formulas draw bounds from a fixed palette and
-only produce non-trivial core constraints.
+only produce non-trivial core constraints.  The reference solvers are plain
+Gauss-Jordan elimination on Fractions and reach probabilities that pin only
+the states with no path to the targets.
 """
 
 from __future__ import annotations
@@ -13,7 +16,8 @@ from fractions import Fraction
 from pctlfg.formula import (
     Atom, Cmp, NegAtom, PathOp, Prob, StateFormula, conj, disj, parse_formula,
 )
-from pctlfg.markov import MarkovChain, scc_decompose
+from pctlfg.linalg import SingularMatrixError
+from pctlfg.markov import MarkovChain, scc_decompose, states_with_path_to
 from pctlfg.modelcheck import ModelChecker
 
 PSI_TEXT = "G=1[F>=0.5[a & F>=0.2[!a]] | a] & F=1[G=1[a]] & !a"
@@ -157,3 +161,100 @@ def simulate_eventually(chain: MarkovChain, start: str, targets,
             else:
                 current = list(succ)[-1]
     return hits / runs
+
+
+# ---------------------------------------------------------------------------
+# Reference solvers
+
+def _reference_eliminate(rows, ncols):
+    """Gauss-Jordan on Fractions in column order; the pivot of a column is
+    the entry of largest |numerator * denominator|.  Returns the pivots as
+    (row, column) pairs."""
+    n = len(rows)
+    pivots = []
+    for col in range(ncols):
+        rank = len(pivots)
+        pivot_row = max(
+            (r for r in range(rank, n) if rows[r][col] != 0),
+            key=lambda r: abs(rows[r][col].numerator * rows[r][col].denominator),
+            default=None,
+        )
+        if pivot_row is None:
+            continue
+        rows[rank], rows[pivot_row] = rows[pivot_row], rows[rank]
+        prow = rows[rank]
+        pivot = prow[col]
+        for r in range(n):
+            row = rows[r]
+            if r == rank or row[col] == 0:
+                continue
+            factor = row[col] / pivot
+            for c in range(col, len(row)):
+                row[c] -= factor * prow[c]
+        pivots.append((rank, col))
+    return pivots
+
+
+def reference_solve(a, rhs):
+    """`linalg.solve` on Fractions, with the same SingularMatrixError."""
+    n = len(a)
+    if n == 0:
+        return []
+    m = len(rhs[0]) if rhs else 0
+    aug = [[Fraction(x) for x in a[i]] + [Fraction(x) for x in rhs[i]]
+           for i in range(n)]
+    pivots = _reference_eliminate(aug, n)
+    if len(pivots) < n:
+        col = min(set(range(n)) - {c for _, c in pivots})
+        raise SingularMatrixError(f"singular at column {col}")
+    return [[aug[i][n + j] / aug[i][i] for j in range(m)] for i in range(n)]
+
+
+def reference_null_vector(a, width):
+    """`linalg.null_vector` on Fractions."""
+    rows = [[Fraction(x) for x in r] for r in a]
+    pivots = _reference_eliminate(rows, width)
+    pivot_cols = {col for _, col in pivots}
+    free = next((c for c in range(width) if c not in pivot_cols), None)
+    if free is None:
+        return None
+    x = [Fraction(0)] * width
+    x[free] = Fraction(1)
+    for row, col in pivots:
+        x[col] = -rows[row][free] / rows[row][col]
+    return x
+
+
+def reference_absorption(unknown, successors, boundary):
+    """`markov.absorption` built on `reference_solve`."""
+    unknown = list(unknown)
+    if not unknown:
+        return {}
+    pos = {s: i for i, s in enumerate(unknown)}
+    n = len(unknown)
+    width = len(next(iter(boundary.values()), ()))
+    a = [[Fraction(0)] * n for _ in range(n)]
+    rhs = [[Fraction(0)] * width for _ in range(n)]
+    for i, s in enumerate(unknown):
+        a[i][i] = Fraction(1)
+        for dst, p in successors(s).items():
+            if dst in pos:
+                a[i][pos[dst]] -= p
+            elif dst in boundary:
+                for j, value in enumerate(boundary[dst]):
+                    rhs[i][j] += p * value
+    return dict(zip(unknown, reference_solve(a, rhs)))
+
+
+def reference_reach(states, successors, targets):
+    """P(eventually enter `targets`) with only the states that have no path
+    to the targets pinned (to 0); every other non-target state is solved."""
+    targets = frozenset(targets)
+    edges = [(s, t) for s in states for t in successors(s)]
+    can_reach = states_with_path_to(edges, targets)
+    unknown = [s for s in states if s in can_reach and s not in targets]
+    probs = {s: Fraction(int(s in targets)) for s in states}
+    solved = reference_absorption(unknown, successors, dict.fromkeys(targets, (1,)))
+    for s, (value,) in solved.items():
+        probs[s] = value
+    return probs

@@ -1,17 +1,22 @@
 """The exact absorption kernel, checked through its three callers: model
 checking reach vectors, first-passage distributions and the ETR block
 values.  The equations are checked by code written here, not by the
-kernel."""
+kernel, and the values are compared with the Fraction reference solvers of
+`helpers`, which pin only the states with no path to the targets."""
 
 import random
 from fractions import Fraction
 
-from helpers import random_chain, random_core_formula
+import pytest
+
+from helpers import (
+    random_chain, random_core_formula, reference_absorption, reference_reach,
+)
 
 from pctlfg.etr import candidate_from_chain, encode, f_normal_form, solve_block_values
 from pctlfg.formula import Prob, iter_subformulas
 from pctlfg.linalg import null_vector
-from pctlfg.markov import first_passage, scc_decompose
+from pctlfg.markov import FirstPassageError, first_passage, scc_decompose
 from pctlfg.modelcheck import ModelChecker
 from pctlfg.progress import caratheodory_reduce
 
@@ -85,6 +90,72 @@ def test_block_values_equal_reach_probabilities():
             values = solve_block_values(system, block, truth)
             reach = mc.reach_probabilities(mc.sat_set(block.formula.body))
             assert {s: values[i] for s, i in pos.items()} == reach
+            checked += 1
+    assert checked > 20
+
+
+def _chain_with_escape(rng):
+    """A random chain and a target set that misses some bottom SCC, so that
+    prob0, prob1 and the states between them all occur."""
+    while True:
+        chain = random_chain(rng, max_states=9)
+        sccs = scc_decompose(chain)
+        targets = frozenset(s for s in chain.states if rng.random() < 0.25)
+        if targets and any(bottom and not comp & targets for comp, bottom
+                           in zip(sccs.components, sccs.is_bottom)):
+            return chain, targets
+
+
+def test_reach_probabilities_equal_prob0_reference():
+    rng = random.Random(71)
+    strictly_between = 0
+    for _ in range(150):
+        chain, targets = _chain_with_escape(rng)
+        reach = ModelChecker(chain).reach_probabilities(targets)
+        assert reach == reference_reach(chain.states, chain.successors, targets)
+        strictly_between += sum(0 < v < 1 for v in reach.values())
+    assert strictly_between > 100
+
+
+def test_first_passage_rows_equal_reference():
+    rng = random.Random(73)
+    raised = compared = 0
+    for _ in range(100):
+        chain, targets = _chain_with_escape(rng)
+        mc = ModelChecker(chain)
+        tlist = sorted(targets)
+        one_hot = {t: [int(t == u) for u in tlist] for t in tlist}
+        reach = reference_reach(chain.states, chain.successors, targets)
+        unknown = [s for s in chain.states if s not in targets and reach[s] != 0]
+        rows = reference_absorption(unknown, chain.successors, one_hot)
+        for s in chain.states:
+            if reach[s] != 1:
+                with pytest.raises(FirstPassageError):
+                    first_passage(mc, s, targets)
+                raised += 1
+            elif s not in targets:
+                assert first_passage(mc, s, targets) == dict(zip(tlist, rows[s]))
+                compared += 1
+    assert raised > 100 and compared > 50
+
+
+def test_block_values_equal_prob0_reference():
+    rng = random.Random(79)
+    checked = 0
+    for _ in range(80):
+        chain = random_chain(rng, max_states=6)
+        f = f_normal_form(random_core_formula(rng, depth=2))
+        if not any(isinstance(g, Prob) for g in iter_subformulas(f)):
+            continue
+        pos = {s: i for i, s in enumerate(chain.states)}
+        truth = {(pos[a], pos[b]): p for a, b, p in chain.edges()}
+        successors = {i: {} for i in pos.values()}
+        for (i, j), p in truth.items():
+            successors[i][j] = p
+        system = encode(candidate_from_chain(chain, f))
+        for block in system.blocks:
+            assert solve_block_values(system, block, truth) == reference_reach(
+                range(system.size), successors.__getitem__, block.body_set)
             checked += 1
     assert checked > 20
 

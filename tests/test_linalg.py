@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import pytest
 
+from helpers import reference_null_vector, reference_solve
+
 from pctlfg.linalg import SingularMatrixError, null_vector, solve
 
 
@@ -52,3 +54,58 @@ def test_null_vector():
 def test_null_vector_trivial_kernel():
     rows = [[Fraction(1), Fraction(0)], [Fraction(0), Fraction(1)]]
     assert null_vector(rows, 2) is None
+
+
+def _random_matrix(rng, rows, cols, rank):
+    """A rows x cols Fraction matrix of rank at most `rank`: random
+    combinations of `rank` random rows, some columns zeroed or repeated."""
+    basis = [[Fraction(rng.randint(-6, 6), rng.randint(1, 5)) for _ in range(cols)]
+             for _ in range(rank)]
+    out = []
+    for _ in range(rows):
+        weights = [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in basis]
+        out.append([sum((w * b[c] for w, b in zip(weights, basis)), Fraction(0))
+                    for c in range(cols)])
+    for c in range(cols):
+        roll = rng.random()
+        if roll < 0.05:
+            for row in out:
+                row[c] = Fraction(0)
+        elif roll < 0.1 and c:
+            for row in out:
+                row[c] = row[c - 1]
+    return out
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except SingularMatrixError as exc:
+        return ("singular", str(exc))
+
+
+def test_solve_equals_fraction_reference():
+    rng = random.Random(61)
+    singular = 0
+    for _ in range(300):
+        n = rng.randint(1, 7)
+        a = _random_matrix(rng, n, n, n if rng.random() < 0.5 else rng.randint(1, n))
+        m = rng.randint(1, 3)
+        rhs = [[Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(m)]
+               for _ in range(n)]
+        got = _outcome(solve, a, rhs)
+        assert got == _outcome(reference_solve, a, rhs)
+        singular += isinstance(got, tuple)
+    assert 50 < singular < 200
+
+
+def test_null_vector_equals_fraction_reference():
+    rng = random.Random(67)
+    trivial = 0
+    for _ in range(300):
+        rows, width = rng.randint(1, 6), rng.randint(1, 7)
+        a = _random_matrix(rng, rows, width, rng.randint(0, min(rows, width)))
+        got = null_vector(a, width)
+        assert got == reference_null_vector(a, width)
+        trivial += got is None
+    assert 0 < trivial < 150

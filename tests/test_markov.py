@@ -3,11 +3,12 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import random_chain
+from helpers import random_chain, reference_reach
 
 from pctlfg.markov import (
     FirstPassageError, InvalidChainError, MarkovChain, first_passage,
-    reachable_from, scc_decompose, states_with_path_to, validate,
+    parse_probability, prob01, reachable_from, scc_decompose,
+    states_with_path_to, validate,
 )
 from pctlfg.modelcheck import ModelChecker
 
@@ -53,6 +54,39 @@ def test_malformed_probability():
             "states": [{"id": "s", "ap": []}],
             "edges": [{"from": "s", "to": "s", "p": "three fifths"}],
         })
+
+
+def _random_numeral(rng) -> str:
+    def digits(low):
+        return "".join(rng.choice("0123456789") for _ in range(rng.randint(low, 40)))
+
+    sign = rng.choice(("", "-"))
+    form = rng.randrange(3)
+    if form == 0:
+        return sign + digits(1)
+    if form == 1:
+        return f"{sign}{digits(1)}.{digits(1)}"
+    denominator = digits(1)
+    if not denominator.strip("0"):
+        denominator += "7"
+    return f"{sign}{digits(1)}/{denominator}"
+
+
+def test_parse_probability_equals_fraction_of_text():
+    rng = random.Random(83)
+    for _ in range(2000):
+        text = _random_numeral(rng)
+        value = parse_probability(text)
+        assert type(value) is Fraction and value == Fraction(text), text
+    for text in ("0", "-0", "007", "-0.50", "003/006", "1" * 40 + "/" + "3" * 40):
+        assert parse_probability(text) == Fraction(text)
+
+
+@pytest.mark.parametrize("text", ["1/0", "-3/00", "1e5", "+1", "1.", ".5", "1/-2",
+                                  " 1", "1_0", "", "0x1", "1/2/3", "1.5/2"])
+def test_parse_probability_rejects(text):
+    with pytest.raises(InvalidChainError, match="malformed rational"):
+        parse_probability(text)
 
 
 def test_dot_export(fig1):
@@ -164,3 +198,51 @@ def test_states_with_path_to(fig1):
     edges = [(src, dst) for src, dst, _ in fig1.edges()]
     assert states_with_path_to(edges, {"u"}) == frozenset({"s", "t", "u"})
     assert states_with_path_to(edges, {"s"}) == frozenset({"s", "t"})
+
+
+def _prob01(chain, targets):
+    return prob01(chain.states, [(src, dst) for src, dst, _ in chain.edges()],
+                  targets)
+
+
+def test_prob01_fig1(fig1):
+    assert _prob01(fig1, {"u"}) == (frozenset(), frozenset({"s", "t", "u"}))
+    # from t the run escapes to u with probability 2/5
+    assert _prob01(fig1, {"s"}) == (frozenset({"u"}), frozenset({"s"}))
+
+
+def test_prob01_target_inside_bottom_scc():
+    chain = MarkovChain(
+        ["x", "y", "z"],
+        {("x", "y"): Fraction(1), ("y", "z"): Fraction(1), ("z", "y"): Fraction(1)},
+        {},
+    )
+    assert _prob01(chain, {"z"}) == (frozenset(), frozenset({"x", "y", "z"}))
+    assert _prob01(chain, {"x"}) == (frozenset({"y", "z"}), frozenset({"x"}))
+
+
+def test_prob01_maybe_state():
+    chain = MarkovChain(
+        ["s", "goal", "dead"],
+        {("s", "goal"): Fraction(1, 2), ("s", "dead"): Fraction(1, 2),
+         ("goal", "goal"): Fraction(1), ("dead", "dead"): Fraction(1)},
+        {},
+    )
+    assert _prob01(chain, {"goal"}) == (frozenset({"dead"}), frozenset({"goal"}))
+
+
+def test_prob01_empty_and_full_targets(fig1):
+    everything = frozenset(fig1.states)
+    assert _prob01(fig1, set()) == (everything, frozenset())
+    assert _prob01(fig1, everything) == (frozenset(), everything)
+
+
+def test_prob01_are_the_zero_and_one_reach_values():
+    rng = random.Random(89)
+    for _ in range(120):
+        chain = random_chain(rng, max_states=8)
+        targets = frozenset(s for s in chain.states if rng.random() < 0.25)
+        reach = reference_reach(chain.states, chain.successors, targets)
+        assert _prob01(chain, targets) == (
+            frozenset(s for s, v in reach.items() if v == 0),
+            frozenset(s for s, v in reach.items() if v == 1))
