@@ -6,11 +6,14 @@ size up to the bound, candidate digraphs and subformula labelings are
 enumerated; a candidate fixes the topology, so correctness of each labeled
 F-subformula becomes a polynomial system over the positive edge variables.
 The enumeration builds one labeling as it chooses the label sets and screens
-each F-subformula's block by exact interval reasoning as soon as its set is
-chosen, skipping the whole subtree of labelings on a contradiction.  The
-candidates that survive are shipped to a pluggable SMT backend; returned
-assignments are rationalized, confirmed exactly, and rebuilt into a Markov
-chain that is re-verified against the original formula.
+each F-subformula's block from the graph alone, skipping the whole subtree
+of labelings on a contradiction: with prob0/prob1 of the body's set, a
+reach value is exactly 0 or 1 there and strictly inside (0, 1) elsewhere.
+The screen is computed once per graph, step and body set.  Each candidate
+that survives is first tried with the uniform assignment; only a miss is
+shipped to a pluggable SMT backend.  Every assignment is confirmed exactly
+and rebuilt into a Markov chain that is re-verified against the original
+formula.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from .formula import (
     And, Atom, Cmp, NegAtom, Or, PathOp, Prob, StateFormula, conj, disj,
     is_core, is_trivial_bound, iter_subformulas,
 )
-from .markov import MarkovChain, absorption, states_with_path_to
+from .markov import MarkovChain, absorption, prob01
 from .modelcheck import ModelChecker
 
 
@@ -169,11 +172,13 @@ def enumerate_candidates(f: StateFormula, bound: int,
     interval screen does not refute, in deterministic order: size
     ascending, then graphs canonically, then labelings lexicographically
     (atom sets before F-subformula sets, each a subset bitmask counting
-    up).  One labeling is built as the sets are chosen; right after an
-    F-subformula's set is chosen its block is screened, and on a
-    contradiction the whole subtree of labelings is skipped (and counted
-    in `_result.refuted`).  Only candidates whose whole-formula label set
-    is nonempty are emitted."""
+    up).  One labeling is built as the sets are chosen; an F-subformula's
+    set is only chosen among those its block screen lets through, and each
+    set it refutes skips a whole subtree of labelings (counted in
+    `_result.refuted`).  The screen depends only on the graph, the step and
+    the body's set, so each graph computes it once per (step, body set).
+    Only candidates whose whole-formula label set is nonempty are
+    emitted."""
     if bound < 1:
         raise ValueError("bound must be at least 1")
     steps = _choice_order(f)
@@ -184,6 +189,8 @@ def enumerate_candidates(f: StateFormula, bound: int,
                    for mask in range(1 << size)]
         for edges in _graphs(size):
             labeling: dict[StateFormula, frozenset[int]] = {}
+            # (step index, body set) -> the sets the screen lets through
+            passed: dict[tuple[int, frozenset[int]], list[frozenset[int]]] = {}
 
             def assign(index: int):
                 if index == len(steps):
@@ -191,13 +198,18 @@ def enumerate_candidates(f: StateFormula, bound: int,
                         yield ETRCandidate(size, edges, dict(labeling), f)
                     return
                 node, completed = steps[index]
-                for subset in subsets:
-                    if isinstance(node, Prob) and _block_interval_contradiction(
-                            size, _block(size, edges, node,
-                                         labeling[node.body], subset)):
-                        if _result is not None:
-                            _result.refuted += 1
-                        continue
+                choices = subsets
+                if isinstance(node, Prob):
+                    key = (index, labeling[node.body])
+                    choices = passed.get(key)
+                    if choices is None:
+                        choices = passed[key] = [
+                            subset for subset in subsets
+                            if not _block_interval_contradiction(
+                                size, _block(size, edges, node, key[1], subset))]
+                    if _result is not None:
+                        _result.refuted += len(subsets) - len(choices)
+                for subset in choices:
                     labeling[node] = subset
                     for g in completed:
                         if isinstance(g, NegAtom):
@@ -221,13 +233,16 @@ class CorrectnessBlock:
     """The correctness constraints of one labeled F-subformula: given the
     body's label set, the reach variables are 1 on it, 0 on the vertices
     with no path to it, linear combinations elsewhere, and compared against
-    the bound inside/outside the formula's label set."""
+    the bound inside/outside the formula's label set.  `sure` holds the
+    vertices outside the body set that reach it with probability 1 under
+    every positive assignment (prob1 of the graph)."""
 
     formula: Prob
     body_set: frozenset[int]
     out_set: frozenset[int]
     other: tuple[int, ...]
     in_set: frozenset[int]
+    sure: frozenset[int]
 
 
 @dataclass(frozen=True)
@@ -251,16 +266,18 @@ class ETRSystem:
 
 def _block(size: int, edges, node: Prob, body_set: frozenset[int],
            in_set: frozenset[int]) -> CorrectnessBlock:
-    """The block of `node` for the given body set: the cut-off set holds the
-    vertices with no path into it."""
-    reaching = states_with_path_to(edges, body_set)
+    """The block of `node` for the given body set: the cut-off set is prob0,
+    the vertices with no path into it, and `sure` is prob1 minus the body
+    set."""
+    prob0, prob1 = prob01(range(size), edges, body_set)
     return CorrectnessBlock(
         formula=node,
         body_set=body_set,
-        out_set=frozenset(range(size)) - reaching,
+        out_set=prob0,
         other=tuple(v for v in range(size)
-                    if v in reaching and v not in body_set),
+                    if v not in prob0 and v not in body_set),
         in_set=in_set,
+        sure=prob1 - body_set,
     )
 
 
@@ -275,23 +292,20 @@ def encode(candidate: ETRCandidate) -> ETRSystem:
 
 
 def _block_interval_contradiction(size: int, block: CorrectnessBlock) -> bool:
-    """Sound per-vertex refutation from the reach-variable ranges alone:
-    1 on the body set, 0 on the cut-off set, strictly positive elsewhere."""
+    """Sound per-vertex refutation from the graph alone: a reach value is
+    exactly 1 on prob1 (the body set and `sure`), exactly 0 on prob0 (the
+    cut-off set) and strictly inside (0, 1) elsewhere."""
     cmp, r = block.formula.cmp, block.formula.bound
     for v in range(size):
         inside = v in block.in_set
-        if v in block.body_set:
+        if v in block.body_set or v in block.sure:
             value = Fraction(1)
         elif v in block.out_set:
             value = Fraction(0)
+        elif 0 < r < 1:
+            continue  # a value in (0, 1) can lie on either side of r
         else:
-            # reach probability is in (0, 1]: the constraint is impossible
-            # only when it demands the value be at most zero
-            if inside and (cmp in (Cmp.LE, Cmp.LT) and r == 0):
-                return True
-            if not inside and cmp is Cmp.GT and r == 0:
-                return True  # negation of "> 0" forces the value to 0
-            continue
+            value = Fraction(1, 2)  # all of (0, 1) compares alike with 0 or 1
         satisfied = cmp.holds(value, r)
         if satisfied != inside:
             return True
@@ -321,6 +335,14 @@ def solve_block_values(system: ETRSystem, block: CorrectnessBlock,
                                   boundary).items():
         values[v] = value
     return values
+
+
+def uniform_assignment(system: ETRSystem) -> dict[tuple[int, int], Fraction]:
+    """Every vertex's outgoing edges share its probability mass equally."""
+    out_degree = [0] * system.size
+    for i, _ in system.edges:
+        out_degree[i] += 1
+    return {(i, j): Fraction(1, out_degree[i]) for i, j in system.edges}
 
 
 def check_assignment(system: ETRSystem, assignment: dict[tuple[int, int], Fraction],
@@ -563,15 +585,17 @@ def solve_bounded_sat(f: StateFormula, bound: int, *,
     """Searches for a model of the core formula `f` with at most `bound`
     states.
 
-    The candidates come from `enumerate_candidates`, already screened by
-    exact interval reasoning, so `refuted` counts the labeling subtrees the
-    screen skipped.  A candidate with no block (the formula has no path
-    operator) holds under any stochastic assignment, so it is tried with
-    the uniform one; the others are decided by the backend, if any.  Either
-    assignment is confirmed by `check_assignment`, rebuilt into a chain,
-    and re-verified against the original formula before being returned.
-    The result is unsat-up-to-n only when every candidate was refuted;
-    unknown when undecided candidates remain.
+    The candidates come from `enumerate_candidates`, already screened with
+    prob0/prob1 of each block's graph, so `refuted` counts the labeling
+    subtrees the screen skipped.  Each survivor is first tried with the
+    uniform assignment (one `check_assignment` call); a miss goes to the
+    backend, if any, whose answer is confirmed by `check_assignment` too.
+    A confirmed assignment is rebuilt into a chain and re-verified against
+    the original formula before being returned.  With `emit_only` the
+    systems are only written, nothing is decided.  The result is
+    unsat-up-to-n only when every candidate was refuted; unknown when no
+    survivor's uniform assignment is a model and some survivor was left
+    undecided by the backend, or there is none.
     """
     if bound < 1:
         raise ValueError("bound must be at least 1")
@@ -588,16 +612,14 @@ def solve_bounded_sat(f: StateFormula, bound: int, *,
             path = os.path.join(dump_dir, f"candidate-{result.candidates:06d}.smt2")
             with open(path, "w") as handle:
                 handle.write(smt_text(system))
-        if emit_only or (backend is None and system.blocks):
+        if emit_only:
             undecided = True
             continue
-        if not system.blocks:
-            out_degree = [0] * system.size
-            for i, _ in system.edges:
-                out_degree[i] += 1
-            assignment = {(i, j): Fraction(1, out_degree[i])
-                          for i, j in system.edges}
-        else:
+        assignment = uniform_assignment(system)
+        if not check_assignment(system, assignment):
+            if backend is None:
+                undecided = True
+                continue
             result.solver_calls += 1
             verdict, values = backend.solve(smt_text(system))
             if verdict == "timeout":
@@ -614,13 +636,13 @@ def solve_bounded_sat(f: StateFormula, bound: int, *,
                 assignment = {e: values[_edge_var(i)] for e, i in index.items()}
             except KeyError as exc:
                 raise BackendError(f"solver model is missing {exc}") from exc
-        try:
-            confirmed = check_assignment(system, assignment)
-        except ValueError:
-            confirmed = False  # the rationalized values are not even a chain
-        if not confirmed:
-            undecided = True  # exact confirmation failed
-            continue
+            try:
+                confirmed = check_assignment(system, assignment)
+            except ValueError:
+                confirmed = False  # the rationalized values are not even a chain
+            if not confirmed:
+                undecided = True  # exact confirmation failed
+                continue
         chain, entry = chain_from_candidate(candidate, assignment)
         if not ModelChecker(chain).holds(entry, f):
             raise RuntimeError(

@@ -142,8 +142,8 @@ def test_sat_without_path_operator_is_decided(capsys, monkeypatch):
 
 def test_sat_unknown_without_solver(capsys, monkeypatch):
     monkeypatch.delenv("PCTLFG_SOLVER", raising=False)
-    code, out, _ = run(capsys, "sat", "--formula", "F>1/2[a] & !a",
-                       "--bound", "2")
+    code, out, _ = run(capsys, "sat", "--formula", "!a & F>1/3[a] & G>1/2[!a]",
+                       "--bound", "3")
     assert code == 3
     assert out.strip() == "unknown"
 

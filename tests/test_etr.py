@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 import sys
 from fractions import Fraction
 
@@ -11,9 +12,11 @@ from pctlfg.etr import (
     BackendError, ETRCandidate, SolverBackend, candidate_from_chain,
     chain_from_candidate, check_assignment, encode, enumerate_candidates,
     f_normal_form, interval_refuted, smt_text, solve_bounded_sat,
+    uniform_assignment,
 )
 from pctlfg.formula import (
-    And, Atom, Cmp, NegAtom, PathOp, Prob, iter_subformulas, parse_formula,
+    And, Atom, Cmp, NegAtom, PathOp, Prob, conj, disj, iter_subformulas,
+    parse_formula,
 )
 from pctlfg.markov import MarkovChain, validate
 from pctlfg.modelcheck import ModelChecker
@@ -292,10 +295,10 @@ def test_psi_unsat_at_two(psi):
 
 
 @pytest.mark.parametrize("text, bound, status, candidates, refuted", [
-    ("F=1[a] & G=1[!a]", 3, "unsat-up-to-n", 0, 57056),
-    (PSI_TEXT, 2, "unsat-up-to-n", 0, 742),
-    ("F>1/2[a] & !a", 2, "unknown", 12, 98),
-    ("F>=0.5[a & F>=0.2[!a]] & !a & b", 2, "unknown", 16, 936),
+    ("F=1[a] & G=1[!a]", 3, "unsat-up-to-n", 0, 38636),
+    (PSI_TEXT, 2, "unsat-up-to-n", 0, 550),
+    ("F>1/2[a] & !a", 2, "sat", 1, 8),
+    ("F>=0.5[a & F>=0.2[!a]] & !a & b", 2, "sat", 1, 338),
 ])
 def test_search_counts_pinned(text, bound, status, candidates, refuted):
     result = solve_bounded_sat(pf(text), bound)
@@ -304,9 +307,85 @@ def test_search_counts_pinned(text, bound, status, candidates, refuted):
 
 
 def test_unknown_without_backend():
-    result = solve_bounded_sat(pf("F>1/2[a] & !a"), 2)
+    # the reach value of a from v1 must lie in (1/3, 1/2), which no
+    # surviving candidate's uniform assignment gives
+    result = solve_bounded_sat(pf("!a & F>1/3[a] & G>1/2[!a]"), 3)
     assert result.status == "unknown"
     assert result.candidates > 0
+    assert result.solver_calls == 0
+
+
+def test_uniform_witness_without_backend():
+    f = pf("F>1/2[a] & !a")
+    result = solve_bounded_sat(f, 2)
+    assert result.status == "sat"
+    assert result.solver_calls == 0
+    assert validate(result.model) == []
+    assert ModelChecker(result.model).holds(result.entry, f)
+
+
+def test_screen_never_refutes_a_real_model():
+    # a chain's own labeling meets every block's prob0/prob1 pattern
+    rng = random.Random(131)
+    blocks = 0
+    for _ in range(400):
+        chain = random_chain(rng, max_states=3)
+        f = f_normal_form(random_core_formula(rng, depth=3))
+        system = encode(candidate_from_chain(chain, f))
+        blocks += len(system.blocks)
+        assert not interval_refuted(system), (chain.to_json(), f)
+    assert blocks > 400
+
+
+def _qualitative_formula(rng, depth):
+    # core formulas whose F-normal bounds are all 0 or 1
+    if depth <= 0 or rng.random() < 0.3:
+        name = rng.choice("ab")
+        return Atom(name) if rng.random() < 0.6 else NegAtom(name)
+    kind = rng.choice(("and", "or", "prob", "prob"))
+    if kind != "prob":
+        args = [_qualitative_formula(rng, depth - 1) for _ in range(2)]
+        return conj(args) if kind == "and" else disj(args)
+    cmp, bound = rng.choice(((Cmp.GE, Fraction(1)), (Cmp.GT, Fraction(0))))
+    return Prob(rng.choice((PathOp.F, PathOp.G)), cmp, bound,
+                _qualitative_formula(rng, depth - 1))
+
+
+def test_qualitative_survivors_hold_uniformly():
+    # with bounds 0 and 1 the screen is exact: every survivor is a model
+    # under the uniform assignment, so the search is never unknown
+    rng = random.Random(137)
+    survivors = 0
+    for _ in range(40):
+        f = _qualitative_formula(rng, depth=3)
+        for candidate in enumerate_candidates(f_normal_form(f), 2):
+            system = encode(candidate)
+            assert check_assignment(system, uniform_assignment(system)), f
+            survivors += 1
+        for n in (1, 2):
+            assert solve_bounded_sat(f, n).status != "unknown", (f, n)
+    assert survivors > 0
+
+
+def test_planted_formulas_not_refuted():
+    # a formula holding in a chain of at most 2 states has a model within
+    # the bound, so the search may not answer unsat-up-to-n
+    rng = random.Random(139)
+    found = 0
+    for _ in range(40):
+        while True:
+            chain = random_chain(rng, max_states=2)
+            f = random_core_formula(rng, depth=2)
+            if ModelChecker(chain).sat_set(f):
+                break
+        result = solve_bounded_sat(f, 2)
+        assert result.status != "unsat-up-to-n", (chain.to_json(), f)
+        if result.status == "sat":
+            found += 1
+            assert validate(result.model) == []
+            assert len(result.model.states) <= 2
+            assert ModelChecker(result.model).holds(result.entry, f)
+    assert found > 0
 
 
 def test_reconstruction_round_trip(psi):
@@ -418,3 +497,37 @@ def test_solver_path_end_to_end(tmp_path, psi):
     assert result.model is not None
     assert ModelChecker(result.model).holds(result.entry, f)
     assert len(result.model.states) <= 2
+
+
+class _SkewedBackend:
+    """In-process stand-in for a solver: answers every system with the
+    assignment that gives each vertex's first edge 2/3 and splits the rest
+    equally, read from the row-sum assertions."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def solve(self, text):
+        self.calls += 1
+        values = {}
+        for row in re.findall(r"\(assert \(= \(\+ ([x\d ]+)\) 1\)\)", text):
+            first, *rest = row.split()
+            values[first] = Fraction(2, 3) if rest else Fraction(1)
+            for name in rest:
+                values[name] = Fraction(1, 3 * len(rest))
+        return "sat", values
+
+
+def test_solver_path_after_uniform_miss():
+    # the reach value of a must lie in [2/3, 1), which needs a third,
+    # cut-off vertex, and no uniform assignment on 3 vertices gives more
+    # than 1/2; the backend's answers are confirmed exactly and the
+    # non-confirming ones rejected until one verifies
+    f = pf("!a & F>=2/3[a] & G>0[!a]")
+    assert solve_bounded_sat(f, 3).status == "unknown"
+    backend = _SkewedBackend()
+    result = solve_bounded_sat(f, 3, backend=backend)
+    assert result.status == "sat"
+    assert result.solver_calls == backend.calls > 1
+    assert validate(result.model) == []
+    assert ModelChecker(result.model).holds(result.entry, f)
