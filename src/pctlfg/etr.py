@@ -5,15 +5,16 @@ complement duality, all four comparisons allowed on F).  For every model
 size up to the bound, candidate digraphs and subformula labelings are
 enumerated; a candidate fixes the topology, so correctness of each labeled
 F-subformula becomes a polynomial system over the positive edge variables.
-The enumeration builds one labeling as it chooses the label sets and screens
-each F-subformula's block from the graph alone, skipping the whole subtree
-of labelings on a contradiction: with prob0/prob1 of the body's set, a
-reach value is exactly 0 or 1 there and strictly inside (0, 1) elsewhere.
-The screen is computed once per graph, step and body set.  Each candidate
-that survives is first tried with the uniform assignment; only a miss is
-shipped to a pluggable SMT backend.  Every assignment is confirmed exactly
-and rebuilt into a Markov chain that is re-verified against the original
-formula.
+The enumeration builds one labeling, a vertex bitmask per subformula slot,
+as it chooses the label sets and screens each F-subformula's block from the
+graph alone, skipping the whole subtree of labelings on a contradiction:
+with prob0/prob1 of the body's set, a reach value is exactly 0 or 1 there
+and strictly inside (0, 1) elsewhere.  Each graph calls `prob01` once per
+step and body set and turns it into a (care, want) mask pair; a label set
+m passes iff m & care == want.  Each candidate that survives is first tried
+with the uniform assignment; only a miss is shipped to a pluggable SMT
+backend.  Every assignment is confirmed exactly and rebuilt into a Markov
+chain that is re-verified against the original formula.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ import subprocess
 import tempfile
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import and_, or_, xor
 
 from .formula import (
     And, Atom, Cmp, NegAtom, Or, PathOp, Prob, StateFormula, conj, disj,
@@ -172,54 +174,70 @@ def enumerate_candidates(f: StateFormula, bound: int,
     interval screen does not refute, in deterministic order: size
     ascending, then graphs canonically, then labelings lexicographically
     (atom sets before F-subformula sets, each a subset bitmask counting
-    up).  One labeling is built as the sets are chosen; an F-subformula's
-    set is only chosen among those its block screen lets through, and each
-    set it refutes skips a whole subtree of labelings (counted in
+    up).  One labeling is built as the sets are chosen, as a list of vertex
+    bitmasks indexed by the integer slot of each subformula; the formula
+    dict is only built for an emitted candidate.  An F-subformula's set is
+    only chosen among those its block screen lets through, and each set it
+    refutes skips a whole subtree of labelings (counted in
     `_result.refuted`).  The screen depends only on the graph, the step and
-    the body's set, so each graph computes it once per (step, body set).
-    Only candidates whose whole-formula label set is nonempty are
-    emitted."""
+    the body's set, so each graph calls `prob01` once per (step, body set)
+    and keeps the sets m with m & care == want (see `_screen`).  Only
+    candidates whose whole-formula label set is nonempty are emitted."""
     if bound < 1:
         raise ValueError("bound must be at least 1")
     steps = _choice_order(f)
+    nodes = [g for node, completed in steps for g in (node, *completed)]
+    slot = {g: i for i, g in enumerate(nodes)}
+    # per step: the chosen slot, (body slot, verdicts) for an F-subformula,
+    # and the completion rules (slot, operator, argument slots), each folded
+    # from the full mask (from 0 for Or)
+    ops = {NegAtom: xor, And: and_, Or: or_}
+    compiled = [
+        (slot[node],
+         (slot[node.body], _verdicts(node)) if isinstance(node, Prob) else None,
+         [(slot[g], ops[type(g)],
+           (slot[Atom(g.name)],) if isinstance(g, NegAtom)
+           else [slot[a] for a in g.args]) for g in completed])
+        for node, completed in steps]
+    root = slot[f]
 
     for size in range(1, bound + 1):
-        every = frozenset(range(size))
+        full = (1 << size) - 1
+        masks = range(1 << size)
         subsets = [frozenset(k for k in range(size) if mask >> k & 1)
-                   for mask in range(1 << size)]
+                   for mask in masks]
         for edges in _graphs(size):
-            labeling: dict[StateFormula, frozenset[int]] = {}
-            # (step index, body set) -> the sets the screen lets through
-            passed: dict[tuple[int, frozenset[int]], list[frozenset[int]]] = {}
+            labels = [0] * len(nodes)
+            # (step index, body mask) -> the label masks the screen lets through
+            passed: dict[tuple[int, int], list[int]] = {}
 
             def assign(index: int):
-                if index == len(steps):
-                    if labeling[f]:
-                        yield ETRCandidate(size, edges, dict(labeling), f)
+                if index == len(compiled):
+                    if labels[root]:
+                        yield ETRCandidate(size, edges, {
+                            g: subsets[m] for g, m in zip(nodes, labels)}, f)
                     return
-                node, completed = steps[index]
-                choices = subsets
-                if isinstance(node, Prob):
-                    key = (index, labeling[node.body])
+                target, screen, rules = compiled[index]
+                choices = masks
+                if screen is not None:
+                    body, verdicts = screen
+                    key = (index, labels[body])
                     choices = passed.get(key)
                     if choices is None:
+                        prob0, prob1 = prob01(range(size), edges, subsets[key[1]])
+                        care, want = _screen(verdicts, _mask(prob0),
+                                             _mask(prob1), full)
                         choices = passed[key] = [
-                            subset for subset in subsets
-                            if not _block_interval_contradiction(
-                                size, _block(size, edges, node, key[1], subset))]
+                            m for m in masks if m & care == want]
                     if _result is not None:
-                        _result.refuted += len(subsets) - len(choices)
-                for subset in choices:
-                    labeling[node] = subset
-                    for g in completed:
-                        if isinstance(g, NegAtom):
-                            labeling[g] = every - labeling[Atom(g.name)]
-                        elif isinstance(g, And):
-                            labeling[g] = every.intersection(
-                                *(labeling[a] for a in g.args))
-                        else:
-                            labeling[g] = frozenset().union(
-                                *(labeling[a] for a in g.args))
+                        _result.refuted += len(masks) - len(choices)
+                for m in choices:
+                    labels[target] = m
+                    for g, op, args in rules:
+                        value = 0 if op is or_ else full
+                        for a in args:
+                            value = op(value, labels[a])
+                        labels[g] = value
                     yield from assign(index + 1)
 
             yield from assign(0)
@@ -291,25 +309,39 @@ def encode(candidate: ETRCandidate) -> ETRSystem:
     return ETRSystem(candidate.size, candidate.edges, tuple(blocks))
 
 
+def _mask(vertices) -> int:
+    return sum(1 << v for v in vertices)
+
+
+def _verdicts(node: Prob) -> tuple[bool, bool, bool | None]:
+    """Whether a reach value of 1, of 0 and of anything strictly inside
+    (0, 1) satisfies `node`'s comparison.  The last is None when 0 < r < 1,
+    since such a value can lie on either side of the bound r; otherwise all
+    of (0, 1) compares alike with r, so 1/2 stands for it."""
+    cmp, r = node.cmp, node.bound
+    inside = None if 0 < r < 1 else cmp.holds(Fraction(1, 2), r)
+    return cmp.holds(Fraction(1), r), cmp.holds(Fraction(0), r), inside
+
+
+def _screen(verdicts, prob0: int, prob1: int, full: int) -> tuple[int, int]:
+    """The block screen as a (care, want) pair of vertex masks: a label set
+    m is consistent with the graph iff m & care == want.  A reach value is
+    exactly 1 on prob1, exactly 0 on prob0 and strictly inside (0, 1) on
+    the other vertices, and each vertex's label must match its verdict."""
+    at1, at0, inside = verdicts
+    maybe = full & ~(prob0 | prob1)
+    care = prob0 | prob1 | (0 if inside is None else maybe)
+    want = (prob1 if at1 else 0) | (prob0 if at0 else 0) | (maybe if inside else 0)
+    return care, want
+
+
 def _block_interval_contradiction(size: int, block: CorrectnessBlock) -> bool:
-    """Sound per-vertex refutation from the graph alone: a reach value is
-    exactly 1 on prob1 (the body set and `sure`), exactly 0 on prob0 (the
-    cut-off set) and strictly inside (0, 1) elsewhere."""
-    cmp, r = block.formula.cmp, block.formula.bound
-    for v in range(size):
-        inside = v in block.in_set
-        if v in block.body_set or v in block.sure:
-            value = Fraction(1)
-        elif v in block.out_set:
-            value = Fraction(0)
-        elif 0 < r < 1:
-            continue  # a value in (0, 1) can lie on either side of r
-        else:
-            value = Fraction(1, 2)  # all of (0, 1) compares alike with 0 or 1
-        satisfied = cmp.holds(value, r)
-        if satisfied != inside:
-            return True
-    return False
+    """Sound refutation from the graph alone, by the enumeration's mask
+    rule (`_screen`): prob1 is the body set plus `sure`, prob0 the cut-off
+    set."""
+    care, want = _screen(_verdicts(block.formula), _mask(block.out_set),
+                         _mask(block.body_set | block.sure), (1 << size) - 1)
+    return _mask(block.in_set) & care != want
 
 
 def interval_refuted(system: ETRSystem) -> bool:

@@ -5,7 +5,8 @@ Random chains use small integer weight ratios so every probability is an
 exact small fraction; random formulas draw bounds from a fixed palette and
 only produce non-trivial core constraints.  The reference solvers are plain
 Gauss-Jordan elimination on Fractions and reach probabilities that pin only
-the states with no path to the targets.
+the states with no path to the targets; the reference block screen compares
+each vertex's reach value against the bound one `Fraction` at a time.
 """
 
 from __future__ import annotations
@@ -258,3 +259,23 @@ def reference_reach(states, successors, targets):
     for s, (value,) in solved.items():
         probs[s] = value
     return probs
+
+
+def reference_block_refuted(size, block):
+    """`etr._block_interval_contradiction` vertex by vertex on Fractions: a
+    reach value is exactly 1 on the body set and `sure`, exactly 0 on the
+    cut-off set and strictly inside (0, 1) elsewhere."""
+    cmp, r = block.formula.cmp, block.formula.bound
+    for v in range(size):
+        inside = v in block.in_set
+        if v in block.body_set or v in block.sure:
+            value = Fraction(1)
+        elif v in block.out_set:
+            value = Fraction(0)
+        elif 0 < r < 1:
+            continue  # a value in (0, 1) can lie on either side of r
+        else:
+            value = Fraction(1, 2)  # all of (0, 1) compares alike with 0 or 1
+        if cmp.holds(value, r) != inside:
+            return True
+    return False

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 import re
@@ -6,13 +7,17 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import PSI_TEXT, fig1_chain, random_chain, random_core_formula
+from helpers import (
+    PSI_TEXT, fig1_chain, random_chain, random_core_formula,
+    reference_block_refuted,
+)
 
 from pctlfg.etr import (
-    BackendError, ETRCandidate, SolverBackend, candidate_from_chain,
-    chain_from_candidate, check_assignment, encode, enumerate_candidates,
-    f_normal_form, interval_refuted, smt_text, solve_bounded_sat,
-    uniform_assignment,
+    BackendError, CorrectnessBlock, ETRCandidate, SatSearchResult,
+    SolverBackend, _block, _block_interval_contradiction,
+    candidate_from_chain, chain_from_candidate, check_assignment, encode,
+    enumerate_candidates, f_normal_form, interval_refuted, smt_text,
+    solve_bounded_sat, uniform_assignment,
 )
 from pctlfg.formula import (
     And, Atom, Cmp, NegAtom, PathOp, Prob, conj, disj, iter_subformulas,
@@ -136,6 +141,28 @@ def test_enumeration_is_every_consistent_unrefuted_candidate():
                for c in enumerate_candidates(f, 2)]
         assert len(got) == len(set(got)), f
         assert set(got) == want, f
+
+
+@pytest.mark.parametrize("text, count, refuted, digest", [
+    # measured with the formula-keyed enumeration this stream replaced
+    ("b & F>=1/2[G>=3/4[b]]", 971, 39116, "1aa3f2c573dbc9a1"),
+    ("F>=1/4[F>=3/4[F>=3/4[a]]]", 2681, 59466, "65aa5999d7c25b7c"),
+    ("G>=1/5[F=1[b] | b]", 2059, 38624, "de850b9371f48696"),
+    ("F>=3/4[b] & F>1/2[F>0[b]]", 2513, 59046, "0150669e3eb4b26c"),
+    ("F>=1/4[F>0[G=1[!a]]]", 863, 57954, "cb4cee25ae239e7e"),
+])
+def test_stream_pinned_at_bound_three(text, count, refuted, digest):
+    # the first seeded core formulas (Random(151), depth 3) with at least
+    # two F-subformulas and at most five labeled keys after normalization
+    result = SatSearchResult("unknown")
+    h = hashlib.sha256()
+    emitted = 0
+    for c in enumerate_candidates(f_normal_form(pf(text)), 3, _result=result):
+        emitted += 1
+        h.update(repr((c.size, c.edges, sorted(
+            (str(k), sorted(v)) for k, v in c.labeling.items()))).encode())
+    assert (emitted, result.refuted, h.hexdigest()[:16]) == \
+        (count, refuted, digest)
 
 
 def test_enumeration_deterministic():
@@ -324,6 +351,35 @@ def test_uniform_witness_without_backend():
     assert ModelChecker(result.model).holds(result.entry, f)
 
 
+def test_mask_screen_matches_vertex_reference():
+    # every graph with at most 3 vertices, every body set, every label set
+    # and every comparison against 0, 1/3, 1/2 and 1; the screen reads a
+    # graph only through its block's body, cut-off and sure sets, so each
+    # distinct triple is compared once
+    nodes = [Prob(PathOp.F, cmp, r, Atom("a")) for cmp in Cmp
+             for r in (Fraction(0), Fraction(1, 3), Fraction(1, 2), Fraction(1))]
+    seen = set()
+    refuted = kept = 0
+    for size in (1, 2, 3):
+        subsets = [frozenset(v for v in range(size) if m >> v & 1)
+                   for m in range(1 << size)]
+        for edges in _all_graphs(size):
+            for body in subsets:
+                b = _block(size, edges, nodes[0], body, frozenset())
+                if (size, body, b.out_set, b.sure) in seen:
+                    continue
+                seen.add((size, body, b.out_set, b.sure))
+                for node, in_set in itertools.product(nodes, subsets):
+                    block = CorrectnessBlock(node, body, b.out_set, b.other,
+                                             in_set, b.sure)
+                    want = reference_block_refuted(size, block)
+                    assert _block_interval_contradiction(size, block) == want, \
+                        (size, edges, block)
+                    refuted += want
+                    kept += not want
+    assert refuted > 0 and kept > 0
+
+
 def test_screen_never_refutes_a_real_model():
     # a chain's own labeling meets every block's prob0/prob1 pattern
     rng = random.Random(131)
@@ -476,27 +532,36 @@ def test_backend_launch_error():
         backend.solve("x")
 
 
-def test_solver_path_end_to_end(tmp_path, psi):
-    # a canned backend that answers with the known model for the first
-    # candidate system of a 2-state reachability formula
-    f = pf("F>1/2[a] & !a")
+CANNED_BACKEND = r"""
+import re
+import sys
+
+values = []
+for row in re.findall(r"\(assert \(= \(\+ ([x\d ]+)\) 1\)\)", open(sys.argv[1]).read()):
+    first, *rest = row.split()
+    values.append(f"({first} (/ 2 3))" if rest else f"({first} 1)")
+    values += [f"({x} (/ 1 {3 * len(rest)}))" for x in rest]
+print("sat")
+print(f"({' '.join(values)})")
+"""
+
+
+def test_solver_path_end_to_end(tmp_path):
+    # a canned subprocess backend that gives each vertex's first edge 2/3
+    # and splits the rest equally, read from the row-sum assertions; the
+    # uniform assignment misses this formula at bound 3 (see
+    # test_solver_path_after_uniform_miss), so the backend decides it, and
+    # the driver must reject non-confirming answers until one verifies
+    f = pf("!a & F>=2/3[a] & G>0[!a]")
     script = tmp_path / "canned.py"
-    script.write_text(
-        "import sys\n"
-        "text = open(sys.argv[1]).read()\n"
-        "count = text.count('declare-const x')\n"
-        "values = ' '.join(f'(x{i+1} 1)' for i in range(count))\n"
-        "print('sat')\n"
-        "print(f'(({values}))')\n"
-    )
+    script.write_text(CANNED_BACKEND)
     backend = SolverBackend(f"{sys.executable} {script} {{file}}")
-    result = solve_bounded_sat(f, 2, backend=backend)
-    # every edge probability 1 only fits some candidates; the driver must
-    # reject non-confirming answers and keep searching until one verifies
+    result = solve_bounded_sat(f, 3, backend=backend)
     assert result.status == "sat"
-    assert result.model is not None
+    assert result.solver_calls > 1
+    assert validate(result.model) == []
     assert ModelChecker(result.model).holds(result.entry, f)
-    assert len(result.model.states) <= 2
+    assert len(result.model.states) <= 3
 
 
 class _SkewedBackend:
