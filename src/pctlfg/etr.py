@@ -9,12 +9,14 @@ The enumeration builds one labeling, a vertex bitmask per subformula slot,
 as it chooses the label sets and screens each F-subformula's block from the
 graph alone, skipping the whole subtree of labelings on a contradiction:
 with prob0/prob1 of the body's set, a reach value is exactly 0 or 1 there
-and strictly inside (0, 1) elsewhere.  Each graph calls `prob01` once per
-step and body set and turns it into a (care, want) mask pair; a label set
-m passes iff m & care == want.  Each candidate that survives is first tried
-with the uniform assignment; only a miss is shipped to a pluggable SMT
-backend.  Every assignment is confirmed exactly and rebuilt into a Markov
-chain that is re-verified against the original formula.
+and strictly inside (0, 1) elsewhere.  A graph is its tuple of successor
+masks, the format of `markov`'s graph layer; each graph builds its
+predecessor masks once and calls `markov.prob01` on them once per step and
+body mask, turning the answer into a (care, want) mask pair: a label set m
+passes iff m & care == want.  Each surviving candidate is first tried with
+the uniform assignment; only a miss is shipped to a pluggable SMT backend.
+Every assignment is confirmed exactly and rebuilt into a Markov chain that
+is re-verified against the original formula.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from .formula import (
     And, Atom, Cmp, NegAtom, Or, PathOp, Prob, StateFormula, conj, disj,
     is_core, is_trivial_bound, iter_subformulas,
 )
-from .markov import MarkovChain, absorption, prob01
+from .markov import MarkovChain, absorption, predecessor_masks, prob01
 from .modelcheck import ModelChecker
 
 
@@ -159,13 +161,9 @@ class ETRCandidate:
 
 
 def _graphs(size: int):
-    """All digraphs on `size` vertices with out-degree >= 1 everywhere, in
-    canonical order (per-vertex successor bitmasks, last vertex fastest)."""
-    masks = range(1, 1 << size)
-    for choice in itertools.product(masks, repeat=size):
-        edges = tuple((i, j) for i in range(size) for j in range(size)
-                      if choice[i] >> j & 1)
-        yield edges
+    """All digraphs on `size` vertices with out-degree >= 1 everywhere, as
+    tuples of successor bitmasks in canonical order (last vertex fastest)."""
+    return itertools.product(range(1, 1 << size), repeat=size)
 
 
 def enumerate_candidates(f: StateFormula, bound: int,
@@ -180,9 +178,10 @@ def enumerate_candidates(f: StateFormula, bound: int,
     only chosen among those its block screen lets through, and each set it
     refutes skips a whole subtree of labelings (counted in
     `_result.refuted`).  The screen depends only on the graph, the step and
-    the body's set, so each graph calls `prob01` once per (step, body set)
-    and keeps the sets m with m & care == want (see `_screen`).  Only
-    candidates whose whole-formula label set is nonempty are emitted."""
+    the body's set, so each graph builds its predecessor masks once, calls
+    `prob01` once per (step, body set) and keeps the sets m with
+    m & care == want (see `_screen`).  Only candidates whose whole-formula
+    label set is nonempty are emitted."""
     if bound < 1:
         raise ValueError("bound must be at least 1")
     steps = _choice_order(f)
@@ -206,7 +205,8 @@ def enumerate_candidates(f: StateFormula, bound: int,
         masks = range(1 << size)
         subsets = [frozenset(k for k in range(size) if mask >> k & 1)
                    for mask in masks]
-        for edges in _graphs(size):
+        for succ in _graphs(size):
+            pred = predecessor_masks(succ)
             labels = [0] * len(nodes)
             # (step index, body mask) -> the label masks the screen lets through
             passed: dict[tuple[int, int], list[int]] = {}
@@ -214,6 +214,8 @@ def enumerate_candidates(f: StateFormula, bound: int,
             def assign(index: int):
                 if index == len(compiled):
                     if labels[root]:
+                        edges = tuple((i, j) for i in range(size)
+                                      for j in range(size) if succ[i] >> j & 1)
                         yield ETRCandidate(size, edges, {
                             g: subsets[m] for g, m in zip(nodes, labels)}, f)
                     return
@@ -224,9 +226,7 @@ def enumerate_candidates(f: StateFormula, bound: int,
                     key = (index, labels[body])
                     choices = passed.get(key)
                     if choices is None:
-                        prob0, prob1 = prob01(range(size), edges, subsets[key[1]])
-                        care, want = _screen(verdicts, _mask(prob0),
-                                             _mask(prob1), full)
+                        care, want = _screen(verdicts, *prob01(pred, key[1]), full)
                         choices = passed[key] = [
                             m for m in masks if m & care == want]
                     if _result is not None:
@@ -282,28 +282,32 @@ class ETRSystem:
             for b in self.blocks)
 
 
-def _block(size: int, edges, node: Prob, body_set: frozenset[int],
+def _block(pred, node: Prob, body_set: frozenset[int],
            in_set: frozenset[int]) -> CorrectnessBlock:
-    """The block of `node` for the given body set: the cut-off set is prob0,
-    the vertices with no path into it, and `sure` is prob1 minus the body
-    set."""
-    prob0, prob1 = prob01(range(size), edges, body_set)
+    """The block of `node` for the given body set in the graph with
+    predecessor masks `pred`: the cut-off set is prob0, the vertices with
+    no path into it, and `sure` is prob1 minus the body set."""
+    body = _mask(body_set)
+    prob0, prob1 = prob01(pred, body)
+    vertices = range(len(pred))
     return CorrectnessBlock(
         formula=node,
         body_set=body_set,
-        out_set=prob0,
-        other=tuple(v for v in range(size)
-                    if v not in prob0 and v not in body_set),
+        out_set=frozenset(v for v in vertices if prob0 >> v & 1),
+        other=tuple(v for v in vertices if not (prob0 | body) >> v & 1),
         in_set=in_set,
-        sure=prob1 - body_set,
+        sure=frozenset(v for v in vertices if (prob1 & ~body) >> v & 1),
     )
 
 
 def encode(candidate: ETRCandidate) -> ETRSystem:
     """Builds the constraint system of a candidate: one block per
     F-subformula, bottom-up."""
-    blocks = [_block(candidate.size, candidate.edges, node,
-                     candidate.labeling[node.body], candidate.labeling[node])
+    pred = [0] * candidate.size
+    for i, j in candidate.edges:
+        pred[j] |= 1 << i
+    blocks = [_block(pred, node, candidate.labeling[node.body],
+                     candidate.labeling[node])
               for node, _ in _choice_order(candidate.formula)
               if isinstance(node, Prob)]
     return ETRSystem(candidate.size, candidate.edges, tuple(blocks))

@@ -11,17 +11,17 @@ JSON model format (rationals are strings, bit-exact):
      "edges":  [{"from": "s", "to": "t", "p": "1"},
                 {"from": "t", "to": "s", "p": "3/5"}]}
 
-`absorption` is the one exact linear solve of the package: reach
-probabilities in model checking, the first-passage distribution here and
-the per-block reach values of the ETR oracle all go through it.  `prob01`
-is the one qualitative kernel: from the graph alone it finds the states
-that reach a target set with probability 0 and with probability 1, so
-model checking solves only the states in between, and `first_passage`
-tests its almost-sure precondition with it.  It shares its backward search
-with `states_with_path_to`.  `first_passage` takes the chain's
-`ModelChecker` and reads the SCC decomposition it holds only to name the
-certificate of a failed precondition, so Tarjan's algorithm runs at most
-once per checked chain.
+Graph questions are answered on one format, per-vertex successor and
+predecessor bitmasks (bit i is vertex i, a vertex set is one int), by one
+search, `_search`.  Over successor masks it gives `reachable_from` and
+first passage's region; over predecessor masks it is `states_with_path_to`,
+which `prob01`, the one qualitative kernel, calls twice to find the states
+that reach a target mask with probability 0 and with probability 1.  A
+`ModelChecker` builds its chain's masks once; bounded sat builds them once
+per enumerated graph.  `absorption` is the one exact linear solve: reach
+probabilities, the first-passage distribution and the ETR oracle's block
+values all go through it.  `first_passage` reads the checker's SCC
+decomposition only to name the certificate of a failed precondition.
 """
 
 from __future__ import annotations
@@ -213,11 +213,8 @@ class SccDecomposition:
     is_bottom: tuple[bool, ...]
 
     def bottom_states(self) -> frozenset[str]:
-        out: set[str] = set()
-        for comp, bottom in zip(self.components, self.is_bottom):
-            if bottom:
-                out.update(comp)
-        return frozenset(out)
+        return frozenset().union(
+            *(comp for comp, bottom in zip(self.components, self.is_bottom) if bottom))
 
 
 def scc_decompose(chain: MarkovChain) -> SccDecomposition:
@@ -275,59 +272,52 @@ def scc_decompose(chain: MarkovChain) -> SccDecomposition:
     return SccDecomposition(tuple(components), bottoms)
 
 
-def reachable_from(chain: MarkovChain, start: str) -> frozenset[str]:
-    """States reachable from `start` along positive-probability edges,
-    including `start` itself."""
-    seen = {start}
-    frontier = [start]
+def predecessor_masks(succ) -> list[int]:
+    """The per-vertex predecessor bitmasks of per-vertex successor bitmasks."""
+    pred = [0] * len(succ)
+    for v, mask in enumerate(succ):
+        while mask:
+            low = mask & -mask
+            pred[low.bit_length() - 1] |= 1 << v
+            mask ^= low
+    return pred
+
+
+def _search(adjacent, seeds: int, blocked: int = 0) -> int:
+    """The vertices reached from the `seeds` mask along the neighbour masks
+    `adjacent`, entering no `blocked` vertex, seeds included: reachability
+    over successor masks, a path into the seeds over predecessor masks."""
+    seen = frontier = seeds
     while frontier:
-        s = frontier.pop()
-        for dst in chain.successors(s):
-            if dst not in seen:
-                seen.add(dst)
-                frontier.append(dst)
-    return frozenset(seen)
-
-
-def _predecessors(edges) -> dict:
-    preds: dict = {}
-    for src, dst in edges:
-        preds.setdefault(dst, []).append(src)
-    return preds
-
-
-def _backward(preds, seeds, blocked=frozenset()) -> set:
-    """`seeds` and every state with a path into them that enters no
-    `blocked` state before it arrives."""
-    seen = set(seeds)
-    frontier = list(seen)
-    while frontier:
-        s = frontier.pop()
-        for p in preds.get(s, ()):
-            if p not in seen and p not in blocked:
-                seen.add(p)
-                frontier.append(p)
+        low = frontier & -frontier
+        frontier ^= low
+        new = adjacent[low.bit_length() - 1] & ~(seen | blocked)
+        seen |= new
+        frontier |= new
     return seen
 
 
-def states_with_path_to(edges, targets) -> frozenset:
-    """States that have some path into `targets` (targets included) in the
-    graph with the given (source, destination) edge pairs."""
-    return frozenset(_backward(_predecessors(edges), targets))
+def reachable_from(mc: ModelChecker, start: str) -> frozenset[str]:
+    """The states reachable from `start` (itself included) in the chain."""
+    return mc.names(_search(mc.succ, mc.mask((start,))))
 
 
-def prob01(states, edges, targets) -> tuple[frozenset, frozenset]:
-    """The states that reach `targets` with probability 0 and with
-    probability 1, from the graph alone (Baier & Katoen, Principles of Model
-    Checking, Sec. 10.1, Alg. 45/46).  prob0 holds the states with no path
-    into the targets; prob1 is the complement of the states that can reach
-    prob0 without passing a target, so it includes the targets.  `edges`
-    are the (source, destination) pairs of the positive-probability edges
-    among `states`, whose outgoing probabilities sum to one."""
-    preds = _predecessors(edges)
-    states, targets = frozenset(states), frozenset(targets)
-    prob0 = states - _backward(preds, targets)
-    prob1 = states - _backward(preds, prob0, blocked=targets)
+def states_with_path_to(pred, targets: int, blocked: int = 0) -> int:
+    """The mask of the states with a path into the `targets` mask (targets
+    included) that enters no `blocked` state, over predecessor masks."""
+    return _search(pred, targets, blocked)
+
+
+def prob01(pred, targets: int) -> tuple[int, int]:
+    """The masks of the states that reach the `targets` mask with
+    probability 0 and with probability 1, from the predecessor masks alone
+    (Baier & Katoen, Principles of Model Checking, Alg. 45/46).  prob0 holds
+    the states with no path into the targets; prob1 is the complement of
+    the states that can reach prob0 without passing a target, which holds
+    when every state's outgoing probabilities sum to one."""
+    full = (1 << len(pred)) - 1
+    prob0 = full & ~states_with_path_to(pred, targets)
+    prob1 = full & ~states_with_path_to(pred, prob0, blocked=targets)
     return prob0, prob1
 
 
@@ -374,33 +364,21 @@ def first_passage(mc: ModelChecker, source: str, targets) -> dict[str, Fraction]
     Requires that `targets` is hit with probability one from `source`;
     otherwise raises FirstPassageError carrying a reachable bottom SCC
     disjoint from the targets as a certificate.  The returned values sum
-    to exactly 1 (all targets appear, unreached ones with 0).
+    to exactly 1 (all targets appear, unreached ones with 0).  A source or
+    target that is not a state of the chain raises KeyError.
     """
-    chain = mc.chain
     targets = frozenset(targets)
-    if source not in chain:
-        raise KeyError(source)
+    origin = mc.mask((source,))
     if not targets:
         raise ValueError("empty target set")
+    target_mask = mc.mask(targets)
     if source in targets:
         return {t: Fraction(int(t == source)) for t in targets}
 
     # Region explorable from the source without crossing a target.
-    region = set()
-    frontier = [source]
-    seen = {source}
-    while frontier:
-        s = frontier.pop()
-        region.add(s)
-        for dst in chain.successors(s):
-            if dst in targets or dst in seen:
-                continue
-            seen.add(dst)
-            frontier.append(dst)
-
-    _, prob1 = prob01(chain.states,
-                      ((src, dst) for src, dst, _ in chain.edges()), targets)
-    if source not in prob1:
+    region = mc.names(_search(mc.succ, origin, blocked=target_mask))
+    _, prob1 = prob01(mc.pred, target_mask)
+    if not prob1 & origin:
         # Then some bottom SCC lies inside the region: it can never reach
         # the targets, and it is the certificate.
         sccs = mc.sccs
@@ -415,7 +393,7 @@ def first_passage(mc: ModelChecker, source: str, targets) -> dict[str, Fraction]
 
     tlist = sorted(targets)
     one_hot = {t: [int(t == u) for u in tlist] for t in tlist}
-    hit = absorption(sorted(region), chain.successors, one_hot)[source]
+    hit = absorption(sorted(region), mc.chain.successors, one_hot)[source]
     result = dict(zip(tlist, hit))
     assert sum(result.values()) == 1
     return result

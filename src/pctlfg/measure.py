@@ -49,7 +49,7 @@ def reachable_eventualities(mc: ModelChecker, state: str,
                   and not mc.holds(state, f.body)]
     if not candidates:
         return frozenset()
-    region = reachable_from(mc.chain, state)
+    region = reachable_from(mc, state)
     out = set()
     for f in candidates:
         for witness in region:

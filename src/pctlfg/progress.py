@@ -424,7 +424,7 @@ def verify_selection(mc: ModelChecker, state: str, obligations,
                        for t in selection.support), Fraction(0))
         if mc.probability(state, path) > covered:
             problems.append(f"probability of {path} at {state!r} not covered")
-    region = reachable_from(mc.chain, state)
+    region = reachable_from(mc, state)
     bottoms = mc.sccs.bottom_states()
     f_bodies = [f.body for f in obligations
                 if isinstance(f, Prob) and f.op is PathOp.F]

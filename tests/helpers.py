@@ -18,7 +18,7 @@ from pctlfg.formula import (
     Atom, Cmp, NegAtom, PathOp, Prob, StateFormula, conj, disj, parse_formula,
 )
 from pctlfg.linalg import SingularMatrixError
-from pctlfg.markov import MarkovChain, scc_decompose, states_with_path_to
+from pctlfg.markov import MarkovChain, scc_decompose
 from pctlfg.modelcheck import ModelChecker
 
 PSI_TEXT = "G=1[F>=0.5[a & F>=0.2[!a]] | a] & F=1[G=1[a]] & !a"
@@ -249,10 +249,17 @@ def reference_absorption(unknown, successors, boundary):
 
 def reference_reach(states, successors, targets):
     """P(eventually enter `targets`) with only the states that have no path
-    to the targets pinned (to 0); every other non-target state is solved."""
+    to the targets pinned (to 0); every other non-target state is solved.
+    The states with a path come from a fixpoint over `successors` alone."""
     targets = frozenset(targets)
-    edges = [(s, t) for s in states for t in successors(s)]
-    can_reach = states_with_path_to(edges, targets)
+    can_reach = set(targets)
+    grown = True
+    while grown:
+        grown = False
+        for s in states:
+            if s not in can_reach and any(t in can_reach for t in successors(s)):
+                can_reach.add(s)
+                grown = True
     unknown = [s for s in states if s in can_reach and s not in targets]
     probs = {s: Fraction(int(s in targets)) for s in states}
     solved = reference_absorption(unknown, successors, dict.fromkeys(targets, (1,)))

@@ -14,7 +14,7 @@ from helpers import (
 
 from pctlfg.etr import (
     BackendError, CorrectnessBlock, ETRCandidate, SatSearchResult,
-    SolverBackend, _block, _block_interval_contradiction,
+    SolverBackend, _block, _block_interval_contradiction, _graphs,
     candidate_from_chain, chain_from_candidate, check_assignment, encode,
     enumerate_candidates, f_normal_form, interval_refuted, smt_text,
     solve_bounded_sat, uniform_assignment,
@@ -23,7 +23,7 @@ from pctlfg.formula import (
     And, Atom, Cmp, NegAtom, PathOp, Prob, conj, disj, iter_subformulas,
     parse_formula,
 )
-from pctlfg.markov import MarkovChain, validate
+from pctlfg.markov import MarkovChain, predecessor_masks, validate
 from pctlfg.modelcheck import ModelChecker
 
 pf = parse_formula
@@ -363,9 +363,10 @@ def test_mask_screen_matches_vertex_reference():
     for size in (1, 2, 3):
         subsets = [frozenset(v for v in range(size) if m >> v & 1)
                    for m in range(1 << size)]
-        for edges in _all_graphs(size):
+        for succ in _graphs(size):
+            pred = predecessor_masks(succ)
             for body in subsets:
-                b = _block(size, edges, nodes[0], body, frozenset())
+                b = _block(pred, nodes[0], body, frozenset())
                 if (size, body, b.out_set, b.sure) in seen:
                     continue
                 seen.add((size, body, b.out_set, b.sure))
@@ -374,7 +375,7 @@ def test_mask_screen_matches_vertex_reference():
                                              in_set, b.sure)
                     want = reference_block_refuted(size, block)
                     assert _block_interval_contradiction(size, block) == want, \
-                        (size, edges, block)
+                        (size, succ, block)
                     refuted += want
                     kept += not want
     assert refuted > 0 and kept > 0

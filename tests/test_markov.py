@@ -5,10 +5,11 @@ import pytest
 
 from helpers import random_chain, reference_reach
 
+from pctlfg.etr import _graphs
 from pctlfg.markov import (
     FirstPassageError, InvalidChainError, MarkovChain, first_passage,
-    parse_probability, prob01, reachable_from, scc_decompose,
-    states_with_path_to, validate,
+    parse_probability, predecessor_masks, prob01, reachable_from,
+    scc_decompose, states_with_path_to, validate,
 )
 from pctlfg.modelcheck import ModelChecker
 
@@ -126,7 +127,8 @@ def test_scc_three_cycle():
 
 def _scc_oracle(chain):
     # transitive-closure oracle: states are equivalent iff they reach each other
-    reach = {s: reachable_from(chain, s) for s in chain.states}
+    mc = ModelChecker(chain)
+    reach = {s: reachable_from(mc, s) for s in chain.states}
     comps = set()
     for s in chain.states:
         comps.add(frozenset(t for t in chain.states
@@ -194,15 +196,43 @@ def test_runs_enter_bottom_sccs():
             assert sum(first_passage(mc, s, bottoms).values()) == 1
 
 
-def test_states_with_path_to(fig1):
-    edges = [(src, dst) for src, dst, _ in fig1.edges()]
-    assert states_with_path_to(edges, {"u"}) == frozenset({"s", "t", "u"})
-    assert states_with_path_to(edges, {"s"}) == frozenset({"s", "t"})
+def test_first_passage_unknown_target(fig1_checker):
+    for targets in ({"t", "ghost"}, {"ghost"}):
+        with pytest.raises(KeyError):
+            first_passage(fig1_checker, "s", targets)
+    with pytest.raises(KeyError):
+        first_passage(fig1_checker, "t", {"t", "ghost"})
+
+
+def test_reach_probabilities_unknown_target(fig1_checker):
+    for targets in ({"u", "ghost"}, {"ghost"}):
+        with pytest.raises(KeyError):
+            fig1_checker.reach_probabilities(targets)
+
+
+def test_states_with_path_to(fig1_checker):
+    mc = fig1_checker
+
+    def path_to(targets, blocked=()):
+        return mc.names(states_with_path_to(mc.pred, mc.mask(targets),
+                                            mc.mask(blocked)))
+
+    assert path_to({"u"}) == frozenset({"s", "t", "u"})
+    assert path_to({"s"}) == frozenset({"s", "t"})
+    assert path_to({"u"}, blocked={"t"}) == frozenset({"u"})
+
+
+def test_reachable_from(fig1_checker):
+    assert reachable_from(fig1_checker, "s") == frozenset({"s", "t", "u"})
+    assert reachable_from(fig1_checker, "u") == frozenset({"u"})
+    with pytest.raises(KeyError):
+        reachable_from(fig1_checker, "ghost")
 
 
 def _prob01(chain, targets):
-    return prob01(chain.states, [(src, dst) for src, dst, _ in chain.edges()],
-                  targets)
+    mc = ModelChecker(chain)
+    prob0, prob1 = prob01(mc.pred, mc.mask(targets))
+    return mc.names(prob0), mc.names(prob1)
 
 
 def test_prob01_fig1(fig1):
@@ -246,3 +276,19 @@ def test_prob01_are_the_zero_and_one_reach_values():
         assert _prob01(chain, targets) == (
             frozenset(s for s, v in reach.items() if v == 0),
             frozenset(s for s, v in reach.items() if v == 1))
+    # every digraph of bounded sat's domain (at most 3 vertices, each with
+    # a successor) under the uniform assignment, and every target mask
+    for size in (1, 2, 3):
+        vertices = range(size)
+        for succ in _graphs(size):
+            pred = predecessor_masks(succ)
+            out = [[w for w in vertices if m >> w & 1] for m in succ]
+            rows = [{w: Fraction(1, len(ws)) for w in ws} for ws in out]
+            for targets in range(1 << size):
+                reach = reference_reach(
+                    vertices, rows.__getitem__,
+                    [v for v in vertices if targets >> v & 1])
+                assert prob01(pred, targets) == (
+                    sum(1 << v for v in vertices if reach[v] == 0),
+                    sum(1 << v for v in vertices if reach[v] == 1)), \
+                    (succ, targets)

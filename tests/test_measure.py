@@ -120,7 +120,7 @@ def test_measure_strictly_decreases_at_witnesses():
                 continue
             assert all(not mc.holds(state, b) for b in f_bodies)
             before = progress_measure(mc, state, residue)
-            for t in sorted(reachable_from(chain, state)):
+            for t in sorted(reachable_from(mc, state)):
                 if not any(mc.holds(t, b) for b in f_bodies):
                     continue
                 X_t = closure_update(mc, t, achieved_bounds(mc, t, residue))
