@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 success (or sat / property holds), 1 property fails or
-unsat-up-to-n, 2 usage or input error, 3 backend failure or unknown.
+unsat-up-to-n, 2 usage or input error (an unwritable output path too),
+3 backend failure or unknown.
 Rationals are read and printed exactly, as p/q, however many digits they
 have; diagnostics go to stderr.
 """
@@ -191,14 +192,10 @@ def _cmd_loop(args) -> int:
             return EXIT_FAIL
         _emit(args, "ok", {"ok": True})
         return EXIT_OK
-    try:
-        if args.method == "l2":
-            loop = search_loop_l2(mc, state, X)
-        else:
-            loop = search_loop_generic(mc, state, X, args.max_n)
-    except SearchSpaceExceeded as exc:
-        print(f"search space exceeded: {exc}", file=sys.stderr)
-        return EXIT_BACKEND
+    if args.method == "l2":
+        loop = search_loop_l2(mc, state, X)
+    else:
+        loop = search_loop_generic(mc, state, X, args.max_n)
     if loop is None:
         print(f"no progress loop up to max_n={args.max_n}", file=sys.stderr)
         return EXIT_FAIL
@@ -408,7 +405,7 @@ def _run(argv) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         return args.func(args)
-    except UsageError as exc:
+    except (UsageError, OSError) as exc:  # OSError: an output path is unwritable
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (UnsatisfiedSetError, ProgressLoopError, FragmentError,

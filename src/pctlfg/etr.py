@@ -15,8 +15,11 @@ predecessor masks once and calls `markov.prob01` on them once per step and
 body mask, turning the answer into a (care, want) mask pair: a label set m
 passes iff m & care == want.  Each surviving candidate is first tried with
 the uniform assignment; only a miss is shipped to a pluggable SMT backend.
-Every assignment is confirmed exactly and rebuilt into a Markov chain that
-is re-verified against the original formula.
+An assignment fixes the chain, so it is confirmed by that chain's
+`ModelChecker`, the package's one exact evaluator: each block's reach values
+are its `reach_probabilities` of the body mask.  A confirmed assignment is
+rebuilt into a Markov chain that is re-verified against the original
+formula.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ from .formula import (
     And, Atom, Cmp, NegAtom, Or, PathOp, Prob, StateFormula, conj, disj,
     is_core, is_trivial_bound, iter_subformulas,
 )
-from .markov import MarkovChain, absorption, predecessor_masks, prob01
+from .markov import MarkovChain, predecessor_masks, prob01
 from .modelcheck import ModelChecker
 
 
@@ -353,26 +356,6 @@ def interval_refuted(system: ETRSystem) -> bool:
                for block in system.blocks)
 
 
-def solve_block_values(system: ETRSystem, block: CorrectnessBlock,
-                       assignment: dict[tuple[int, int], Fraction],
-                       ) -> dict[int, Fraction]:
-    """The unique reach values of one block under fixed edge probabilities:
-    1 on the body set, 0 on the cut-off set, and the solution of the linear
-    system elsewhere, solved by the shared absorption kernel (nonsingular
-    because every remaining vertex reaches the body set through
-    positive-probability edges)."""
-    successors: dict[int, dict[int, Fraction]] = {v: {} for v in range(system.size)}
-    for i, j in system.edges:
-        successors[i][j] = Fraction(assignment[(i, j)])
-    values = dict.fromkeys(block.out_set, Fraction(0))
-    values.update(dict.fromkeys(block.body_set, Fraction(1)))
-    boundary = dict.fromkeys(block.body_set, (1,))
-    for v, (value,) in absorption(block.other, successors.__getitem__,
-                                  boundary).items():
-        values[v] = value
-    return values
-
-
 def uniform_assignment(system: ETRSystem) -> dict[tuple[int, int], Fraction]:
     """Every vertex's outgoing edges share its probability mass equally."""
     out_degree = [0] * system.size
@@ -383,9 +366,10 @@ def uniform_assignment(system: ETRSystem) -> dict[tuple[int, int], Fraction]:
 
 def check_assignment(system: ETRSystem, assignment: dict[tuple[int, int], Fraction],
                      ) -> bool:
-    """Exact substitution oracle: solves each block's reach variables for
-    the given edge probabilities and evaluates every comparison.  Raises on
-    assignments violating the range or row-sum constraints."""
+    """Exact substitution oracle: builds the chain the edge probabilities
+    define, takes each block's reach values from its `ModelChecker` and
+    evaluates every comparison.  Raises on assignments violating the range
+    or row-sum constraints."""
     for edge in system.edges:
         if edge not in assignment:
             raise ValueError(f"no probability for edge {edge}")
@@ -398,11 +382,15 @@ def check_assignment(system: ETRSystem, assignment: dict[tuple[int, int], Fracti
         if total != 1:
             raise ValueError(f"outgoing probabilities of v{v + 1} sum to {total}")
 
+    vertices = [str(v) for v in range(system.size)]
+    mc = ModelChecker(MarkovChain(vertices, {
+        (vertices[i], vertices[j]): Fraction(assignment[(i, j)])
+        for i, j in system.edges}, {}))
     for block in system.blocks:
-        values = solve_block_values(system, block, assignment)
+        values = mc.reach_probabilities(_mask(block.body_set)).values()
         cmp, r = block.formula.cmp, block.formula.bound
-        for v in range(system.size):
-            if cmp.holds(values[v], r) != (v in block.in_set):
+        for v, value in enumerate(values):
+            if cmp.holds(value, r) != (v in block.in_set):
                 return False
     return True
 
@@ -535,7 +523,7 @@ class SolverBackend:
             try:
                 proc = subprocess.run(
                     argv, capture_output=True, text=True, timeout=self.timeout)
-            except FileNotFoundError as exc:
+            except OSError as exc:
                 raise BackendError(f"cannot launch solver: {exc}") from exc
             except subprocess.TimeoutExpired:
                 return "timeout", {}
@@ -591,7 +579,8 @@ def candidate_from_chain(chain: MarkovChain, f: StateFormula) -> ETRCandidate:
     mc = ModelChecker(chain)
     pos = {s: i for i, s in enumerate(chain.states)}
     edges = tuple(sorted((pos[src], pos[dst]) for src, dst, _ in chain.edges()))
-    labeling = {g: frozenset(pos[s] for s in mc.sat_set(g))
+    vertices = range(len(chain.states))
+    labeling = {g: frozenset(v for v in vertices if mc.sat_mask(g) >> v & 1)
                 for g in set(iter_subformulas(f))}
     return ETRCandidate(len(chain.states), edges, labeling, f)
 

@@ -13,15 +13,17 @@ JSON model format (rationals are strings, bit-exact):
 
 Graph questions are answered on one format, per-vertex successor and
 predecessor bitmasks (bit i is vertex i, a vertex set is one int), by one
-search, `_search`.  Over successor masks it gives `reachable_from` and
-first passage's region; over predecessor masks it is `states_with_path_to`,
+search, `_search`.  Over successor masks it is `states_reachable_from`,
+which gives `reachable_from`, the measure's witness region and first
+passage's region; over predecessor masks it is `states_with_path_to`,
 which `prob01`, the one qualitative kernel, calls twice to find the states
 that reach a target mask with probability 0 and with probability 1.  A
 `ModelChecker` builds its chain's masks once; bounded sat builds them once
-per enumerated graph.  `absorption` is the one exact linear solve: reach
-probabilities, the first-passage distribution and the ETR oracle's block
-values all go through it.  `first_passage` reads the checker's SCC
-decomposition only to name the certificate of a failed precondition.
+per enumerated graph.  `absorption` is the one exact linear solve: the
+checker's reach probabilities (and with them the ETR oracle's block
+values) and the first-passage distribution go through it.  Tarjan's
+`scc_decompose` stays on state names; `first_passage` reads the checker's
+SCC decomposition only to name the certificate of a failed precondition.
 """
 
 from __future__ import annotations
@@ -299,7 +301,13 @@ def _search(adjacent, seeds: int, blocked: int = 0) -> int:
 
 def reachable_from(mc: ModelChecker, start: str) -> frozenset[str]:
     """The states reachable from `start` (itself included) in the chain."""
-    return mc.names(_search(mc.succ, mc.mask((start,))))
+    return mc.names(states_reachable_from(mc.succ, mc.mask((start,))))
+
+
+def states_reachable_from(succ, seeds: int, blocked: int = 0) -> int:
+    """The mask of the states reachable from the `seeds` mask (seeds
+    included) without entering a `blocked` state, over successor masks."""
+    return _search(succ, seeds, blocked)
 
 
 def states_with_path_to(pred, targets: int, blocked: int = 0) -> int:
@@ -376,7 +384,7 @@ def first_passage(mc: ModelChecker, source: str, targets) -> dict[str, Fraction]
         return {t: Fraction(int(t == source)) for t in targets}
 
     # Region explorable from the source without crossing a target.
-    region = mc.names(_search(mc.succ, origin, blocked=target_mask))
+    region = mc.names(states_reachable_from(mc.succ, origin, blocked=target_mask))
     _, prob1 = prob01(mc.pred, target_mask)
     if not prob1 & origin:
         # Then some bottom SCC lies inside the region: it can never reach

@@ -19,7 +19,7 @@ from .formula import (
     PathFormula, PathOp, Prob, StateFormula, formula_sets,
     immediate_path_subformulas, subformulas,
 )
-from .markov import reachable_from
+from .markov import states_reachable_from
 from .modelcheck import ModelChecker
 
 
@@ -49,16 +49,12 @@ def reachable_eventualities(mc: ModelChecker, state: str,
                   and not mc.holds(state, f.body)]
     if not candidates:
         return frozenset()
-    region = reachable_from(mc, state)
-    out = set()
-    for f in candidates:
-        for witness in region:
-            if not mc.holds(witness, f.body):
-                continue
-            if all(mc.probability(witness, g) != 1 for g in pending):
-                out.add(f.path_formula)
-                break
-    return frozenset(out)
+    witnesses = states_reachable_from(mc.succ, mc.mask((state,)))
+    for g in pending:
+        almost_sure = mc.mask(s for s, p in mc.path_probabilities(g).items() if p == 1)
+        witnesses &= ~almost_sure
+    return frozenset(f.path_formula for f in candidates
+                     if witnesses & mc.sat_mask(f.body))
 
 
 def bound_base(formulas) -> int:

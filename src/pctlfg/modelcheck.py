@@ -6,17 +6,23 @@ the states with no path to the target to 0 and the states that reach it
 almost surely to 1; only the "maybe" states in between go to the exact
 absorption kernel `markov.absorption`.  G-probabilities are the complement
 of reaching the body's complement.  A `ModelChecker` is the per-chain
-context of the package: besides the memo tables it holds, each built on
-first use, the chain's SCC decomposition (`sccs`) and its graph as
-successor and predecessor bitmasks (`succ`, `pred`; bit i is
-`chain.states[i]`); `mask` and `names` convert between names and masks.
+context of the package.  State sets are bitmasks (bit i is
+`chain.states[i]`): the graph as successor and predecessor masks (`succ`,
+`pred`), the reach targets, and the satisfaction sets, which one recursion,
+`sat_mask`, memoizes per subformula.  Names appear only at the edge:
+`mask` and `names` convert, `sat_set` is `names(sat_mask(f))`, and reach
+and path probabilities are keyed by state name.  The checker also holds
+the chain's SCC decomposition (`sccs`); masks, decomposition and memo
+entries are built on first use.  It is the one exact evaluator of a fixed
+chain: bounded sat confirms an edge assignment by the reach probabilities
+of the chain it defines (`etr.check_assignment`).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property, reduce
-from operator import or_
+from operator import and_, or_
 
 from .formula import And, Atom, NegAtom, Or, PathFormula, PathOp, StateFormula
 from .markov import (
@@ -28,13 +34,14 @@ _ZERO, _ONE = Fraction(0), Fraction(1)
 
 
 class ModelChecker:
-    """Per-chain checker with memoized satisfaction sets, probability
+    """Per-chain checker with memoized satisfaction masks, probability
     vectors, SCC decomposition and graph bitmasks.  The memo tables are
     private to the instance; the chain is treated as immutable."""
 
     def __init__(self, chain: MarkovChain):
         self.chain = chain
-        self._sat: dict[StateFormula, frozenset[str]] = {}
+        self.full = (1 << len(chain.states)) - 1
+        self._sat: dict[StateFormula, int] = {}
         self._pvec: dict[PathFormula, dict[str, Fraction]] = {}
         self._bit = {s: 1 << i for i, s in enumerate(chain.states)}
 
@@ -63,12 +70,12 @@ class ModelChecker:
         """The names of the states in a bitmask."""
         return frozenset(s for i, s in enumerate(self.chain.states) if mask >> i & 1)
 
-    def reach_probabilities(self, targets) -> dict[str, Fraction]:
-        """P(eventually enter `targets`) for every state, exactly; KeyError
-        on a target that is not a state of the chain."""
-        prob0, prob1 = prob01(self.pred, self.mask(targets))
-        boundary = dict.fromkeys(self.names(prob1), (1,))
-        probs = {s: _ONE if s in boundary else _ZERO for s in self.chain.states}
+    def reach_probabilities(self, targets: int) -> dict[str, Fraction]:
+        """P(eventually enter the `targets` mask) for every state, exactly."""
+        prob0, prob1 = prob01(self.pred, targets)
+        probs = {s: _ONE if prob1 >> i & 1 else _ZERO
+                 for i, s in enumerate(self.chain.states)}
+        boundary = {s: (1,) for s, p in probs.items() if p}
         maybe = [s for i, s in enumerate(self.chain.states)
                  if not (prob0 | prob1) >> i & 1]
         for s, (value,) in absorption(maybe, self.chain.successors, boundary).items():
@@ -79,48 +86,46 @@ class ModelChecker:
 
     def path_probabilities(self, path: PathFormula) -> dict[str, Fraction]:
         if path not in self._pvec:
-            body_sat = self.sat_set(path.body)
+            body = self.sat_mask(path.body)
             if path.op is PathOp.F:
-                vec = self.reach_probabilities(body_sat)
+                vec = self.reach_probabilities(body)
             else:
-                escape = self.reach_probabilities(set(self.chain.states) - body_sat)
-                vec = {s: 1 - escape[s] for s in self.chain.states}
+                escape = self.reach_probabilities(self.full & ~body)
+                vec = {s: 1 - p for s, p in escape.items()}
             self._pvec[path] = vec
         return self._pvec[path]
 
     def probability(self, state: str, path: PathFormula) -> Fraction:
-        if state not in self.chain:
-            raise KeyError(state)
         return self.path_probabilities(path)[state]
 
     # -- state formulas -----------------------------------------------------
 
-    def sat_set(self, f: StateFormula) -> frozenset[str]:
+    def sat_mask(self, f: StateFormula) -> int:
+        """The mask of the states satisfying `f`, memoized per subformula."""
         if f in self._sat:
             return self._sat[f]
-        chain = self.chain
         if isinstance(f, Atom):
-            result = frozenset(s for s in chain.states if f.name in chain.atoms(s))
+            result = self.mask(s for s in self.chain.states
+                               if f.name in self.chain.atoms(s))
         elif isinstance(f, NegAtom):
-            result = frozenset(s for s in chain.states if f.name not in chain.atoms(s))
+            result = self.full & ~self.sat_mask(Atom(f.name))
         elif isinstance(f, And):
-            result = frozenset(chain.states)
-            for arg in f.args:
-                result &= self.sat_set(arg)
+            result = reduce(and_, map(self.sat_mask, f.args), self.full)
         elif isinstance(f, Or):
-            result = frozenset()
-            for arg in f.args:
-                result |= self.sat_set(arg)
+            result = reduce(or_, map(self.sat_mask, f.args), 0)
         else:
             vec = self.path_probabilities(f.path_formula)
-            result = frozenset(s for s in chain.states if f.cmp.holds(vec[s], f.bound))
+            result = self.mask(s for s, p in vec.items() if f.cmp.holds(p, f.bound))
         self._sat[f] = result
         return result
 
+    def sat_set(self, f: StateFormula) -> frozenset[str]:
+        """The names of the states satisfying `f`."""
+        return self.names(self.sat_mask(f))
+
     def holds(self, state: str, f: StateFormula) -> bool:
-        if state not in self.chain:
-            raise KeyError(state)
-        return state in self.sat_set(f)
+        """s |= f; KeyError on a state that is not in the chain."""
+        return bool(self.sat_mask(f) & self._bit[state])
 
     def check(self, state: str, formulas) -> bool:
         """s |= X: membership in the intersection of the satisfaction sets."""

@@ -5,8 +5,10 @@ Random chains use small integer weight ratios so every probability is an
 exact small fraction; random formulas draw bounds from a fixed palette and
 only produce non-trivial core constraints.  The reference solvers are plain
 Gauss-Jordan elimination on Fractions and reach probabilities that pin only
-the states with no path to the targets; the reference block screen compares
-each vertex's reach value against the bound one `Fraction` at a time.
+the states with no path to the targets; the reference satisfaction sets
+are built on them by recursion over name sets; the reference block screen
+compares each vertex's reach value against the bound one `Fraction` at a
+time.
 """
 
 from __future__ import annotations
@@ -15,7 +17,8 @@ import random
 from fractions import Fraction
 
 from pctlfg.formula import (
-    Atom, Cmp, NegAtom, PathOp, Prob, StateFormula, conj, disj, parse_formula,
+    And, Atom, Cmp, NegAtom, Or, PathOp, Prob, StateFormula, conj, disj,
+    parse_formula,
 )
 from pctlfg.linalg import SingularMatrixError
 from pctlfg.markov import MarkovChain, scc_decompose
@@ -266,6 +269,28 @@ def reference_reach(states, successors, targets):
     for s, (value,) in solved.items():
         probs[s] = value
     return probs
+
+
+def reference_sat_set(chain: MarkovChain, f: StateFormula) -> frozenset[str]:
+    """The names of the states satisfying `f`, by recursion over name sets
+    with `reference_reach` for each probabilistic operator (a G bound is
+    read off the escape into the body's complement); no `ModelChecker`."""
+    states = frozenset(chain.states)
+    if isinstance(f, Atom):
+        return frozenset(s for s in states if f.name in chain.atoms(s))
+    if isinstance(f, NegAtom):
+        return states - reference_sat_set(chain, Atom(f.name))
+    if isinstance(f, And):
+        return states.intersection(*(reference_sat_set(chain, a) for a in f.args))
+    if isinstance(f, Or):
+        return frozenset().union(*(reference_sat_set(chain, a) for a in f.args))
+    body = reference_sat_set(chain, f.body)
+    if f.op is PathOp.F:
+        vec = reference_reach(chain.states, chain.successors, body)
+    else:
+        escape = reference_reach(chain.states, chain.successors, states - body)
+        vec = {s: 1 - p for s, p in escape.items()}
+    return frozenset(s for s in states if f.cmp.holds(vec[s], f.bound))
 
 
 def reference_block_refuted(size, block):

@@ -1,8 +1,9 @@
-"""The exact absorption kernel, checked through its three callers: model
-checking reach vectors, first-passage distributions and the ETR block
-values.  The equations are checked by code written here, not by the
-kernel, and the values are compared with the Fraction reference solvers of
-`helpers`, which pin only the states with no path to the targets."""
+"""The exact absorption kernel, checked through its two callers: model
+checking reach vectors (which are also the ETR block values) and
+first-passage distributions.  The equations are checked by code written
+here, not by the kernel, and the values are compared with the Fraction
+reference solvers of `helpers`, which pin only the states with no path to
+the targets."""
 
 import random
 from fractions import Fraction
@@ -10,11 +11,9 @@ from fractions import Fraction
 import pytest
 
 from helpers import (
-    random_chain, random_core_formula, reference_absorption, reference_reach,
+    random_chain, reference_absorption, reference_reach,
 )
 
-from pctlfg.etr import candidate_from_chain, encode, f_normal_form, solve_block_values
-from pctlfg.formula import Prob, iter_subformulas
 from pctlfg.linalg import null_vector
 from pctlfg.markov import FirstPassageError, first_passage, scc_decompose
 from pctlfg.modelcheck import ModelChecker
@@ -43,7 +42,8 @@ def test_reach_vectors_satisfy_their_equations():
     for _ in range(80):
         chain = random_chain(rng, max_states=7)
         targets = frozenset(s for s in chain.states if rng.random() < 0.3)
-        x = ModelChecker(chain).reach_probabilities(targets)
+        mc = ModelChecker(chain)
+        x = mc.reach_probabilities(mc.mask(targets))
         for s in chain.states:
             if s in targets:
                 assert x[s] == 1
@@ -74,26 +74,6 @@ def test_first_passage_satisfies_its_equations():
                 assert hit[s][t] == one_step(chain, s, value)
 
 
-def test_block_values_equal_reach_probabilities():
-    rng = random.Random(47)
-    checked = 0
-    for _ in range(80):
-        chain = random_chain(rng, max_states=5)
-        f = f_normal_form(random_core_formula(rng, depth=2))
-        if not any(isinstance(g, Prob) for g in iter_subformulas(f)):
-            continue
-        mc = ModelChecker(chain)
-        pos = {s: i for i, s in enumerate(chain.states)}
-        truth = {(pos[a], pos[b]): p for a, b, p in chain.edges()}
-        system = encode(candidate_from_chain(chain, f))
-        for block in system.blocks:
-            values = solve_block_values(system, block, truth)
-            reach = mc.reach_probabilities(mc.sat_set(block.formula.body))
-            assert {s: values[i] for s, i in pos.items()} == reach
-            checked += 1
-    assert checked > 20
-
-
 def _chain_with_escape(rng):
     """A random chain and a target set that misses some bottom SCC, so that
     prob0, prob1 and the states between them all occur."""
@@ -111,7 +91,8 @@ def test_reach_probabilities_equal_prob0_reference():
     strictly_between = 0
     for _ in range(150):
         chain, targets = _chain_with_escape(rng)
-        reach = ModelChecker(chain).reach_probabilities(targets)
+        mc = ModelChecker(chain)
+        reach = mc.reach_probabilities(mc.mask(targets))
         assert reach == reference_reach(chain.states, chain.successors, targets)
         strictly_between += sum(0 < v < 1 for v in reach.values())
     assert strictly_between > 100
@@ -137,27 +118,6 @@ def test_first_passage_rows_equal_reference():
                 assert first_passage(mc, s, targets) == dict(zip(tlist, rows[s]))
                 compared += 1
     assert raised > 100 and compared > 50
-
-
-def test_block_values_equal_prob0_reference():
-    rng = random.Random(79)
-    checked = 0
-    for _ in range(80):
-        chain = random_chain(rng, max_states=6)
-        f = f_normal_form(random_core_formula(rng, depth=2))
-        if not any(isinstance(g, Prob) for g in iter_subformulas(f)):
-            continue
-        pos = {s: i for i, s in enumerate(chain.states)}
-        truth = {(pos[a], pos[b]): p for a, b, p in chain.edges()}
-        successors = {i: {} for i in pos.values()}
-        for (i, j), p in truth.items():
-            successors[i][j] = p
-        system = encode(candidate_from_chain(chain, f))
-        for block in system.blocks:
-            assert solve_block_values(system, block, truth) == reference_reach(
-                range(system.size), successors.__getitem__, block.body_set)
-            checked += 1
-    assert checked > 20
 
 
 def test_elimination_golden():

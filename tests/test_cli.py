@@ -312,3 +312,42 @@ def test_emitted_model_json_revalidates(capsys, model_path):
     rebuilt = MarkovChain.from_dict(data["model"])
     assert validate(rebuilt) == []
     assert data["entry"] in rebuilt.states
+
+
+@pytest.mark.parametrize("argv", [
+    ("export-dot", "--model", "{model}", "--out", "{out}"),
+    ("compress", "--model", "{model}", "--state", "s", "--formula", PSI_TEXT,
+     "--out", "{out}"),
+    ("compress", "--model", "{model}", "--state", "s", "--formula", PSI_TEXT,
+     "--trace", "{out}"),
+    ("sat", "--formula", "a", "--bound", "1", "--dump-smt", "{out}"),
+    ("sat", "--formula", "a", "--bound", "1", "--dump-smt", "{out}",
+     "--emit-only"),
+], ids=["export-dot-out", "compress-out", "compress-trace", "sat-dump-smt",
+        "sat-dump-smt-emit-only"])
+def test_unwritable_output_is_usage_error(capsys, tmp_path, model_path, argv):
+    # the output's parent directory is a regular file
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    out = str(blocker / "out")
+    code, _, err = run(capsys, *(a.format(model=model_path, out=out) for a in argv))
+    assert code == 2
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_non_executable_solver_is_backend_error(capsys, tmp_path):
+    solver = tmp_path / "solver"
+    solver.write_text("")
+    solver.chmod(0o644)
+    code, _, err = run(capsys, "sat", "--formula", "!a & F>1/3[a] & G>1/2[!a]",
+                       "--bound", "3", "--solver-cmd", f"{solver} {{file}}")
+    assert code == 3
+    assert err.startswith("backend error: cannot launch solver")
+
+
+def test_loop_search_beyond_generic_range(capsys, model_path):
+    formula = " | ".join(["a"] + [f"x{i}" for i in range(1, 21)])
+    code, _, err = run(capsys, "loop", "search", "--method", "generic",
+                       "--model", model_path, "--state", "t", "--formula", formula)
+    assert code == 3
+    assert err.startswith("search space exceeded")

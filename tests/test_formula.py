@@ -107,9 +107,9 @@ def _eval_surface(mc, state, f):
         assert isinstance(g, SProb)
         body = sat(g.body)
         if g.op is PathOp.F:
-            vec = mc.reach_probabilities(body)
+            vec = mc.reach_probabilities(mc.mask(body))
         else:
-            escape = mc.reach_probabilities(states - body)
+            escape = mc.reach_probabilities(mc.mask(states - body))
             vec = {s: 1 - escape[s] for s in states}
         return frozenset(s for s in states if g.cmp.holds(vec[s], g.bound))
 

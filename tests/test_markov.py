@@ -207,7 +207,7 @@ def test_first_passage_unknown_target(fig1_checker):
 def test_reach_probabilities_unknown_target(fig1_checker):
     for targets in ({"u", "ghost"}, {"ghost"}):
         with pytest.raises(KeyError):
-            fig1_checker.reach_probabilities(targets)
+            fig1_checker.mask(targets)
 
 
 def test_states_with_path_to(fig1_checker):

@@ -2,11 +2,14 @@ import random
 from fractions import Fraction
 
 from helpers import (
-    PSI_TEXT, fig1_chain, random_chain, random_core_formula, simulate_eventually,
+    PSI_TEXT, fig1_chain, random_chain, random_core_formula, reference_sat_set,
+    simulate_eventually,
 )
 
+from pctlfg.etr import f_normal_form
 from pctlfg.formula import (
-    Atom, Cmp, NegAtom, PathFormula, PathOp, Prob, parse_formula,
+    Atom, Cmp, NegAtom, PathFormula, PathOp, Prob, iter_subformulas,
+    parse_formula,
 )
 from pctlfg.markov import scc_decompose
 from pctlfg.modelcheck import ModelChecker
@@ -16,7 +19,8 @@ def test_prob_f_not_a(fig1_checker):
     path = PathFormula(PathOp.F, NegAtom("a"))
     assert fig1_checker.probability("t", path) == Fraction(3, 5)
     # the reachability of the body's satisfaction set gives the same value
-    assert fig1_checker.reach_probabilities({"s"})["t"] == Fraction(3, 5)
+    mc = fig1_checker
+    assert mc.reach_probabilities(mc.mask({"s"}))["t"] == Fraction(3, 5)
 
 
 def test_prob_reach_globally_a(fig1, fig1_checker):
@@ -56,7 +60,7 @@ def test_g_is_complement_of_reaching_complement():
         body = random_core_formula(rng, depth=2)
         g_vec = mc.path_probabilities(PathFormula(PathOp.G, body))
         outside = frozenset(chain.states) - mc.sat_set(body)
-        reach = mc.reach_probabilities(outside)
+        reach = mc.reach_probabilities(mc.mask(outside))
         for s in chain.states:
             assert g_vec[s] == 1 - reach[s]
 
@@ -99,8 +103,10 @@ def test_memoization_is_per_checker(fig1):
     mc = ModelChecker(fig1)
     f = parse_formula(PSI_TEXT)
     first = mc.sat_set(f)
-    assert mc.sat_set(f) is first  # cached
-    assert ModelChecker(fig1).sat_set(f) == first
+    assert mc._sat[f] == mc.mask(first)  # memoized as a mask
+    other = ModelChecker(fig1)
+    assert f not in other._sat
+    assert other.sat_set(f) == first
 
 
 def test_extended_comparisons():
@@ -110,3 +116,20 @@ def test_extended_comparisons():
     assert mc.sat_set(le_half) == frozenset({"t", "u"})
     lt_half = Prob(PathOp.F, Cmp.LT, Fraction(3, 5), NegAtom("a"))
     assert mc.sat_set(lt_half) == frozenset({"u"})
+
+
+def test_sat_set_equals_reference():
+    # the mask recursion against name sets and reference_reach; the F-normal
+    # forms bring in the <= and < comparisons
+    rng = random.Random(59)
+    upper = strict = 0
+    for _ in range(150):
+        chain = random_chain(rng, max_states=6)
+        mc = ModelChecker(chain)
+        f = random_core_formula(rng, depth=3)
+        for g in (f, f_normal_form(f)):
+            assert mc.sat_set(g) == reference_sat_set(chain, g), (chain.to_dict(), g)
+            cmps = [h.cmp for h in iter_subformulas(g) if isinstance(h, Prob)]
+            upper += cmps.count(Cmp.LE)
+            strict += cmps.count(Cmp.LT)
+    assert upper > 20 and strict > 20
