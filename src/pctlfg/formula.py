@@ -4,13 +4,25 @@ The toolkit works with a probabilistic branching-time logic whose only path
 operators are F ("eventually") and G ("always").  Core formulas keep negation
 on atoms, carry exact rational probability bounds, and use n-ary
 conjunction/disjunction so that `x & y & z` is one node with three children.
+
+Core nodes (`Atom`, `NegAtom`, `And`, `Or`, `Prob`) and `PathFormula` are
+interned (hash-consed): there is one live node per structure, however it was
+built, parsed, copied or unpickled.  So `==` is `is` and a node hashes by
+identity, which makes the formula-keyed sets and memos of the closure,
+measure and progress code cheap.  Derived data the hot paths ask for
+(`Prob.path_formula`, `sort_key`, `subformulas`) is cached on the node and
+computed once per structure.  A `Prob` bound is always stored as a
+`Fraction`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import threading
+import weakref
+from dataclasses import dataclass, fields
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterator, Union
 
 
@@ -60,44 +72,113 @@ class Cmp(Enum):
 CORE_CMPS = (Cmp.GE, Cmp.GT)
 
 
-@dataclass(frozen=True)
-class Atom:
+# One live node per structure: (class, *fields) -> the node.  Weak values, so
+# a formula no caller holds any more leaves the table.  The lock makes
+# insertion atomic, so two threads building the same formula get one node.
+_NODES: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+_NODES_LOCK = threading.Lock()
+
+
+class _Node:
+    """Base of the hash-consed node types.
+
+    Construction returns the live node with the same class and fields when
+    there is one, so `==` and `hash` can be the identity ones inherited from
+    `object`.  Only construction hashes fields, to look the node up; a set
+    or memo keyed by nodes never looks inside them.
+    """
+
+    def __new__(cls, *values):
+        key = (cls, *values)
+        node = _NODES.get(key)
+        if node is None:
+            if len(values) != len(cls._fields):
+                raise TypeError(f"{cls.__name__} takes fields {cls._fields}")
+            node = object.__new__(cls)
+            for name, value in zip(cls._fields, values):
+                object.__setattr__(node, name, value)
+            with _NODES_LOCK:
+                node = _NODES.setdefault(key, node)
+        return node
+
+    def __reduce__(self):
+        # copy, deepcopy and unpickling rebuild through __new__, so they
+        # return the live node
+        return type(self), tuple(getattr(self, name) for name in self._fields)
+
+
+def _node(cls):
+    """Makes `cls` a frozen dataclass with identity equality whose
+    construction goes through `_Node.__new__`."""
+    cls = dataclass(frozen=True, eq=False, init=False)(cls)
+    cls._fields = tuple(f.name for f in fields(cls))
+    return cls
+
+
+class _StateNode(_Node):
+    """A state formula node, with the derived data the hot paths ask for
+    cached on the node: computed on first use, once per structure."""
+
+    @cached_property
+    def _subformulas(self) -> frozenset[StateFormula]:
+        return frozenset(iter_subformulas(self))
+
+    @cached_property
+    def _sort_key(self) -> tuple:
+        rank = _TAG_RANK[type(self)]
+        if isinstance(self, (Atom, NegAtom)):
+            return (rank, self.name)
+        if isinstance(self, (And, Or)):
+            return (rank, len(self.args)) + tuple(a._sort_key for a in self.args)
+        return (rank, _OP_RANK[self.op], _CMP_RANK[self.cmp], self.bound,
+                self.body._sort_key)
+
+
+@_node
+class Atom(_StateNode):
     name: str
 
     def __str__(self) -> str:
         return self.name
 
 
-@dataclass(frozen=True)
-class NegAtom:
+@_node
+class NegAtom(_StateNode):
     name: str
 
     def __str__(self) -> str:
         return "!" + self.name
 
 
-@dataclass(frozen=True)
-class And:
+@_node
+class And(_StateNode):
     args: tuple["StateFormula", ...]
 
     def __str__(self) -> str:
         return " & ".join(_wrap(a, in_and=True) for a in self.args)
 
 
-@dataclass(frozen=True)
-class Or:
+@_node
+class Or(_StateNode):
     args: tuple["StateFormula", ...]
 
     def __str__(self) -> str:
         return " | ".join(str(a) for a in self.args)
 
 
-@dataclass(frozen=True)
-class Prob:
+@_node
+class Prob(_StateNode):
     op: PathOp
     cmp: Cmp
     bound: Fraction
     body: "StateFormula"
+
+    def __new__(cls, op, cmp, bound, body):
+        # the bound is stored as a Fraction, so `1` and `Fraction(1)` give
+        # one node
+        if type(bound) is not Fraction:
+            bound = Fraction(bound)
+        return super().__new__(cls, op, cmp, bound, body)
 
     def __str__(self) -> str:
         if self.cmp is Cmp.GE and self.bound == 1:
@@ -106,7 +187,7 @@ class Prob:
             constraint = f"{self.cmp}{self.bound}"
         return f"{self.op}{constraint}[{self.body}]"
 
-    @property
+    @cached_property
     def path_formula(self) -> "PathFormula":
         return PathFormula(self.op, self.body)
 
@@ -114,8 +195,8 @@ class Prob:
 StateFormula = Union[Atom, NegAtom, And, Or, Prob]
 
 
-@dataclass(frozen=True)
-class PathFormula:
+@_node
+class PathFormula(_Node):
     """A bare F/G path formula, i.e. a probabilistic operator with the bound
     stripped.  Two Prob nodes that differ only in their constraint share one
     PathFormula."""
@@ -193,7 +274,8 @@ def iter_subformulas(f: StateFormula) -> Iterator[StateFormula]:
 
 
 def subformulas(f: StateFormula) -> frozenset[StateFormula]:
-    return frozenset(iter_subformulas(f))
+    """Every state subformula of f, including f; cached on the node."""
+    return f._subformulas
 
 
 def immediate_path_subformulas(f: StateFormula) -> frozenset[PathFormula]:
@@ -229,7 +311,7 @@ class FormulaSets:
 def formula_sets(X) -> FormulaSets:
     sub: set[StateFormula] = set()
     for f in X:
-        sub.update(iter_subformulas(f))
+        sub |= subformulas(f)
     psub = frozenset(g.path_formula for g in sub if isinstance(g, Prob))
     nsub = frozenset(g for g in sub if not isinstance(g, Prob))
     p = frozenset(f.path_formula for f in X if isinstance(f, Prob))
@@ -245,12 +327,8 @@ _CMP_RANK = {Cmp.GE: 0, Cmp.GT: 1, Cmp.LE: 2, Cmp.LT: 3}
 
 
 def sort_key(f: StateFormula):
-    rank = _TAG_RANK[type(f)]
-    if isinstance(f, (Atom, NegAtom)):
-        return (rank, f.name)
-    if isinstance(f, (And, Or)):
-        return (rank, len(f.args)) + tuple(sort_key(a) for a in f.args)
-    return (rank, _OP_RANK[f.op], _CMP_RANK[f.cmp], f.bound, sort_key(f.body))
+    """A total order on state formulas by structure; cached on the node."""
+    return f._sort_key
 
 
 def sorted_formulas(X) -> list[StateFormula]:

@@ -1,13 +1,15 @@
 import json
+import os
+import random
 import subprocess
 import sys
 
 import pytest
 
-from helpers import PSI_TEXT, fig1_chain
+from helpers import PSI_TEXT, fig1_chain, satisfied_instance
 
 from pctlfg.cli import main
-from pctlfg.formula import MAX_NESTING
+from pctlfg.formula import MAX_NESTING, fragment_classify
 from pctlfg.markov import MarkovChain, validate
 
 
@@ -302,6 +304,37 @@ def test_module_entry_point(model_path):
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert proc.stdout.strip() == "true"
+
+
+def test_compress_output_does_not_depend_on_the_hash_seed(tmp_path, model_path):
+    # formulas hash by identity, so formula sets iterate in allocation order
+    # and strings in hash-seed order: neither may reach the output.  The
+    # running example, then an L2 and a generic instance whose compression
+    # builds a progress loop.
+    jobs = [(model_path, "s", PSI_TEXT, "l2")]
+    for seed in (17, 103):
+        chain, state, f, _ = satisfied_instance(random.Random(seed),
+                                                max_states=8, depth=4)
+        path = tmp_path / f"seed{seed}.json"
+        path.write_text(chain.to_json())
+        fragment = "l2" if fragment_classify(f).in_l2 else "generic"
+        jobs.append((str(path), state, str(f), fragment))
+    assert [job[3] for job in jobs] == ["l2", "l2", "generic"]
+    trace_path = tmp_path / "trace.json"
+    for model, state, text, fragment in jobs:
+        outputs = set()
+        for hash_seed in ("0", "1", "7"):
+            proc = subprocess.run(
+                [sys.executable, "-m", "pctlfg", "compress", "--model", model,
+                 "--state", state, "--formula", text, "--fragment", fragment,
+                 "--json", "--trace", str(trace_path)],
+                capture_output=True, text=True,
+                env={**os.environ, "PYTHONHASHSEED": hash_seed})
+            assert proc.returncode == 0, proc.stderr
+            # the trace lists formula sets, so it shows a set printed in
+            # iteration order
+            outputs.add((proc.stdout, trace_path.read_text()))
+        assert len(outputs) == 1, (model, text)
 
 
 def test_emitted_model_json_revalidates(capsys, model_path):

@@ -9,7 +9,7 @@ import pytest
 
 from helpers import (
     PSI_TEXT, fig1_chain, random_chain, random_core_formula,
-    reference_block_refuted,
+    reference_block_refuted, satisfied_instance,
 )
 
 from pctlfg.etr import (
@@ -20,11 +20,12 @@ from pctlfg.etr import (
     solve_bounded_sat, uniform_assignment,
 )
 from pctlfg.formula import (
-    And, Atom, Cmp, NegAtom, PathOp, Prob, conj, disj, iter_subformulas,
-    parse_formula,
+    And, Atom, Cmp, NegAtom, PathOp, Prob, conj, disj, fragment_classify,
+    iter_subformulas, parse_formula,
 )
 from pctlfg.markov import MarkovChain, predecessor_masks, validate
 from pctlfg.modelcheck import ModelChecker
+from pctlfg.progress import compress_model
 
 pf = parse_formula
 
@@ -588,3 +589,20 @@ def test_solver_path_after_uniform_miss():
     assert result.solver_calls == backend.calls > 1
     assert validate(result.model) == []
     assert ModelChecker(result.model).holds(result.entry, f)
+
+
+def test_small_compressed_models_are_found_by_bounded_sat():
+    # the small-model side meets the bounded search: a compressed model with
+    # k <= 3 states is a model of size k, so the search up to k must not
+    # refute every candidate
+    rng = random.Random(3)
+    checked = 0
+    for _ in range(300):
+        chain, state, f, _ = satisfied_instance(rng, max_states=5, depth=3)
+        fragment = "l2" if fragment_classify(f).in_l2 else "generic"
+        model, _, _ = compress_model(chain, state, f, fragment=fragment, max_n=2)
+        k = len(model.states)
+        if k <= 3:
+            assert solve_bounded_sat(f, k).status != "unsat-up-to-n", (str(f), k)
+            checked += 1
+    assert checked > 250

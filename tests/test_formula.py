@@ -1,9 +1,13 @@
+import copy
+import pickle
 import random
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
 
-from helpers import random_chain, random_core_formula
+from helpers import PSI_TEXT, random_chain, random_core_formula
 
 from pctlfg.formula import (
     And, Atom, Cmp, NegAtom, Or, PathFormula, PathOp, PctlSyntaxError, Prob,
@@ -213,3 +217,73 @@ def test_sorted_formulas_deterministic():
     fs = [parse_formula(t) for t in ("b", "a", "!a", "a & b", "F>=1/2[a]")]
     assert [str(f) for f in sorted_formulas(fs)] == \
         ["a", "b", "!a", "a & b", "F>=1/2[a]"]
+
+
+# -- interning ---------------------------------------------------------------
+
+def test_equal_text_parses_to_one_node():
+    first = parse_formula(PSI_TEXT)
+    assert parse_formula(PSI_TEXT) is first
+    assert parse_formula(str(first)) is first
+
+
+def test_bound_is_interned_as_fraction():
+    node = Prob(PathOp.F, Cmp.GE, 1, Atom("a"))
+    assert node is Prob(PathOp.F, Cmp.GE, Fraction(1), Atom("a"))
+    assert type(node.bound) is Fraction
+    assert Prob(PathOp.G, Cmp.GT, Fraction(1, 2), Atom("a")).path_formula \
+        is PathFormula(PathOp.G, Atom("a"))
+
+
+def test_nodes_differing_in_one_field_are_distinct():
+    base = Prob(PathOp.F, Cmp.GE, Fraction(1, 2), Atom("a"))
+    variants = [
+        Prob(PathOp.G, Cmp.GE, Fraction(1, 2), Atom("a")),
+        Prob(PathOp.F, Cmp.GT, Fraction(1, 2), Atom("a")),
+        Prob(PathOp.F, Cmp.GE, Fraction(1, 3), Atom("a")),
+        Prob(PathOp.F, Cmp.GE, Fraction(1, 2), NegAtom("a")),
+    ]
+    for other in variants:
+        assert other is not base and other != base
+    assert len({base, *variants}) == 5
+    assert And((Atom("a"), Atom("b"))) is not Or((Atom("a"), Atom("b")))
+    assert Atom("a") is not NegAtom("a")
+
+
+@pytest.mark.parametrize("clone", [
+    copy.copy, copy.deepcopy, lambda f: pickle.loads(pickle.dumps(f)),
+], ids=["copy", "deepcopy", "pickle"])
+def test_copies_are_the_interned_node(clone):
+    for g in subformulas(parse_formula(PSI_TEXT)):
+        assert clone(g) is g
+        if isinstance(g, Prob):
+            assert clone(g.path_formula) is g.path_formula
+
+
+def test_threads_building_one_formula_get_one_node():
+    # every round builds a formula no one holds yet, from all threads at
+    # once; a lost race in the intern table would leave two live nodes
+    threads, rounds = 8, 100
+    barrier = threading.Barrier(threads, timeout=30)
+    built = [[] for _ in range(threads)]
+
+    def work(k):
+        for r in range(rounds):
+            barrier.wait()
+            built[k].append(Prob(PathOp.F, Cmp.GE, Fraction(1, r + 2),
+                                 Atom(f"x{r}")))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=work, args=(k,)) for k in range(threads)]
+        for w in workers:
+            w.start()
+        for w in workers:
+            w.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(w.is_alive() for w in workers)
+    assert all(len(nodes) == rounds for nodes in built)
+    for r in range(rounds):
+        assert len({id(nodes[r]) for nodes in built}) == 1, r
