@@ -5,25 +5,32 @@ complement duality, all four comparisons allowed on F).  For every model
 size up to the bound, candidate digraphs and subformula labelings are
 enumerated; a candidate fixes the topology, so correctness of each labeled
 F-subformula becomes a polynomial system over the positive edge variables.
-The enumeration builds one labeling, a vertex bitmask per subformula slot,
-as it chooses the label sets and screens each F-subformula's block from the
-graph alone, skipping the whole subtree of labelings on a contradiction:
-with prob0/prob1 of the body's set, a reach value is exactly 0 or 1 there
-and strictly inside (0, 1) elsewhere.  A graph is its tuple of successor
-masks, the format of `markov`'s graph layer; each graph builds its
-predecessor masks once and calls `markov.prob01` on them once per step and
-body mask, turning the answer into a (care, want) mask pair: a label set m
-passes iff m & care == want.  Each surviving candidate is first tried with
-the uniform assignment; only a miss is shipped to a pluggable SMT backend.
-An assignment fixes the chain, so it is confirmed by that chain's
-`ModelChecker`, the package's one exact evaluator: each block's reach values
-are its `reach_probabilities` of the body mask.  A confirmed assignment is
-rebuilt into a Markov chain that is re-verified against the original
-formula.
+Satisfaction at a state depends only on the states it reaches, so a model
+is looked for at vertex 0 of a rooted graph: vertex 0 reaches every
+vertex, only one graph per isomorphism class under relabelings that fix
+vertex 0 is tried (McKay, "Isomorph-free exhaustive generation",
+J. Algorithms 1998), and a labeling is emitted only when vertex 0 carries
+the whole formula.  The enumeration builds one labeling, a vertex bitmask
+per subformula slot, as it chooses the label sets and screens each
+F-subformula's block from the graph alone, skipping the whole subtree of
+labelings on a contradiction: with prob0/prob1 of the body's set, a reach
+value is exactly 0 or 1 there and strictly inside (0, 1) elsewhere.  A
+graph is its tuple of successor masks, the format of `markov`'s graph
+layer; each graph builds its predecessor masks once and calls
+`markov.prob01` on them once per step and body mask, turning the answer
+into a (care, want) mask pair: a label set m passes iff m & care == want.
+Each surviving candidate is first tried with the uniform assignment; only a
+miss is shipped to a pluggable SMT backend.  An assignment fixes the chain,
+so it is confirmed by that chain's `ModelChecker`, the package's one exact
+evaluator: each block's reach values are its `reach_probabilities` of the
+body mask.  The chain is built with the candidate's valuation, so a
+confirmed assignment is a model, which the same checker re-verifies against
+the original formula at vertex 0.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import os
 import re
@@ -38,7 +45,10 @@ from .formula import (
     And, Atom, Cmp, NegAtom, Or, PathOp, Prob, StateFormula, conj, disj,
     is_core, is_trivial_bound, iter_subformulas,
 )
-from .markov import MarkovChain, predecessor_masks, prob01
+from .markov import (
+    MarkovChain, predecessor_masks, prob01, states_reachable_from,
+    states_with_path_to,
+)
 from .modelcheck import ModelChecker
 
 
@@ -88,9 +98,10 @@ def _choice_order(f: StateFormula,
                   ) -> list[tuple[StateFormula, tuple[StateFormula, ...]]]:
     """The distinct subformulas of `f` in the order the enumeration labels
     them, as (choice, completed) steps.  The choices are the atoms in sorted
-    order (also those that occur only negated, whose sets reconstruction
-    reads back), then the F-subformulas bottom-up, a node's body before it.  The NegAtom/And/Or nodes a choice
-    completes follow it, children before parents."""
+    order (also those that occur only negated, whose sets the valuation of
+    a confirmed chain reads back), then the F-subformulas bottom-up, a
+    node's body before it.  The NegAtom/And/Or nodes a choice completes
+    follow it, children before parents."""
     nodes: dict[StateFormula, None] = {}
 
     def walk(g: StateFormula):
@@ -129,7 +140,9 @@ class ETRCandidate:
 
     Vertices are 0..size-1 (rendered as v1..v{size}); every vertex has
     out-degree at least one.  Boolean labelings are forced from the free
-    atom and F-subformula sets; the whole-formula label set is nonempty.
+    atom and F-subformula sets.  `consistent` asks for a nonempty
+    whole-formula label set; the enumeration emits only those that contain
+    vertex 0.
     """
 
     size: int
@@ -163,28 +176,76 @@ class ETRCandidate:
         return problems
 
 
-def _graphs(size: int):
-    """All digraphs on `size` vertices with out-degree >= 1 everywhere, as
-    tuples of successor bitmasks in canonical order (last vertex fastest)."""
-    return itertools.product(range(1, 1 << size), repeat=size)
+@functools.cache
+def _graphs(size: int) -> tuple[tuple[int, ...], ...]:
+    """The rooted digraphs on `size` vertices, one per isomorphism class
+    under the relabelings that fix vertex 0, as tuples of successor
+    bitmasks in lexicographic order.  Every vertex has out-degree >= 1,
+    vertex 0 reaches every vertex, and each tuple is the least of its
+    relabelings.  Orderly generation (Read 1978): the rows are chosen one
+    vertex at a time, counting up, and a prefix is only extended while no
+    relabeling is already smaller on the rows that both fix.  Built on
+    first use per size (1, 6, 112 and 5856 graphs for sizes 1 to 4)."""
+    full = (1 << size) - 1
+    # per relabeling p other than the identity: the image of every vertex
+    # mask, and the vertex p sends to each position (relabeled row k is the
+    # image of row inverse[k])
+    relabelings = []
+    for rest in itertools.permutations(range(1, size)):
+        p = (0, *rest)
+        if p != tuple(range(size)):
+            image = [sum(1 << p[v] for v in range(size) if m >> v & 1)
+                     for m in range(full + 1)]
+            relabelings.append((image, [p.index(k) for k in range(size)]))
+    rows: list[int] = []
+
+    def beaten() -> bool:
+        fixed = len(rows)
+        for image, inverse in relabelings:
+            for k in range(fixed):
+                if inverse[k] >= fixed:
+                    break
+                row = image[rows[inverse[k]]]
+                if row != rows[k]:
+                    if row < rows[k]:
+                        return True
+                    break
+        return False
+
+    def extend():
+        if len(rows) == size:
+            if states_reachable_from(rows, 1) == full:
+                yield tuple(rows)
+            return
+        for row in range(1, full + 1):
+            rows.append(row)
+            if not beaten():
+                yield from extend()
+            rows.pop()
+
+    return tuple(extend())
 
 
 def enumerate_candidates(f: StateFormula, bound: int,
                          _result: SatSearchResult | None = None):
     """Streams every candidate for models of up to `bound` states that the
-    interval screen does not refute, in deterministic order: size
-    ascending, then graphs canonically, then labelings lexicographically
-    (atom sets before F-subformula sets, each a subset bitmask counting
-    up).  One labeling is built as the sets are chosen, as a list of vertex
-    bitmasks indexed by the integer slot of each subformula; the formula
-    dict is only built for an emitted candidate.  An F-subformula's set is
-    only chosen among those its block screen lets through, and each set it
-    refutes skips a whole subtree of labelings (counted in
-    `_result.refuted`).  The screen depends only on the graph, the step and
-    the body's set, so each graph builds its predecessor masks once, calls
-    `prob01` once per (step, body set) and keeps the sets m with
-    m & care == want (see `_screen`).  Only candidates whose whole-formula
-    label set is nonempty are emitted."""
+    block screen does not refute and whose vertex 0 carries the whole
+    formula, in deterministic order: size ascending, then the rooted
+    canonical graphs of `_graphs` lexicographically, then labelings
+    lexicographically (atom sets before F-subformula sets, each a subset
+    bitmask counting up).  One labeling is built as the sets are chosen, as
+    a list of vertex bitmasks indexed by the integer slot of each
+    subformula; the formula dict is only built for an emitted candidate.
+    An F-subformula's set is only chosen among those its block screen lets
+    through, and each set it refutes skips a whole subtree of labelings
+    (counted in `_result.refuted`).  The screen depends only on the graph,
+    the step and the body's set, so each graph builds its predecessor masks
+    once, calls `prob01` once per (step, body set) and keeps the sets m
+    with m & care == want (see `_screen`).  A model of at most `bound`
+    states, cut down to the states its entry reaches and relabeled with the
+    entry as vertex 0, is a candidate of the stream, so every verdict is
+    the one of the enumeration over all digraphs that emits every nonempty
+    whole-formula set."""
     if bound < 1:
         raise ValueError("bound must be at least 1")
     steps = _choice_order(f)
@@ -216,7 +277,7 @@ def enumerate_candidates(f: StateFormula, bound: int,
 
             def assign(index: int):
                 if index == len(compiled):
-                    if labels[root]:
+                    if labels[root] & 1:
                         edges = tuple((i, j) for i in range(size)
                                       for j in range(size) if succ[i] >> j & 1)
                         yield ETRCandidate(size, edges, {
@@ -254,27 +315,28 @@ class CorrectnessBlock:
     """The correctness constraints of one labeled F-subformula: given the
     body's label set, the reach variables are 1 on it, 0 on the vertices
     with no path to it, linear combinations elsewhere, and compared against
-    the bound inside/outside the formula's label set.  `sure` holds the
-    vertices outside the body set that reach it with probability 1 under
-    every positive assignment (prob1 of the graph)."""
+    the bound inside/outside the formula's label set."""
 
     formula: Prob
     body_set: frozenset[int]
     out_set: frozenset[int]
     other: tuple[int, ...]
     in_set: frozenset[int]
-    sure: frozenset[int]
 
 
 @dataclass(frozen=True)
 class ETRSystem:
     """Existential constraints for one candidate: positive edge variables x
     that row-stochastically sum per vertex, plus one reach-variable block per
-    F-subformula.  Constraint count is linear in |edges| + size * blocks."""
+    F-subformula.  Constraint count is linear in |edges| + size * blocks.
+    `valuation` holds each vertex's atoms, read off the candidate's atom
+    sets: no constraint mentions them, but the chain an assignment defines
+    carries them, so a confirmed assignment is a model."""
 
     size: int
     edges: tuple[tuple[int, int], ...]
     blocks: tuple[CorrectnessBlock, ...]
+    valuation: tuple[frozenset[str], ...]
 
     def edge_index(self) -> dict[tuple[int, int], int]:
         return {e: i for i, e in enumerate(self.edges)}
@@ -289,17 +351,16 @@ def _block(pred, node: Prob, body_set: frozenset[int],
            in_set: frozenset[int]) -> CorrectnessBlock:
     """The block of `node` for the given body set in the graph with
     predecessor masks `pred`: the cut-off set is prob0, the vertices with
-    no path into it, and `sure` is prob1 minus the body set."""
-    body = _mask(body_set)
-    prob0, prob1 = prob01(pred, body)
+    no path into the body set."""
     vertices = range(len(pred))
+    reaching = states_with_path_to(pred, _mask(body_set))
     return CorrectnessBlock(
         formula=node,
         body_set=body_set,
-        out_set=frozenset(v for v in vertices if prob0 >> v & 1),
-        other=tuple(v for v in vertices if not (prob0 | body) >> v & 1),
+        out_set=frozenset(v for v in vertices if not reaching >> v & 1),
+        other=tuple(v for v in vertices
+                    if reaching >> v & 1 and v not in body_set),
         in_set=in_set,
-        sure=frozenset(v for v in vertices if (prob1 & ~body) >> v & 1),
     )
 
 
@@ -313,7 +374,13 @@ def encode(candidate: ETRCandidate) -> ETRSystem:
                      candidate.labeling[node])
               for node, _ in _choice_order(candidate.formula)
               if isinstance(node, Prob)]
-    return ETRSystem(candidate.size, candidate.edges, tuple(blocks))
+    valuation = [set() for _ in range(candidate.size)]
+    for g, vertices in candidate.labeling.items():
+        if isinstance(g, Atom):
+            for v in vertices:
+                valuation[v].add(g.name)
+    return ETRSystem(candidate.size, candidate.edges, tuple(blocks),
+                     tuple(map(frozenset, valuation)))
 
 
 def _mask(vertices) -> int:
@@ -342,20 +409,6 @@ def _screen(verdicts, prob0: int, prob1: int, full: int) -> tuple[int, int]:
     return care, want
 
 
-def _block_interval_contradiction(size: int, block: CorrectnessBlock) -> bool:
-    """Sound refutation from the graph alone, by the enumeration's mask
-    rule (`_screen`): prob1 is the body set plus `sure`, prob0 the cut-off
-    set."""
-    care, want = _screen(_verdicts(block.formula), _mask(block.out_set),
-                         _mask(block.body_set | block.sure), (1 << size) - 1)
-    return _mask(block.in_set) & care != want
-
-
-def interval_refuted(system: ETRSystem) -> bool:
-    return any(_block_interval_contradiction(system.size, block)
-               for block in system.blocks)
-
-
 def uniform_assignment(system: ETRSystem) -> dict[tuple[int, int], Fraction]:
     """Every vertex's outgoing edges share its probability mass equally."""
     out_degree = [0] * system.size
@@ -365,11 +418,13 @@ def uniform_assignment(system: ETRSystem) -> dict[tuple[int, int], Fraction]:
 
 
 def check_assignment(system: ETRSystem, assignment: dict[tuple[int, int], Fraction],
-                     ) -> bool:
+                     ) -> ModelChecker | None:
     """Exact substitution oracle: builds the chain the edge probabilities
-    define, takes each block's reach values from its `ModelChecker` and
-    evaluates every comparison.  Raises on assignments violating the range
-    or row-sum constraints."""
+    define, with states v1..v{size} carrying the system's valuation, takes
+    each block's reach values from its `ModelChecker` and evaluates every
+    comparison.  Returns that checker, whose `chain` is then a model of the
+    labeling, when every comparison holds and None otherwise.  Raises on
+    assignments violating the range or row-sum constraints."""
     for edge in system.edges:
         if edge not in assignment:
             raise ValueError(f"no probability for edge {edge}")
@@ -382,17 +437,17 @@ def check_assignment(system: ETRSystem, assignment: dict[tuple[int, int], Fracti
         if total != 1:
             raise ValueError(f"outgoing probabilities of v{v + 1} sum to {total}")
 
-    vertices = [str(v) for v in range(system.size)]
-    mc = ModelChecker(MarkovChain(vertices, {
-        (vertices[i], vertices[j]): Fraction(assignment[(i, j)])
-        for i, j in system.edges}, {}))
+    names = [f"v{v + 1}" for v in range(system.size)]
+    mc = ModelChecker(MarkovChain(names, {
+        (names[i], names[j]): Fraction(assignment[(i, j)])
+        for i, j in system.edges}, dict(zip(names, system.valuation))))
     for block in system.blocks:
         values = mc.reach_probabilities(_mask(block.body_set)).values()
         cmp, r = block.formula.cmp, block.formula.bound
         for v, value in enumerate(values):
             if cmp.holds(value, r) != (v in block.in_set):
-                return False
-    return True
+                return None
+    return mc
 
 
 # ---------------------------------------------------------------------------
@@ -585,24 +640,6 @@ def candidate_from_chain(chain: MarkovChain, f: StateFormula) -> ETRCandidate:
     return ETRCandidate(len(chain.states), edges, labeling, f)
 
 
-def chain_from_candidate(candidate: ETRCandidate,
-                         assignment: dict[tuple[int, int], Fraction],
-                         ) -> tuple[MarkovChain, str]:
-    """Rebuilds a Markov chain from a candidate and its edge probabilities;
-    the entry is the smallest vertex labeled with the whole formula."""
-    names = [f"v{i + 1}" for i in range(candidate.size)]
-    valuation = {name: set() for name in names}
-    for g, vertices in candidate.labeling.items():
-        if isinstance(g, Atom):
-            for v in vertices:
-                valuation[names[v]].add(g.name)
-    edges = {(names[i], names[j]): Fraction(p)
-             for (i, j), p in assignment.items()}
-    chain = MarkovChain(names, edges, valuation)
-    entry = names[min(candidate.labeling[candidate.formula])]
-    return chain, entry
-
-
 def solve_bounded_sat(f: StateFormula, bound: int, *,
                       backend: SolverBackend | None = None,
                       dump_dir: str | None = None,
@@ -615,12 +652,13 @@ def solve_bounded_sat(f: StateFormula, bound: int, *,
     subtrees the screen skipped.  Each survivor is first tried with the
     uniform assignment (one `check_assignment` call); a miss goes to the
     backend, if any, whose answer is confirmed by `check_assignment` too.
-    A confirmed assignment is rebuilt into a chain and re-verified against
-    the original formula before being returned.  With `emit_only` the
-    systems are only written, nothing is decided.  The result is
-    unsat-up-to-n only when every candidate was refuted; unknown when no
-    survivor's uniform assignment is a model and some survivor was left
-    undecided by the backend, or there is none.
+    The checker that confirms an assignment holds its chain, which is
+    re-verified against the original formula at its entry, vertex 0,
+    before being returned.  With `emit_only` the systems are only written,
+    nothing is decided.  The result is unsat-up-to-n only when every
+    candidate was refuted; unknown when no survivor's uniform assignment is
+    a model and some survivor was left undecided by the backend, or there
+    is none.
     """
     if bound < 1:
         raise ValueError("bound must be at least 1")
@@ -640,8 +678,8 @@ def solve_bounded_sat(f: StateFormula, bound: int, *,
         if emit_only:
             undecided = True
             continue
-        assignment = uniform_assignment(system)
-        if not check_assignment(system, assignment):
+        mc = check_assignment(system, uniform_assignment(system))
+        if mc is None:
             if backend is None:
                 undecided = True
                 continue
@@ -662,18 +700,18 @@ def solve_bounded_sat(f: StateFormula, bound: int, *,
             except KeyError as exc:
                 raise BackendError(f"solver model is missing {exc}") from exc
             try:
-                confirmed = check_assignment(system, assignment)
+                mc = check_assignment(system, assignment)
             except ValueError:
-                confirmed = False  # the rationalized values are not even a chain
-            if not confirmed:
+                mc = None  # the rationalized values are not even a chain
+            if mc is None:
                 undecided = True  # exact confirmation failed
                 continue
-        chain, entry = chain_from_candidate(candidate, assignment)
-        if not ModelChecker(chain).holds(entry, f):
+        entry = mc.chain.states[0]
+        if not mc.holds(entry, f):
             raise RuntimeError(
                 "internal error: reconstructed model fails re-verification")
         result.status = "sat"
-        result.model = chain
+        result.model = mc.chain
         result.entry = entry
         return result
     if undecided:

@@ -384,7 +384,9 @@ class SProb:
 
 SurfaceFormula = Union[SAtom, SNot, SAnd, SOr, SProb]
 
-_SYMBOLS = (">=", "<=", ">", "<", "=", "!", "&", "|", "(", ")", "[", "]", "/")
+# the first characters of the symbol tokens; "<" and ">" also start "<="
+# and ">="
+_SYMBOLS = frozenset("<>=!&|()[]/")
 
 
 class _Token:
@@ -412,15 +414,12 @@ def _tokenize(text: str) -> list[_Token]:
             col += 1
             i += 1
             continue
-        matched = False
-        for sym in _SYMBOLS:
-            if text.startswith(sym, i):
-                tokens.append(_Token("sym", sym, line, col))
-                i += len(sym)
-                col += len(sym)
-                matched = True
-                break
-        if matched:
+        if ch in _SYMBOLS:
+            # the only two-character symbols are >= and <=
+            sym = ch + "=" if ch in "<>" and text.startswith("=", i + 1) else ch
+            tokens.append(_Token("sym", sym, line, col))
+            i += len(sym)
+            col += len(sym)
             continue
         if ch.isdigit():
             j = i

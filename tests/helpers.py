@@ -8,11 +8,15 @@ Gauss-Jordan elimination on Fractions and reach probabilities that pin only
 the states with no path to the targets; the reference satisfaction sets
 are built on them by recursion over name sets; the reference block screen
 compares each vertex's reach value against the bound one `Fraction` at a
-time.
+time, next to the block form of the enumeration's mask screen.  The
+reference bounded search enumerates every digraph and emits every nonempty
+whole-formula label set; the library's search is rooted at vertex 0 and
+tries one graph per isomorphism class.
 """
 
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -20,8 +24,14 @@ from pctlfg.formula import (
     And, Atom, Cmp, NegAtom, Or, PathOp, Prob, StateFormula, conj, disj,
     parse_formula,
 )
+from pctlfg.etr import (
+    ETRCandidate, SatSearchResult, _choice_order, _mask, _screen, _verdicts,
+    check_assignment, encode, f_normal_form, uniform_assignment,
+)
 from pctlfg.linalg import SingularMatrixError
-from pctlfg.markov import MarkovChain, scc_decompose
+from pctlfg.markov import (
+    MarkovChain, predecessor_masks, prob01, scc_decompose,
+)
 from pctlfg.modelcheck import ModelChecker
 
 PSI_TEXT = "G=1[F>=0.5[a & F>=0.2[!a]] | a] & F=1[G=1[a]] & !a"
@@ -293,14 +303,48 @@ def reference_sat_set(chain: MarkovChain, f: StateFormula) -> frozenset[str]:
     return frozenset(s for s in states if f.cmp.holds(vec[s], f.bound))
 
 
-def reference_block_refuted(size, block):
-    """`etr._block_interval_contradiction` vertex by vertex on Fractions: a
+def all_graphs(size: int):
+    """Every digraph on `size` vertices with out-degree >= 1 everywhere, as
+    tuples of successor bitmasks, last vertex fastest."""
+    return itertools.product(range(1, 1 << size), repeat=size)
+
+
+def sure_vertices(pred, body_set) -> frozenset[int]:
+    """The vertices outside `body_set` that reach it with probability 1
+    under every positive assignment of the graph with predecessor masks
+    `pred`: prob1 minus the body set."""
+    body = _mask(body_set)
+    prob1 = prob01(pred, body)[1] & ~body
+    return frozenset(v for v in range(len(pred)) if prob1 >> v & 1)
+
+
+def block_interval_contradiction(size, block, sure) -> bool:
+    """The enumeration's mask screen (`etr._screen`) on one block: prob1 is
+    the body set plus `sure`, prob0 the cut-off set."""
+    care, want = _screen(_verdicts(block.formula), _mask(block.out_set),
+                         _mask(block.body_set | sure), (1 << size) - 1)
+    return _mask(block.in_set) & care != want
+
+
+def interval_refuted(system) -> bool:
+    """Whether the mask screen refutes some block of the system."""
+    pred = [0] * system.size
+    for i, j in system.edges:
+        pred[j] |= 1 << i
+    return any(
+        block_interval_contradiction(
+            system.size, block, sure_vertices(pred, block.body_set))
+        for block in system.blocks)
+
+
+def reference_block_refuted(size, block, sure):
+    """`block_interval_contradiction` vertex by vertex on Fractions: a
     reach value is exactly 1 on the body set and `sure`, exactly 0 on the
     cut-off set and strictly inside (0, 1) elsewhere."""
     cmp, r = block.formula.cmp, block.formula.bound
     for v in range(size):
         inside = v in block.in_set
-        if v in block.body_set or v in block.sure:
+        if v in block.body_set or v in sure:
             value = Fraction(1)
         elif v in block.out_set:
             value = Fraction(0)
@@ -311,3 +355,65 @@ def reference_block_refuted(size, block):
         if cmp.holds(value, r) != inside:
             return True
     return False
+
+
+def reference_candidates(f: StateFormula, bound: int,
+                         result: SatSearchResult | None = None):
+    """The enumeration before its graphs were rooted: every digraph of
+    `all_graphs`, every labeling the block screen lets through (refuted
+    label sets counted in `result.refuted`) and every nonempty
+    whole-formula set, in the order of `etr.enumerate_candidates`.  Each
+    labeling is rebuilt as frozensets at every step."""
+    steps = _choice_order(f)
+    for size in range(1, bound + 1):
+        full = (1 << size) - 1
+        subsets = [frozenset(v for v in range(size) if m >> v & 1)
+                   for m in range(full + 1)]
+        for succ in all_graphs(size):
+            pred = predecessor_masks(succ)
+            edges = tuple((i, j) for i in range(size) for j in range(size)
+                          if succ[i] >> j & 1)
+
+            def assign(index, labeling):
+                if index == len(steps):
+                    if labeling[f]:
+                        yield ETRCandidate(size, edges, dict(labeling), f)
+                    return
+                node, completed = steps[index]
+                choices = subsets
+                if isinstance(node, Prob):
+                    body = _mask(labeling[node.body])
+                    care, want = _screen(_verdicts(node), *prob01(pred, body),
+                                         full)
+                    choices = [m for m in subsets if _mask(m) & care == want]
+                    if result is not None:
+                        result.refuted += len(subsets) - len(choices)
+                for chosen in choices:
+                    labeling[node] = chosen
+                    for g in completed:
+                        if isinstance(g, NegAtom):
+                            labeling[g] = subsets[full] - labeling[Atom(g.name)]
+                        elif isinstance(g, And):
+                            labeling[g] = subsets[full].intersection(
+                                *(labeling[a] for a in g.args))
+                        else:
+                            labeling[g] = frozenset().union(
+                                *(labeling[a] for a in g.args))
+                    yield from assign(index + 1, labeling)
+
+            yield from assign(0, {})
+
+
+def reference_search(f: StateFormula, bound: int) -> SatSearchResult:
+    """`etr.solve_bounded_sat` without a backend over `reference_candidates`:
+    sat at the first candidate the uniform assignment confirms, else
+    unknown when some candidate was tried and unsat-up-to-n otherwise."""
+    result = SatSearchResult("unsat-up-to-n")
+    for candidate in reference_candidates(f_normal_form(f), bound, result):
+        result.candidates += 1
+        system = encode(candidate)
+        if check_assignment(system, uniform_assignment(system)) is not None:
+            result.status = "sat"
+            return result
+        result.status = "unknown"
+    return result

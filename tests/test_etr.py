@@ -8,22 +8,26 @@ from fractions import Fraction
 import pytest
 
 from helpers import (
-    PSI_TEXT, fig1_chain, random_chain, random_core_formula,
-    reference_block_refuted, satisfied_instance,
+    PSI_TEXT, all_graphs, block_interval_contradiction, fig1_chain,
+    interval_refuted, random_chain, random_core_formula,
+    reference_block_refuted, reference_candidates, reference_search,
+    satisfied_instance, sure_vertices,
 )
 
+import pctlfg.etr
 from pctlfg.etr import (
     BackendError, CorrectnessBlock, ETRCandidate, SatSearchResult,
-    SolverBackend, _block, _block_interval_contradiction, _graphs,
-    candidate_from_chain, chain_from_candidate, check_assignment, encode,
-    enumerate_candidates, f_normal_form, interval_refuted, smt_text,
-    solve_bounded_sat, uniform_assignment,
+    SolverBackend, _block, _graphs, candidate_from_chain, check_assignment,
+    encode, enumerate_candidates, f_normal_form, smt_text, solve_bounded_sat,
+    uniform_assignment,
 )
 from pctlfg.formula import (
     And, Atom, Cmp, NegAtom, PathOp, Prob, conj, disj, fragment_classify,
     iter_subformulas, parse_formula,
 )
-from pctlfg.markov import MarkovChain, predecessor_masks, validate
+from pctlfg.markov import (
+    MarkovChain, predecessor_masks, states_reachable_from, validate,
+)
 from pctlfg.modelcheck import ModelChecker
 from pctlfg.progress import compress_model
 
@@ -101,12 +105,9 @@ def test_enumerate_boolean_propagation():
         assert c.labeling[f]
 
 
-def _all_graphs(size):
-    pairs = [(i, j) for i in range(size) for j in range(size)]
-    for chosen in itertools.product((False, True), repeat=len(pairs)):
-        edges = tuple(e for e, keep in zip(pairs, chosen) if keep)
-        if {i for i, _ in edges} == set(range(size)):
-            yield edges
+def _edges(succ):
+    return tuple((i, j) for i in range(len(succ)) for j in range(len(succ))
+                 if succ[i] >> j & 1)
 
 
 def _labeled_keys(f):
@@ -114,15 +115,60 @@ def _labeled_keys(f):
     return keys | {Atom(g.name) for g in keys if isinstance(g, NegAtom)}
 
 
+def _relabelings(size):
+    # every permutation of the vertices that fixes vertex 0
+    return [(0, *rest) for rest in itertools.permutations(range(1, size))]
+
+
+def _relabel(succ, p):
+    # the graph with vertex v renamed p[v]
+    moved = [0] * len(succ)
+    for v, mask in enumerate(succ):
+        moved[p[v]] = sum(1 << p[w] for w in range(len(succ)) if mask >> w & 1)
+    return tuple(moved)
+
+
+def test_graph_counts_pinned():
+    # rooted digraphs with out-degree >= 1 up to relabelings fixing the root
+    # (the full products have 1, 9, 343 and 50,625)
+    assert [len(_graphs(n)) for n in (1, 2, 3, 4)] == [1, 6, 112, 5856]
+
+
+def test_graphs_are_one_rooted_canonical_graph_per_class():
+    # reference: the least relabeling of every digraph whose vertex 0
+    # reaches every vertex, in lexicographic order
+    for size in (1, 2, 3):
+        full = (1 << size) - 1
+        perms = _relabelings(size)
+        want = sorted({min(_relabel(succ, p) for p in perms)
+                       for succ in all_graphs(size)
+                       if states_reachable_from(succ, 1) == full})
+        assert list(_graphs(size)) == want, size
+    # at size 4, the orbits under the six relabelings are disjoint and
+    # cover every rooted digraph
+    perms = _relabelings(4)
+    covered = set()
+    for succ in _graphs(4):
+        orbit = {_relabel(succ, p) for p in perms}
+        assert min(orbit) == succ and not orbit & covered
+        covered |= orbit
+    assert covered == {succ for succ in all_graphs(4)
+                       if states_reachable_from(succ, 1) == 15}
+
+
 def test_enumeration_is_every_consistent_unrefuted_candidate():
     # reference: every labeling of every key on every graph, kept when the
-    # Boolean rules hold and the interval screen does not refute it
+    # Boolean rules hold and the interval screen does not refute it; that is
+    # the full enumeration, and the library's stream is the part of it on
+    # the rooted canonical graphs whose vertex 0 carries the formula
     rng = random.Random(127)
     formulas = []
     while len(formulas) < 12:
         f = f_normal_form(random_core_formula(rng, depth=3))
         if 3 <= len(_labeled_keys(f)) <= 6 and f not in formulas:
             formulas.append(f)
+    rooted = {_edges(succ) for size in (1, 2) for succ in _graphs(size)}
+    kept = 0
     for f in formulas:
         keys = sorted(_labeled_keys(f), key=str)
         want = set()
@@ -134,18 +180,47 @@ def test_enumeration_is_every_consistent_unrefuted_candidate():
                 # the Boolean rules do not depend on the edges
                 if ETRCandidate(size, (), labeling, f).consistent():
                     continue
-                for edges in _all_graphs(size):
-                    c = ETRCandidate(size, edges, labeling, f)
+                for succ in all_graphs(size):
+                    c = ETRCandidate(size, _edges(succ), labeling, f)
                     if not interval_refuted(encode(c)):
-                        want.add((size, edges, frozenset(labeling.items())))
+                        want.add((size, c.edges, frozenset(labeling.items())))
+        full = [(c.size, c.edges, frozenset(c.labeling.items()))
+                for c in reference_candidates(f, 2)]
+        assert len(full) == len(set(full)), f
+        assert set(full) == want, f
         got = [(c.size, c.edges, frozenset(c.labeling.items()))
                for c in enumerate_candidates(f, 2)]
         assert len(got) == len(set(got)), f
-        assert set(got) == want, f
+        assert set(got) == {(size, edges, labeling)
+                            for size, edges, labeling in want
+                            if edges in rooted and 0 in dict(labeling)[f]}, f
+        kept += len(got)
+    assert kept > 0
+
+
+def _stream_figures(candidates, result):
+    h = hashlib.sha256()
+    emitted = 0
+    for c in candidates:
+        emitted += 1
+        h.update(repr((c.size, c.edges, sorted(
+            (str(k), sorted(v)) for k, v in c.labeling.items()))).encode())
+    return emitted, result.refuted, h.hexdigest()[:16]
+
+
+# the rooted stream at bound 3: emitted, refuted, digest
+ROOTED_STREAM = {
+    "b & F>=1/2[G>=3/4[b]]": (159, 12828, "002a07a052d00f42"),
+    "F>=1/4[F>=3/4[F>=3/4[a]]]": (859, 19470, "d7a4cbd628e893b5"),
+    "G>=1/5[F=1[b] | b]": (721, 12688, "8713b8d96a3f559e"),
+    "F>=3/4[b] & F>1/2[F>0[b]]": (811, 19350, "92c50bbcf42dd39c"),
+    "F>=1/4[F>0[G=1[!a]]]": (205, 19038, "fc45f3471781cc4b"),
+}
 
 
 @pytest.mark.parametrize("text, count, refuted, digest", [
-    # measured with the formula-keyed enumeration this stream replaced
+    # the full enumeration over every digraph, as measured with the
+    # formula-keyed enumeration it replaced
     ("b & F>=1/2[G>=3/4[b]]", 971, 39116, "1aa3f2c573dbc9a1"),
     ("F>=1/4[F>=3/4[F>=3/4[a]]]", 2681, 59466, "65aa5999d7c25b7c"),
     ("G>=1/5[F=1[b] | b]", 2059, 38624, "de850b9371f48696"),
@@ -154,16 +229,15 @@ def test_enumeration_is_every_consistent_unrefuted_candidate():
 ])
 def test_stream_pinned_at_bound_three(text, count, refuted, digest):
     # the first seeded core formulas (Random(151), depth 3) with at least
-    # two F-subformulas and at most five labeled keys after normalization
+    # two F-subformulas and at most five labeled keys after normalization;
+    # the parameters pin the reference stream, ROOTED_STREAM the library's
+    f = f_normal_form(pf(text))
     result = SatSearchResult("unknown")
-    h = hashlib.sha256()
-    emitted = 0
-    for c in enumerate_candidates(f_normal_form(pf(text)), 3, _result=result):
-        emitted += 1
-        h.update(repr((c.size, c.edges, sorted(
-            (str(k), sorted(v)) for k, v in c.labeling.items()))).encode())
-    assert (emitted, result.refuted, h.hexdigest()[:16]) == \
+    assert _stream_figures(reference_candidates(f, 3, result), result) == \
         (count, refuted, digest)
+    result = SatSearchResult("unknown")
+    assert _stream_figures(enumerate_candidates(f, 3, _result=result),
+                           result) == ROOTED_STREAM[text]
 
 
 def test_enumeration_deterministic():
@@ -276,7 +350,8 @@ def test_encoding_faithfulness_randomized():
         labels_agree = all(
             candidate.labeling[g] == frozenset(pos[s] for s in mc.sat_set(g))
             for g in f_nodes)
-        assert check_assignment(encode(candidate), truth) == labels_agree
+        confirmed = check_assignment(encode(candidate), truth) is not None
+        assert confirmed == labels_agree
         if labels_agree:
             agreeing += 1
         else:
@@ -313,16 +388,70 @@ def test_psi_unsat_at_two(psi):
     assert result.solver_calls == 0
 
 
+# the rooted search: candidates, refuted
+ROOTED_SEARCH = {
+    "F=1[a] & G=1[!a]": (0, 12692),
+    PSI_TEXT: (0, 370),
+    "F>1/2[a] & !a": (1, 11),
+    "F>=0.5[a & F>=0.2[!a]] & !a & b": (1, 68),
+}
+
+
 @pytest.mark.parametrize("text, bound, status, candidates, refuted", [
+    # the full enumeration's search (reference_search)
     ("F=1[a] & G=1[!a]", 3, "unsat-up-to-n", 0, 38636),
     (PSI_TEXT, 2, "unsat-up-to-n", 0, 550),
     ("F>1/2[a] & !a", 2, "sat", 1, 8),
     ("F>=0.5[a & F>=0.2[!a]] & !a & b", 2, "sat", 1, 338),
 ])
 def test_search_counts_pinned(text, bound, status, candidates, refuted):
+    # the parameters pin the reference search, ROOTED_SEARCH the library's,
+    # which reaches the same verdict
+    reference = reference_search(pf(text), bound)
+    assert (reference.status, reference.candidates, reference.refuted) == \
+        (status, candidates, refuted)
     result = solve_bounded_sat(pf(text), bound)
     assert (result.status, result.candidates, result.refuted) == \
-        (status, candidates, refuted)
+        (status, *ROOTED_SEARCH[text])
+
+
+def test_verdicts_match_the_full_enumeration():
+    # rooting the graphs at the formula's state and trying one graph per
+    # isomorphism class changes no verdict: seeded formulas at every bound
+    # up to 3, against the search over every digraph; conjunctions of two
+    # random formulas give all three verdicts
+    rng = random.Random(157)
+    seen = set()
+    verdicts = {"sat": 0, "unsat-up-to-n": 0, "unknown": 0}
+    while len(seen) < 60:
+        f = conj([random_core_formula(rng, depth=2) for _ in range(2)])
+        if f in seen or len(_labeled_keys(f_normal_form(f))) > 6:
+            continue
+        seen.add(f)
+        for n in (1, 2, 3):
+            want = reference_search(f, n).status
+            assert solve_bounded_sat(f, n).status == want, (str(f), n)
+            verdicts[want] += 1
+    assert all(verdicts.values()), verdicts
+
+
+def test_one_checker_per_tried_assignment(monkeypatch):
+    # the checker that confirms an assignment also re-verifies its chain
+    built = []
+    real = pctlfg.etr.ModelChecker
+
+    def counting(chain):
+        built.append(chain)
+        return real(chain)
+
+    monkeypatch.setattr(pctlfg.etr, "ModelChecker", counting)
+    for text, bound in (("F>1/2[a] & !a", 2), ("!a & F>1/3[a] & G>1/2[!a]", 3),
+                        ("F>=0.5[a & F>=0.2[!a]] & !a & b", 2)):
+        built.clear()
+        result = solve_bounded_sat(pf(text), bound)
+        assert len(built) == result.candidates > 0, text
+        if result.status == "sat":
+            assert result.model is built[-1]
 
 
 def test_unknown_without_backend():
@@ -355,19 +484,20 @@ def test_mask_screen_matches_vertex_reference():
     for size in (1, 2, 3):
         subsets = [frozenset(v for v in range(size) if m >> v & 1)
                    for m in range(1 << size)]
-        for succ in _graphs(size):
+        for succ in all_graphs(size):
             pred = predecessor_masks(succ)
             for body in subsets:
                 b = _block(pred, nodes[0], body, frozenset())
-                if (size, body, b.out_set, b.sure) in seen:
+                sure = sure_vertices(pred, body)
+                if (size, body, b.out_set, sure) in seen:
                     continue
-                seen.add((size, body, b.out_set, b.sure))
+                seen.add((size, body, b.out_set, sure))
                 for node, in_set in itertools.product(nodes, subsets):
                     block = CorrectnessBlock(node, body, b.out_set, b.other,
-                                             in_set, b.sure)
-                    want = reference_block_refuted(size, block)
-                    assert _block_interval_contradiction(size, block) == want, \
-                        (size, succ, block)
+                                             in_set)
+                    want = reference_block_refuted(size, block, sure)
+                    assert block_interval_contradiction(size, block, sure) \
+                        == want, (size, succ, block)
                     refuted += want
                     kept += not want
     assert refuted > 0 and kept > 0
@@ -438,11 +568,15 @@ def test_planted_formulas_not_refuted():
 
 
 def test_reconstruction_round_trip(psi):
+    # the confirming checker's chain is fig1 renamed v1..v3, atoms included
     chain, candidate, truth = fig1_candidate_and_truth(psi)
-    rebuilt, entry = chain_from_candidate(candidate, truth)
+    mc = check_assignment(encode(candidate), truth)
+    rebuilt = mc.chain
     assert validate(rebuilt) == []
-    assert ModelChecker(rebuilt).holds(entry, psi)
-    assert entry == "v1"  # s is the only vertex labeled with the formula
+    assert rebuilt.states == ("v1", "v2", "v3")
+    assert [rebuilt.atoms(s) for s in rebuilt.states] == \
+        [chain.atoms(s) for s in chain.states]
+    assert mc.holds("v1", psi)  # s is the only vertex labeled with psi
 
 
 def test_dump_smt(tmp_path):
@@ -539,13 +673,20 @@ print(f"({' '.join(values)})")
 """
 
 
+# the reach value of a from vertex 0 must lie in (0, 1/2); on 3 vertices
+# that takes an a-vertex and a cut-off vertex next to vertex 0, where the
+# uniform assignment gives exactly 1/2, and the first candidate the
+# backends answer gives 2/3 to the a-vertex
+SOLVER_PATH_FORMULA = "!a & F>0[a] & G>1/2[!a]"
+
+
 def test_solver_path_end_to_end(tmp_path):
     # a canned subprocess backend that gives each vertex's first edge 2/3
     # and splits the rest equally, read from the row-sum assertions; the
     # uniform assignment misses this formula at bound 3 (see
     # test_solver_path_after_uniform_miss), so the backend decides it, and
     # the driver must reject non-confirming answers until one verifies
-    f = pf("!a & F>=2/3[a] & G>0[!a]")
+    f = pf(SOLVER_PATH_FORMULA)
     script = tmp_path / "canned.py"
     script.write_text(CANNED_BACKEND)
     backend = SolverBackend(f"{sys.executable} {script} {{file}}")
@@ -577,11 +718,10 @@ class _SkewedBackend:
 
 
 def test_solver_path_after_uniform_miss():
-    # the reach value of a must lie in [2/3, 1), which needs a third,
-    # cut-off vertex, and no uniform assignment on 3 vertices gives more
-    # than 1/2; the backend's answers are confirmed exactly and the
-    # non-confirming ones rejected until one verifies
-    f = pf("!a & F>=2/3[a] & G>0[!a]")
+    # no uniform assignment on 3 vertices gives a reach value in (0, 1/2)
+    # (see SOLVER_PATH_FORMULA); the backend's answers are confirmed
+    # exactly and the non-confirming ones rejected until one verifies
+    f = pf(SOLVER_PATH_FORMULA)
     assert solve_bounded_sat(f, 3).status == "unknown"
     backend = _SkewedBackend()
     result = solve_bounded_sat(f, 3, backend=backend)

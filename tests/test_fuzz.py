@@ -12,7 +12,7 @@ import pytest
 from helpers import fig1_chain, random_core_formula, satisfied_instance
 
 from pctlfg.cli import main
-from pctlfg.formula import parse_formula
+from pctlfg.formula import PctlSyntaxError, _Token, _tokenize, parse_formula
 from pctlfg.markov import MarkovChain, validate
 from pctlfg.modelcheck import ModelChecker
 from pctlfg.progress import simple_loop_components
@@ -139,6 +139,88 @@ def test_mutated_formulas_keep_the_exit_contract(capsys, tmp_path):
                      ["fragment", "--formula", text],
                      ["sat", "--formula", text, "--bound", "1"]):
             assert _exit_code(capsys, argv) in wanted, argv
+
+
+_SCANNED_SYMBOLS = (">=", "<=", ">", "<", "=", "!", "&", "|", "(", ")", "[",
+                    "]", "/")
+
+
+def _scanning_tokenize(text: str) -> list[_Token]:
+    """The tokenizer before it dispatched on the first character: every
+    symbol is tried with `startswith` at every position, longest first."""
+    tokens = []
+    line, col = 1, 1
+    i = 0
+    while i < len(text):
+        ch = text[i]
+        if ch == "\n":
+            line += 1
+            col = 1
+            i += 1
+            continue
+        if ch.isspace():
+            col += 1
+            i += 1
+            continue
+        matched = False
+        for sym in _SCANNED_SYMBOLS:
+            if text.startswith(sym, i):
+                tokens.append(_Token("sym", sym, line, col))
+                i += len(sym)
+                col += len(sym)
+                matched = True
+                break
+        if matched:
+            continue
+        if ch.isdigit():
+            j = i
+            while j < len(text) and (text[j].isdigit() or text[j] == "."):
+                j += 1
+            tokens.append(_Token("num", text[i:j], line, col))
+            col += j - i
+            i = j
+            continue
+        if ch.isalpha() or ch == "_":
+            j = i
+            while j < len(text) and (text[j].isalnum() or text[j] == "_"):
+                j += 1
+            tokens.append(_Token("name", text[i:j], line, col))
+            col += j - i
+            i = j
+            continue
+        raise PctlSyntaxError(f"unexpected character {ch!r}", line, col)
+    tokens.append(_Token("eof", "", line, col))
+    return tokens
+
+
+def _token_stream(tokenize, text: str):
+    try:
+        return [(t.kind, t.text, t.line, t.col) for t in tokenize(text)]
+    except PctlSyntaxError as exc:
+        return ("error", str(exc), exc.line, exc.column)
+
+
+# symbol prefixes and their neighbours, positions after newlines and tabs,
+# and characters the tokenizer rejects or reads through str.isdigit/isalpha
+MALFORMED_FORMULAS = ("", "<", ">", "=", "<=", ">=", "=<", "=>", "==", "<==",
+                      ">>=", "F==1[a]", "F<>1[a]", "<\n=", "F>\n=1[a]",
+                      "a\n\n  &\tb", "F >= 1/2 [ a ]", "F>=1/2[a]>", "a & #",
+                      "a$b", "F>=0.5.5[a]", "x\u00b2", "\u00e9t\u00e9 | b",
+                      "F>=\u0661[a]", "a\r\nb", "\x00", "!!!a", "(((", "a]b[",
+                      "1/", "/1", "G=1[a", "a\u2264b")
+
+
+def test_tokenizer_matches_the_symbol_scan():
+    # the first-character dispatch yields the same kinds, texts and
+    # positions as trying every symbol, and fails at the same position
+    texts = (_formula_texts(seed=5, count=150) + _formula_texts(seed=17, count=300)
+             + list(MALFORMED_FORMULAS))
+    errors = 0
+    for text in texts:
+        want = _token_stream(_scanning_tokenize, text)
+        assert _token_stream(_tokenize, text) == want, text
+        errors += want[0] == "error"
+    assert errors > 5
 
 
 def test_mutated_models_keep_the_exit_contract(capsys, tmp_path):

@@ -3,9 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import random_chain, reference_reach
+from helpers import all_graphs, random_chain, reference_reach
 
-from pctlfg.etr import _graphs
 from pctlfg.markov import (
     FirstPassageError, InvalidChainError, MarkovChain, first_passage,
     parse_probability, predecessor_masks, prob01, reachable_from,
@@ -280,7 +279,7 @@ def test_prob01_are_the_zero_and_one_reach_values():
     # a successor) under the uniform assignment, and every target mask
     for size in (1, 2, 3):
         vertices = range(size)
-        for succ in _graphs(size):
+        for succ in all_graphs(size):
             pred = predecessor_masks(succ)
             out = [[w for w in vertices if m >> w & 1] for m in succ]
             rows = [{w: Fraction(1, len(ws)) for w in ws} for ws in out]
