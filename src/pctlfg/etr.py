@@ -30,7 +30,6 @@ the original formula at vertex 0.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import os
 import re
@@ -176,16 +175,15 @@ class ETRCandidate:
         return problems
 
 
-@functools.cache
-def _graphs(size: int) -> tuple[tuple[int, ...], ...]:
+def _graphs(size: int):
     """The rooted digraphs on `size` vertices, one per isomorphism class
     under the relabelings that fix vertex 0, as tuples of successor
     bitmasks in lexicographic order.  Every vertex has out-degree >= 1,
     vertex 0 reaches every vertex, and each tuple is the least of its
     relabelings.  Orderly generation (Read 1978): the rows are chosen one
     vertex at a time, counting up, and a prefix is only extended while no
-    relabeling is already smaller on the rows that both fix.  Built on
-    first use per size (1, 6, 112 and 5856 graphs for sizes 1 to 4)."""
+    relabeling is already smaller on the rows that both fix.  Streamed: 1,
+    6, 112 and 5856 graphs for sizes 1 to 4."""
     full = (1 << size) - 1
     # per relabeling p other than the identity: the image of every vertex
     # mask, and the vertex p sends to each position (relabeled row k is the
@@ -223,7 +221,7 @@ def _graphs(size: int) -> tuple[tuple[int, ...], ...]:
                 yield from extend()
             rows.pop()
 
-    return tuple(extend())
+    yield from extend()
 
 
 def enumerate_candidates(f: StateFormula, bound: int,
@@ -407,6 +405,24 @@ def _screen(verdicts, prob0: int, prob1: int, full: int) -> tuple[int, int]:
     care = prob0 | prob1 | (0 if inside is None else maybe)
     want = (prob1 if at1 else 0) | (prob0 if at0 else 0) | (maybe if inside else 0)
     return care, want
+
+
+def interval_refuted(system: ETRSystem) -> bool:
+    """Whether the block screen (`_screen`) refutes some block of `system`
+    from its graph alone.  The enumeration only emits candidates the screen
+    lets through, so the search never calls this; it is the screen on an
+    encoded system, which the tests check for soundness and the benchmark
+    traces."""
+    pred = [0] * system.size
+    for i, j in system.edges:
+        pred[j] |= 1 << i
+    full = (1 << system.size) - 1
+    for block in system.blocks:
+        care, want = _screen(_verdicts(block.formula),
+                             *prob01(pred, _mask(block.body_set)), full)
+        if _mask(block.in_set) & care != want:
+            return True
+    return False
 
 
 def uniform_assignment(system: ETRSystem) -> dict[tuple[int, int], Fraction]:

@@ -326,17 +326,6 @@ def block_interval_contradiction(size, block, sure) -> bool:
     return _mask(block.in_set) & care != want
 
 
-def interval_refuted(system) -> bool:
-    """Whether the mask screen refutes some block of the system."""
-    pred = [0] * system.size
-    for i, j in system.edges:
-        pred[j] |= 1 << i
-    return any(
-        block_interval_contradiction(
-            system.size, block, sure_vertices(pred, block.body_set))
-        for block in system.blocks)
-
-
 def reference_block_refuted(size, block, sure):
     """`block_interval_contradiction` vertex by vertex on Fractions: a
     reach value is exactly 1 on the body set and `sure`, exactly 0 on the

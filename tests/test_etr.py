@@ -9,7 +9,7 @@ import pytest
 
 from helpers import (
     PSI_TEXT, all_graphs, block_interval_contradiction, fig1_chain,
-    interval_refuted, random_chain, random_core_formula,
+    random_chain, random_core_formula,
     reference_block_refuted, reference_candidates, reference_search,
     satisfied_instance, sure_vertices,
 )
@@ -18,8 +18,8 @@ import pctlfg.etr
 from pctlfg.etr import (
     BackendError, CorrectnessBlock, ETRCandidate, SatSearchResult,
     SolverBackend, _block, _graphs, candidate_from_chain, check_assignment,
-    encode, enumerate_candidates, f_normal_form, smt_text, solve_bounded_sat,
-    uniform_assignment,
+    encode, enumerate_candidates, f_normal_form, interval_refuted, smt_text,
+    solve_bounded_sat, uniform_assignment,
 )
 from pctlfg.formula import (
     And, Atom, Cmp, NegAtom, PathOp, Prob, conj, disj, fragment_classify,
@@ -131,7 +131,7 @@ def _relabel(succ, p):
 def test_graph_counts_pinned():
     # rooted digraphs with out-degree >= 1 up to relabelings fixing the root
     # (the full products have 1, 9, 343 and 50,625)
-    assert [len(_graphs(n)) for n in (1, 2, 3, 4)] == [1, 6, 112, 5856]
+    assert [len(list(_graphs(n))) for n in (1, 2, 3, 4)] == [1, 6, 112, 5856]
 
 
 def test_graphs_are_one_rooted_canonical_graph_per_class():
