@@ -67,16 +67,11 @@ def closure(mc: ModelChecker, state: str, formulas) -> frozenset[StateFormula]:
 def update(mc: ModelChecker, state: str, formulas) -> frozenset[StateFormula]:
     """Replaces every probabilistic member P(Phi) |> r with P(Phi) >= r'
     where r' is the exact probability at `state`; other members are kept.
-    Requires state |= formulas, so r' >= r always holds."""
+    Requires state |= formulas, so r' >= r always holds, and r' > 0 for a
+    core member, so `achieved_bounds` drops none."""
     _require_satisfied(mc, state, formulas)
-    out: set[StateFormula] = set()
-    for f in formulas:
-        if isinstance(f, Prob):
-            achieved = mc.probability(state, f.path_formula)
-            out.add(Prob(f.op, Cmp.GE, achieved, f.body))
-        else:
-            out.add(f)
-    return frozenset(out)
+    kept = frozenset(f for f in formulas if not isinstance(f, Prob))
+    return kept | achieved_bounds(mc, state, formulas)
 
 
 def closure_update(mc: ModelChecker, state: str, formulas) -> frozenset[StateFormula]:

@@ -1,10 +1,12 @@
 """Bounded satisfiability through existential real-arithmetic encodings.
 
 Formulas are first rewritten into F-normal form (G eliminated through the
-complement duality, all four comparisons allowed on F).  For every model
-size up to the bound, candidate digraphs and subformula labelings are
-enumerated; a candidate fixes the topology, so correctness of each labeled
-F-subformula becomes a polynomial system over the positive edge variables.
+complement duality, all four comparisons allowed on F) by
+`formula.f_normal_form`, the pass that also gives `normalize` its core
+form.  For every model size up to the bound, candidate digraphs and
+subformula labelings are enumerated; a candidate fixes the topology, so
+correctness of each labeled F-subformula becomes a polynomial system over
+the positive edge variables.
 Satisfaction at a state depends only on the states it reaches, so a model
 is looked for at vertex 0 of a rooted graph: vertex 0 reaches every
 vertex, only one graph per isomorphism class under relabelings that fix
@@ -41,56 +43,17 @@ from fractions import Fraction
 from operator import and_, or_, xor
 
 from .formula import (
-    And, Atom, Cmp, NegAtom, Or, PathOp, Prob, StateFormula, conj, disj,
-    is_core, is_trivial_bound, iter_subformulas,
+    And, Atom, NegAtom, Or, Prob, StateFormula, f_normal_form, iter_subformulas,
 )
 from .markov import (
-    MarkovChain, predecessor_masks, prob01, states_reachable_from,
-    states_with_path_to,
+    InvalidChainError, MarkovChain, parse_probability, predecessor_masks,
+    prob01, states_reachable_from, states_with_path_to, validate,
 )
 from .modelcheck import ModelChecker
 
 
 class BackendError(RuntimeError):
     """The external solver failed to launch or violated the protocol."""
-
-
-# ---------------------------------------------------------------------------
-# F-normal form
-
-def f_normal_form(f: StateFormula) -> StateFormula:
-    """Eliminates G: P(G b) >= r becomes P(F !b) <= 1-r and P(G b) > r
-    becomes P(F !b) < 1-r, with the negation pushed to atoms.  Core inputs
-    never produce trivial constraints (the core form already excludes the
-    bounds that would)."""
-    if not is_core(f):
-        raise ValueError("f_normal_form expects a core formula")
-    return _fnf(f, positive=True)
-
-
-def _fnf(f: StateFormula, positive: bool) -> StateFormula:
-    if isinstance(f, Atom):
-        return f if positive else NegAtom(f.name)
-    if isinstance(f, NegAtom):
-        return f if positive else Atom(f.name)
-    if isinstance(f, And):
-        make = conj if positive else disj
-        return make(_fnf(a, positive) for a in f.args)
-    if isinstance(f, Or):
-        make = disj if positive else conj
-        return make(_fnf(a, positive) for a in f.args)
-    assert isinstance(f, Prob)
-    cmp = f.cmp if positive else f.cmp.negated()
-    if f.op is PathOp.F:
-        body = _fnf(f.body, True)
-    else:
-        # complement duality turns a G bound into the mirrored F bound
-        cmp = {Cmp.GE: Cmp.LE, Cmp.GT: Cmp.LT, Cmp.LE: Cmp.GE, Cmp.LT: Cmp.GT}[cmp]
-        body = _fnf(f.body, False)
-    bound = f.bound if f.op is PathOp.F else 1 - f.bound
-    if is_trivial_bound(cmp, bound):
-        raise ValueError(f"trivial constraint produced from {f}")
-    return Prob(PathOp.F, cmp, bound, body)
 
 
 def _choice_order(f: StateFormula,
@@ -336,9 +299,6 @@ class ETRSystem:
     blocks: tuple[CorrectnessBlock, ...]
     valuation: tuple[frozenset[str], ...]
 
-    def edge_index(self) -> dict[tuple[int, int], int]:
-        return {e: i for i, e in enumerate(self.edges)}
-
     def constraint_count(self) -> int:
         return len(self.edges) + self.size + sum(
             len(b.body_set) + len(b.out_set) + len(b.other) + self.size
@@ -362,12 +322,18 @@ def _block(pred, node: Prob, body_set: frozenset[int],
     )
 
 
+def _predecessors(size: int, edges) -> list[int]:
+    """The per-vertex predecessor masks of an edge list."""
+    pred = [0] * size
+    for i, j in edges:
+        pred[j] |= 1 << i
+    return pred
+
+
 def encode(candidate: ETRCandidate) -> ETRSystem:
     """Builds the constraint system of a candidate: one block per
     F-subformula, bottom-up."""
-    pred = [0] * candidate.size
-    for i, j in candidate.edges:
-        pred[j] |= 1 << i
+    pred = _predecessors(candidate.size, candidate.edges)
     blocks = [_block(pred, node, candidate.labeling[node.body],
                      candidate.labeling[node])
               for node, _ in _choice_order(candidate.formula)
@@ -413,9 +379,7 @@ def interval_refuted(system: ETRSystem) -> bool:
     lets through, so the search never calls this; it is the screen on an
     encoded system, which the tests check for soundness and the benchmark
     traces."""
-    pred = [0] * system.size
-    for i, j in system.edges:
-        pred[j] |= 1 << i
+    pred = _predecessors(system.size, system.edges)
     full = (1 << system.size) - 1
     for block in system.blocks:
         care, want = _screen(_verdicts(block.formula),
@@ -439,24 +403,17 @@ def check_assignment(system: ETRSystem, assignment: dict[tuple[int, int], Fracti
     define, with states v1..v{size} carrying the system's valuation, takes
     each block's reach values from its `ModelChecker` and evaluates every
     comparison.  Returns that checker, whose `chain` is then a model of the
-    labeling, when every comparison holds and None otherwise.  Raises on
-    assignments violating the range or row-sum constraints."""
-    for edge in system.edges:
-        if edge not in assignment:
-            raise ValueError(f"no probability for edge {edge}")
-        p = Fraction(assignment[edge])
-        if not 0 < p <= 1:
-            raise ValueError(f"edge probability {p} outside (0,1]")
-    for v in range(system.size):
-        total = sum((Fraction(assignment[e]) for e in system.edges if e[0] == v),
-                    Fraction(0))
-        if total != 1:
-            raise ValueError(f"outgoing probabilities of v{v + 1} sum to {total}")
-
+    labeling, when every comparison holds and None otherwise.  Raises
+    ValueError on the problems `markov.validate` finds in that chain; a
+    missing edge has probability 0."""
     names = [f"v{v + 1}" for v in range(system.size)]
-    mc = ModelChecker(MarkovChain(names, {
-        (names[i], names[j]): Fraction(assignment[(i, j)])
-        for i, j in system.edges}, dict(zip(names, system.valuation))))
+    chain = MarkovChain(names, {
+        (names[i], names[j]): Fraction(assignment.get((i, j), 0))
+        for i, j in system.edges}, dict(zip(names, system.valuation)))
+    problems = validate(chain)
+    if problems:
+        raise ValueError("; ".join(problems))
+    mc = ModelChecker(chain)
     for block in system.blocks:
         values = mc.reach_probabilities(_mask(block.body_set)).values()
         cmp, r = block.formula.cmp, block.formula.bound
@@ -483,7 +440,6 @@ def _edge_var(index: int) -> str:
 def smt_text(system: ETRSystem) -> str:
     """The candidate's constraints in SMT-LIB 2 text, logic QF_NRA, with a
     model request for the edge variables."""
-    idx = system.edge_index()
     lines = ["(set-logic QF_NRA)"]
     for i in range(len(system.edges)):
         lines.append(f"(declare-const {_edge_var(i)} Real)")
@@ -496,10 +452,8 @@ def smt_text(system: ETRSystem) -> str:
     for i in range(len(system.edges)):
         lines.append(f"(assert (and (> {_edge_var(i)} 0) (<= {_edge_var(i)} 1)))")
     for v in range(system.size):
-        outgoing = [_edge_var(idx[e]) for e in system.edges if e[0] == v]
+        outgoing = [_edge_var(k) for k, e in enumerate(system.edges) if e[0] == v]
         lines.append(f"(assert (= (+ {' '.join(outgoing)}) 1))")
-    cmp_text = {Cmp.GE: ">=", Cmp.GT: ">", Cmp.LE: "<=", Cmp.LT: "<"}
-    neg_text = {Cmp.GE: "<", Cmp.GT: "<=", Cmp.LE: ">", Cmp.LT: ">="}
     for b, block in enumerate(system.blocks):
         names = y_names[b]
         for v in block.body_set:
@@ -507,14 +461,13 @@ def smt_text(system: ETRSystem) -> str:
         for v in block.out_set:
             lines.append(f"(assert (= {names[v]} 0))")
         for v in block.other:
-            terms = [f"(* {_edge_var(idx[(i, j)])} {names[j]})"
-                     for (i, j) in system.edges if i == v]
+            terms = [f"(* {_edge_var(k)} {names[j]})"
+                     for k, (i, j) in enumerate(system.edges) if i == v]
             summed = terms[0] if len(terms) == 1 else f"(+ {' '.join(terms)})"
             lines.append(f"(assert (= {names[v]} {summed}))")
-        r = _smt_rational(block.formula.bound)
+        cmp, r = block.formula.cmp, _smt_rational(block.formula.bound)
         for v in range(system.size):
-            op = cmp_text[block.formula.cmp] if v in block.in_set \
-                else neg_text[block.formula.cmp]
+            op = cmp if v in block.in_set else cmp.negated()
             lines.append(f"(assert ({op} {names[v]} {r}))")
     lines.append("(check-sat)")
     if system.edges:
@@ -526,50 +479,48 @@ _TOKEN_RE = re.compile(r"\(|\)|[^\s()]+")
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
 
-def _parse_sexprs(text: str):
-    tokens = _TOKEN_RE.findall(text)
-    pos = 0
+_MAX_NESTING = 100
 
-    def parse():
-        nonlocal pos
-        if pos >= len(tokens):
-            raise BackendError("unexpected end of solver output")
-        tok = tokens[pos]
-        pos += 1
+
+def _parse_sexprs(text: str) -> list:
+    """The s-expressions of solver output as nested lists of tokens, read
+    with an explicit stack; nesting past `_MAX_NESTING`, which also bounds
+    `_rationalize`'s recursion, is a protocol error."""
+    stack: list[list] = [[]]
+    for tok in _TOKEN_RE.findall(text):
         if tok == "(":
-            items = []
-            while pos < len(tokens) and tokens[pos] != ")":
-                items.append(parse())
-            if pos >= len(tokens):
-                raise BackendError("unbalanced parenthesis in solver output")
-            pos += 1
-            return items
-        return tok
-
-    out = []
-    while pos < len(tokens):
-        out.append(parse())
-    return out
+            if len(stack) > _MAX_NESTING:
+                raise BackendError(
+                    f"solver output nested deeper than {_MAX_NESTING} levels")
+            stack.append([])
+        elif tok == ")" and len(stack) > 1:
+            items = stack.pop()
+            stack[-1].append(items)
+        else:
+            stack[-1].append(tok)
+    if len(stack) > 1:
+        raise BackendError("unbalanced parenthesis in solver output")
+    return stack[0]
 
 
 def _rationalize(expr) -> Fraction:
-    """Turns a solver value term into an exact rational.  Decimal literals
-    go through continued-fraction rationalization with a tight cap; the
-    caller must confirm the result exactly before trusting it."""
+    """Turns a solver value term into an exact rational: numerals as
+    `markov.parse_probability` reads them (no exponents), negations and
+    quotients.  The caller must confirm the result exactly before trusting
+    it."""
     if isinstance(expr, str):
         try:
-            return Fraction(expr)
-        except ValueError:
-            pass
-        try:
-            return Fraction(str(float(expr))).limit_denominator(10 ** 12)
-        except (ValueError, OverflowError) as exc:
+            return parse_probability(expr)
+        except InvalidChainError as exc:
             raise BackendError(f"cannot rationalize solver value {expr!r}") from exc
     if isinstance(expr, list) and expr:
         if expr[0] == "-" and len(expr) == 2:
             return -_rationalize(expr[1])
         if expr[0] == "/" and len(expr) == 3:
-            return _rationalize(expr[1]) / _rationalize(expr[2])
+            denominator = _rationalize(expr[2])
+            if denominator == 0:
+                raise BackendError(f"zero denominator in solver value {expr!r}")
+            return _rationalize(expr[1]) / denominator
     raise BackendError(f"cannot rationalize solver value {expr!r}")
 
 
@@ -609,22 +560,20 @@ class SolverBackend:
                 return first, {}
             rest = output[len(first):]
             values: dict[str, Fraction] = {}
-
-            def collect(node):
+            # (name value) pairs, depth first and left to right
+            work = _parse_sexprs(rest)[::-1]
+            while work:
+                node = work.pop()
                 if not isinstance(node, list):
-                    return
+                    continue
                 if (len(node) == 2 and isinstance(node[0], str)
                         and _NAME_RE.fullmatch(node[0])):
                     try:
                         values[node[0]] = _rationalize(node[1])
-                        return
+                        continue
                     except BackendError:
                         pass
-                for item in node:
-                    collect(item)
-
-            for group in _parse_sexprs(rest):
-                collect(group)
+                work.extend(reversed(node))
             return "sat", values
         finally:
             os.unlink(path)
@@ -642,18 +591,6 @@ class SatSearchResult:
     refuted: int = 0
     solver_calls: int = 0
     timeouts: int = 0
-
-
-def candidate_from_chain(chain: MarkovChain, f: StateFormula) -> ETRCandidate:
-    """The candidate a concrete chain induces for an F-normal formula: its
-    graph plus the true satisfaction sets as labeling."""
-    mc = ModelChecker(chain)
-    pos = {s: i for i, s in enumerate(chain.states)}
-    edges = tuple(sorted((pos[src], pos[dst]) for src, dst, _ in chain.edges()))
-    vertices = range(len(chain.states))
-    labeling = {g: frozenset(v for v in vertices if mc.sat_mask(g) >> v & 1)
-                for g in set(iter_subformulas(f))}
-    return ETRCandidate(len(chain.states), edges, labeling, f)
 
 
 def solve_bounded_sat(f: StateFormula, bound: int, *,
@@ -710,9 +647,9 @@ def solve_bounded_sat(f: StateFormula, bound: int, *,
                 continue
             if verdict == "unsat":
                 continue
-            index = system.edge_index()
             try:
-                assignment = {e: values[_edge_var(i)] for e, i in index.items()}
+                assignment = {e: values[_edge_var(i)]
+                              for i, e in enumerate(system.edges)}
             except KeyError as exc:
                 raise BackendError(f"solver model is missing {exc}") from exc
             try:

@@ -13,6 +13,12 @@ measure and progress code cheap.  Derived data the hot paths ask for
 (`Prob.path_formula`, `sort_key`, `subformulas`) is cached on the node and
 computed once per structure.  A `Prob` bound is always stored as a
 `Fraction`.
+
+Both normal forms come from one pass, `_norm`, which pushes negation to
+atoms and applies the F/G duality P(G b) ~ r iff P(F !b) ~' 1-r: the core
+form (`normalize`, no <= or <), which model checking and the fragment
+grammars read, and the F-normal form (`f_normal_form`, no G), which bounded
+satisfiability in `etr` reads.
 """
 
 from __future__ import annotations
@@ -583,36 +589,50 @@ def normalize(f: SurfaceFormula | StateFormula) -> StateFormula:
 
     Rejects results that would carry a trivial bound ('>=0' or '>1').
     """
-    return _norm(f, positive=True)
+    return _norm(f, True, _UPPER_BOUNDS)
+
+
+def f_normal_form(f: StateFormula) -> StateFormula:
+    """The same pass as `normalize`, dualizing G instead of <=, <: P(G b)
+    >= r becomes P(F !b) <= 1-r and P(G b) > r becomes P(F !b) < 1-r, with
+    the negation pushed to atoms.  Core inputs never produce trivial
+    constraints (the core form already excludes the bounds that would)."""
+    if not is_core(f):
+        raise ValueError("f_normal_form expects a core formula")
+    return _norm(f, True, _GLOBALLY)
 
 
 _DUAL_OP = {PathOp.F: PathOp.G, PathOp.G: PathOp.F}
+_MIRROR = {Cmp.GE: Cmp.LE, Cmp.GT: Cmp.LT, Cmp.LE: Cmp.GE, Cmp.LT: Cmp.GT}
+# the (op, cmp) pairs each normal form rewrites through the duality
+_UPPER_BOUNDS = frozenset((op, cmp) for op in PathOp for cmp in (Cmp.LE, Cmp.LT))
+_GLOBALLY = frozenset((PathOp.G, cmp) for cmp in Cmp)
 
 
-def _norm(f, positive: bool) -> StateFormula:
+def _norm(f, positive: bool, dual: frozenset) -> StateFormula:
+    """Pushes negation to atoms and rewrites every P(op b) cmp r whose
+    (op, cmp) is in `dual` as P(op' !b) cmp' 1-r, op' the other path
+    operator and cmp' the mirrored comparison."""
     if isinstance(f, (SAtom, Atom)):
         return Atom(f.name) if positive else NegAtom(f.name)
     if isinstance(f, NegAtom):
         return NegAtom(f.name) if positive else Atom(f.name)
     if isinstance(f, SNot):
-        return _norm(f.arg, not positive)
+        return _norm(f.arg, not positive, dual)
     if isinstance(f, (SAnd, And)):
         make = conj if positive else disj
-        return make(_norm(a, positive) for a in f.args)
+        return make(_norm(a, positive, dual) for a in f.args)
     if isinstance(f, (SOr, Or)):
         make = disj if positive else conj
-        return make(_norm(a, positive) for a in f.args)
+        return make(_norm(a, positive, dual) for a in f.args)
     if isinstance(f, (SProb, Prob)):
         op, cmp, bound = f.op, f.cmp, f.bound
         if not positive:
             cmp = cmp.negated()
-        if cmp in (Cmp.LE, Cmp.LT):
-            op = _DUAL_OP[op]
-            cmp = Cmp.GE if cmp is Cmp.LE else Cmp.GT
-            bound = 1 - bound
-            body = _norm(f.body, False)
-        else:
-            body = _norm(f.body, True)
+        dualize = (op, cmp) in dual
+        if dualize:
+            op, cmp, bound = _DUAL_OP[op], _MIRROR[cmp], 1 - bound
+        body = _norm(f.body, not dualize, dual)
         if is_trivial_bound(cmp, bound):
             raise NormalizationError(
                 f"normalizing produced the trivial constraint "

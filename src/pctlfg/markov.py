@@ -83,6 +83,12 @@ def _check_record(rec, what: str, keys) -> None:
             raise InvalidChainError(f"{what} has no {key!r}")
 
 
+def _dot_string(text: str) -> str:
+    """`text` as a double-quoted DOT string, line breaks written `\\n`."""
+    text = text.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")
+    return f'"{text}"'
+
+
 class MarkovChain:
     """Immutable-by-convention finite Markov chain."""
 
@@ -178,10 +184,10 @@ class MarkovChain:
         for s in self.states:
             label = s
             if self.valuation[s]:
-                label += r"\n{" + ",".join(sorted(self.valuation[s])) + "}"
-            lines.append(f'  "{s}" [label="{label}"];')
+                label += "\n{" + ",".join(sorted(self.valuation[s])) + "}"
+            lines.append(f"  {_dot_string(s)} [label={_dot_string(label)}];")
         for src, dst, p in self.edges():
-            lines.append(f'  "{src}" -> "{dst}" [label="{p}"];')
+            lines.append(f'  {_dot_string(src)} -> {_dot_string(dst)} [label="{p}"];')
         lines.append("}")
         return "\n".join(lines)
 

@@ -22,7 +22,7 @@ from fractions import Fraction
 
 from pctlfg.formula import (
     And, Atom, Cmp, NegAtom, Or, PathOp, Prob, StateFormula, conj, disj,
-    parse_formula,
+    iter_subformulas, parse_formula,
 )
 from pctlfg.etr import (
     ETRCandidate, SatSearchResult, _choice_order, _mask, _screen, _verdicts,
@@ -406,3 +406,15 @@ def reference_search(f: StateFormula, bound: int) -> SatSearchResult:
             return result
         result.status = "unknown"
     return result
+
+
+def candidate_from_chain(chain: MarkovChain, f: StateFormula) -> ETRCandidate:
+    """The candidate a concrete chain induces for an F-normal formula: its
+    graph plus the true satisfaction sets as labeling."""
+    mc = ModelChecker(chain)
+    pos = {s: i for i, s in enumerate(chain.states)}
+    edges = tuple(sorted((pos[src], pos[dst]) for src, dst, _ in chain.edges()))
+    vertices = range(len(chain.states))
+    labeling = {g: frozenset(v for v in vertices if mc.sat_mask(g) >> v & 1)
+                for g in set(iter_subformulas(f))}
+    return ETRCandidate(len(chain.states), edges, labeling, f)

@@ -14,14 +14,14 @@ from fractions import Fraction
 import pytest
 
 from helpers import (
-    PHI_OR_TEXT, PSI_TEXT, bottom_state_instance, collect_loops, fig1_chain,
-    psi_formula, random_chain, random_core_formula, satisfied_instance,
+    PHI_OR_TEXT, PSI_TEXT, bottom_state_instance, candidate_from_chain,
+    collect_loops, fig1_chain, psi_formula, random_chain, random_core_formula,
+    satisfied_instance,
 )
 
 from pctlfg.closure import achieved_bounds, closure, closure_update, update
 from pctlfg.etr import (
-    SolverBackend, candidate_from_chain, check_assignment, encode,
-    f_normal_form, solve_bounded_sat,
+    SolverBackend, check_assignment, encode, f_normal_form, solve_bounded_sat,
 )
 from pctlfg.formula import (
     Atom, PathFormula, PathOp, Prob, formula_sets, iter_subformulas,

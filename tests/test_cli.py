@@ -150,6 +150,22 @@ def test_sat_unknown_without_solver(capsys, monkeypatch):
     assert out.strip() == "unknown"
 
 
+@pytest.mark.parametrize("answer", [
+    "(" * 5000 + ")" * 5000,
+    "((x1 (/ 1 0)) (x2 (/ 1 0)) (x3 (/ 1 0)))",
+], ids=["nested 5000 deep", "zero denominator"])
+def test_sat_malformed_solver_answer_is_backend_error(capsys, tmp_path, answer):
+    # the uniform assignment misses this formula at bound 3, so the canned
+    # solver is asked, and its answer is a protocol error
+    script = tmp_path / "canned.py"
+    script.write_text(f"print('sat')\nprint({answer!r})\n")
+    code, _, err = run(capsys, "sat", "--formula", "!a & F>1/3[a] & G>1/2[!a]",
+                       "--bound", "3", "--solver-cmd",
+                       f"{sys.executable} {script} {{file}}")
+    assert code == 3
+    assert err.startswith("backend error: ") and err.count("\n") == 1
+
+
 def test_sat_emit_only(capsys, tmp_path):
     dump = tmp_path / "systems"
     code, out, _ = run(capsys, "sat", "--formula", "F>1/2[a] & !a",

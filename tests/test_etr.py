@@ -8,18 +8,18 @@ from fractions import Fraction
 import pytest
 
 from helpers import (
-    PSI_TEXT, all_graphs, block_interval_contradiction, fig1_chain,
-    random_chain, random_core_formula,
+    PSI_TEXT, all_graphs, block_interval_contradiction, candidate_from_chain,
+    fig1_chain, random_chain, random_core_formula,
     reference_block_refuted, reference_candidates, reference_search,
     satisfied_instance, sure_vertices,
 )
 
 import pctlfg.etr
 from pctlfg.etr import (
-    BackendError, CorrectnessBlock, ETRCandidate, SatSearchResult,
-    SolverBackend, _block, _graphs, candidate_from_chain, check_assignment,
-    encode, enumerate_candidates, f_normal_form, interval_refuted, smt_text,
-    solve_bounded_sat, uniform_assignment,
+    BackendError, CorrectnessBlock, ETRCandidate, ETRSystem, SatSearchResult,
+    SolverBackend, _block, _graphs, _parse_sexprs, _rationalize,
+    check_assignment, encode, enumerate_candidates, f_normal_form,
+    interval_refuted, smt_text, solve_bounded_sat, uniform_assignment,
 )
 from pctlfg.formula import (
     And, Atom, Cmp, NegAtom, PathOp, Prob, conj, disj, fragment_classify,
@@ -294,6 +294,20 @@ def test_check_assignment_validates_input(psi):
     bad[next(iter(bad))] = Fraction(2)
     with pytest.raises(ValueError):
         check_assignment(system, bad)
+
+
+# vertex 0 has edges to 0 and 1, vertex 1 a self-loop
+@pytest.mark.parametrize("assignment", [
+    {(0, 0): Fraction(1, 2), (1, 1): Fraction(1)},  # an edge is missing
+    {(0, 0): Fraction(1), (0, 1): Fraction(0), (1, 1): Fraction(1)},
+    {(0, 0): Fraction(-1), (0, 1): Fraction(2), (1, 1): Fraction(1)},
+    {(0, 0): Fraction(1, 3), (0, 1): Fraction(1, 3), (1, 1): Fraction(1)},
+], ids=["missing edge", "zero edge", "edge above one", "row sum"])
+def test_check_assignment_rejects_a_non_chain(assignment):
+    system = ETRSystem(2, ((0, 0), (0, 1), (1, 1)), (),
+                       (frozenset(), frozenset()))
+    with pytest.raises(ValueError):
+        check_assignment(system, assignment)
 
 
 def test_degenerate_block_everything_labeled():
@@ -597,6 +611,20 @@ def test_smt_text_structure(psi):
     assert "(assert (= (+ x2 x3) 1))" in text
 
 
+def test_smt_text_pinned_at_bound_two():
+    # sha256 prefix of the systems of every bound-2 candidate of seeded
+    # formulas, pinned while `smt_text` wrote its own comparison tables
+    rng = random.Random(59)
+    h = hashlib.sha256()
+    count = 0
+    for _ in range(40):
+        f = f_normal_form(random_core_formula(rng, depth=2))
+        for candidate in enumerate_candidates(f, 2):
+            h.update(smt_text(encode(candidate)).encode())
+            count += 1
+    assert (count, h.hexdigest()[:16]) == (972, "c994b95a2fe9b102")
+
+
 # -- the backend bridge ------------------------------------------------------
 
 MOCK_BACKEND = """
@@ -611,6 +639,9 @@ elif mode == "unsat":
     print("unsat")
 elif mode == "unknown":
     print("unknown")
+elif mode == "deep":
+    print("sat")
+    print("(" * 5000 + ")" * 5000)
 elif mode == "hang":
     import time
     time.sleep(60)
@@ -651,6 +682,40 @@ def test_backend_timeout(mock_backend):
 def test_backend_protocol_error(mock_backend):
     with pytest.raises(BackendError):
         mock_backend("garbage").solve("x")
+
+
+def test_backend_rejects_deeply_nested_output(mock_backend):
+    with pytest.raises(BackendError, match="nested deeper than 100 levels"):
+        mock_backend("deep").solve("x")
+
+
+def test_solver_output_nesting_is_capped():
+    nested = "x"
+    for _ in range(100):
+        nested = [nested]
+    assert _parse_sexprs("(" * 100 + "x" + ")" * 100) == [nested]
+    with pytest.raises(BackendError, match="nested deeper than 100 levels"):
+        _parse_sexprs("(" * 101 + ")" * 101)
+    with pytest.raises(BackendError, match="unbalanced"):
+        _parse_sexprs("((x 1)")
+
+
+@pytest.mark.parametrize("expr", [
+    ["/", "1", "0"],  # zero denominator
+    ["/", "1", ["-", "0"]],
+    "1/0",
+    "1e-10000000",  # exponents are not numerals; Fraction(str) would stall
+    "1e5",
+])
+def test_rationalize_rejects(expr):
+    with pytest.raises(BackendError):
+        _rationalize(expr)
+
+
+def test_rationalize_reads_numerals():
+    assert _rationalize(["-", ["/", "3", "5"]]) == Fraction(-3, 5)
+    assert _rationalize("0.25") == Fraction(1, 4)
+    assert _rationalize("7/2") == Fraction(7, 2)
 
 
 def test_backend_launch_error():

@@ -1,4 +1,5 @@
 import copy
+import hashlib
 import pickle
 import random
 import sys
@@ -11,8 +12,8 @@ from helpers import PSI_TEXT, random_chain, random_core_formula
 
 from pctlfg.formula import (
     And, Atom, Cmp, NegAtom, Or, PathFormula, PathOp, PctlSyntaxError, Prob,
-    NormalizationError, formula_sets, fragment_classify, normalize,
-    parse, parse_formula, sorted_formulas, subformulas,
+    NormalizationError, f_normal_form, formula_sets, fragment_classify,
+    normalize, parse, parse_formula, sorted_formulas, subformulas,
 )
 from pctlfg.modelcheck import ModelChecker
 
@@ -211,6 +212,49 @@ def test_round_trip_printing():
     for _ in range(300):
         f = random_core_formula(rng, depth=4)
         assert parse_formula(str(f)) == f
+
+
+def _surface_text(rng: random.Random, depth: int) -> str:
+    """A random surface formula: negation on any subformula, every
+    comparison, bounds 0 and 1 included."""
+    if depth <= 0 or rng.random() < 0.25:
+        return rng.choice("ab")
+    kind = rng.choice(("not", "and", "or", "prob", "prob"))
+    if kind == "not":
+        return f"!({_surface_text(rng, depth - 1)})"
+    if kind in ("and", "or"):
+        sym = "&" if kind == "and" else "|"
+        return (f"({_surface_text(rng, depth - 1)} {sym} "
+                f"{_surface_text(rng, depth - 1)})")
+    cmp = rng.choice((">=", ">", "<=", "<", "="))
+    bound = "1" if cmp == "=" else rng.choice(("0", "1/5", "1/4", "0.5", "3/4", "1"))
+    return f"{rng.choice('FG')}{cmp}{bound}[{_surface_text(rng, depth - 1)}]"
+
+
+# sha256 prefixes of the outputs of `normalize`, `f_normal_form` and
+# `parse_formula`, pinned while the F-normal form still had its own pass
+def test_normal_forms_of_core_formulas_pinned():
+    rng = random.Random(41)
+    h = hashlib.sha256()
+    for _ in range(2000):
+        f = random_core_formula(rng, depth=4)
+        h.update(f"{f}\t{normalize(f)}\t{f_normal_form(f)}\n".encode())
+    assert h.hexdigest()[:16] == "1e7aa7a7be17ee78"
+
+
+def test_parsed_surface_formulas_pinned():
+    rng = random.Random(43)
+    h = hashlib.sha256()
+    rejected = 0
+    for _ in range(2000):
+        text = _surface_text(rng, 4)
+        try:
+            out = str(parse_formula(text))
+        except NormalizationError:
+            out = "trivial bound"
+            rejected += 1
+        h.update(f"{text}\t{out}\n".encode())
+    assert (rejected, h.hexdigest()[:16]) == (305, "51ce549f9caa942e")
 
 
 def test_sorted_formulas_deterministic():

@@ -95,6 +95,22 @@ def test_dot_export(fig1):
     assert dot.startswith("digraph")
 
 
+def test_dot_export_escapes_quotes_and_backslashes():
+    # ids and atom names may hold `"` and `\`; each quoted DOT string
+    # escapes both, so it ends at its own closing quote
+    chain = MarkovChain(['a"b', "c\\"], {('a"b', "c\\"): Fraction(1),
+                                         ("c\\", "c\\"): Fraction(1)},
+                        {'a"b': ['x"y', "q\\"]})
+    assert chain.to_dot().splitlines() == [
+        "digraph chain {",
+        r'  "a\"b" [label="a\"b\n{q\\,x\"y}"];',
+        r'  "c\\" [label="c\\"];',
+        r'  "a\"b" -> "c\\" [label="1"];',
+        r'  "c\\" -> "c\\" [label="1"];',
+        "}",
+    ]
+
+
 def test_scc_fig1(fig1):
     decomposition = scc_decompose(fig1)
     comps = {comp: bottom for comp, bottom
