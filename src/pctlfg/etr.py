@@ -25,9 +25,10 @@ Each surviving candidate is first tried with the uniform assignment; only a
 miss is shipped to a pluggable SMT backend.  An assignment fixes the chain,
 so it is confirmed by that chain's `ModelChecker`, the package's one exact
 evaluator: each block's reach values are its `reach_probabilities` of the
-body mask.  The chain is built with the candidate's valuation, so a
-confirmed assignment is a model, which the same checker re-verifies against
-the original formula at vertex 0.
+body mask, held against the bound by `modelcheck.passing`.  The chain is
+built with the candidate's valuation, so a confirmed assignment is a
+model, which the same checker re-verifies against the original formula at
+vertex 0.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ from .markov import (
     InvalidChainError, MarkovChain, parse_probability, predecessor_masks,
     prob01, states_reachable_from, states_with_path_to, validate,
 )
-from .modelcheck import ModelChecker
+from .modelcheck import ModelChecker, passing
 
 
 class BackendError(RuntimeError):
@@ -415,11 +416,10 @@ def check_assignment(system: ETRSystem, assignment: dict[tuple[int, int], Fracti
         raise ValueError("; ".join(problems))
     mc = ModelChecker(chain)
     for block in system.blocks:
-        values = mc.reach_probabilities(_mask(block.body_set)).values()
+        values = mc.reach_probabilities(_mask(block.body_set))
         cmp, r = block.formula.cmp, block.formula.bound
-        for v, value in enumerate(values):
-            if cmp.holds(value, r) != (v in block.in_set):
-                return None
+        if passing(values, cmp, r) != _mask(block.in_set):
+            return None
     return mc
 
 
@@ -524,13 +524,56 @@ def _rationalize(expr) -> Fraction:
     raise BackendError(f"cannot rationalize solver value {expr!r}")
 
 
+class SolverModel(dict):
+    """A solver's model values by name.  Looking up a name the solver gave
+    a value for that could not be read raises that read error, not
+    KeyError."""
+
+    def __init__(self):
+        super().__init__()
+        self.unreadable: dict[str, BackendError] = {}
+
+    def __missing__(self, name):
+        if name in self.unreadable:
+            raise self.unreadable[name]
+        raise KeyError(name)
+
+
+def read_solver_output(output: str) -> tuple[str, SolverModel]:
+    """The verdict and, after sat, the (name value) pairs of solver output,
+    read depth first and left to right; a pair whose value cannot be read
+    is searched further and its error kept for the name."""
+    first = output.split(None, 1)[0].strip()
+    if first not in ("sat", "unsat", "unknown"):
+        raise BackendError(f"unexpected solver verdict {first!r}")
+    values = SolverModel()
+    if first != "sat":
+        return first, values
+    work = _parse_sexprs(output[len(first):])[::-1]
+    while work:
+        node = work.pop()
+        if not isinstance(node, list):
+            continue
+        if (len(node) == 2 and isinstance(node[0], str)
+                and _NAME_RE.fullmatch(node[0])):
+            try:
+                values[node[0]] = _rationalize(node[1])
+                continue
+            except BackendError as exc:
+                values.unreadable[node[0]] = BackendError(
+                    f"cannot read the solver's value of {node[0]!r}: {exc}")
+        work.extend(reversed(node))
+    return "sat", values
+
+
 @dataclass
 class SolverBackend:
     """External decision procedure invoked as a subprocess.
 
     `command` is a template whose `{file}` placeholder receives the SMT file
-    path.  The first output token must be sat/unsat/unknown; model values
-    are read from the standard get-value response."""
+    path.  The output is read by `read_solver_output`: the first token must
+    be sat/unsat/unknown, and model values come from the standard
+    get-value response."""
 
     command: str
     timeout: float = 10.0
@@ -553,28 +596,7 @@ class SolverBackend:
             if not output:
                 raise BackendError(
                     f"solver produced no output (stderr: {proc.stderr.strip()!r})")
-            first = output.split(None, 1)[0].strip()
-            if first not in ("sat", "unsat", "unknown"):
-                raise BackendError(f"unexpected solver verdict {first!r}")
-            if first != "sat":
-                return first, {}
-            rest = output[len(first):]
-            values: dict[str, Fraction] = {}
-            # (name value) pairs, depth first and left to right
-            work = _parse_sexprs(rest)[::-1]
-            while work:
-                node = work.pop()
-                if not isinstance(node, list):
-                    continue
-                if (len(node) == 2 and isinstance(node[0], str)
-                        and _NAME_RE.fullmatch(node[0])):
-                    try:
-                        values[node[0]] = _rationalize(node[1])
-                        continue
-                    except BackendError:
-                        pass
-                work.extend(reversed(node))
-            return "sat", values
+            return read_solver_output(output)
         finally:
             os.unlink(path)
 

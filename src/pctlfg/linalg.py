@@ -5,15 +5,16 @@ Comp. 22, 1968, in its Gauss-Jordan form) serves both the square solves of
 the absorption kernel (`markov.absorption`, shared by model checking, first
 passage and the ETR oracle) and the kernel vectors of the Caratheodory
 reduction.  Each row is first scaled to integers by the LCM of its
-denominators.  The step with pivot p in row k then replaces every other row
-by (p * row - f * row_k) // p', where f is the row's entry in the pivot
-column and p' the previous pivot (1 at the start).  Every entry stays a
-minor of the scaled matrix, so the division is exact and no gcd is taken
-inside the loop; each output entry becomes one Fraction at the end.  The
-pivot of a column is the entry of smallest absolute value among the rows
-not yet pivoted.  Any nonzero pivot gives the same answers: the pivot
-columns and the solutions do not depend on the row chosen.  No floating
-point, no tolerance thresholds.
+denominators; a row that is already integer, as every row the absorption
+kernel builds is, skips that pass.  The step with pivot p in row k then
+replaces every other row by (p * row - f * row_k) // p', where f is the
+row's entry in the pivot column and p' the previous pivot (1 at the
+start).  Every entry stays a minor of the scaled matrix, so the division
+is exact and no gcd is taken inside the loop; each output entry becomes
+one Fraction at the end.  The pivot of a column is the entry of smallest
+absolute value among the rows not yet pivoted.  Any nonzero pivot gives
+the same answers: the pivot columns and the solutions do not depend on the
+row chosen.  No floating point, no tolerance thresholds.
 """
 
 from __future__ import annotations
@@ -29,8 +30,13 @@ class SingularMatrixError(ValueError):
 
 
 def _integer_rows(rows) -> list[list[int]]:
+    """Each row scaled to integers by the LCM of its denominators; a row of
+    ints is passed through as it is."""
     out = []
     for row in rows:
+        if all(type(x) is int for x in row):
+            out.append(row)
+            continue
         scale = lcm(*(x.denominator for x in row))
         out.append([x.numerator * (scale // x.denominator) for x in row])
     return out
@@ -70,7 +76,8 @@ def _eliminate(rows: list[list[int]], ncols: int) -> list[tuple[int, int]]:
 
 def solve(a: Matrix, rhs: Matrix) -> Matrix:
     """Solves A X = RHS for a square nonsingular A; RHS holds one column per
-    unknown system.  Returns X with the same column count."""
+    unknown system.  Entries are ints or Fractions.  Returns X, of
+    Fractions, with the same column count."""
     n = len(a)
     if n == 0:
         return []

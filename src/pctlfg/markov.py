@@ -21,9 +21,16 @@ that reach a target mask with probability 0 and with probability 1.  A
 `ModelChecker` builds its chain's masks once; bounded sat builds them once
 per enumerated graph.  `absorption` is the one exact linear solve: the
 checker's reach probabilities (and with them the ETR oracle's block
-values) and the first-passage distribution go through it.  Tarjan's
-`scc_decompose` stays on state names; `first_passage` reads the checker's
-SCC decomposition only to name the certificate of a failed precondition.
+values) and the first-passage distribution go through it.  It works on
+state indices: the unknown states, a `row(i) -> (d, [(j, n), ...])`
+accessor with P(i,j) = n/d (`ModelChecker.row`), and one boundary mask
+per right-hand column (prob1 for reach, one target per column for first
+passage).  It hands `linalg.solve` integer rows, each equation of
+(I - P) x = b multiplied by its row's d, so no Fraction arithmetic builds
+the system.  Loading a chain reads each distinct numeral text once.
+Tarjan's `scc_decompose` stays on state names; `first_passage` reads the
+checker's SCC decomposition only to name the certificate of a failed
+precondition.
 """
 
 from __future__ import annotations
@@ -150,12 +157,17 @@ class MarkovChain:
             states.append(str(rec["id"]))
             valuation[str(rec["id"])] = ap
         edges = {}
+        numerals: dict[str, Fraction] = {}  # each distinct text is read once
         for i, rec in enumerate(data["edges"]):
             _check_record(rec, f"edge record {i}", ("from", "to", "p"))
             key = (str(rec["from"]), str(rec["to"]))
             if key in edges:
                 raise InvalidChainError(f"duplicate edge {key[0]!r} -> {key[1]!r}")
-            edges[key] = parse_probability(rec["p"])
+            text = str(rec["p"])
+            p = numerals.get(text)
+            if p is None:
+                p = numerals[text] = parse_probability(rec["p"])
+            edges[key] = p
         return cls(states, edges, valuation)
 
     @classmethod
@@ -338,32 +350,45 @@ def prob01(pred, targets: int) -> tuple[int, int]:
 # ---------------------------------------------------------------------------
 # The absorption kernel
 
-def absorption(unknown, successors, boundary) -> dict:
-    """Solves x(s) = sum_t P(s,t) x(t) for every state s in `unknown`, with
-    x fixed to the vector `boundary[t]` (of ints or Fractions) on boundary
-    states and to 0 on every other state; `successors(s)` maps each
-    successor t to P(s,t).  Returns {s: x(s)} for the unknown states, each
-    x(s) a list of Fractions as long as the boundary vectors.  Every unknown
-    state must have a path leaving `unknown`, which makes the system I - P
-    nonsingular."""
+def indices(mask: int) -> list[int]:
+    """The positions of the set bits of `mask`, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+def absorption(unknown, row, columns) -> dict[int, list[Fraction]]:
+    """Solves x(i) = sum_j P(i,j) x(j) for every state index i in `unknown`,
+    with x fixed on the other states: in column c, to 1 on the states of
+    the mask `columns[c]` and to 0 on the rest.  `row(i)` gives state i's
+    transitions as (d, [(j, n), ...]) with P(i,j) = n/d, integers.  Returns
+    {i: x(i)} for the unknown states, each x(i) a list of Fractions, one
+    per column.  The system (I - P) x = b goes to `linalg.solve` as integer
+    rows, each equation multiplied by its d.  Every unknown state must have
+    a path leaving `unknown`, which makes I - P nonsingular."""
     unknown = list(unknown)
     if not unknown:
         return {}
-    pos = {s: i for i, s in enumerate(unknown)}
+    pos = {i: k for k, i in enumerate(unknown)}
     n = len(unknown)
-    width = len(next(iter(boundary.values()), ()))
-    a = [[Fraction(0)] * n for _ in range(n)]
-    rhs = [[Fraction(0)] * width for _ in range(n)]
-    for i, s in enumerate(unknown):
-        a[i][i] = Fraction(1)
-        for dst, p in successors(s).items():
-            if dst in pos:
-                a[i][pos[dst]] -= p
-            elif dst in boundary:
-                row = rhs[i]
-                for j, value in enumerate(boundary[dst]):
-                    if value:
-                        row[j] += p * value
+    a, rhs = [], []
+    for k, i in enumerate(unknown):
+        d, entries = row(i)
+        coefficients = [0] * n
+        coefficients[k] = d
+        values = [0] * len(columns)
+        for j, numerator in entries:
+            if j in pos:
+                coefficients[pos[j]] -= numerator
+            else:
+                for c, mask in enumerate(columns):
+                    if mask >> j & 1:
+                        values[c] += numerator
+        a.append(coefficients)
+        rhs.append(values)
     return dict(zip(unknown, linalg.solve(a, rhs)))
 
 
@@ -390,14 +415,14 @@ def first_passage(mc: ModelChecker, source: str, targets) -> dict[str, Fraction]
         return {t: Fraction(int(t == source)) for t in targets}
 
     # Region explorable from the source without crossing a target.
-    region = mc.names(states_reachable_from(mc.succ, origin, blocked=target_mask))
+    region = states_reachable_from(mc.succ, origin, blocked=target_mask)
     _, prob1 = prob01(mc.pred, target_mask)
     if not prob1 & origin:
         # Then some bottom SCC lies inside the region: it can never reach
         # the targets, and it is the certificate.
-        sccs = mc.sccs
+        sccs, inside = mc.sccs, mc.names(region)
         comp = next(comp for comp, bottom in zip(sccs.components, sccs.is_bottom)
-                    if bottom and comp <= region)
+                    if bottom and comp <= inside)
         raise FirstPassageError(
             f"targets not reached almost surely from {source!r}: "
             f"bottom SCC {{{', '.join(sorted(comp))}}} is reachable and "
@@ -406,8 +431,8 @@ def first_passage(mc: ModelChecker, source: str, targets) -> dict[str, Fraction]
         )
 
     tlist = sorted(targets)
-    one_hot = {t: [int(t == u) for u in tlist] for t in tlist}
-    hit = absorption(sorted(region), mc.chain.successors, one_hot)[source]
+    columns = [mc.mask((t,)) for t in tlist]
+    hit = absorption(indices(region), mc.row, columns)[origin.bit_length() - 1]
     result = dict(zip(tlist, hit))
     assert sum(result.values()) == 1
     return result

@@ -51,7 +51,7 @@ def reachable_eventualities(mc: ModelChecker, state: str,
         return frozenset()
     witnesses = states_reachable_from(mc.succ, mc.mask((state,)))
     for g in pending:
-        almost_sure = mc.mask(s for s, p in mc.path_probabilities(g).items() if p == 1)
+        _, almost_sure, _ = mc.path_values(g)
         witnesses &= ~almost_sure
     return frozenset(f.path_formula for f in candidates
                      if witnesses & mc.sat_mask(f.body))

@@ -4,53 +4,85 @@ Probabilities are computed by exact rational linear solves, never by value
 iteration.  For reachability, the graph kernel `markov.prob01` first pins
 the states with no path to the target to 0 and the states that reach it
 almost surely to 1; only the "maybe" states in between go to the exact
-absorption kernel `markov.absorption`.  G-probabilities are the complement
-of reaching the body's complement.  A `ModelChecker` is the per-chain
-context of the package.  State sets are bitmasks (bit i is
-`chain.states[i]`): the graph as successor and predecessor masks (`succ`,
-`pred`), the reach targets, and the satisfaction sets, which one recursion,
-`sat_mask`, memoizes per subformula.  Names appear only at the edge:
-`mask` and `names` convert, `sat_set` is `names(sat_mask(f))`, and reach
-and path probabilities are keyed by state name.  The checker also holds
-the chain's SCC decomposition (`sccs`); masks, decomposition and memo
-entries are built on first use.  It is the one exact evaluator of a fixed
-chain: bounded sat confirms an edge assignment by the reach probabilities
-of the chain it defines (`etr.check_assignment`).
+absorption kernel `markov.absorption`, which reads each state's row in
+integers from `row(i)`, derived on each call.  `reach_probabilities`
+returns the triple (prob0 mask, prob1 mask, {index: value} for the maybe
+states).  A G formula's triple is that of reaching the body's complement
+with the masks swapped and the maybe values complemented.  A `Prob`
+node's satisfaction mask takes the 1 and 0 masks whole when the bound
+admits 1 and 0 (`passing`) and compares only the maybe values.
+
+A `ModelChecker` is the per-chain context of the package.  State sets are
+bitmasks (bit i is `chain.states[i]`): the graph as successor and
+predecessor masks (`succ`, `pred`), the reach targets, and the
+satisfaction sets, which one recursion, `sat_mask`, memoizes per
+subformula, as `path_values` memoizes the triple per path formula.  Names
+appear only at the edge: `mask` and `names` convert, `sat_set` is
+`names(sat_mask(f))`, and `path_probabilities` and `probability` give
+probabilities by state name.  The checker also holds the chain's SCC
+decomposition (`sccs`); masks, decomposition and memo entries are built
+on first use.  It is the one exact evaluator of a fixed chain: bounded sat
+confirms an edge assignment by the reach probabilities of the chain it
+defines (`etr.check_assignment`).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property, reduce
+from math import lcm
 from operator import and_, or_
 
-from .formula import And, Atom, NegAtom, Or, PathFormula, PathOp, StateFormula
+from .formula import (
+    And, Atom, Cmp, NegAtom, Or, PathFormula, PathOp, StateFormula,
+)
 from .markov import (
-    MarkovChain, SccDecomposition, absorption, predecessor_masks, prob01,
-    scc_decompose,
+    MarkovChain, SccDecomposition, absorption, indices, predecessor_masks,
+    prob01, scc_decompose,
 )
 
 _ZERO, _ONE = Fraction(0), Fraction(1)
 
+# Probabilities in index form: the mask of the states with value 0, the
+# mask of those with value 1, and {index: value} for the states in neither.
+Values = tuple[int, int, dict[int, Fraction]]
+
+
+def passing(values: Values, cmp: Cmp, bound: Fraction) -> int:
+    """The mask of the states whose value in `values` satisfies `cmp bound`:
+    the 0 and 1 masks pass whole or not at all, the rest state by state."""
+    zero, one, maybe = values
+    mask = ((one if cmp.holds(1, bound) else 0)
+            | (zero if cmp.holds(0, bound) else 0))
+    for i, p in maybe.items():
+        if cmp.holds(p, bound):
+            mask |= 1 << i
+    return mask
+
+
+def _value(values: Values, i: int) -> Fraction:
+    zero, one, maybe = values
+    return maybe.get(i, _ONE if one >> i & 1 else _ZERO)
+
 
 class ModelChecker:
-    """Per-chain checker with memoized satisfaction masks, probability
-    vectors, SCC decomposition and graph bitmasks.  The memo tables are
-    private to the instance; the chain is treated as immutable."""
+    """Per-chain checker with memoized satisfaction masks, path
+    probabilities, SCC decomposition and graph bitmasks.  The memo tables
+    are private to the instance; the chain is treated as immutable."""
 
     def __init__(self, chain: MarkovChain):
         self.chain = chain
         self.full = (1 << len(chain.states)) - 1
         self._sat: dict[StateFormula, int] = {}
-        self._pvec: dict[PathFormula, dict[str, Fraction]] = {}
-        self._bit = {s: 1 << i for i, s in enumerate(chain.states)}
+        self._path: dict[PathFormula, Values] = {}
+        self._index = {s: i for i, s in enumerate(chain.states)}
 
     @cached_property
     def sccs(self) -> SccDecomposition:
         """The chain's SCC decomposition, computed once on first use."""
         return scc_decompose(self.chain)
 
-    # -- the graph as bitmasks, and reachability ----------------------------
+    # -- the graph as bitmasks and integer rows, and reachability -----------
 
     @cached_property
     def succ(self) -> list[int]:
@@ -62,41 +94,56 @@ class ModelChecker:
         """Per-state predecessor bitmasks, the transpose of `succ`."""
         return predecessor_masks(self.succ)
 
+    def row(self, i: int) -> tuple[int, list[tuple[int, int]]]:
+        """State i's transitions as (d, [(j, n), ...]) with P(i,j) = n/d,
+        d the LCM of the row's denominators; derived on each call."""
+        succ = self.chain.successors(self.chain.states[i])
+        d = lcm(*(p.denominator for p in succ.values()))
+        index = self._index
+        return d, [(index[t], p.numerator * (d // p.denominator))
+                   for t, p in succ.items()]
+
     def mask(self, states) -> int:
         """The bitmask of the named states; KeyError on an unknown name."""
-        return reduce(or_, map(self._bit.__getitem__, states), 0)
+        index = self._index
+        return reduce(or_, (1 << index[s] for s in states), 0)
 
     def names(self, mask: int) -> frozenset[str]:
         """The names of the states in a bitmask."""
         return frozenset(s for i, s in enumerate(self.chain.states) if mask >> i & 1)
 
-    def reach_probabilities(self, targets: int) -> dict[str, Fraction]:
-        """P(eventually enter the `targets` mask) for every state, exactly."""
+    def reach_probabilities(self, targets: int) -> Values:
+        """P(eventually enter the `targets` mask), exactly, in index form:
+        prob0 and prob1 as masks, and the values of the states in neither
+        from one integer-row absorption solve."""
         prob0, prob1 = prob01(self.pred, targets)
-        probs = {s: _ONE if prob1 >> i & 1 else _ZERO
-                 for i, s in enumerate(self.chain.states)}
-        boundary = {s: (1,) for s, p in probs.items() if p}
-        maybe = [s for i, s in enumerate(self.chain.states)
-                 if not (prob0 | prob1) >> i & 1]
-        for s, (value,) in absorption(maybe, self.chain.successors, boundary).items():
-            probs[s] = value
-        return probs
+        maybe = indices(self.full & ~(prob0 | prob1))
+        solved = absorption(maybe, self.row, [prob1])
+        return prob0, prob1, {i: x for i, (x,) in solved.items()}
 
     # -- path formulas ------------------------------------------------------
 
-    def path_probabilities(self, path: PathFormula) -> dict[str, Fraction]:
-        if path not in self._pvec:
+    def path_values(self, path: PathFormula) -> Values:
+        """The path formula's probabilities in index form, memoized.  A G
+        formula's are the complement of reaching the body's complement:
+        the masks swap and the values in between are complemented."""
+        if path not in self._path:
             body = self.sat_mask(path.body)
             if path.op is PathOp.F:
-                vec = self.reach_probabilities(body)
+                values = self.reach_probabilities(body)
             else:
-                escape = self.reach_probabilities(self.full & ~body)
-                vec = {s: 1 - p for s, p in escape.items()}
-            self._pvec[path] = vec
-        return self._pvec[path]
+                zero, one, maybe = self.reach_probabilities(self.full & ~body)
+                values = one, zero, {i: 1 - p for i, p in maybe.items()}
+            self._path[path] = values
+        return self._path[path]
+
+    def path_probabilities(self, path: PathFormula) -> dict[str, Fraction]:
+        """The path formula's probability at every state, keyed by name."""
+        values = self.path_values(path)
+        return {s: _value(values, i) for i, s in enumerate(self.chain.states)}
 
     def probability(self, state: str, path: PathFormula) -> Fraction:
-        return self.path_probabilities(path)[state]
+        return _value(self.path_values(path), self._index[state])
 
     # -- state formulas -----------------------------------------------------
 
@@ -114,8 +161,7 @@ class ModelChecker:
         elif isinstance(f, Or):
             result = reduce(or_, map(self.sat_mask, f.args), 0)
         else:
-            vec = self.path_probabilities(f.path_formula)
-            result = self.mask(s for s, p in vec.items() if f.cmp.holds(p, f.bound))
+            result = passing(self.path_values(f.path_formula), f.cmp, f.bound)
         self._sat[f] = result
         return result
 
@@ -125,7 +171,7 @@ class ModelChecker:
 
     def holds(self, state: str, f: StateFormula) -> bool:
         """s |= f; KeyError on a state that is not in the chain."""
-        return bool(self.sat_mask(f) & self._bit[state])
+        return bool(self.sat_mask(f) >> self._index[state] & 1)
 
     def check(self, state: str, formulas) -> bool:
         """s |= X: membership in the intersection of the satisfaction sets."""

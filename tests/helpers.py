@@ -260,6 +260,18 @@ def reference_absorption(unknown, successors, boundary):
     return dict(zip(unknown, reference_solve(a, rhs)))
 
 
+def reach_by_name(mc: ModelChecker, targets) -> dict[str, Fraction]:
+    """`mc.reach_probabilities` of the named targets as {state: value},
+    after checking that its prob0 mask, prob1 mask and solved states
+    partition the chain."""
+    zero, one, maybe = mc.reach_probabilities(mc.mask(targets))
+    assert not zero & one
+    assert set(maybe) == {i for i in range(len(mc.chain.states))
+                          if not (zero | one) >> i & 1}
+    return {s: maybe[i] if i in maybe else Fraction(one >> i & 1)
+            for i, s in enumerate(mc.chain.states)}
+
+
 def reference_reach(states, successors, targets):
     """P(eventually enter `targets`) with only the states that have no path
     to the targets pinned (to 0); every other non-target state is solved.

@@ -1,9 +1,9 @@
-"""The exact absorption kernel, checked through its two callers: model
-checking reach vectors (which are also the ETR block values) and
-first-passage distributions.  The equations are checked by code written
-here, not by the kernel, and the values are compared with the Fraction
-reference solvers of `helpers`, which pin only the states with no path to
-the targets."""
+"""The exact absorption kernel, checked directly and through its two
+callers: model checking reach vectors (which are also the ETR block
+values) and first-passage distributions.  The equations are checked by
+code written here, not by the kernel, and the values are compared with the
+Fraction reference solvers of `helpers`, which build I - P in Fractions
+and pin only the states with no path to the targets."""
 
 import random
 from fractions import Fraction
@@ -11,11 +11,13 @@ from fractions import Fraction
 import pytest
 
 from helpers import (
-    random_chain, reference_absorption, reference_reach,
+    random_chain, reach_by_name, reference_absorption, reference_reach,
 )
 
 from pctlfg.linalg import null_vector
-from pctlfg.markov import FirstPassageError, first_passage, scc_decompose
+from pctlfg.markov import (
+    FirstPassageError, absorption, first_passage, indices, scc_decompose,
+)
 from pctlfg.modelcheck import ModelChecker
 from pctlfg.progress import caratheodory_reduce
 
@@ -43,7 +45,7 @@ def test_reach_vectors_satisfy_their_equations():
         chain = random_chain(rng, max_states=7)
         targets = frozenset(s for s in chain.states if rng.random() < 0.3)
         mc = ModelChecker(chain)
-        x = mc.reach_probabilities(mc.mask(targets))
+        x = reach_by_name(mc, targets)
         for s in chain.states:
             if s in targets:
                 assert x[s] == 1
@@ -92,7 +94,7 @@ def test_reach_probabilities_equal_prob0_reference():
     for _ in range(150):
         chain, targets = _chain_with_escape(rng)
         mc = ModelChecker(chain)
-        reach = mc.reach_probabilities(mc.mask(targets))
+        reach = reach_by_name(mc, targets)
         assert reach == reference_reach(chain.states, chain.successors, targets)
         strictly_between += sum(0 < v < 1 for v in reach.values())
     assert strictly_between > 100
@@ -131,3 +133,31 @@ def test_elimination_golden():
               (F(1, 4), F(3, 4)), (F(2, 3), F(2, 3)), (F(1, 5), F(1, 5))]
     assert caratheodory_reduce(points, [F(1, 6)] * 6) == [
         F(0), F(89, 216), F(101, 216), F(0), F(0), F(13, 108)]
+
+
+def test_integer_absorption_equals_fraction_reference():
+    # the kernel's integer rows against the Fraction-built reference, for a
+    # single reach column and for one-hot columns, with some solvable
+    # states left out of the unknowns (pinned to 0 on every column)
+    rng = random.Random(79)
+    widths = set()
+    for _ in range(150):
+        chain = random_chain(rng, max_states=9)
+        mc = ModelChecker(chain)
+        targets = sorted(s for s in chain.states if rng.random() < 0.3)
+        if not targets:
+            continue
+        reach = reference_reach(chain.states, chain.successors, targets)
+        unknown = [s for s in chain.states
+                   if s not in targets and reach[s] and rng.random() < 0.8]
+        if rng.random() < 0.5:
+            columns = [mc.mask(targets)]
+            boundary = dict.fromkeys(targets, (1,))
+        else:
+            columns = [mc.mask((t,)) for t in targets]
+            boundary = {t: [int(t == u) for u in targets] for t in targets}
+        widths.add(len(columns))
+        solved = absorption(indices(mc.mask(unknown)), mc.row, columns)
+        expected = reference_absorption(unknown, chain.successors, boundary)
+        assert {chain.states[i]: x for i, x in solved.items()} == expected
+    assert {1, 2, 3} <= widths

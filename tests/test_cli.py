@@ -150,11 +150,14 @@ def test_sat_unknown_without_solver(capsys, monkeypatch):
     assert out.strip() == "unknown"
 
 
-@pytest.mark.parametrize("answer", [
-    "(" * 5000 + ")" * 5000,
-    "((x1 (/ 1 0)) (x2 (/ 1 0)) (x3 (/ 1 0)))",
-], ids=["nested 5000 deep", "zero denominator"])
-def test_sat_malformed_solver_answer_is_backend_error(capsys, tmp_path, answer):
+@pytest.mark.parametrize("answer, reason", [
+    ("(" * 5000 + ")" * 5000, "nested deeper than 100 levels"),
+    ("((x1 (/ 1 0)) (x2 (/ 1 0)) (x3 (/ 1 0)))", "value of 'x1': zero denominator"),
+    ("((x1 1e-10000000))",
+     "value of 'x1': cannot rationalize solver value '1e-10000000'"),
+], ids=["nested 5000 deep", "zero denominator", "exponent"])
+def test_sat_malformed_solver_answer_is_backend_error(capsys, tmp_path, answer,
+                                                      reason):
     # the uniform assignment misses this formula at bound 3, so the canned
     # solver is asked, and its answer is a protocol error
     script = tmp_path / "canned.py"
@@ -164,6 +167,7 @@ def test_sat_malformed_solver_answer_is_backend_error(capsys, tmp_path, answer):
                        f"{sys.executable} {script} {{file}}")
     assert code == 3
     assert err.startswith("backend error: ") and err.count("\n") == 1
+    assert reason in err
 
 
 def test_sat_emit_only(capsys, tmp_path):

@@ -19,7 +19,8 @@ from pctlfg.etr import (
     BackendError, CorrectnessBlock, ETRCandidate, ETRSystem, SatSearchResult,
     SolverBackend, _block, _graphs, _parse_sexprs, _rationalize,
     check_assignment, encode, enumerate_candidates, f_normal_form,
-    interval_refuted, smt_text, solve_bounded_sat, uniform_assignment,
+    interval_refuted, read_solver_output, smt_text, solve_bounded_sat,
+    uniform_assignment,
 )
 from pctlfg.formula import (
     And, Atom, Cmp, NegAtom, PathOp, Prob, conj, disj, fragment_classify,
@@ -794,6 +795,33 @@ def test_solver_path_after_uniform_miss():
     assert result.solver_calls == backend.calls > 1
     assert validate(result.model) == []
     assert ModelChecker(result.model).holds(result.entry, f)
+
+
+class _CannedOutputBackend:
+    """In-process stand-in for a solver that prints `output`, read as
+    `SolverBackend` reads a subprocess's output."""
+
+    def __init__(self, output):
+        self.output = output
+
+    def solve(self, text):
+        return read_solver_output(self.output)
+
+
+@pytest.mark.parametrize("answer, reason", [
+    ("((x1 (/ 1 0)))", "cannot read the solver's value of 'x1': zero denominator"),
+    ("((x1 1e-10000000))", "cannot read the solver's value of 'x1': "
+                           "cannot rationalize solver value '1e-10000000'"),
+    ("((x1 (/ 1 0)) (x1 1))", "solver model is missing 'x2'"),
+    ("((y1_1 1))", "solver model is missing 'x1'"),
+], ids=["zero denominator", "exponent", "read elsewhere", "absent"])
+def test_unreadable_solver_value_is_reported(answer, reason):
+    # the uniform assignment misses the formula, so the backend is asked;
+    # an edge variable whose value cannot be read is reported with that
+    # read error, and only a variable the answer never gives is "missing"
+    backend = _CannedOutputBackend(f"sat\n{answer}")
+    with pytest.raises(BackendError, match=re.escape(reason)):
+        solve_bounded_sat(pf(SOLVER_PATH_FORMULA), 3, backend=backend)
 
 
 def test_small_compressed_models_are_found_by_bounded_sat():

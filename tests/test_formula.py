@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import PSI_TEXT, random_chain, random_core_formula
+from helpers import PSI_TEXT, random_chain, random_core_formula, reach_by_name
 
 from pctlfg.formula import (
     And, Atom, Cmp, NegAtom, Or, PathFormula, PathOp, PctlSyntaxError, Prob,
@@ -112,9 +112,9 @@ def _eval_surface(mc, state, f):
         assert isinstance(g, SProb)
         body = sat(g.body)
         if g.op is PathOp.F:
-            vec = mc.reach_probabilities(mc.mask(body))
+            vec = reach_by_name(mc, body)
         else:
-            escape = mc.reach_probabilities(mc.mask(states - body))
+            escape = reach_by_name(mc, states - body)
             vec = {s: 1 - escape[s] for s in states}
         return frozenset(s for s in states if g.cmp.holds(vec[s], g.bound))
 

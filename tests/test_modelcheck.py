@@ -1,9 +1,10 @@
+import itertools
 import random
 from fractions import Fraction
 
 from helpers import (
-    PSI_TEXT, fig1_chain, random_chain, random_core_formula, reference_sat_set,
-    simulate_eventually,
+    PSI_TEXT, fig1_chain, random_chain, random_core_formula, reach_by_name,
+    reference_sat_set, simulate_eventually,
 )
 
 from pctlfg.etr import f_normal_form
@@ -11,7 +12,7 @@ from pctlfg.formula import (
     Atom, Cmp, NegAtom, PathFormula, PathOp, Prob, iter_subformulas,
     parse_formula,
 )
-from pctlfg.markov import scc_decompose
+from pctlfg.markov import MarkovChain, scc_decompose
 from pctlfg.modelcheck import ModelChecker
 
 
@@ -20,7 +21,7 @@ def test_prob_f_not_a(fig1_checker):
     assert fig1_checker.probability("t", path) == Fraction(3, 5)
     # the reachability of the body's satisfaction set gives the same value
     mc = fig1_checker
-    assert mc.reach_probabilities(mc.mask({"s"}))["t"] == Fraction(3, 5)
+    assert reach_by_name(mc, {"s"})["t"] == Fraction(3, 5)
 
 
 def test_prob_reach_globally_a(fig1, fig1_checker):
@@ -60,7 +61,7 @@ def test_g_is_complement_of_reaching_complement():
         body = random_core_formula(rng, depth=2)
         g_vec = mc.path_probabilities(PathFormula(PathOp.G, body))
         outside = frozenset(chain.states) - mc.sat_set(body)
-        reach = mc.reach_probabilities(mc.mask(outside))
+        reach = reach_by_name(mc, outside)
         for s in chain.states:
             assert g_vec[s] == 1 - reach[s]
 
@@ -133,3 +134,46 @@ def test_sat_set_equals_reference():
             upper += cmps.count(Cmp.LE)
             strict += cmps.count(Cmp.LT)
     assert upper > 20 and strict > 20
+
+
+def _strongly_connected_chain(rng, n):
+    """A random chain whose states form one cycle plus random extra edges,
+    so that every reach and path probability on it is 0 or 1."""
+    states = [f"s{i}" for i in range(n)]
+    edges = {}
+    for i, s in enumerate(states):
+        extra = rng.sample(states, rng.randint(0, min(2, n)))
+        succ = {states[(i + 1) % n], *extra}
+        weights = {t: rng.randint(1, 3) for t in sorted(succ)}
+        total = sum(weights.values())
+        edges.update(((s, t), Fraction(w, total)) for t, w in weights.items())
+    valuation = {s: ["a"] for s in states if rng.random() < 0.5}
+    return MarkovChain(states, edges, valuation)
+
+
+def test_prob_sat_mask_equals_per_state_comparison():
+    # the Prob branch reads the prob0 and prob1 masks whole and compares
+    # only the states in between; the reference compares every state's
+    # value, at bounds 0 and 1, at 1/2 and at a value that occurs
+    rng = random.Random(61)
+    qualitative = quantitative = 0
+    for k in range(120):
+        if k % 4:
+            chain = random_chain(rng, max_states=9)
+        else:
+            chain = _strongly_connected_chain(rng, rng.randint(1, 6))
+        mc = ModelChecker(chain)
+        for body, op in itertools.product((Atom("a"), NegAtom("a"), Atom("b")),
+                                          (PathOp.F, PathOp.G)):
+            _, _, maybe = mc.path_values(PathFormula(op, body))
+            if k % 4 == 0:
+                assert not maybe
+            qualitative += not maybe
+            quantitative += bool(maybe)
+            bounds = [Fraction(0), Fraction(1), Fraction(1, 2), *maybe.values()]
+            for bound in bounds[:4]:
+                for cmp in Cmp:
+                    f = Prob(op, cmp, bound, body)
+                    assert mc.sat_set(f) == reference_sat_set(chain, f), (
+                        chain.to_dict(), f)
+    assert qualitative > 400 and quantitative > 20
