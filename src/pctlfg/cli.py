@@ -110,7 +110,7 @@ def _cmd_check(args) -> int:
         data["satisfied"] = holds
         data["probabilities"] = {
             str(p): str(mc.probability(state, p))
-            for p in formula_sets({f}).psub}
+            for p in sorted(formula_sets({f}).psub, key=str)}
         _emit(args, ("true" if holds else "false"), data)
         return EXIT_OK if holds else EXIT_FAIL
     _emit(args, "sat set: {" + ", ".join(states) + "}", data)
@@ -154,7 +154,7 @@ def _cmd_measure(args) -> int:
     X = _build_set(args, mc, state)
     parts = aux_sets(mc, state, X)
     value = progress_measure(mc, state, X)
-    norms = {str(p): path_norm(p) for p in formula_sets(X).p}
+    norms = {str(p): path_norm(p) for p in sorted(formula_sets(X).p, key=str)}
     data = {
         "set": _formula_list(X),
         "pending_globals": sorted(str(p) for p in parts.pending),
@@ -168,7 +168,7 @@ def _cmd_measure(args) -> int:
         "pending G obligations: {" + ", ".join(data["pending_globals"]) + "}",
         "reachable eventualities: {" + ", ".join(data["reachable_eventualities"]) + "}",
         "bound base: " + str(parts.base),
-        "path norms: " + ", ".join(f"{k} -> {v}" for k, v in sorted(norms.items())),
+        "path norms: " + ", ".join(f"{k} -> {v}" for k, v in norms.items()),
         "measure: " + str(value),
     ])
     _emit(args, human, data)

@@ -12,15 +12,18 @@ is looked for at vertex 0 of a rooted graph: vertex 0 reaches every
 vertex, only one graph per isomorphism class under relabelings that fix
 vertex 0 is tried (McKay, "Isomorph-free exhaustive generation",
 J. Algorithms 1998), and a labeling is emitted only when vertex 0 carries
-the whole formula.  The enumeration builds one labeling, a vertex bitmask
-per subformula slot, as it chooses the label sets and screens each
+the whole formula.  Vertex sets have one format from enumeration to
+confirmation, `markov`'s: a graph is its tuple of successor masks, and
+every label set and block set is a vertex bitmask; the edge list exists
+only as the order of the SMT edge variables, derived from the successor
+masks.  The enumeration builds one labeling, a vertex bitmask per
+subformula slot, as it chooses the label sets and screens each
 F-subformula's block from the graph alone, skipping the whole subtree of
 labelings on a contradiction: with prob0/prob1 of the body's set, a reach
-value is exactly 0 or 1 there and strictly inside (0, 1) elsewhere.  A
-graph is its tuple of successor masks, the format of `markov`'s graph
-layer; each graph builds its predecessor masks once and calls
-`markov.prob01` on them once per step and body mask, turning the answer
-into a (care, want) mask pair: a label set m passes iff m & care == want.
+value is exactly 0 or 1 there and strictly inside (0, 1) elsewhere.  Each
+graph builds its predecessor masks once and calls `markov.prob01` on them
+once per step and body mask, turning the answer into a (care, want) mask
+pair: a label set m passes iff m & care == want.
 Each surviving candidate is first tried with the uniform assignment; only a
 miss is shipped to a pluggable SMT backend.  An assignment fixes the chain,
 so it is confirmed by that chain's `ModelChecker`, the package's one exact
@@ -41,14 +44,16 @@ import subprocess
 import tempfile
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property, reduce
 from operator import and_, or_, xor
 
 from .formula import (
     And, Atom, NegAtom, Or, Prob, StateFormula, f_normal_form, iter_subformulas,
 )
 from .markov import (
-    InvalidChainError, MarkovChain, parse_probability, predecessor_masks,
-    prob01, states_reachable_from, states_with_path_to, validate,
+    InvalidChainError, MarkovChain, indices, parse_probability,
+    predecessor_masks, prob01, states_reachable_from, states_with_path_to,
+    validate,
 )
 from .modelcheck import ModelChecker, passing
 
@@ -101,40 +106,38 @@ def _choice_order(f: StateFormula,
 class ETRCandidate:
     """A guessed digraph with per-subformula vertex labelings.
 
-    Vertices are 0..size-1 (rendered as v1..v{size}); every vertex has
-    out-degree at least one.  Boolean labelings are forced from the free
-    atom and F-subformula sets.  `consistent` asks for a nonempty
-    whole-formula label set; the enumeration emits only those that contain
-    vertex 0.
+    The graph is its tuple of successor masks over vertices 0..size-1
+    (rendered as v1..v{size}), each of out-degree at least one; each label
+    set is a vertex mask, the Boolean ones forced from the atom and
+    F-subformula sets.  `consistent` asks for a nonempty whole-formula
+    set; the enumeration emits only those that contain vertex 0.
     """
 
-    size: int
-    edges: tuple[tuple[int, int], ...]
-    labeling: dict[StateFormula, frozenset[int]]
+    succ: tuple[int, ...]
+    labeling: dict[StateFormula, int]
     formula: StateFormula
+
+    @property
+    def size(self) -> int:
+        return len(self.succ)
 
     def consistent(self) -> list[str]:
         """Boolean labeling rules; returns violations."""
         problems = []
-        every = frozenset(range(self.size))
+        full = (1 << self.size) - 1
+        labeling = self.labeling
         for g in set(iter_subformulas(self.formula)):
-            have = self.labeling[g]
+            have = labeling[g]
             if isinstance(g, NegAtom):
-                if have != every - self.labeling.get(Atom(g.name), frozenset()):
+                if have != full & ~labeling.get(Atom(g.name), 0):
                     problems.append(f"labeling of !{g.name} is not the complement")
             elif isinstance(g, And):
-                want = every
-                for a in g.args:
-                    want &= self.labeling[a]
-                if have != want:
+                if have != reduce(and_, (labeling[a] for a in g.args), full):
                     problems.append(f"labeling of {g} is not the intersection")
             elif isinstance(g, Or):
-                want = frozenset()
-                for a in g.args:
-                    want |= self.labeling[a]
-                if have != want:
+                if have != reduce(or_, (labeling[a] for a in g.args), 0):
                     problems.append(f"labeling of {g} is not the union")
-        if not self.labeling[self.formula]:
+        if not labeling[self.formula]:
             problems.append("whole-formula label set is empty")
         return problems
 
@@ -229,8 +232,6 @@ def enumerate_candidates(f: StateFormula, bound: int,
     for size in range(1, bound + 1):
         full = (1 << size) - 1
         masks = range(1 << size)
-        subsets = [frozenset(k for k in range(size) if mask >> k & 1)
-                   for mask in masks]
         for succ in _graphs(size):
             pred = predecessor_masks(succ)
             labels = [0] * len(nodes)
@@ -240,10 +241,7 @@ def enumerate_candidates(f: StateFormula, bound: int,
             def assign(index: int):
                 if index == len(compiled):
                     if labels[root] & 1:
-                        edges = tuple((i, j) for i in range(size)
-                                      for j in range(size) if succ[i] >> j & 1)
-                        yield ETRCandidate(size, edges, {
-                            g: subsets[m] for g, m in zip(nodes, labels)}, f)
+                        yield ETRCandidate(succ, dict(zip(nodes, labels)), f)
                     return
                 target, screen, rules = compiled[index]
                 choices = masks
@@ -274,82 +272,70 @@ def enumerate_candidates(f: StateFormula, bound: int,
 
 @dataclass(frozen=True)
 class CorrectnessBlock:
-    """The correctness constraints of one labeled F-subformula: given the
-    body's label set, the reach variables are 1 on it, 0 on the vertices
-    with no path to it, linear combinations elsewhere, and compared against
-    the bound inside/outside the formula's label set."""
+    """The correctness constraints of one labeled F-subformula, as vertex
+    masks: the reach variables are 1 on the body's label set `body`, 0 on
+    `out`, the vertices with no path into it, and linear combinations on
+    the other vertices, and compared against the bound inside/outside the
+    formula's label set `inside`."""
 
     formula: Prob
-    body_set: frozenset[int]
-    out_set: frozenset[int]
-    other: tuple[int, ...]
-    in_set: frozenset[int]
+    body: int
+    out: int
+    inside: int
 
 
 @dataclass(frozen=True)
 class ETRSystem:
-    """Existential constraints for one candidate: positive edge variables x
-    that row-stochastically sum per vertex, plus one reach-variable block per
-    F-subformula.  Constraint count is linear in |edges| + size * blocks.
+    """Existential constraints for one candidate graph, given as its
+    successor masks: positive edge variables x that row-stochastically sum
+    per vertex, plus one reach-variable block per F-subformula.
     `valuation` holds each vertex's atoms, read off the candidate's atom
     sets: no constraint mentions them, but the chain an assignment defines
     carries them, so a confirmed assignment is a model."""
 
-    size: int
-    edges: tuple[tuple[int, int], ...]
+    succ: tuple[int, ...]
     blocks: tuple[CorrectnessBlock, ...]
     valuation: tuple[frozenset[str], ...]
 
+    @property
+    def size(self) -> int:
+        return len(self.succ)
+
+    @cached_property
+    def edges(self) -> tuple[tuple[int, int], ...]:
+        """The edges (i, j) ascending; edge k is the variable x{k+1}."""
+        return tuple((i, j) for i, mask in enumerate(self.succ)
+                     for j in indices(mask))
+
     def constraint_count(self) -> int:
-        return len(self.edges) + self.size + sum(
-            len(b.body_set) + len(b.out_set) + len(b.other) + self.size
-            for b in self.blocks)
+        """Row sums, plus an equation and a comparison per block and vertex."""
+        return len(self.edges) + self.size * (1 + 2 * len(self.blocks))
 
 
-def _block(pred, node: Prob, body_set: frozenset[int],
-           in_set: frozenset[int]) -> CorrectnessBlock:
-    """The block of `node` for the given body set in the graph with
+def _block(pred, node: Prob, body: int, inside: int) -> CorrectnessBlock:
+    """The block of `node` for the body mask `body` in the graph with
     predecessor masks `pred`: the cut-off set is prob0, the vertices with
     no path into the body set."""
-    vertices = range(len(pred))
-    reaching = states_with_path_to(pred, _mask(body_set))
-    return CorrectnessBlock(
-        formula=node,
-        body_set=body_set,
-        out_set=frozenset(v for v in vertices if not reaching >> v & 1),
-        other=tuple(v for v in vertices
-                    if reaching >> v & 1 and v not in body_set),
-        in_set=in_set,
-    )
-
-
-def _predecessors(size: int, edges) -> list[int]:
-    """The per-vertex predecessor masks of an edge list."""
-    pred = [0] * size
-    for i, j in edges:
-        pred[j] |= 1 << i
-    return pred
+    full = (1 << len(pred)) - 1
+    return CorrectnessBlock(node, body, full & ~states_with_path_to(pred, body),
+                            inside)
 
 
 def encode(candidate: ETRCandidate) -> ETRSystem:
     """Builds the constraint system of a candidate: one block per
     F-subformula, bottom-up."""
-    pred = _predecessors(candidate.size, candidate.edges)
-    blocks = [_block(pred, node, candidate.labeling[node.body],
-                     candidate.labeling[node])
+    pred = predecessor_masks(candidate.succ)
+    labeling = candidate.labeling
+    blocks = [_block(pred, node, labeling[node.body], labeling[node])
               for node, _ in _choice_order(candidate.formula)
               if isinstance(node, Prob)]
     valuation = [set() for _ in range(candidate.size)]
-    for g, vertices in candidate.labeling.items():
+    for g, mask in labeling.items():
         if isinstance(g, Atom):
-            for v in vertices:
+            for v in indices(mask):
                 valuation[v].add(g.name)
-    return ETRSystem(candidate.size, candidate.edges, tuple(blocks),
+    return ETRSystem(candidate.succ, tuple(blocks),
                      tuple(map(frozenset, valuation)))
-
-
-def _mask(vertices) -> int:
-    return sum(1 << v for v in vertices)
 
 
 def _verdicts(node: Prob) -> tuple[bool, bool, bool | None]:
@@ -380,22 +366,20 @@ def interval_refuted(system: ETRSystem) -> bool:
     lets through, so the search never calls this; it is the screen on an
     encoded system, which the tests check for soundness and the benchmark
     traces."""
-    pred = _predecessors(system.size, system.edges)
+    pred = predecessor_masks(system.succ)
     full = (1 << system.size) - 1
     for block in system.blocks:
         care, want = _screen(_verdicts(block.formula),
-                             *prob01(pred, _mask(block.body_set)), full)
-        if _mask(block.in_set) & care != want:
+                             *prob01(pred, block.body), full)
+        if block.inside & care != want:
             return True
     return False
 
 
 def uniform_assignment(system: ETRSystem) -> dict[tuple[int, int], Fraction]:
     """Every vertex's outgoing edges share its probability mass equally."""
-    out_degree = [0] * system.size
-    for i, _ in system.edges:
-        out_degree[i] += 1
-    return {(i, j): Fraction(1, out_degree[i]) for i, j in system.edges}
+    succ = system.succ
+    return {(i, j): Fraction(1, succ[i].bit_count()) for i, j in system.edges}
 
 
 def check_assignment(system: ETRSystem, assignment: dict[tuple[int, int], Fraction],
@@ -416,9 +400,9 @@ def check_assignment(system: ETRSystem, assignment: dict[tuple[int, int], Fracti
         raise ValueError("; ".join(problems))
     mc = ModelChecker(chain)
     for block in system.blocks:
-        values = mc.reach_probabilities(_mask(block.body_set))
+        values = mc.reach_probabilities(block.body)
         cmp, r = block.formula.cmp, block.formula.bound
-        if passing(values, cmp, r) != _mask(block.in_set):
+        if passing(values, cmp, r) != block.inside:
             return None
     return mc
 
@@ -440,38 +424,39 @@ def _edge_var(index: int) -> str:
 def smt_text(system: ETRSystem) -> str:
     """The candidate's constraints in SMT-LIB 2 text, logic QF_NRA, with a
     model request for the edge variables."""
+    size, edges = system.size, system.edges
     lines = ["(set-logic QF_NRA)"]
-    for i in range(len(system.edges)):
+    for i in range(len(edges)):
         lines.append(f"(declare-const {_edge_var(i)} Real)")
     y_names: list[list[str]] = []
     for b, block in enumerate(system.blocks):
-        names = [f"y{b + 1}_{v + 1}" for v in range(system.size)]
+        names = [f"y{b + 1}_{v + 1}" for v in range(size)]
         y_names.append(names)
         for name in names:
             lines.append(f"(declare-const {name} Real)")
-    for i in range(len(system.edges)):
+    for i in range(len(edges)):
         lines.append(f"(assert (and (> {_edge_var(i)} 0) (<= {_edge_var(i)} 1)))")
-    for v in range(system.size):
-        outgoing = [_edge_var(k) for k, e in enumerate(system.edges) if e[0] == v]
+    for v in range(size):
+        outgoing = [_edge_var(k) for k, e in enumerate(edges) if e[0] == v]
         lines.append(f"(assert (= (+ {' '.join(outgoing)}) 1))")
     for b, block in enumerate(system.blocks):
         names = y_names[b]
-        for v in block.body_set:
+        for v in indices(block.body):
             lines.append(f"(assert (= {names[v]} 1))")
-        for v in block.out_set:
+        for v in indices(block.out):
             lines.append(f"(assert (= {names[v]} 0))")
-        for v in block.other:
+        for v in indices((1 << size) - 1 & ~(block.body | block.out)):
             terms = [f"(* {_edge_var(k)} {names[j]})"
-                     for k, (i, j) in enumerate(system.edges) if i == v]
+                     for k, (i, j) in enumerate(edges) if i == v]
             summed = terms[0] if len(terms) == 1 else f"(+ {' '.join(terms)})"
             lines.append(f"(assert (= {names[v]} {summed}))")
         cmp, r = block.formula.cmp, _smt_rational(block.formula.bound)
-        for v in range(system.size):
-            op = cmp if v in block.in_set else cmp.negated()
+        for v in range(size):
+            op = cmp if block.inside >> v & 1 else cmp.negated()
             lines.append(f"(assert ({op} {names[v]} {r}))")
     lines.append("(check-sat)")
-    if system.edges:
-        lines.append(f"(get-value ({' '.join(_edge_var(i) for i in range(len(system.edges)))}))")
+    if edges:
+        lines.append(f"(get-value ({' '.join(_edge_var(i) for i in range(len(edges)))}))")
     return "\n".join(lines) + "\n"
 
 

@@ -236,12 +236,9 @@ def disj(args) -> StateFormula:
 
 
 def _merge(node_type, args) -> StateFormula:
-    flat: list[StateFormula] = []
-    for a in args:
-        parts = a.args if isinstance(a, node_type) else (a,)
-        for p in parts:
-            if p not in flat:
-                flat.append(p)
+    # nodes are interned, so a dict keeps the first occurrence of each
+    flat = list(dict.fromkeys(
+        p for a in args for p in (a.args if isinstance(a, node_type) else (a,))))
     if not flat:
         raise ValueError("empty connective")
     if len(flat) == 1:

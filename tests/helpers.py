@@ -25,7 +25,7 @@ from pctlfg.formula import (
     iter_subformulas, parse_formula,
 )
 from pctlfg.etr import (
-    ETRCandidate, SatSearchResult, _choice_order, _mask, _screen, _verdicts,
+    ETRCandidate, SatSearchResult, _choice_order, _screen, _verdicts,
     check_assignment, encode, f_normal_form, uniform_assignment,
 )
 from pctlfg.linalg import SingularMatrixError
@@ -321,33 +321,35 @@ def all_graphs(size: int):
     return itertools.product(range(1, 1 << size), repeat=size)
 
 
-def sure_vertices(pred, body_set) -> frozenset[int]:
-    """The vertices outside `body_set` that reach it with probability 1
-    under every positive assignment of the graph with predecessor masks
-    `pred`: prob1 minus the body set."""
-    body = _mask(body_set)
-    prob1 = prob01(pred, body)[1] & ~body
-    return frozenset(v for v in range(len(pred)) if prob1 >> v & 1)
+def _mask(vertices) -> int:
+    return sum(1 << v for v in vertices)
 
 
-def block_interval_contradiction(size, block, sure) -> bool:
+def sure_vertices(pred, body: int) -> int:
+    """The mask of the vertices outside the body mask that reach it with
+    probability 1 under every positive assignment of the graph with
+    predecessor masks `pred`: prob1 minus the body set."""
+    return prob01(pred, body)[1] & ~body
+
+
+def block_interval_contradiction(size, block, sure: int) -> bool:
     """The enumeration's mask screen (`etr._screen`) on one block: prob1 is
     the body set plus `sure`, prob0 the cut-off set."""
-    care, want = _screen(_verdicts(block.formula), _mask(block.out_set),
-                         _mask(block.body_set | sure), (1 << size) - 1)
-    return _mask(block.in_set) & care != want
+    care, want = _screen(_verdicts(block.formula), block.out,
+                         block.body | sure, (1 << size) - 1)
+    return block.inside & care != want
 
 
-def reference_block_refuted(size, block, sure):
+def reference_block_refuted(size, block, sure: int):
     """`block_interval_contradiction` vertex by vertex on Fractions: a
     reach value is exactly 1 on the body set and `sure`, exactly 0 on the
     cut-off set and strictly inside (0, 1) elsewhere."""
     cmp, r = block.formula.cmp, block.formula.bound
     for v in range(size):
-        inside = v in block.in_set
-        if v in block.body_set or v in sure:
+        inside = bool(block.inside >> v & 1)
+        if (block.body | sure) >> v & 1:
             value = Fraction(1)
-        elif v in block.out_set:
+        elif block.out >> v & 1:
             value = Fraction(0)
         elif 0 < r < 1:
             continue  # a value in (0, 1) can lie on either side of r
@@ -364,7 +366,8 @@ def reference_candidates(f: StateFormula, bound: int,
     `all_graphs`, every labeling the block screen lets through (refuted
     label sets counted in `result.refuted`) and every nonempty
     whole-formula set, in the order of `etr.enumerate_candidates`.  Each
-    labeling is rebuilt as frozensets at every step."""
+    labeling is rebuilt as frozensets at every step and turned into vertex
+    masks only for an emitted candidate."""
     steps = _choice_order(f)
     for size in range(1, bound + 1):
         full = (1 << size) - 1
@@ -372,13 +375,12 @@ def reference_candidates(f: StateFormula, bound: int,
                    for m in range(full + 1)]
         for succ in all_graphs(size):
             pred = predecessor_masks(succ)
-            edges = tuple((i, j) for i in range(size) for j in range(size)
-                          if succ[i] >> j & 1)
 
             def assign(index, labeling):
                 if index == len(steps):
                     if labeling[f]:
-                        yield ETRCandidate(size, edges, dict(labeling), f)
+                        yield ETRCandidate(succ, {
+                            g: _mask(s) for g, s in labeling.items()}, f)
                     return
                 node, completed = steps[index]
                 choices = subsets
@@ -424,9 +426,5 @@ def candidate_from_chain(chain: MarkovChain, f: StateFormula) -> ETRCandidate:
     """The candidate a concrete chain induces for an F-normal formula: its
     graph plus the true satisfaction sets as labeling."""
     mc = ModelChecker(chain)
-    pos = {s: i for i, s in enumerate(chain.states)}
-    edges = tuple(sorted((pos[src], pos[dst]) for src, dst, _ in chain.edges()))
-    vertices = range(len(chain.states))
-    labeling = {g: frozenset(v for v in vertices if mc.sat_mask(g) >> v & 1)
-                for g in set(iter_subformulas(f))}
-    return ETRCandidate(len(chain.states), edges, labeling, f)
+    return ETRCandidate(tuple(mc.succ), {
+        g: mc.sat_mask(g) for g in set(iter_subformulas(f))}, f)

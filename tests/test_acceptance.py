@@ -267,12 +267,10 @@ def test_criterion_10_encoding_faithfulness():
         if rng.random() < 0.5:
             labeling = dict(candidate.labeling)
             victim = f_nodes[rng.randrange(len(f_nodes))]
-            labeling[victim] = labeling[victim] ^ {rng.randrange(len(chain.states))}
-            candidate = type(candidate)(candidate.size, candidate.edges,
-                                        labeling, f)
-        labels_agree = all(
-            candidate.labeling[g] == frozenset(pos[s] for s in mc.sat_set(g))
-            for g in f_nodes)
+            labeling[victim] ^= 1 << rng.randrange(len(chain.states))
+            candidate = type(candidate)(candidate.succ, labeling, f)
+        labels_agree = all(candidate.labeling[g] == mc.sat_mask(g)
+                           for g in f_nodes)
         confirmed = check_assignment(encode(candidate), truth) is not None
         assert confirmed == labels_agree
         if labels_agree:

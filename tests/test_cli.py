@@ -326,6 +326,20 @@ def test_module_entry_point(model_path):
     assert proc.stdout.strip() == "true"
 
 
+def _outputs_under_hash_seeds(argv, *written) -> set:
+    """The distinct (stdout, *contents of `written`) of `python -m pctlfg
+    *argv` under PYTHONHASHSEED 0, 1 and 7."""
+    outputs = set()
+    for hash_seed in ("0", "1", "7"):
+        proc = subprocess.run(
+            [sys.executable, "-m", "pctlfg", *argv],
+            capture_output=True, text=True,
+            env={**os.environ, "PYTHONHASHSEED": hash_seed})
+        assert proc.returncode == 0, proc.stderr
+        outputs.add((proc.stdout, *(path.read_text() for path in written)))
+    return outputs
+
+
 def test_compress_output_does_not_depend_on_the_hash_seed(tmp_path, model_path):
     # formulas hash by identity, so formula sets iterate in allocation order
     # and strings in hash-seed order: neither may reach the output.  The
@@ -342,19 +356,28 @@ def test_compress_output_does_not_depend_on_the_hash_seed(tmp_path, model_path):
     assert [job[3] for job in jobs] == ["l2", "l2", "generic"]
     trace_path = tmp_path / "trace.json"
     for model, state, text, fragment in jobs:
-        outputs = set()
-        for hash_seed in ("0", "1", "7"):
-            proc = subprocess.run(
-                [sys.executable, "-m", "pctlfg", "compress", "--model", model,
-                 "--state", state, "--formula", text, "--fragment", fragment,
-                 "--json", "--trace", str(trace_path)],
-                capture_output=True, text=True,
-                env={**os.environ, "PYTHONHASHSEED": hash_seed})
-            assert proc.returncode == 0, proc.stderr
-            # the trace lists formula sets, so it shows a set printed in
-            # iteration order
-            outputs.add((proc.stdout, trace_path.read_text()))
-        assert len(outputs) == 1, (model, text)
+        # the trace lists formula sets, so it shows a set printed in
+        # iteration order
+        assert len(_outputs_under_hash_seeds(
+            ["compress", "--model", model, "--state", state, "--formula", text,
+             "--fragment", fragment, "--json", "--trace", str(trace_path)],
+            trace_path)) == 1, (model, text)
+
+
+@pytest.mark.parametrize("command, field", [
+    ("check", "probabilities"), ("measure", "path_norms")])
+def test_json_keys_do_not_depend_on_the_hash_seed(model_path, command, field):
+    # `check --state` keys its path probabilities, and `measure` its path
+    # norms, by formula text: the keys come out sorted, not in the
+    # allocation order a formula set iterates in (three path formulas, so
+    # an unsorted order rarely comes out sorted three times)
+    outputs = _outputs_under_hash_seeds(
+        [command, "--model", model_path, "--state", "s", "--formula",
+         "F>0[a] & G>=0.2[!a | a] & F>=0.5[a] & G>0[F>0[a]]", "--json"])
+    assert len(outputs) == 1
+    (stdout,), = outputs
+    keys = list(json.loads(stdout)[field])
+    assert len(keys) > 1 and keys == sorted(keys)
 
 
 def test_emitted_model_json_revalidates(capsys, model_path):

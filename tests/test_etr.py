@@ -27,7 +27,7 @@ from pctlfg.formula import (
     iter_subformulas, parse_formula,
 )
 from pctlfg.markov import (
-    MarkovChain, predecessor_masks, states_reachable_from, validate,
+    MarkovChain, indices, predecessor_masks, states_reachable_from, validate,
 )
 from pctlfg.modelcheck import ModelChecker
 from pctlfg.progress import compress_model
@@ -76,8 +76,8 @@ def test_enumerate_atom_single_vertex():
     cands = list(enumerate_candidates(Atom("a"), 1))
     assert len(cands) == 1
     c = cands[0]
-    assert c.edges == ((0, 0),)
-    assert c.labeling[Atom("a")] == frozenset({0})
+    assert c.succ == (1,)
+    assert c.labeling[Atom("a")] == 1
     assert c.consistent() == []
 
 
@@ -87,8 +87,8 @@ def test_enumerate_simple_eventuality():
     # V(F>=1/2 a) must be {v1}; V(a) = {} is screened out, since no vertex
     # reaches a and the reach value 0 is below 1/2
     assert len(cands) == 1
-    assert cands[0].labeling[Atom("a")] == frozenset({0})
-    assert cands[0].labeling[f] == frozenset({0})
+    assert cands[0].labeling[Atom("a")] == 1
+    assert cands[0].labeling[f] == 1
 
 
 def test_enumerate_sizes():
@@ -100,10 +100,26 @@ def test_enumerate_boolean_propagation():
     f = pf("a & !b")
     for c in enumerate_candidates(f, 2):
         assert c.consistent() == []
-        want = c.labeling[Atom("a")] & (frozenset(range(c.size))
-                                        - c.labeling[Atom("b")])
+        want = c.labeling[Atom("a")] & ~c.labeling[Atom("b")]
         assert c.labeling[f] == want
         assert c.labeling[f]
+
+
+def test_consistent_names_each_violated_rule():
+    f = pf("(a | !b) & c")
+    a, b, c = Atom("a"), Atom("b"), Atom("c")
+    union = disj([a, NegAtom("b")])
+    good = {a: 0b01, b: 0b01, NegAtom("b"): 0b10, union: 0b11, c: 0b01, f: 0b01}
+    succ = (0b11, 0b10)
+    assert ETRCandidate(succ, good, f).consistent() == []
+    for changed, problem in [
+        ({NegAtom("b"): 0b11}, "labeling of !b is not the complement"),
+        ({f: 0b11}, f"labeling of {f} is not the intersection"),
+        ({union: 0b01}, f"labeling of {union} is not the union"),
+        ({c: 0, f: 0}, "whole-formula label set is empty"),
+    ]:
+        assert ETRCandidate(succ, {**good, **changed}, f).consistent() == \
+            [problem], changed
 
 
 def _edges(succ):
@@ -168,33 +184,30 @@ def test_enumeration_is_every_consistent_unrefuted_candidate():
         f = f_normal_form(random_core_formula(rng, depth=3))
         if 3 <= len(_labeled_keys(f)) <= 6 and f not in formulas:
             formulas.append(f)
-    rooted = {_edges(succ) for size in (1, 2) for succ in _graphs(size)}
+    rooted = {succ for size in (1, 2) for succ in _graphs(size)}
     kept = 0
     for f in formulas:
         keys = sorted(_labeled_keys(f), key=str)
         want = set()
         for size in (1, 2):
-            subsets = [frozenset(v for v in range(size) if mask >> v & 1)
-                       for mask in range(1 << size)]
-            for sets in itertools.product(subsets, repeat=len(keys)):
+            for sets in itertools.product(range(1 << size), repeat=len(keys)):
                 labeling = dict(zip(keys, sets))
-                # the Boolean rules do not depend on the edges
-                if ETRCandidate(size, (), labeling, f).consistent():
+                # the Boolean rules read the graph's size, not its edges
+                if ETRCandidate((0,) * size, labeling, f).consistent():
                     continue
                 for succ in all_graphs(size):
-                    c = ETRCandidate(size, _edges(succ), labeling, f)
+                    c = ETRCandidate(succ, labeling, f)
                     if not interval_refuted(encode(c)):
-                        want.add((size, c.edges, frozenset(labeling.items())))
-        full = [(c.size, c.edges, frozenset(c.labeling.items()))
+                        want.add((succ, frozenset(labeling.items())))
+        full = [(c.succ, frozenset(c.labeling.items()))
                 for c in reference_candidates(f, 2)]
         assert len(full) == len(set(full)), f
         assert set(full) == want, f
-        got = [(c.size, c.edges, frozenset(c.labeling.items()))
+        got = [(c.succ, frozenset(c.labeling.items()))
                for c in enumerate_candidates(f, 2)]
         assert len(got) == len(set(got)), f
-        assert set(got) == {(size, edges, labeling)
-                            for size, edges, labeling in want
-                            if edges in rooted and 0 in dict(labeling)[f]}, f
+        assert set(got) == {(succ, labeling) for succ, labeling in want
+                            if succ in rooted and dict(labeling)[f] & 1}, f
         kept += len(got)
     assert kept > 0
 
@@ -204,8 +217,9 @@ def _stream_figures(candidates, result):
     emitted = 0
     for c in candidates:
         emitted += 1
-        h.update(repr((c.size, c.edges, sorted(
-            (str(k), sorted(v)) for k, v in c.labeling.items()))).encode())
+        # edge lists and vertex lists: the text the pinned digests were taken on
+        h.update(repr((c.size, _edges(c.succ), sorted(
+            (str(k), indices(v)) for k, v in c.labeling.items()))).encode())
     return emitted, result.refuted, h.hexdigest()[:16]
 
 
@@ -246,9 +260,7 @@ def test_enumeration_deterministic():
 
     def snapshot():
         return [
-            (c.size, c.edges,
-             tuple(sorted((str(k), tuple(sorted(v)))
-                          for k, v in c.labeling.items())))
+            (c.succ, tuple(sorted((str(k), v) for k, v in c.labeling.items())))
             for c in enumerate_candidates(f, 2)
         ]
 
@@ -305,8 +317,8 @@ def test_check_assignment_validates_input(psi):
     {(0, 0): Fraction(1, 3), (0, 1): Fraction(1, 3), (1, 1): Fraction(1)},
 ], ids=["missing edge", "zero edge", "edge above one", "row sum"])
 def test_check_assignment_rejects_a_non_chain(assignment):
-    system = ETRSystem(2, ((0, 0), (0, 1), (1, 1)), (),
-                       (frozenset(), frozenset()))
+    system = ETRSystem((0b11, 0b10), (), (frozenset(), frozenset()))
+    assert system.edges == ((0, 0), (0, 1), (1, 1))
     with pytest.raises(ValueError):
         check_assignment(system, assignment)
 
@@ -318,7 +330,7 @@ def test_degenerate_block_everything_labeled():
     candidate = candidate_from_chain(chain, f)
     system = encode(candidate)
     block = system.blocks[0]
-    assert block.out_set == frozenset() and block.other == ()
+    assert (block.body, block.out, block.inside) == (1, 0, 1)
     assert check_assignment(system, {(0, 0): Fraction(1)})
 
 
@@ -334,8 +346,8 @@ def test_contradictory_block_interval_refuted():
     labeling = dict(candidate.labeling)
     for g in list(labeling):
         if isinstance(g, Prob) or isinstance(g, And):
-            labeling[g] = frozenset({0})
-    forced = type(candidate)(candidate.size, candidate.edges, labeling, f)
+            labeling[g] = 1
+    forced = type(candidate)(candidate.succ, labeling, f)
     assert interval_refuted(encode(forced))
 
 
@@ -359,12 +371,10 @@ def test_encoding_faithfulness_randomized():
             labeling = dict(candidate.labeling)
             victim = f_nodes[rng.randrange(len(f_nodes))]
             flip = rng.randrange(len(chain.states))
-            labeling[victim] = labeling[victim] ^ {flip}
-            candidate = type(candidate)(candidate.size, candidate.edges,
-                                        labeling, f)
-        labels_agree = all(
-            candidate.labeling[g] == frozenset(pos[s] for s in mc.sat_set(g))
-            for g in f_nodes)
+            labeling[victim] ^= 1 << flip
+            candidate = type(candidate)(candidate.succ, labeling, f)
+        labels_agree = all(candidate.labeling[g] == mc.sat_mask(g)
+                           for g in f_nodes)
         confirmed = check_assignment(encode(candidate), truth) is not None
         assert confirmed == labels_agree
         if labels_agree:
@@ -497,19 +507,17 @@ def test_mask_screen_matches_vertex_reference():
     seen = set()
     refuted = kept = 0
     for size in (1, 2, 3):
-        subsets = [frozenset(v for v in range(size) if m >> v & 1)
-                   for m in range(1 << size)]
+        masks = range(1 << size)
         for succ in all_graphs(size):
             pred = predecessor_masks(succ)
-            for body in subsets:
-                b = _block(pred, nodes[0], body, frozenset())
+            for body in masks:
+                out = _block(pred, nodes[0], body, 0).out
                 sure = sure_vertices(pred, body)
-                if (size, body, b.out_set, sure) in seen:
+                if (size, body, out, sure) in seen:
                     continue
-                seen.add((size, body, b.out_set, sure))
-                for node, in_set in itertools.product(nodes, subsets):
-                    block = CorrectnessBlock(node, body, b.out_set, b.other,
-                                             in_set)
+                seen.add((size, body, out, sure))
+                for node, inside in itertools.product(nodes, masks):
+                    block = CorrectnessBlock(node, body, out, inside)
                     want = reference_block_refuted(size, block, sure)
                     assert block_interval_contradiction(size, block, sure) \
                         == want, (size, succ, block)

@@ -4,6 +4,7 @@ import pickle
 import random
 import sys
 import threading
+import time
 from fractions import Fraction
 
 import pytest
@@ -64,6 +65,20 @@ def test_conjunction_flattens():
     f = parse_formula("a & b & !c")
     assert isinstance(f, And) and len(f.args) == 3
     assert parse_formula("(a & b) & !c") == f
+    # duplicates keep their first position, nested conjunctions included
+    a, b, c = Atom("a"), Atom("b"), Atom("c")
+    assert parse_formula("b & a & (b | c) & a & (c & b)").args == \
+        (b, a, parse_formula("b | c"), c)
+
+
+def test_many_conjuncts_parse_in_linear_time():
+    # dropping duplicate conjuncts stays linear; a quadratic dedupe takes
+    # about 25 s on 50,000
+    text = " & ".join(f"a{i}" for i in range(50_000))
+    start = time.perf_counter()
+    f = parse_formula(text)
+    assert time.perf_counter() - start < 10
+    assert len(f.args) == 50_000
 
 
 def test_le_lt_dualities():
