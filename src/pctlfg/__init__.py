@@ -17,14 +17,14 @@ from .closure import (
     UnsatisfiedSetError, achieved_bounds, closure, closure_update, update,
 )
 from .measure import (
-    MeasureParts, aux_sets, bound_base, model_size_bound, path_norm,
-    pending_globals, progress_measure, reachable_eventualities,
+    bound_base, model_size_bound, path_norm, pending_globals, progress_measure,
+    reachable_eventualities,
 )
 from .progress import (
     CompressionError, FragmentError, ProgressLoop, ProgressLoopError,
-    SearchSpaceExceeded, SuccessorSelection, bscc_reduce, build_loop_model,
-    caratheodory_reduce, compress_model, exit_obligations, search_loop_generic,
-    search_loop_l2, successor_selection, verify_loop, verify_selection,
+    SearchSpaceExceeded, bscc_reduce, build_loop_model, caratheodory_reduce,
+    compress_model, exit_obligations, search_loop_generic, search_loop_l2,
+    successor_selection, verify_loop, verify_selection,
 )
 from .etr import (
     BackendError, ETRCandidate, ETRSystem, SatSearchResult, SolverBackend,

@@ -22,7 +22,10 @@ from .formula import (
     fragment_classify, parse_formula, sorted_formulas,
 )
 from .markov import InvalidChainError, MarkovChain, validate
-from .measure import aux_sets, path_norm, progress_measure
+from .measure import (
+    bound_base, path_norm, pending_globals, progress_measure,
+    reachable_eventualities,
+)
 from .modelcheck import ModelChecker
 from .progress import (
     CompressionError, FragmentError, ProgressLoop, ProgressLoopError,
@@ -84,8 +87,8 @@ def _load_loop(path: str) -> ProgressLoop:
             isinstance(level, list) and all(isinstance(text, str) for text in level)
             for level in sets)):
         raise UsageError(f"loop {path!r} must hold a list of formula lists")
-    return ProgressLoop(tuple(
-        frozenset(_parse_formula_arg(text) for text in level) for level in sets))
+    return tuple(frozenset(_parse_formula_arg(text) for text in level)
+                 for level in sets)
 
 
 def _emit(args, human: str, data: dict) -> None:
@@ -152,14 +155,14 @@ def _cmd_measure(args) -> int:
     state = _require_state(chain, args.state)
     mc = ModelChecker(chain)
     X = _build_set(args, mc, state)
-    parts = aux_sets(mc, state, X)
     value = progress_measure(mc, state, X)
     norms = {str(p): path_norm(p) for p in sorted(formula_sets(X).p, key=str)}
     data = {
         "set": _formula_list(X),
-        "pending_globals": sorted(str(p) for p in parts.pending),
-        "reachable_eventualities": sorted(str(p) for p in parts.eventualities),
-        "bound_base": parts.base,
+        "pending_globals": sorted(str(p) for p in pending_globals(mc, state, X)),
+        "reachable_eventualities": sorted(
+            str(p) for p in reachable_eventualities(mc, state, X)),
+        "bound_base": bound_base(X),
         "path_norms": norms,
         "measure": value,
     }
@@ -167,7 +170,7 @@ def _cmd_measure(args) -> int:
         "set: {" + ", ".join(data["set"]) + "}",
         "pending G obligations: {" + ", ".join(data["pending_globals"]) + "}",
         "reachable eventualities: {" + ", ".join(data["reachable_eventualities"]) + "}",
-        "bound base: " + str(parts.base),
+        "bound base: " + str(data["bound_base"]),
         "path norms: " + ", ".join(f"{k} -> {v}" for k, v in norms.items()),
         "measure: " + str(value),
     ])
@@ -200,7 +203,7 @@ def _cmd_loop(args) -> int:
         print(f"no progress loop up to max_n={args.max_n}", file=sys.stderr)
         return EXIT_FAIL
     data = {
-        "sets": [[str(g) for g in sorted_formulas(level)] for level in loop.sets],
+        "sets": [[str(g) for g in sorted_formulas(level)] for level in loop],
         "exit_obligations": _formula_list(exit_obligations(loop)),
     }
     human = "\n".join(

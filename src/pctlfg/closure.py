@@ -12,13 +12,13 @@ set's path formulas at an arbitrary state (no satisfaction precondition).
 
 from __future__ import annotations
 
-from .formula import And, Cmp, Or, PathOp, Prob, StateFormula
+from .formula import And, Cmp, Or, PathOp, Prob, StateFormula, sorted_formulas
 from .modelcheck import ModelChecker
 
 
 class UnsatisfiedSetError(ValueError):
     """A closure/update precondition s |= X failed; names the first
-    falsified formula."""
+    falsified formula in `sorted_formulas` order."""
 
     def __init__(self, state: str, formula: StateFormula):
         super().__init__(f"state {state!r} does not satisfy {formula}")
@@ -27,9 +27,9 @@ class UnsatisfiedSetError(ValueError):
 
 
 def _require_satisfied(mc: ModelChecker, state: str, formulas) -> None:
-    for f in formulas:
-        if not mc.holds(state, f):
-            raise UnsatisfiedSetError(state, f)
+    if not mc.check(state, formulas):
+        raise UnsatisfiedSetError(state, next(
+            f for f in sorted_formulas(formulas) if not mc.holds(state, f)))
 
 
 def least_closed_set(mc: ModelChecker, state: str, formulas, *,

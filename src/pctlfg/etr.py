@@ -44,12 +44,10 @@ import subprocess
 import tempfile
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, reduce
+from functools import cached_property
 from operator import and_, or_, xor
 
-from .formula import (
-    And, Atom, NegAtom, Or, Prob, StateFormula, f_normal_form, iter_subformulas,
-)
+from .formula import And, Atom, NegAtom, Or, Prob, StateFormula, f_normal_form
 from .markov import (
     InvalidChainError, MarkovChain, indices, parse_probability,
     predecessor_masks, prob01, states_reachable_from, states_with_path_to,
@@ -109,8 +107,8 @@ class ETRCandidate:
     The graph is its tuple of successor masks over vertices 0..size-1
     (rendered as v1..v{size}), each of out-degree at least one; each label
     set is a vertex mask, the Boolean ones forced from the atom and
-    F-subformula sets.  `consistent` asks for a nonempty whole-formula
-    set; the enumeration emits only those that contain vertex 0.
+    F-subformula sets; the enumeration emits only candidates whose
+    whole-formula set contains vertex 0.
     """
 
     succ: tuple[int, ...]
@@ -120,26 +118,6 @@ class ETRCandidate:
     @property
     def size(self) -> int:
         return len(self.succ)
-
-    def consistent(self) -> list[str]:
-        """Boolean labeling rules; returns violations."""
-        problems = []
-        full = (1 << self.size) - 1
-        labeling = self.labeling
-        for g in set(iter_subformulas(self.formula)):
-            have = labeling[g]
-            if isinstance(g, NegAtom):
-                if have != full & ~labeling.get(Atom(g.name), 0):
-                    problems.append(f"labeling of !{g.name} is not the complement")
-            elif isinstance(g, And):
-                if have != reduce(and_, (labeling[a] for a in g.args), full):
-                    problems.append(f"labeling of {g} is not the intersection")
-            elif isinstance(g, Or):
-                if have != reduce(or_, (labeling[a] for a in g.args), 0):
-                    problems.append(f"labeling of {g} is not the union")
-        if not labeling[self.formula]:
-            problems.append("whole-formula label set is empty")
-        return problems
 
 
 def _graphs(size: int):
@@ -306,10 +284,6 @@ class ETRSystem:
         """The edges (i, j) ascending; edge k is the variable x{k+1}."""
         return tuple((i, j) for i, mask in enumerate(self.succ)
                      for j in indices(mask))
-
-    def constraint_count(self) -> int:
-        """Row sums, plus an equation and a comparison per block and vertex."""
-        return len(self.edges) + self.size * (1 + 2 * len(self.blocks))
 
 
 def _block(pred, node: Prob, body: int, inside: int) -> CorrectnessBlock:

@@ -6,14 +6,14 @@ maximal path formulas inside its body.  `pending_globals` collects the G
 path formulas of a set that the state does not yet satisfy almost surely;
 `reachable_eventualities` the F obligations that are unsatisfied locally but
 witnessed by a reachable state that spoils none of the pending G formulas.
-The measure combines the three and strictly decreases along the model
-compression recursion, which is what bounds its depth.  Every function that
-asks about a model takes its `ModelChecker`; the chain is `mc.chain`.
+The measure combines the first three and strictly decreases along the model
+compression recursion, which is what bounds its depth; `bound_base` is the
+base of the model-size bound.  Each is its own function, called directly by
+whoever needs it.  Every function that asks about a model takes its
+`ModelChecker`; the chain is `mc.chain`.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from .formula import (
     PathFormula, PathOp, Prob, StateFormula, formula_sets,
@@ -65,21 +65,6 @@ def bound_base(formulas) -> int:
     for f in formulas:
         proper |= subformulas(f) - {f}
     return 2 + len(sets.nsub) + len(sets.psub) + len(proper)
-
-
-@dataclass(frozen=True)
-class MeasureParts:
-    pending: frozenset[PathFormula]
-    eventualities: frozenset[PathFormula]
-    base: int
-
-
-def aux_sets(mc: ModelChecker, state: str, formulas) -> MeasureParts:
-    return MeasureParts(
-        pending=pending_globals(mc, state, formulas),
-        eventualities=reachable_eventualities(mc, state, formulas),
-        base=bound_base(formulas),
-    )
 
 
 def progress_measure(mc: ModelChecker, state: str, formulas) -> int:

@@ -1,14 +1,17 @@
 """Progress loops, successor selection, and bounded model construction.
 
 A progress loop for a closed-and-updated satisfied set X is a sequence of
-formula sets that a simple cycle of fresh states can realize, leaving a
-residue of obligations (`exit_obligations`) for the cycle's exit successors.
-`compress_model` turns that idea into a recursive construction: find a loop,
-split the exit mass over a small support of successor states (exact
-Caratheodory reduction), recurse on strictly simpler formula sets, and stop
-at bottom SCCs, which collapse to satisfaction-signature cycles.  Every
-function that asks about a model takes its `ModelChecker`; the chain is
-`mc.chain` and its SCC decomposition is `mc.sccs`, computed once per chain.
+formula sets, a plain tuple of frozensets, that a simple cycle of fresh
+states can realize, leaving a residue of obligations (`exit_obligations`)
+for the cycle's exit successors.  `compress_model` turns that idea into a
+recursive construction: find a loop, split the exit mass over a small
+support of successor states (exact Caratheodory reduction; the selection is
+a dict from each kept successor to its weight), recurse on strictly simpler
+formula sets, and stop at bottom SCCs, which collapse to
+satisfaction-signature cycles.  Diagnostics that name formulas of a set
+list them in `sorted_formulas` order.  Every function that asks about a
+model takes its `ModelChecker`; the chain is `mc.chain` and its SCC
+decomposition is `mc.sccs`, computed once per chain.
 """
 
 from __future__ import annotations
@@ -21,9 +24,8 @@ from typing import Iterator
 from . import linalg
 from .closure import achieved_bounds, closure_update, least_closed_set
 from .formula import (
-    And, Atom, Cmp, NegAtom, Or, PathFormula, PathOp, Prob, StateFormula,
-    formula_sets, fragment_classify, iter_subformulas, sort_key,
-    sorted_formulas,
+    And, Atom, Cmp, NegAtom, Or, PathOp, Prob, StateFormula, formula_sets,
+    fragment_classify, sort_key, sorted_formulas, subformulas,
 )
 from .markov import MarkovChain, first_passage, reachable_from, scc_decompose
 from .measure import bound_base, model_size_bound, progress_measure, reachable_eventualities
@@ -47,29 +49,17 @@ class CompressionError(RuntimeError):
     """The model compression pipeline hit an internal inconsistency."""
 
 
-@dataclass(frozen=True)
-class ProgressLoop:
-    """A sequence L0..Ln of formula sets.  Validity (pairwise distinct sets,
-    local closure rules, the semantic side conditions) is established by
-    `verify_loop`, not by construction."""
-
-    sets: tuple[frozenset[StateFormula], ...]
-
-    def __len__(self) -> int:
-        return len(self.sets)
-
-    def union(self) -> frozenset[StateFormula]:
-        out: set[StateFormula] = set()
-        for s in self.sets:
-            out |= s
-        return frozenset(out)
+# A sequence L0..Ln of formula sets.  Validity (pairwise distinct sets,
+# local closure rules, the semantic side conditions) is established by
+# `verify_loop`, not by construction.
+ProgressLoop = tuple[frozenset[StateFormula], ...]
 
 
 def exit_obligations(loop: ProgressLoop) -> frozenset[StateFormula]:
     """Formulas the loop itself cannot discharge: every G formula; every
     F formula whose body appears nowhere in the loop; every F=1 formula
     occurring in some L_i whose body is absent from L_i..Ln."""
-    union = loop.union()
+    union = frozenset().union(*loop)
     out: set[StateFormula] = set()
     for f in union:
         if not isinstance(f, Prob):
@@ -82,18 +72,19 @@ def exit_obligations(loop: ProgressLoop) -> frozenset[StateFormula]:
             continue
         if f.cmp is Cmp.GE and f.bound == 1:
             suffix: set[StateFormula] = set()
-            for i in range(len(loop.sets) - 1, -1, -1):
-                suffix |= loop.sets[i]
-                if f in loop.sets[i] and f.body not in suffix:
+            for level in reversed(loop):
+                suffix |= level
+                if f in level and f.body not in suffix:
                     out.add(f)
                     break
     return frozenset(out)
 
 
-def _local_rule_violations(i: int, level: frozenset[StateFormula],
-                           loop: ProgressLoop) -> Iterator[str]:
-    """Yields the condition (3) violations of L_i, lazily."""
-    for f in level:
+def _local_rule_violations(i: int, members, loop: ProgressLoop) -> Iterator[str]:
+    """Yields the condition (3) violations of L_i, lazily, in the order of
+    `members`, the formulas of L_i."""
+    level = loop[i]
+    for f in members:
         if isinstance(f, Atom) and NegAtom(f.name) in level:
             yield f"condition (3): L{i} contains both {f.name} and !{f.name}"
         elif isinstance(f, And):
@@ -104,7 +95,7 @@ def _local_rule_violations(i: int, level: frozenset[StateFormula],
             if not any(a in level for a in f.args):
                 yield f"condition (3): no disjunct of {f} present in L{i}"
         elif isinstance(f, Prob) and f.op is PathOp.G:
-            for j, other in enumerate(loop.sets):
+            for j, other in enumerate(loop):
                 if f.body not in other:
                     yield f"condition (3): body of {f} (in L{i}) missing from L{j}"
 
@@ -123,19 +114,19 @@ def verify_loop(mc: ModelChecker, state: str, formulas,
         problems.append("hypothesis: X is not closed and updated")
 
     sub = formula_sets(X).sub
-    for i, level in enumerate(loop.sets):
+    for i, level in enumerate(loop):
         extra = level - sub
         for f in sorted_formulas(extra):
             problems.append(f"L{i} contains {f}, which is not a subformula of X")
 
-    if not any(X <= level for level in loop.sets):
+    if not any(X <= level for level in loop):
         problems.append("condition (1): no L_i contains X")
-    for i in range(len(loop.sets)):
-        for j in range(i + 1, len(loop.sets)):
-            if loop.sets[i] == loop.sets[j]:
+    for i in range(len(loop)):
+        for j in range(i + 1, len(loop)):
+            if loop[i] == loop[j]:
                 problems.append(f"condition (2): L{i} and L{j} are equal")
-    for i, level in enumerate(loop.sets):
-        problems.extend(_local_rule_violations(i, level, loop))
+    for i, level in enumerate(loop):
+        problems.extend(_local_rule_violations(i, sorted_formulas(level), loop))
 
     residue = exit_obligations(loop)
     for f in sorted_formulas(residue):
@@ -165,12 +156,18 @@ def _locally_consistent_sets(universe: list[StateFormula]):
     out = []
     n = len(universe)
     for mask in range(1, 1 << n):
-        level = frozenset(universe[k] for k in range(n) if mask >> k & 1)
-        alone = ProgressLoop((level,))
-        if next(_local_rule_violations(0, level, alone), None) is None:
+        members = [universe[k] for k in range(n) if mask >> k & 1]
+        level = frozenset(members)
+        if next(_local_rule_violations(0, members, (level,)), None) is None:
             out.append(level)
     out.sort(key=lambda s: (len(s), tuple(sorted(sort_key(f) for f in s))))
     return out
+
+
+def _g_bodies(formulas) -> frozenset[StateFormula]:
+    """The bodies of the G members of `formulas`."""
+    return frozenset(f.body for f in formulas
+                     if isinstance(f, Prob) and f.op is PathOp.G)
 
 
 def search_loop_generic(mc: ModelChecker, state: str, formulas, max_n: int, *,
@@ -196,10 +193,6 @@ def search_loop_generic(mc: ModelChecker, state: str, formulas, max_n: int, *,
     cap = min(max_n, (1 << len(universe)) - 1)
     budget = node_budget
 
-    def g_bodies(level: frozenset[StateFormula]) -> frozenset[StateFormula]:
-        return frozenset(f.body for f in level
-                         if isinstance(f, Prob) and f.op is PathOp.G)
-
     for length in range(1, cap + 2):
         chosen: list[frozenset[StateFormula]] = []
 
@@ -207,17 +200,16 @@ def search_loop_generic(mc: ModelChecker, state: str, formulas, max_n: int, *,
             nonlocal budget
             if len(chosen) == length:
                 if has_anchor:
-                    candidate = ProgressLoop(tuple(chosen))
+                    candidate = tuple(chosen)
                     if not verify_loop(mc, state, X, candidate):
                         return candidate
                 return None
-            remaining = length - len(chosen)
             for level in family:
                 if level in chosen:
                     continue
                 if not required <= level:
                     continue
-                new_bodies = g_bodies(level) - required
+                new_bodies = _g_bodies(level) - required
                 if new_bodies and any(not new_bodies <= prev for prev in chosen):
                     continue
                 if budget <= 0:
@@ -236,11 +228,6 @@ def search_loop_generic(mc: ModelChecker, state: str, formulas, max_n: int, *,
         if found is not None:
             return found
     return None
-
-
-def _contains_g(f: StateFormula) -> bool:
-    return any(isinstance(g, Prob) and g.op is PathOp.G
-               for g in iter_subformulas(f))
 
 
 def search_loop_l2(mc: ModelChecker, state: str, formulas) -> ProgressLoop:
@@ -264,20 +251,17 @@ def search_loop_l2(mc: ModelChecker, state: str, formulas) -> ProgressLoop:
 
     level0 = least_closed_set(mc, state, X, unfold_g=True)
     sets: list[frozenset[StateFormula]] = [level0]
+    union = set(level0)
     witnesses = [state]
     # bodies of every G member of L0 must appear in every later set
-    invariant = frozenset(f.body for f in level0
-                          if isinstance(f, Prob) and f.op is PathOp.G)
+    invariant = _g_bodies(level0)
 
     while True:
-        union: set[StateFormula] = set()
-        for level in sets:
-            union |= level
         unserved = None
         for f in sorted_formulas(union):
             if (isinstance(f, Prob) and f.op is PathOp.F
                     and f not in X and f.body not in union
-                    and not _contains_g(f.body)):
+                    and not _g_bodies(subformulas(f.body))):
                 # F obligations with a G inside must not be served in-loop:
                 # closing their body in a later set would introduce a G whose
                 # body cannot retroactively join every earlier set.  They fall
@@ -295,9 +279,10 @@ def search_loop_l2(mc: ModelChecker, state: str, formulas) -> ProgressLoop:
         new_level = least_closed_set(mc, witness, {unserved.body} | invariant,
                                      unfold_g=False)
         sets.append(new_level)
+        union |= new_level
         witnesses.append(witness)
 
-    loop = ProgressLoop(tuple(sets))
+    loop = tuple(sets)
     problems = verify_loop(mc, state, X, loop)
     if problems:
         raise ProgressLoopError(
@@ -323,19 +308,6 @@ def _find_witness(mc: ModelChecker, start: str, body: StateFormula,
 
 # ---------------------------------------------------------------------------
 # Successor selection (exit distribution of the loop)
-
-@dataclass(frozen=True)
-class SuccessorSelection:
-    """Exit support for a set of obligations: states, positive rational
-    weights summing to one, the path formulas in their canonical order
-    (F formulas first), and the per-state achieved probabilities."""
-
-    support: tuple[str, ...]
-    weights: dict[str, Fraction]
-    obligations: frozenset[StateFormula]
-    paths: tuple[PathFormula, ...]
-    achieved: dict[tuple[str, PathFormula], Fraction]
-
 
 def caratheodory_reduce(points: list[tuple[Fraction, ...]],
                         weights: list[Fraction]) -> list[Fraction]:
@@ -366,16 +338,17 @@ def caratheodory_reduce(points: list[tuple[Fraction, ...]],
 
 
 def successor_selection(mc: ModelChecker, state: str,
-                        obligations) -> SuccessorSelection:
+                        obligations) -> dict[str, Fraction]:
     """Chooses exit successors for the obligations that a loop at `state`
-    pushes outward.
+    pushes outward, as a dict from each kept successor to its positive
+    weight, in state-name order; the weights sum to one.
 
     The candidate states are those inside bottom SCCs plus those satisfying
     some F-obligation body; the first-passage distribution over them is then
     reduced by exact Caratheodory steps on the achieved-probability vectors
-    (all obligations, F and G alike), so the support size is at most
-    |path formulas| + 1 and every obligation's probability at `state` is
-    covered by the weighted successors.
+    (all obligations, F and G alike, F paths first), so the support size is
+    at most |path formulas| + 1 and every obligation's probability at
+    `state` is covered by the weighted successors.
     """
     delta = frozenset(obligations)
     if not mc.check(state, delta):
@@ -390,7 +363,7 @@ def successor_selection(mc: ModelChecker, state: str,
             f_paths.append(path)
         elif f.op is PathOp.G and path not in g_paths:
             g_paths.append(path)
-    paths = tuple(f_paths + g_paths)
+    paths = f_paths + g_paths
 
     candidates: set[str] = set(mc.sccs.bottom_states())
     for path in f_paths:
@@ -400,35 +373,33 @@ def successor_selection(mc: ModelChecker, state: str,
     support = sorted(t for t, y in passage.items() if y > 0)
     vectors = [tuple(mc.probability(t, path) for path in paths) for t in support]
     weights = caratheodory_reduce(vectors, [passage[t] for t in support])
-
-    kept = [t for t, w in zip(support, weights) if w > 0]
-    kept_weights = {t: w for t, w in zip(support, weights) if w > 0}
-    achieved = {(t, path): mc.probability(t, path)
-                for t in kept for path in paths}
-    return SuccessorSelection(tuple(kept), kept_weights, delta, paths, achieved)
+    return {t: w for t, w in zip(support, weights) if w > 0}
 
 
 def verify_selection(mc: ModelChecker, state: str, obligations,
-                     selection: SuccessorSelection) -> list[str]:
-    """Independently checks the five selection conditions; returns all
-    violations."""
+                     selection: dict[str, Fraction]) -> list[str]:
+    """Independently checks the five selection conditions on a successor
+    -> weight dict; returns all violations, path formulas in the
+    `sorted_formulas` order of the obligations that carry them."""
     problems = []
-    if sum(selection.weights.values(), Fraction(0)) != 1:
+    if sum(selection.values(), Fraction(0)) != 1:
         problems.append("weights do not sum to 1")
-    member_paths = formula_sets(obligations).p
-    if not 0 < len(selection.support) <= len(member_paths) + 1:
+    member_paths = dict.fromkeys(f.path_formula
+                                 for f in sorted_formulas(obligations)
+                                 if isinstance(f, Prob))
+    if not 0 < len(selection) <= len(member_paths) + 1:
         problems.append(
-            f"support size {len(selection.support)} outside (0, {len(member_paths) + 1}]")
+            f"support size {len(selection)} outside (0, {len(member_paths) + 1}]")
     for path in member_paths:
-        covered = sum((selection.weights[t] * mc.probability(t, path)
-                       for t in selection.support), Fraction(0))
+        covered = sum((w * mc.probability(t, path) for t, w in selection.items()),
+                      Fraction(0))
         if mc.probability(state, path) > covered:
             problems.append(f"probability of {path} at {state!r} not covered")
     region = reachable_from(mc, state)
     bottoms = mc.sccs.bottom_states()
     f_bodies = [f.body for f in obligations
                 if isinstance(f, Prob) and f.op is PathOp.F]
-    for t in selection.support:
+    for t in selection:
         if t not in region:
             problems.append(f"successor {t!r} unreachable from {state!r}")
         if t not in bottoms and not any(mc.holds(t, b) for b in f_bodies):
@@ -445,7 +416,7 @@ def loop_return_probability(loop: ProgressLoop) -> Fraction:
     """The probability of staying in the loop at its exit state: midpoint
     between 1 and the largest sub-1 bound of the loop's F formulas (1/2 when
     there is none)."""
-    bounds = [f.bound for f in loop.union()
+    bounds = [f.bound for f in frozenset().union(*loop)
               if isinstance(f, Prob) and f.op is PathOp.F and f.bound < 1]
     if not bounds:
         return Fraction(1, 2)
@@ -471,7 +442,7 @@ def build_loop_model(loop: ProgressLoop, submodels, entry_for=None,
     if any(Fraction(w) <= 0 for _, _, w in submodels):
         raise ValueError("submodel weights must be positive")
 
-    n = len(loop.sets)
+    n = len(loop)
     loop_ids = [f"L{i}" for i in range(n)]
     used = set(loop_ids)
     # every name the assembled model may hold, so a renamed state never
@@ -480,7 +451,7 @@ def build_loop_model(loop: ProgressLoop, submodels, entry_for=None,
     states: list[str] = list(loop_ids)
     valuation: dict[str, list[str]] = {
         lid: sorted(f.name for f in level if isinstance(f, Atom))
-        for lid, level in zip(loop_ids, loop.sets)
+        for lid, level in zip(loop_ids, loop)
     }
     edges: dict[tuple[str, str], Fraction] = {}
 
@@ -518,7 +489,7 @@ def build_loop_model(loop: ProgressLoop, submodels, entry_for=None,
     if entry_for is None:
         return chain, loop_ids[0]
     wanted = frozenset(entry_for)
-    for lid, level in zip(loop_ids, loop.sets):
+    for lid, level in zip(loop_ids, loop):
         if wanted <= level:
             return chain, lid
     raise ValueError("no loop set contains the requested entry formulas")
@@ -574,7 +545,7 @@ class CompressionNode:
     size: int = 0
     loop: ProgressLoop | None = None
     obligations: frozenset[StateFormula] = frozenset()
-    selection: SuccessorSelection | None = None
+    selection: dict[str, Fraction] | None = None
     children: list["CompressionNode"] = field(default_factory=list)
 
     def to_dict(self) -> dict:
@@ -589,13 +560,12 @@ class CompressionNode:
         }
         if self.loop is not None:
             data["loop"] = [[str(f) for f in sorted_formulas(level)]
-                            for level in self.loop.sets]
+                            for level in self.loop]
             data["exit_obligations"] = [
                 str(f) for f in sorted_formulas(self.obligations)]
         if self.selection is not None:
             data["successors"] = [
-                {"state": t, "weight": str(self.selection.weights[t])}
-                for t in self.selection.support]
+                {"state": t, "weight": str(w)} for t, w in self.selection.items()]
         if self.children:
             data["children"] = [c.to_dict() for c in self.children]
         return data
@@ -649,14 +619,13 @@ def compress_model(chain: MarkovChain, state: str, formula: StateFormula, *,
                         f"no progress loop found for {at!r} within max_n={max_n}")
             node.loop = loop
             node.obligations = exit_obligations(loop)
-            selection = successor_selection(mc, at, node.obligations)
-            node.selection = selection
+            node.selection = successor_selection(mc, at, node.obligations)
             submodels = []
-            for t in selection.support:
+            for t, w in node.selection.items():
                 X_t = closure_update(mc, t, achieved_bounds(mc, t, node.obligations))
                 child_model, child_entry, child_node = build(t, X_t, m)
                 node.children.append(child_node)
-                submodels.append((child_model, child_entry, selection.weights[t]))
+                submodels.append((child_model, child_entry, w))
             model, entry = build_loop_model(loop, submodels, entry_for=X)
 
         node.size = len(model.states)

@@ -11,7 +11,8 @@ compares each vertex's reach value against the bound one `Fraction` at a
 time, next to the block form of the enumeration's mask screen.  The
 reference bounded search enumerates every digraph and emits every nonempty
 whole-formula label set; the library's search is rooted at vertex 0 and
-tries one graph per isomorphism class.
+tries one graph per isomorphism class.  `labeling_violations` and
+`constraint_count` are oracles on a candidate and on its system.
 """
 
 from __future__ import annotations
@@ -19,14 +20,16 @@ from __future__ import annotations
 import itertools
 import random
 from fractions import Fraction
+from functools import reduce
+from operator import and_, or_
 
 from pctlfg.formula import (
     And, Atom, Cmp, NegAtom, Or, PathOp, Prob, StateFormula, conj, disj,
     iter_subformulas, parse_formula,
 )
 from pctlfg.etr import (
-    ETRCandidate, SatSearchResult, _choice_order, _screen, _verdicts,
-    check_assignment, encode, f_normal_form, uniform_assignment,
+    ETRCandidate, ETRSystem, SatSearchResult, _choice_order, _screen,
+    _verdicts, check_assignment, encode, f_normal_form, uniform_assignment,
 )
 from pctlfg.linalg import SingularMatrixError
 from pctlfg.markov import (
@@ -313,6 +316,34 @@ def reference_sat_set(chain: MarkovChain, f: StateFormula) -> frozenset[str]:
         escape = reference_reach(chain.states, chain.successors, states - body)
         vec = {s: 1 - p for s, p in escape.items()}
     return frozenset(s for s in states if f.cmp.holds(vec[s], f.bound))
+
+
+def labeling_violations(candidate: ETRCandidate) -> list[str]:
+    """The Boolean labeling rules a candidate breaks: a negated atom's set
+    is the complement, a conjunction's the intersection and a disjunction's
+    the union of its parts' sets, and the whole-formula set is nonempty."""
+    problems = []
+    full = (1 << candidate.size) - 1
+    labeling = candidate.labeling
+    for g in set(iter_subformulas(candidate.formula)):
+        have = labeling[g]
+        if isinstance(g, NegAtom):
+            if have != full & ~labeling.get(Atom(g.name), 0):
+                problems.append(f"labeling of !{g.name} is not the complement")
+        elif isinstance(g, And):
+            if have != reduce(and_, (labeling[a] for a in g.args), full):
+                problems.append(f"labeling of {g} is not the intersection")
+        elif isinstance(g, Or):
+            if have != reduce(or_, (labeling[a] for a in g.args), 0):
+                problems.append(f"labeling of {g} is not the union")
+    if not labeling[candidate.formula]:
+        problems.append("whole-formula label set is empty")
+    return problems
+
+
+def constraint_count(system: ETRSystem) -> int:
+    """Row sums, plus an equation and a comparison per block and vertex."""
+    return len(system.edges) + system.size * (1 + 2 * len(system.blocks))
 
 
 def all_graphs(size: int):

@@ -29,12 +29,13 @@ from pctlfg.formula import (
 )
 from pctlfg.markov import MarkovChain, reachable_from, validate
 from pctlfg.measure import (
-    aux_sets, bound_base, model_size_bound, path_norm, progress_measure,
+    bound_base, model_size_bound, path_norm, pending_globals, progress_measure,
+    reachable_eventualities,
 )
 from pctlfg.modelcheck import ModelChecker
 from pctlfg.progress import (
-    ProgressLoop, build_loop_model, bscc_reduce, compress_model,
-    exit_obligations, simple_loop_components, verify_loop,
+    build_loop_model, bscc_reduce, compress_model, exit_obligations,
+    simple_loop_components, verify_loop,
 )
 
 pf = parse_formula
@@ -85,7 +86,7 @@ def golden_loop(psi):
     l1 = frozenset({pf(PHI_OR_TEXT), pf("a")})
     l2 = frozenset({pf(PHI_OR_TEXT), pf("F>=0.5[a & F>=0.2[!a]]"),
                     pf("a & F>=0.2[!a]"), pf("a"), pf("F>=0.2[!a]")})
-    return ProgressLoop((l0, l1, l2))
+    return (l0, l1, l2)
 
 
 def test_criterion_03_progress_loop_golden(fig1_checker, psi):
@@ -107,9 +108,9 @@ def _count_prob_nodes(path: PathFormula) -> int:
 def test_criterion_04_measure_golden(fig1, psi):
     mc = ModelChecker(fig1)
     X = closure_update(mc, "s", {psi})
-    parts = aux_sets(mc, "s", X)
-    assert parts.pending == frozenset({PathFormula(PathOp.G, Atom("a"))})
-    assert parts.eventualities == frozenset()
+    assert pending_globals(mc, "s", X) == frozenset(
+        {PathFormula(PathOp.G, Atom("a"))})
+    assert reachable_eventualities(mc, "s", X) == frozenset()
     g_path = PathFormula(PathOp.G, pf(PHI_OR_TEXT))
     f_path = PathFormula(PathOp.F, pf("G=1[a]"))
     assert path_norm(g_path) == _count_prob_nodes(g_path) == 3

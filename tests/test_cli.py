@@ -3,6 +3,7 @@ import os
 import random
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -327,16 +328,18 @@ def test_module_entry_point(model_path):
 
 
 def _outputs_under_hash_seeds(argv, *written) -> set:
-    """The distinct (stdout, *contents of `written`) of `python -m pctlfg
-    *argv` under PYTHONHASHSEED 0, 1 and 7."""
+    """The distinct (exit code, stdout, stderr, *contents of `written`) of
+    `python -m pctlfg *argv` under PYTHONHASHSEED 0, 1 and 7; the exit code
+    must be 0 or 1 (success or a failed property)."""
     outputs = set()
     for hash_seed in ("0", "1", "7"):
         proc = subprocess.run(
             [sys.executable, "-m", "pctlfg", *argv],
             capture_output=True, text=True,
             env={**os.environ, "PYTHONHASHSEED": hash_seed})
-        assert proc.returncode == 0, proc.stderr
-        outputs.add((proc.stdout, *(path.read_text() for path in written)))
+        assert proc.returncode in (0, 1), proc.stderr
+        outputs.add((proc.returncode, proc.stdout, proc.stderr,
+                     *(path.read_text() for path in written)))
     return outputs
 
 
@@ -364,6 +367,41 @@ def test_compress_output_does_not_depend_on_the_hash_seed(tmp_path, model_path):
             trace_path)) == 1, (model, text)
 
 
+def test_loop_verify_diagnostics_do_not_depend_on_the_hash_seed(tmp_path):
+    # condition (3) names formulas of a loop set: each set's violations come
+    # out in canonical formula order, not in the set's iteration order
+    model = tmp_path / "one.json"
+    model.write_text(MarkovChain(["s"], {("s", "s"): Fraction(1)},
+                                 {"s": ["a", "b", "c", "d"]}).to_json())
+    loop = tmp_path / "loop.json"
+    loop.write_text(json.dumps([["a & b & c & d", "a | b", "c | d",
+                                 "F>0[a] & F>0[b] & F>0[c]"]]))
+    outputs = _outputs_under_hash_seeds(
+        ["loop", "verify", "--model", str(model), "--state", "s",
+         "--formula", "a & b & c & d", "--loop", str(loop)])
+    assert len(outputs) == 1
+    (code, _, stderr), = outputs
+    assert code == 1
+    assert stderr.splitlines() == [
+        "L0 contains F>0[a] & F>0[b] & F>0[c], which is not a subformula of X",
+        "L0 contains a | b, which is not a subformula of X",
+        "L0 contains c | d, which is not a subformula of X",
+        "condition (1): no L_i contains X",
+        "condition (3): conjunct F>0[a] of F>0[a] & F>0[b] & F>0[c] "
+        "missing from L0",
+        "condition (3): conjunct F>0[b] of F>0[a] & F>0[b] & F>0[c] "
+        "missing from L0",
+        "condition (3): conjunct F>0[c] of F>0[a] & F>0[b] & F>0[c] "
+        "missing from L0",
+        "condition (3): conjunct a of a & b & c & d missing from L0",
+        "condition (3): conjunct b of a & b & c & d missing from L0",
+        "condition (3): conjunct c of a & b & c & d missing from L0",
+        "condition (3): conjunct d of a & b & c & d missing from L0",
+        "condition (3): no disjunct of a | b present in L0",
+        "condition (3): no disjunct of c | d present in L0",
+    ]
+
+
 @pytest.mark.parametrize("command, field", [
     ("check", "probabilities"), ("measure", "path_norms")])
 def test_json_keys_do_not_depend_on_the_hash_seed(model_path, command, field):
@@ -375,7 +413,8 @@ def test_json_keys_do_not_depend_on_the_hash_seed(model_path, command, field):
         [command, "--model", model_path, "--state", "s", "--formula",
          "F>0[a] & G>=0.2[!a | a] & F>=0.5[a] & G>0[F>0[a]]", "--json"])
     assert len(outputs) == 1
-    (stdout,), = outputs
+    (code, stdout, _), = outputs
+    assert code == 0
     keys = list(json.loads(stdout)[field])
     assert len(keys) > 1 and keys == sorted(keys)
 

@@ -40,6 +40,22 @@ def test_closure_precondition(fig1_checker, psi):
     assert err.value.formula == psi
 
 
+def test_precondition_names_the_first_falsified_formula_in_canonical_order(
+        fig1_checker):
+    # formulas hash by identity, so a set iterates in allocation order; the
+    # named formula is the least falsified one by `sort_key` whatever order
+    # the members come in
+    falsified = [parse_formula(text) for text in
+                 ("G>=1/2[b]", "F>0[b] & c", "c | d", "!a", "d", "b")]
+    for rotation in range(len(falsified)):
+        X = [Atom("a")] + falsified[rotation:] + falsified[:rotation]
+        for operator in (closure, update):
+            with pytest.raises(UnsatisfiedSetError) as err:
+                operator(fig1_checker, "t", X)
+            assert err.value.formula == Atom("b")
+            assert str(err.value) == "state 't' does not satisfy b"
+
+
 def test_update_running_example(fig1_checker, psi):
     c = closure(fig1_checker, "s", {psi})
     assert update(fig1_checker, "s", c) == c  # both bounds already 1

@@ -9,9 +9,9 @@ import pytest
 
 from helpers import (
     PSI_TEXT, all_graphs, block_interval_contradiction, candidate_from_chain,
-    fig1_chain, random_chain, random_core_formula,
-    reference_block_refuted, reference_candidates, reference_search,
-    satisfied_instance, sure_vertices,
+    constraint_count, fig1_chain, labeling_violations, random_chain,
+    random_core_formula, reference_block_refuted, reference_candidates,
+    reference_search, satisfied_instance, sure_vertices,
 )
 
 import pctlfg.etr
@@ -78,7 +78,7 @@ def test_enumerate_atom_single_vertex():
     c = cands[0]
     assert c.succ == (1,)
     assert c.labeling[Atom("a")] == 1
-    assert c.consistent() == []
+    assert labeling_violations(c) == []
 
 
 def test_enumerate_simple_eventuality():
@@ -99,7 +99,7 @@ def test_enumerate_sizes():
 def test_enumerate_boolean_propagation():
     f = pf("a & !b")
     for c in enumerate_candidates(f, 2):
-        assert c.consistent() == []
+        assert labeling_violations(c) == []
         want = c.labeling[Atom("a")] & ~c.labeling[Atom("b")]
         assert c.labeling[f] == want
         assert c.labeling[f]
@@ -111,15 +111,15 @@ def test_consistent_names_each_violated_rule():
     union = disj([a, NegAtom("b")])
     good = {a: 0b01, b: 0b01, NegAtom("b"): 0b10, union: 0b11, c: 0b01, f: 0b01}
     succ = (0b11, 0b10)
-    assert ETRCandidate(succ, good, f).consistent() == []
+    assert labeling_violations(ETRCandidate(succ, good, f)) == []
     for changed, problem in [
         ({NegAtom("b"): 0b11}, "labeling of !b is not the complement"),
         ({f: 0b11}, f"labeling of {f} is not the intersection"),
         ({union: 0b01}, f"labeling of {union} is not the union"),
         ({c: 0, f: 0}, "whole-formula label set is empty"),
     ]:
-        assert ETRCandidate(succ, {**good, **changed}, f).consistent() == \
-            [problem], changed
+        candidate = ETRCandidate(succ, {**good, **changed}, f)
+        assert labeling_violations(candidate) == [problem], changed
 
 
 def _edges(succ):
@@ -193,7 +193,7 @@ def test_enumeration_is_every_consistent_unrefuted_candidate():
             for sets in itertools.product(range(1 << size), repeat=len(keys)):
                 labeling = dict(zip(keys, sets))
                 # the Boolean rules read the graph's size, not its edges
-                if ETRCandidate((0,) * size, labeling, f).consistent():
+                if labeling_violations(ETRCandidate((0,) * size, labeling, f)):
                     continue
                 for succ in all_graphs(size):
                     c = ETRCandidate(succ, labeling, f)
@@ -283,7 +283,7 @@ def test_encode_shape_running_example(psi):
     system = encode(candidate)
     assert len(system.edges) == 4
     assert len(system.blocks) == 5
-    assert system.constraint_count() >= 4 + 3 + 5 * 3
+    assert constraint_count(system) >= 4 + 3 + 5 * 3
 
 
 def test_check_assignment_running_example(psi):

@@ -9,8 +9,8 @@ from pctlfg.formula import (
 )
 from pctlfg.markov import MarkovChain, reachable_from
 from pctlfg.measure import (
-    aux_sets, bound_base, model_size_bound, path_norm, pending_globals,
-    progress_measure, reachable_eventualities,
+    bound_base, model_size_bound, path_norm, pending_globals, progress_measure,
+    reachable_eventualities,
 )
 from pctlfg.modelcheck import ModelChecker
 from pctlfg.progress import exit_obligations
@@ -22,20 +22,19 @@ def test_path_norms_running_example():
     assert path_norm(PathFormula(PathOp.F, Atom("a"))) == 1
 
 
-def test_aux_sets_running_example(fig1_checker, psi):
+def test_measure_parts_running_example(fig1_checker, psi):
     X = closure_update(fig1_checker, "s", {psi})
-    parts = aux_sets(fig1_checker, "s", X)
-    assert parts.pending == frozenset({PathFormula(PathOp.G, Atom("a"))})
-    assert parts.eventualities == frozenset()
-    assert parts.base == 21
+    assert pending_globals(fig1_checker, "s", X) == frozenset(
+        {PathFormula(PathOp.G, Atom("a"))})
+    assert reachable_eventualities(fig1_checker, "s", X) == frozenset()
+    assert bound_base(X) == 21
 
 
-def test_aux_sets_empty():
-    chain = MarkovChain(["s"], {("s", "s"): Fraction(1)}, {})
-    parts = aux_sets(ModelChecker(chain), "s", frozenset())
-    assert parts.pending == frozenset()
-    assert parts.eventualities == frozenset()
-    assert parts.base == 2
+def test_measure_parts_empty():
+    mc = ModelChecker(MarkovChain(["s"], {("s", "s"): Fraction(1)}, {}))
+    assert pending_globals(mc, "s", frozenset()) == frozenset()
+    assert reachable_eventualities(mc, "s", frozenset()) == frozenset()
+    assert bound_base(frozenset()) == 2
 
 
 def test_measure_running_example(fig1_checker, psi):
@@ -84,11 +83,11 @@ def test_exit_obligations_never_increase_measure():
 
 def test_exit_obligations_measure_on_golden_loop(fig1_checker, psi):
     from helpers import PSI_TEXT
-    from pctlfg.progress import ProgressLoop, verify_loop
+    from pctlfg.progress import verify_loop
 
     X = closure_update(fig1_checker, "s", {psi})
     phi_or = parse_formula(PHI_OR_TEXT)
-    loop = ProgressLoop((
+    loop = (
         frozenset({psi, parse_formula(f"G=1[{PHI_OR_TEXT}]"), phi_or,
                    parse_formula("F>=0.5[a & F>=0.2[!a]]"),
                    parse_formula("F=1[G=1[a]]"), parse_formula("!a")}),
@@ -96,7 +95,7 @@ def test_exit_obligations_measure_on_golden_loop(fig1_checker, psi):
         frozenset({phi_or, parse_formula("F>=0.5[a & F>=0.2[!a]]"),
                    parse_formula("a & F>=0.2[!a]"), Atom("a"),
                    parse_formula("F>=0.2[!a]")}),
-    ))
+    )
     assert verify_loop(fig1_checker, "s", X, loop) == []
     residue = exit_obligations(loop)
     # the golden loop's obligations carry the same measure as X itself

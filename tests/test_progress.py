@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 from fractions import Fraction
 
@@ -16,7 +18,7 @@ from pctlfg.markov import MarkovChain, validate
 from pctlfg.measure import model_size_bound
 from pctlfg.modelcheck import ModelChecker
 from pctlfg.progress import (
-    FragmentError, ProgressLoop, SearchSpaceExceeded, bscc_reduce,
+    FragmentError, SearchSpaceExceeded, bscc_reduce,
     build_loop_model, caratheodory_reduce, compress_model, exit_obligations,
     loop_return_probability, search_loop_generic, search_loop_l2,
     simple_loop_components, successor_selection, verify_loop,
@@ -43,7 +45,7 @@ def example_loop(psi):
         pf("a"),
         pf("F>=0.2[!a]"),
     })
-    return ProgressLoop((l0, l1, l2))
+    return (l0, l1, l2)
 
 
 def expected_obligations():
@@ -63,19 +65,18 @@ def test_exit_obligations_example_loop(running, psi):
 
 
 def test_exit_obligations_no_prob_members():
-    loop = ProgressLoop((frozenset({Atom("a")}),))
+    loop = (frozenset({Atom("a")}),)
     assert exit_obligations(loop) == frozenset()
 
 
 def test_exit_obligations_served_suffix():
-    loop = ProgressLoop((frozenset({pf("F=1[a]"), Atom("a")}),))
+    loop = (frozenset({pf("F=1[a]"), Atom("a")}),)
     assert exit_obligations(loop) == frozenset()
 
 
 def test_exit_obligations_eventuality_after_the_fact():
     # body only occurs before the F=1 member's set: still an obligation
-    loop = ProgressLoop((frozenset({Atom("a")}),
-                         frozenset({pf("F=1[a]"), Atom("b")})))
+    loop = (frozenset({Atom("a")}), frozenset({pf("F=1[a]"), Atom("b")}))
     assert exit_obligations(loop) == frozenset({pf("F=1[a]")})
 
 
@@ -89,8 +90,7 @@ def test_verify_example_loop(running, psi):
 def test_verify_detects_missing_g_body(running, psi):
     fig1, mc, _, X = running
     loop = example_loop(psi)
-    broken = ProgressLoop((loop.sets[0], loop.sets[1] - {pf(PHI_OR_TEXT)},
-                           loop.sets[2]))
+    broken = (loop[0], loop[1] - {pf(PHI_OR_TEXT)}, loop[2])
     problems = verify_loop(mc, "s", X, broken)
     assert any("condition (3)" in p for p in problems)
 
@@ -98,7 +98,7 @@ def test_verify_detects_missing_g_body(running, psi):
 def test_verify_detects_duplicates(running, psi):
     fig1, mc, _, X = running
     loop = example_loop(psi)
-    doubled = ProgressLoop((loop.sets[0], loop.sets[1], loop.sets[1]))
+    doubled = (loop[0], loop[1], loop[1])
     problems = verify_loop(mc, "s", X, doubled)
     assert any("condition (2)" in p for p in problems)
 
@@ -106,7 +106,7 @@ def test_verify_detects_duplicates(running, psi):
 def test_verify_detects_missing_anchor(running, psi):
     fig1, mc, _, X = running
     loop = example_loop(psi)
-    no_anchor = ProgressLoop(loop.sets[1:])
+    no_anchor = loop[1:]
     problems = verify_loop(mc, "s", X, no_anchor)
     assert any("condition (1)" in p for p in problems)
 
@@ -114,7 +114,7 @@ def test_verify_detects_missing_anchor(running, psi):
 def test_verify_reports_all_violations(running, psi):
     fig1, mc, _, X = running
     loop = example_loop(psi)
-    broken = ProgressLoop((loop.sets[1], loop.sets[1]))
+    broken = (loop[1], loop[1])
     problems = verify_loop(mc, "s", X, broken)
     assert len(problems) >= 2
 
@@ -132,7 +132,7 @@ def test_generic_search_atom():
     chain = MarkovChain(["s"], {("s", "s"): Fraction(1)}, {"s": ["a"]})
     X = frozenset({Atom("a")})
     loop = search_loop_generic(ModelChecker(chain), "s", X, 2)
-    assert loop is not None and X <= loop.sets[0]
+    assert loop is not None and X <= loop[0]
 
 
 def test_generic_search_bound_exhausted(running):
@@ -155,14 +155,14 @@ def test_l2_search_running_example(running):
     assert exit_obligations(loop) <= X
     # some set serves the outer eventuality, some set holds its body
     outer = pf("F>=0.5[a & F>=0.2[!a]]")
-    assert any(outer in level for level in loop.sets)
-    assert any(pf("a & F>=0.2[!a]") in level for level in loop.sets)
+    assert any(outer in level for level in loop)
+    assert any(pf("a & F>=0.2[!a]") in level for level in loop)
 
 
 def test_l2_search_atom(fig1_checker):
     X = frozenset({Atom("a")})
     loop = search_loop_l2(fig1_checker, "t", X)
-    assert len(loop.sets) == 1
+    assert len(loop) == 1
 
 
 def test_l2_search_fragment_violation(fig1, fig1_checker):
@@ -237,13 +237,10 @@ def test_selection_running_example(running):
     fig1, mc, _, X = running
     residue = expected_obligations()
     sel = successor_selection(mc, "s", residue)
-    assert sel.support == ("u",)
-    assert sel.weights == {"u": Fraction(1)}
+    assert sel == {"u": Fraction(1)}
     f_path = PathFormula(PathOp.F, pf("G=1[a]"))
     g_path = PathFormula(PathOp.G, pf(PHI_OR_TEXT))
-    assert sel.paths == (f_path, g_path)  # eventualities first
-    assert sel.achieved[("u", f_path)] == 1
-    assert sel.achieved[("u", g_path)] == 1
+    assert mc.probability("u", f_path) == mc.probability("u", g_path) == 1
     assert verify_selection(mc, "s", residue, sel) == []
 
 
@@ -251,8 +248,23 @@ def test_selection_no_eventualities(fig1_checker):
     # G-only obligations: the vectors are constant, so one point remains
     residue = frozenset({pf(f"G=1[{PHI_OR_TEXT}]")})
     sel = successor_selection(fig1_checker, "s", residue)
-    assert len(sel.support) == 1
+    assert len(sel) == 1
     assert verify_selection(fig1_checker, "s", residue, sel) == []
+
+
+def test_verify_selection_reports_paths_in_canonical_order():
+    # the uncovered path formulas are named in the `sorted_formulas` order of
+    # the obligations carrying them, not in the set's iteration order
+    chain = MarkovChain(["s", "x", "y"],
+                        {("s", "x"): Fraction(1, 2), ("s", "y"): Fraction(1, 2),
+                         ("x", "x"): Fraction(1), ("y", "y"): Fraction(1)},
+                        {"x": ["a", "b", "c", "d"]})
+    mc = ModelChecker(chain)
+    residue = frozenset(pf(f"F>=1/2[{name}]") for name in "dbca")
+    assert verify_selection(mc, "s", residue, {"y": Fraction(1)}) == [
+        f"probability of F {name} at 's' not covered" for name in "abcd"]
+    assert verify_selection(mc, "s", residue,
+                            successor_selection(mc, "s", residue)) == []
 
 
 def test_selection_conditions_randomized():
@@ -305,19 +317,19 @@ def test_build_loop_model_in_loop_eventualities_beat_return_mass(running, psi):
     built_mc = ModelChecker(model)
     stay = loop_return_probability(loop)
     residue = exit_obligations(loop)
-    union = loop.union()
+    union = frozenset().union(*loop)
     in_loop_fs = [g for g in union
                   if isinstance(g, Prob) and g.op is PathOp.F
                   and g not in residue]
     assert in_loop_fs
     for g in in_loop_fs:
-        for i in range(len(loop.sets)):
+        for i in range(len(loop)):
             path = g.path_formula
             assert built_mc.probability(f"L{i}", path) >= stay
 
 
 def test_build_loop_model_single_set():
-    loop = ProgressLoop((frozenset({Atom("a")}),))
+    loop = (frozenset({Atom("a")}),)
     model, entry = build_loop_model(loop, [(u_submodel(), "u", Fraction(1))])
     assert validate(model) == []
     assert loop_return_probability(loop) == Fraction(1, 2)
@@ -333,7 +345,7 @@ def test_build_loop_model_weight_validation(psi):
 
 def test_build_loop_model_renames_collisions(psi):
     sub = MarkovChain(["L0"], {("L0", "L0"): Fraction(1)}, {"L0": ["a"]})
-    loop = ProgressLoop((frozenset({Atom("a")}),))
+    loop = (frozenset({Atom("a")}),)
     model, _ = build_loop_model(loop, [(sub, "L0", Fraction(1))])
     assert "m0_L0" in model.states
 
@@ -344,7 +356,7 @@ def test_build_loop_model_renamed_state_avoids_later_names():
     first = MarkovChain(["L0"], {("L0", "L0"): Fraction(1)}, {"L0": ["a"]})
     second = MarkovChain(["m0_L0"], {("m0_L0", "m0_L0"): Fraction(1)},
                          {"m0_L0": ["b"]})
-    loop = ProgressLoop((frozenset({Atom("a")}),))
+    loop = (frozenset({Atom("a")}),)
     model, _ = build_loop_model(loop, [(first, "L0", Fraction(1, 2)),
                                        (second, "m0_L0", Fraction(1, 2))])
     assert len(model.states) == 3
@@ -480,10 +492,18 @@ def test_compress_computes_the_input_sccs_once(monkeypatch, running, psi):
     assert sum(chain is fig1 for chain in seen) == 1
 
 
+def _output_digest(h, entry, model, trace):
+    """Feeds one compression's entry, model JSON and trace JSON to `h`."""
+    h.update(repr((entry, model.to_json(indent=None),
+                   json.dumps(trace.to_dict(), sort_keys=True))).encode())
+
+
 @pytest.mark.parametrize("fragment", ["l2", "generic"])
 def test_compress_randomized_l2(fragment):
-    # L2 instances, compressed by the constructive and the exhaustive search
+    # L2 instances, compressed by the constructive and the exhaustive search;
+    # the two agree here, and the digest pins their output
     rng = random.Random(101)
+    h = hashlib.sha256()
     done = 0
     while done < 25:
         chain, state, f, mc = satisfied_instance(rng, max_states=5, depth=3)
@@ -501,7 +521,9 @@ def test_compress_randomized_l2(fragment):
                     assert child.measure < node.measure
                 walk(child)
         walk(trace)
+        _output_digest(h, entry, model, trace)
         done += 1
+    assert h.hexdigest()[:16] == "c13ede9482f97729"
 
 
 def test_compress_two_level_recursion():
@@ -535,6 +557,7 @@ def test_compress_two_level_recursion():
 def test_compress_randomized_other_fragments():
     # formulas outside L2 (or in any family) go through the generic search
     rng = random.Random(131)
+    h = hashlib.sha256()
     done = 0
     attempts = 0
     while done < 20 and attempts < 2000:
@@ -546,19 +569,19 @@ def test_compress_randomized_other_fragments():
         if len(formula_sets(closure_update(mc, state, {f})).sub) > 9:
             continue
         try:
-            model, entry, _ = compress_model(chain, state, f,
-                                             fragment="generic", max_n=3)
+            model, entry, trace = compress_model(chain, state, f,
+                                                 fragment="generic", max_n=3)
         except SearchSpaceExceeded:
             continue
         assert validate(model) == []
         assert ModelChecker(model).holds(entry, f)
+        _output_digest(h, entry, model, trace)
         done += 1
     assert done >= 20
+    assert h.hexdigest()[:16] == "ec621681ff88b7a5"
 
 
 def test_compress_trace_serializable(running, psi):
-    import json
-
     fig1, mc, _, X = running
     _, _, trace = compress_model(fig1, "s", psi, fragment="l2")
     text = json.dumps(trace.to_dict())
