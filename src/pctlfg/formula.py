@@ -139,6 +139,11 @@ class _StateNode(_Node):
         return (rank, _OP_RANK[self.op], _CMP_RANK[self.cmp], self.bound,
                 self.body._sort_key)
 
+    @cached_property
+    def _fragments(self) -> FragmentMembership:
+        # not cached when it raises, so non-core input raises every time
+        return _classify(self)
+
 
 @_node
 class Atom(_StateNode):
@@ -666,6 +671,12 @@ def _is_w(f: Prob) -> bool:
 
 
 def fragment_classify(f: StateFormula) -> FragmentMembership:
+    """The fragments a core formula belongs to, classified once per node;
+    ValueError on a formula that is not core."""
+    return f._fragments
+
+
+def _classify(f: StateFormula) -> FragmentMembership:
     if not is_core(f):
         raise ValueError("fragment classification expects a core formula")
     memo: dict[tuple[str, StateFormula], bool] = {}

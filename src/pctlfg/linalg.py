@@ -1,20 +1,27 @@
 """Exact linear algebra over rationals.
 
-One fraction-free Gauss-Jordan elimination on integer rows (Bareiss, Math.
-Comp. 22, 1968, in its Gauss-Jordan form) serves both the square solves of
-the absorption kernel (`markov.absorption`, shared by model checking, first
-passage and the ETR oracle) and the kernel vectors of the Caratheodory
-reduction.  Each row is first scaled to integers by the LCM of its
-denominators; a row that is already integer, as every row the absorption
-kernel builds is, skips that pass.  The step with pivot p in row k then
-replaces every other row by (p * row - f * row_k) // p', where f is the
-row's entry in the pivot column and p' the previous pivot (1 at the
-start).  Every entry stays a minor of the scaled matrix, so the division
-is exact and no gcd is taken inside the loop; each output entry becomes
-one Fraction at the end.  The pivot of a column is the entry of smallest
-absolute value among the rows not yet pivoted.  Any nonzero pivot gives
-the same answers: the pivot columns and the solutions do not depend on the
-row chosen.  No floating point, no tolerance thresholds.
+One fraction-free elimination on integer rows (Bareiss, Math. Comp. 22,
+1968), run forward only, serves both the square solves of the absorption
+kernel (`markov.absorption`, shared by model checking, first passage and
+the ETR oracle) and the kernel vectors of the Caratheodory reduction.
+Each row is first scaled to integers by the LCM of its denominators; a row
+that is already integer, as every row the absorption kernel builds is,
+skips that pass.  The step with pivot p in row k then replaces every row
+below it by (p * row - f * row_k) // p', where f is the row's entry in the
+pivot column and p' the previous pivot (1 at the start), over the columns
+right of the pivot column only.  Every entry stays a minor of the scaled
+matrix, so the division is exact and no gcd is taken inside the loop, and
+the pivot of row k is the leading (k+1)-minor of the row-permuted matrix.
+A row with f = 0 would only be multiplied by p / p'; these factors
+telescope over consecutive steps, so the row is left as it is until a step
+with f != 0 updates it or it becomes the pivot row.  Back substitution
+then stays in integers: for the determinant d (the last pivot), d * x is
+an integer vector by Cramer's rule, so each row's division by its pivot is
+exact, and each answer becomes one Fraction at the end.  The pivot of a
+column is the entry of smallest absolute value among the rows not yet
+pivoted.  Any nonzero pivot gives the same answers: the pivot columns and
+the solutions do not depend on the row chosen.  No floating point, no
+tolerance thresholds.
 """
 
 from __future__ import annotations
@@ -42,36 +49,66 @@ def _integer_rows(rows) -> list[list[int]]:
     return out
 
 
-def _eliminate(rows: list[list[int]], ncols: int) -> list[tuple[int, int]]:
-    """Reduces the integer `rows` in place over their first `ncols` columns,
-    in column order, carrying every further column along.  Returns the
-    pivots as (row, column) pairs; a column without a nonzero entry below
-    the rows already pivoted is skipped.  Afterwards every pivot entry
-    equals the last pivot."""
+def _eliminate(rows: list[list[int]], ncols: int) -> int:
+    """Brings the integer `rows` to row-echelon form over their first
+    `ncols` columns, in column order, carrying every further column along,
+    and stops at the first column without a nonzero entry in the rows not
+    yet pivoted.  Returns that column, or `ncols`: it is also the rank
+    found, row k holding the pivot of column k.  Entries left of a row's
+    pivot are not cleared, and `rows` gets new row lists; the caller's row
+    lists are not changed."""
     n = len(rows)
-    pivots: list[tuple[int, int]] = []
     prev = 1
+    # row r's true entries are its entries times prev / base[r], the product
+    # of the factors p / p' of the steps that left it alone; base[r] is the
+    # pivot of the last step that updated it (1 before any)
+    base = [1] * n
     for col in range(ncols):
-        rank = len(pivots)
         pivot_row = min(
-            (r for r in range(rank, n) if rows[r][col]),
-            key=lambda r: abs(rows[r][col]),
+            (r for r in range(col, n) if rows[r][col]),
+            key=lambda r: abs(rows[r][col] * prev // base[r]),
             default=None,
         )
         if pivot_row is None:
-            continue
-        rows[rank], rows[pivot_row] = rows[pivot_row], rows[rank]
-        prow = rows[rank]
+            return col
+        rows[col], rows[pivot_row] = rows[pivot_row], rows[col]
+        base[col], base[pivot_row] = base[pivot_row], base[col]
+        prow = rows[col]
+        if base[col] != prev:
+            scale = base[col]
+            prow = rows[col] = prow[:col] + [x * prev // scale for x in prow[col:]]
         pivot = prow[col]
-        for r in range(n):
+        right = col + 1
+        tail = prow[right:]
+        for r in range(right, n):
             row = rows[r]
             f = row[col]
-            if r == rank or (not f and pivot == prev):
-                continue
-            rows[r] = [(pivot * x - f * y) // prev for x, y in zip(row, prow)]
+            if f:
+                scale = base[r]
+                rows[r] = row[:right] + [(pivot * x - f * y) // scale
+                                         for x, y in zip(row[right:], tail)]
+                base[r] = pivot
         prev = pivot
-        pivots.append((rank, col))
-    return pivots
+    return ncols
+
+
+def _back_substitute(rows: list[list[int]], k: int) -> tuple[int, list[list[int]]]:
+    """For rows from `_eliminate` with pivots in their first `k` columns,
+    solves the triangular k x k system against every column from `k` on.
+    Returns the determinant d, the last pivot, and the solutions times d,
+    which are integers: one list per unknown, one entry per column."""
+    det = rows[k - 1][k - 1]
+    ys: list[list[int]] = [[]] * k
+    for i in range(k - 1, -1, -1):
+        row = rows[i]
+        acc = [det * b for b in row[k:]]
+        for j in range(i + 1, k):
+            u = row[j]
+            if u:
+                acc = [a - u * y for a, y in zip(acc, ys[j])]
+        pivot = row[i]
+        ys[i] = [a // pivot for a in acc]
+    return det, ys
 
 
 def solve(a: Matrix, rhs: Matrix) -> Matrix:
@@ -82,25 +119,28 @@ def solve(a: Matrix, rhs: Matrix) -> Matrix:
     if n == 0:
         return []
     aug = _integer_rows(list(a[i]) + list(rhs[i]) for i in range(n))
-    pivots = _eliminate(aug, n)
-    if len(pivots) < n:
-        col = min(set(range(n)) - {c for _, c in pivots})
-        raise SingularMatrixError(f"singular at column {col}")
-    return [[Fraction(v, row[i]) for v in row[n:]] for i, row in enumerate(aug)]
+    rank = _eliminate(aug, n)
+    if rank < n:
+        raise SingularMatrixError(f"singular at column {rank}")
+    det, ys = _back_substitute(aug, n)
+    return [[Fraction(y, det) for y in row] for row in ys]
 
 
 def null_vector(a: Matrix, width: int) -> list[Fraction] | None:
     """A nonzero rational solution of A x = 0 for a matrix with `width`
     columns, or None if the kernel is trivial.  Deterministic: reduces in
-    column order and assigns 1 to the first free column."""
+    column order, assigns 1 to the first free column and 0 to every other
+    free column."""
     rows = _integer_rows(a)
-    pivots = _eliminate(rows, width)
-    pivot_cols = {col for _, col in pivots}
-    free = next((c for c in range(width) if c not in pivot_cols), None)
-    if free is None:
+    free = _eliminate(rows, width)
+    if free == width:
         return None
     x = [Fraction(0)] * width
     x[free] = Fraction(1)
-    for row, col in pivots:
-        x[col] = Fraction(-rows[row][free], rows[row][col])
+    if free:
+        # the columns before `free` are pivot columns; every later column,
+        # pivot or free, is 0 in this solution
+        det, ys = _back_substitute([row[:free + 1] for row in rows[:free]], free)
+        for col, (y,) in enumerate(ys):
+            x[col] = Fraction(-y, det)
     return x

@@ -27,7 +27,9 @@ accessor with P(i,j) = n/d (`ModelChecker.row`), and one boundary mask
 per right-hand column (prob1 for reach, one target per column for first
 passage).  It hands `linalg.solve` integer rows, each equation of
 (I - P) x = b multiplied by its row's d, so no Fraction arithmetic builds
-the system.  Loading a chain reads each distinct numeral text once.
+the system.  Loading a chain checks and converts each state and edge
+record in one pass, straight into the successor rows, and reads each
+distinct numeral text once.
 Tarjan's `scc_decompose` stays on state names; `first_passage` reads the
 checker's SCC decomposition only to name the certificate of a failed
 precondition.
@@ -65,7 +67,7 @@ class FirstPassageError(ValueError):
 # also takes exponents, in time growing faster than the exponent, so a
 # 12-byte field such as "1e-999999999" would stall the reader; matching
 # here and building the value from the groups also parses each numeral once.
-_NUMERAL = re.compile(r"(-?)([0-9]+)(?:\.([0-9]+)|/([0-9]+))?")
+_NUMERAL = re.compile(r"(-?[0-9]+)(?:\.([0-9]+)|/([0-9]+))?")
 
 
 def parse_probability(text) -> Fraction:
@@ -73,21 +75,35 @@ def parse_probability(text) -> Fraction:
     match = _NUMERAL.fullmatch(str(text))
     if match is None:
         raise InvalidChainError(f"malformed rational {text!r}")
-    sign, whole, decimals, denominator = match.groups()
-    decimals = decimals or ""  # at most one of decimals and denominator
+    whole, decimals, denominator = match.groups()  # one of the last two at most
     try:
-        return Fraction(int(sign + whole + decimals),
-                        int(denominator or 1) * 10 ** len(decimals))
+        if denominator is not None:
+            return Fraction(int(whole), int(denominator))
+        if decimals is not None:
+            return Fraction(int(whole + decimals), 10 ** len(decimals))
+        return Fraction(int(whole))
     except (ValueError, ZeroDivisionError) as exc:
         raise InvalidChainError(f"malformed rational {text!r}") from exc
 
 
-def _check_record(rec, what: str, keys) -> None:
+def _check_record(rec, kind: str, i: int, keys) -> None:
     if not isinstance(rec, dict):
-        raise InvalidChainError(f"{what} must be an object")
+        raise InvalidChainError(f"{kind} record {i} must be an object")
     for key in keys:
         if key not in rec:
-            raise InvalidChainError(f"{what} has no {key!r}")
+            raise InvalidChainError(f"{kind} record {i} has no {key!r}")
+
+
+def _add_edge(succ: dict[str, dict[str, Fraction]], src: str, dst: str,
+              p: Fraction) -> None:
+    row = succ.get(src)
+    if row is None:
+        raise InvalidChainError(f"edge from unknown state {src!r}")
+    if dst not in succ:
+        raise InvalidChainError(f"edge to unknown state {dst!r}")
+    if dst in row:
+        raise InvalidChainError(f"duplicate edge {src!r} -> {dst!r}")
+    row[dst] = p
 
 
 def _dot_string(text: str) -> str:
@@ -103,21 +119,21 @@ class MarkovChain:
         """states: iterable of ids (order preserved);
         edges: {(src, dst): Fraction};
         valuation: {state: iterable of atomic propositions}."""
-        self.states: tuple[str, ...] = tuple(states)
-        if len(set(self.states)) != len(self.states):
+        states = tuple(states)
+        succ: dict[str, dict[str, Fraction]] = {s: {} for s in states}
+        if len(succ) != len(states):
             raise InvalidChainError("duplicate state ids")
-        self.valuation: dict[str, frozenset[str]] = {
-            s: frozenset(valuation.get(s, ())) for s in self.states
-        }
-        self._succ: dict[str, dict[str, Fraction]] = {s: {} for s in self.states}
         for (src, dst), p in edges.items():
-            if src not in self._succ:
-                raise InvalidChainError(f"edge from unknown state {src!r}")
-            if dst not in self._succ:
-                raise InvalidChainError(f"edge to unknown state {dst!r}")
-            if dst in self._succ[src]:
-                raise InvalidChainError(f"duplicate edge {src!r} -> {dst!r}")
-            self._succ[src][dst] = p
+            _add_edge(succ, src, dst, p)
+        self._fill(states, {s: frozenset(valuation.get(s, ())) for s in states}, succ)
+
+    def _fill(self, states: tuple[str, ...], valuation: dict[str, frozenset[str]],
+              succ: dict[str, dict[str, Fraction]]) -> None:
+        """The fields, from checked parts: `valuation` and `succ` are keyed
+        by exactly `states`, in its order."""
+        self.states = states
+        self.valuation = valuation
+        self._succ = succ
 
     def successors(self, s: str) -> dict[str, Fraction]:
         return self._succ[s]
@@ -143,32 +159,39 @@ class MarkovChain:
 
     @classmethod
     def from_dict(cls, data) -> "MarkovChain":
+        """The chain of a JSON model (see the module docstring), checked and
+        converted record by record in one pass.  Of several defects the
+        first in record order is reported: every state record comes before
+        every edge record, and an edge record's keys are checked before its
+        probability, that before its endpoints, and those before its
+        duplication."""
         if not (isinstance(data, dict) and isinstance(data.get("states"), list)
                 and isinstance(data.get("edges"), list)):
             raise InvalidChainError("model must have 'states' and 'edges' lists")
-        states = []
+        succ: dict[str, dict[str, Fraction]] = {}
         valuation = {}
         for i, rec in enumerate(data["states"]):
-            _check_record(rec, f"state record {i}", ("id",))
+            _check_record(rec, "state", i, ("id",))
             ap = rec.get("ap", [])
             if not (isinstance(ap, list) and all(isinstance(a, str) for a in ap)):
                 raise InvalidChainError(
                     f"state record {i}: 'ap' must be a list of atom names")
-            states.append(str(rec["id"]))
-            valuation[str(rec["id"])] = ap
-        edges = {}
+            s = str(rec["id"])
+            if s in succ:
+                raise InvalidChainError("duplicate state ids")
+            succ[s] = {}
+            valuation[s] = frozenset(ap)
         numerals: dict[str, Fraction] = {}  # each distinct text is read once
         for i, rec in enumerate(data["edges"]):
-            _check_record(rec, f"edge record {i}", ("from", "to", "p"))
-            key = (str(rec["from"]), str(rec["to"]))
-            if key in edges:
-                raise InvalidChainError(f"duplicate edge {key[0]!r} -> {key[1]!r}")
+            _check_record(rec, "edge", i, ("from", "to", "p"))
             text = str(rec["p"])
             p = numerals.get(text)
             if p is None:
                 p = numerals[text] = parse_probability(rec["p"])
-            edges[key] = p
-        return cls(states, edges, valuation)
+            _add_edge(succ, str(rec["from"]), str(rec["to"]), p)
+        chain = cls.__new__(cls)
+        chain._fill(tuple(succ), valuation, succ)
+        return chain
 
     @classmethod
     def from_json(cls, text: str) -> "MarkovChain":

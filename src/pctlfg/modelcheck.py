@@ -106,7 +106,10 @@ class ModelChecker:
     def mask(self, states) -> int:
         """The bitmask of the named states; KeyError on an unknown name."""
         index = self._index
-        return reduce(or_, (1 << index[s] for s in states), 0)
+        mask = 0
+        for s in states:
+            mask |= 1 << index[s]
+        return mask
 
     def names(self, mask: int) -> frozenset[str]:
         """The names of the states in a bitmask."""
@@ -152,8 +155,10 @@ class ModelChecker:
         if f in self._sat:
             return self._sat[f]
         if isinstance(f, Atom):
-            result = self.mask(s for s in self.chain.states
-                               if f.name in self.chain.atoms(s))
+            result = 0
+            for i, s in enumerate(self.chain.states):
+                if f.name in self.chain.valuation[s]:
+                    result |= 1 << i
         elif isinstance(f, NegAtom):
             result = self.full & ~self.sat_mask(Atom(f.name))
         elif isinstance(f, And):

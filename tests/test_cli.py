@@ -229,6 +229,9 @@ def test_bad_model_is_usage_error(capsys, tmp_path):
       "edges": [{"from": "s", "to": "s", "p": "5e-1"},
                 {"from": "s", "to": "t", "p": "1/2"},
                 {"from": "t", "to": "t", "p": "1"}]}, "malformed rational"),
+    # two defects: the first in record order is reported
+    ({"states": [{"id": "s", "ap": []}, {"id": "s", "ap": ["a"]}],
+      "edges": [{"from": "s", "to": "s"}]}, "duplicate state ids"),
 ])
 def test_malformed_model_is_usage_error(capsys, tmp_path, model, message):
     path = tmp_path / "bad.json"

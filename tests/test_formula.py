@@ -200,6 +200,14 @@ def test_fragment_l1_example():
     assert fragment_classify(parse_formula("F>=0.5[G>=0.5[a]]")).in_l1
 
 
+def test_fragment_classify_is_cached_and_rejects_non_core_every_time(psi):
+    assert fragment_classify(psi) is fragment_classify(psi)
+    non_core = Prob(PathOp.F, Cmp.LT, Fraction(1, 2), Atom("a"))
+    for _ in range(2):
+        with pytest.raises(ValueError, match="expects a core formula"):
+            fragment_classify(non_core)
+
+
 def test_fragment_bound_variants_stay_inside():
     rng = random.Random(11)
     checked = 0

@@ -109,3 +109,64 @@ def test_null_vector_equals_fraction_reference():
         assert got == reference_null_vector(a, width)
         trivial += got is None
     assert 0 < trivial < 150
+
+
+def _absorption_system(rng, n, width):
+    """An integer system shaped like the ones `markov.absorption` builds:
+    row i is d * (I - P) restricted to the n unknowns, with out-degree at
+    most 3 and the mass leaving the unknowns spread over `width` right-hand
+    columns.  A set of unknowns that no row leaves makes it singular."""
+    a, rhs = [], []
+    for i in range(n):
+        d = rng.randint(2, 9)
+        coefficients = [0] * n
+        coefficients[i] = d
+        values = [0] * width
+        targets = rng.sample(range(n + width), rng.randint(1, 3))
+        shares = [rng.randint(1, 3) for _ in targets]
+        scale = d // sum(shares) or 1
+        for t, share in zip(targets, shares):
+            if t < n:
+                coefficients[t] -= share * scale
+            else:
+                values[t - n] += share * scale
+        a.append(coefficients)
+        rhs.append(values)
+    return a, rhs
+
+
+def test_solve_equals_fraction_reference_on_absorption_systems():
+    rng = random.Random(71)
+    singular = 0
+    for _ in range(40):
+        n = rng.randint(10, 40)
+        a, rhs = _absorption_system(rng, n, rng.choice((1, 4)))
+        got = _outcome(solve, a, rhs)
+        assert got == _outcome(reference_solve, a, rhs)
+        singular += isinstance(got, tuple)
+    assert 0 < singular < 20
+
+
+def _sparse_matrix(rng, rows, cols, rank):
+    """A rows x cols matrix of rank at most `rank` whose rows each combine
+    one or two sparse basis rows, so most pivot-column entries are 0."""
+    basis = [[Fraction(rng.randint(-6, 6), rng.randint(1, 5)) if rng.random() < 0.3
+              else Fraction(0) for _ in range(cols)] for _ in range(rank)]
+    out = []
+    for _ in range(rows):
+        row = [Fraction(0)] * cols
+        for b in rng.sample(basis, min(len(basis), rng.randint(1, 2))):
+            w = Fraction(rng.choice((-2, -1, 1, 3)), rng.randint(1, 3))
+            row = [x + w * y for x, y in zip(row, b)]
+        out.append(row)
+    return out
+
+
+def test_null_vector_equals_fraction_reference_when_rank_deficient():
+    rng = random.Random(73)
+    for _ in range(200):
+        width = rng.randint(2, 12)
+        rows = rng.randint(1, 12)
+        a = _sparse_matrix(rng, rows, width, rng.randint(0, min(rows, width - 1)))
+        got = null_vector(a, width)
+        assert got is not None and got == reference_null_vector(a, width)

@@ -48,6 +48,33 @@ def test_json_round_trip(fig1):
     assert again.valuation == fig1.valuation
 
 
+def test_from_dict_matches_constructor():
+    rng = random.Random(89)
+    for _ in range(100):
+        chain = random_chain(rng, max_states=8)
+        again = MarkovChain.from_dict(chain.to_dict())
+        assert again.states == chain.states
+        assert again.valuation == chain.valuation
+        for s in chain.states:
+            assert list(again.successors(s).items()) == list(chain.successors(s).items())
+
+
+def test_first_defect_in_record_order_is_reported():
+    # a duplicate state id, then an edge record without 'p'
+    with pytest.raises(InvalidChainError, match="^duplicate state ids$"):
+        MarkovChain.from_dict({
+            "states": [{"id": "s", "ap": []}, {"id": "s", "ap": ["a"]}],
+            "edges": [{"from": "s", "to": "s"}],
+        })
+    # within an edge record: its probability before its endpoints
+    with pytest.raises(InvalidChainError, match="malformed rational"):
+        MarkovChain.from_dict({"states": [{"id": "s"}],
+                               "edges": [{"from": "t", "to": "s", "p": "x"}]})
+    with pytest.raises(InvalidChainError, match="edge from unknown state 't'"):
+        MarkovChain.from_dict({"states": [{"id": "s"}],
+                               "edges": [{"from": "t", "to": "s", "p": "1"}]})
+
+
 def test_malformed_probability():
     with pytest.raises(InvalidChainError):
         MarkovChain.from_dict({
