@@ -6,7 +6,7 @@ model compression, and bounded satisfiability via real-arithmetic encoding.
 from .formula import (
     And, Atom, Cmp, FormulaSets, FragmentMembership, NegAtom, Or, PathFormula,
     PathOp, Prob, StateFormula, conj, disj, formula_sets, fragment_classify,
-    normalize, parse, parse_formula, sorted_formulas,
+    normalize, parse_formula, sorted_formulas,
 )
 from .markov import (
     FirstPassageError, InvalidChainError, MarkovChain, SccDecomposition,

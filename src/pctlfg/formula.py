@@ -1,4 +1,4 @@
-"""Formula AST, concrete syntax, normalization, and fragment grammars.
+"""Formula nodes, concrete syntax, normalization, and fragment grammars.
 
 The toolkit works with a probabilistic branching-time logic whose only path
 operators are F ("eventually") and G ("always").  Core formulas keep negation
@@ -14,11 +14,13 @@ measure and progress code cheap.  Derived data the hot paths ask for
 computed once per structure.  A `Prob` bound is always stored as a
 `Fraction`.
 
-Both normal forms come from one pass, `_norm`, which pushes negation to
-atoms and applies the F/G duality P(G b) ~ r iff P(F !b) ~' 1-r: the core
-form (`normalize`, no <= or <), which model checking and the fragment
-grammars read, and the F-normal form (`f_normal_form`, no G), which bounded
-satisfiability in `etr` reads.
+There is one tree: the parser builds core nodes directly, so
+`parse_formula` returns a core formula.  Both normal forms come from one
+pass, `_norm`, which pushes negation to atoms and applies the F/G duality
+P(G b) ~ r iff P(F !b) ~' 1-r: the core form (`normalize`, no <= or <),
+which the parser, model checking and the fragment grammars read, and the
+F-normal form (`f_normal_form`, no G), which bounded satisfiability in
+`etr` reads.
 """
 
 from __future__ import annotations
@@ -30,6 +32,8 @@ from enum import Enum
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterator, Union
+
+from .markov import InvalidChainError, parse_probability
 
 
 class PctlSyntaxError(ValueError):
@@ -352,45 +356,20 @@ def sorted_formulas(X) -> list[StateFormula]:
 #   unit := ident | "!" unit | "(" phi ")"
 #         | ("F"|"G") cmp num "[" phi "]"
 #   cmp  := ">=" | ">" | "<=" | "<" | "="
-#   num  := decimal | integer "/" integer
+#   num  := the model numeral grammar of `markov.parse_probability`, ASCII
+#           digits only:
+#           integer | integer "." digits | integer "/" integer
 #
-# "=" is allowed only as "=1".  Whitespace is insignificant.  Nesting of
-# "!", "(" and "F/G...[" together is capped at MAX_NESTING levels, so that
-# the recursive passes over a parsed formula stay inside Python's recursion
-# limit.
+# "=" is allowed only as "=1".  Whitespace is insignificant.  The parser
+# builds core nodes as it goes: a unit is core when it is returned, so "!"
+# and a "<=", "<" or trivial bound hand their already core operand to the
+# normalization pass below, and a trivial bound is reported as soon as its
+# "]" is read.  Nesting of "!", "(" and "F/G...[" together is capped at
+# MAX_NESTING levels, so that the recursive passes over a parsed formula,
+# normalization inside the parser among them, stay inside Python's
+# recursion limit.
 
 MAX_NESTING = 100
-
-
-@dataclass(frozen=True)
-class SAtom:
-    name: str
-
-
-@dataclass(frozen=True)
-class SNot:
-    arg: "SurfaceFormula"
-
-
-@dataclass(frozen=True)
-class SAnd:
-    args: tuple["SurfaceFormula", ...]
-
-
-@dataclass(frozen=True)
-class SOr:
-    args: tuple["SurfaceFormula", ...]
-
-
-@dataclass(frozen=True)
-class SProb:
-    op: PathOp
-    cmp: Cmp
-    bound: Fraction
-    body: "SurfaceFormula"
-
-
-SurfaceFormula = Union[SAtom, SNot, SAnd, SOr, SProb]
 
 # the first characters of the symbol tokens; "<" and ">" also start "<="
 # and ">="
@@ -450,9 +429,6 @@ def _tokenize(text: str) -> list[_Token]:
     return tokens
 
 
-_CMP_TEXT = {">=": Cmp.GE, ">": Cmp.GT, "<=": Cmp.LE, "<": Cmp.LT}
-
-
 class _Parser:
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
@@ -477,13 +453,13 @@ class _Parser:
             self.error(f"expected {text!r}, found {tok.text!r}", tok)
         return tok
 
-    def parse(self) -> SurfaceFormula:
+    def parse(self) -> StateFormula:
         f = self.disj()
         if self.peek().kind != "eof":
             self.error(f"unexpected trailing input {self.peek().text!r}")
         return f
 
-    def disj(self) -> SurfaceFormula:
+    def disj(self) -> StateFormula:
         first = self.conj()
         args = [first]
         while self.peek().text == "|":
@@ -491,9 +467,9 @@ class _Parser:
             args.append(self.conj())
         if len(args) == 1:
             return first
-        return SOr(tuple(args))
+        return disj(args)
 
-    def conj(self) -> SurfaceFormula:
+    def conj(self) -> StateFormula:
         first = self.unit()
         args = [first]
         while self.peek().text == "&":
@@ -501,15 +477,15 @@ class _Parser:
             args.append(self.unit())
         if len(args) == 1:
             return first
-        return SAnd(tuple(args))
+        return conj(args)
 
-    def unit(self) -> SurfaceFormula:
+    def unit(self) -> StateFormula:
         tok = self.peek()
         is_prob = (tok.text in ("F", "G")
                    and self.tokens[self.i + 1].text in (">=", ">", "<=", "<", "="))
         if tok.kind == "name" and not is_prob:
             self.next()
-            return SAtom(tok.text)
+            return Atom(tok.text)
         if tok.text not in ("!", "(") and not is_prob:
             self.error(f"expected a formula, found {tok.text!r}")
         if self.depth == MAX_NESTING:
@@ -517,7 +493,7 @@ class _Parser:
         self.depth += 1
         if tok.text == "!":
             self.next()
-            f = SNot(self.unit())
+            f = _norm(self.unit(), False, _UPPER_BOUNDS)
         elif tok.text == "(":
             self.next()
             f = self.disj()
@@ -527,9 +503,8 @@ class _Parser:
         self.depth -= 1
         return f
 
-    def prob_unit(self) -> SurfaceFormula:
-        op_tok = self.next()
-        op = PathOp.F if op_tok.text == "F" else PathOp.G
+    def prob_unit(self) -> StateFormula:
+        op = PathOp(self.next().text)
         cmp_tok = self.next()
         bound = self.number()
         if cmp_tok.text == "=":
@@ -537,53 +512,47 @@ class _Parser:
                 self.error("'=' is allowed only as '=1'", cmp_tok)
             cmp = Cmp.GE
         else:
-            cmp = _CMP_TEXT[cmp_tok.text]
+            cmp = Cmp(cmp_tok.text)
         if not 0 <= bound <= 1:
             self.error(f"probability bound {bound} outside [0,1]", cmp_tok)
         self.expect("[")
         body = self.disj()
         self.expect("]")
-        return SProb(op, cmp, bound, body)
+        if cmp in CORE_CMPS and not is_trivial_bound(cmp, bound):
+            return Prob(op, cmp, bound, body)
+        return _norm_prob(op, cmp, bound, body, True, _UPPER_BOUNDS)
 
     def number(self) -> Fraction:
         tok = self.next()
         if tok.kind != "num":
             self.error(f"expected a number, found {tok.text!r}", tok)
-        try:
-            value = Fraction(tok.text)
-        except (ValueError, ZeroDivisionError):
-            self.error(f"malformed rational {tok.text!r}", tok)
+        text = tok.text
         if self.peek().text == "/":
-            if "." in tok.text:
-                self.error("fraction numerator must be an integer", tok)
             self.next()
-            den_tok = self.next()
-            if den_tok.kind != "num" or "." in den_tok.text:
-                self.error("fraction denominator must be an integer", den_tok)
-            if int(den_tok.text) == 0:
-                self.error("zero denominator", den_tok)
-            value = Fraction(int(tok.text), int(den_tok.text))
-        return value
-
-
-def parse(text: str) -> SurfaceFormula:
-    """Parses surface syntax into a surface AST.
-
-    The surface language permits negation on arbitrary subformulas and all
-    four comparisons on F/G; `normalize` turns the result into core form.
-    """
-    return _Parser(text).parse()
+            text += "/"
+            if self.peek().kind == "num":
+                text += self.next().text
+        try:
+            return parse_probability(text)
+        except InvalidChainError:
+            self.error(f"malformed rational {text!r}", tok)
 
 
 def parse_formula(text: str) -> StateFormula:
-    """Convenience: parse then normalize."""
-    return normalize(parse(text))
+    """Parses surface syntax into a core formula.
+
+    The surface language permits negation on arbitrary subformulas and all
+    four comparisons on F/G; the parser brings each into core form as it
+    reads it, as `normalize` would.  Raises `PctlSyntaxError` on malformed
+    text and `NormalizationError` on a trivial bound.
+    """
+    return _Parser(text).parse()
 
 
 # ---------------------------------------------------------------------------
 # Normalization into core form
 
-def normalize(f: SurfaceFormula | StateFormula) -> StateFormula:
+def normalize(f: StateFormula) -> StateFormula:
     """Pushes negations to atoms and eliminates <=, < via the F/G dualities.
 
     P(F b) <= r  iff  P(G !b) >= 1-r        P(G b) <= r  iff  P(F !b) >= 1-r
@@ -611,36 +580,40 @@ _UPPER_BOUNDS = frozenset((op, cmp) for op in PathOp for cmp in (Cmp.LE, Cmp.LT)
 _GLOBALLY = frozenset((PathOp.G, cmp) for cmp in Cmp)
 
 
-def _norm(f, positive: bool, dual: frozenset) -> StateFormula:
+def _norm(f: StateFormula, positive: bool, dual: frozenset) -> StateFormula:
     """Pushes negation to atoms and rewrites every P(op b) cmp r whose
     (op, cmp) is in `dual` as P(op' !b) cmp' 1-r, op' the other path
     operator and cmp' the mirrored comparison."""
-    if isinstance(f, (SAtom, Atom)):
-        return Atom(f.name) if positive else NegAtom(f.name)
+    if isinstance(f, Atom):
+        return f if positive else NegAtom(f.name)
     if isinstance(f, NegAtom):
-        return NegAtom(f.name) if positive else Atom(f.name)
-    if isinstance(f, SNot):
-        return _norm(f.arg, not positive, dual)
-    if isinstance(f, (SAnd, And)):
+        return f if positive else Atom(f.name)
+    if isinstance(f, And):
         make = conj if positive else disj
         return make(_norm(a, positive, dual) for a in f.args)
-    if isinstance(f, (SOr, Or)):
+    if isinstance(f, Or):
         make = disj if positive else conj
         return make(_norm(a, positive, dual) for a in f.args)
-    if isinstance(f, (SProb, Prob)):
-        op, cmp, bound = f.op, f.cmp, f.bound
-        if not positive:
-            cmp = cmp.negated()
-        dualize = (op, cmp) in dual
-        if dualize:
-            op, cmp, bound = _DUAL_OP[op], _MIRROR[cmp], 1 - bound
-        body = _norm(f.body, not dualize, dual)
-        if is_trivial_bound(cmp, bound):
-            raise NormalizationError(
-                f"normalizing produced the trivial constraint "
-                f"'{op}{cmp}{bound}' in {f}; such bounds are forbidden")
-        return Prob(op, cmp, bound, body)
+    if isinstance(f, Prob):
+        return _norm_prob(f.op, f.cmp, f.bound, f.body, positive, dual)
     raise TypeError(f"not a formula: {f!r}")
+
+
+def _norm_prob(op, cmp, bound, body, positive, dual) -> Prob:
+    """`_norm` of Prob(op, cmp, bound, body), taking the fields, so that the
+    parser need not build a node it rewrites at once."""
+    written = (op, cmp, bound, body)
+    if not positive:
+        cmp = cmp.negated()
+    dualize = (op, cmp) in dual
+    if dualize:
+        op, cmp, bound = _DUAL_OP[op], _MIRROR[cmp], 1 - bound
+    body = _norm(body, not dualize, dual)
+    if is_trivial_bound(cmp, bound):
+        raise NormalizationError(
+            f"normalizing produced the trivial constraint "
+            f"'{op}{cmp}{bound}' in {Prob(*written)}; such bounds are forbidden")
+    return Prob(op, cmp, bound, body)
 
 
 # ---------------------------------------------------------------------------

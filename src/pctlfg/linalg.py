@@ -4,9 +4,9 @@ One fraction-free elimination on integer rows (Bareiss, Math. Comp. 22,
 1968), run forward only, serves both the square solves of the absorption
 kernel (`markov.absorption`, shared by model checking, first passage and
 the ETR oracle) and the kernel vectors of the Caratheodory reduction.
-Each row is first scaled to integers by the LCM of its denominators; a row
-that is already integer, as every row the absorption kernel builds is,
-skips that pass.  The step with pivot p in row k then replaces every row
+`solve` takes integer rows, which the absorption kernel builds;
+`null_vector` first scales each rational row to integers by the LCM of its
+denominators.  The step with pivot p in row k then replaces every row
 below it by (p * row - f * row_k) // p', where f is the row's entry in the
 pivot column and p' the previous pivot (1 at the start), over the columns
 right of the pivot column only.  Every entry stays a minor of the scaled
@@ -29,24 +29,9 @@ from __future__ import annotations
 from fractions import Fraction
 from math import lcm
 
-Matrix = list[list[Fraction]]
-
 
 class SingularMatrixError(ValueError):
     pass
-
-
-def _integer_rows(rows) -> list[list[int]]:
-    """Each row scaled to integers by the LCM of its denominators; a row of
-    ints is passed through as it is."""
-    out = []
-    for row in rows:
-        if all(type(x) is int for x in row):
-            out.append(row)
-            continue
-        scale = lcm(*(x.denominator for x in row))
-        out.append([x.numerator * (scale // x.denominator) for x in row])
-    return out
 
 
 def _eliminate(rows: list[list[int]], ncols: int) -> int:
@@ -111,14 +96,15 @@ def _back_substitute(rows: list[list[int]], k: int) -> tuple[int, list[list[int]
     return det, ys
 
 
-def solve(a: Matrix, rhs: Matrix) -> Matrix:
+def solve(a: list[list[int]], rhs: list[list[int]]) -> list[list[Fraction]]:
     """Solves A X = RHS for a square nonsingular A; RHS holds one column per
-    unknown system.  Entries are ints or Fractions.  Returns X, of
-    Fractions, with the same column count."""
+    unknown system.  Entries are ints: the elimination's exact divisions
+    would floor Fractions.  Returns X, of Fractions, with the same column
+    count."""
     n = len(a)
     if n == 0:
         return []
-    aug = _integer_rows(list(a[i]) + list(rhs[i]) for i in range(n))
+    aug = [a_row + rhs_row for a_row, rhs_row in zip(a, rhs)]
     rank = _eliminate(aug, n)
     if rank < n:
         raise SingularMatrixError(f"singular at column {rank}")
@@ -126,12 +112,15 @@ def solve(a: Matrix, rhs: Matrix) -> Matrix:
     return [[Fraction(y, det) for y in row] for row in ys]
 
 
-def null_vector(a: Matrix, width: int) -> list[Fraction] | None:
+def null_vector(a: list[list[Fraction]], width: int) -> list[Fraction] | None:
     """A nonzero rational solution of A x = 0 for a matrix with `width`
-    columns, or None if the kernel is trivial.  Deterministic: reduces in
-    column order, assigns 1 to the first free column and 0 to every other
-    free column."""
-    rows = _integer_rows(a)
+    columns, or None if the kernel is trivial.  Entries are Fractions or
+    ints.  Deterministic: reduces in column order, assigns 1 to the first
+    free column and 0 to every other free column."""
+    rows = []
+    for row in a:
+        scale = lcm(*(x.denominator for x in row))
+        rows.append([x.numerator * (scale // x.denominator) for x in row])
     free = _eliminate(rows, width)
     if free == width:
         return None

@@ -263,6 +263,10 @@ NESTINGS = {
     "negations": lambda n: "!" * n + "a",
     "parentheses": lambda n: "(" * n + "a" + ")" * n,
     "path operators": lambda n: "F>0[" * n + "a" + "]" * n,
+    # the parser normalizes each negated upper bound while its own frames
+    # are still on the stack
+    "negated upper bounds": lambda n: ("!F<=1/2[" * (n // 2) + "!" * (n % 2) + "a"
+                                       + "]" * (n // 2)),
 }
 
 

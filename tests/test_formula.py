@@ -2,6 +2,7 @@ import copy
 import hashlib
 import pickle
 import random
+import re
 import sys
 import threading
 import time
@@ -9,12 +10,14 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import PSI_TEXT, random_chain, random_core_formula, reach_by_name
+from helpers import (
+    PSI_TEXT, random_chain, random_core_formula, reference_sat_set,
+)
 
 from pctlfg.formula import (
     And, Atom, Cmp, NegAtom, Or, PathFormula, PathOp, PctlSyntaxError, Prob,
     NormalizationError, f_normal_form, formula_sets, fragment_classify,
-    normalize, parse, parse_formula, sorted_formulas, subformulas,
+    is_core, normalize, parse_formula, sorted_formulas, subformulas,
 )
 from pctlfg.modelcheck import ModelChecker
 
@@ -32,7 +35,7 @@ def test_parse_atom():
 
 def test_parse_bound_out_of_range():
     with pytest.raises(PctlSyntaxError):
-        parse("F>=1.5[a]")
+        parse_formula("F>=1.5[a]")
 
 
 def test_parse_fraction_literals():
@@ -40,15 +43,25 @@ def test_parse_fraction_literals():
     assert parse_formula("F>=0.25[a]").bound == Fraction(1, 4)
 
 
+@pytest.mark.parametrize("text", ["F>=1/\u00b2[a]", "F>=\u0663/\u0664[a]",
+                                  "F>=1.[a]", "F>=1/[a]", "F>=1/0[a]"])
+def test_bounds_are_model_numerals(text):
+    # one numeral grammar for models and formulas: ASCII digits only, and a
+    # failure is a syntax error at the numeral
+    with pytest.raises(PctlSyntaxError, match="malformed rational") as err:
+        parse_formula(text)
+    assert (err.value.line, err.value.column) == (1, 4)
+
+
 def test_parse_eq_only_one():
     assert parse_formula("F=1[a]") == Prob(PathOp.F, Cmp.GE, Fraction(1), Atom("a"))
     with pytest.raises(PctlSyntaxError):
-        parse("F=0.5[a]")
+        parse_formula("F=0.5[a]")
 
 
 def test_parse_errors_carry_position():
     with pytest.raises(PctlSyntaxError) as err:
-        parse("a &\n& b")
+        parse_formula("a &\n& b")
     assert err.value.line == 2
 
 
@@ -104,54 +117,86 @@ def test_normalize_idempotent():
         assert normalize(f) == f
 
 
-def _eval_surface(mc, state, f):
-    # independent surface-semantics oracle (no normalization involved)
-    from pctlfg.formula import SAtom, SNot, SAnd, SOr, SProb
-
-    def sat(g):
-        states = frozenset(mc.chain.states)
-        if isinstance(g, SAtom):
-            return frozenset(s for s in states if g.name in mc.chain.atoms(s))
-        if isinstance(g, SNot):
-            return states - sat(g.arg)
-        if isinstance(g, SAnd):
-            out = states
-            for a in g.args:
-                out &= sat(a)
-            return out
-        if isinstance(g, SOr):
-            out = frozenset()
-            for a in g.args:
-                out |= sat(a)
-            return out
-        assert isinstance(g, SProb)
-        body = sat(g.body)
-        if g.op is PathOp.F:
-            vec = reach_by_name(mc, body)
-        else:
-            escape = reach_by_name(mc, states - body)
-            vec = {s: 1 - escape[s] for s in states}
-        return frozenset(s for s in states if g.cmp.holds(vec[s], g.bound))
-
-    return state in sat(f)
-
-
 SURFACE_CASES = [
     "F<=0.3[a]", "G<0.4[a]", "!(a | F>=0.5[b])", "F<1/3[a & b]",
     "G<=0.6[a | !b]", "!G>0.2[!a]", "!(F<=0.5[a] & b)", "G>=1[a] | F<0.9[b]",
 ]
 
 
-@pytest.mark.parametrize("text", SURFACE_CASES)
-def test_normalize_preserves_semantics(text):
-    surface = parse(text)
-    core = normalize(surface)
-    rng = random.Random(hash(text) & 0xFFFF)
-    for _ in range(25):
+def _assert_negation_complements(text, rng, chains):
+    """`!(text)` holds exactly on the states where `text` fails."""
+    f, negated = parse_formula(text), parse_formula(f"!({text})")
+    for _ in range(chains):
         chain = random_chain(rng, max_states=5)
         mc = ModelChecker(chain)
-        for state in chain.states:
-            assert mc.holds(state, core) == _eval_surface(mc, state, surface)
+        assert mc.sat_set(negated) == frozenset(chain.states) - mc.sat_set(f)
+
+
+@pytest.mark.parametrize("text", SURFACE_CASES)
+def test_normalize_preserves_semantics(text):
+    _assert_negation_complements(text, random.Random(text), chains=25)
+
+
+def test_negation_complements_random_surface_texts():
+    rng = random.Random(53)
+    checked = 0
+    for _ in range(200):
+        text = _surface_text(rng, 3)
+        try:
+            parse_formula(text)
+        except NormalizationError:
+            # a trivial bound stays trivial under negation
+            with pytest.raises(NormalizationError):
+                parse_formula(f"!({text})")
+            continue
+        _assert_negation_complements(text, rng, chains=2)
+        checked += 1
+    assert checked > 100
+
+
+_ANY_BOUNDS = (Fraction(0), Fraction(1, 5), Fraction(1, 2), Fraction(3, 4),
+               Fraction(1))
+
+
+def _random_tree(rng: random.Random, depth: int):
+    """A random tree of the core node classes with every comparison and
+    every bound, trivial ones included: what `normalize` rewrites."""
+    if depth <= 0 or rng.random() < 0.3:
+        name = rng.choice("ab")
+        return Atom(name) if rng.random() < 0.6 else NegAtom(name)
+    kind = rng.choice(("and", "or", "prob", "prob"))
+    if kind != "prob":
+        args = (_random_tree(rng, depth - 1), _random_tree(rng, depth - 1))
+        return And(args) if kind == "and" else Or(args)
+    return Prob(rng.choice(list(PathOp)), rng.choice(list(Cmp)),
+                rng.choice(_ANY_BOUNDS), _random_tree(rng, depth - 1))
+
+
+def test_normalize_matches_direct_semantics():
+    # `reference_sat_set` reads all four comparisons directly, with no
+    # normalization; the printed tree parses to the same core node
+    rng = random.Random(47)
+    checked = 0
+    for _ in range(200):
+        tree = _random_tree(rng, 3)
+        try:
+            core = normalize(tree)
+        except NormalizationError:
+            with pytest.raises(NormalizationError):
+                parse_formula(str(tree))
+            continue
+        assert is_core(core) and parse_formula(str(tree)) is core
+        chain = random_chain(rng, max_states=5)
+        assert ModelChecker(chain).sat_set(core) == reference_sat_set(chain, tree)
+        checked += 1
+    assert checked > 80
+
+
+def test_normalization_error_shows_the_subformula_as_written():
+    with pytest.raises(NormalizationError, match=re.escape("in F>=0[b];")):
+        parse_formula("a & !F>=0[b]")
+    with pytest.raises(NormalizationError, match=re.escape("in F<=1[a & !b];")):
+        parse_formula("G>1/2[F<=1[a & !b]]")
 
 
 def test_subformula_closure():

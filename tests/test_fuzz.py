@@ -12,7 +12,9 @@ import pytest
 from helpers import fig1_chain, random_core_formula, satisfied_instance
 
 from pctlfg.cli import main
-from pctlfg.formula import PctlSyntaxError, _Token, _tokenize, parse_formula
+from pctlfg.formula import (
+    NormalizationError, PctlSyntaxError, _Token, _tokenize, parse_formula,
+)
 from pctlfg.markov import MarkovChain, validate
 from pctlfg.modelcheck import ModelChecker
 from pctlfg.progress import simple_loop_components
@@ -25,6 +27,9 @@ DEEP_FORMULAS = ("(" * 400 + "a" + ")" * 400,
                  "!" * 2000 + "a")
 
 FORMULA_CHARS = "abFG!&|()[]<>=/.019 _"
+# digits str.isdigit accepts that no numeral may contain
+UNICODE_DIGITS = "\u00b2\u0663\u0664\u2075"
+NUMERAL_CHARS = "0123456789./" + UNICODE_DIGITS
 JSON_CHARS = '{}[]":,0123456789abp-./e '
 JUNK_VALUES = ("", "5e-1", "1e-99999", "1/0", "-1/2", "0", "3/2", "x", 3, 0.5,
                None, True, [], {}, ["a", 1], [["a"]])
@@ -69,13 +74,13 @@ def _mutate(rng: random.Random, text: str, alphabet: str) -> str:
     return text[:i]
 
 
-def _formula_texts(seed: int, count: int) -> list[str]:
+def _formula_texts(seed: int, count: int, alphabet: str = FORMULA_CHARS) -> list[str]:
     rng = random.Random(seed)
     texts = list(DEEP_FORMULAS)
     for _ in range(count):
         text = str(random_core_formula(rng, depth=3))
         for _ in range(rng.randint(1, 3)):
-            text = _mutate(rng, text, FORMULA_CHARS)
+            text = _mutate(rng, text, alphabet)
         texts.append(text)
     return texts
 
@@ -139,6 +144,24 @@ def test_mutated_formulas_keep_the_exit_contract(capsys, tmp_path):
                      ["fragment", "--formula", text],
                      ["sat", "--formula", text, "--bound", "1"]):
             assert _exit_code(capsys, argv) in wanted, argv
+
+
+def test_mutated_formulas_raise_only_formula_errors():
+    # malformed text is a PctlSyntaxError and a trivial bound a
+    # NormalizationError, never a bare ValueError from a numeral or any
+    # other exception; half of the texts have a random bound
+    rng = random.Random(37)
+    texts = _formula_texts(seed=37, count=300, alphabet=FORMULA_CHARS + UNICODE_DIGITS)
+    for _ in range(300):
+        numeral = "".join(rng.choices(NUMERAL_CHARS, k=rng.randint(1, 4)))
+        texts.append(f"F{rng.choice(('>=', '>', '<=', '<'))}{numeral}[a]")
+    raised = {PctlSyntaxError: 0, NormalizationError: 0}
+    for text in texts:
+        try:
+            parse_formula(text)
+        except (PctlSyntaxError, NormalizationError) as exc:
+            raised[type(exc)] += 1
+    assert raised[PctlSyntaxError] > 200 and raised[NormalizationError] > 0
 
 
 _SCANNED_SYMBOLS = (">=", "<=", ">", "<", "=", "!", "&", "|", "(", ")", "[",

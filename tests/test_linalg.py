@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -8,16 +9,27 @@ from helpers import reference_null_vector, reference_solve
 from pctlfg.linalg import SingularMatrixError, null_vector, solve
 
 
+def _integer_system(a, rhs):
+    """The rational system A X = RHS with each equation multiplied by the
+    LCM of its denominators: integer rows, as `solve` takes, and the same
+    solutions."""
+    n = len(a[0]) if a else 0
+    rows = []
+    for row in (a_row + rhs_row for a_row, rhs_row in zip(a, rhs)):
+        scale = lcm(*(x.denominator for x in row))
+        rows.append([x.numerator * (scale // x.denominator) for x in row])
+    return [row[:n] for row in rows], [row[n:] for row in rows]
+
+
 def test_known_system():
-    a = [[Fraction(2), Fraction(1)], [Fraction(1), Fraction(3)]]
-    x = solve(a, [[Fraction(5)], [Fraction(10)]])
+    x = solve([[2, 1], [1, 3]], [[5], [10]])
     assert x == [[Fraction(1)], [Fraction(3)]]
+    assert all(type(v) is Fraction for row in x for v in row)
 
 
 def test_singular_raises():
-    a = [[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]]
     with pytest.raises(SingularMatrixError):
-        solve(a, [[Fraction(1)], [Fraction(1)]])
+        solve([[1, 2], [2, 4]], [[1], [1]])
 
 
 def test_random_systems_exact():
@@ -30,15 +42,14 @@ def test_random_systems_exact():
         b = [sum((a[i][j] * x_true[j] for j in range(n)), Fraction(0))
              for i in range(n)]
         try:
-            x = solve(a, [[v] for v in b])
+            x = solve(*_integer_system(a, [[v] for v in b]))
         except SingularMatrixError:
             continue
         assert [row[0] for row in x] == x_true
 
 
 def test_multiple_right_hand_sides():
-    a = [[Fraction(1), Fraction(1)], [Fraction(0), Fraction(1)]]
-    result = solve(a, [[Fraction(3), Fraction(0)], [Fraction(1), Fraction(2)]])
+    result = solve([[1, 1], [0, 1]], [[3, 0], [1, 2]])
     assert result == [[Fraction(2), Fraction(-2)], [Fraction(1), Fraction(2)]]
 
 
@@ -93,7 +104,7 @@ def test_solve_equals_fraction_reference():
         m = rng.randint(1, 3)
         rhs = [[Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(m)]
                for _ in range(n)]
-        got = _outcome(solve, a, rhs)
+        got = _outcome(solve, *_integer_system(a, rhs))
         assert got == _outcome(reference_solve, a, rhs)
         singular += isinstance(got, tuple)
     assert 50 < singular < 200
