@@ -50,8 +50,7 @@ from operator import and_, or_, xor
 from .formula import And, Atom, NegAtom, Or, Prob, StateFormula, f_normal_form
 from .markov import (
     InvalidChainError, MarkovChain, indices, parse_probability,
-    predecessor_masks, prob01, states_reachable_from, states_with_path_to,
-    validate,
+    predecessor_masks, prob01, states_reachable_from, validate,
 )
 from .modelcheck import ModelChecker, passing
 
@@ -290,9 +289,7 @@ def _block(pred, node: Prob, body: int, inside: int) -> CorrectnessBlock:
     """The block of `node` for the body mask `body` in the graph with
     predecessor masks `pred`: the cut-off set is prob0, the vertices with
     no path into the body set."""
-    full = (1 << len(pred)) - 1
-    return CorrectnessBlock(node, body, full & ~states_with_path_to(pred, body),
-                            inside)
+    return CorrectnessBlock(node, body, prob01(pred, body)[0], inside)
 
 
 def encode(candidate: ETRCandidate) -> ETRSystem:

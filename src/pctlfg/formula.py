@@ -619,12 +619,14 @@ def _norm_prob(op, cmp, bound, body, positive, dual) -> Prob:
 # ---------------------------------------------------------------------------
 # Fragment grammars
 #
-# Four syntactic families, each defining a fragment that is additionally
-# closed under state subformulas and under replacing a probability constraint
-# with '>= r' for an arbitrary non-trivial r.  The helper predicates below
-# match the raw grammars; membership adds the bound-relaxation on G nodes
-# (relaxing F bounds never enlarges the languages, every family already
-# allows an arbitrary constraint on top-level F).
+# Four syntactic families L1-L4, stated by the one table `_GRAMMARS`.  A
+# kind allows literals or not, '&' and '|' of formulas of its own kind, and,
+# for each path operator it lists, op~r[body] with the constraint passing
+# the operator's guard and the body matching one of the listed kinds.  Lk is
+# the kind phik closed under state subformulas and under replacing a
+# constraint with '>= r' for any non-trivial r: a top-level G>=r is in Lk
+# when its body matches a kind of phik's G entry.  (Relaxing F bounds never
+# enlarges the languages: every phik allows any constraint on F.)
 
 @dataclass(frozen=True)
 class FragmentMembership:
@@ -634,6 +636,10 @@ class FragmentMembership:
     in_l4: bool
 
 
+def _is_any(f: Prob) -> bool:
+    return True
+
+
 def _is_eq1(f: Prob) -> bool:
     return f.cmp is Cmp.GE and f.bound == 1
 
@@ -641,6 +647,26 @@ def _is_eq1(f: Prob) -> bool:
 def _is_w(f: Prob) -> bool:
     # "an arbitrary constraint except for '=1'"
     return not _is_eq1(f)
+
+
+def _is_positive(f: Prob) -> bool:
+    return f.cmp is Cmp.GT and f.bound == 0
+
+
+_F, _G = PathOp.F, PathOp.G
+# kind -> (literal allowed, {op: (guard, body kinds)}); an operator missing
+# from a kind's dict is not allowed in it
+_GRAMMARS = {
+    "phi1": (True, {_F: (_is_any, ("phi1",)), _G: (_is_any, ("psi1",))}),
+    "psi1": (True, {_G: (_is_any, ("psi1",))}),
+    "phi2": (True, {_F: (_is_any, ("phi2",)), _G: (_is_eq1, ("psi2",))}),
+    "psi2": (True, {_F: (_is_w, ("psi2",))}),
+    "phi3": (True, {_F: (_is_any, ("phi3",)), _G: (_is_eq1, ("psi3", "rho3"))}),
+    "psi3": (True, {_F: (_is_w, ("psi3",))}),
+    "rho3": (False, {_F: (_is_w, ("psi3",)), _G: (_is_eq1, ("psi3", "rho3"))}),
+    "phi4": (True, {_F: (_is_any, ("phi4",)), _G: (_is_eq1, ("psi4",))}),
+    "psi4": (True, {_F: (_is_positive, ("psi4",)), _G: (_is_eq1, ("psi4",))}),
+}
 
 
 def fragment_classify(f: StateFormula) -> FragmentMembership:
@@ -657,59 +683,25 @@ def _classify(f: StateFormula) -> FragmentMembership:
     def match(kind: str, g: StateFormula) -> bool:
         key = (kind, g)
         if key not in memo:
-            memo[key] = _match(kind, g)
+            literal, rules = _GRAMMARS[kind]
+            if isinstance(g, Prob):
+                rule = rules.get(g.op)
+                memo[key] = (rule is not None and rule[0](g)
+                             and any(match(k, g.body) for k in rule[1]))
+            elif isinstance(g, (And, Or)):
+                memo[key] = all(match(kind, a) for a in g.args)
+            else:
+                memo[key] = literal
         return memo[key]
 
-    def _match(kind: str, g: StateFormula) -> bool:
-        if isinstance(g, (Atom, NegAtom)):
-            return kind != "rho3"
-        if isinstance(g, (And, Or)):
-            return all(match(kind, a) for a in g.args)
-        assert isinstance(g, Prob)
-        body = g.body
-        if kind == "phi1":
-            if g.op is PathOp.F:
-                return match("phi1", body)
-            return match("psi1", body)
-        if kind == "psi1":
-            return g.op is PathOp.G and match("psi1", body)
-        if kind == "phi2":
-            if g.op is PathOp.F:
-                return match("phi2", body)
-            return _is_eq1(g) and match("psi2", body)
-        if kind == "psi2":
-            return g.op is PathOp.F and _is_w(g) and match("psi2", body)
-        if kind == "phi3":
-            if g.op is PathOp.F:
-                return match("phi3", body)
-            return _is_eq1(g) and (match("psi3", body) or match("rho3", body))
-        if kind == "psi3":
-            return g.op is PathOp.F and _is_w(g) and match("psi3", body)
-        if kind == "rho3":
-            if g.op is PathOp.F:
-                return _is_w(g) and match("psi3", body)
-            return _is_eq1(g) and (match("psi3", body) or match("rho3", body))
-        if kind == "phi4":
-            if g.op is PathOp.F:
-                return match("phi4", body)
-            return _is_eq1(g) and match("psi4", body)
-        assert kind == "psi4"
-        if isinstance(g, Prob) and g.op is PathOp.F:
-            return g.cmp is Cmp.GT and g.bound == 0 and match("psi4", body)
-        return g.op is PathOp.G and _is_eq1(g) and match("psi4", body)
-
-    def member(phi_kind: str, g_bodies: tuple[str, ...]) -> bool:
-        if match(phi_kind, f):
+    def member(kind: str) -> bool:
+        if match(kind, f):
             return True
         # closure under '>= r' bound variants: a G node whose body fits one
-        # of the grammar's G-body shapes is in the fragment for any bound
+        # of the family's G-body kinds is in the fragment for any bound
         if isinstance(f, Prob) and f.op is PathOp.G and f.cmp is Cmp.GE:
-            return any(match(kind, f.body) for kind in g_bodies)
+            _, g_bodies = _GRAMMARS[kind][1][PathOp.G]
+            return any(match(k, f.body) for k in g_bodies)
         return False
 
-    return FragmentMembership(
-        in_l1=member("phi1", ("psi1",)),
-        in_l2=member("phi2", ("psi2",)),
-        in_l3=member("phi3", ("psi3", "rho3")),
-        in_l4=member("phi4", ("psi4",)),
-    )
+    return FragmentMembership(*map(member, ("phi1", "phi2", "phi3", "phi4")))

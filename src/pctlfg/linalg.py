@@ -98,13 +98,20 @@ def _back_substitute(rows: list[list[int]], k: int) -> tuple[int, list[list[int]
 
 def solve(a: list[list[int]], rhs: list[list[int]]) -> list[list[Fraction]]:
     """Solves A X = RHS for a square nonsingular A; RHS holds one column per
-    unknown system.  Entries are ints: the elimination's exact divisions
-    would floor Fractions.  Returns X, of Fractions, with the same column
-    count."""
+    unknown system.  Entries must be ints, TypeError otherwise: the
+    elimination's exact divisions would floor Fractions.  Returns X, of
+    Fractions, with the same column count."""
     n = len(a)
     if n == 0:
         return []
-    aug = [a_row + rhs_row for a_row, rhs_row in zip(a, rhs)]
+    aug = []
+    for a_row, rhs_row in zip(a, rhs):
+        row = a_row + rhs_row
+        # a sum of ints is an int, and an int plus any other number is not
+        if type(sum(row)) is not int:
+            raise TypeError("solve takes int entries; the elimination would "
+                            "floor other numbers")
+        aug.append(row)
     rank = _eliminate(aug, n)
     if rank < n:
         raise SingularMatrixError(f"singular at column {rank}")

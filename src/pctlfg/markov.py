@@ -13,10 +13,10 @@ JSON model format (rationals are strings, bit-exact):
 
 Graph questions are answered on one format, per-vertex successor and
 predecessor bitmasks (bit i is vertex i, a vertex set is one int), by one
-search, `_search`.  Over successor masks it is `states_reachable_from`,
-which gives `reachable_from`, the measure's witness region and first
-passage's region; over predecessor masks it is `states_with_path_to`,
-which `prob01`, the one qualitative kernel, calls twice to find the states
+search, `states_reachable_from`.  Over successor masks it gives
+`reachable_from`, the measure's witness region and first passage's
+region; over predecessor masks it is `states_with_path_to`, which
+`prob01`, the one qualitative kernel, calls twice to find the states
 that reach a target mask with probability 0 and with probability 1.  A
 `ModelChecker` builds its chain's masks once; bounded sat builds them once
 per enumerated graph.  `absorption` is the one exact linear solve: the
@@ -326,20 +326,6 @@ def predecessor_masks(succ) -> list[int]:
     return pred
 
 
-def _search(adjacent, seeds: int, blocked: int = 0) -> int:
-    """The vertices reached from the `seeds` mask along the neighbour masks
-    `adjacent`, entering no `blocked` vertex, seeds included: reachability
-    over successor masks, a path into the seeds over predecessor masks."""
-    seen = frontier = seeds
-    while frontier:
-        low = frontier & -frontier
-        frontier ^= low
-        new = adjacent[low.bit_length() - 1] & ~(seen | blocked)
-        seen |= new
-        frontier |= new
-    return seen
-
-
 def reachable_from(mc: ModelChecker, start: str) -> frozenset[str]:
     """The states reachable from `start` (itself included) in the chain."""
     return mc.names(states_reachable_from(mc.succ, mc.mask((start,))))
@@ -347,14 +333,23 @@ def reachable_from(mc: ModelChecker, start: str) -> frozenset[str]:
 
 def states_reachable_from(succ, seeds: int, blocked: int = 0) -> int:
     """The mask of the states reachable from the `seeds` mask (seeds
-    included) without entering a `blocked` state, over successor masks."""
-    return _search(succ, seeds, blocked)
+    included) without entering a `blocked` state, over successor masks.
+    Over predecessor masks it is the backward search: the states with a
+    path into the seeds."""
+    seen = frontier = seeds
+    while frontier:
+        low = frontier & -frontier
+        frontier ^= low
+        new = succ[low.bit_length() - 1] & ~(seen | blocked)
+        seen |= new
+        frontier |= new
+    return seen
 
 
 def states_with_path_to(pred, targets: int, blocked: int = 0) -> int:
     """The mask of the states with a path into the `targets` mask (targets
     included) that enters no `blocked` state, over predecessor masks."""
-    return _search(pred, targets, blocked)
+    return states_reachable_from(pred, targets, blocked)
 
 
 def prob01(pred, targets: int) -> tuple[int, int]:

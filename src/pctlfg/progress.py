@@ -170,6 +170,15 @@ def _g_bodies(formulas) -> frozenset[StateFormula]:
                      if isinstance(f, Prob) and f.op is PathOp.G)
 
 
+def _require_loop_start(mc: ModelChecker, state: str, X: frozenset) -> None:
+    """Raises ProgressLoopError unless `state` satisfies X and X is closed
+    and updated there: a loop search's precondition."""
+    if not mc.check(state, X):
+        raise ProgressLoopError(f"state {state!r} does not satisfy X")
+    if closure_update(mc, state, X) != X:
+        raise ProgressLoopError("X is not closed and updated")
+
+
 def search_loop_generic(mc: ModelChecker, state: str, formulas, max_n: int, *,
                         node_budget: int = 200_000) -> ProgressLoop | None:
     """Exhaustive bounded search for a progress loop: iterative deepening
@@ -180,10 +189,7 @@ def search_loop_generic(mc: ModelChecker, state: str, formulas, max_n: int, *,
     `node_budget` extensions were tried first.
     """
     X = frozenset(formulas)
-    if not mc.check(state, X):
-        raise ProgressLoopError(f"state {state!r} does not satisfy X")
-    if closure_update(mc, state, X) != X:
-        raise ProgressLoopError("X is not closed and updated")
+    _require_loop_start(mc, state, X)
 
     universe = sorted_formulas(formula_sets(X).sub)
     if len(universe) > 20:
@@ -244,10 +250,7 @@ def search_loop_l2(mc: ModelChecker, state: str, formulas) -> ProgressLoop:
     outside = [f for f in sorted_formulas(X) if not fragment_classify(f).in_l2]
     if outside:
         raise FragmentError(f"not in fragment L2: {outside[0]}")
-    if not mc.check(state, X):
-        raise ProgressLoopError(f"state {state!r} does not satisfy X")
-    if closure_update(mc, state, X) != X:
-        raise ProgressLoopError("X is not closed and updated")
+    _require_loop_start(mc, state, X)
 
     level0 = least_closed_set(mc, state, X, unfold_g=True)
     sets: list[frozenset[StateFormula]] = [level0]

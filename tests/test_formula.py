@@ -245,6 +245,40 @@ def test_fragment_l1_example():
     assert fragment_classify(parse_formula("F>=0.5[G>=0.5[a]]")).in_l1
 
 
+@pytest.mark.parametrize("text, families", [
+    ("F>=1/2[G>=1/2[a]]", {"l1"}),
+    ("G=1[G=1[a]]", {"l1", "l3", "l4"}),
+    # rho3: the inner G=1 has a psi3 body
+    ("G=1[G=1[F>=1/2[a]]]", {"l3"}),
+    # psi4: F>0 is the only F a psi4 body may take
+    ("G=1[F>0[G=1[a]]]", {"l4"}),
+    # the '>= r' variant of G=1[F>=1/2[a]], in L2 and L3
+    ("G>=1/2[F>=1/2[a]]", {"l2", "l3"}),
+    # '>' is not a '>= r' variant
+    ("G>1/2[F>=1/2[a]]", set()),
+])
+def test_fragment_grammar_examples(text, families):
+    flags = fragment_classify(parse_formula(text))
+    assert {name for name in ("l1", "l2", "l3", "l4")
+            if getattr(flags, "in_" + name)} == families
+
+
+# sha256 prefix of (formula, L1-L4 flags) over every subformula of a seeded
+# sample, pinned while the grammars were still an if-chain over kinds
+def test_fragment_classification_pinned():
+    rng = random.Random(59)
+    h = hashlib.sha256()
+    for depth in (1, 2, 3, 4):
+        for _ in range(500):
+            f = random_core_formula(rng, depth, ("a", "b", "c"))
+            for g in sorted_formulas(subformulas(f)):
+                m = fragment_classify(g)
+                flags = "".join("1" if x else "0"
+                                for x in (m.in_l1, m.in_l2, m.in_l3, m.in_l4))
+                h.update(f"{g}\t{flags}\n".encode())
+    assert h.hexdigest()[:16] == "768d8c9c675844ba"
+
+
 def test_fragment_classify_is_cached_and_rejects_non_core_every_time(psi):
     assert fragment_classify(psi) is fragment_classify(psi)
     non_core = Prob(PathOp.F, Cmp.LT, Fraction(1, 2), Atom("a"))

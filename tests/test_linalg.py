@@ -181,3 +181,15 @@ def test_null_vector_equals_fraction_reference_when_rank_deficient():
         a = _sparse_matrix(rng, rows, width, rng.randint(0, min(rows, width - 1)))
         got = null_vector(a, width)
         assert got is not None and got == reference_null_vector(a, width)
+
+
+def test_solve_rejects_non_int_entries():
+    # the elimination's exact divisions would floor these to [[3], [0]] and
+    # [[0], [1]]
+    with pytest.raises(TypeError, match="int entries"):
+        solve([[Fraction(1, 3), Fraction(1, 2)], [Fraction(1, 5), Fraction(1, 7)]],
+              [[1], [1]])
+    with pytest.raises(TypeError, match="int entries"):
+        solve([[1, 0], [0, 1]], [[Fraction(1, 2)], [1]])
+    with pytest.raises(TypeError, match="int entries"):
+        solve([[1, 0], [0, 1]], [[0.5], [1]])
