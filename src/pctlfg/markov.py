@@ -183,12 +183,22 @@ class MarkovChain:
             valuation[s] = frozenset(ap)
         numerals: dict[str, Fraction] = {}  # each distinct text is read once
         for i, rec in enumerate(data["edges"]):
-            _check_record(rec, "edge", i, ("from", "to", "p"))
-            text = str(rec["p"])
+            try:
+                src, dst, value = rec["from"], rec["to"], rec["p"]
+            except (KeyError, TypeError):
+                _check_record(rec, "edge", i, ("from", "to", "p"))
+                raise
+            text = value if type(value) is str else str(value)
             p = numerals.get(text)
             if p is None:
-                p = numerals[text] = parse_probability(rec["p"])
-            _add_edge(succ, str(rec["from"]), str(rec["to"]), p)
+                p = numerals[text] = parse_probability(value)
+            src = src if type(src) is str else str(src)
+            dst = dst if type(dst) is str else str(dst)
+            row = succ.get(src)
+            if row is not None and dst in succ and dst not in row:
+                row[dst] = p
+            else:
+                _add_edge(succ, src, dst, p)  # raises, naming the defect
         chain = cls.__new__(cls)
         chain._fill(tuple(succ), valuation, succ)
         return chain
@@ -434,7 +444,7 @@ def first_passage(mc: ModelChecker, source: str, targets) -> dict[str, Fraction]
 
     # Region explorable from the source without crossing a target.
     region = states_reachable_from(mc.succ, origin, blocked=target_mask)
-    _, prob1 = prob01(mc.pred, target_mask)
+    _, prob1 = mc.prob01(target_mask)
     if not prob1 & origin:
         # Then some bottom SCC lies inside the region: it can never reach
         # the targets, and it is the certificate.

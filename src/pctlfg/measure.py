@@ -31,9 +31,10 @@ def path_norm(path: PathFormula) -> int:
 def pending_globals(mc: ModelChecker, state: str, formulas) -> frozenset[PathFormula]:
     """G path formulas occurring anywhere in the set's subformulas whose
     almost-sure version fails at `state`."""
+    here = mc.mask((state,))
     out = set()
     for path in formula_sets(formulas).psub:
-        if path.op is PathOp.G and mc.probability(state, path) != 1:
+        if path.op is PathOp.G and not mc.path_masks(path)[1] & here:
             out.add(path)
     return frozenset(out)
 
@@ -51,8 +52,7 @@ def reachable_eventualities(mc: ModelChecker, state: str,
         return frozenset()
     witnesses = states_reachable_from(mc.succ, mc.mask((state,)))
     for g in pending:
-        _, almost_sure, _ = mc.path_values(g)
-        witnesses &= ~almost_sure
+        witnesses &= ~mc.path_masks(g)[1]
     return frozenset(f.path_formula for f in candidates
                      if witnesses & mc.sat_mask(f.body))
 

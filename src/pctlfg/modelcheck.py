@@ -3,14 +3,24 @@
 Probabilities are computed by exact rational linear solves, never by value
 iteration.  For reachability, the graph kernel `markov.prob01` first pins
 the states with no path to the target to 0 and the states that reach it
-almost surely to 1; only the "maybe" states in between go to the exact
-absorption kernel `markov.absorption`, which reads each state's row in
-integers from `row(i)`, derived on each call.  `reach_probabilities`
-returns the triple (prob0 mask, prob1 mask, {index: value} for the maybe
-states).  A G formula's triple is that of reaching the body's complement
-with the masks swapped and the maybe values complemented.  A `Prob`
-node's satisfaction mask takes the 1 and 0 masks whole when the bound
-admits 1 and 0 (`passing`) and compares only the maybe values.
+almost surely to 1 (the checker memoizes the two masks per target mask);
+only the "maybe" states in between go to the exact absorption kernel
+`markov.absorption`, which reads each state's row in integers from
+`row(i)`, derived on each call.  `reach_probabilities` returns the triple
+(prob0 mask, prob1 mask, {index: value} for the maybe states).  A G
+formula's triple is that of reaching the body's complement with the masks
+swapped and the maybe values complemented; `path_masks` gives the two
+masks alone, without a solve.  A `Prob` node's satisfaction mask takes the
+1 and 0 masks whole when the bound admits 1 and 0 (`passing`) and compares
+only the maybe values.
+
+A question about one state costs only what that state needs: `holds`
+stops a conjunction or disjunction at the first argument that decides,
+and answers a `Prob` at a state in its path formula's 0 or 1 mask by
+comparing that value with the bound; only at a maybe state does it build
+the operator's mask, and with it the one solve for all its maybe states.
+`probability` likewise reads 0 and 1 off the masks.  The answers equal
+those of the full masks, since a maybe value lies strictly between 0 and 1.
 
 A `ModelChecker` is the per-chain context of the package.  State sets are
 bitmasks (bit i is `chain.states[i]`): the graph as successor and
@@ -34,7 +44,7 @@ from math import lcm
 from operator import and_, or_
 
 from .formula import (
-    And, Atom, Cmp, NegAtom, Or, PathFormula, PathOp, StateFormula,
+    And, Atom, Cmp, NegAtom, Or, PathFormula, PathOp, Prob, StateFormula,
 )
 from .markov import (
     MarkovChain, SccDecomposition, absorption, indices, predecessor_masks,
@@ -75,6 +85,7 @@ class ModelChecker:
         self.full = (1 << len(chain.states)) - 1
         self._sat: dict[StateFormula, int] = {}
         self._path: dict[PathFormula, Values] = {}
+        self._prob01: dict[int, tuple[int, int]] = {}
         self._index = {s: i for i, s in enumerate(chain.states)}
 
     @cached_property
@@ -115,11 +126,19 @@ class ModelChecker:
         """The names of the states in a bitmask."""
         return frozenset(s for i, s in enumerate(self.chain.states) if mask >> i & 1)
 
+    def prob01(self, targets: int) -> tuple[int, int]:
+        """The (prob0, prob1) masks of reaching the `targets` mask,
+        memoized per target mask."""
+        known = self._prob01.get(targets)
+        if known is None:
+            known = self._prob01[targets] = prob01(self.pred, targets)
+        return known
+
     def reach_probabilities(self, targets: int) -> Values:
         """P(eventually enter the `targets` mask), exactly, in index form:
         prob0 and prob1 as masks, and the values of the states in neither
         from one integer-row absorption solve."""
-        prob0, prob1 = prob01(self.pred, targets)
+        prob0, prob1 = self.prob01(targets)
         maybe = indices(self.full & ~(prob0 | prob1))
         solved = absorption(maybe, self.row, [prob1])
         return prob0, prob1, {i: x for i, (x,) in solved.items()}
@@ -140,13 +159,32 @@ class ModelChecker:
             self._path[path] = values
         return self._path[path]
 
+    def path_masks(self, path: PathFormula) -> tuple[int, int]:
+        """The masks of the states where the path formula has probability
+        0 and 1, from the memoized prob0/prob1 of its reach target alone
+        (swapped for G, as in `path_values`); no exact solve."""
+        body = self.sat_mask(path.body)
+        if path.op is PathOp.F:
+            return self.prob01(body)
+        prob0, prob1 = self.prob01(self.full & ~body)
+        return prob1, prob0
+
     def path_probabilities(self, path: PathFormula) -> dict[str, Fraction]:
         """The path formula's probability at every state, keyed by name."""
         values = self.path_values(path)
         return {s: _value(values, i) for i, s in enumerate(self.chain.states)}
 
     def probability(self, state: str, path: PathFormula) -> Fraction:
-        return _value(self.path_values(path), self._index[state])
+        """The path formula's probability at `state`: exactly 0 or 1 from
+        `path_masks` where those decide, else from the memoized exact
+        values of `path_values`; KeyError on a state not in the chain."""
+        i = self._index[state]
+        zero, one = self.path_masks(path)
+        if zero >> i & 1:
+            return _ZERO
+        if one >> i & 1:
+            return _ONE
+        return self.path_values(path)[2][i]
 
     # -- state formulas -----------------------------------------------------
 
@@ -175,8 +213,35 @@ class ModelChecker:
         return self.names(self.sat_mask(f))
 
     def holds(self, state: str, f: StateFormula) -> bool:
-        """s |= f; KeyError on a state that is not in the chain."""
-        return bool(self.sat_mask(f) >> self._index[state] & 1)
+        """s |= f, deciding only what `state` needs: a memoized mask is
+        read as it is, `And`/`Or` stop at the first argument that decides,
+        and a `Prob` at a state in its path formula's 0 or 1 mask compares
+        that value with the bound; only a maybe state builds the operator's
+        mask (`sat_mask`).  KeyError on a state that is not in the chain."""
+        return self._holds(self._index[state], f)
+
+    def _holds(self, i: int, f: StateFormula) -> bool:
+        known = self._sat.get(f)
+        if known is not None:
+            return bool(known >> i & 1)
+        kind = type(f)
+        if kind is And:
+            for g in f.args:
+                if not self._holds(i, g):
+                    return False
+            return True
+        if kind is Or:
+            for g in f.args:
+                if self._holds(i, g):
+                    return True
+            return False
+        if kind is Prob:
+            zero, one = self.path_masks(f.path_formula)
+            if zero >> i & 1:
+                return f.cmp.holds(_ZERO, f.bound)
+            if one >> i & 1:
+                return f.cmp.holds(_ONE, f.bound)
+        return bool(self.sat_mask(f) >> i & 1)
 
     def check(self, state: str, formulas) -> bool:
         """s |= X: membership in the intersection of the satisfaction sets."""

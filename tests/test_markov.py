@@ -75,6 +75,37 @@ def test_first_defect_in_record_order_is_reported():
                                "edges": [{"from": "t", "to": "s", "p": "1"}]})
 
 
+@pytest.mark.parametrize("edge, message", [
+    (["s", "s", "1"], "edge record 1 must be an object"),
+    ("s->s", "edge record 1 must be an object"),
+    (None, "edge record 1 must be an object"),
+    ({"p": "1"}, "edge record 1 has no 'from'"),
+    ({"from": "s", "p": "1"}, "edge record 1 has no 'to'"),
+    ({"from": "s", "to": "t", "p": None}, "malformed rational None"),
+    ({"from": "s", "to": "t", "p": True}, "malformed rational True"),
+    ({"from": "x", "to": "t", "p": "1"}, "edge from unknown state 'x'"),
+    ({"from": 0, "to": "t", "p": "1"}, "edge from unknown state '0'"),
+    ({"from": "s", "to": "x", "p": "1"}, "edge to unknown state 'x'"),
+    ({"from": "s", "to": "s", "p": "1/2"}, "duplicate edge 's' -> 's'"),
+])
+def test_edge_record_defects(edge, message):
+    data = {"states": [{"id": "s"}, {"id": "t"}],
+            "edges": [{"from": "s", "to": "s", "p": "1/2"}, edge]}
+    with pytest.raises(InvalidChainError) as err:
+        MarkovChain.from_dict(data)
+    assert str(err.value) == message
+
+
+def test_edge_record_values_are_read_as_text():
+    # ids and probabilities that are not strings are read through `str`
+    chain = MarkovChain.from_dict({
+        "states": [{"id": 0}, {"id": "1"}],
+        "edges": [{"from": 0, "to": 1, "p": 1}, {"from": "1", "to": "0", "p": "1"}]})
+    assert chain.states == ("0", "1")
+    assert chain.successors("0") == {"1": Fraction(1)}
+    assert chain.successors("1") == {"0": Fraction(1)}
+
+
 def test_malformed_probability():
     with pytest.raises(InvalidChainError):
         MarkovChain.from_dict({

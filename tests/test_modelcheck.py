@@ -2,15 +2,18 @@ import itertools
 import random
 from fractions import Fraction
 
+import pytest
+
 from helpers import (
     PSI_TEXT, fig1_chain, random_chain, random_core_formula, reach_by_name,
     reference_sat_set, simulate_eventually,
 )
 
+from pctlfg import linalg
 from pctlfg.etr import f_normal_form
 from pctlfg.formula import (
-    Atom, Cmp, NegAtom, PathFormula, PathOp, Prob, iter_subformulas,
-    parse_formula,
+    Atom, Cmp, NegAtom, PathFormula, PathOp, Prob, conj, disj,
+    iter_subformulas, parse_formula,
 )
 from pctlfg.markov import MarkovChain, scc_decompose
 from pctlfg.modelcheck import ModelChecker
@@ -177,3 +180,113 @@ def test_prob_sat_mask_equals_per_state_comparison():
                     assert mc.sat_set(f) == reference_sat_set(chain, f), (
                         chain.to_dict(), f)
     assert qualitative > 400 and quantitative > 20
+
+
+def _state_queries(rng, chain):
+    """Nested core formulas and their F-normal forms, and one operator at
+    bounds 0, 1, 1/2 and the values that occur, alone and under `&`/`|`."""
+    f = random_core_formula(rng, depth=3)
+    yield f
+    yield f_normal_form(f)
+    op = rng.choice((PathOp.F, PathOp.G))
+    body = random_core_formula(rng, depth=2)
+    values = ModelChecker(chain).path_probabilities(PathFormula(op, body))
+    bounds = {Fraction(0), Fraction(1), Fraction(1, 2), *values.values()}
+    for bound in sorted(bounds):
+        g = Prob(op, rng.choice(list(Cmp)), bound, body)
+        yield g
+        yield disj([g, f])
+        yield conj([f, g])
+
+
+def test_holds_at_a_state_equals_reference():
+    # `holds` decides at the queried state (short-circuited connectives,
+    # prob0/prob1 read before any solve); whatever it skips, its answer is
+    # the reference's, on a fresh checker, after `sat_set`, and before it
+    rng = random.Random(67)
+    queries = 0
+    for _ in range(80):
+        chain = random_chain(rng, max_states=6)
+        for g in _state_queries(rng, chain):
+            queries += 1
+            expected = reference_sat_set(chain, g)
+            for s in chain.states:
+                assert ModelChecker(chain).holds(s, g) == (s in expected), (
+                    chain.to_dict(), g, s)
+            after = ModelChecker(chain)
+            assert after.sat_set(g) == expected
+            assert all(after.holds(s, g) == (s in expected) for s in chain.states)
+            before = ModelChecker(chain)
+            answers = {s for s in chain.states if before.holds(s, g)}
+            assert answers == expected and before.sat_set(g) == expected
+            paths = {h.path_formula for h in iter_subformulas(g)
+                     if isinstance(h, Prob)}
+            for path in paths:
+                values = ModelChecker(chain).path_probabilities(path)
+                for s in chain.states:
+                    assert ModelChecker(chain).probability(s, path) == values[s]
+    assert queries > 600
+
+
+def _two_sinks():
+    """s0 moves to the a-sink s1 or the b-sink s2 with 1/2 each, and s3
+    moves to s0: reaching a has probability 0 at s2, 1 at s1 and 1/2 at
+    s0 and s3, and likewise for b."""
+    return MarkovChain(
+        ["s0", "s1", "s2", "s3"],
+        {("s0", "s1"): Fraction(1, 2), ("s0", "s2"): Fraction(1, 2),
+         ("s1", "s1"): Fraction(1), ("s2", "s2"): Fraction(1),
+         ("s3", "s0"): Fraction(1)},
+        {"s1": ["a"], "s2": ["b"]},
+    )
+
+
+@pytest.fixture
+def solves(monkeypatch):
+    """The number of exact solves made so far, in a one-element list."""
+    count = [0]
+    solve = linalg.solve
+
+    def counting(a, rhs):
+        count[0] += 1
+        return solve(a, rhs)
+
+    monkeypatch.setattr(linalg, "solve", counting)
+    return count
+
+
+def test_holds_solves_only_at_a_maybe_state(solves):
+    f_a = parse_formula("F>=1/2[a]")
+    g_not_b = parse_formula("G>1/2[!b]")
+    mc = ModelChecker(_two_sinks())
+    assert mc.holds("s1", f_a) and not mc.holds("s2", f_a)
+    assert mc.holds("s1", g_not_b) and not mc.holds("s2", g_not_b)
+    assert mc.probability("s2", f_a.path_formula) == 0
+    assert solves == [0]
+    assert mc.holds("s0", f_a)
+    assert solves == [1]
+    assert mc.holds("s3", f_a)
+    assert mc.probability("s3", f_a.path_formula) == Fraction(1, 2)
+    assert solves == [1]
+
+
+def test_holds_short_circuits_connectives(solves):
+    # at s0 both operators need a solve; the first argument that decides
+    # is the last one evaluated
+    f_a, f_b = parse_formula("F>=1/2[a]"), parse_formula("F>=1/2[b]")
+    assert ModelChecker(_two_sinks()).holds("s0", disj([f_a, f_b]))
+    assert solves == [1]
+    assert not ModelChecker(_two_sinks()).holds(
+        "s0", conj([parse_formula("F>1/2[a]"), f_b]))
+    assert solves == [2]
+    assert ModelChecker(_two_sinks()).holds("s0", disj([NegAtom("a"), f_b]))
+    assert solves == [2]
+
+
+def test_holds_unknown_state_raises():
+    mc = ModelChecker(_two_sinks())
+    f = parse_formula("F>=1/2[a] | b")
+    with pytest.raises(KeyError):
+        mc.holds("nowhere", f)
+    with pytest.raises(KeyError):
+        mc.probability("nowhere", f.args[0].path_formula)
