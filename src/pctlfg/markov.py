@@ -13,26 +13,25 @@ JSON model format (rationals are strings, bit-exact):
 
 Graph questions are answered on one format, per-vertex successor and
 predecessor bitmasks (bit i is vertex i, a vertex set is one int), by one
-search, `states_reachable_from`.  Over successor masks it gives
-`reachable_from`, the measure's witness region and first passage's
-region; over predecessor masks it is `states_with_path_to`, which
-`prob01`, the one qualitative kernel, calls twice to find the states
-that reach a target mask with probability 0 and with probability 1.  A
-`ModelChecker` builds its chain's masks once; bounded sat builds them once
-per enumerated graph.  `absorption` is the one exact linear solve: the
-checker's reach probabilities (and with them the ETR oracle's block
-values) and the first-passage distribution go through it.  It works on
-state indices: the unknown states, a `row(i) -> (d, [(j, n), ...])`
-accessor with P(i,j) = n/d (`ModelChecker.row`), and one boundary mask
-per right-hand column (prob1 for reach, one target per column for first
-passage).  It hands `linalg.solve` integer rows, each equation of
+search, `states_reachable_from`.  Over successor masks it gives the
+measure's witness region and first passage's region; over predecessor
+masks it is `states_with_path_to`, which `prob01`, the one qualitative
+kernel, calls twice to find the states that reach a target mask with
+probability 0 and with probability 1, and which `scc_decompose`
+(Kosaraju-Sharir) runs once per component, skipping the states already
+placed.  `successor_masks` converts a chain; a `ModelChecker` builds its
+chain's masks once, bounded sat once per enumerated graph.  `absorption`
+is the one exact linear solve: the checker's reach probabilities (and
+with them the ETR oracle's block values) and the first-passage
+distribution go through it.  It works on state indices: the unknown
+states, a `row(i) -> (d, [(j, n), ...])` accessor with P(i,j) = n/d
+(`ModelChecker.row`), and one boundary mask per right-hand column (prob1
+for reach, one target per column for first passage).  It hands `linalg.solve` integer rows, each equation of
 (I - P) x = b multiplied by its row's d, so no Fraction arithmetic builds
 the system.  Loading a chain checks and converts each state and edge
 record in one pass, straight into the successor rows, and reads each
-distinct numeral text once.
-Tarjan's `scc_decompose` stays on state names; `first_passage` reads the
-checker's SCC decomposition only to name the certificate of a failed
-precondition.
+distinct numeral text once.  `first_passage` reads the checker's SCC
+decomposition only to name the certificate of a failed precondition.
 """
 
 from __future__ import annotations
@@ -258,71 +257,16 @@ def validate(chain: MarkovChain) -> list[str]:
 # ---------------------------------------------------------------------------
 # Graph structure
 
-@dataclass(frozen=True)
-class SccDecomposition:
-    """SCCs in reverse topological order (successors before predecessors)."""
-
-    components: tuple[frozenset[str], ...]
-    is_bottom: tuple[bool, ...]
-
-    def bottom_states(self) -> frozenset[str]:
-        return frozenset().union(
-            *(comp for comp, bottom in zip(self.components, self.is_bottom) if bottom))
-
-
-def scc_decompose(chain: MarkovChain) -> SccDecomposition:
-    """Tarjan's algorithm, iterative.  Emits components in reverse
-    topological order of the condensation and flags the bottom ones."""
-    index: dict[str, int] = {}
-    lowlink: dict[str, int] = {}
-    on_stack: set[str] = set()
-    stack: list[str] = []
-    components: list[frozenset[str]] = []
-    counter = 0
-
-    for root in chain.states:
-        if root in index:
-            continue
-        work = [(root, iter(chain.successors(root)))]
-        index[root] = lowlink[root] = counter
-        counter += 1
-        stack.append(root)
-        on_stack.add(root)
-        while work:
-            v, it = work[-1]
-            advanced = False
-            for w in it:
-                if w not in index:
-                    index[w] = lowlink[w] = counter
-                    counter += 1
-                    stack.append(w)
-                    on_stack.add(w)
-                    work.append((w, iter(chain.successors(w))))
-                    advanced = True
-                    break
-                if w in on_stack:
-                    lowlink[v] = min(lowlink[v], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                lowlink[parent] = min(lowlink[parent], lowlink[v])
-            if lowlink[v] == index[v]:
-                comp = set()
-                while True:
-                    w = stack.pop()
-                    on_stack.discard(w)
-                    comp.add(w)
-                    if w == v:
-                        break
-                components.append(frozenset(comp))
-
-    bottoms = tuple(
-        all(dst in comp for s in comp for dst in chain.successors(s))
-        for comp in components
-    )
-    return SccDecomposition(tuple(components), bottoms)
+def successor_masks(chain: MarkovChain) -> list[int]:
+    """Per-state successor bitmasks: bit i is the state chain.states[i]."""
+    bit = {s: 1 << i for i, s in enumerate(chain.states)}
+    succ = []
+    for s in chain.states:
+        mask = 0
+        for t in chain.successors(s):
+            mask |= bit[t]
+        succ.append(mask)
+    return succ
 
 
 def predecessor_masks(succ) -> list[int]:
@@ -336,9 +280,58 @@ def predecessor_masks(succ) -> list[int]:
     return pred
 
 
-def reachable_from(mc: ModelChecker, start: str) -> frozenset[str]:
-    """The states reachable from `start` (itself included) in the chain."""
-    return mc.names(states_reachable_from(mc.succ, mc.mask((start,))))
+@dataclass(frozen=True)
+class SccDecomposition:
+    """SCCs as state masks (bit i is `states[i]`) in reverse topological
+    order (successors before predecessors), and the mask of the states in
+    bottom SCCs."""
+
+    states: tuple[str, ...]
+    components: tuple[int, ...]
+    bottom: int
+
+    def bottom_states(self) -> frozenset[str]:
+        return frozenset(self.states[i] for i in indices(self.bottom))
+
+
+def scc_decompose(chain: MarkovChain) -> SccDecomposition:
+    """Kosaraju-Sharir over successor masks.  An iterative depth-first pass
+    records the states in finishing order; then, in reverse finishing
+    order, each state not yet placed takes as its component the states
+    with a path to it that avoids the placed ones (`states_with_path_to`).
+    That meets the components in topological order, so the list is
+    reversed.  A component is bottom iff no member has a successor outside
+    it."""
+    succ = successor_masks(chain)
+    finished = []
+    seen = 0
+    for root in range(len(succ)):
+        if seen >> root & 1:
+            continue
+        seen |= 1 << root
+        stack = [root]  # a state finishes once all its successors are seen
+        while stack:
+            todo = succ[stack[-1]] & ~seen
+            if todo:
+                low = todo & -todo
+                seen |= low
+                stack.append(low.bit_length() - 1)
+            else:
+                finished.append(stack.pop())
+
+    pred = predecessor_masks(succ)
+    components = []
+    placed = bottom = 0
+    for v in reversed(finished):
+        if placed >> v & 1:
+            continue
+        comp = states_with_path_to(pred, 1 << v, blocked=placed)
+        placed |= comp
+        components.append(comp)
+        if not any(succ[i] & ~comp for i in indices(comp)):
+            bottom |= comp
+    components.reverse()
+    return SccDecomposition(chain.states, tuple(components), bottom)
 
 
 def states_reachable_from(succ, seeds: int, blocked: int = 0) -> int:
@@ -448,9 +441,9 @@ def first_passage(mc: ModelChecker, source: str, targets) -> dict[str, Fraction]
     if not prob1 & origin:
         # Then some bottom SCC lies inside the region: it can never reach
         # the targets, and it is the certificate.
-        sccs, inside = mc.sccs, mc.names(region)
-        comp = next(comp for comp, bottom in zip(sccs.components, sccs.is_bottom)
-                    if bottom and comp <= inside)
+        sccs = mc.sccs
+        comp = mc.names(next(comp for comp in sccs.components
+                             if comp & sccs.bottom and not comp & ~region))
         raise FirstPassageError(
             f"targets not reached almost surely from {source!r}: "
             f"bottom SCC {{{', '.join(sorted(comp))}}} is reachable and "

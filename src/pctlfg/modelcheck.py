@@ -30,10 +30,11 @@ subformula, as `path_values` memoizes the triple per path formula.  Names
 appear only at the edge: `mask` and `names` convert, `sat_set` is
 `names(sat_mask(f))`, and `path_probabilities` and `probability` give
 probabilities by state name.  The checker also holds the chain's SCC
-decomposition (`sccs`); masks, decomposition and memo entries are built
-on first use.  It is the one exact evaluator of a fixed chain: bounded sat
-confirms an edge assignment by the reach probabilities of the chain it
-defines (`etr.check_assignment`).
+decomposition (`sccs`: one mask per component and the bottom mask, found
+by the one backward search on successor masks); masks, decomposition and
+memo entries are built on first use.  It is the one exact evaluator of a
+fixed chain: bounded sat confirms an edge assignment by the reach
+probabilities of the chain it defines (`etr.check_assignment`).
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ from .formula import (
 )
 from .markov import (
     MarkovChain, SccDecomposition, absorption, indices, predecessor_masks,
-    prob01, scc_decompose,
+    prob01, scc_decompose, successor_masks,
 )
 
 _ZERO, _ONE = Fraction(0), Fraction(1)
@@ -98,7 +99,7 @@ class ModelChecker:
     @cached_property
     def succ(self) -> list[int]:
         """Per-state successor bitmasks: bit i is the state chain.states[i]."""
-        return [self.mask(self.chain.successors(s)) for s in self.chain.states]
+        return successor_masks(self.chain)
 
     @cached_property
     def pred(self) -> list[int]:

@@ -27,7 +27,10 @@ from .formula import (
     And, Atom, Cmp, NegAtom, Or, PathOp, Prob, StateFormula, formula_sets,
     fragment_classify, sort_key, sorted_formulas, subformulas,
 )
-from .markov import MarkovChain, first_passage, reachable_from, scc_decompose
+from .markov import (
+    MarkovChain, first_passage, indices, scc_decompose, states_reachable_from,
+    successor_masks,
+)
 from .measure import bound_base, model_size_bound, progress_measure, reachable_eventualities
 from .modelcheck import ModelChecker
 
@@ -368,10 +371,10 @@ def successor_selection(mc: ModelChecker, state: str,
             g_paths.append(path)
     paths = f_paths + g_paths
 
-    candidates: set[str] = set(mc.sccs.bottom_states())
+    candidates = mc.sccs.bottom
     for path in f_paths:
-        candidates |= mc.sat_set(path.body)
-    passage = first_passage(mc, state, candidates)
+        candidates |= mc.sat_mask(path.body)
+    passage = first_passage(mc, state, mc.names(candidates))
 
     support = sorted(t for t, y in passage.items() if y > 0)
     vectors = [tuple(mc.probability(t, path) for path in paths) for t in support]
@@ -398,14 +401,14 @@ def verify_selection(mc: ModelChecker, state: str, obligations,
                       Fraction(0))
         if mc.probability(state, path) > covered:
             problems.append(f"probability of {path} at {state!r} not covered")
-    region = reachable_from(mc, state)
-    bottoms = mc.sccs.bottom_states()
+    region = states_reachable_from(mc.succ, mc.mask((state,)))
     f_bodies = [f.body for f in obligations
                 if isinstance(f, Prob) and f.op is PathOp.F]
     for t in selection:
-        if t not in region:
+        bit = mc.mask((t,))
+        if not bit & region:
             problems.append(f"successor {t!r} unreachable from {state!r}")
-        if t not in bottoms and not any(mc.holds(t, b) for b in f_bodies):
+        if not bit & mc.sccs.bottom and not any(mc.holds(t, b) for b in f_bodies):
             problems.append(
                 f"successor {t!r} neither in a bottom SCC nor satisfying an "
                 "F-obligation body")
@@ -507,17 +510,16 @@ def bscc_reduce(mc: ModelChecker, state: str,
     `state`'s class and is re-checked to satisfy the formulas.
     """
     X = frozenset(formulas)
-    component = next((comp for comp, bottom in zip(mc.sccs.components,
-                                                    mc.sccs.is_bottom)
-                      if bottom and state in comp), None)
-    if component is None:
+    bit = mc.mask((state,))
+    if not bit & mc.sccs.bottom:
         raise ValueError(f"state {state!r} is not in a bottom SCC")
+    component = next(comp for comp in mc.sccs.components if comp & bit)
     if not mc.check(state, X):
         raise ProgressLoopError(f"state {state!r} does not satisfy the formulas")
 
     sub = sorted_formulas(formula_sets(X).sub)
     classes: dict[tuple[bool, ...], str] = {}
-    for s in sorted(component):
+    for s in sorted(mc.names(component)):
         signature = tuple(mc.holds(s, f) for f in sub)
         classes.setdefault(signature, s)
     reps = sorted(classes.values())
@@ -593,7 +595,7 @@ def compress_model(chain: MarkovChain, state: str, formula: StateFormula, *,
     if fragment == "l2" and not fragment_classify(formula).in_l2:
         raise FragmentError(f"not in fragment L2: {formula}")
 
-    bottoms = mc.sccs.bottom_states()
+    bottoms = mc.sccs.bottom
 
     def build(at: str, X: frozenset[StateFormula],
               parent_measure: int | None) -> tuple[MarkovChain, str, CompressionNode]:
@@ -602,7 +604,7 @@ def compress_model(chain: MarkovChain, state: str, formula: StateFormula, *,
         node = CompressionNode(state=at, formulas=X, measure=m, base=base,
                                bound=model_size_bound(base, m + 1), mode="")
 
-        if at in bottoms:
+        if mc.mask((at,)) & bottoms:
             node.mode = "bscc"
             model, entry = bscc_reduce(mc, at, X)
         else:
@@ -650,23 +652,23 @@ def simple_loop_components(chain: MarkovChain) -> list[str]:
     a simple cycle with exactly one exit state.  Returns violations."""
     problems = []
     decomposition = scc_decompose(chain)
-    for comp, bottom in zip(decomposition.components, decomposition.is_bottom):
-        if bottom:
+    succ = successor_masks(chain)
+    for comp in decomposition.components:
+        if comp & decomposition.bottom:
             continue
-        exits = set()
-        for s in comp:
-            inside = [t for t in chain.successors(s) if t in comp]
-            outside = [t for t in chain.successors(s) if t not in comp]
-            if len(inside) != 1:
+        exits = 0
+        for i in indices(comp):
+            inside = (succ[i] & comp).bit_count()
+            if inside != 1:
                 problems.append(
-                    f"non-bottom SCC state {s!r} has {len(inside)} successors inside "
-                    "its component (simple loop needs exactly 1)")
-            if outside:
-                exits.add(s)
-        if len(exits) > 1:
+                    f"non-bottom SCC state {chain.states[i]!r} has {inside} "
+                    "successors inside its component (simple loop needs exactly 1)")
+            if succ[i] & ~comp:
+                exits += 1
+        if exits > 1:
+            names = sorted(chain.states[i] for i in indices(comp))
             problems.append(
-                f"non-bottom SCC {{{', '.join(sorted(comp))}}} has "
-                f"{len(exits)} exit states")
+                f"non-bottom SCC {{{', '.join(names)}}} has {exits} exit states")
         # the single intra-component successor of each state makes the
         # component one cycle exactly when it is strongly connected, which
         # scc_decompose already established

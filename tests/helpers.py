@@ -33,7 +33,7 @@ from pctlfg.etr import (
 )
 from pctlfg.linalg import SingularMatrixError
 from pctlfg.markov import (
-    MarkovChain, predecessor_masks, prob01, scc_decompose,
+    MarkovChain, indices, predecessor_masks, prob01, scc_decompose,
 )
 from pctlfg.modelcheck import ModelChecker
 
@@ -155,9 +155,10 @@ def simulate_eventually(chain: MarkovChain, start: str, targets,
     targets = frozenset(targets)
     decomposition = scc_decompose(chain)
     bottom_of = {}
-    for comp, bottom in zip(decomposition.components, decomposition.is_bottom):
-        for s in comp:
-            bottom_of[s] = bottom and not (comp & targets)
+    for comp in decomposition.components:
+        names = {chain.states[i] for i in indices(comp)}
+        for s in names:
+            bottom_of[s] = bool(comp & decomposition.bottom) and not names & targets
     hits = 0
     for _ in range(runs):
         current = start
@@ -273,6 +274,20 @@ def reach_by_name(mc: ModelChecker, targets) -> dict[str, Fraction]:
                           if not (zero | one) >> i & 1}
     return {s: maybe[i] if i in maybe else Fraction(one >> i & 1)
             for i, s in enumerate(mc.chain.states)}
+
+
+def reference_reachable(chain: MarkovChain, start: str,
+                        blocked=frozenset()) -> frozenset[str]:
+    """The states reachable from `start` (itself included) without entering
+    a `blocked` state, by a worklist over `chain.successors` alone; no
+    bitmasks."""
+    reached, frontier = {start}, [start]
+    while frontier:
+        for t in chain.successors(frontier.pop()):
+            if t not in reached and t not in blocked:
+                reached.add(t)
+                frontier.append(t)
+    return frozenset(reached)
 
 
 def reference_reach(states, successors, targets):

@@ -83,8 +83,9 @@ def _chain_with_escape(rng):
         chain = random_chain(rng, max_states=9)
         sccs = scc_decompose(chain)
         targets = frozenset(s for s in chain.states if rng.random() < 0.25)
-        if targets and any(bottom and not comp & targets for comp, bottom
-                           in zip(sccs.components, sccs.is_bottom)):
+        target_mask = ModelChecker(chain).mask(targets)
+        if targets and any(comp & sccs.bottom and not comp & target_mask
+                           for comp in sccs.components):
             return chain, targets
 
 

@@ -16,7 +16,7 @@ import pytest
 from helpers import (
     PHI_OR_TEXT, PSI_TEXT, bottom_state_instance, candidate_from_chain,
     collect_loops, fig1_chain, psi_formula, random_chain, random_core_formula,
-    satisfied_instance,
+    reference_reachable, satisfied_instance,
 )
 
 from pctlfg.closure import achieved_bounds, closure, closure_update, update
@@ -27,7 +27,7 @@ from pctlfg.formula import (
     Atom, PathFormula, PathOp, Prob, formula_sets, iter_subformulas,
     parse_formula, subformulas,
 )
-from pctlfg.markov import MarkovChain, reachable_from, validate
+from pctlfg.markov import MarkovChain, validate
 from pctlfg.measure import (
     bound_base, model_size_bound, path_norm, pending_globals, progress_measure,
     reachable_eventualities,
@@ -164,7 +164,7 @@ def test_criterion_06_measure_property_suite():
                 continue
             assert all(not mc.holds(state, b) for b in f_bodies)
             before = progress_measure(mc, state, residue)
-            for t in sorted(reachable_from(mc, state)):
+            for t in sorted(reference_reachable(chain, state)):
                 if not any(mc.holds(t, b) for b in f_bodies):
                     continue
                 X_t = closure_update(mc, t, achieved_bounds(mc, t, residue))

@@ -3,12 +3,12 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import all_graphs, random_chain, reference_reach
+from helpers import all_graphs, random_chain, reference_reach, reference_reachable
 
 from pctlfg.markov import (
-    FirstPassageError, InvalidChainError, MarkovChain, first_passage,
-    parse_probability, predecessor_masks, prob01, reachable_from,
-    scc_decompose, states_with_path_to, validate,
+    FirstPassageError, InvalidChainError, MarkovChain, first_passage, indices,
+    parse_probability, predecessor_masks, prob01, scc_decompose,
+    states_with_path_to, validate,
 )
 from pctlfg.modelcheck import ModelChecker
 
@@ -170,21 +170,18 @@ def test_dot_export_escapes_quotes_and_backslashes():
 
 
 def test_scc_fig1(fig1):
+    # bits 0, 1, 2 are s, t, u; reverse topological: {u} before {s,t}
     decomposition = scc_decompose(fig1)
-    comps = {comp: bottom for comp, bottom
-             in zip(decomposition.components, decomposition.is_bottom)}
-    assert comps[frozenset({"s", "t"})] is False
-    assert comps[frozenset({"u"})] is True
-    # reverse topological: {u} must come before {s,t}
-    assert decomposition.components.index(frozenset({"u"})) < \
-        decomposition.components.index(frozenset({"s", "t"}))
+    assert decomposition.components == (0b100, 0b011)
+    assert decomposition.bottom == 0b100
+    assert decomposition.bottom_states() == frozenset({"u"})
 
 
 def test_scc_self_loop():
     chain = MarkovChain(["s"], {("s", "s"): Fraction(1)}, {})
     decomposition = scc_decompose(chain)
-    assert decomposition.components == (frozenset({"s"}),)
-    assert decomposition.is_bottom == (True,)
+    assert decomposition.components == (0b1,)
+    assert decomposition.bottom == 0b1
 
 
 def test_scc_three_cycle():
@@ -194,19 +191,23 @@ def test_scc_three_cycle():
         {},
     )
     decomposition = scc_decompose(chain)
-    assert decomposition.components == (frozenset({"a", "b", "c"}),)
-    assert decomposition.is_bottom == (True,)
+    assert decomposition.components == (0b111,)
+    assert decomposition.bottom == 0b111
 
 
 def _scc_oracle(chain):
-    # transitive-closure oracle: states are equivalent iff they reach each other
-    mc = ModelChecker(chain)
-    reach = {s: reachable_from(mc, s) for s in chain.states}
-    comps = set()
-    for s in chain.states:
-        comps.add(frozenset(t for t in chain.states
-                            if t in reach[s] and s in reach[t]))
-    return comps
+    """The SCCs by name and the bottom ones, from a reachability fixpoint
+    over `chain.successors`: states are equivalent iff they reach each
+    other, and an SCC is bottom iff no successor leaves it."""
+    reach = {s: reference_reachable(chain, s) for s in chain.states}
+    comps = {frozenset(t for t in reach[s] if s in reach[t]) for s in chain.states}
+    bottoms = {comp for comp in comps
+               if all(reach[s] <= comp for s in comp)}
+    return comps, bottoms
+
+
+def _names(chain, mask):
+    return frozenset(chain.states[i] for i in indices(mask))
 
 
 def test_scc_against_reachability_oracle():
@@ -214,11 +215,14 @@ def test_scc_against_reachability_oracle():
     for _ in range(80):
         chain = random_chain(rng)
         decomposition = scc_decompose(chain)
-        assert set(decomposition.components) == _scc_oracle(chain)
-        for comp, bottom in zip(decomposition.components, decomposition.is_bottom):
-            leaves = any(dst not in comp
-                         for s in comp for dst in chain.successors(s))
-            assert bottom == (not leaves)
+        comps, bottoms = _scc_oracle(chain)
+        named = [_names(chain, comp) for comp in decomposition.components]
+        assert len(named) == len(comps) and set(named) == comps
+        assert _names(chain, decomposition.bottom) == frozenset().union(*bottoms)
+        # reverse topological: an edge never leads to a later component
+        position = {s: k for k, comp in enumerate(named) for s in comp}
+        for src, dst, _ in chain.edges():
+            assert position[dst] <= position[src]
 
 
 def test_first_passage_fig1(fig1_checker):
@@ -246,6 +250,27 @@ def test_first_passage_certificate(fig1_checker):
     with pytest.raises(FirstPassageError) as err:
         first_passage(fig1_checker, "t", {"s"})
     assert err.value.certificate == frozenset({"u"})
+
+
+def test_first_passage_certificate_against_oracle():
+    rng = random.Random(37)
+    checked = 0
+    while checked < 60:
+        chain = random_chain(rng, max_states=8)
+        _, bottoms = _scc_oracle(chain)
+        targets = frozenset(s for s in chain.states if rng.random() < 0.3)
+        if not targets or all(comp & targets for comp in bottoms):
+            continue
+        source = rng.choice(chain.states)
+        region = reference_reachable(chain, source, blocked=targets)
+        if source in targets or not any(comp <= region for comp in bottoms):
+            continue  # the targets are reached almost surely
+        with pytest.raises(FirstPassageError) as err:
+            first_passage(ModelChecker(chain), source, targets)
+        certificate = err.value.certificate
+        assert certificate in bottoms
+        assert certificate <= region and not certificate & targets
+        checked += 1
 
 
 def test_first_passage_sums_to_one():
@@ -293,13 +318,6 @@ def test_states_with_path_to(fig1_checker):
     assert path_to({"u"}) == frozenset({"s", "t", "u"})
     assert path_to({"s"}) == frozenset({"s", "t"})
     assert path_to({"u"}, blocked={"t"}) == frozenset({"u"})
-
-
-def test_reachable_from(fig1_checker):
-    assert reachable_from(fig1_checker, "s") == frozenset({"s", "t", "u"})
-    assert reachable_from(fig1_checker, "u") == frozenset({"u"})
-    with pytest.raises(KeyError):
-        reachable_from(fig1_checker, "ghost")
 
 
 def _prob01(chain, targets):

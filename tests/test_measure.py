@@ -1,13 +1,15 @@
 import random
 from fractions import Fraction
 
-from helpers import PHI_OR_TEXT, collect_loops, satisfied_instance
+from helpers import (
+    PHI_OR_TEXT, collect_loops, reference_reachable, satisfied_instance,
+)
 
 from pctlfg.closure import achieved_bounds, closure_update, update
 from pctlfg.formula import (
     Atom, PathFormula, PathOp, Prob, formula_sets, parse_formula, subformulas,
 )
-from pctlfg.markov import MarkovChain, reachable_from
+from pctlfg.markov import MarkovChain
 from pctlfg.measure import (
     bound_base, model_size_bound, path_norm, pending_globals, progress_measure,
     reachable_eventualities,
@@ -119,7 +121,7 @@ def test_measure_strictly_decreases_at_witnesses():
                 continue
             assert all(not mc.holds(state, b) for b in f_bodies)
             before = progress_measure(mc, state, residue)
-            for t in sorted(reachable_from(mc, state)):
+            for t in sorted(reference_reachable(chain, state)):
                 if not any(mc.holds(t, b) for b in f_bodies):
                     continue
                 X_t = closure_update(mc, t, achieved_bounds(mc, t, residue))

@@ -15,7 +15,7 @@ from pctlfg.formula import (
     Atom, Cmp, NegAtom, PathFormula, PathOp, Prob, conj, disj,
     iter_subformulas, parse_formula,
 )
-from pctlfg.markov import MarkovChain, scc_decompose
+from pctlfg.markov import MarkovChain, indices, scc_decompose
 from pctlfg.modelcheck import ModelChecker
 
 
@@ -78,11 +78,10 @@ def test_bscc_states_agree_and_are_zero_one():
         body = random_core_formula(rng, depth=2)
         for op in (PathOp.F, PathOp.G):
             vec = mc.path_probabilities(PathFormula(op, body))
-            for comp, bottom in zip(decomposition.components,
-                                    decomposition.is_bottom):
-                if not bottom:
+            for comp in decomposition.components:
+                if not comp & decomposition.bottom:
                     continue
-                values = {vec[s] for s in comp}
+                values = {vec[chain.states[i]] for i in indices(comp)}
                 assert len(values) == 1
                 assert values <= {Fraction(0), Fraction(1)}
 

@@ -455,6 +455,36 @@ def test_compress_running_example(running, psi):
     walk(trace)
 
 
+def _unlabelled(edges):
+    """The chain of `edges`, {(src, dst): probability}, states in order of
+    first mention and no atoms."""
+    states = list(dict.fromkeys(s for edge in edges for s in edge))
+    return MarkovChain(states, {e: Fraction(p) for e, p in edges.items()}, {})
+
+
+def test_simple_loop_components_two_successors_inside():
+    # a -> b -> a and a -> c -> a, with the one exit c -> x
+    chain = _unlabelled({("a", "b"): "1/2", ("a", "c"): "1/2", ("b", "a"): 1,
+                         ("c", "a"): "1/2", ("c", "x"): "1/2", ("x", "x"): 1})
+    assert simple_loop_components(chain) == [
+        "non-bottom SCC state 'a' has 2 successors inside its component "
+        "(simple loop needs exactly 1)"]
+
+
+def test_simple_loop_components_two_exit_states():
+    chain = _unlabelled({("a", "b"): "1/2", ("a", "x"): "1/2", ("b", "a"): "1/2",
+                         ("b", "x"): "1/2", ("x", "x"): 1})
+    assert simple_loop_components(chain) == [
+        "non-bottom SCC {a, b} has 2 exit states"]
+
+
+def test_simple_loop_components_ignore_bottom_shape():
+    # the bottom SCC {a, b, c} branches at a; the simple loop at s exits once
+    chain = _unlabelled({("s", "s"): "1/2", ("s", "a"): "1/2", ("a", "b"): "1/2",
+                         ("a", "c"): "1/2", ("b", "a"): 1, ("c", "a"): 1})
+    assert simple_loop_components(chain) == []
+
+
 def test_compress_generic_mode(running, psi):
     fig1, mc, _, X = running
     model, entry, _ = compress_model(fig1, "s", psi, fragment="generic", max_n=3)
