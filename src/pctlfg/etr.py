@@ -536,9 +536,9 @@ class SolverBackend:
 
     def solve(self, text: str) -> tuple[str, dict[str, Fraction]]:
         fd, path = tempfile.mkstemp(suffix=".smt2")
-        with os.fdopen(fd, "w") as handle:
-            handle.write(text)
         try:
+            with os.fdopen(fd, "w") as handle:
+                handle.write(text)
             argv = [part.replace("{file}", path)
                     for part in shlex.split(self.command)]
             try:

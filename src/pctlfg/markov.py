@@ -19,19 +19,23 @@ masks it is `states_with_path_to`, which `prob01`, the one qualitative
 kernel, calls twice to find the states that reach a target mask with
 probability 0 and with probability 1, and which `scc_decompose`
 (Kosaraju-Sharir) runs once per component, skipping the states already
-placed.  `successor_masks` converts a chain; a `ModelChecker` builds its
-chain's masks once, bounded sat once per enumerated graph.  `absorption`
-is the one exact linear solve: the checker's reach probabilities (and
-with them the ETR oracle's block values) and the first-passage
-distribution go through it.  It works on state indices: the unknown
-states, a `row(i) -> (d, [(j, n), ...])` accessor with P(i,j) = n/d
-(`ModelChecker.row`), and one boundary mask per right-hand column (prob1
-for reach, one target per column for first passage).  It hands `linalg.solve` integer rows, each equation of
-(I - P) x = b multiplied by its row's d, so no Fraction arithmetic builds
-the system.  Loading a chain checks and converts each state and edge
-record in one pass, straight into the successor rows, and reads each
-distinct numeral text once.  `first_passage` reads the checker's SCC
-decomposition only to name the certificate of a failed precondition.
+placed.  A chain owns its index form, state i being `states[i]`: `index`
+maps a name to its position, `succ` and `pred` are the masks, `row(i)`
+gives state i's transitions in integers, and `mask` and `names` convert
+between name sets and masks.  The index and the masks are built on first
+use, once per chain; bounded sat builds its masks once per enumerated
+graph.  `absorption` is the one exact linear solve: the checker's reach
+probabilities (and with them the ETR oracle's block values) and the
+first-passage distribution go through it.  It works on the chain's state
+indices: the unknown states, the rows `chain.row(i) -> (d, [(j, n), ...])`
+with P(i,j) = n/d, and one boundary mask per right-hand column (prob1 for
+reach, one target per column for first passage).  It hands `linalg.solve`
+integer rows, each equation of (I - P) x = b multiplied by its row's d,
+so no Fraction arithmetic builds the system.  Loading a chain checks and
+converts each state and edge record in one pass, straight into the
+successor rows, and reads each distinct numeral text once.
+`first_passage` reads the checker's SCC decomposition only to name the
+certificate of a failed precondition.
 """
 
 from __future__ import annotations
@@ -40,6 +44,8 @@ import json
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from math import lcm
 from typing import TYPE_CHECKING
 
 from . import linalg
@@ -154,6 +160,44 @@ class MarkovChain:
     def __repr__(self) -> str:
         return f"MarkovChain({len(self.states)} states)"
 
+    # -- the index form: state i is states[i], a state set is a bitmask ------
+
+    @cached_property
+    def index(self) -> dict[str, int]:
+        """Each state's position in `states`."""
+        return {s: i for i, s in enumerate(self.states)}
+
+    @cached_property
+    def succ(self) -> list[int]:
+        """Per-state successor bitmasks: bit i is the state states[i]."""
+        return [self.mask(self._succ[s]) for s in self.states]
+
+    @cached_property
+    def pred(self) -> list[int]:
+        """Per-state predecessor bitmasks, the transpose of `succ`."""
+        return predecessor_masks(self.succ)
+
+    def row(self, i: int) -> tuple[int, list[tuple[int, int]]]:
+        """State i's transitions as (d, [(j, n), ...]) with P(i,j) = n/d,
+        d the LCM of the row's denominators; derived on each call."""
+        succ = self._succ[self.states[i]]
+        d = lcm(*(p.denominator for p in succ.values()))
+        index = self.index
+        return d, [(index[t], p.numerator * (d // p.denominator))
+                   for t, p in succ.items()]
+
+    def mask(self, states) -> int:
+        """The bitmask of the named states; KeyError on an unknown name."""
+        index = self.index
+        mask = 0
+        for s in states:
+            mask |= 1 << index[s]
+        return mask
+
+    def names(self, mask: int) -> frozenset[str]:
+        """The names of the states in a bitmask."""
+        return frozenset(s for i, s in enumerate(self.states) if mask >> i & 1)
+
     # -- serialization ------------------------------------------------------
 
     @classmethod
@@ -257,18 +301,6 @@ def validate(chain: MarkovChain) -> list[str]:
 # ---------------------------------------------------------------------------
 # Graph structure
 
-def successor_masks(chain: MarkovChain) -> list[int]:
-    """Per-state successor bitmasks: bit i is the state chain.states[i]."""
-    bit = {s: 1 << i for i, s in enumerate(chain.states)}
-    succ = []
-    for s in chain.states:
-        mask = 0
-        for t in chain.successors(s):
-            mask |= bit[t]
-        succ.append(mask)
-    return succ
-
-
 def predecessor_masks(succ) -> list[int]:
     """The per-vertex predecessor bitmasks of per-vertex successor bitmasks."""
     pred = [0] * len(succ)
@@ -302,7 +334,7 @@ def scc_decompose(chain: MarkovChain) -> SccDecomposition:
     That meets the components in topological order, so the list is
     reversed.  A component is bottom iff no member has a successor outside
     it."""
-    succ = successor_masks(chain)
+    succ = chain.succ
     finished = []
     seen = 0
     for root in range(len(succ)):
@@ -319,7 +351,7 @@ def scc_decompose(chain: MarkovChain) -> SccDecomposition:
             else:
                 finished.append(stack.pop())
 
-    pred = predecessor_masks(succ)
+    pred = chain.pred
     components = []
     placed = bottom = 0
     for v in reversed(finished):
@@ -381,15 +413,14 @@ def indices(mask: int) -> list[int]:
     return out
 
 
-def absorption(unknown, row, columns) -> dict[int, list[Fraction]]:
+def absorption(chain: MarkovChain, unknown, columns) -> dict[int, list[Fraction]]:
     """Solves x(i) = sum_j P(i,j) x(j) for every state index i in `unknown`,
-    with x fixed on the other states: in column c, to 1 on the states of
-    the mask `columns[c]` and to 0 on the rest.  `row(i)` gives state i's
-    transitions as (d, [(j, n), ...]) with P(i,j) = n/d, integers.  Returns
-    {i: x(i)} for the unknown states, each x(i) a list of Fractions, one
-    per column.  The system (I - P) x = b goes to `linalg.solve` as integer
-    rows, each equation multiplied by its d.  Every unknown state must have
-    a path leaving `unknown`, which makes I - P nonsingular."""
+    with x fixed on the other states of the chain: in column c, to 1 on the
+    states of the mask `columns[c]` and to 0 on the rest.  Returns {i: x(i)}
+    for the unknown states, each x(i) a list of Fractions, one per column.
+    The system (I - P) x = b goes to `linalg.solve` as integer rows, each
+    equation `chain.row(i)` multiplied by its d.  Every unknown state must
+    have a path leaving `unknown`, which makes I - P nonsingular."""
     unknown = list(unknown)
     if not unknown:
         return {}
@@ -397,7 +428,7 @@ def absorption(unknown, row, columns) -> dict[int, list[Fraction]]:
     n = len(unknown)
     a, rhs = [], []
     for k, i in enumerate(unknown):
-        d, entries = row(i)
+        d, entries = chain.row(i)
         coefficients = [0] * n
         coefficients[k] = d
         values = [0] * len(columns)
@@ -427,23 +458,24 @@ def first_passage(mc: ModelChecker, source: str, targets) -> dict[str, Fraction]
     to exactly 1 (all targets appear, unreached ones with 0).  A source or
     target that is not a state of the chain raises KeyError.
     """
+    chain = mc.chain
     targets = frozenset(targets)
-    origin = mc.mask((source,))
+    origin = chain.mask((source,))
     if not targets:
         raise ValueError("empty target set")
-    target_mask = mc.mask(targets)
+    target_mask = chain.mask(targets)
     if source in targets:
         return {t: Fraction(int(t == source)) for t in targets}
 
     # Region explorable from the source without crossing a target.
-    region = states_reachable_from(mc.succ, origin, blocked=target_mask)
+    region = states_reachable_from(chain.succ, origin, blocked=target_mask)
     _, prob1 = mc.prob01(target_mask)
     if not prob1 & origin:
         # Then some bottom SCC lies inside the region: it can never reach
         # the targets, and it is the certificate.
         sccs = mc.sccs
-        comp = mc.names(next(comp for comp in sccs.components
-                             if comp & sccs.bottom and not comp & ~region))
+        comp = chain.names(next(comp for comp in sccs.components
+                                if comp & sccs.bottom and not comp & ~region))
         raise FirstPassageError(
             f"targets not reached almost surely from {source!r}: "
             f"bottom SCC {{{', '.join(sorted(comp))}}} is reachable and "
@@ -452,8 +484,8 @@ def first_passage(mc: ModelChecker, source: str, targets) -> dict[str, Fraction]
         )
 
     tlist = sorted(targets)
-    columns = [mc.mask((t,)) for t in tlist]
-    hit = absorption(indices(region), mc.row, columns)[origin.bit_length() - 1]
+    columns = [chain.mask((t,)) for t in tlist]
+    hit = absorption(chain, indices(region), columns)[origin.bit_length() - 1]
     result = dict(zip(tlist, hit))
     assert sum(result.values()) == 1
     return result

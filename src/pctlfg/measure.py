@@ -31,7 +31,7 @@ def path_norm(path: PathFormula) -> int:
 def pending_globals(mc: ModelChecker, state: str, formulas) -> frozenset[PathFormula]:
     """G path formulas occurring anywhere in the set's subformulas whose
     almost-sure version fails at `state`."""
-    here = mc.mask((state,))
+    here = mc.chain.mask((state,))
     out = set()
     for path in formula_sets(formulas).psub:
         if path.op is PathOp.G and not mc.path_masks(path)[1] & here:
@@ -50,7 +50,7 @@ def reachable_eventualities(mc: ModelChecker, state: str,
                   and not mc.holds(state, f.body)]
     if not candidates:
         return frozenset()
-    witnesses = states_reachable_from(mc.succ, mc.mask((state,)))
+    witnesses = states_reachable_from(mc.chain.succ, mc.chain.mask((state,)))
     for g in pending:
         witnesses &= ~mc.path_masks(g)[1]
     return frozenset(f.path_formula for f in candidates

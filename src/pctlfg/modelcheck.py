@@ -5,14 +5,14 @@ iteration.  For reachability, the graph kernel `markov.prob01` first pins
 the states with no path to the target to 0 and the states that reach it
 almost surely to 1 (the checker memoizes the two masks per target mask);
 only the "maybe" states in between go to the exact absorption kernel
-`markov.absorption`, which reads each state's row in integers from
-`row(i)`, derived on each call.  `reach_probabilities` returns the triple
-(prob0 mask, prob1 mask, {index: value} for the maybe states).  A G
-formula's triple is that of reaching the body's complement with the masks
-swapped and the maybe values complemented; `path_masks` gives the two
-masks alone, without a solve.  A `Prob` node's satisfaction mask takes the
-1 and 0 masks whole when the bound admits 1 and 0 (`passing`) and compares
-only the maybe values.
+`markov.absorption`, which reads each state's row in integers from the
+chain's `row(i)`, derived on each call.  `reach_probabilities` returns
+the triple (prob0 mask, prob1 mask, {index: value} for the maybe
+states).  A G formula's triple is that of reaching the body's complement
+with the masks swapped and the maybe values complemented; `path_masks`
+gives the two masks alone, without a solve.  A `Prob` node's satisfaction
+mask takes the 1 and 0 masks whole when the bound admits 1 and 0
+(`passing`) and compares only the maybe values.
 
 A question about one state costs only what that state needs: `holds`
 stops a conjunction or disjunction at the first argument that decides,
@@ -22,17 +22,18 @@ the operator's mask, and with it the one solve for all its maybe states.
 `probability` likewise reads 0 and 1 off the masks.  The answers equal
 those of the full masks, since a maybe value lies strictly between 0 and 1.
 
-A `ModelChecker` is the per-chain context of the package.  State sets are
-bitmasks (bit i is `chain.states[i]`): the graph as successor and
-predecessor masks (`succ`, `pred`), the reach targets, and the
-satisfaction sets, which one recursion, `sat_mask`, memoizes per
-subformula, as `path_values` memoizes the triple per path formula.  Names
-appear only at the edge: `mask` and `names` convert, `sat_set` is
-`names(sat_mask(f))`, and `path_probabilities` and `probability` give
-probabilities by state name.  The checker also holds the chain's SCC
+A `ModelChecker` is the per-chain context of the package; it evaluates
+formulas, and its chain owns the index form (`chain.index`, the masks
+`chain.succ` and `chain.pred`, `chain.row`, `chain.mask` and
+`chain.names`).  State sets are bitmasks (bit i is `chain.states[i]`):
+the reach targets and the satisfaction sets, which one recursion,
+`sat_mask`, memoizes per subformula, as `path_values` memoizes the triple
+per path formula.  Names appear only at the edge: `sat_set` is
+`chain.names(sat_mask(f))`, and `path_probabilities` and `probability`
+give probabilities by state name.  The checker also holds the chain's SCC
 decomposition (`sccs`: one mask per component and the bottom mask, found
-by the one backward search on successor masks); masks, decomposition and
-memo entries are built on first use.  It is the one exact evaluator of a
+by the one backward search on successor masks); decomposition and memo
+entries are built on first use.  It is the one exact evaluator of a
 fixed chain: bounded sat confirms an edge assignment by the reach
 probabilities of the chain it defines (`etr.check_assignment`).
 """
@@ -41,15 +42,13 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property, reduce
-from math import lcm
 from operator import and_, or_
 
 from .formula import (
     And, Atom, Cmp, NegAtom, Or, PathFormula, PathOp, Prob, StateFormula,
 )
 from .markov import (
-    MarkovChain, SccDecomposition, absorption, indices, predecessor_masks,
-    prob01, scc_decompose, successor_masks,
+    MarkovChain, SccDecomposition, absorption, indices, prob01, scc_decompose,
 )
 
 _ZERO, _ONE = Fraction(0), Fraction(1)
@@ -78,8 +77,8 @@ def _value(values: Values, i: int) -> Fraction:
 
 class ModelChecker:
     """Per-chain checker with memoized satisfaction masks, path
-    probabilities, SCC decomposition and graph bitmasks.  The memo tables
-    are private to the instance; the chain is treated as immutable."""
+    probabilities and SCC decomposition.  The memo tables are private to
+    the instance; the chain is treated as immutable."""
 
     def __init__(self, chain: MarkovChain):
         self.chain = chain
@@ -87,52 +86,18 @@ class ModelChecker:
         self._sat: dict[StateFormula, int] = {}
         self._path: dict[PathFormula, Values] = {}
         self._prob01: dict[int, tuple[int, int]] = {}
-        self._index = {s: i for i, s in enumerate(chain.states)}
 
     @cached_property
     def sccs(self) -> SccDecomposition:
         """The chain's SCC decomposition, computed once on first use."""
         return scc_decompose(self.chain)
 
-    # -- the graph as bitmasks and integer rows, and reachability -----------
-
-    @cached_property
-    def succ(self) -> list[int]:
-        """Per-state successor bitmasks: bit i is the state chain.states[i]."""
-        return successor_masks(self.chain)
-
-    @cached_property
-    def pred(self) -> list[int]:
-        """Per-state predecessor bitmasks, the transpose of `succ`."""
-        return predecessor_masks(self.succ)
-
-    def row(self, i: int) -> tuple[int, list[tuple[int, int]]]:
-        """State i's transitions as (d, [(j, n), ...]) with P(i,j) = n/d,
-        d the LCM of the row's denominators; derived on each call."""
-        succ = self.chain.successors(self.chain.states[i])
-        d = lcm(*(p.denominator for p in succ.values()))
-        index = self._index
-        return d, [(index[t], p.numerator * (d // p.denominator))
-                   for t, p in succ.items()]
-
-    def mask(self, states) -> int:
-        """The bitmask of the named states; KeyError on an unknown name."""
-        index = self._index
-        mask = 0
-        for s in states:
-            mask |= 1 << index[s]
-        return mask
-
-    def names(self, mask: int) -> frozenset[str]:
-        """The names of the states in a bitmask."""
-        return frozenset(s for i, s in enumerate(self.chain.states) if mask >> i & 1)
-
     def prob01(self, targets: int) -> tuple[int, int]:
         """The (prob0, prob1) masks of reaching the `targets` mask,
         memoized per target mask."""
         known = self._prob01.get(targets)
         if known is None:
-            known = self._prob01[targets] = prob01(self.pred, targets)
+            known = self._prob01[targets] = prob01(self.chain.pred, targets)
         return known
 
     def reach_probabilities(self, targets: int) -> Values:
@@ -141,7 +106,7 @@ class ModelChecker:
         from one integer-row absorption solve."""
         prob0, prob1 = self.prob01(targets)
         maybe = indices(self.full & ~(prob0 | prob1))
-        solved = absorption(maybe, self.row, [prob1])
+        solved = absorption(self.chain, maybe, [prob1])
         return prob0, prob1, {i: x for i, (x,) in solved.items()}
 
     # -- path formulas ------------------------------------------------------
@@ -179,7 +144,7 @@ class ModelChecker:
         """The path formula's probability at `state`: exactly 0 or 1 from
         `path_masks` where those decide, else from the memoized exact
         values of `path_values`; KeyError on a state not in the chain."""
-        i = self._index[state]
+        i = self.chain.index[state]
         zero, one = self.path_masks(path)
         if zero >> i & 1:
             return _ZERO
@@ -211,7 +176,7 @@ class ModelChecker:
 
     def sat_set(self, f: StateFormula) -> frozenset[str]:
         """The names of the states satisfying `f`."""
-        return self.names(self.sat_mask(f))
+        return self.chain.names(self.sat_mask(f))
 
     def holds(self, state: str, f: StateFormula) -> bool:
         """s |= f, deciding only what `state` needs: a memoized mask is
@@ -219,7 +184,7 @@ class ModelChecker:
         and a `Prob` at a state in its path formula's 0 or 1 mask compares
         that value with the bound; only a maybe state builds the operator's
         mask (`sat_mask`).  KeyError on a state that is not in the chain."""
-        return self._holds(self._index[state], f)
+        return self._holds(self.chain.index[state], f)
 
     def _holds(self, i: int, f: StateFormula) -> bool:
         known = self._sat.get(f)

@@ -29,7 +29,6 @@ from .formula import (
 )
 from .markov import (
     MarkovChain, first_passage, indices, scc_decompose, states_reachable_from,
-    successor_masks,
 )
 from .measure import bound_base, model_size_bound, progress_measure, reachable_eventualities
 from .modelcheck import ModelChecker
@@ -374,7 +373,7 @@ def successor_selection(mc: ModelChecker, state: str,
     candidates = mc.sccs.bottom
     for path in f_paths:
         candidates |= mc.sat_mask(path.body)
-    passage = first_passage(mc, state, mc.names(candidates))
+    passage = first_passage(mc, state, mc.chain.names(candidates))
 
     support = sorted(t for t, y in passage.items() if y > 0)
     vectors = [tuple(mc.probability(t, path) for path in paths) for t in support]
@@ -401,11 +400,11 @@ def verify_selection(mc: ModelChecker, state: str, obligations,
                       Fraction(0))
         if mc.probability(state, path) > covered:
             problems.append(f"probability of {path} at {state!r} not covered")
-    region = states_reachable_from(mc.succ, mc.mask((state,)))
+    region = states_reachable_from(mc.chain.succ, mc.chain.mask((state,)))
     f_bodies = [f.body for f in obligations
                 if isinstance(f, Prob) and f.op is PathOp.F]
     for t in selection:
-        bit = mc.mask((t,))
+        bit = mc.chain.mask((t,))
         if not bit & region:
             problems.append(f"successor {t!r} unreachable from {state!r}")
         if not bit & mc.sccs.bottom and not any(mc.holds(t, b) for b in f_bodies):
@@ -510,7 +509,7 @@ def bscc_reduce(mc: ModelChecker, state: str,
     `state`'s class and is re-checked to satisfy the formulas.
     """
     X = frozenset(formulas)
-    bit = mc.mask((state,))
+    bit = mc.chain.mask((state,))
     if not bit & mc.sccs.bottom:
         raise ValueError(f"state {state!r} is not in a bottom SCC")
     component = next(comp for comp in mc.sccs.components if comp & bit)
@@ -519,7 +518,7 @@ def bscc_reduce(mc: ModelChecker, state: str,
 
     sub = sorted_formulas(formula_sets(X).sub)
     classes: dict[tuple[bool, ...], str] = {}
-    for s in sorted(mc.names(component)):
+    for s in sorted(mc.chain.names(component)):
         signature = tuple(mc.holds(s, f) for f in sub)
         classes.setdefault(signature, s)
     reps = sorted(classes.values())
@@ -604,7 +603,7 @@ def compress_model(chain: MarkovChain, state: str, formula: StateFormula, *,
         node = CompressionNode(state=at, formulas=X, measure=m, base=base,
                                bound=model_size_bound(base, m + 1), mode="")
 
-        if mc.mask((at,)) & bottoms:
+        if mc.chain.mask((at,)) & bottoms:
             node.mode = "bscc"
             model, entry = bscc_reduce(mc, at, X)
         else:
@@ -652,7 +651,7 @@ def simple_loop_components(chain: MarkovChain) -> list[str]:
     a simple cycle with exactly one exit state.  Returns violations."""
     problems = []
     decomposition = scc_decompose(chain)
-    succ = successor_masks(chain)
+    succ = chain.succ
     for comp in decomposition.components:
         if comp & decomposition.bottom:
             continue

@@ -268,7 +268,7 @@ def reach_by_name(mc: ModelChecker, targets) -> dict[str, Fraction]:
     """`mc.reach_probabilities` of the named targets as {state: value},
     after checking that its prob0 mask, prob1 mask and solved states
     partition the chain."""
-    zero, one, maybe = mc.reach_probabilities(mc.mask(targets))
+    zero, one, maybe = mc.reach_probabilities(mc.chain.mask(targets))
     assert not zero & one
     assert set(maybe) == {i for i in range(len(mc.chain.states))
                           if not (zero | one) >> i & 1}
@@ -472,5 +472,5 @@ def candidate_from_chain(chain: MarkovChain, f: StateFormula) -> ETRCandidate:
     """The candidate a concrete chain induces for an F-normal formula: its
     graph plus the true satisfaction sets as labeling."""
     mc = ModelChecker(chain)
-    return ETRCandidate(tuple(mc.succ), {
+    return ETRCandidate(tuple(chain.succ), {
         g: mc.sat_mask(g) for g in set(iter_subformulas(f))}, f)

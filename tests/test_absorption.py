@@ -83,7 +83,7 @@ def _chain_with_escape(rng):
         chain = random_chain(rng, max_states=9)
         sccs = scc_decompose(chain)
         targets = frozenset(s for s in chain.states if rng.random() < 0.25)
-        target_mask = ModelChecker(chain).mask(targets)
+        target_mask = chain.mask(targets)
         if targets and any(comp & sccs.bottom and not comp & target_mask
                            for comp in sccs.components):
             return chain, targets
@@ -144,7 +144,6 @@ def test_integer_absorption_equals_fraction_reference():
     widths = set()
     for _ in range(150):
         chain = random_chain(rng, max_states=9)
-        mc = ModelChecker(chain)
         targets = sorted(s for s in chain.states if rng.random() < 0.3)
         if not targets:
             continue
@@ -152,13 +151,13 @@ def test_integer_absorption_equals_fraction_reference():
         unknown = [s for s in chain.states
                    if s not in targets and reach[s] and rng.random() < 0.8]
         if rng.random() < 0.5:
-            columns = [mc.mask(targets)]
+            columns = [chain.mask(targets)]
             boundary = dict.fromkeys(targets, (1,))
         else:
-            columns = [mc.mask((t,)) for t in targets]
+            columns = [chain.mask((t,)) for t in targets]
             boundary = {t: [int(t == u) for u in targets] for t in targets}
         widths.add(len(columns))
-        solved = absorption(indices(mc.mask(unknown)), mc.row, columns)
+        solved = absorption(chain, indices(chain.mask(unknown)), columns)
         expected = reference_absorption(unknown, chain.successors, boundary)
         assert {chain.states[i]: x for i, x in solved.items()} == expected
     assert {1, 2, 3} <= widths

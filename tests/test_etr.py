@@ -1,8 +1,11 @@
+import errno
 import hashlib
 import itertools
+import os
 import random
 import re
 import sys
+import tempfile
 from fractions import Fraction
 
 import pytest
@@ -731,6 +734,30 @@ def test_backend_launch_error():
     backend = SolverBackend("definitely-not-a-real-solver {file}")
     with pytest.raises(BackendError):
         backend.solve("x")
+
+
+def test_backend_removes_its_file_when_the_write_fails(monkeypatch, tmp_path):
+    # a full disk fails the write of the system; the file is still removed
+    real_fdopen = os.fdopen
+
+    class FullDisk:
+        def __init__(self, fd, mode):
+            self.handle = real_fdopen(fd, mode)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.handle.close()
+
+        def write(self, text):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    monkeypatch.setattr(os, "fdopen", FullDisk)
+    with pytest.raises(OSError):
+        SolverBackend("definitely-not-a-real-solver {file}").solve("x")
+    assert list(tmp_path.iterdir()) == []
 
 
 CANNED_BACKEND = r"""

@@ -302,18 +302,27 @@ def test_first_passage_unknown_target(fig1_checker):
         first_passage(fig1_checker, "t", {"t", "ghost"})
 
 
-def test_reach_probabilities_unknown_target(fig1_checker):
+def test_reach_probabilities_unknown_target(fig1):
     for targets in ({"u", "ghost"}, {"ghost"}):
         with pytest.raises(KeyError):
-            fig1_checker.mask(targets)
+            fig1.mask(targets)
 
 
-def test_states_with_path_to(fig1_checker):
-    mc = fig1_checker
+def test_index_form(fig1):
+    # fig1: s -> t, t -> s or u, u -> u
+    assert fig1.index == {"s": 0, "t": 1, "u": 2}
+    assert fig1.succ == [0b010, 0b101, 0b100]
+    assert fig1.pred == [0b010, 0b001, 0b110]
+    assert fig1.mask({"s", "u"}) == 0b101
+    assert fig1.names(0b101) == frozenset({"s", "u"})
+    assert fig1.names(0) == frozenset()
+    assert fig1.row(1) == (5, [(0, 3), (2, 2)])  # t -> s 3/5, t -> u 2/5
 
+
+def test_states_with_path_to(fig1):
     def path_to(targets, blocked=()):
-        return mc.names(states_with_path_to(mc.pred, mc.mask(targets),
-                                            mc.mask(blocked)))
+        return fig1.names(states_with_path_to(fig1.pred, fig1.mask(targets),
+                                              fig1.mask(blocked)))
 
     assert path_to({"u"}) == frozenset({"s", "t", "u"})
     assert path_to({"s"}) == frozenset({"s", "t"})
@@ -321,9 +330,8 @@ def test_states_with_path_to(fig1_checker):
 
 
 def _prob01(chain, targets):
-    mc = ModelChecker(chain)
-    prob0, prob1 = prob01(mc.pred, mc.mask(targets))
-    return mc.names(prob0), mc.names(prob1)
+    prob0, prob1 = prob01(chain.pred, chain.mask(targets))
+    return chain.names(prob0), chain.names(prob1)
 
 
 def test_prob01_fig1(fig1):

@@ -106,7 +106,7 @@ def test_memoization_is_per_checker(fig1):
     mc = ModelChecker(fig1)
     f = parse_formula(PSI_TEXT)
     first = mc.sat_set(f)
-    assert mc._sat[f] == mc.mask(first)  # memoized as a mask
+    assert mc._sat[f] == fig1.mask(first)  # memoized as a mask
     other = ModelChecker(fig1)
     assert f not in other._sat
     assert other.sat_set(f) == first

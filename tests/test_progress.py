@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from helpers import (
-    PHI_OR_TEXT, bottom_state_instance, satisfied_instance,
+    PHI_OR_TEXT, bottom_state_instance, fig1_chain, satisfied_instance,
 )
 
 from pctlfg.closure import closure_update
@@ -503,23 +503,35 @@ def test_compress_bscc_base_case():
     assert ModelChecker(model).holds(entry, pf("G=1[a]"))
 
 
-def test_compress_computes_the_input_sccs_once(monkeypatch, running, psi):
+def test_compress_computes_the_input_sccs_once(monkeypatch, psi):
     import pctlfg.markov
     import pctlfg.modelcheck
     import pctlfg.progress
 
-    fig1 = running[0]
+    fig1 = fig1_chain()  # a chain no checker has asked yet
     original = pctlfg.markov.scc_decompose
+    original_pred = pctlfg.markov.predecessor_masks
     seen = []
+    mask_builds = []
 
     def counting(chain):
         seen.append(chain)
         return original(chain)
 
+    def counting_pred(succ):
+        mask_builds.append(succ)
+        return original_pred(succ)
+
     for module in (pctlfg.markov, pctlfg.modelcheck, pctlfg.progress):
         monkeypatch.setattr(module, "scc_decompose", counting, raising=False)
+    for module in (pctlfg.markov, pctlfg.modelcheck):
+        monkeypatch.setattr(module, "predecessor_masks", counting_pred,
+                            raising=False)
     compress_model(fig1, "s", psi, fragment="l2")
     assert sum(chain is fig1 for chain in seen) == 1
+    # one mask build per checked chain: the input chain, the bottom-SCC
+    # cycle and the output model; the SCCs reuse the input chain's masks
+    assert len(mask_builds) == 3
 
 
 def _output_digest(h, entry, model, trace):
