@@ -535,10 +535,16 @@ class SolverBackend:
     timeout: float = 10.0
 
     def solve(self, text: str) -> tuple[str, dict[str, Fraction]]:
-        fd, path = tempfile.mkstemp(suffix=".smt2")
         try:
-            with os.fdopen(fd, "w") as handle:
-                handle.write(text)
+            fd, path = tempfile.mkstemp(suffix=".smt2")
+        except OSError as exc:
+            raise BackendError(f"cannot write the SMT file: {exc}") from exc
+        try:
+            try:
+                with os.fdopen(fd, "w") as handle:
+                    handle.write(text)
+            except OSError as exc:
+                raise BackendError(f"cannot write the SMT file: {exc}") from exc
             argv = [part.replace("{file}", path)
                     for part in shlex.split(self.command)]
             try:

@@ -39,12 +39,16 @@ def pending_globals(mc: ModelChecker, state: str, formulas) -> frozenset[PathFor
     return frozenset(out)
 
 
-def reachable_eventualities(mc: ModelChecker, state: str,
-                            formulas) -> frozenset[PathFormula]:
+def reachable_eventualities(mc: ModelChecker, state: str, formulas, *,
+                            pending: frozenset[PathFormula] | None = None,
+                            ) -> frozenset[PathFormula]:
     """F path formulas of the set's own F-members whose body fails at
     `state` but holds at some reachable witness that additionally fails
-    G=1 for every pending G formula of the set."""
-    pending = pending_globals(mc, state, formulas)
+    G=1 for every pending G formula of the set.  `pending` is the set's
+    `pending_globals` at `state`, for a caller that has it already; when it
+    is absent, it is computed here."""
+    if pending is None:
+        pending = pending_globals(mc, state, formulas)
     candidates = [f for f in formulas
                   if isinstance(f, Prob) and f.op is PathOp.F
                   and not mc.holds(state, f.body)]
@@ -76,7 +80,7 @@ def progress_measure(mc: ModelChecker, state: str, formulas) -> int:
     if pending:
         total += len(pending) * (1 + sum(path_norm(q) for q in member_paths))
     total += sum(path_norm(q) for q in
-                 reachable_eventualities(mc, state, formulas))
+                 reachable_eventualities(mc, state, formulas, pending=pending))
     return total
 
 

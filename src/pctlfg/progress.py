@@ -12,6 +12,15 @@ satisfaction-signature cycles.  Diagnostics that name formulas of a set
 list them in `sorted_formulas` order.  Every function that asks about a
 model takes its `ModelChecker`; the chain is `mc.chain` and its SCC
 decomposition is `mc.sccs`, computed once per chain.
+
+`verify_loop` checks a loop in two parts: the hypothesis (every member of
+X holds at the state, and X is closed and updated there) and the loop
+conditions (1)-(6), `loop_violations`.  Both searches check the hypothesis
+once, before they search, and each candidate against the loop conditions
+alone.  The generic search walks masks over its universe, the subformulas
+of X in `sort_key` order (bit k is the k-th); it enumerates the candidate
+sets in (size, index tuple) order, which is their (size, sorted sort keys)
+order, and builds frozensets only for a complete candidate.
 """
 
 from __future__ import annotations
@@ -19,18 +28,21 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import combinations
 from typing import Iterator
 
 from . import linalg
 from .closure import achieved_bounds, closure_update, least_closed_set
 from .formula import (
-    And, Atom, Cmp, NegAtom, Or, PathOp, Prob, StateFormula, formula_sets,
-    fragment_classify, sort_key, sorted_formulas, subformulas,
+    And, Atom, Cmp, NegAtom, Or, PathFormula, PathOp, Prob, StateFormula,
+    formula_sets, fragment_classify, sort_key, sorted_formulas, subformulas,
 )
 from .markov import (
     MarkovChain, first_passage, indices, scc_decompose, states_reachable_from,
 )
-from .measure import bound_base, model_size_bound, progress_measure, reachable_eventualities
+from .measure import (
+    bound_base, model_size_bound, progress_measure, reachable_eventualities,
+)
 from .modelcheck import ModelChecker
 
 
@@ -104,18 +116,29 @@ def _local_rule_violations(i: int, members, loop: ProgressLoop) -> Iterator[str]
 
 def verify_loop(mc: ModelChecker, state: str, formulas,
                 loop: ProgressLoop) -> list[str]:
-    """Checks the loop hypotheses and all six conditions independently and
+    """Checks the loop hypothesis and all six conditions independently and
     returns every violation (empty list means the loop is valid)."""
     X = frozenset(formulas)
     problems: list[str] = []
-
     unsatisfied = [f for f in X if not mc.holds(state, f)]
     for f in sorted_formulas(unsatisfied):
         problems.append(f"hypothesis: state {state!r} does not satisfy {f}")
     if not unsatisfied and closure_update(mc, state, X) != X:
         problems.append("hypothesis: X is not closed and updated")
+    return problems + loop_violations(
+        mc, state, X, loop, sub=formula_sets(X).sub,
+        eventualities=reachable_eventualities(mc, state, X))
 
-    sub = formula_sets(X).sub
+
+def loop_violations(mc: ModelChecker, state: str, X: frozenset[StateFormula],
+                    loop: ProgressLoop, *, sub: frozenset[StateFormula],
+                    eventualities: frozenset[PathFormula]) -> list[str]:
+    """The loop conditions (1)-(6) of `verify_loop`, without the hypothesis,
+    for a caller that has already checked it: every violation, in the
+    order `verify_loop` reports them.  `sub` is sub(X) and `eventualities`
+    is `reachable_eventualities(mc, state, X)`; both depend on X alone, so
+    a search computes them once for all its candidates."""
+    problems: list[str] = []
     for i, level in enumerate(loop):
         extra = level - sub
         for f in sorted_formulas(extra):
@@ -138,8 +161,7 @@ def verify_loop(mc: ModelChecker, state: str, formulas,
         if isinstance(f, Prob) and f.op is PathOp.F and mc.holds(state, f.body):
             problems.append(
                 f"condition (5): state {state!r} satisfies the body of {f}")
-    spilled = (reachable_eventualities(mc, state, residue)
-               - reachable_eventualities(mc, state, X))
+    spilled = reachable_eventualities(mc, state, residue) - eventualities
     for path in sorted(spilled, key=lambda p: sort_key(p.body)):
         problems.append(
             f"condition (6): {path} is a reachable eventuality of the exit "
@@ -150,19 +172,49 @@ def verify_loop(mc: ModelChecker, state: str, formulas,
 # ---------------------------------------------------------------------------
 # Loop search
 
-def _locally_consistent_sets(universe: list[StateFormula]):
-    """All subsets of the universe satisfying the per-set rules of condition
-    (3), ordered by (size, canonical order).  The G rule applies to the set
-    itself here (a G member's body must be present in every set, including
-    its own); the cross-set part is enforced during the sequence walk."""
+def _locally_consistent_sets(universe: list[StateFormula]) -> list[int]:
+    """All nonempty subsets of the universe satisfying the per-set rules of
+    condition (3), as masks over it: bit k is `universe[k]`.  Each member
+    has a need mask (the conjuncts of an `And`, the body of a G formula),
+    an any-of mask (the disjuncts of an `Or`) and a clash mask (an atom's
+    negation).  The G rule applies to the set itself here (a G member's
+    body must be present in every set, including its own); the cross-set
+    part is enforced during the sequence walk.
+
+    The sets come size by size, each size in `itertools.combinations`
+    order of the member indices.  The universe is in `sort_key` order, so
+    that is the (size, sorted sort keys) order of the sets themselves."""
+    bit = {f: 1 << k for k, f in enumerate(universe)}
+    need = []
+    clash = []
+    any_of = []  # (member bit, disjunct bits) per Or member
+    for f in universe:
+        needed = clashing = 0
+        if isinstance(f, Atom):
+            clashing = bit.get(NegAtom(f.name), 0)
+        elif isinstance(f, And):
+            needed = sum(bit[a] for a in f.args)
+        elif isinstance(f, Or):
+            any_of.append((bit[f], sum(bit[a] for a in f.args)))
+        elif isinstance(f, Prob) and f.op is PathOp.G:
+            needed = bit[f.body]
+        need.append(needed)
+        clash.append(clashing)
+
     out = []
     n = len(universe)
-    for mask in range(1, 1 << n):
-        members = [universe[k] for k in range(n) if mask >> k & 1]
-        level = frozenset(members)
-        if next(_local_rule_violations(0, members, (level,)), None) is None:
+    for size in range(1, n + 1):
+        for combo in combinations(range(n), size):
+            level = needed = clashing = 0
+            for k in combo:
+                level |= 1 << k
+                needed |= need[k]
+                clashing |= clash[k]
+            if needed & ~level or clashing & level:
+                continue
+            if any(level & b and not level & args for b, args in any_of):
+                continue
             out.append(level)
-    out.sort(key=lambda s: (len(s), tuple(sorted(sort_key(f) for f in s))))
     return out
 
 
@@ -174,7 +226,8 @@ def _g_bodies(formulas) -> frozenset[StateFormula]:
 
 def _require_loop_start(mc: ModelChecker, state: str, X: frozenset) -> None:
     """Raises ProgressLoopError unless `state` satisfies X and X is closed
-    and updated there: a loop search's precondition."""
+    and updated there: the loop hypothesis, a loop search's precondition,
+    checked once per search."""
     if not mc.check(state, X):
         raise ProgressLoopError(f"state {state!r} does not satisfy X")
     if closure_update(mc, state, X) != X:
@@ -186,39 +239,55 @@ def search_loop_generic(mc: ModelChecker, state: str, formulas, max_n: int, *,
     """Exhaustive bounded search for a progress loop: iterative deepening
     over sequences of distinct locally-consistent subsets of sub(X), with
     the cross-set G-body constraint propagated during the walk.  Returns
-    the first loop (in canonical order) passing `verify_loop`, or None when
-    the space up to max_n is exhausted.  Raises SearchSpaceExceeded when
-    `node_budget` extensions were tried first.
+    the first loop (in canonical order) that satisfies the loop conditions,
+    or None when the space up to max_n is exhausted.  Raises
+    SearchSpaceExceeded when `node_budget` extensions were tried first.
+
+    The hypothesis is checked once, before the search; each candidate is
+    checked by `loop_violations`.  The walk runs on masks over the universe
+    `sorted_formulas(sub(X))` (see `_locally_consistent_sets`): distinctness,
+    the carried G bodies, the cross-set rule and the anchor X <= L_i are
+    integer tests, and frozensets are built only for a complete candidate.
     """
     X = frozenset(formulas)
     _require_loop_start(mc, state, X)
 
-    universe = sorted_formulas(formula_sets(X).sub)
+    sub = formula_sets(X).sub
+    universe = sorted_formulas(sub)
     if len(universe) > 20:
         raise SearchSpaceExceeded(f"{len(universe)} subformulas is beyond the "
                                   "exhaustive search range")
-    family = _locally_consistent_sets(universe)
+    bit = {f: 1 << k for k, f in enumerate(universe)}
+    anchor = sum(bit[f] for f in X)
+    g_body = [bit[f.body] if isinstance(f, Prob) and f.op is PathOp.G else 0
+              for f in universe]
+    family = [(level, sum(g_body[k] for k in indices(level)))
+              for level in _locally_consistent_sets(universe)]
+    eventualities = reachable_eventualities(mc, state, X)
     cap = min(max_n, (1 << len(universe)) - 1)
     budget = node_budget
 
     for length in range(1, cap + 2):
-        chosen: list[frozenset[StateFormula]] = []
+        chosen: list[int] = []
 
-        def extend(required: frozenset[StateFormula], has_anchor: bool):
+        def extend(required: int, has_anchor: bool):
             nonlocal budget
             if len(chosen) == length:
                 if has_anchor:
-                    candidate = tuple(chosen)
-                    if not verify_loop(mc, state, X, candidate):
+                    candidate = tuple(
+                        frozenset(universe[k] for k in indices(level))
+                        for level in chosen)
+                    if not loop_violations(mc, state, X, candidate, sub=sub,
+                                           eventualities=eventualities):
                         return candidate
                 return None
-            for level in family:
+            for level, bodies in family:
                 if level in chosen:
                     continue
-                if not required <= level:
+                if required & ~level:
                     continue
-                new_bodies = _g_bodies(level) - required
-                if new_bodies and any(not new_bodies <= prev for prev in chosen):
+                new_bodies = bodies & ~required
+                if new_bodies and any(new_bodies & ~prev for prev in chosen):
                     continue
                 if budget <= 0:
                     raise SearchSpaceExceeded(
@@ -226,13 +295,13 @@ def search_loop_generic(mc: ModelChecker, state: str, formulas, max_n: int, *,
                 budget -= 1
                 chosen.append(level)
                 found = extend(required | new_bodies,
-                               has_anchor or X <= level)
+                               has_anchor or not anchor & ~level)
                 chosen.pop()
                 if found is not None:
                     return found
             return None
 
-        found = extend(frozenset(), False)
+        found = extend(0, False)
         if found is not None:
             return found
     return None
@@ -246,7 +315,8 @@ def search_loop_l2(mc: ModelChecker, state: str, formulas) -> ProgressLoop:
     through X) and whose body appears nowhere yet: a reachable witness
     satisfying the body and all G-bodies is located breadth-first (smallest
     state id first) and a new set is closed at that witness.  The result is
-    re-checked with `verify_loop` before being returned.
+    re-checked with `loop_violations` before being returned (the hypothesis
+    is checked once, before the search).
     """
     X = frozenset(formulas)
     outside = [f for f in sorted_formulas(X) if not fragment_classify(f).in_l2]
@@ -288,7 +358,9 @@ def search_loop_l2(mc: ModelChecker, state: str, formulas) -> ProgressLoop:
         witnesses.append(witness)
 
     loop = tuple(sets)
-    problems = verify_loop(mc, state, X, loop)
+    problems = loop_violations(
+        mc, state, X, loop, sub=formula_sets(X).sub,
+        eventualities=reachable_eventualities(mc, state, X))
     if problems:
         raise ProgressLoopError(
             "constructed sequence is not a progress loop: " + "; ".join(problems))

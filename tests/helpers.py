@@ -12,7 +12,9 @@ time, next to the block form of the enumeration's mask screen.  The
 reference bounded search enumerates every digraph and emits every nonempty
 whole-formula label set; the library's search is rooted at vertex 0 and
 tries one graph per isomorphism class.  `labeling_violations` and
-`constraint_count` are oracles on a candidate and on its system.
+`constraint_count` are oracles on a candidate and on its system.  The
+reference loop family builds every subset of a universe as a frozenset and
+sorts them; the library's enumerates masks in order.
 """
 
 from __future__ import annotations
@@ -474,3 +476,120 @@ def candidate_from_chain(chain: MarkovChain, f: StateFormula) -> ETRCandidate:
     mc = ModelChecker(chain)
     return ETRCandidate(tuple(chain.succ), {
         g: mc.sat_mask(g) for g in set(iter_subformulas(f))}, f)
+
+
+def reference_locally_consistent_sets(universe) -> list[frozenset]:
+    """The frozenset form of `progress._locally_consistent_sets`: every
+    nonempty subset of the universe that `_local_rule_violations` accepts as
+    a one-set loop, sorted by (size, sorted sort keys)."""
+    from pctlfg.formula import sort_key
+    from pctlfg.progress import _local_rule_violations
+
+    out = []
+    n = len(universe)
+    for mask in range(1, 1 << n):
+        members = [universe[k] for k in range(n) if mask >> k & 1]
+        level = frozenset(members)
+        if next(_local_rule_violations(0, members, (level,)), None) is None:
+            out.append(level)
+    out.sort(key=lambda s: (len(s), tuple(sorted(sort_key(f) for f in s))))
+    return out
+
+
+# ---------------------------------------------------------------------------
+# Bounded sat and compression, checked against each other
+
+def sat_compress_instances(seed: int, count: int):
+    """`count` seeded (chain, state, formula) triples, the formula holding
+    at the state.  In turn: a random core formula; `!x & F~r[x] & g`; and
+    `!x & F~r[G=1[x]] & g`, with g a random core formula.  The last two
+    need models of at least two states, and the last keeps a model's entry
+    out of every bottom SCC, so that compressing it builds a progress loop."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        chain = random_chain(rng, 5)
+        mc = ModelChecker(chain)
+        kind = len(out) % 3
+        for _ in range(12):
+            f = random_core_formula(rng, 3)
+            if kind:
+                name = rng.choice(("a", "b"))
+                target = Atom(name) if kind == 1 else Prob(
+                    PathOp.G, Cmp.GE, Fraction(1), Atom(name))
+                cmp, bound = rng.choice(((Cmp.GT, Fraction(0)),
+                                         (Cmp.GT, Fraction(1, 4)),
+                                         (Cmp.GE, Fraction(1, 2)),
+                                         (Cmp.GE, Fraction(1))))
+                f = conj([NegAtom(name), Prob(PathOp.F, cmp, bound, target), f])
+            sat = sorted(mc.sat_set(f))
+            if sat:
+                out.append((chain, rng.choice(sat), f))
+                break
+    return out
+
+
+def sat_compress_disagreements(instances):
+    """Bounded sat and compression cross-examined on (chain, state,
+    formula) triples, such as `sat_compress_instances` makes.
+
+    Forward: if compression returns a model of k <= 4 states, `sat` at
+    bound k must not answer unsat-up-to-n, since bounded sat is complete up
+    to its bound.  Reverse: every model `sat` finds at bound 3 must compress
+    from its entry.  Compression uses the L2 search for an L2 formula and
+    the generic one (max_n=3) otherwise, and re-verifies its own result.  A
+    forward compression that runs out of search space decides nothing and
+    is skipped; a reverse one is a disagreement.  A forward compression
+    that fails otherwise is no disagreement, since sat is not asked, but a
+    compression defect on a satisfied instance (ROADMAP item 1).  Returns
+    the disagreements and those failures, one line each, and a `Counter`
+    of the checks made and of the compressions that built a progress loop
+    at their root, per direction."""
+    from collections import Counter
+
+    from pctlfg.etr import solve_bounded_sat
+    from pctlfg.formula import fragment_classify
+    from pctlfg.progress import SearchSpaceExceeded, compress_model
+
+    def compress(chain, state, f):
+        fragment = "l2" if fragment_classify(f).in_l2 else "generic"
+        model, entry, trace = compress_model(chain, state, f,
+                                             fragment=fragment, max_n=3)
+        assert ModelChecker(model).holds(entry, f)
+        return model, trace
+
+    disagreements: list[str] = []
+    failures: list[str] = []
+    counts: Counter = Counter()
+    for chain, state, f in instances:
+        model = None
+        try:
+            model, trace = compress(chain, state, f)
+        except SearchSpaceExceeded:
+            pass
+        except Exception as exc:
+            if not str(exc).startswith("no progress loop found"):
+                failures.append(f"{f} at {state!r} of {chain.to_json(indent=None)}: "
+                                f"{type(exc).__name__}: {exc}")
+        if model is not None and len(model.states) <= 4:
+            counts["forward"] += 1
+            counts["forward loops"] += trace.mode == "loop"
+            k = len(model.states)
+            if solve_bounded_sat(f, k).status == "unsat-up-to-n":
+                disagreements.append(
+                    f"forward: {f} compresses to {k} states at {state!r}, "
+                    f"but sat answers unsat-up-to-n at bound {k}")
+
+        found = solve_bounded_sat(f, 3)
+        if found.status != "sat":
+            continue
+        counts["reverse"] += 1
+        try:
+            _, trace = compress(found.model, found.entry, f)
+        except Exception as exc:  # any failure is a disagreement
+            disagreements.append(
+                f"reverse: the {len(found.model.states)}-state sat model of "
+                f"{f} does not compress: {type(exc).__name__}: {exc}")
+            continue
+        counts["reverse loops"] += trace.mode == "loop"
+    return disagreements, failures, counts

@@ -1,8 +1,10 @@
+import errno
 import json
 import os
 import random
 import subprocess
 import sys
+import tempfile
 from fractions import Fraction
 
 import pytest
@@ -465,6 +467,23 @@ def test_non_executable_solver_is_backend_error(capsys, tmp_path):
                        "--bound", "3", "--solver-cmd", f"{solver} {{file}}")
     assert code == 3
     assert err.startswith("backend error: cannot launch solver")
+
+
+def test_unwritable_solver_file_is_backend_error(capsys, monkeypatch, tmp_path):
+    # a full disk fails the SMT file the solver would read: the backend's
+    # environment failed (exit 3), not the user's input (exit 2)
+    def full_disk(fd, mode):
+        os.close(fd)
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    monkeypatch.setattr(os, "fdopen", full_disk)
+    code, _, err = run(capsys, "sat", "--formula", "!a & F>1/3[a] & G>1/2[!a]",
+                       "--bound", "3", "--solver-cmd",
+                       "definitely-not-a-real-solver {file}")
+    assert code == 3
+    assert err.startswith("backend error: cannot write the SMT file")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_loop_search_beyond_generic_range(capsys, model_path):

@@ -737,7 +737,8 @@ def test_backend_launch_error():
 
 
 def test_backend_removes_its_file_when_the_write_fails(monkeypatch, tmp_path):
-    # a full disk fails the write of the system; the file is still removed
+    # a full disk fails the write of the system: a backend error, and the
+    # file is still removed
     real_fdopen = os.fdopen
 
     class FullDisk:
@@ -755,7 +756,15 @@ def test_backend_removes_its_file_when_the_write_fails(monkeypatch, tmp_path):
 
     monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
     monkeypatch.setattr(os, "fdopen", FullDisk)
-    with pytest.raises(OSError):
+    with pytest.raises(BackendError, match="cannot write the SMT file"):
+        SolverBackend("definitely-not-a-real-solver {file}").solve("x")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_backend_error_when_the_file_cannot_be_created(monkeypatch, tmp_path):
+    missing = tmp_path / "missing"
+    monkeypatch.setattr(tempfile, "tempdir", str(missing))
+    with pytest.raises(BackendError, match="cannot write the SMT file"):
         SolverBackend("definitely-not-a-real-solver {file}").solve("x")
     assert list(tmp_path.iterdir()) == []
 

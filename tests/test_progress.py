@@ -6,19 +6,21 @@ from fractions import Fraction
 import pytest
 
 from helpers import (
-    PHI_OR_TEXT, bottom_state_instance, fig1_chain, satisfied_instance,
+    PHI_OR_TEXT, bottom_state_instance, fig1_chain, random_core_formula,
+    reference_locally_consistent_sets, satisfied_instance,
 )
 
 from pctlfg.closure import closure_update
 from pctlfg.formula import (
-    Atom, PathFormula, PathOp, Prob, formula_sets, fragment_classify,
-    parse_formula,
+    And, Atom, NegAtom, Or, PathFormula, PathOp, Prob, conj, formula_sets,
+    fragment_classify, parse_formula, sorted_formulas, subformulas,
 )
-from pctlfg.markov import MarkovChain, validate
+from pctlfg.markov import MarkovChain, indices, validate
 from pctlfg.measure import model_size_bound
 from pctlfg.modelcheck import ModelChecker
 from pctlfg.progress import (
-    FragmentError, SearchSpaceExceeded, bscc_reduce,
+    FragmentError, ProgressLoopError, SearchSpaceExceeded,
+    _locally_consistent_sets, bscc_reduce,
     build_loop_model, caratheodory_reduce, compress_model, exit_obligations,
     loop_return_probability, search_loop_generic, search_loop_l2,
     simple_loop_components, successor_selection, verify_loop,
@@ -117,6 +119,119 @@ def test_verify_reports_all_violations(running, psi):
     broken = (loop[1], loop[1])
     problems = verify_loop(mc, "s", X, broken)
     assert len(problems) >= 2
+
+
+def test_verify_reports_an_unsatisfied_member(running, psi):
+    fig1, mc, _, X = running
+    problems = verify_loop(mc, "u", X, example_loop(psi))
+    assert "hypothesis: state 'u' does not satisfy !a" in problems
+    # the closure question is not asked of an unsatisfied X
+    assert "hypothesis: X is not closed and updated" not in problems
+
+
+def test_verify_reports_a_set_not_closed_and_updated(running, psi):
+    fig1, mc, _, X = running
+    problems = verify_loop(mc, "s", {psi}, example_loop(psi))
+    assert problems[0] == "hypothesis: X is not closed and updated"
+    assert not any(p.startswith("hypothesis: state") for p in problems)
+
+
+@pytest.mark.parametrize("case", ["unsatisfied", "not closed"])
+@pytest.mark.parametrize("search", ["l2", "generic"])
+def test_searches_reject_a_failed_hypothesis(running, psi, search, case):
+    fig1, mc, _, X = running
+    state, X = ("u", X) if case == "unsatisfied" else ("s", {psi})
+    with pytest.raises(ProgressLoopError):
+        if search == "l2":
+            search_loop_l2(mc, state, X)
+        else:
+            search_loop_generic(mc, state, X, 3)
+
+
+def test_generic_search_checks_the_hypothesis_once(monkeypatch, running):
+    import pctlfg.progress
+
+    fig1, mc, _, X = running
+    # every candidate's loop conditions ask for its exit obligations once
+    calls = {"closure_update": 0, "exit_obligations": 0}
+    for name in calls:
+        original = getattr(pctlfg.progress, name)
+
+        def counting(*args, _original=original, _name=name, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(pctlfg.progress, name, counting)
+    loop = search_loop_generic(mc, "s", X, 3)
+    # many candidates, one closure_update: the hypothesis was checked once
+    assert calls["exit_obligations"] > 1
+    assert calls["closure_update"] == 1
+    assert verify_loop(mc, "s", X, loop) == []
+
+
+# -- the loop family ---------------------------------------------------------
+
+def _as_sets(universe, masks):
+    return [frozenset(universe[k] for k in indices(m)) for m in masks]
+
+
+def _nested_g(universe):
+    """Whether some G formula of the universe lies inside a path body."""
+    return any(g is not f and isinstance(g, Prob) and g.op is PathOp.G
+               for f in universe if isinstance(f, Prob)
+               for g in subformulas(f.body))
+
+
+def test_consistent_sets_match_the_reference():
+    # the mask family is the reference's family, set for set and in order,
+    # over the sub(X) universes of random formula sets
+    rng = random.Random(211)
+    seen = {"clash": 0, "and": 0, "or": 0, "nested G": 0}
+    checked = 0
+    while checked < 240:
+        X = [random_core_formula(rng, 3) for _ in range(rng.randint(1, 3))]
+        universe = sorted_formulas(formula_sets(X).sub)
+        if len(universe) > 12:
+            continue
+        assert (_as_sets(universe, _locally_consistent_sets(universe))
+                == reference_locally_consistent_sets(universe))
+        seen["clash"] += any(isinstance(f, Atom) and NegAtom(f.name) in universe
+                             for f in universe)
+        seen["and"] += any(isinstance(f, And) for f in universe)
+        seen["or"] += any(isinstance(f, Or) for f in universe)
+        seen["nested G"] += _nested_g(universe)
+        checked += 1
+    assert min(seen.values()) >= 20, seen
+
+
+def test_consistent_sets_near_the_cap():
+    # the largest universes the reference still builds in about a second
+    rng = random.Random(223)
+    wanted = [16, 17]
+    while wanted:
+        X = [random_core_formula(rng, 4, aps=("a", "b", "c"))
+             for _ in range(rng.randint(1, 3))]
+        universe = sorted_formulas(formula_sets(X).sub)
+        if len(universe) != wanted[0]:
+            continue
+        assert (_as_sets(universe, _locally_consistent_sets(universe))
+                == reference_locally_consistent_sets(universe))
+        wanted.pop(0)
+
+
+def test_generic_search_guard_above_the_cap(monkeypatch):
+    import pctlfg.progress
+
+    def never(universe):
+        raise AssertionError("enumerated beyond the cap")
+
+    names = [f"x{i}" for i in range(20)]
+    chain = MarkovChain(["s"], {("s", "s"): Fraction(1)}, {"s": names})
+    X = frozenset({conj([Atom(n) for n in names]), *map(Atom, names)})
+    assert len(formula_sets(X).sub) == 21
+    monkeypatch.setattr(pctlfg.progress, "_locally_consistent_sets", never)
+    with pytest.raises(SearchSpaceExceeded):
+        search_loop_generic(ModelChecker(chain), "s", X, 3)
 
 
 # -- searches ----------------------------------------------------------------
