@@ -535,16 +535,11 @@ class SolverBackend:
     timeout: float = 10.0
 
     def solve(self, text: str) -> tuple[str, dict[str, Fraction]]:
+        path = None
         try:
             fd, path = tempfile.mkstemp(suffix=".smt2")
-        except OSError as exc:
-            raise BackendError(f"cannot write the SMT file: {exc}") from exc
-        try:
-            try:
-                with os.fdopen(fd, "w") as handle:
-                    handle.write(text)
-            except OSError as exc:
-                raise BackendError(f"cannot write the SMT file: {exc}") from exc
+            with os.fdopen(fd, "w") as handle:
+                handle.write(text)
             argv = [part.replace("{file}", path)
                     for part in shlex.split(self.command)]
             try:
@@ -554,13 +549,16 @@ class SolverBackend:
                 raise BackendError(f"cannot launch solver: {exc}") from exc
             except subprocess.TimeoutExpired:
                 return "timeout", {}
-            output = proc.stdout.strip()
-            if not output:
-                raise BackendError(
-                    f"solver produced no output (stderr: {proc.stderr.strip()!r})")
-            return read_solver_output(output)
+        except OSError as exc:  # creating or writing the file
+            raise BackendError(f"cannot write the SMT file: {exc}") from exc
         finally:
-            os.unlink(path)
+            if path is not None:
+                os.unlink(path)
+        output = proc.stdout.strip()
+        if not output:
+            raise BackendError(
+                f"solver produced no output (stderr: {proc.stderr.strip()!r})")
+        return read_solver_output(output)
 
 
 # ---------------------------------------------------------------------------

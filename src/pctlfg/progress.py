@@ -172,49 +172,61 @@ def loop_violations(mc: ModelChecker, state: str, X: frozenset[StateFormula],
 # ---------------------------------------------------------------------------
 # Loop search
 
-def _locally_consistent_sets(universe: list[StateFormula]) -> list[int]:
+def _locally_consistent_sets(universe: list[StateFormula]) -> list[tuple[int, int]]:
     """All nonempty subsets of the universe satisfying the per-set rules of
     condition (3), as masks over it: bit k is `universe[k]`.  Each member
     has a need mask (the conjuncts of an `And`, the body of a G formula),
     an any-of mask (the disjuncts of an `Or`) and a clash mask (an atom's
     negation).  The G rule applies to the set itself here (a G member's
     body must be present in every set, including its own); the cross-set
-    part is enforced during the sequence walk.
+    part is enforced during the sequence walk, so each set comes paired
+    with the mask of its G members' bodies.  Masks are built with `|`:
+    two members may share a body or a conjunct.
 
     The sets come size by size, each size in `itertools.combinations`
     order of the member indices.  The universe is in `sort_key` order, so
     that is the (size, sorted sort keys) order of the sets themselves."""
     bit = {f: 1 << k for k, f in enumerate(universe)}
+
+    def mask(formulas) -> int:
+        out = 0
+        for f in formulas:
+            out |= bit[f]
+        return out
+
     need = []
     clash = []
+    g_body = []
     any_of = []  # (member bit, disjunct bits) per Or member
     for f in universe:
-        needed = clashing = 0
+        needed = clashing = body = 0
         if isinstance(f, Atom):
             clashing = bit.get(NegAtom(f.name), 0)
         elif isinstance(f, And):
-            needed = sum(bit[a] for a in f.args)
+            needed = mask(f.args)
         elif isinstance(f, Or):
-            any_of.append((bit[f], sum(bit[a] for a in f.args)))
+            any_of.append((bit[f], mask(f.args)))
         elif isinstance(f, Prob) and f.op is PathOp.G:
-            needed = bit[f.body]
+            needed = body = bit[f.body]
         need.append(needed)
         clash.append(clashing)
+        g_body.append(body)
 
     out = []
     n = len(universe)
     for size in range(1, n + 1):
         for combo in combinations(range(n), size):
-            level = needed = clashing = 0
+            level = needed = clashing = bodies = 0
             for k in combo:
                 level |= 1 << k
                 needed |= need[k]
                 clashing |= clash[k]
+                bodies |= g_body[k]
             if needed & ~level or clashing & level:
                 continue
             if any(level & b and not level & args for b, args in any_of):
                 continue
-            out.append(level)
+            out.append((level, bodies))
     return out
 
 
@@ -257,12 +269,8 @@ def search_loop_generic(mc: ModelChecker, state: str, formulas, max_n: int, *,
     if len(universe) > 20:
         raise SearchSpaceExceeded(f"{len(universe)} subformulas is beyond the "
                                   "exhaustive search range")
-    bit = {f: 1 << k for k, f in enumerate(universe)}
-    anchor = sum(bit[f] for f in X)
-    g_body = [bit[f.body] if isinstance(f, Prob) and f.op is PathOp.G else 0
-              for f in universe]
-    family = [(level, sum(g_body[k] for k in indices(level)))
-              for level in _locally_consistent_sets(universe)]
+    anchor = sum(1 << k for k, f in enumerate(universe) if f in X)
+    family = _locally_consistent_sets(universe)
     eventualities = reachable_eventualities(mc, state, X)
     cap = min(max_n, (1 << len(universe)) - 1)
     budget = node_budget

@@ -14,7 +14,8 @@ whole-formula label set; the library's search is rooted at vertex 0 and
 tries one graph per isomorphism class.  `labeling_violations` and
 `constraint_count` are oracles on a candidate and on its system.  The
 reference loop family builds every subset of a universe as a frozenset and
-sorts them; the library's enumerates masks in order.
+sorts them, and the reference loop search walks that family with the G
+bodies as a set; the library's enumerates and walks masks in order.
 """
 
 from __future__ import annotations
@@ -496,6 +497,49 @@ def reference_locally_consistent_sets(universe) -> list[frozenset]:
     return out
 
 
+def reference_search_loop_generic(mc: ModelChecker, state: str, X, max_n: int,
+                                  node_budget: int = 200_000):
+    """The frozenset form of `progress.search_loop_generic`: the same
+    iterative deepening over `reference_locally_consistent_sets`, with the
+    G bodies carried as a set and every complete candidate checked by
+    `verify_loop`.  Returns the same loop, None, or SearchSpaceExceeded
+    after the same number of extensions."""
+    from pctlfg.formula import formula_sets, sorted_formulas
+    from pctlfg.progress import SearchSpaceExceeded, _g_bodies, verify_loop
+
+    X = frozenset(X)
+    universe = sorted_formulas(formula_sets(X).sub)
+    family = reference_locally_consistent_sets(universe)
+    budget = node_budget
+
+    def extend(chosen, length, required, has_anchor):
+        nonlocal budget
+        if len(chosen) == length:
+            if has_anchor and not verify_loop(mc, state, X, tuple(chosen)):
+                return tuple(chosen)
+            return None
+        for level in family:
+            if level in chosen or not required <= level:
+                continue
+            new_bodies = _g_bodies(level) - required
+            if new_bodies and any(not new_bodies <= prev for prev in chosen):
+                continue
+            if budget <= 0:
+                raise SearchSpaceExceeded("node budget")
+            budget -= 1
+            found = extend(chosen + [level], length, required | new_bodies,
+                           has_anchor or X <= level)
+            if found is not None:
+                return found
+        return None
+
+    for length in range(1, min(max_n, (1 << len(universe)) - 1) + 2):
+        found = extend([], length, frozenset(), False)
+        if found is not None:
+            return found
+    return None
+
+
 # ---------------------------------------------------------------------------
 # Bounded sat and compression, checked against each other
 
@@ -537,10 +581,11 @@ def sat_compress_disagreements(instances):
     bound k must not answer unsat-up-to-n, since bounded sat is complete up
     to its bound.  Reverse: every model `sat` finds at bound 3 must compress
     from its entry.  Compression uses the L2 search for an L2 formula and
-    the generic one (max_n=3) otherwise, and re-verifies its own result.  A
-    forward compression that runs out of search space decides nothing and
+    the generic one (max_n=3) otherwise.  A compressed model that does not
+    satisfy the formula at its entry is a disagreement in either direction.
+    A forward compression that runs out of search space decides nothing and
     is skipped; a reverse one is a disagreement.  A forward compression
-    that fails otherwise is no disagreement, since sat is not asked, but a
+    that raises otherwise is no disagreement, since sat is not asked, but a
     compression defect on a satisfied instance (ROADMAP item 1).  Returns
     the disagreements and those failures, one line each, and a `Counter`
     of the checks made and of the compressions that built a progress loop
@@ -555,8 +600,7 @@ def sat_compress_disagreements(instances):
         fragment = "l2" if fragment_classify(f).in_l2 else "generic"
         model, entry, trace = compress_model(chain, state, f,
                                              fragment=fragment, max_n=3)
-        assert ModelChecker(model).holds(entry, f)
-        return model, trace
+        return model, ModelChecker(model).holds(entry, f), trace
 
     disagreements: list[str] = []
     failures: list[str] = []
@@ -564,14 +608,17 @@ def sat_compress_disagreements(instances):
     for chain, state, f in instances:
         model = None
         try:
-            model, trace = compress(chain, state, f)
+            model, holds, trace = compress(chain, state, f)
         except SearchSpaceExceeded:
             pass
         except Exception as exc:
             if not str(exc).startswith("no progress loop found"):
                 failures.append(f"{f} at {state!r} of {chain.to_json(indent=None)}: "
                                 f"{type(exc).__name__}: {exc}")
-        if model is not None and len(model.states) <= 4:
+        if model is not None and not holds:
+            disagreements.append(f"forward: the compressed model of {f} at "
+                                 f"{state!r} does not satisfy it")
+        elif model is not None and len(model.states) <= 4:
             counts["forward"] += 1
             counts["forward loops"] += trace.mode == "loop"
             k = len(model.states)
@@ -585,11 +632,15 @@ def sat_compress_disagreements(instances):
             continue
         counts["reverse"] += 1
         try:
-            _, trace = compress(found.model, found.entry, f)
+            _, holds, trace = compress(found.model, found.entry, f)
         except Exception as exc:  # any failure is a disagreement
             disagreements.append(
                 f"reverse: the {len(found.model.states)}-state sat model of "
                 f"{f} does not compress: {type(exc).__name__}: {exc}")
             continue
+        if not holds:
+            disagreements.append(
+                f"reverse: the compressed {len(found.model.states)}-state sat "
+                f"model of {f} does not satisfy it")
         counts["reverse loops"] += trace.mode == "loop"
     return disagreements, failures, counts

@@ -6,6 +6,7 @@ from fractions import Fraction
 from helpers import sat_compress_disagreements, sat_compress_instances
 
 import pctlfg.etr as etr
+import pctlfg.progress as progress
 from pctlfg.formula import parse_formula
 from pctlfg.markov import MarkovChain
 
@@ -43,3 +44,21 @@ def test_an_unsound_screen_fails_the_cross_examination(monkeypatch):
     monkeypatch.setattr(etr, "enumerate_candidates", unsound)
     disagreements, _, _ = sat_compress_disagreements(instances)
     assert [d.split(":")[0] for d in disagreements] == ["forward"]
+
+
+def test_an_unsound_compression_is_a_disagreement(monkeypatch):
+    # a compressed model that does not satisfy its formula is a disagreement
+    # in both directions, not a compression failure
+    chain = MarkovChain(["s", "t"], {("s", "t"): Fraction(1),
+                                     ("t", "t"): Fraction(1)}, {"t": ["a"]})
+    original = progress.compress_model
+
+    def unsound(chain, state, f, **options):
+        model, entry, trace = original(chain, state, f, **options)
+        return model, next(s for s in model.states if s != entry), trace
+
+    monkeypatch.setattr(progress, "compress_model", unsound)
+    disagreements, failures, _ = sat_compress_disagreements(
+        [(chain, "s", parse_formula("!a & F>0[a]"))])
+    assert failures == []
+    assert [d.split(":")[0] for d in disagreements] == ["forward", "reverse"]

@@ -7,12 +7,13 @@ import pytest
 
 from helpers import (
     PHI_OR_TEXT, bottom_state_instance, fig1_chain, random_core_formula,
-    reference_locally_consistent_sets, satisfied_instance,
+    reference_locally_consistent_sets, reference_search_loop_generic,
+    satisfied_instance,
 )
 
 from pctlfg.closure import closure_update
 from pctlfg.formula import (
-    And, Atom, NegAtom, Or, PathFormula, PathOp, Prob, conj, formula_sets,
+    And, Atom, Cmp, NegAtom, Or, PathFormula, PathOp, Prob, conj, formula_sets,
     fragment_classify, parse_formula, sorted_formulas, subformulas,
 )
 from pctlfg.markov import MarkovChain, indices, validate
@@ -20,7 +21,7 @@ from pctlfg.measure import model_size_bound
 from pctlfg.modelcheck import ModelChecker
 from pctlfg.progress import (
     FragmentError, ProgressLoopError, SearchSpaceExceeded,
-    _locally_consistent_sets, bscc_reduce,
+    _g_bodies, _locally_consistent_sets, bscc_reduce,
     build_loop_model, caratheodory_reduce, compress_model, exit_obligations,
     loop_return_probability, search_loop_generic, search_loop_l2,
     simple_loop_components, successor_selection, verify_loop,
@@ -171,8 +172,22 @@ def test_generic_search_checks_the_hypothesis_once(monkeypatch, running):
 
 # -- the loop family ---------------------------------------------------------
 
-def _as_sets(universe, masks):
-    return [frozenset(universe[k] for k in indices(m)) for m in masks]
+def _as_sets(universe, family):
+    """The mask family as (set, G bodies) pairs of frozensets."""
+    def members(mask):
+        return frozenset(universe[k] for k in indices(mask))
+    return [(members(level), members(bodies)) for level, bodies in family]
+
+
+def _reference_family(universe):
+    return [(level, _g_bodies(level))
+            for level in reference_locally_consistent_sets(universe)]
+
+
+def _shared_g_body(universe):
+    """Whether two G formulas of the universe have one body."""
+    bodies = [f.body for f in universe if isinstance(f, Prob) and f.op is PathOp.G]
+    return len(bodies) > len(set(bodies))
 
 
 def _nested_g(universe):
@@ -183,23 +198,31 @@ def _nested_g(universe):
 
 
 def test_consistent_sets_match_the_reference():
-    # the mask family is the reference's family, set for set and in order,
-    # over the sub(X) universes of random formula sets
+    # the mask family is the reference's family, set for set, G bodies for
+    # G bodies and in order, over the sub(X) universes of random formula
+    # sets; every other X holds G>0[b] and F>0[G=1[b]], two G formulas on
+    # one body b
     rng = random.Random(211)
-    seen = {"clash": 0, "and": 0, "or": 0, "nested G": 0}
+    seen = {"clash": 0, "and": 0, "or": 0, "nested G": 0, "shared G body": 0}
     checked = 0
     while checked < 240:
         X = [random_core_formula(rng, 3) for _ in range(rng.randint(1, 3))]
+        if checked % 2:
+            body = random_core_formula(rng, 1)
+            X += [Prob(PathOp.G, Cmp.GT, Fraction(0), body),
+                  Prob(PathOp.F, Cmp.GT, Fraction(0),
+                       Prob(PathOp.G, Cmp.GE, Fraction(1), body))]
         universe = sorted_formulas(formula_sets(X).sub)
         if len(universe) > 12:
             continue
         assert (_as_sets(universe, _locally_consistent_sets(universe))
-                == reference_locally_consistent_sets(universe))
+                == _reference_family(universe))
         seen["clash"] += any(isinstance(f, Atom) and NegAtom(f.name) in universe
                              for f in universe)
         seen["and"] += any(isinstance(f, And) for f in universe)
         seen["or"] += any(isinstance(f, Or) for f in universe)
         seen["nested G"] += _nested_g(universe)
+        seen["shared G body"] += _shared_g_body(universe)
         checked += 1
     assert min(seen.values()) >= 20, seen
 
@@ -215,7 +238,7 @@ def test_consistent_sets_near_the_cap():
         if len(universe) != wanted[0]:
             continue
         assert (_as_sets(universe, _locally_consistent_sets(universe))
-                == reference_locally_consistent_sets(universe))
+                == _reference_family(universe))
         wanted.pop(0)
 
 
@@ -260,6 +283,31 @@ def test_generic_search_budget_signal(running):
     fig1, mc, _, X = running
     with pytest.raises(SearchSpaceExceeded):
         search_loop_generic(mc, "s", X, 3, node_budget=3)
+
+
+@pytest.mark.parametrize("text", [
+    "G>0[F>0[a & F>0[!a]] | a] & F>0[G=1[F>0[a & F>0[!a]] | a]] & !a",
+    "G>0[F>0[a & F>0[!a]]] & F>0[G=1[F>0[a & F>0[!a]]]] & !a",
+    "G>0[F>0[a] | b] & F>=1/4[G=1[F>0[a] | b]] & !a",
+])
+def test_generic_search_with_a_shared_g_body(text):
+    # at s, G holds its body with probability 1/2 (s reaches the sink d
+    # or the a-cycle through w, and t returns to s), so X holds G>0 and
+    # G>=1/2 on one body, and sub(X) G=1 on it too: the mask search
+    # carries one body bit for them and finds the reference's loop
+    third = Fraction(1, 3)
+    chain = MarkovChain(["s", "t", "d", "w", "x"], {
+        ("s", "t"): third, ("s", "d"): third, ("s", "w"): third,
+        ("t", "s"): Fraction(1), ("d", "d"): Fraction(1),
+        ("w", "x"): Fraction(1), ("x", "w"): Fraction(1),
+    }, {"t": ["a"], "x": ["a"]})
+    mc = ModelChecker(chain)
+    X = closure_update(mc, "s", {pf(text)})
+    assert _shared_g_body(sorted_formulas(formula_sets(X).sub))
+    loop = search_loop_generic(mc, "s", X, 3, node_budget=20_000)
+    assert loop == reference_search_loop_generic(mc, "s", X, 3, 20_000)
+    assert loop is not None
+    assert any(_shared_g_body(level) for level in loop)
 
 
 def test_l2_search_running_example(running):
