@@ -243,7 +243,10 @@ def _cmd_sat(args) -> int:
     backend = None
     command = args.solver_cmd or os.environ.get(SOLVER_ENV)
     if command and not args.emit_only:
-        backend = SolverBackend(command, timeout=args.solver_timeout)
+        try:
+            backend = SolverBackend(command, timeout=args.solver_timeout)
+        except ValueError as exc:
+            raise UsageError(f"bad solver command: {exc}") from exc
     if args.emit_only and not args.dump_smt:
         raise UsageError("--emit-only requires --dump-smt")
     result = solve_bounded_sat(f, args.bound, backend=backend,

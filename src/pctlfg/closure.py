@@ -2,12 +2,12 @@
 
 Every operator takes the `ModelChecker` of the model it asks about; the
 chain is `mc.chain`.  `closure` propagates a satisfied formula set through
-conjunctions, satisfied disjuncts, and satisfied F-bodies.  G-bodies are
-never unfolded here; `least_closed_set`, the one engine behind these rules,
-unfolds them only when the loop search asks for it.  `update` replaces
-every probability bound with the exact probability at the state, which can
-only raise bounds.  `achieved_bounds` records the exact probabilities of a
-set's path formulas at an arbitrary state (no satisfaction precondition).
+conjunctions, satisfied disjuncts, and satisfied F-bodies; only the loop
+search has `least_closed_set`, the engine behind these rules, unfold
+G-bodies.  `update` replaces every probability bound with the exact
+probability at the state, which can only raise bounds.  `achieved_bounds`
+records a set's exact path probabilities at any state.  `require_satisfied`
+is the one s |= X guard, here and in `progress`.
 """
 
 from __future__ import annotations
@@ -17,8 +17,8 @@ from .modelcheck import ModelChecker
 
 
 class UnsatisfiedSetError(ValueError):
-    """A closure/update precondition s |= X failed; names the first
-    falsified formula in `sorted_formulas` order."""
+    """A closure, loop search or compression precondition s |= X failed;
+    names the first falsified formula in `sorted_formulas` order."""
 
     def __init__(self, state: str, formula: StateFormula):
         super().__init__(f"state {state!r} does not satisfy {formula}")
@@ -26,7 +26,9 @@ class UnsatisfiedSetError(ValueError):
         self.formula = formula
 
 
-def _require_satisfied(mc: ModelChecker, state: str, formulas) -> None:
+def require_satisfied(mc: ModelChecker, state: str, formulas) -> None:
+    """The one guard of s |= X: raises UnsatisfiedSetError unless `state`
+    satisfies every member of `formulas`."""
     if not mc.check(state, formulas):
         raise UnsatisfiedSetError(state, next(
             f for f in sorted_formulas(formulas) if not mc.holds(state, f)))
@@ -57,10 +59,9 @@ def least_closed_set(mc: ModelChecker, state: str, formulas, *,
 
 
 def closure(mc: ModelChecker, state: str, formulas) -> frozenset[StateFormula]:
-    """Least superset of `formulas` closed under: all conjuncts; disjuncts
-    satisfied at `state`; bodies of F-formulas satisfied at `state`.
-    Requires state |= formulas."""
-    _require_satisfied(mc, state, formulas)
+    """`least_closed_set` without G-bodies, at a state that satisfies
+    `formulas` (UnsatisfiedSetError otherwise)."""
+    require_satisfied(mc, state, formulas)
     return least_closed_set(mc, state, formulas, unfold_g=False)
 
 
@@ -69,14 +70,14 @@ def update(mc: ModelChecker, state: str, formulas) -> frozenset[StateFormula]:
     where r' is the exact probability at `state`; other members are kept.
     Requires state |= formulas, so r' >= r always holds, and r' > 0 for a
     core member, so `achieved_bounds` drops none."""
-    _require_satisfied(mc, state, formulas)
+    require_satisfied(mc, state, formulas)
     kept = frozenset(f for f in formulas if not isinstance(f, Prob))
     return kept | achieved_bounds(mc, state, formulas)
 
 
 def closure_update(mc: ModelChecker, state: str, formulas) -> frozenset[StateFormula]:
-    """update after closure; idempotent."""
-    return update(mc, state, closure(mc, state, formulas))
+    """update after closure; idempotent; s |= X is checked once, by `update`."""
+    return update(mc, state, least_closed_set(mc, state, formulas, unfold_g=False))
 
 
 def achieved_bounds(mc: ModelChecker, state: str, formulas) -> frozenset[StateFormula]:

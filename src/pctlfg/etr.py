@@ -499,7 +499,7 @@ def read_solver_output(output: str) -> tuple[str, SolverModel]:
     """The verdict and, after sat, the (name value) pairs of solver output,
     read depth first and left to right; a pair whose value cannot be read
     is searched further and its error kept for the name."""
-    first = output.split(None, 1)[0].strip()
+    first = (output.split(None, 1) or [""])[0]
     if first not in ("sat", "unsat", "unknown"):
         raise BackendError(f"unexpected solver verdict {first!r}")
     values = SolverModel()
@@ -527,12 +527,16 @@ class SolverBackend:
     """External decision procedure invoked as a subprocess.
 
     `command` is a template whose `{file}` placeholder receives the SMT file
-    path.  The output is read by `read_solver_output`: the first token must
-    be sat/unsat/unknown, and model values come from the standard
-    get-value response."""
+    path, split shell-style once, on construction: ValueError on unbalanced
+    quoting or an empty command.  `read_solver_output` reads the output."""
 
     command: str
     timeout: float = 10.0
+
+    def __post_init__(self):
+        self.argv = shlex.split(self.command)
+        if not self.argv:
+            raise ValueError("the solver command is empty")
 
     def solve(self, text: str) -> tuple[str, dict[str, Fraction]]:
         path = None
@@ -540,8 +544,7 @@ class SolverBackend:
             fd, path = tempfile.mkstemp(suffix=".smt2")
             with os.fdopen(fd, "w") as handle:
                 handle.write(text)
-            argv = [part.replace("{file}", path)
-                    for part in shlex.split(self.command)]
+            argv = [part.replace("{file}", path) for part in self.argv]
             try:
                 proc = subprocess.run(
                     argv, capture_output=True, text=True, timeout=self.timeout)

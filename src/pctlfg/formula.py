@@ -10,9 +10,9 @@ interned (hash-consed): there is one live node per structure, however it was
 built, parsed, copied or unpickled.  So `==` is `is` and a node hashes by
 identity, which makes the formula-keyed sets and memos of the closure,
 measure and progress code cheap.  Derived data the hot paths ask for
-(`Prob.path_formula`, `sort_key`, `subformulas`) is cached on the node and
-computed once per structure.  A `Prob` bound is always stored as a
-`Fraction`.
+(`Prob.path_formula`, `sort_key`, `subformulas`, and the grammar kinds
+behind `fragment_classify`) is cached on the node and computed once per
+structure.  A `Prob` bound is always stored as a `Fraction`.
 
 There is one tree: the parser builds core nodes directly, so
 `parse_formula` returns a core formula.  Both normal forms come from one
@@ -142,6 +142,22 @@ class _StateNode(_Node):
             return (rank, len(self.args)) + tuple(a._sort_key for a in self.args)
         return (rank, _OP_RANK[self.op], _CMP_RANK[self.cmp], self.bound,
                 self.body._sort_key)
+
+    @cached_property
+    def _kinds(self) -> frozenset[str]:
+        # the `_GRAMMARS` kinds the node matches, from its children's kinds;
+        # nodes with equal kinds share one frozenset
+        if isinstance(self, (And, Or)):
+            kinds = frozenset.intersection(*(a._kinds for a in self.args))
+        elif isinstance(self, Prob):
+            kinds = frozenset(
+                kind for kind, (_, rules) in _GRAMMARS.items()
+                if self.op in rules and rules[self.op][0](self)
+                and not self.body._kinds.isdisjoint(rules[self.op][1]))
+        else:
+            kinds = frozenset(kind for kind, (literal, _) in _GRAMMARS.items()
+                              if literal)
+        return _KIND_SETS.setdefault(kinds, kinds)
 
     @cached_property
     def _fragments(self) -> FragmentMembership:
@@ -667,6 +683,7 @@ _GRAMMARS = {
     "phi4": (True, {_F: (_is_any, ("phi4",)), _G: (_is_eq1, ("psi4",))}),
     "psi4": (True, {_F: (_is_positive, ("psi4",)), _G: (_is_eq1, ("psi4",))}),
 }
+_KIND_SETS: dict[frozenset[str], frozenset[str]] = {}  # at most 2**9 of them
 
 
 def fragment_classify(f: StateFormula) -> FragmentMembership:
@@ -678,30 +695,10 @@ def fragment_classify(f: StateFormula) -> FragmentMembership:
 def _classify(f: StateFormula) -> FragmentMembership:
     if not is_core(f):
         raise ValueError("fragment classification expects a core formula")
-    memo: dict[tuple[str, StateFormula], bool] = {}
-
-    def match(kind: str, g: StateFormula) -> bool:
-        key = (kind, g)
-        if key not in memo:
-            literal, rules = _GRAMMARS[kind]
-            if isinstance(g, Prob):
-                rule = rules.get(g.op)
-                memo[key] = (rule is not None and rule[0](g)
-                             and any(match(k, g.body) for k in rule[1]))
-            elif isinstance(g, (And, Or)):
-                memo[key] = all(match(kind, a) for a in g.args)
-            else:
-                memo[key] = literal
-        return memo[key]
-
-    def member(kind: str) -> bool:
-        if match(kind, f):
-            return True
-        # closure under '>= r' bound variants: a G node whose body fits one
-        # of the family's G-body kinds is in the fragment for any bound
-        if isinstance(f, Prob) and f.op is PathOp.G and f.cmp is Cmp.GE:
-            _, g_bodies = _GRAMMARS[kind][1][PathOp.G]
-            return any(match(k, f.body) for k in g_bodies)
-        return False
-
-    return FragmentMembership(*map(member, ("phi1", "phi2", "phi3", "phi4")))
+    # closure under '>= r' bound variants: a G node whose body fits one of
+    # the family's G-body kinds is in the fragment for any bound
+    relaxed = isinstance(f, Prob) and f.op is PathOp.G and f.cmp is Cmp.GE
+    return FragmentMembership(*(
+        kind in f._kinds or relaxed
+        and not f.body._kinds.isdisjoint(_GRAMMARS[kind][1][PathOp.G][1])
+        for kind in ("phi1", "phi2", "phi3", "phi4")))

@@ -13,14 +13,15 @@ list them in `sorted_formulas` order.  Every function that asks about a
 model takes its `ModelChecker`; the chain is `mc.chain` and its SCC
 decomposition is `mc.sccs`, computed once per chain.
 
-`verify_loop` checks a loop in two parts: the hypothesis (every member of
-X holds at the state, and X is closed and updated there) and the loop
+`verify_loop` checks a loop in two parts: the hypothesis (every member of X
+holds at the state, and X is closed and updated there) and the loop
 conditions (1)-(6), `loop_violations`.  Both searches check the hypothesis
 once, before they search, and each candidate against the loop conditions
-alone.  The generic search walks masks over its universe, the subformulas
-of X in `sort_key` order (bit k is the k-th); it enumerates the candidate
-sets in (size, index tuple) order, which is their (size, sorted sort keys)
-order, and builds frozensets only for a complete candidate.
+alone; every s |= X guard is `closure.require_satisfied`, and L2 reads
+cached grammar kinds.  The generic search walks masks over its universe, the
+subformulas of X in `sort_key` order (bit k is the k-th); it enumerates the
+candidate sets in (size, index tuple) order, which is their (size, sorted
+sort keys) order, and builds frozensets only for a complete candidate.
 """
 
 from __future__ import annotations
@@ -32,7 +33,8 @@ from itertools import combinations
 from typing import Iterator
 
 from . import linalg
-from .closure import achieved_bounds, closure_update, least_closed_set
+from .closure import (achieved_bounds, closure_update, least_closed_set,
+                      require_satisfied)
 from .formula import (
     And, Atom, Cmp, NegAtom, Or, PathFormula, PathOp, Prob, StateFormula,
     formula_sets, fragment_classify, sort_key, sorted_formulas, subformulas,
@@ -237,11 +239,8 @@ def _g_bodies(formulas) -> frozenset[StateFormula]:
 
 
 def _require_loop_start(mc: ModelChecker, state: str, X: frozenset) -> None:
-    """Raises ProgressLoopError unless `state` satisfies X and X is closed
-    and updated there: the loop hypothesis, a loop search's precondition,
-    checked once per search."""
-    if not mc.check(state, X):
-        raise ProgressLoopError(f"state {state!r} does not satisfy X")
+    """The loop hypothesis, checked once per search: UnsatisfiedSetError
+    unless `state` satisfies X, ProgressLoopError unless X is closed and updated."""
     if closure_update(mc, state, X) != X:
         raise ProgressLoopError("X is not closed and updated")
 
@@ -436,8 +435,7 @@ def successor_selection(mc: ModelChecker, state: str,
     `state` is covered by the weighted successors.
     """
     delta = frozenset(obligations)
-    if not mc.check(state, delta):
-        raise ProgressLoopError(f"state {state!r} does not satisfy the obligations")
+    require_satisfied(mc, state, delta)
 
     prob_members = [f for f in sorted_formulas(delta) if isinstance(f, Prob)]
     f_paths = []
@@ -593,8 +591,7 @@ def bscc_reduce(mc: ModelChecker, state: str,
     if not bit & mc.sccs.bottom:
         raise ValueError(f"state {state!r} is not in a bottom SCC")
     component = next(comp for comp in mc.sccs.components if comp & bit)
-    if not mc.check(state, X):
-        raise ProgressLoopError(f"state {state!r} does not satisfy the formulas")
+    require_satisfied(mc, state, X)
 
     sub = sorted_formulas(formula_sets(X).sub)
     classes: dict[tuple[bool, ...], str] = {}
@@ -669,8 +666,7 @@ def compress_model(chain: MarkovChain, state: str, formula: StateFormula, *,
     if fragment not in ("l2", "generic"):
         raise ValueError(f"unknown fragment {fragment!r}")
     mc = ModelChecker(chain)
-    if not mc.holds(state, formula):
-        raise ProgressLoopError(f"state {state!r} does not satisfy {formula}")
+    require_satisfied(mc, state, (formula,))
     if fragment == "l2" and not fragment_classify(formula).in_l2:
         raise FragmentError(f"not in fragment L2: {formula}")
 

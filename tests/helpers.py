@@ -479,6 +479,41 @@ def candidate_from_chain(chain: MarkovChain, f: StateFormula) -> ETRCandidate:
         g: mc.sat_mask(g) for g in set(iter_subformulas(f))}, f)
 
 
+def reference_fragment_classify(f: StateFormula):
+    """The per-call form of `formula.fragment_classify`: each call matches
+    the kinds of `_GRAMMARS` top-down with a fresh memo, reading nothing
+    cached on the nodes."""
+    from pctlfg.formula import _GRAMMARS, FragmentMembership, is_core
+
+    if not is_core(f):
+        raise ValueError("fragment classification expects a core formula")
+    memo: dict = {}
+
+    def match(kind: str, g: StateFormula) -> bool:
+        key = (kind, g)
+        if key not in memo:
+            literal, rules = _GRAMMARS[kind]
+            if isinstance(g, Prob):
+                rule = rules.get(g.op)
+                memo[key] = (rule is not None and rule[0](g)
+                             and any(match(k, g.body) for k in rule[1]))
+            elif isinstance(g, (And, Or)):
+                memo[key] = all(match(kind, a) for a in g.args)
+            else:
+                memo[key] = literal
+        return memo[key]
+
+    def member(kind: str) -> bool:
+        if match(kind, f):
+            return True
+        # closure under '>= r' bound variants of a top-level G
+        if isinstance(f, Prob) and f.op is PathOp.G and f.cmp is Cmp.GE:
+            return any(match(k, f.body) for k in _GRAMMARS[kind][1][PathOp.G][1])
+        return False
+
+    return FragmentMembership(*map(member, ("phi1", "phi2", "phi3", "phi4")))
+
+
 def reference_locally_consistent_sets(universe) -> list[frozenset]:
     """The frozenset form of `progress._locally_consistent_sets`: every
     nonempty subset of the universe that `_local_rule_violations` accepts as

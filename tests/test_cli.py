@@ -202,6 +202,36 @@ def test_check_unsatisfied_precondition_exit(capsys, model_path):
     assert "does not satisfy" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("measure", "--set", "uc"),
+    ("measure", "--set", "closure"),
+    ("loop", "search", "--method", "l2"),
+    ("loop", "search", "--method", "generic"),
+    ("loop", "verify", "--loop", "{loop}"),
+    ("compress", "--fragment", "l2"),
+    ("compress", "--fragment", "generic"),
+], ids=lambda argv: " ".join(a for a in argv if a != "{loop}"))
+def test_unsatisfied_state_is_one_error_line_with_exit_one(capsys, tmp_path,
+                                                           model_path, argv):
+    # u satisfies a, so the running example fails there: every closure, loop
+    # and compression command reports it as a property failure
+    loop_path = tmp_path / "loop.json"
+    loop_path.write_text(json.dumps([["a"]]))
+    code, _, err = run(capsys, *(a.format(loop=loop_path) for a in argv),
+                       "--model", model_path, "--state", "u",
+                       "--formula", PSI_TEXT)
+    assert code == 1
+    assert err.startswith("error: state 'u' does not satisfy ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_measure_of_the_single_formula_needs_no_satisfaction(capsys, model_path):
+    code, out, _ = run(capsys, "measure", "--set", "single", "--model",
+                       model_path, "--state", "u", "--formula", PSI_TEXT)
+    assert code == 0
+    assert "measure: " in out
+
+
 def test_export_dot(capsys, model_path):
     code, out, _ = run(capsys, "export-dot", "--model", model_path)
     assert code == 0
@@ -457,6 +487,26 @@ def test_unwritable_output_is_usage_error(capsys, tmp_path, model_path, argv):
     code, _, err = run(capsys, *(a.format(model=model_path, out=out) for a in argv))
     assert code == 2
     assert err.startswith("error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command, reason", [
+    ("z3 '{file}", "No closing quotation"),
+    ("   ", "the solver command is empty"),
+], ids=["unbalanced quote", "blank"])
+@pytest.mark.parametrize("via", ["flag", "environment"])
+def test_malformed_solver_command_is_usage_error(capsys, monkeypatch, command,
+                                                 reason, via):
+    # reported before the search starts, so no candidate reaches a solver
+    monkeypatch.delenv("PCTLFG_SOLVER", raising=False)
+    argv = ["sat", "--formula", "!a & F>1/3[a] & G>1/2[!a]", "--bound", "3"]
+    if via == "flag":
+        argv += ["--solver-cmd", command]
+    else:
+        monkeypatch.setenv("PCTLFG_SOLVER", command)
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: bad solver command: {reason}\n"
 
 
 def test_non_executable_solver_is_backend_error(capsys, tmp_path):

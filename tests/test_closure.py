@@ -1,3 +1,4 @@
+import importlib
 import random
 from fractions import Fraction
 
@@ -54,6 +55,35 @@ def test_precondition_names_the_first_falsified_formula_in_canonical_order(
                 operator(fig1_checker, "t", X)
             assert err.value.formula == Atom("b")
             assert str(err.value) == "state 't' does not satisfy b"
+
+
+def test_closure_update_names_the_first_falsified_member_of_the_closure(
+        fig1_checker, psi):
+    # the one check runs on the closure, which holds psi's conjunct !a
+    with pytest.raises(UnsatisfiedSetError) as err:
+        closure_update(fig1_checker, "u", {psi})
+    assert (err.value.state, err.value.formula) == ("u", parse_formula("!a"))
+
+
+def test_closure_update_checks_satisfaction_once(monkeypatch):
+    # the package exports the `closure` function under the module's name
+    module = importlib.import_module("pctlfg.closure")
+    calls = []
+    original = module.require_satisfied
+
+    def counting(mc, state, formulas):
+        calls.append(frozenset(formulas))
+        return original(mc, state, formulas)
+
+    monkeypatch.setattr(module, "require_satisfied", counting)
+    rng = random.Random(67)
+    for _ in range(40):
+        chain, state, f, mc = satisfied_instance(rng)
+        closed = closure(mc, state, {f})
+        calls.clear()
+        closure_update(mc, state, {f})
+        # one check, of the closure that `update` tightens
+        assert calls == [closed]
 
 
 def test_update_running_example(fig1_checker, psi):

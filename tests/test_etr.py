@@ -736,6 +736,27 @@ def test_backend_launch_error():
         backend.solve("x")
 
 
+@pytest.mark.parametrize("output", ["", "  \n\t "], ids=["empty", "whitespace"])
+def test_empty_solver_output_is_a_backend_error(output):
+    with pytest.raises(BackendError, match="unexpected solver verdict ''"):
+        read_solver_output(output)
+
+
+@pytest.mark.parametrize("command, reason", [
+    ("z3 '{file}", "No closing quotation"),
+    ("   ", "the solver command is empty"),
+    ("", "the solver command is empty"),
+], ids=["unbalanced quote", "blank", "empty"])
+def test_malformed_solver_command_is_rejected_on_construction(command, reason):
+    with pytest.raises(ValueError, match=reason):
+        SolverBackend(command)
+
+
+def test_backend_splits_its_command_once():
+    backend = SolverBackend("z3 -smt2 '{file}' -T:5")
+    assert backend.argv == ["z3", "-smt2", "{file}", "-T:5"]
+
+
 def test_backend_removes_its_file_when_the_write_fails(monkeypatch, tmp_path):
     # a full disk fails the write of the system: a backend error, and the
     # file is still removed

@@ -11,7 +11,8 @@ from fractions import Fraction
 import pytest
 
 from helpers import (
-    PSI_TEXT, random_chain, random_core_formula, reference_sat_set,
+    PSI_TEXT, random_chain, random_core_formula, reference_fragment_classify,
+    reference_sat_set,
 )
 
 from pctlfg.formula import (
@@ -285,6 +286,62 @@ def test_fragment_classify_is_cached_and_rejects_non_core_every_time(psi):
     for _ in range(2):
         with pytest.raises(ValueError, match="expects a core formula"):
             fragment_classify(non_core)
+
+
+def _classification_sample(rng, aps):
+    """Seeded formulas, each with its subformulas, then the '>= r' and
+    achieved-bound variants of its probabilistic subformulas and G>=r over
+    each subformula: variants are new nodes over bodies already seen."""
+    for _ in range(150):
+        f = random_core_formula(rng, rng.choice((2, 3, 4)), aps)
+        # children before parents
+        subs = sorted(subformulas(f), key=lambda g: len(subformulas(g)))
+        variants = []
+        for g in subs:
+            bound = Fraction(rng.randint(1, 6), 7)
+            variants.append(Prob(PathOp.G, Cmp.GE, bound, g))
+            if isinstance(g, Prob):
+                variants += [Prob(g.op, Cmp.GE, bound, g.body),
+                             Prob(g.op, Cmp.GE, Fraction(1), g.body),
+                             Prob(g.op, Cmp.GT, Fraction(0), g.body)]
+        yield f, subs, variants
+
+
+@pytest.mark.parametrize("order", ["root first", "subformulas first"])
+def test_cached_kinds_match_the_per_call_classifier(order):
+    # atoms no other test uses, so every node is classified here first
+    aps = ("k", "m", "n") if order == "root first" else ("p", "q", "r")
+    rng = random.Random(71)
+    compared = 0
+    for f, subs, variants in _classification_sample(rng, aps):
+        formulas = ([f] + subs if order == "root first" else subs) + variants
+        for g in formulas:
+            assert fragment_classify(g) == reference_fragment_classify(g), g
+            compared += 1
+    assert compared > 1000
+
+
+def test_nodes_with_equal_kinds_share_one_kind_set():
+    # the kinds are cached on every classified node, so equal answers are
+    # one object, not one frozenset per node
+    rng = random.Random(73)
+    by_value = {}
+    for f, subs, variants in _classification_sample(rng, ("a", "b")):
+        for g in subs + variants:
+            fragment_classify(g)
+            assert by_value.setdefault(g._kinds, g._kinds) is g._kinds
+    assert 1 < len(by_value) <= 2 ** 9
+
+
+def test_non_core_nodes_raise_after_their_core_parts_are_classified():
+    body = parse_formula("F>=1/2[a] & G=1[b]")
+    assert fragment_classify(body).in_l2
+    for non_core in (Prob(PathOp.F, Cmp.LT, Fraction(1, 2), body),
+                     Prob(PathOp.G, Cmp.LE, Fraction(1, 2), body),
+                     And((body, Prob(PathOp.F, Cmp.LE, Fraction(1, 3), body)))):
+        for _ in range(2):
+            with pytest.raises(ValueError, match="expects a core formula"):
+                fragment_classify(non_core)
 
 
 def test_fragment_bound_variants_stay_inside():

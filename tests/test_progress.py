@@ -11,7 +11,7 @@ from helpers import (
     satisfied_instance,
 )
 
-from pctlfg.closure import closure_update
+from pctlfg.closure import UnsatisfiedSetError, closure_update
 from pctlfg.formula import (
     And, Atom, Cmp, NegAtom, Or, PathFormula, PathOp, Prob, conj, formula_sets,
     fragment_classify, parse_formula, sorted_formulas, subformulas,
@@ -140,13 +140,37 @@ def test_verify_reports_a_set_not_closed_and_updated(running, psi):
 @pytest.mark.parametrize("case", ["unsatisfied", "not closed"])
 @pytest.mark.parametrize("search", ["l2", "generic"])
 def test_searches_reject_a_failed_hypothesis(running, psi, search, case):
+    # an unsatisfied X fails the one satisfaction guard, a set that is not
+    # closed and updated fails the loop hypothesis
     fig1, mc, _, X = running
     state, X = ("u", X) if case == "unsatisfied" else ("s", {psi})
-    with pytest.raises(ProgressLoopError):
+    expected = UnsatisfiedSetError if case == "unsatisfied" else ProgressLoopError
+    with pytest.raises(expected) as err:
         if search == "l2":
             search_loop_l2(mc, state, X)
         else:
             search_loop_generic(mc, state, X, 3)
+    if case == "unsatisfied":
+        assert (err.value.state, err.value.formula) == ("u", pf("!a"))
+    else:
+        assert str(err.value) == "X is not closed and updated"
+
+
+@pytest.mark.parametrize("step", [
+    "successor selection", "bscc reduce", "compress l2", "compress generic"])
+def test_every_guard_raises_the_one_unsatisfied_error(fig1, fig1_checker, psi,
+                                                      step):
+    # the searches are covered above; u satisfies a, so !a is the first
+    # falsified formula of each set, and compress_model names its formula
+    with pytest.raises(UnsatisfiedSetError) as err:
+        if step == "successor selection":
+            successor_selection(fig1_checker, "u", {pf("!a"), pf("F>0[a]")})
+        elif step == "bscc reduce":
+            bscc_reduce(fig1_checker, "u", {pf("!a"), pf("G=1[a]")})
+        else:
+            compress_model(fig1, "u", psi, fragment=step.split()[1])
+    named = psi if step.startswith("compress") else pf("!a")
+    assert (err.value.state, err.value.formula) == ("u", named)
 
 
 def test_generic_search_checks_the_hypothesis_once(monkeypatch, running):
