@@ -12,18 +12,26 @@ is looked for at vertex 0 of a rooted graph: vertex 0 reaches every
 vertex, only one graph per isomorphism class under relabelings that fix
 vertex 0 is tried (McKay, "Isomorph-free exhaustive generation",
 J. Algorithms 1998), and a labeling is emitted only when vertex 0 carries
-the whole formula.  Vertex sets have one format from enumeration to
-confirmation, `markov`'s: a graph is its tuple of successor masks, and
-every label set and block set is a vertex bitmask; the edge list exists
-only as the order of the SMT edge variables, derived from the successor
-masks.  The enumeration builds one labeling, a vertex bitmask per
-subformula slot, as it chooses the label sets and screens each
-F-subformula's block from the graph alone, skipping the whole subtree of
-labelings on a contradiction: with prob0/prob1 of the body's set, a reach
-value is exactly 0 or 1 there and strictly inside (0, 1) elsewhere.  Each
-graph builds its predecessor masks once and calls `markov.prob01` on them
-once per step and body mask, turning the answer into a (care, want) mask
-pair: a label set m passes iff m & care == want.
+the whole formula.  What vertex 0 must carry is settled first, once per
+formula: the formula and, through `And`, its conjuncts are required
+there, so each step chooses only among the sets whose bit 0 agrees (set
+for a required atom or F-subformula, clear for an atom whose negation is
+required), and a required `Or` is tested once completed.  Two required
+bounds that clash, F>=r or F>r on a body implying the body of F<=s or
+F<s with r > s (or r = s and one bound open), or a required atom with its
+negation, refute the whole search before any graph is generated.  Vertex
+sets have one format from enumeration to confirmation, `markov`'s: a
+graph is its tuple of successor masks, and every label set and block set
+is a vertex bitmask; the edge list exists only as the order of the SMT
+edge variables, derived from the successor masks.  The enumeration
+builds one labeling, a vertex bitmask per subformula slot, as it chooses
+the label sets and screens each F-subformula's block from the graph
+alone, skipping the whole subtree of labelings on a contradiction: with
+prob0/prob1 of the body's set, a reach value is exactly 0 or 1 there and
+strictly inside (0, 1) elsewhere.  Each graph builds its predecessor
+masks once and calls `markov.prob01` on them once per step and body
+mask, turning the answer into a (care, want) mask pair: a label set m
+passes iff m & care == want.
 Each surviving candidate is first tried with the uniform assignment; only a
 miss is shipped to a pluggable SMT backend.  An assignment fixes the chain,
 so it is confirmed by that chain's `ModelChecker`, the package's one exact
@@ -47,7 +55,9 @@ from fractions import Fraction
 from functools import cached_property
 from operator import and_, or_, xor
 
-from .formula import And, Atom, NegAtom, Or, Prob, StateFormula, f_normal_form
+from .formula import (
+    And, Atom, Cmp, NegAtom, Or, Prob, StateFormula, f_normal_form,
+)
 from .markov import (
     InvalidChainError, MarkovChain, indices, parse_probability,
     predecessor_masks, prob01, states_reachable_from, validate,
@@ -94,6 +104,46 @@ def _choice_order(f: StateFormula,
             continue
         completed[step[g]].append(g)
     return [(g, tuple(done)) for g, done in zip(choices, completed)]
+
+
+def _required(f: StateFormula) -> set[StateFormula]:
+    """The subformulas vertex 0 must carry when it carries `f`: `f` itself
+    and, through `And`, its conjuncts.  An `Or`'s arguments are not
+    required."""
+    required = {f}
+    if isinstance(f, And):
+        for a in f.args:
+            required |= _required(a)
+    return required
+
+
+def _implies(b1: StateFormula, b2: StateFormula) -> bool:
+    """Whether `b1` implies `b2` syntactically: `b1` is `b2`, or one
+    conjunct of `b1` implies `b2`, or `b1` implies one disjunct of `b2`."""
+    return (b1 is b2
+            or isinstance(b1, And) and any(_implies(a, b2) for a in b1.args)
+            or isinstance(b2, Or) and any(_implies(b1, a) for a in b2.args))
+
+
+def _root_clash(required: set[StateFormula]) -> bool:
+    """Whether no state carries all of `required`, F-normal subformulas,
+    for a reason read off the formulas alone: an atom and its negation, or
+    a lower bound F>=r/F>r on a body B1 and an upper bound F<=s/F<s on a
+    body B2 with B1 implying B2.  Then reach(B1) <= reach(B2) in every
+    chain, so r > s clashes, and r = s does too unless both bounds are
+    closed."""
+    lower = [g for g in required
+             if isinstance(g, Prob) and g.cmp in (Cmp.GE, Cmp.GT)]
+    upper = [g for g in required
+             if isinstance(g, Prob) and g.cmp in (Cmp.LE, Cmp.LT)]
+    for lo in lower:
+        for hi in upper:
+            if _implies(lo.body, hi.body) and (
+                    lo.bound > hi.bound or lo.bound == hi.bound
+                    and (lo.cmp is Cmp.GT or hi.cmp is Cmp.LT)):
+                return True
+    return any(NegAtom(g.name) in required
+               for g in required if isinstance(g, Atom))
 
 
 # ---------------------------------------------------------------------------
@@ -178,12 +228,19 @@ def enumerate_candidates(f: StateFormula, bound: int,
     bitmask counting up).  One labeling is built as the sets are chosen, as
     a list of vertex bitmasks indexed by the integer slot of each
     subformula; the formula dict is only built for an emitted candidate.
-    An F-subformula's set is only chosen among those its block screen lets
-    through, and each set it refutes skips a whole subtree of labelings
-    (counted in `_result.refuted`).  The screen depends only on the graph,
-    the step and the body's set, so each graph builds its predecessor masks
-    once, calls `prob01` once per (step, body set) and keeps the sets m
-    with m & care == want (see `_screen`).  A model of at most `bound`
+    The compile step, once per formula, settles vertex 0: when
+    `_root_clash` finds the required subformulas (`_required`)
+    contradictory, nothing is emitted and no graph is generated.
+    Otherwise each step's choice list holds only the sets whose bit 0
+    agrees with vertex 0's obligation, and a required `Or` is tested as it
+    is completed, so every complete labeling puts the formula at vertex 0.
+    An F-subformula's set is further only chosen among those its block
+    screen lets through.  Every set a screen skips skips a whole subtree of
+    labelings and counts 1 in `_result.refuted`, as does a clash.  The
+    block screen depends only on the graph, the step and the body's set,
+    so each graph builds its predecessor masks once, calls `prob01` once
+    per (step, body set) and caches the sets m with bit 0 as required and
+    m & care == want (see `_screen`).  A model of at most `bound`
     states, cut down to the states its entry reaches and relabeled with the
     entry as vertex 0, is a candidate of the stream, so every verdict is
     the one of the enumeration over all digraphs that emits every nonempty
@@ -193,35 +250,51 @@ def enumerate_candidates(f: StateFormula, bound: int,
     steps = _choice_order(f)
     nodes = [g for node, completed in steps for g in (node, *completed)]
     slot = {g: i for i, g in enumerate(nodes)}
+    required = _required(f)
+    if _root_clash(required):
+        if _result is not None:
+            _result.refuted += 1
+        return
+    # per step: vertex 0's bit in the chosen set (1 set, 0 clear, None free)
+    root_bits = [
+        1 if node in required
+        else 0 if isinstance(node, Atom) and NegAtom(node.name) in required
+        else None
+        for node, _ in steps]
     # per step: the chosen slot, (body slot, verdicts) for an F-subformula,
-    # and the completion rules (slot, operator, argument slots), each folded
-    # from the full mask (from 0 for Or)
+    # and the completion rules (slot, operator, argument slots, whether it
+    # is a required Or), each folded from the full mask (from 0 for Or);
+    # only a required Or is tested, since the bits of the other required
+    # completions follow from the chosen sets
     ops = {NegAtom: xor, And: and_, Or: or_}
     compiled = [
         (slot[node],
          (slot[node.body], _verdicts(node)) if isinstance(node, Prob) else None,
          [(slot[g], ops[type(g)],
            (slot[Atom(g.name)],) if isinstance(g, NegAtom)
-           else [slot[a] for a in g.args]) for g in completed])
+           else [slot[a] for a in g.args],
+           isinstance(g, Or) and g in required) for g in completed])
         for node, completed in steps]
-    root = slot[f]
 
     for size in range(1, bound + 1):
         full = (1 << size) - 1
         masks = range(1 << size)
+        # per step: the label masks whose bit 0 agrees with vertex 0's
+        by_bit = {None: masks, 1: masks[1::2], 0: masks[::2]}
+        rooted = [by_bit[bit] for bit in root_bits]
         for succ in _graphs(size):
             pred = predecessor_masks(succ)
             labels = [0] * len(nodes)
-            # (step index, body mask) -> the label masks the screen lets through
+            # (step index, body mask) -> the label masks vertex 0 and the
+            # block screen let through
             passed: dict[tuple[int, int], list[int]] = {}
 
             def assign(index: int):
                 if index == len(compiled):
-                    if labels[root] & 1:
-                        yield ETRCandidate(succ, dict(zip(nodes, labels)), f)
+                    yield ETRCandidate(succ, dict(zip(nodes, labels)), f)
                     return
                 target, screen, rules = compiled[index]
-                choices = masks
+                choices = rooted[index]
                 if screen is not None:
                     body, verdicts = screen
                     key = (index, labels[body])
@@ -229,17 +302,22 @@ def enumerate_candidates(f: StateFormula, bound: int,
                     if choices is None:
                         care, want = _screen(verdicts, *prob01(pred, key[1]), full)
                         choices = passed[key] = [
-                            m for m in masks if m & care == want]
-                    if _result is not None:
-                        _result.refuted += len(masks) - len(choices)
+                            m for m in rooted[index] if m & care == want]
+                if _result is not None:
+                    _result.refuted += len(masks) - len(choices)
                 for m in choices:
                     labels[target] = m
-                    for g, op, args in rules:
+                    for g, op, args, tested in rules:
                         value = 0 if op is or_ else full
                         for a in args:
                             value = op(value, labels[a])
                         labels[g] = value
-                    yield from assign(index + 1)
+                        if tested and not value & 1:
+                            if _result is not None:
+                                _result.refuted += 1
+                            break
+                    else:
+                        yield from assign(index + 1)
 
             yield from assign(0)
 
@@ -573,6 +651,8 @@ class SatSearchResult:
     model: MarkovChain | None = None
     entry: str | None = None
     candidates: int = 0
+    # label sets a screen skipped, each with its subtree of labelings:
+    # vertex 0's bit, a required Or, the block screen; 1 for a root clash
     refuted: int = 0
     solver_calls: int = 0
     timeouts: int = 0
@@ -585,12 +665,13 @@ def solve_bounded_sat(f: StateFormula, bound: int, *,
     """Searches for a model of the core formula `f` with at most `bound`
     states.
 
-    The candidates come from `enumerate_candidates`, already screened with
-    prob0/prob1 of each block's graph, so `refuted` counts the labeling
-    subtrees the screen skipped.  Each survivor is first tried with the
-    uniform assignment (one `check_assignment` call); a miss goes to the
-    backend, if any, whose answer is confirmed by `check_assignment` too.
-    The checker that confirms an assignment holds its chain, which is
+    The candidates come from `enumerate_candidates`, already screened at
+    vertex 0 (a root clash refutes the search before any graph, counting
+    1) and with prob0/prob1 of each block's graph, so `refuted` counts the
+    labeling subtrees the screens skipped.  Each survivor is first tried
+    with the uniform assignment (one `check_assignment` call); a miss goes
+    to the backend, if any, whose answer is confirmed by `check_assignment`
+    too.  The checker that confirms an assignment holds its chain, which is
     re-verified against the original formula at its entry, vertex 0,
     before being returned.  With `emit_only` the systems are only written,
     nothing is decided.  The result is unsat-up-to-n only when every

@@ -279,13 +279,16 @@ def test_criterion_10_encoding_faithfulness():
         else:
             disagreeing += 1
 
-    contradiction = pf("F=1[a] & G=1[!a]")
-    for n in (1, 2, 3):
-        result = solve_bounded_sat(contradiction, n)
-        assert result.status == "unsat-up-to-n"
-        assert result.solver_calls == 0
+    # the first contradiction clashes at vertex 0; the second clashes
+    # nowhere there and is refuted by the block screen on every graph
+    for text in ("F=1[a] & G=1[!a]", "G=1[a] & G=1[F>0[!a]]"):
+        for n in (1, 2, 3):
+            result = solve_bounded_sat(pf(text), n)
+            assert result.status == "unsat-up-to-n"
+            assert result.solver_calls == 0
     _report(10, f"induced-candidate oracle exact on {agreeing + disagreeing} "
-                "instances; the contradiction is interval-refuted up to n=3")
+                "instances; F=1[a] & G=1[!a] is refuted at vertex 0 and "
+                "G=1[a] & G=1[F>0[!a]] by the block screen up to n=3")
 
 
 def _find_solver():

@@ -18,16 +18,18 @@ from helpers import (
 )
 
 import pctlfg.etr
+from pctlfg.cli import main
 from pctlfg.etr import (
     BackendError, CorrectnessBlock, ETRCandidate, ETRSystem, SatSearchResult,
-    SolverBackend, _block, _graphs, _parse_sexprs, _rationalize,
-    check_assignment, encode, enumerate_candidates, f_normal_form,
-    interval_refuted, read_solver_output, smt_text, solve_bounded_sat,
-    uniform_assignment,
+    SolverBackend, _block, _graphs, _implies, _parse_sexprs, _rationalize,
+    _required, _root_clash, check_assignment, encode, enumerate_candidates,
+    f_normal_form, interval_refuted, read_solver_output, smt_text,
+    solve_bounded_sat, uniform_assignment,
 )
 from pctlfg.formula import (
-    And, Atom, Cmp, NegAtom, PathOp, Prob, conj, disj, fragment_classify,
-    iter_subformulas, parse_formula,
+    And, Atom, Cmp, NegAtom, PathFormula, PathOp, Prob, conj, disj,
+    fragment_classify, is_trivial_bound, iter_subformulas, normalize,
+    parse_formula,
 )
 from pctlfg.markov import (
     MarkovChain, indices, predecessor_masks, states_reachable_from, validate,
@@ -228,11 +230,11 @@ def _stream_figures(candidates, result):
 
 # the rooted stream at bound 3: emitted, refuted, digest
 ROOTED_STREAM = {
-    "b & F>=1/2[G>=3/4[b]]": (159, 12828, "002a07a052d00f42"),
-    "F>=1/4[F>=3/4[F>=3/4[a]]]": (859, 19470, "d7a4cbd628e893b5"),
-    "G>=1/5[F=1[b] | b]": (721, 12688, "8713b8d96a3f559e"),
-    "F>=3/4[b] & F>1/2[F>0[b]]": (811, 19350, "92c50bbcf42dd39c"),
-    "F>=1/4[F>0[G=1[!a]]]": (205, 19038, "fc45f3471781cc4b"),
+    "b & F>=1/2[G>=3/4[b]]": (159, 7221, "002a07a052d00f42"),
+    "F>=1/4[F>=3/4[F>=3/4[a]]]": (859, 19605, "d7a4cbd628e893b5"),
+    "G>=1/5[F=1[b] | b]": (721, 12893, "8713b8d96a3f559e"),
+    "F>=3/4[b] & F>1/2[F>0[b]]": (811, 17655, "92c50bbcf42dd39c"),
+    "F>=1/4[F>0[G=1[!a]]]": (205, 19755, "fc45f3471781cc4b"),
 }
 
 
@@ -416,12 +418,113 @@ def test_psi_unsat_at_two(psi):
     assert result.solver_calls == 0
 
 
+@pytest.mark.parametrize("text", [
+    # contradictions that no block's screen sees alone: each bounds the
+    # reach value of one body at vertex 0 from below and of the same body,
+    # or of one it implies, from above (F<=1/4[a] & G<1/4[!a] is
+    # F<=1/4[a] & F>3/4[a] in F-normal form)
+    "G<3/5[a] & G>=3/5[a]",
+    "F<=1/4[a] & G<1/4[!a]",
+    "F>1/2[a] & F<1/2[a]",
+    "G<1/4[!b] & G>=1/2[!b]",
+    "F>1/4[a & b] & F<1/4[b]",
+])
+def test_clashing_bounds_refute_the_search(capsys, monkeypatch, text):
+    # refuted before any graph: no candidate, no solver call
+    result = solve_bounded_sat(pf(text), 3)
+    assert (result.status, result.candidates, result.solver_calls,
+            result.refuted) == ("unsat-up-to-n", 0, 0, 1)
+    monkeypatch.delenv("PCTLFG_SOLVER", raising=False)
+    assert main(["sat", "--formula", text, "--bound", "3"]) == 1
+    assert capsys.readouterr().out.strip() == "unsat-up-to-n"
+
+
+@pytest.mark.parametrize("text", [
+    # equal closed bounds on one body: reach(a) = 1/2 at vertex 0
+    "F>=1/2[a] & F<=1/2[a]",
+    # a & b implies b, not the other way round
+    "F>1/4[b] & F<1/4[a & b]",
+    # an Or's arguments are not required at vertex 0
+    "F>=1/2[a] & (F<1/2[a] | b)",
+])
+def test_bounds_at_the_clash_boundary_are_satisfiable(text):
+    result = solve_bounded_sat(pf(text), 3)
+    assert result.status == "sat", text
+    assert ModelChecker(result.model).holds(result.entry, pf(text))
+
+
+def _bound_that_holds(rng, mc, state, body):
+    # F or G over `body` with the exact probability at `state` or 1/7 off
+    # it as its bound, compared so that it holds there; None when that
+    # bound leaves [0, 1] or is trivial
+    op = rng.choice((PathOp.F, PathOp.G))
+    p = mc.probability(state, PathFormula(op, body))
+    r = p + rng.choice((-1, 0, 1)) * Fraction(1, 7)
+    cmps = [cmp for cmp in Cmp
+            if cmp.holds(p, r) and not is_trivial_bound(cmp, r)]
+    if not 0 <= r <= 1 or not cmps:
+        return None
+    return Prob(op, rng.choice(cmps), r, body)
+
+
+def _chain_with_traps(rng):
+    # one to three transient states, s0 first, each moving to two or three
+    # random states, then two or three absorbing ones; atoms are rarer on
+    # the transient states, so that reach values strictly inside (0, 1)
+    # are common at s0
+    transient = rng.randint(1, 3)
+    states = [f"s{i}" for i in range(transient + rng.randint(2, 3))]
+    edges, valuation = {}, {}
+    for i, s in enumerate(states):
+        succ = rng.sample(states, rng.randint(2, 3)) if i < transient else [s]
+        weights = [rng.randint(1, 3) for _ in succ]
+        for t, w in zip(succ, weights):
+            edges[(s, t)] = Fraction(w, sum(weights))
+        share = 0.25 if i < transient else 0.5
+        valuation[s] = [a for a in "ab" if rng.random() < share]
+    return MarkovChain(states, edges, valuation)
+
+
+def test_root_clash_never_refutes_bounds_that_hold():
+    # conjunctions of 2-6 bounds that all hold at one state of a random
+    # chain, over three shared bodies drawn from two literals, their And
+    # and Or, and the negations of these four, so that bodies imply one
+    # another also after G is dualized to F
+    rng = random.Random(163)
+    implying = 0
+    for _ in range(2000):
+        chain = _chain_with_traps(rng)
+        mc = ModelChecker(chain)
+        state = "s0"
+        x, y = (rng.choice((Atom, NegAtom))(name) for name in "ab")
+        pool = [x, y, conj([x, y]), disj([x, y])]
+        pool += [pf(f"!({g})") for g in pool]
+        bodies = rng.sample(pool, 3)
+        size = rng.randint(2, 6)
+        bounds = []
+        while len(bounds) < size:
+            bound = _bound_that_holds(rng, mc, state, rng.choice(bodies))
+            if bound is not None:
+                bounds.append(bound)
+        f = conj(bounds)
+        assert mc.holds(state, f)
+        required = _required(f_normal_form(normalize(f)))
+        assert not _root_clash(required), (chain.to_json(), state, str(f))
+        # conjunctions where the clash rule reads a pair of bounds
+        implying += any(
+            lo.cmp in (Cmp.GE, Cmp.GT) and hi.cmp in (Cmp.LE, Cmp.LT)
+            and _implies(lo.body, hi.body)
+            for lo in required if isinstance(lo, Prob)
+            for hi in required if isinstance(hi, Prob))
+    assert implying > 200
+
+
 # the rooted search: candidates, refuted
 ROOTED_SEARCH = {
-    "F=1[a] & G=1[!a]": (0, 12692),
-    PSI_TEXT: (0, 370),
-    "F>1/2[a] & !a": (1, 11),
-    "F>=0.5[a & F>=0.2[!a]] & !a & b": (1, 68),
+    "F=1[a] & G=1[!a]": (0, 1),
+    PSI_TEXT: (0, 161),
+    "F>1/2[a] & !a": (1, 12),
+    "F>=0.5[a & F>=0.2[!a]] & !a & b": (1, 31),
 }
 
 
