@@ -62,7 +62,7 @@ from .markov import (
     InvalidChainError, MarkovChain, indices, parse_probability,
     predecessor_masks, prob01, states_reachable_from, validate,
 )
-from .modelcheck import ModelChecker, passing
+from .modelcheck import _ONE, _ZERO, ModelChecker, passing
 
 
 class BackendError(RuntimeError):
@@ -387,14 +387,17 @@ def encode(candidate: ETRCandidate) -> ETRSystem:
                      tuple(map(frozenset, valuation)))
 
 
+_HALF = Fraction(1, 2)
+
+
 def _verdicts(node: Prob) -> tuple[bool, bool, bool | None]:
     """Whether a reach value of 1, of 0 and of anything strictly inside
     (0, 1) satisfies `node`'s comparison.  The last is None when 0 < r < 1,
     since such a value can lie on either side of the bound r; otherwise all
     of (0, 1) compares alike with r, so 1/2 stands for it."""
     cmp, r = node.cmp, node.bound
-    inside = None if 0 < r < 1 else cmp.holds(Fraction(1, 2), r)
-    return cmp.holds(Fraction(1), r), cmp.holds(Fraction(0), r), inside
+    inside = None if 0 < r < 1 else cmp.holds(_HALF, r)
+    return cmp.holds(_ONE, r), cmp.holds(_ZERO, r), inside
 
 
 def _screen(verdicts, prob0: int, prob1: int, full: int) -> tuple[int, int]:

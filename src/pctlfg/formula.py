@@ -9,10 +9,14 @@ Core nodes (`Atom`, `NegAtom`, `And`, `Or`, `Prob`) and `PathFormula` are
 interned (hash-consed): there is one live node per structure, however it was
 built, parsed, copied or unpickled.  So `==` is `is` and a node hashes by
 identity, which makes the formula-keyed sets and memos of the closure,
-measure and progress code cheap.  Derived data the hot paths ask for
-(`Prob.path_formula`, `sort_key`, `subformulas`, and the grammar kinds
-behind `fragment_classify`) is cached on the node and computed once per
-structure.  A `Prob` bound is always stored as a `Fraction`.
+measure and progress code cheap.  The intern key is the node's class and
+fields: an atom's name, the child nodes, the `PathOp` and `Cmp`, and a
+`Prob` bound as its (numerator, denominator) pair.  The bound itself is
+always stored as a `Fraction`.  `PathOp` and `Cmp` members hash by identity
+too, so building a node hashes nothing in Python.  Derived data the hot
+paths ask for (`Prob.path_formula`, `sort_key`, `subformulas`, the core
+flag behind `is_core`, and the grammar kinds behind `fragment_classify`) is
+cached on the node and computed once per structure.
 
 There is one tree: the parser builds core nodes directly, so
 `parse_formula` returns a core formula.  Both normal forms come from one
@@ -53,6 +57,10 @@ class PathOp(Enum):
     F = "F"
     G = "G"
 
+    # members are singletons compared by identity, so they hash by identity
+    # too: the C slot, not `Enum.__hash__`, which hashes the name in Python
+    __hash__ = object.__hash__
+
     def __str__(self) -> str:
         return self.value
 
@@ -62,6 +70,8 @@ class Cmp(Enum):
     GT = ">"
     LE = "<="
     LT = "<"
+
+    __hash__ = object.__hash__
 
     def __str__(self) -> str:
         return self.value
@@ -76,13 +86,14 @@ class Cmp(Enum):
         return value < bound
 
     def negated(self) -> "Cmp":
-        return {Cmp.GE: Cmp.LT, Cmp.GT: Cmp.LE, Cmp.LE: Cmp.GT, Cmp.LT: Cmp.GE}[self]
+        return _NEGATED[self]
 
 
 CORE_CMPS = (Cmp.GE, Cmp.GT)
+_NEGATED = {Cmp.GE: Cmp.LT, Cmp.GT: Cmp.LE, Cmp.LE: Cmp.GT, Cmp.LT: Cmp.GE}
 
 
-# One live node per structure: (class, *fields) -> the node.  Weak values, so
+# One live node per structure: its `_intern` key -> the node.  Weak values, so
 # a formula no caller holds any more leaves the table.  The lock makes
 # insertion atomic, so two threads building the same formula get one node.
 _NODES: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
@@ -93,28 +104,34 @@ class _Node:
     """Base of the hash-consed node types.
 
     Construction returns the live node with the same class and fields when
-    there is one, so `==` and `hash` can be the identity ones inherited from
-    `object`.  Only construction hashes fields, to look the node up; a set
-    or memo keyed by nodes never looks inside them.
+    there is one (`_intern`), so `==` and `hash` can be the identity ones
+    inherited from `object`.  Only construction hashes fields, to look the
+    node up; a set or memo keyed by nodes never looks inside them.
     """
 
     def __new__(cls, *values):
-        key = (cls, *values)
-        node = _NODES.get(key)
-        if node is None:
-            if len(values) != len(cls._fields):
-                raise TypeError(f"{cls.__name__} takes fields {cls._fields}")
-            node = object.__new__(cls)
-            for name, value in zip(cls._fields, values):
-                object.__setattr__(node, name, value)
-            with _NODES_LOCK:
-                node = _NODES.setdefault(key, node)
-        return node
+        return _intern(cls, (cls, *values), values)
 
     def __reduce__(self):
         # copy, deepcopy and unpickling rebuild through __new__, so they
         # return the live node
         return type(self), tuple(getattr(self, name) for name in self._fields)
+
+
+def _intern(cls, key: tuple, values: tuple) -> _Node:
+    """The live node of `cls` stored under `key`, built from the field
+    `values` when there is none.  The key is the class and the fields, with
+    a `Prob` bound as its integer pair; every part hashes in C."""
+    node = _NODES.get(key)
+    if node is None:
+        if len(values) != len(cls._fields):
+            raise TypeError(f"{cls.__name__} takes fields {cls._fields}")
+        node = object.__new__(cls)
+        for name, value in zip(cls._fields, values):
+            object.__setattr__(node, name, value)
+        with _NODES_LOCK:
+            node = _NODES.setdefault(key, node)
+    return node
 
 
 def _node(cls):
@@ -158,6 +175,15 @@ class _StateNode(_Node):
             kinds = frozenset(kind for kind, (literal, _) in _GRAMMARS.items()
                               if literal)
         return _KIND_SETS.setdefault(kinds, kinds)
+
+    @cached_property
+    def _core(self) -> bool:
+        # `is_core`, from the children's flags
+        if isinstance(self, (And, Or)):
+            return all(a._core for a in self.args)
+        if isinstance(self, Prob):
+            return self.cmp in CORE_CMPS and self.body._core
+        return True
 
     @cached_property
     def _fragments(self) -> FragmentMembership:
@@ -206,10 +232,13 @@ class Prob(_StateNode):
 
     def __new__(cls, op, cmp, bound, body):
         # the bound is stored as a Fraction, so `1` and `Fraction(1)` give
-        # one node
+        # one node.  The key holds its (numerator, denominator) pair: a
+        # Fraction is in lowest terms, so equal pairs are equal bounds, and
+        # a pair of ints hashes without `Fraction.__hash__`.
         if type(bound) is not Fraction:
             bound = Fraction(bound)
-        return super().__new__(cls, op, cmp, bound, body)
+        return _intern(cls, (cls, op, cmp, bound.as_integer_ratio(), body),
+                       (op, cmp, bound, body))
 
     def __str__(self) -> str:
         if self.cmp is Cmp.GE and self.bound == 1:
@@ -271,19 +300,23 @@ def _merge(node_type, args) -> StateFormula:
     return node_type(tuple(flat))
 
 
+# the comparisons trivial at bound 0; the other two are trivial at bound 1
+_TRIVIAL_AT_0 = frozenset((Cmp.GE, Cmp.LT))
+
+
 def is_trivial_bound(cmp: Cmp, bound: Fraction) -> bool:
     """Whether the constraint holds for every probability or for none:
-    '>=0', '<=1', '>1' and '<0'."""
-    return (cmp, bound) in ((Cmp.GE, 0), (Cmp.GT, 1), (Cmp.LE, 1), (Cmp.LT, 0))
+    '>=0', '<=1', '>1' and '<0'.  Read on the bound's integers n/d, d > 0:
+    the bound is 0 iff n == 0 and 1 iff n == d."""
+    n, d = bound.as_integer_ratio()
+    return n == 0 if cmp in _TRIVIAL_AT_0 else n == d
 
 
 def is_core(f: StateFormula) -> bool:
-    """Core form: negation on atoms only and comparisons from {>=, >}."""
-    if isinstance(f, (Atom, NegAtom)):
-        return True
-    if isinstance(f, (And, Or)):
-        return all(is_core(a) for a in f.args)
-    return f.cmp in CORE_CMPS and is_core(f.body)
+    """Core form: negation on atoms only and comparisons from {>=, >}.
+    A flag cached on the node, built from its children's flags, so each
+    node is checked once."""
+    return f._core
 
 
 # ---------------------------------------------------------------------------
@@ -386,6 +419,11 @@ def sorted_formulas(X) -> list[StateFormula]:
 # recursion limit.
 
 MAX_NESTING = 100
+
+# the operator and comparison of each token text, read without
+# `EnumType.__call__`
+_PATH_OPS = {op.value: op for op in PathOp}
+_CMPS = {cmp.value: cmp for cmp in Cmp}
 
 # the first characters of the symbol tokens; "<" and ">" also start "<="
 # and ">="
@@ -520,7 +558,7 @@ class _Parser:
         return f
 
     def prob_unit(self) -> StateFormula:
-        op = PathOp(self.next().text)
+        op = _PATH_OPS[self.next().text]
         cmp_tok = self.next()
         bound = self.number()
         if cmp_tok.text == "=":
@@ -528,8 +566,8 @@ class _Parser:
                 self.error("'=' is allowed only as '=1'", cmp_tok)
             cmp = Cmp.GE
         else:
-            cmp = Cmp(cmp_tok.text)
-        if not 0 <= bound <= 1:
+            cmp = _CMPS[cmp_tok.text]
+        if not _is_probability(bound):
             self.error(f"probability bound {bound} outside [0,1]", cmp_tok)
         self.expect("[")
         body = self.disj()
@@ -552,6 +590,12 @@ class _Parser:
             return parse_probability(text)
         except InvalidChainError:
             self.error(f"malformed rational {text!r}", tok)
+
+
+def _is_probability(bound: Fraction) -> bool:
+    """0 <= bound <= 1, read on the bound's integers n/d, d > 0: 0 <= n <= d."""
+    n, d = bound.as_integer_ratio()
+    return 0 <= n <= d
 
 
 def parse_formula(text: str) -> StateFormula:

@@ -33,8 +33,8 @@ from itertools import combinations
 from typing import Iterator
 
 from . import linalg
-from .closure import (achieved_bounds, closure_update, least_closed_set,
-                      require_satisfied)
+from .closure import (UnsatisfiedSetError, achieved_bounds, closure_update,
+                      least_closed_set, require_satisfied)
 from .formula import (
     And, Atom, Cmp, NegAtom, Or, PathFormula, PathOp, Prob, StateFormula,
     formula_sets, fragment_classify, sort_key, sorted_formulas, subformulas,
@@ -666,7 +666,13 @@ def compress_model(chain: MarkovChain, state: str, formula: StateFormula, *,
     if fragment not in ("l2", "generic"):
         raise ValueError(f"unknown fragment {fragment!r}")
     mc = ModelChecker(chain)
-    require_satisfied(mc, state, (formula,))
+    # the root guard: `closure_update` checks the closure once, and the
+    # closure holds exactly when the formula does; the error names the
+    # formula, and comes before the fragment check
+    try:
+        root_set = closure_update(mc, state, frozenset({formula}))
+    except UnsatisfiedSetError:
+        raise UnsatisfiedSetError(state, formula) from None
     if fragment == "l2" and not fragment_classify(formula).in_l2:
         raise FragmentError(f"not in fragment L2: {formula}")
 
@@ -715,7 +721,6 @@ def compress_model(chain: MarkovChain, state: str, formula: StateFormula, *,
                 f"{node.size} > {node.bound}")
         return model, entry, node
 
-    root_set = closure_update(mc, state, frozenset({formula}))
     model, entry, trace = build(state, root_set, None)
     if not ModelChecker(model).holds(entry, formula):
         raise CompressionError("compressed model fails to satisfy the formula")

@@ -13,6 +13,8 @@ reference bounded search enumerates every digraph and emits every nonempty
 whole-formula label set; the library's search is rooted at vertex 0 and
 tries one graph per isomorphism class.  `labeling_violations` and
 `constraint_count` are oracles on a candidate and on its system.  The
+reference constraint rules (trivial bounds, the parser's [0, 1] range, `!`
+on a comparison, core form) are the `Fraction` and recursive forms.  The
 reference loop family builds every subset of a universe as a frozenset and
 sorts them, and the reference loop search walks that family with the G
 bodies as a set; the library's enumerates and walks masks in order.
@@ -479,13 +481,39 @@ def candidate_from_chain(chain: MarkovChain, f: StateFormula) -> ETRCandidate:
         g: mc.sat_mask(g) for g in set(iter_subformulas(f))}, f)
 
 
+# The formula layer's constraint rules as the `Fraction` comparisons and
+# enum mappings they were first written as; the library reads the bound's
+# integers and module tables.
+
+REFERENCE_NEGATED = {Cmp.GE: Cmp.LT, Cmp.GT: Cmp.LE, Cmp.LE: Cmp.GT,
+                     Cmp.LT: Cmp.GE}
+
+
+def reference_is_trivial_bound(cmp: Cmp, bound: Fraction) -> bool:
+    return (cmp, bound) in ((Cmp.GE, 0), (Cmp.GT, 1), (Cmp.LE, 1), (Cmp.LT, 0))
+
+
+def reference_is_probability(bound: Fraction) -> bool:
+    return 0 <= bound <= 1
+
+
+def reference_is_core(f: StateFormula) -> bool:
+    """Core form by recursion over the whole formula: negation on atoms only
+    and comparisons from {>=, >}."""
+    if isinstance(f, (Atom, NegAtom)):
+        return True
+    if isinstance(f, (And, Or)):
+        return all(reference_is_core(a) for a in f.args)
+    return f.cmp in (Cmp.GE, Cmp.GT) and reference_is_core(f.body)
+
+
 def reference_fragment_classify(f: StateFormula):
     """The per-call form of `formula.fragment_classify`: each call matches
     the kinds of `_GRAMMARS` top-down with a fresh memo, reading nothing
     cached on the nodes."""
-    from pctlfg.formula import _GRAMMARS, FragmentMembership, is_core
+    from pctlfg.formula import _GRAMMARS, FragmentMembership
 
-    if not is_core(f):
+    if not reference_is_core(f):
         raise ValueError("fragment classification expects a core formula")
     memo: dict = {}
 

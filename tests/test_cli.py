@@ -369,7 +369,9 @@ def test_module_entry_point(model_path):
 def _outputs_under_hash_seeds(argv, *written) -> set:
     """The distinct (exit code, stdout, stderr, *contents of `written`) of
     `python -m pctlfg *argv` under PYTHONHASHSEED 0, 1 and 7; the exit code
-    must be 0 or 1 (success or a failed property)."""
+    must be 0 or 1 (success or a failed property).  A written directory's
+    contents are its (name, text) pairs, and its files are removed after
+    each run."""
     outputs = set()
     for hash_seed in ("0", "1", "7"):
         proc = subprocess.run(
@@ -378,8 +380,18 @@ def _outputs_under_hash_seeds(argv, *written) -> set:
             env={**os.environ, "PYTHONHASHSEED": hash_seed})
         assert proc.returncode in (0, 1), proc.stderr
         outputs.add((proc.returncode, proc.stdout, proc.stderr,
-                     *(path.read_text() for path in written)))
+                     *map(_written_contents, written)))
     return outputs
+
+
+def _written_contents(path):
+    if not path.is_dir():
+        return path.read_text()
+    files = sorted(path.iterdir())
+    contents = tuple((file.name, file.read_text()) for file in files)
+    for file in files:
+        file.unlink()
+    return contents
 
 
 def test_compress_output_does_not_depend_on_the_hash_seed(tmp_path, model_path):
@@ -404,6 +416,28 @@ def test_compress_output_does_not_depend_on_the_hash_seed(tmp_path, model_path):
             ["compress", "--model", model, "--state", state, "--formula", text,
              "--fragment", fragment, "--json", "--trace", str(trace_path)],
             trace_path)) == 1, (model, text)
+
+
+def test_sat_output_does_not_depend_on_the_process(tmp_path):
+    # formula nodes and the PathOp/Cmp members hash by address, which can
+    # differ between interpreters under one hash seed: neither the emitted
+    # systems nor a found model may show it
+    dump = tmp_path / "systems"
+    outputs = _outputs_under_hash_seeds(
+        ["sat", "--formula", "!a & F>=2/3[a] & G>0[!a]", "--bound", "3",
+         "--emit-only", "--dump-smt", str(dump)], dump)
+    assert len(outputs) == 1
+    (code, stdout, _, files), = outputs
+    assert code == 0 and stdout.startswith("emitted 16 candidate systems")
+    assert len(files) == 16
+    # planted on the path v1 -> v2 (a) -> v3 (b, absorbing)
+    outputs = _outputs_under_hash_seeds(
+        ["sat", "--formula", "!a & F>=1/2[a] & F>0[b & G=1[!a]]",
+         "--bound", "3", "--json"])
+    assert len(outputs) == 1
+    (code, stdout, _), = outputs
+    assert code == 0
+    assert json.loads(stdout)["status"] == "sat"
 
 
 def test_loop_verify_diagnostics_do_not_depend_on_the_hash_seed(tmp_path):

@@ -11,14 +11,16 @@ from fractions import Fraction
 import pytest
 
 from helpers import (
-    PSI_TEXT, random_chain, random_core_formula, reference_fragment_classify,
-    reference_sat_set,
+    PSI_TEXT, REFERENCE_NEGATED, random_chain, random_core_formula,
+    reference_fragment_classify, reference_is_core, reference_is_probability,
+    reference_is_trivial_bound, reference_sat_set,
 )
 
 from pctlfg.formula import (
-    And, Atom, Cmp, NegAtom, Or, PathFormula, PathOp, PctlSyntaxError, Prob,
-    NormalizationError, f_normal_form, formula_sets, fragment_classify,
-    is_core, normalize, parse_formula, sorted_formulas, subformulas,
+    _CMPS, _PATH_OPS, And, Atom, Cmp, NegAtom, Or, PathFormula, PathOp,
+    PctlSyntaxError, Prob, NormalizationError, _is_probability, f_normal_form,
+    formula_sets, fragment_classify, is_core, is_trivial_bound, normalize,
+    parse_formula, sorted_formulas, subformulas,
 )
 from pctlfg.modelcheck import ModelChecker
 
@@ -93,6 +95,40 @@ def test_many_conjuncts_parse_in_linear_time():
     f = parse_formula(text)
     assert time.perf_counter() - start < 10
     assert len(f.args) == 50_000
+
+
+# 0, 1, their neighbours, a bound equal to 1 written as 2/2, and 4,000-digit
+# integers on either side of 1
+_RULE_BOUNDS = (Fraction(0), Fraction(1), Fraction(1, 2), Fraction(2, 2),
+                Fraction(-1, 3), Fraction(4, 3),
+                Fraction(10 ** 3999 + 1, 10 ** 3999 + 3),
+                Fraction(10 ** 3999 + 3, 10 ** 3999 + 1))
+
+
+def test_integer_bound_rules_match_the_fraction_rules():
+    for bound in _RULE_BOUNDS:
+        assert _is_probability(bound) == reference_is_probability(bound), bound
+        for cmp in Cmp:
+            assert is_trivial_bound(cmp, bound) == \
+                reference_is_trivial_bound(cmp, bound), (cmp, bound)
+            if bound < 0:
+                continue  # the numeral grammar has no sign
+            text = f"F{cmp}{bound.numerator}/{bound.denominator}[a]"
+            if not reference_is_probability(bound):
+                with pytest.raises(PctlSyntaxError, match=r"outside \[0,1\]"):
+                    parse_formula(text)
+            elif reference_is_trivial_bound(cmp, bound):
+                with pytest.raises(NormalizationError):
+                    parse_formula(text)
+            else:
+                parse_formula(text)
+
+
+def test_negation_and_parser_tables_match_the_enum_mappings():
+    for cmp in Cmp:
+        assert cmp.negated() is REFERENCE_NEGATED[cmp]
+    assert _PATH_OPS == {text: PathOp(text) for text in ("F", "G")}
+    assert _CMPS == {text: Cmp(text) for text in (">=", ">", "<=", "<")}
 
 
 def test_le_lt_dualities():
@@ -344,6 +380,26 @@ def test_non_core_nodes_raise_after_their_core_parts_are_classified():
                 fragment_classify(non_core)
 
 
+def test_cached_core_flag_matches_the_recursive_check():
+    # the sample's core nodes, plus '<'/'<=' nodes over them and core
+    # operators over those
+    rng = random.Random(83)
+    compared = non_core = 0
+    for f, subs, variants in _classification_sample(rng, ("s", "t")):
+        upper = []
+        for g in subs:
+            below = Prob(rng.choice((PathOp.F, PathOp.G)),
+                         rng.choice((Cmp.LE, Cmp.LT)),
+                         Fraction(rng.randint(1, 6), 7), g)
+            upper += [below, Prob(PathOp.F, Cmp.GE, Fraction(1, 2), below),
+                      And((g, below)), Or((below, g))]
+        for g in [f] + subs + variants + upper:
+            assert is_core(g) == reference_is_core(g), g
+            compared += 1
+            non_core += not reference_is_core(g)
+    assert non_core > 1000 and compared - non_core > 1000
+
+
 def test_fragment_bound_variants_stay_inside():
     rng = random.Random(11)
     checked = 0
@@ -436,6 +492,18 @@ def test_bound_is_interned_as_fraction():
     assert type(node.bound) is Fraction
     assert Prob(PathOp.G, Cmp.GT, Fraction(1, 2), Atom("a")).path_formula \
         is PathFormula(PathOp.G, Atom("a"))
+
+
+def test_equal_bounds_in_any_form_are_one_node():
+    # the intern key holds the bound's lowest-terms integer pair
+    node = Prob(PathOp.F, Cmp.GE, 1, Atom("a"))
+    assert Prob(PathOp.F, Cmp.GE, Fraction(2, 2), Atom("a")) is node
+    assert parse_formula("F>=1/1[a]") is node
+
+
+def test_operators_hash_by_identity():
+    assert PathOp.__hash__ is object.__hash__
+    assert Cmp.__hash__ is object.__hash__
 
 
 def test_nodes_differing_in_one_field_are_distinct():

@@ -173,6 +173,54 @@ def test_every_guard_raises_the_one_unsatisfied_error(fig1, fig1_checker, psi,
     assert (err.value.state, err.value.formula) == ("u", named)
 
 
+def test_unsatisfied_formula_outside_l2_is_reported_unsatisfied(fig1):
+    # the root guard runs before the fragment check
+    outside = pf("!a & G>1/2[a]")
+    assert not fragment_classify(outside).in_l2
+    with pytest.raises(FragmentError):
+        compress_model(fig1, "u", pf("G>1/2[a]"))
+    with pytest.raises(UnsatisfiedSetError) as err:
+        compress_model(fig1, "u", outside)
+    assert (err.value.state, err.value.formula) == ("u", outside)
+
+
+class _RootChecked(Exception):
+    pass
+
+
+def test_compress_asks_the_root_question_once(monkeypatch):
+    import importlib
+
+    import pctlfg.progress
+
+    # the package exports the `closure` function under the module's name
+    closure_module = importlib.import_module("pctlfg.closure")
+
+    # stop at the first recursion node, after the root guards
+    def stop(*args):
+        raise _RootChecked
+
+    calls = []
+    original = closure_module.require_satisfied
+
+    def counting(mc, state, formulas):
+        calls.append(frozenset(formulas))
+        return original(mc, state, formulas)
+
+    monkeypatch.setattr(pctlfg.progress, "progress_measure", stop)
+    for module in (closure_module, pctlfg.progress):
+        monkeypatch.setattr(module, "require_satisfied", counting)
+    rng = random.Random(89)
+    for _ in range(30):
+        chain, state, f, mc = satisfied_instance(rng)
+        fragment = "l2" if fragment_classify(f).in_l2 else "generic"
+        calls.clear()
+        with pytest.raises(_RootChecked):
+            compress_model(chain, state, f, fragment=fragment)
+        # one check, of the closure that `update` tightens
+        assert len(calls) == 1 and f in calls[0]
+
+
 def test_generic_search_checks_the_hypothesis_once(monkeypatch, running):
     import pctlfg.progress
 
