@@ -4,9 +4,9 @@ model compression, and bounded satisfiability via real-arithmetic encoding.
 """
 
 from .formula import (
-    And, Atom, Cmp, FormulaSets, FragmentMembership, NegAtom, Or, PathFormula,
-    PathOp, Prob, StateFormula, conj, disj, formula_sets, fragment_classify,
-    normalize, parse_formula, sorted_formulas,
+    And, Atom, Cmp, FragmentMembership, NegAtom, Or, PathFormula, PathOp, Prob,
+    StateFormula, conj, disj, fragment_classify, normalize, parse_formula,
+    sorted_formulas, subformulas_of,
 )
 from .markov import (
     FirstPassageError, InvalidChainError, MarkovChain, SccDecomposition,

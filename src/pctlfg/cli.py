@@ -18,13 +18,13 @@ import sys
 from .closure import achieved_bounds, closure, closure_update, UnsatisfiedSetError
 from .etr import BackendError, SolverBackend, solve_bounded_sat
 from .formula import (
-    NormalizationError, PctlSyntaxError, StateFormula, formula_sets,
-    fragment_classify, parse_formula, sorted_formulas,
+    NormalizationError, PctlSyntaxError, StateFormula, fragment_classify,
+    parse_formula, sorted_formulas,
 )
 from .markov import InvalidChainError, MarkovChain, validate
 from .measure import (
-    bound_base, path_norm, pending_globals, progress_measure,
-    reachable_eventualities,
+    bound_base, member_paths, path_norm, path_subformulas, pending_globals,
+    progress_measure, reachable_eventualities,
 )
 from .modelcheck import ModelChecker
 from .progress import (
@@ -113,7 +113,7 @@ def _cmd_check(args) -> int:
         data["satisfied"] = holds
         data["probabilities"] = {
             str(p): str(mc.probability(state, p))
-            for p in sorted(formula_sets({f}).psub, key=str)}
+            for p in sorted(path_subformulas({f}), key=str)}
         _emit(args, ("true" if holds else "false"), data)
         return EXIT_OK if holds else EXIT_FAIL
     _emit(args, "sat set: {" + ", ".join(states) + "}", data)
@@ -156,7 +156,7 @@ def _cmd_measure(args) -> int:
     mc = ModelChecker(chain)
     X = _build_set(args, mc, state)
     value = progress_measure(mc, state, X)
-    norms = {str(p): path_norm(p) for p in sorted(formula_sets(X).p, key=str)}
+    norms = {str(p): path_norm(p) for p in sorted(member_paths(X), key=str)}
     data = {
         "set": _formula_list(X),
         "pending_globals": sorted(str(p) for p in pending_globals(mc, state, X)),
@@ -228,13 +228,10 @@ def _cmd_compress(args) -> int:
             json.dump(trace.to_dict(), handle, indent=2)
             handle.write("\n")
     data = {"entry": entry, "states": len(model.states), "model": model.to_dict()}
-    if args.json:
-        print(json.dumps(data, indent=2))
-    else:
-        print(f"entry: {entry}")
-        print(f"states: {len(model.states)}")
-        if not args.out:
-            print(text)
+    human = [f"entry: {entry}", f"states: {len(model.states)}"]
+    if not args.out:
+        human.append(text)
+    _emit(args, "\n".join(human), data)
     return EXIT_OK
 
 
@@ -266,12 +263,7 @@ def _cmd_sat(args) -> int:
         data = dict(stats)
         data["entry"] = result.entry
         data["model"] = result.model.to_dict()
-        if args.json:
-            print(json.dumps(data, indent=2))
-        else:
-            print("sat")
-            print(f"entry: {result.entry}")
-            print(result.model.to_json())
+        _emit(args, f"sat\nentry: {result.entry}\n{result.model.to_json()}", data)
         return EXIT_OK
     _emit(args, result.status, stats)
     return EXIT_FAIL if result.status == "unsat-up-to-n" else EXIT_BACKEND

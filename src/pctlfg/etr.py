@@ -62,7 +62,7 @@ from .markov import (
     InvalidChainError, MarkovChain, indices, parse_probability,
     predecessor_masks, prob01, states_reachable_from, validate,
 )
-from .modelcheck import _ONE, _ZERO, ModelChecker, passing
+from .modelcheck import ModelChecker, passing
 
 
 class BackendError(RuntimeError):
@@ -387,7 +387,7 @@ def encode(candidate: ETRCandidate) -> ETRSystem:
                      tuple(map(frozenset, valuation)))
 
 
-_HALF = Fraction(1, 2)
+_ZERO, _HALF, _ONE = Fraction(0), Fraction(1, 2), Fraction(1)
 
 
 def _verdicts(node: Prob) -> tuple[bool, bool, bool | None]:

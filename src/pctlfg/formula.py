@@ -16,7 +16,10 @@ always stored as a `Fraction`.  `PathOp` and `Cmp` members hash by identity
 too, so building a node hashes nothing in Python.  Derived data the hot
 paths ask for (`Prob.path_formula`, `sort_key`, `subformulas`, the core
 flag behind `is_core`, and the grammar kinds behind `fragment_classify`) is
-cached on the node and computed once per structure.
+cached on the node and computed once per structure.  A formula set's
+subformulas, sub(X), are `subformulas_of(X)`, the union of its members'
+cached `subformulas`; every other fact about a set is derived by the
+function that reads it.
 
 There is one tree: the parser builds core nodes directly, so
 `parse_formula` returns a core formula.  Both normal forms come from one
@@ -339,6 +342,11 @@ def subformulas(f: StateFormula) -> frozenset[StateFormula]:
     return f._subformulas
 
 
+def subformulas_of(X) -> frozenset[StateFormula]:
+    """sub(X): every state subformula of every member of the set X."""
+    return frozenset().union(*map(subformulas, X))
+
+
 def immediate_path_subformulas(f: StateFormula) -> frozenset[PathFormula]:
     """Path formulas of the maximal probabilistic nodes of f: descent stops at
     the first Prob node on every branch."""
@@ -351,32 +359,6 @@ def immediate_path_subformulas(f: StateFormula) -> frozenset[PathFormula]:
         elif isinstance(g, (And, Or)):
             stack.extend(g.args)
     return frozenset(found)
-
-
-@dataclass(frozen=True)
-class FormulaSets:
-    """The four derived sets of a formula set X.
-
-    sub:  all state subformulas of all members.
-    psub: path formulas P with some P-constrained formula in sub.
-    nsub: members of sub that are not probabilistic operators.
-    p:    path formulas of the probabilistic members of X itself.
-    """
-
-    sub: frozenset[StateFormula]
-    psub: frozenset[PathFormula]
-    nsub: frozenset[StateFormula]
-    p: frozenset[PathFormula]
-
-
-def formula_sets(X) -> FormulaSets:
-    sub: set[StateFormula] = set()
-    for f in X:
-        sub |= subformulas(f)
-    psub = frozenset(g.path_formula for g in sub if isinstance(g, Prob))
-    nsub = frozenset(g for g in sub if not isinstance(g, Prob))
-    p = frozenset(f.path_formula for f in X if isinstance(f, Prob))
-    return FormulaSets(frozenset(sub), psub, nsub, p)
 
 
 # ---------------------------------------------------------------------------

@@ -17,11 +17,14 @@ decomposition is `mc.sccs`, computed once per chain.
 holds at the state, and X is closed and updated there) and the loop
 conditions (1)-(6), `loop_violations`.  Both searches check the hypothesis
 once, before they search, and each candidate against the loop conditions
-alone; every s |= X guard is `closure.require_satisfied`, and L2 reads
-cached grammar kinds.  The generic search walks masks over its universe, the
-subformulas of X in `sort_key` order (bit k is the k-th); it enumerates the
-candidate sets in (size, index tuple) order, which is their (size, sorted
-sort keys) order, and builds frozensets only for a complete candidate.
+alone.  `loop_violations(mc, state, X, loop)` derives the facts about X it
+reads, sub(X) and X's reachable eventualities, itself, so `verify_loop` and
+both searches call it with the same four arguments.  Every s |= X guard
+is `closure.require_satisfied`, and L2 reads cached grammar kinds.  The
+generic search walks masks over its universe, the subformulas of X in
+`sort_key` order (bit k is the k-th); it enumerates the candidate sets in
+(size, index tuple) order, which is their (size, sorted sort keys) order,
+and builds frozensets only for a complete candidate.
 """
 
 from __future__ import annotations
@@ -36,8 +39,8 @@ from . import linalg
 from .closure import (UnsatisfiedSetError, achieved_bounds, closure_update,
                       least_closed_set, require_satisfied)
 from .formula import (
-    And, Atom, Cmp, NegAtom, Or, PathFormula, PathOp, Prob, StateFormula,
-    formula_sets, fragment_classify, sort_key, sorted_formulas, subformulas,
+    And, Atom, Cmp, NegAtom, Or, PathOp, Prob, StateFormula,
+    fragment_classify, sort_key, sorted_formulas, subformulas, subformulas_of,
 )
 from .markov import (
     MarkovChain, first_passage, indices, scc_decompose, states_reachable_from,
@@ -127,20 +130,16 @@ def verify_loop(mc: ModelChecker, state: str, formulas,
         problems.append(f"hypothesis: state {state!r} does not satisfy {f}")
     if not unsatisfied and closure_update(mc, state, X) != X:
         problems.append("hypothesis: X is not closed and updated")
-    return problems + loop_violations(
-        mc, state, X, loop, sub=formula_sets(X).sub,
-        eventualities=reachable_eventualities(mc, state, X))
+    return problems + loop_violations(mc, state, X, loop)
 
 
 def loop_violations(mc: ModelChecker, state: str, X: frozenset[StateFormula],
-                    loop: ProgressLoop, *, sub: frozenset[StateFormula],
-                    eventualities: frozenset[PathFormula]) -> list[str]:
+                    loop: ProgressLoop) -> list[str]:
     """The loop conditions (1)-(6) of `verify_loop`, without the hypothesis,
     for a caller that has already checked it: every violation, in the
-    order `verify_loop` reports them.  `sub` is sub(X) and `eventualities`
-    is `reachable_eventualities(mc, state, X)`; both depend on X alone, so
-    a search computes them once for all its candidates."""
+    order `verify_loop` reports them."""
     problems: list[str] = []
+    sub = subformulas_of(X)
     for i, level in enumerate(loop):
         extra = level - sub
         for f in sorted_formulas(extra):
@@ -163,7 +162,8 @@ def loop_violations(mc: ModelChecker, state: str, X: frozenset[StateFormula],
         if isinstance(f, Prob) and f.op is PathOp.F and mc.holds(state, f.body):
             problems.append(
                 f"condition (5): state {state!r} satisfies the body of {f}")
-    spilled = reachable_eventualities(mc, state, residue) - eventualities
+    spilled = (reachable_eventualities(mc, state, residue)
+               - reachable_eventualities(mc, state, X))
     for path in sorted(spilled, key=lambda p: sort_key(p.body)):
         problems.append(
             f"condition (6): {path} is a reachable eventuality of the exit "
@@ -263,14 +263,12 @@ def search_loop_generic(mc: ModelChecker, state: str, formulas, max_n: int, *,
     X = frozenset(formulas)
     _require_loop_start(mc, state, X)
 
-    sub = formula_sets(X).sub
-    universe = sorted_formulas(sub)
+    universe = sorted_formulas(subformulas_of(X))
     if len(universe) > 20:
         raise SearchSpaceExceeded(f"{len(universe)} subformulas is beyond the "
                                   "exhaustive search range")
     anchor = sum(1 << k for k, f in enumerate(universe) if f in X)
     family = _locally_consistent_sets(universe)
-    eventualities = reachable_eventualities(mc, state, X)
     cap = min(max_n, (1 << len(universe)) - 1)
     budget = node_budget
 
@@ -284,8 +282,7 @@ def search_loop_generic(mc: ModelChecker, state: str, formulas, max_n: int, *,
                     candidate = tuple(
                         frozenset(universe[k] for k in indices(level))
                         for level in chosen)
-                    if not loop_violations(mc, state, X, candidate, sub=sub,
-                                           eventualities=eventualities):
+                    if not loop_violations(mc, state, X, candidate):
                         return candidate
                 return None
             for level, bodies in family:
@@ -365,9 +362,7 @@ def search_loop_l2(mc: ModelChecker, state: str, formulas) -> ProgressLoop:
         witnesses.append(witness)
 
     loop = tuple(sets)
-    problems = loop_violations(
-        mc, state, X, loop, sub=formula_sets(X).sub,
-        eventualities=reachable_eventualities(mc, state, X))
+    problems = loop_violations(mc, state, X, loop)
     if problems:
         raise ProgressLoopError(
             "constructed sequence is not a progress loop: " + "; ".join(problems))
@@ -593,7 +588,7 @@ def bscc_reduce(mc: ModelChecker, state: str,
     component = next(comp for comp in mc.sccs.components if comp & bit)
     require_satisfied(mc, state, X)
 
-    sub = sorted_formulas(formula_sets(X).sub)
+    sub = sorted_formulas(subformulas_of(X))
     classes: dict[tuple[bool, ...], str] = {}
     for s in sorted(mc.chain.names(component)):
         signature = tuple(mc.holds(s, f) for f in sub)

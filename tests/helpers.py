@@ -133,7 +133,7 @@ def collect_loops(seed, count, max_states=5, depth=3, max_n=2):
     """Verified progress loops from the generic search over random closed
     satisfied instances: (chain, state, X, loop, checker) tuples."""
     from pctlfg.closure import closure_update
-    from pctlfg.formula import formula_sets
+    from pctlfg.formula import subformulas_of
     from pctlfg.progress import SearchSpaceExceeded, search_loop_generic
 
     rng = random.Random(seed)
@@ -141,7 +141,7 @@ def collect_loops(seed, count, max_states=5, depth=3, max_n=2):
     while len(loops) < count:
         chain, state, f, mc = satisfied_instance(rng, max_states, depth)
         X = closure_update(mc, state, {f})
-        if len(formula_sets(X).sub) > 9:
+        if len(subformulas_of(X)) > 9:
             continue
         try:
             loop = search_loop_generic(mc, state, X, max_n, node_budget=30_000)
@@ -567,11 +567,11 @@ def reference_search_loop_generic(mc: ModelChecker, state: str, X, max_n: int,
     G bodies carried as a set and every complete candidate checked by
     `verify_loop`.  Returns the same loop, None, or SearchSpaceExceeded
     after the same number of extensions."""
-    from pctlfg.formula import formula_sets, sorted_formulas
+    from pctlfg.formula import sorted_formulas, subformulas_of
     from pctlfg.progress import SearchSpaceExceeded, _g_bodies, verify_loop
 
     X = frozenset(X)
-    universe = sorted_formulas(formula_sets(X).sub)
+    universe = sorted_formulas(subformulas_of(X))
     family = reference_locally_consistent_sets(universe)
     budget = node_budget
 

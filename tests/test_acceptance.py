@@ -24,8 +24,8 @@ from pctlfg.etr import (
     SolverBackend, check_assignment, encode, f_normal_form, solve_bounded_sat,
 )
 from pctlfg.formula import (
-    Atom, PathFormula, PathOp, Prob, formula_sets, iter_subformulas,
-    parse_formula, subformulas,
+    Atom, PathFormula, PathOp, Prob, iter_subformulas, parse_formula,
+    subformulas, subformulas_of,
 )
 from pctlfg.markov import MarkovChain, validate
 from pctlfg.measure import (
@@ -142,7 +142,7 @@ def test_criterion_06_measure_property_suite():
         chain, state, f, mc = satisfied_instance(rng)
         X = closure_update(mc, state, {f})
         assert update(mc, state, X) == X
-        assert len(formula_sets(X).sub) + 1 <= bound_base(X)
+        assert len(subformulas_of(X)) + 1 <= bound_base(X)
         count_sub += 1
 
     # (b) exit-obligation measure never exceeds the set's measure
@@ -216,7 +216,7 @@ def test_criterion_08_compression_end_to_end(fig1, fig1_checker, psi):
             "!a", "F=1[G=1[a]]", "G=1[a]",
         )
     }
-    assert formula_sets(X).sub == hand_sub and len(hand_sub) == 10
+    assert subformulas_of(X) == hand_sub and len(hand_sub) == 10
     hand_nsub = {g for g in hand_sub if not isinstance(g, Prob)}
     hand_psub = {g.path_formula for g in hand_sub if isinstance(g, Prob)}
     hand_proper = set()
@@ -245,7 +245,7 @@ def test_criterion_09_bscc_reduction():
         chain, state, f, mc = bottom_state_instance(rng)
         X = closure_update(mc, state, {f})
         model, entry = bscc_reduce(mc, state, X)
-        assert len(model.states) <= 2 ** len(formula_sets(X).sub)
+        assert len(model.states) <= 2 ** len(subformulas_of(X))
         assert ModelChecker(model).check(entry, X)
         done += 1
     _report(9, f"signature-cycle reduction correct on {done} randomized "

@@ -123,6 +123,36 @@ def test_compress_round_trip(capsys, tmp_path, model_path):
     assert code == 0
 
 
+def test_compress_prints_the_model_without_out(capsys, tmp_path, model_path):
+    # without --out the model JSON follows the entry and size lines on
+    # stdout, as --out would write it
+    out_path = tmp_path / "small.json"
+    argv = ("compress", "--model", model_path, "--state", "s",
+            "--formula", PSI_TEXT)
+    code, out, _ = run(capsys, *argv, "--out", str(out_path))
+    assert code == 0
+    head = out.splitlines()
+    assert [line.split(":")[0] for line in head] == ["entry", "states"]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert out == "\n".join(head) + "\n" + out_path.read_text()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("loop", "search", "--method", "generic"),
+     "no progress loop up to max_n=0"),
+    (("compress", "--fragment", "generic"),
+     "error: no progress loop found for 's' within max_n=0"),
+], ids=["loop-search", "compress"])
+def test_no_progress_loop_exits_one(capsys, model_path, argv, message):
+    # a loop of one set has max_n 0; the running example needs three sets
+    code, out, err = run(capsys, *argv, "--model", model_path, "--state", "s",
+                         "--formula", PSI_TEXT, "--max-n", "0")
+    assert code == 1
+    assert out == ""
+    assert err == message + "\n"
+
+
 def test_sat_contradiction(capsys):
     code, out, _ = run(capsys, "sat", "--formula", "F=1[a] & G=1[!a]",
                        "--bound", "2")
@@ -236,6 +266,17 @@ def test_export_dot(capsys, model_path):
     code, out, _ = run(capsys, "export-dot", "--model", model_path)
     assert code == 0
     assert out.startswith("digraph")
+
+
+def test_export_dot_out_writes_the_file(capsys, tmp_path, model_path):
+    # --out writes the text that stdout shows without it
+    dot_path = tmp_path / "fig1.dot"
+    code, out, _ = run(capsys, "export-dot", "--model", model_path,
+                       "--out", str(dot_path))
+    assert code == 0 and out == ""
+    code, out, _ = run(capsys, "export-dot", "--model", model_path)
+    assert code == 0
+    assert dot_path.read_text() == out
 
 
 def test_bad_model_is_usage_error(capsys, tmp_path):

@@ -992,6 +992,56 @@ def test_unreadable_solver_value_is_reported(answer, reason):
         solve_bounded_sat(pf(SOLVER_PATH_FORMULA), 3, backend=backend)
 
 
+class _VerdictBackend:
+    """In-process stand-in for a solver that gives every system the same
+    verdict; a `sat` answer sets every edge variable to 1."""
+
+    def __init__(self, verdict):
+        self.verdict = verdict
+        self.calls = 0
+
+    def solve(self, text):
+        self.calls += 1
+        if self.verdict != "sat":
+            return self.verdict, {}
+        edges = re.findall(r"\(declare-const (x\d+) Real\)", text)
+        return "sat", dict.fromkeys(edges, Fraction(1))
+
+
+@pytest.mark.parametrize("verdict, status", [
+    ("unsat", "unsat-up-to-n"),
+    ("unknown", "unknown"),
+    ("timeout", "unknown"),
+    ("sat", "unknown"),
+])
+def test_backend_verdicts_on_survivors(verdict, status, monkeypatch):
+    # the 16 survivors of SOLVER_PATH_FORMULA at bound 3 all miss the
+    # uniform assignment, so each goes to the backend: only unsat answers
+    # everywhere refute the search, a timeout is counted, and a sat answer
+    # whose rows sum past 1 is "not even a chain", rejected and not raised
+    not_chains = []
+    check = pctlfg.etr.check_assignment
+
+    def recording_check(system, assignment):
+        try:
+            return check(system, assignment)
+        except ValueError as exc:
+            not_chains.append(str(exc))
+            raise
+
+    monkeypatch.setattr(pctlfg.etr, "check_assignment", recording_check)
+    backend = _VerdictBackend(verdict)
+    result = solve_bounded_sat(pf(SOLVER_PATH_FORMULA), 3, backend=backend)
+    assert result.status == status
+    assert result.candidates == result.solver_calls == backend.calls == 16
+    assert result.timeouts == (16 if verdict == "timeout" else 0)
+    assert result.model is None
+    if verdict == "sat":
+        assert not_chains and all("sum" in text for text in not_chains)
+    else:
+        assert not_chains == []
+
+
 def test_small_compressed_models_are_found_by_bounded_sat():
     # the small-model side meets the bounded search: a compressed model with
     # k <= 3 states is a model of size k, so the search up to k must not

@@ -19,8 +19,8 @@ from helpers import (
 from pctlfg.formula import (
     _CMPS, _PATH_OPS, And, Atom, Cmp, NegAtom, Or, PathFormula, PathOp,
     PctlSyntaxError, Prob, NormalizationError, _is_probability, f_normal_form,
-    formula_sets, fragment_classify, is_core, is_trivial_bound, normalize,
-    parse_formula, sorted_formulas, subformulas,
+    fragment_classify, is_core, is_trivial_bound, normalize, parse_formula,
+    sorted_formulas, subformulas, subformulas_of,
 )
 from pctlfg.modelcheck import ModelChecker
 
@@ -245,31 +245,18 @@ def test_subformula_closure():
         assert again == sub
 
 
-def test_formula_sets_on_running_example(fig1_checker, psi):
+def test_subformulas_of_a_set(fig1_checker, psi):
+    # on the running example's closed and updated set, sub(X) holds X and
+    # 10 formulas in all, 5 of them not probabilistic; on {a}, {a}; on the
+    # empty set, nothing
     from pctlfg.closure import closure_update
 
     X = closure_update(fig1_checker, "s", {psi})
-    sets = formula_sets(X)
-    assert len(sets.sub) == 10
-    assert len(sets.nsub) == 5
-    assert len(sets.psub) == 5
-    # the member-level path formulas are the two obligations of X itself
-    phi_or = parse_formula("F>=0.5[a & F>=0.2[!a]] | a")
-    assert sets.p == frozenset({
-        PathFormula(PathOp.G, phi_or),
-        PathFormula(PathOp.F, parse_formula("G=1[a]")),
-    })
-    # all five sub-level path formulas, including the nested ones
-    assert PathFormula(PathOp.G, Atom("a")) in sets.psub
-    assert PathFormula(PathOp.F, NegAtom("a")) in sets.psub
-
-
-def test_formula_sets_trivial():
-    sets = formula_sets({Atom("a")})
-    assert sets.sub == frozenset({Atom("a")})
-    assert sets.psub == frozenset()
-    assert sets.nsub == frozenset({Atom("a")})
-    assert sets.p == frozenset()
+    sub = subformulas_of(X)
+    assert X <= sub and len(sub) == 10
+    assert sum(not isinstance(g, Prob) for g in sub) == 5
+    assert subformulas_of({Atom("a")}) == frozenset({Atom("a")})
+    assert subformulas_of(frozenset()) == frozenset()
 
 
 def test_fragment_running_example(psi):

@@ -7,12 +7,12 @@ from helpers import (
 
 from pctlfg.closure import achieved_bounds, closure_update, update
 from pctlfg.formula import (
-    Atom, PathFormula, PathOp, Prob, formula_sets, parse_formula, subformulas,
+    Atom, NegAtom, PathFormula, PathOp, Prob, parse_formula, subformulas_of,
 )
 from pctlfg.markov import MarkovChain
 from pctlfg.measure import (
-    bound_base, model_size_bound, path_norm, pending_globals, progress_measure,
-    reachable_eventualities,
+    bound_base, member_paths, model_size_bound, path_norm, path_subformulas,
+    pending_globals, progress_measure, reachable_eventualities,
 )
 from pctlfg.modelcheck import ModelChecker
 from pctlfg.progress import exit_obligations
@@ -30,6 +30,22 @@ def test_measure_parts_running_example(fig1_checker, psi):
         {PathFormula(PathOp.G, Atom("a"))})
     assert reachable_eventualities(fig1_checker, "s", X) == frozenset()
     assert bound_base(X) == 21
+
+
+def test_path_sets_running_example(fig1_checker, psi):
+    X = closure_update(fig1_checker, "s", {psi})
+    # the members' path formulas are the two obligations of X itself
+    phi_or = parse_formula(PHI_OR_TEXT)
+    assert member_paths(X) == frozenset({
+        PathFormula(PathOp.G, phi_or),
+        PathFormula(PathOp.F, parse_formula("G=1[a]")),
+    })
+    # psub(X) holds all five path formulas of sub(X), the nested ones too
+    psub = path_subformulas(X)
+    assert len(psub) == 5 and member_paths(X) < psub
+    assert PathFormula(PathOp.G, Atom("a")) in psub
+    assert PathFormula(PathOp.F, NegAtom("a")) in psub
+    assert path_subformulas({Atom("a")}) == member_paths({Atom("a")}) == frozenset()
 
 
 def test_measure_parts_empty():
@@ -69,7 +85,7 @@ def test_subformula_count_below_bound_base():
     checked = 0
     for chain, state, X, mc in _closed_instances(67, 120):
         assert update(mc, state, X) == X
-        assert len(formula_sets(X).sub) + 1 <= bound_base(X)
+        assert len(subformulas_of(X)) + 1 <= bound_base(X)
         checked += 1
     assert checked >= 100
 

@@ -13,8 +13,9 @@ from helpers import (
 
 from pctlfg.closure import UnsatisfiedSetError, closure_update
 from pctlfg.formula import (
-    And, Atom, Cmp, NegAtom, Or, PathFormula, PathOp, Prob, conj, formula_sets,
+    And, Atom, Cmp, NegAtom, Or, PathFormula, PathOp, Prob, conj,
     fragment_classify, parse_formula, sorted_formulas, subformulas,
+    subformulas_of,
 )
 from pctlfg.markov import MarkovChain, indices, validate
 from pctlfg.measure import model_size_bound
@@ -135,6 +136,15 @@ def test_verify_reports_a_set_not_closed_and_updated(running, psi):
     problems = verify_loop(mc, "s", {psi}, example_loop(psi))
     assert problems[0] == "hypothesis: X is not closed and updated"
     assert not any(p.startswith("hypothesis: state") for p in problems)
+
+
+def test_verify_reports_a_formula_outside_sub_x(running, psi):
+    # an atom that occurs nowhere in X breaks only the sub(X) rule
+    fig1, mc, _, X = running
+    loop = example_loop(psi)
+    widened = (loop[0], loop[1] | {Atom("b")}, loop[2])
+    assert verify_loop(mc, "s", X, widened) == [
+        "L1 contains b, which is not a subformula of X"]
 
 
 @pytest.mark.parametrize("case", ["unsatisfied", "not closed"])
@@ -284,7 +294,7 @@ def test_consistent_sets_match_the_reference():
             X += [Prob(PathOp.G, Cmp.GT, Fraction(0), body),
                   Prob(PathOp.F, Cmp.GT, Fraction(0),
                        Prob(PathOp.G, Cmp.GE, Fraction(1), body))]
-        universe = sorted_formulas(formula_sets(X).sub)
+        universe = sorted_formulas(subformulas_of(X))
         if len(universe) > 12:
             continue
         assert (_as_sets(universe, _locally_consistent_sets(universe))
@@ -306,7 +316,7 @@ def test_consistent_sets_near_the_cap():
     while wanted:
         X = [random_core_formula(rng, 4, aps=("a", "b", "c"))
              for _ in range(rng.randint(1, 3))]
-        universe = sorted_formulas(formula_sets(X).sub)
+        universe = sorted_formulas(subformulas_of(X))
         if len(universe) != wanted[0]:
             continue
         assert (_as_sets(universe, _locally_consistent_sets(universe))
@@ -323,7 +333,7 @@ def test_generic_search_guard_above_the_cap(monkeypatch):
     names = [f"x{i}" for i in range(20)]
     chain = MarkovChain(["s"], {("s", "s"): Fraction(1)}, {"s": names})
     X = frozenset({conj([Atom(n) for n in names]), *map(Atom, names)})
-    assert len(formula_sets(X).sub) == 21
+    assert len(subformulas_of(X)) == 21
     monkeypatch.setattr(pctlfg.progress, "_locally_consistent_sets", never)
     with pytest.raises(SearchSpaceExceeded):
         search_loop_generic(ModelChecker(chain), "s", X, 3)
@@ -375,7 +385,7 @@ def test_generic_search_with_a_shared_g_body(text):
     }, {"t": ["a"], "x": ["a"]})
     mc = ModelChecker(chain)
     X = closure_update(mc, "s", {pf(text)})
-    assert _shared_g_body(sorted_formulas(formula_sets(X).sub))
+    assert _shared_g_body(sorted_formulas(subformulas_of(X)))
     loop = search_loop_generic(mc, "s", X, 3, node_budget=20_000)
     assert loop == reference_search_loop_generic(mc, "s", X, 3, 20_000)
     assert loop is not None
@@ -432,7 +442,7 @@ def test_exit_obligations_inside_sub_x():
     from helpers import collect_loops
 
     for chain, state, X, loop, mc in collect_loops(127, 40):
-        assert exit_obligations(loop) <= formula_sets(X).sub
+        assert exit_obligations(loop) <= subformulas_of(X)
 
 
 # -- successor selection -----------------------------------------------------
@@ -485,6 +495,31 @@ def test_selection_no_eventualities(fig1_checker):
     sel = successor_selection(fig1_checker, "s", residue)
     assert len(sel) == 1
     assert verify_selection(fig1_checker, "s", residue, sel) == []
+
+
+# s leaves for t, x and w alike, and t returns to s; x and w are bottom
+# states, y is a bottom state that s never reaches, and a holds at x alone
+_SELECTION_CHAIN = MarkovChain(
+    ["s", "t", "x", "w", "y"],
+    {("s", "t"): Fraction(1, 3), ("s", "x"): Fraction(1, 3),
+     ("s", "w"): Fraction(1, 3), ("t", "s"): Fraction(1),
+     ("x", "x"): Fraction(1), ("w", "w"): Fraction(1), ("y", "y"): Fraction(1)},
+    {"x": ["a"]})
+
+
+@pytest.mark.parametrize("obligations, selection, problem", [
+    ((), {"x": Fraction(1, 2)}, "weights do not sum to 1"),
+    ((), {"x": Fraction(1, 2), "w": Fraction(1, 2)},
+     "support size 2 outside (0, 1]"),
+    ((), {"y": Fraction(1)}, "successor 'y' unreachable from 's'"),
+    (("F>0[a]",), {"t": Fraction(1)},
+     "successor 't' neither in a bottom SCC nor satisfying an F-obligation body"),
+], ids=["sum", "support", "unreachable", "neither"])
+def test_verify_selection_reports_each_problem(obligations, selection, problem):
+    # each selection breaks exactly one of the selection conditions
+    mc = ModelChecker(_SELECTION_CHAIN)
+    residue = frozenset(map(pf, obligations))
+    assert verify_selection(mc, "s", residue, selection) == [problem]
 
 
 def test_verify_selection_reports_paths_in_canonical_order():
@@ -664,7 +699,7 @@ def test_bscc_reduce_randomized():
         X = closure_update(mc, state, {f})
         model, entry = bscc_reduce(mc, state, X)
         assert validate(model) == []
-        assert len(model.states) <= 2 ** len(formula_sets(X).sub)
+        assert len(model.states) <= 2 ** len(subformulas_of(X))
         assert ModelChecker(model).check(entry, X)
 
 
@@ -843,7 +878,7 @@ def test_compress_randomized_other_fragments():
         flags = fragment_classify(f)
         if flags.in_l2 or not (flags.in_l1 or flags.in_l3 or flags.in_l4):
             continue
-        if len(formula_sets(closure_update(mc, state, {f})).sub) > 9:
+        if len(subformulas_of(closure_update(mc, state, {f}))) > 9:
             continue
         try:
             model, entry, trace = compress_model(chain, state, f,

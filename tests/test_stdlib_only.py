@@ -1,5 +1,7 @@
 """The package stays stdlib-only: every import in `src/pctlfg` names a
-standard-library module or a module of the package itself."""
+standard-library module or a module of the package itself.  And each
+module keeps its private names: none imports a `_`-prefixed name from
+another package module."""
 
 import ast
 import pathlib
@@ -24,3 +26,21 @@ def test_package_imports_only_the_standard_library():
                 if top != "pctlfg" and top not in sys.stdlib_module_names:
                     outside.append(f"{path.name}: {name}")
     assert outside == []
+
+
+def test_no_module_imports_a_private_name_of_another():
+    # a `_`-prefixed name belongs to the module that defines it: no package
+    # module imports one from another (`from . import linalg` names a module)
+    root = pathlib.Path(pctlfg.__file__).parent
+    private = []
+    for path in sorted(root.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if not isinstance(node, ast.ImportFrom):
+                continue
+            if node.level == 0 and (node.module or "").split(".")[0] != "pctlfg":
+                continue
+            for alias in node.names:
+                if alias.name.startswith("_"):
+                    private.append(f"{path.name}: {alias.name} from "
+                                   f"{'.' * node.level}{node.module or ''}")
+    assert private == []
