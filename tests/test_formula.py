@@ -245,17 +245,35 @@ def test_subformula_closure():
         assert again == sub
 
 
-def test_subformulas_of_a_set(fig1_checker, psi):
+def test_formula_sets_on_running_example(fig1_checker, psi):
     # on the running example's closed and updated set, sub(X) holds X and
-    # 10 formulas in all, 5 of them not probabilistic; on {a}, {a}; on the
-    # empty set, nothing
+    # 10 formulas in all, 5 of them not probabilistic; psub(X) has the 5 path
+    # formulas of the other 5, and the members' own are two of them
     from pctlfg.closure import closure_update
+    from pctlfg.measure import member_paths, path_subformulas
 
     X = closure_update(fig1_checker, "s", {psi})
     sub = subformulas_of(X)
     assert X <= sub and len(sub) == 10
     assert sum(not isinstance(g, Prob) for g in sub) == 5
+    psub = path_subformulas(X)
+    assert len(psub) == 5
+    phi_or = parse_formula("F>=0.5[a & F>=0.2[!a]] | a")
+    assert member_paths(X) == frozenset({
+        PathFormula(PathOp.G, phi_or),
+        PathFormula(PathOp.F, parse_formula("G=1[a]")),
+    })
+    assert PathFormula(PathOp.G, Atom("a")) in psub
+    assert PathFormula(PathOp.F, NegAtom("a")) in psub
+
+
+def test_formula_sets_trivial():
+    # sub({a}) is {a}, with no path formulas; sub of the empty set is empty
+    from pctlfg.measure import member_paths, path_subformulas
+
     assert subformulas_of({Atom("a")}) == frozenset({Atom("a")})
+    assert path_subformulas({Atom("a")}) == frozenset()
+    assert member_paths({Atom("a")}) == frozenset()
     assert subformulas_of(frozenset()) == frozenset()
 
 
