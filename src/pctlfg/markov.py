@@ -33,7 +33,7 @@ reach, one target per column for first passage).  It hands `linalg.solve`
 integer rows, each equation of (I - P) x = b multiplied by its row's d,
 so no Fraction arithmetic builds the system.  Loading a chain checks and
 converts each state and edge record in one pass, straight into the
-successor rows, and reads each distinct numeral text once.
+successor rows, and reads each distinct numeral text once per process.
 `first_passage` reads the checker's SCC decomposition only to name the
 certificate of a failed precondition.
 """
@@ -75,9 +75,35 @@ class FirstPassageError(ValueError):
 _NUMERAL = re.compile(r"(-?[0-9]+)(?:\.([0-9]+)|/([0-9]+))?")
 
 
+# Numeral text -> its value, shared by every reader in the process: chains
+# draw their probabilities from few distinct texts, so each is read once.
+# Fractions are immutable, so one object may sit in any number of chains.
+# A failed read is never stored, and a text longer than `_NUMERALS_KEY_MAX`
+# is read afresh every time, so memory stays bounded and every long numeral
+# meets the int digit limit in force at its read.  The table is emptied when
+# it holds `_NUMERALS_MAX` texts.
+_NUMERALS: dict[str, Fraction] = {}
+_NUMERALS_KEY_MAX = 32
+_NUMERALS_MAX = 4096
+
+
 def parse_probability(text) -> Fraction:
     """An integer, a decimal or `integer/integer`, exactly."""
-    match = _NUMERAL.fullmatch(str(text))
+    key = str(text)
+    value = _NUMERALS.get(key)
+    if value is None:
+        value = _read_numeral(key, text)
+        if len(key) <= _NUMERALS_KEY_MAX:
+            if len(_NUMERALS) >= _NUMERALS_MAX:
+                _NUMERALS.clear()
+            _NUMERALS[key] = value
+    return value
+
+
+def _read_numeral(key: str, text) -> Fraction:
+    """`parse_probability` without the table: reads `key`, the text of
+    `text`, and names `text` in the error."""
+    match = _NUMERAL.fullmatch(key)
     if match is None:
         raise InvalidChainError(f"malformed rational {text!r}")
     whole, decimals, denominator = match.groups()  # one of the last two at most
@@ -224,17 +250,13 @@ class MarkovChain:
                 raise InvalidChainError("duplicate state ids")
             succ[s] = {}
             valuation[s] = frozenset(ap)
-        numerals: dict[str, Fraction] = {}  # each distinct text is read once
         for i, rec in enumerate(data["edges"]):
             try:
                 src, dst, value = rec["from"], rec["to"], rec["p"]
             except (KeyError, TypeError):
                 _check_record(rec, "edge", i, ("from", "to", "p"))
                 raise
-            text = value if type(value) is str else str(value)
-            p = numerals.get(text)
-            if p is None:
-                p = numerals[text] = parse_probability(value)
+            p = parse_probability(value)
             src = src if type(src) is str else str(src)
             dst = dst if type(dst) is str else str(dst)
             row = succ.get(src)

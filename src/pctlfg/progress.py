@@ -393,7 +393,10 @@ def caratheodory_reduce(points: list[tuple[Fraction, ...]],
     """Shrinks a convex combination to at most dim+1 support points while
     preserving the combination value exactly.  Returns the new weights
     (zeros mark eliminated points).  Deterministic: the affine dependency
-    comes from a fixed-order elimination and the first free column."""
+    comes from a fixed-order elimination and the first free column.  The
+    dim+1 rows have a free column among the first dim+2 active points, and
+    the solution is 0 on every column after it, so each step builds its
+    matrix from those points alone."""
     if len(points) != len(weights):
         raise ValueError("points and weights differ in length")
     weights = list(weights)
@@ -402,6 +405,7 @@ def caratheodory_reduce(points: list[tuple[Fraction, ...]],
         active = [i for i, w in enumerate(weights) if w > 0]
         if len(active) <= dim + 1:
             return weights
+        active = active[:dim + 2]
         rows = [[points[i][d] for i in active] for d in range(dim)]
         rows.append([Fraction(1)] * len(active))
         dependency = linalg.null_vector(rows, len(active))

@@ -248,6 +248,26 @@ def reference_null_vector(a, width):
     return x
 
 
+def reference_caratheodory_reduce(points, weights):
+    """`progress.caratheodory_reduce` with each step's null vector taken by
+    `reference_null_vector` over the matrix of every active point."""
+    weights = list(weights)
+    dim = len(points[0]) if points else 0
+    while True:
+        active = [i for i, w in enumerate(weights) if w > 0]
+        if len(active) <= dim + 1:
+            return weights
+        rows = [[points[i][d] for i in active] for d in range(dim)]
+        rows.append([Fraction(1)] * len(active))
+        dependency = reference_null_vector(rows, len(active))
+        if not any(lam > 0 for lam in dependency):
+            dependency = [-lam for lam in dependency]
+        step = min(weights[i] / lam
+                   for i, lam in zip(active, dependency) if lam > 0)
+        for i, lam in zip(active, dependency):
+            weights[i] -= step * lam
+
+
 def reference_absorption(unknown, successors, boundary):
     """`markov.absorption` built on `reference_solve`."""
     unknown = list(unknown)

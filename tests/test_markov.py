@@ -1,10 +1,13 @@
 import random
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
 
 from helpers import all_graphs, random_chain, reference_reach, reference_reachable
 
+from pctlfg import markov
 from pctlfg.markov import (
     FirstPassageError, InvalidChainError, MarkovChain, first_passage, indices,
     parse_probability, predecessor_masks, prob01, scc_decompose,
@@ -145,6 +148,127 @@ def test_parse_probability_equals_fraction_of_text():
 def test_parse_probability_rejects(text):
     with pytest.raises(InvalidChainError, match="malformed rational"):
         parse_probability(text)
+
+
+# -- the numeral table -------------------------------------------------------
+
+@pytest.fixture
+def fresh_table(monkeypatch):
+    """An empty process-wide numeral table for the test, and the texts the
+    reader behind it reads, one entry per read."""
+    monkeypatch.setattr(markov, "_NUMERALS", {})
+    reads = []
+    read = markov._read_numeral
+
+    def counting(key, text):
+        reads.append(key)
+        return read(key, text)
+
+    monkeypatch.setattr(markov, "_read_numeral", counting)
+    return reads
+
+
+def test_table_keeps_true_apart_from_one(fresh_table):
+    assert parse_probability(1) == 1
+    with pytest.raises(InvalidChainError) as err:
+        parse_probability(True)
+    assert str(err.value) == "malformed rational True"
+
+
+def test_table_reads_int_text_and_float_alike(fresh_table):
+    values = [parse_probability(v) for v in (1, "1", 1.0)]
+    assert values == [Fraction(1)] * 3
+    assert all(type(v) is Fraction for v in values)
+    assert fresh_table == ["1", "1.0"]  # 1 and "1" share their text's entry
+
+
+def test_table_errors_name_the_value_read(fresh_table):
+    # the text "None" and the value None fail alike but are named apart
+    for value, message in (("None", "malformed rational 'None'"),
+                           (None, "malformed rational None"),
+                           ("None", "malformed rational 'None'")):
+        with pytest.raises(InvalidChainError) as err:
+            parse_probability(value)
+        assert str(err.value) == message
+
+
+def test_table_never_stores_a_failure(fresh_table):
+    for _ in range(2):
+        with pytest.raises(InvalidChainError, match="malformed rational"):
+            parse_probability("1/0")
+    assert fresh_table == ["1/0", "1/0"]
+    assert markov._NUMERALS == {}
+
+
+def test_table_stays_bounded(fresh_table):
+    for k in range(10_000):
+        assert parse_probability(f"{k}/7") == Fraction(k, 7)
+        assert len(markov._NUMERALS) <= markov._NUMERALS_MAX
+    assert len(fresh_table) == 10_000
+    long = "1/" + "3" * markov._NUMERALS_KEY_MAX
+    assert parse_probability(long) == parse_probability(long) == Fraction(long)
+    assert long not in markov._NUMERALS
+    assert fresh_table[-2:] == [long, long]
+
+
+def test_table_reads_each_text_once_across_chains(fresh_table):
+    def model(p, q):
+        return {"states": [{"id": "s"}, {"id": "t"}],
+                "edges": [{"from": "s", "to": "t", "p": p},
+                          {"from": "s", "to": "s", "p": q},
+                          {"from": "t", "to": "t", "p": "1"}]}
+
+    first = MarkovChain.from_dict(model("1/3", "2/3"))
+    second = MarkovChain.from_dict(model("2/3", "1/3"))
+    assert sorted(fresh_table) == ["1", "1/3", "2/3"]
+    assert second.successors("s")["t"] is first.successors("s")["s"]
+
+
+def test_threads_reading_one_table_get_equal_values(fresh_table):
+    threads, rounds = 4, 200
+    texts = [f"{k}/{k + 1}" for k in range(rounds)]
+    barrier = threading.Barrier(threads, timeout=30)
+    read = [[] for _ in range(threads)]
+
+    def work(k):
+        for text in texts:
+            barrier.wait()
+            read[k].append(parse_probability(text))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=work, args=(k,)) for k in range(threads)]
+        for w in workers:
+            w.start()
+        for w in workers:
+            w.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(w.is_alive() for w in workers)
+    expected = [Fraction(k, k + 1) for k in range(rounds)]
+    assert all(values == expected for values in read)
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="no int digit limit on this Python")
+def test_long_numerals_meet_the_digit_limit_of_each_read():
+    # a 5,001-digit denominator passes the default 4,300-digit limit, which
+    # `cli.main` lifts while it runs; the text is too long for the table,
+    # and a failed read is not stored, so each read sees the limit in force
+    text = "1/" + "1" + "0" * 4999 + "1"
+    limit = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(4300)
+        with pytest.raises(InvalidChainError, match="malformed rational"):
+            parse_probability(text)
+        sys.set_int_max_str_digits(0)
+        assert parse_probability(text) == Fraction(1, 10 ** 5000 + 1)
+        sys.set_int_max_str_digits(4300)
+        with pytest.raises(InvalidChainError, match="malformed rational"):
+            parse_probability(text)
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_dot_export(fig1):

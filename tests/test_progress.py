@@ -7,8 +7,8 @@ import pytest
 
 from helpers import (
     PHI_OR_TEXT, bottom_state_instance, fig1_chain, random_core_formula,
-    reference_locally_consistent_sets, reference_search_loop_generic,
-    satisfied_instance,
+    reference_caratheodory_reduce, reference_locally_consistent_sets,
+    reference_search_loop_generic, satisfied_instance,
 )
 
 from pctlfg.closure import UnsatisfiedSetError, closure_update
@@ -476,6 +476,37 @@ def test_caratheodory_preserves_combination_randomized():
         for d in range(dim):
             assert sum((w * p[d] for w, p in zip(reduced, points)),
                        Fraction(0)) == target[d]
+
+
+def test_caratheodory_equals_the_full_matrix_reduction():
+    # each step's matrix holds only the first dim+2 active points; the
+    # reference builds it from every active point.  Points repeat, lie on
+    # one line, or are all equal, and the weights must agree exactly.
+    rng = random.Random(97)
+    shapes = ("random", "repeated", "collinear", "duplicate")
+    for k in range(240):
+        shape = shapes[k % 4]
+        dim = rng.randint(1, 4)
+        count = rng.randint(dim + 2, dim + 8)
+        if shape == "collinear":
+            base = [Fraction(rng.randint(0, 4), 4) for _ in range(dim)]
+            direction = [Fraction(rng.randint(-2, 2), 8) for _ in range(dim)]
+            points = [tuple(b + rng.randint(0, 4) * d
+                            for b, d in zip(base, direction))
+                      for _ in range(count)]
+        elif shape == "duplicate":
+            points = [tuple(Fraction(rng.randint(0, 4), 4)
+                            for _ in range(dim))] * count
+        else:
+            pool = [tuple(Fraction(rng.randint(0, 4), 4) for _ in range(dim))
+                    for _ in range(count if shape == "random" else 3)]
+            points = [rng.choice(pool) for _ in range(count)]
+        raw = [rng.randint(0 if k % 3 else 1, 5) for _ in range(count)]
+        raw[0] += 1
+        total = sum(raw)
+        weights = [Fraction(w, total) for w in raw]
+        assert caratheodory_reduce(points, weights) == \
+            reference_caratheodory_reduce(points, weights), (shape, points, weights)
 
 
 def test_selection_running_example(running):
