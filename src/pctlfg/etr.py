@@ -19,7 +19,7 @@ for a required atom or F-subformula, clear for an atom whose negation is
 required), and a required `Or` is tested once completed.  Two required
 bounds that clash, F>=r or F>r on a body implying the body of F<=s or
 F<s with r > s (or r = s and one bound open), or a required atom with its
-negation, refute the whole search before any graph is generated.  Vertex
+negation, refute the whole search before anything is compiled.  Vertex
 sets have one format from enumeration to confirmation, `markov`'s: a
 graph is its tuple of successor masks, and every label set and block set
 is a vertex bitmask; the edge list exists only as the order of the SMT
@@ -32,14 +32,17 @@ strictly inside (0, 1) elsewhere.  Each graph builds its predecessor
 masks once and calls `markov.prob01` on them once per step and body
 mask, turning the answer into a (care, want) mask pair: a label set m
 passes iff m & care == want.
-Each surviving candidate is first tried with the uniform assignment; only a
-miss is shipped to a pluggable SMT backend.  An assignment fixes the chain,
-so it is confirmed by that chain's `ModelChecker`, the package's one exact
-evaluator: each block's reach values are its `reach_probabilities` of the
-body mask, held against the bound by `modelcheck.passing`.  The chain is
-built with the candidate's valuation, so a confirmed assignment is a
-model, which the same checker re-verifies against the original formula at
-vertex 0.
+A candidate's system is read off its labeling alone: one block per
+F-subformula, holding its body set and its own set; the cut-off set,
+where the block's reach variables are 0, is derived by `smt_text`, its
+one reader.  Each surviving candidate is first tried with the uniform
+assignment; only a miss is shipped to a pluggable SMT backend.  An
+assignment fixes the chain, so it is confirmed by that chain's
+`ModelChecker`, the package's one exact evaluator: each block's reach
+values are its `reach_probabilities` between prob0 and prob1 of the body
+mask, held against the bound by `modelcheck.passing`.  The chain is built with the candidate's
+valuation, so a confirmed assignment is a model, which the same checker
+re-verifies against the original formula at vertex 0.
 """
 
 from __future__ import annotations
@@ -228,10 +231,10 @@ def enumerate_candidates(f: StateFormula, bound: int,
     bitmask counting up).  One labeling is built as the sets are chosen, as
     a list of vertex bitmasks indexed by the integer slot of each
     subformula; the formula dict is only built for an emitted candidate.
-    The compile step, once per formula, settles vertex 0: when
-    `_root_clash` finds the required subformulas (`_required`)
-    contradictory, nothing is emitted and no graph is generated.
-    Otherwise each step's choice list holds only the sets whose bit 0
+    Vertex 0 is settled first, once per formula: when `_root_clash` finds
+    the required subformulas (`_required`) contradictory, nothing is
+    compiled or emitted.  Otherwise the compile step builds the step
+    table, each step's choice list holds only the sets whose bit 0
     agrees with vertex 0's obligation, and a required `Or` is tested as it
     is completed, so every complete labeling puts the formula at vertex 0.
     An F-subformula's set is further only chosen among those its block
@@ -247,14 +250,14 @@ def enumerate_candidates(f: StateFormula, bound: int,
     whole-formula set."""
     if bound < 1:
         raise ValueError("bound must be at least 1")
-    steps = _choice_order(f)
-    nodes = [g for node, completed in steps for g in (node, *completed)]
-    slot = {g: i for i, g in enumerate(nodes)}
     required = _required(f)
     if _root_clash(required):
         if _result is not None:
             _result.refuted += 1
         return
+    steps = _choice_order(f)
+    nodes = [g for node, completed in steps for g in (node, *completed)]
+    slot = {g: i for i, g in enumerate(nodes)}
     # per step: vertex 0's bit in the chosen set (1 set, 0 clear, None free)
     root_bits = [
         1 if node in required
@@ -329,13 +332,12 @@ def enumerate_candidates(f: StateFormula, bound: int,
 class CorrectnessBlock:
     """The correctness constraints of one labeled F-subformula, as vertex
     masks: the reach variables are 1 on the body's label set `body`, 0 on
-    `out`, the vertices with no path into it, and linear combinations on
-    the other vertices, and compared against the bound inside/outside the
-    formula's label set `inside`."""
+    the vertices with no path into it (derived by `smt_text`), and
+    compared against the bound inside/outside the formula's label set
+    `inside`."""
 
     formula: Prob
     body: int
-    out: int
     inside: int
 
 
@@ -363,19 +365,11 @@ class ETRSystem:
                      for j in indices(mask))
 
 
-def _block(pred, node: Prob, body: int, inside: int) -> CorrectnessBlock:
-    """The block of `node` for the body mask `body` in the graph with
-    predecessor masks `pred`: the cut-off set is prob0, the vertices with
-    no path into the body set."""
-    return CorrectnessBlock(node, body, prob01(pred, body)[0], inside)
-
-
 def encode(candidate: ETRCandidate) -> ETRSystem:
-    """Builds the constraint system of a candidate: one block per
-    F-subformula, bottom-up."""
-    pred = predecessor_masks(candidate.succ)
+    """Builds the constraint system of a candidate from its labeling alone:
+    one block per F-subformula, bottom-up."""
     labeling = candidate.labeling
-    blocks = [_block(pred, node, labeling[node.body], labeling[node])
+    blocks = [CorrectnessBlock(node, labeling[node.body], labeling[node])
               for node, _ in _choice_order(candidate.formula)
               if isinstance(node, Prob)]
     valuation = [set() for _ in range(candidate.size)]
@@ -452,7 +446,7 @@ def check_assignment(system: ETRSystem, assignment: dict[tuple[int, int], Fracti
         raise ValueError("; ".join(problems))
     mc = ModelChecker(chain)
     for block in system.blocks:
-        values = mc.reach_probabilities(block.body)
+        values = mc.reach_probabilities(*mc.prob01(block.body))
         cmp, r = block.formula.cmp, block.formula.bound
         if passing(values, cmp, r) != block.inside:
             return None
@@ -475,8 +469,10 @@ def _edge_var(index: int) -> str:
 
 def smt_text(system: ETRSystem) -> str:
     """The candidate's constraints in SMT-LIB 2 text, logic QF_NRA, with a
-    model request for the edge variables."""
+    model request for the edge variables.  A block's cut-off set, where
+    its reach variables are 0, is prob0 of its body set in the graph."""
     size, edges = system.size, system.edges
+    pred = predecessor_masks(system.succ)
     lines = ["(set-logic QF_NRA)"]
     for i in range(len(edges)):
         lines.append(f"(declare-const {_edge_var(i)} Real)")
@@ -493,11 +489,12 @@ def smt_text(system: ETRSystem) -> str:
         lines.append(f"(assert (= (+ {' '.join(outgoing)}) 1))")
     for b, block in enumerate(system.blocks):
         names = y_names[b]
+        out = prob01(pred, block.body)[0]
         for v in indices(block.body):
             lines.append(f"(assert (= {names[v]} 1))")
-        for v in indices(block.out):
+        for v in indices(out):
             lines.append(f"(assert (= {names[v]} 0))")
-        for v in indices((1 << size) - 1 & ~(block.body | block.out)):
+        for v in indices((1 << size) - 1 & ~(block.body | out)):
             terms = [f"(* {_edge_var(k)} {names[j]})"
                      for k, (i, j) in enumerate(edges) if i == v]
             summed = terms[0] if len(terms) == 1 else f"(+ {' '.join(terms)})"

@@ -391,14 +391,16 @@ def sorted_formulas(X) -> list[StateFormula]:
 #           digits only:
 #           integer | integer "." digits | integer "/" integer
 #
-# "=" is allowed only as "=1".  Whitespace is insignificant.  The parser
-# builds core nodes as it goes: a unit is core when it is returned, so "!"
-# and a "<=", "<" or trivial bound hand their already core operand to the
-# normalization pass below, and a trivial bound is reported as soon as its
-# "]" is read.  Nesting of "!", "(" and "F/G...[" together is capped at
-# MAX_NESTING levels, so that the recursive passes over a parsed formula,
-# normalization inside the parser among them, stay inside Python's
-# recursion limit.
+# "=" is allowed only as "=1".  Whitespace is insignificant.  A token
+# keeps only its character offset; an error turns it into a 1-based line
+# and column, where only "\n" starts a line and every other character is
+# one column.  The parser builds core nodes as it goes: a unit is core
+# when it is returned, so "!" and a "<=", "<" or trivial bound hand their
+# already core operand to the normalization pass below, and a trivial
+# bound is reported as soon as its "]" is read.  Nesting of "!", "(" and
+# "F/G...[" together is capped at MAX_NESTING levels, so that the
+# recursive passes over a parsed formula, normalization inside the parser
+# among them, stay inside Python's recursion limit.
 
 MAX_NESTING = 100
 
@@ -413,60 +415,56 @@ _SYMBOLS = frozenset("<>=!&|()[]/")
 
 
 class _Token:
-    __slots__ = ("kind", "text", "line", "col")
+    __slots__ = ("kind", "text", "offset")
 
-    def __init__(self, kind: str, text: str, line: int, col: int):
+    def __init__(self, kind: str, text: str, offset: int):
         self.kind = kind
         self.text = text
-        self.line = line
-        self.col = col
+        self.offset = offset
+
+
+def _syntax_error(message: str, text: str, offset: int) -> PctlSyntaxError:
+    """The error at character `offset` of `text`, placed as above."""
+    return PctlSyntaxError(message, text.count("\n", 0, offset) + 1,
+                           offset - text.rfind("\n", 0, offset))
 
 
 def _tokenize(text: str) -> list[_Token]:
     tokens = []
-    line, col = 1, 1
     i = 0
     while i < len(text):
         ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
         if ch.isspace():
-            col += 1
             i += 1
             continue
         if ch in _SYMBOLS:
             # the only two-character symbols are >= and <=
             sym = ch + "=" if ch in "<>" and text.startswith("=", i + 1) else ch
-            tokens.append(_Token("sym", sym, line, col))
+            tokens.append(_Token("sym", sym, i))
             i += len(sym)
-            col += len(sym)
             continue
         if ch.isdigit():
             j = i
             while j < len(text) and (text[j].isdigit() or text[j] == "."):
                 j += 1
-            tokens.append(_Token("num", text[i:j], line, col))
-            col += j - i
+            tokens.append(_Token("num", text[i:j], i))
             i = j
             continue
         if ch.isalpha() or ch == "_":
             j = i
             while j < len(text) and (text[j].isalnum() or text[j] == "_"):
                 j += 1
-            tokens.append(_Token("name", text[i:j], line, col))
-            col += j - i
+            tokens.append(_Token("name", text[i:j], i))
             i = j
             continue
-        raise PctlSyntaxError(f"unexpected character {ch!r}", line, col)
-    tokens.append(_Token("eof", "", line, col))
+        raise _syntax_error(f"unexpected character {ch!r}", text, i)
+    tokens.append(_Token("eof", "", len(text)))
     return tokens
 
 
 class _Parser:
     def __init__(self, text: str):
+        self.text = text
         self.tokens = _tokenize(text)
         self.i = 0
         self.depth = 0
@@ -481,7 +479,7 @@ class _Parser:
 
     def error(self, message: str, tok: _Token | None = None):
         tok = tok or self.peek()
-        raise PctlSyntaxError(message, tok.line, tok.col)
+        raise _syntax_error(message, self.text, tok.offset)
 
     def expect(self, text: str) -> _Token:
         tok = self.next()

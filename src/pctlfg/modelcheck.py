@@ -6,13 +6,14 @@ the states with no path to the target to 0 and the states that reach it
 almost surely to 1 (the checker memoizes the two masks per target mask);
 only the "maybe" states in between go to the exact absorption kernel
 `markov.absorption`, which reads each state's row in integers from the
-chain's `row(i)`, derived on each call.  `reach_probabilities` returns
-the triple (prob0 mask, prob1 mask, {index: value} for the maybe
-states).  A G formula's triple is that of reaching the body's complement
-with the masks swapped and the maybe values complemented; `path_masks`
-gives the two masks alone, without a solve.  A `Prob` node's satisfaction
-mask takes the 1 and 0 masks whole when the bound admits 1 and 0
-(`passing`) and compares only the maybe values.
+chain's `row(i)`, derived on each call.  `reach_probabilities` takes a
+0 mask and a 1 mask and returns the triple (0 mask, 1 mask, {index:
+value} for the maybe states).  `path_masks` gives a path formula's two
+masks alone, without a solve (a G formula's are those of reaching the
+body's complement, swapped), and `path_values` solves between them, for
+F and G alike.  A `Prob` node's satisfaction mask takes the 1 and 0
+masks whole when the bound admits 1 and 0 (`passing`) and compares only
+the maybe values.
 
 A question about one state costs only what that state needs: `holds`
 stops a conjunction or disjunction at the first argument that decides,
@@ -100,35 +101,30 @@ class ModelChecker:
             known = self._prob01[targets] = prob01(self.chain.pred, targets)
         return known
 
-    def reach_probabilities(self, targets: int) -> Values:
-        """P(eventually enter the `targets` mask), exactly, in index form:
-        prob0 and prob1 as masks, and the values of the states in neither
-        from one integer-row absorption solve."""
-        prob0, prob1 = self.prob01(targets)
-        maybe = indices(self.full & ~(prob0 | prob1))
-        solved = absorption(self.chain, maybe, [prob1])
-        return prob0, prob1, {i: x for i, (x,) in solved.items()}
+    def reach_probabilities(self, zero: int, one: int) -> Values:
+        """P(enter the `one` mask before the `zero` mask), exactly, in index
+        form: `(zero, one, {i: value})` with the values of the states in
+        neither mask from one integer-row absorption solve.  Every state in
+        neither mask must have a path into `zero | one`, as the masks of
+        `prob01` and `path_masks` do."""
+        maybe = indices(self.full & ~(zero | one))
+        solved = absorption(self.chain, maybe, [one])
+        return zero, one, {i: x for i, (x,) in solved.items()}
 
     # -- path formulas ------------------------------------------------------
 
     def path_values(self, path: PathFormula) -> Values:
-        """The path formula's probabilities in index form, memoized.  A G
-        formula's are the complement of reaching the body's complement:
-        the masks swap and the values in between are complemented."""
+        """The path formula's probabilities in index form, memoized: the
+        reach solve between its `path_masks`."""
         if path not in self._path:
-            body = self.sat_mask(path.body)
-            if path.op is PathOp.F:
-                values = self.reach_probabilities(body)
-            else:
-                zero, one, maybe = self.reach_probabilities(self.full & ~body)
-                values = one, zero, {i: 1 - p for i, p in maybe.items()}
-            self._path[path] = values
+            self._path[path] = self.reach_probabilities(*self.path_masks(path))
         return self._path[path]
 
     def path_masks(self, path: PathFormula) -> tuple[int, int]:
         """The masks of the states where the path formula has probability
-        0 and 1, from the memoized prob0/prob1 of its reach target alone
-        (swapped for G, as in `path_values`); no exact solve."""
+        0 and 1, from the memoized prob0/prob1 of its reach target alone; no
+        exact solve.  A G formula's are those of reaching the body's
+        complement, swapped."""
         body = self.sat_mask(path.body)
         if path.op is PathOp.F:
             return self.prob01(body)

@@ -409,9 +409,10 @@ def caratheodory_reduce(points: list[tuple[Fraction, ...]],
         rows = [[points[i][d] for i in active] for d in range(dim)]
         rows.append([Fraction(1)] * len(active))
         dependency = linalg.null_vector(rows, len(active))
-        assert dependency is not None  # len(active) > dim+1 guarantees one
-        if not any(lam > 0 for lam in dependency):
-            dependency = [-lam for lam in dependency]
+        # len(active) > dim+1 guarantees one, and some entry is positive:
+        # its first free entry is 1 (and the all-ones row makes the entries
+        # sum to 0)
+        assert dependency is not None
         step = min(weights[i] / lam
                    for i, lam in zip(active, dependency) if lam > 0)
         for i, lam in zip(active, dependency):
@@ -505,7 +506,7 @@ def loop_return_probability(loop: ProgressLoop) -> Fraction:
     return (max(bounds) + 1) / 2
 
 
-def build_loop_model(loop: ProgressLoop, submodels, entry_for=None,
+def build_loop_model(loop: ProgressLoop, submodels, entry_for,
                      ) -> tuple[MarkovChain, str]:
     """Assembles the cycle for a progress loop with the given exit
     submodels: a list of (chain, entry state, weight) triples whose weights
@@ -516,7 +517,7 @@ def build_loop_model(loop: ProgressLoop, submodels, entry_for=None,
     with the loop-return probability and otherwise enters a submodel entry.
     Submodel states are renamed only on collision, to a name no other state
     of the assembled model holds.  The returned entry state is the first
-    L_i containing `entry_for` (L0 when it is None).
+    L_i containing the formula set `entry_for`.
     """
     total = sum((Fraction(w) for _, _, w in submodels), Fraction(0))
     if total != 1:
@@ -568,8 +569,6 @@ def build_loop_model(loop: ProgressLoop, submodels, entry_for=None,
         edges[key] = edges.get(key, Fraction(0)) + (1 - stay) * Fraction(w)
 
     chain = MarkovChain(states, edges, valuation)
-    if entry_for is None:
-        return chain, loop_ids[0]
     wanted = frozenset(entry_for)
     for lid, level in zip(loop_ids, loop):
         if wanted <= level:

@@ -290,10 +290,10 @@ def reference_absorption(unknown, successors, boundary):
 
 
 def reach_by_name(mc: ModelChecker, targets) -> dict[str, Fraction]:
-    """`mc.reach_probabilities` of the named targets as {state: value},
-    after checking that its prob0 mask, prob1 mask and solved states
-    partition the chain."""
-    zero, one, maybe = mc.reach_probabilities(mc.chain.mask(targets))
+    """`mc.reach_probabilities` between the prob0 and prob1 masks of the
+    named targets as {state: value}, after checking that the two masks and
+    the solved states partition the chain."""
+    zero, one, maybe = mc.reach_probabilities(*mc.prob01(mc.chain.mask(targets)))
     assert not zero & one
     assert set(maybe) == {i for i in range(len(mc.chain.states))
                           if not (zero | one) >> i & 1}
@@ -403,24 +403,24 @@ def sure_vertices(pred, body: int) -> int:
     return prob01(pred, body)[1] & ~body
 
 
-def block_interval_contradiction(size, block, sure: int) -> bool:
+def block_interval_contradiction(size, block, out: int, sure: int) -> bool:
     """The enumeration's mask screen (`etr._screen`) on one block: prob1 is
-    the body set plus `sure`, prob0 the cut-off set."""
-    care, want = _screen(_verdicts(block.formula), block.out,
+    the body set plus `sure`, prob0 the cut-off set `out`."""
+    care, want = _screen(_verdicts(block.formula), out,
                          block.body | sure, (1 << size) - 1)
     return block.inside & care != want
 
 
-def reference_block_refuted(size, block, sure: int):
+def reference_block_refuted(size, block, out: int, sure: int):
     """`block_interval_contradiction` vertex by vertex on Fractions: a
     reach value is exactly 1 on the body set and `sure`, exactly 0 on the
-    cut-off set and strictly inside (0, 1) elsewhere."""
+    cut-off set `out` and strictly inside (0, 1) elsewhere."""
     cmp, r = block.formula.cmp, block.formula.bound
     for v in range(size):
         inside = bool(block.inside >> v & 1)
         if (block.body | sure) >> v & 1:
             value = Fraction(1)
-        elif block.out >> v & 1:
+        elif out >> v & 1:
             value = Fraction(0)
         elif 0 < r < 1:
             continue  # a value in (0, 1) can lie on either side of r

@@ -160,6 +160,13 @@ def test_sat_contradiction(capsys):
     assert out.strip() == "unsat-up-to-n"
 
 
+def test_sat_contradiction_at_bound_one_with_a_solver_timeout(capsys):
+    code, out, _ = run(capsys, "sat", "--formula", "F=1[a] & G=1[!a]",
+                       "--bound", "1", "--solver-timeout", "2.5")
+    assert code == 1
+    assert out.strip() == "unsat-up-to-n"
+
+
 def test_sat_without_path_operator_is_decided(capsys, monkeypatch):
     # no block to solve: the uniform assignment is confirmed exactly
     monkeypatch.delenv("PCTLFG_SOLVER", raising=False)
@@ -384,6 +391,13 @@ def test_out_of_range_option_is_usage_error(capsys, model_path, argv, message):
     code, _, err = run(capsys, *argv)
     assert code == 2
     assert message in err
+
+
+def test_missing_model_is_usage_error(capsys, tmp_path):
+    code, _, err = run(capsys, "check", "--model", str(tmp_path / "none.json"),
+                       "--state", "s", "--formula", "a")
+    assert code == 2
+    assert "cannot read model" in err
 
 
 def test_bad_formula_is_usage_error(capsys, model_path):

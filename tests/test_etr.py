@@ -21,7 +21,7 @@ import pctlfg.etr
 from pctlfg.cli import main
 from pctlfg.etr import (
     BackendError, CorrectnessBlock, ETRCandidate, ETRSystem, SatSearchResult,
-    SolverBackend, _block, _graphs, _implies, _parse_sexprs, _rationalize,
+    SolverBackend, _graphs, _implies, _parse_sexprs, _rationalize,
     _required, _root_clash, check_assignment, encode, enumerate_candidates,
     f_normal_form, interval_refuted, read_solver_output, smt_text,
     solve_bounded_sat, uniform_assignment,
@@ -32,7 +32,8 @@ from pctlfg.formula import (
     parse_formula,
 )
 from pctlfg.markov import (
-    MarkovChain, indices, predecessor_masks, states_reachable_from, validate,
+    MarkovChain, indices, predecessor_masks, prob01, states_reachable_from,
+    validate,
 )
 from pctlfg.modelcheck import ModelChecker
 from pctlfg.progress import compress_model
@@ -335,7 +336,11 @@ def test_degenerate_block_everything_labeled():
     candidate = candidate_from_chain(chain, f)
     system = encode(candidate)
     block = system.blocks[0]
-    assert (block.body, block.out, block.inside) == (1, 0, 1)
+    assert (block.body, block.inside) == (1, 1)
+    # the cut-off set is empty: no reach variable is pinned to 0
+    text = smt_text(system)
+    assert "(assert (= y1_1 1))" in text
+    assert not re.search(r"\(assert \(= y\d+_\d+ 0\)\)", text)
     assert check_assignment(system, {(0, 0): Fraction(1)})
 
 
@@ -437,6 +442,28 @@ def test_clashing_bounds_refute_the_search(capsys, monkeypatch, text):
     monkeypatch.delenv("PCTLFG_SOLVER", raising=False)
     assert main(["sat", "--formula", text, "--bound", "3"]) == 1
     assert capsys.readouterr().out.strip() == "unsat-up-to-n"
+
+
+def test_a_root_clash_compiles_no_step_table(monkeypatch):
+    def unreachable(f):
+        raise AssertionError("a root clash needs no step table")
+
+    monkeypatch.setattr(pctlfg.etr, "_choice_order", unreachable)
+    result = solve_bounded_sat(pf("F=1[a] & G=1[!a]"), 5)
+    assert (result.status, result.candidates, result.refuted) == (
+        "unsat-up-to-n", 0, 1)
+
+
+def test_bound_below_one_is_rejected():
+    for search in (solve_bounded_sat,
+                   lambda f, bound: list(enumerate_candidates(f, bound))):
+        with pytest.raises(ValueError, match="bound must be at least 1"):
+            search(pf("a"), 0)
+
+
+def test_f_normal_form_rejects_a_non_core_formula():
+    with pytest.raises(ValueError, match="expects a core formula"):
+        f_normal_form(Prob(PathOp.F, Cmp.LE, Fraction(1, 2), Atom("a")))
 
 
 @pytest.mark.parametrize("text", [
@@ -617,16 +644,16 @@ def test_mask_screen_matches_vertex_reference():
         for succ in all_graphs(size):
             pred = predecessor_masks(succ)
             for body in masks:
-                out = _block(pred, nodes[0], body, 0).out
+                out = prob01(pred, body)[0]
                 sure = sure_vertices(pred, body)
                 if (size, body, out, sure) in seen:
                     continue
                 seen.add((size, body, out, sure))
                 for node, inside in itertools.product(nodes, masks):
-                    block = CorrectnessBlock(node, body, out, inside)
-                    want = reference_block_refuted(size, block, sure)
-                    assert block_interval_contradiction(size, block, sure) \
-                        == want, (size, succ, block)
+                    block = CorrectnessBlock(node, body, inside)
+                    want = reference_block_refuted(size, block, out, sure)
+                    assert block_interval_contradiction(
+                        size, block, out, sure) == want, (size, succ, block)
                     refuted += want
                     kept += not want
     assert refuted > 0 and kept > 0
@@ -821,6 +848,7 @@ def test_solver_output_nesting_is_capped():
     "1/0",
     "1e-10000000",  # exponents are not numerals; Fraction(str) would stall
     "1e5",
+    ["+", "1", "2"],  # no other operator is read
 ])
 def test_rationalize_rejects(expr):
     with pytest.raises(BackendError):
@@ -836,6 +864,13 @@ def test_rationalize_reads_numerals():
 def test_backend_launch_error():
     backend = SolverBackend("definitely-not-a-real-solver {file}")
     with pytest.raises(BackendError):
+        backend.solve("x")
+
+
+def test_silent_solver_is_a_backend_error():
+    backend = SolverBackend(f"{sys.executable} -c pass {{file}}")
+    with pytest.raises(BackendError,
+                       match=re.escape("solver produced no output (stderr: '')")):
         backend.solve("x")
 
 

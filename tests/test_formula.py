@@ -18,7 +18,8 @@ from helpers import (
 
 from pctlfg.formula import (
     _CMPS, _PATH_OPS, And, Atom, Cmp, NegAtom, Or, PathFormula, PathOp,
-    PctlSyntaxError, Prob, NormalizationError, _is_probability, f_normal_form,
+    PctlSyntaxError, Prob, NormalizationError, _is_probability, conj,
+    f_normal_form,
     fragment_classify, is_core, is_trivial_bound, normalize, parse_formula,
     sorted_formulas, subformulas, subformulas_of,
 )
@@ -30,6 +31,15 @@ def test_parse_running_example():
     assert f == Prob(PathOp.F, Cmp.GE, Fraction(1, 2),
                      And((Atom("a"),
                           Prob(PathOp.F, Cmp.GE, Fraction(1, 5), NegAtom("a")))))
+
+
+def test_malformed_nodes_are_rejected():
+    with pytest.raises(ValueError, match="empty connective"):
+        conj([])
+    with pytest.raises(TypeError):
+        Atom("a", "b")
+    with pytest.raises(TypeError):
+        normalize("x")
 
 
 def test_parse_atom():

@@ -13,7 +13,7 @@ from helpers import fig1_chain, random_core_formula, satisfied_instance
 
 from pctlfg.cli import main
 from pctlfg.formula import (
-    NormalizationError, PctlSyntaxError, _Token, _tokenize, parse_formula,
+    NormalizationError, PctlSyntaxError, _tokenize, parse_formula,
 )
 from pctlfg.markov import MarkovChain, validate
 from pctlfg.modelcheck import ModelChecker
@@ -168,9 +168,11 @@ _SCANNED_SYMBOLS = (">=", "<=", ">", "<", "=", "!", "&", "|", "(", ")", "[",
                     "]", "/")
 
 
-def _scanning_tokenize(text: str) -> list[_Token]:
-    """The tokenizer before it dispatched on the first character: every
-    symbol is tried with `startswith` at every position, longest first."""
+def _scanning_tokenize(text: str) -> list[tuple[str, str, int, int]]:
+    """The tokenizer before it dispatched on the first character, as
+    (kind, text, line, column) tuples: every symbol is tried with
+    `startswith` at every position, longest first, and the line and column
+    are counted as the scan goes."""
     tokens = []
     line, col = 1, 1
     i = 0
@@ -188,7 +190,7 @@ def _scanning_tokenize(text: str) -> list[_Token]:
         matched = False
         for sym in _SCANNED_SYMBOLS:
             if text.startswith(sym, i):
-                tokens.append(_Token("sym", sym, line, col))
+                tokens.append(("sym", sym, line, col))
                 i += len(sym)
                 col += len(sym)
                 matched = True
@@ -199,7 +201,7 @@ def _scanning_tokenize(text: str) -> list[_Token]:
             j = i
             while j < len(text) and (text[j].isdigit() or text[j] == "."):
                 j += 1
-            tokens.append(_Token("num", text[i:j], line, col))
+            tokens.append(("num", text[i:j], line, col))
             col += j - i
             i = j
             continue
@@ -207,20 +209,31 @@ def _scanning_tokenize(text: str) -> list[_Token]:
             j = i
             while j < len(text) and (text[j].isalnum() or text[j] == "_"):
                 j += 1
-            tokens.append(_Token("name", text[i:j], line, col))
+            tokens.append(("name", text[i:j], line, col))
             col += j - i
             i = j
             continue
         raise PctlSyntaxError(f"unexpected character {ch!r}", line, col)
-    tokens.append(_Token("eof", "", line, col))
+    tokens.append(("eof", "", line, col))
     return tokens
 
 
 def _token_stream(tokenize, text: str):
     try:
-        return [(t.kind, t.text, t.line, t.col) for t in tokenize(text)]
+        return tokenize(text)
     except PctlSyntaxError as exc:
         return ("error", str(exc), exc.line, exc.column)
+
+
+def _positioned_tokens(text: str) -> list[tuple[str, str, int, int]]:
+    """`_tokenize`'s tokens with each offset turned into its line and
+    column, counted here character by character."""
+    tokens = _tokenize(text)
+    positions, line, col = {}, 1, 1
+    for offset, ch in enumerate(text + " "):  # " " places the end of input
+        positions[offset] = line, col
+        line, col = (line + 1, 1) if ch == "\n" else (line, col + 1)
+    return [(t.kind, t.text, *positions[t.offset]) for t in tokens]
 
 
 # symbol prefixes and their neighbours, positions after newlines and tabs,
@@ -241,7 +254,7 @@ def test_tokenizer_matches_the_symbol_scan():
     errors = 0
     for text in texts:
         want = _token_stream(_scanning_tokenize, text)
-        assert _token_stream(_tokenize, text) == want, text
+        assert _token_stream(_positioned_tokens, text) == want, text
         errors += want[0] == "error"
     assert errors > 5
 

@@ -35,6 +35,11 @@ def test_validate_zero_edge():
     assert any("zero" in p for p in validate(chain))
 
 
+def test_constructor_rejects_duplicate_states():
+    with pytest.raises(InvalidChainError, match="^duplicate state ids$"):
+        MarkovChain(["s", "s"], {}, {})
+
+
 def test_duplicate_edge_rejected():
     with pytest.raises(InvalidChainError):
         MarkovChain.from_dict({
@@ -416,6 +421,11 @@ def test_runs_enter_bottom_sccs():
         bottoms = mc.sccs.bottom_states()
         for s in mc.chain.states:
             assert sum(first_passage(mc, s, bottoms).values()) == 1
+
+
+def test_first_passage_empty_target(fig1_checker):
+    with pytest.raises(ValueError, match="empty target set"):
+        first_passage(fig1_checker, "s", set())
 
 
 def test_first_passage_unknown_target(fig1_checker):

@@ -1,6 +1,8 @@
 import random
 from fractions import Fraction
 
+import pytest
+
 from helpers import (
     PHI_OR_TEXT, collect_loops, reference_reachable, satisfied_instance,
 )
@@ -158,6 +160,13 @@ def test_size_bound_monotonicity():
         low = model_size_bound(b1, n1)
         high = model_size_bound(b2, n2)
         assert 2 ** b1 <= low <= high
+
+
+def test_size_bound_rejects_a_small_base_or_height():
+    with pytest.raises(ValueError, match="base must be at least 2"):
+        model_size_bound(1, 1)
+    with pytest.raises(ValueError, match="height must be at least 1"):
+        model_size_bound(2, 0)
 
 
 def test_pending_globals_uses_nested_subformulas(fig1_checker, psi):

@@ -6,7 +6,7 @@ import pytest
 
 from helpers import (
     PSI_TEXT, fig1_chain, random_chain, random_core_formula, reach_by_name,
-    reference_sat_set, simulate_eventually,
+    reference_reach, reference_sat_set, simulate_eventually,
 )
 
 from pctlfg import linalg
@@ -67,6 +67,36 @@ def test_g_is_complement_of_reaching_complement():
         reach = reach_by_name(mc, outside)
         for s in chain.states:
             assert g_vec[s] == 1 - reach[s]
+
+
+def test_reach_between_the_masks_equals_the_reference():
+    # one solve between a 0 mask and a 1 mask: between prob01 of the body
+    # set and between an F formula's `path_masks` it is the reach of the
+    # body set, between a G formula's exactly 1 - the reach of the body's
+    # complement
+    rng = random.Random(151)
+    between = 0
+    for _ in range(500):
+        chain = random_chain(rng, max_states=10)
+        mc = ModelChecker(chain)
+        body = random_core_formula(rng, depth=1)
+        inside = mc.sat_set(body)
+        reach = reference_reach(chain.states, chain.successors, inside)
+        escape = reference_reach(chain.states, chain.successors,
+                                 frozenset(chain.states) - inside)
+        for masks, want in (
+                (mc.prob01(chain.mask(inside)), reach),
+                (mc.path_masks(PathFormula(PathOp.F, body)), reach),
+                (mc.path_masks(PathFormula(PathOp.G, body)),
+                 {s: 1 - p for s, p in escape.items()})):
+            zero, one, maybe = mc.reach_probabilities(*masks)
+            assert (zero, one) == masks
+            assert set(maybe) == set(indices(mc.full & ~(zero | one)))
+            got = {s: maybe[i] if i in maybe else Fraction(one >> i & 1)
+                   for i, s in enumerate(chain.states)}
+            assert got == want, (chain.to_json(), body)
+            between += len(maybe)
+    assert between > 100
 
 
 def test_bscc_states_agree_and_are_zero_one():

@@ -183,6 +183,11 @@ def test_every_guard_raises_the_one_unsatisfied_error(fig1, fig1_checker, psi,
     assert (err.value.state, err.value.formula) == ("u", named)
 
 
+def test_unknown_fragment_is_rejected(fig1):
+    with pytest.raises(ValueError, match="unknown fragment 'x'"):
+        compress_model(fig1, "s", pf("a"), fragment="x")
+
+
 def test_unsatisfied_formula_outside_l2_is_reported_unsatisfied(fig1):
     # the root guard runs before the fragment check
     outside = pf("!a & G>1/2[a]")
@@ -457,6 +462,11 @@ def test_caratheodory_1d_example():
     assert sum((w * p[0] for w, p in zip(reduced, points)), Fraction(0)) == target
 
 
+def test_caratheodory_rejects_lengths_that_differ():
+    with pytest.raises(ValueError, match="points and weights differ in length"):
+        caratheodory_reduce([(Fraction(1),)], [Fraction(1, 2), Fraction(1, 2)])
+
+
 def test_caratheodory_preserves_combination_randomized():
     rng = random.Random(83)
     for _ in range(60):
@@ -631,7 +641,8 @@ def test_build_loop_model_in_loop_eventualities_beat_return_mass(running, psi):
 
 def test_build_loop_model_single_set():
     loop = (frozenset({Atom("a")}),)
-    model, entry = build_loop_model(loop, [(u_submodel(), "u", Fraction(1))])
+    model, entry = build_loop_model(loop, [(u_submodel(), "u", Fraction(1))],
+                                    loop[0])
     assert validate(model) == []
     assert loop_return_probability(loop) == Fraction(1, 2)
     assert model.probability("L0", "L0") == Fraction(1, 2)
@@ -641,13 +652,25 @@ def test_build_loop_model_single_set():
 def test_build_loop_model_weight_validation(psi):
     loop = example_loop(psi)
     with pytest.raises(ValueError):
-        build_loop_model(loop, [(u_submodel(), "u", Fraction(1, 2))])
+        build_loop_model(loop, [(u_submodel(), "u", Fraction(1, 2))], loop[0])
+
+
+def test_build_loop_model_errors(psi):
+    loop = (frozenset({Atom("a")}),)
+    u = u_submodel()
+    with pytest.raises(ValueError, match="submodel weights must be positive"):
+        build_loop_model(loop, [(u, "u", Fraction(2)), (u, "u", Fraction(-1))],
+                         loop[0])
+    with pytest.raises(ValueError, match="entry state 'x' not in submodel 0"):
+        build_loop_model(loop, [(u, "x", Fraction(1))], loop[0])
+    with pytest.raises(ValueError, match="no loop set contains the requested"):
+        build_loop_model(loop, [(u, "u", Fraction(1))], {NegAtom("a")})
 
 
 def test_build_loop_model_renames_collisions(psi):
     sub = MarkovChain(["L0"], {("L0", "L0"): Fraction(1)}, {"L0": ["a"]})
     loop = (frozenset({Atom("a")}),)
-    model, _ = build_loop_model(loop, [(sub, "L0", Fraction(1))])
+    model, _ = build_loop_model(loop, [(sub, "L0", Fraction(1))], loop[0])
     assert "m0_L0" in model.states
 
 
@@ -659,7 +682,8 @@ def test_build_loop_model_renamed_state_avoids_later_names():
                          {"m0_L0": ["b"]})
     loop = (frozenset({Atom("a")}),)
     model, _ = build_loop_model(loop, [(first, "L0", Fraction(1, 2)),
-                                       (second, "m0_L0", Fraction(1, 2))])
+                                       (second, "m0_L0", Fraction(1, 2))],
+                                loop[0])
     assert len(model.states) == 3
     assert model.atoms("m0_L0") == frozenset({"b"})
     assert validate(model) == []
