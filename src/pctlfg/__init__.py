@@ -27,7 +27,7 @@ from .progress import (
     successor_selection, verify_loop, verify_selection,
 )
 from .etr import (
-    BackendError, ETRCandidate, ETRSystem, SatSearchResult, SolverBackend,
+    BackendError, ETRCandidate, SatSearchResult, SolverBackend,
     check_assignment, encode, enumerate_candidates, f_normal_form, smt_text,
     solve_bounded_sat,
 )

@@ -15,7 +15,9 @@ import math
 import os
 import sys
 
-from .closure import achieved_bounds, closure, closure_update, UnsatisfiedSetError
+from .closure import (
+    achieved_bounds, closure, closure_update, update, UnsatisfiedSetError,
+)
 from .etr import BackendError, SolverBackend, solve_bounded_sat
 from .formula import (
     NormalizationError, PctlSyntaxError, StateFormula, fragment_classify,
@@ -126,7 +128,7 @@ def _cmd_closure(args) -> int:
     state = _require_state(chain, args.state)
     mc = ModelChecker(chain)
     c = closure(mc, state, {f})
-    uc = closure_update(mc, state, {f})
+    uc = update(mc, state, c)
     ab = achieved_bounds(mc, state, uc)
     data = {
         "closure": _formula_list(c),

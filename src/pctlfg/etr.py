@@ -32,17 +32,19 @@ strictly inside (0, 1) elsewhere.  Each graph builds its predecessor
 masks once and calls `markov.prob01` on them once per step and body
 mask, turning the answer into a (care, want) mask pair: a label set m
 passes iff m & care == want.
-A candidate's system is read off its labeling alone: one block per
-F-subformula, holding its body set and its own set; the cut-off set,
+A candidate is one record from emission to confirmation: its successor
+masks, its labeling and its constraint system, one block per
+F-subformula holding its body set and its own set, read off the labeling
+by `encode` in the labeling's own (bottom-up) order; the cut-off set,
 where the block's reach variables are 0, is derived by `smt_text`, its
-one reader.  Each surviving candidate is first tried with the uniform
-assignment; only a miss is shipped to a pluggable SMT backend.  An
-assignment fixes the chain, so it is confirmed by that chain's
-`ModelChecker`, the package's one exact evaluator: each block's reach
-values are its `reach_probabilities` between prob0 and prob1 of the body
-mask, held against the bound by `modelcheck.passing`.  The chain is built with the candidate's
-valuation, so a confirmed assignment is a model, which the same checker
-re-verifies against the original formula at vertex 0.
+one reader.  Each candidate is first tried with the uniform assignment;
+only a miss is shipped to a pluggable SMT backend.  An assignment fixes
+the chain, so it is confirmed by that chain's `ModelChecker`, the
+package's one exact evaluator: each block's reach values are its
+`reach_probabilities` between prob0 and prob1 of the body mask, held
+against the bound by `modelcheck.passing`.  The chain carries the atoms
+of the candidate's atom sets, so a confirmed assignment is a model, which
+the same checker re-verifies against the original formula at vertex 0.
 """
 
 from __future__ import annotations
@@ -153,23 +155,55 @@ def _root_clash(required: set[StateFormula]) -> bool:
 # Candidates
 
 @dataclass(frozen=True)
+class CorrectnessBlock:
+    """The correctness constraints of one labeled F-subformula, as vertex
+    masks: the reach variables are 1 on the body's label set `body`, 0 on
+    the vertices with no path into it (derived by `smt_text`), and
+    compared against the bound inside/outside the formula's label set
+    `inside`."""
+
+    formula: Prob
+    body: int
+    inside: int
+
+
+@dataclass(frozen=True)
 class ETRCandidate:
-    """A guessed digraph with per-subformula vertex labelings.
+    """A guessed digraph with per-subformula vertex labelings and the
+    existential constraints they impose; built by `encode`.
 
     The graph is its tuple of successor masks over vertices 0..size-1
     (rendered as v1..v{size}), each of out-degree at least one; each label
     set is a vertex mask, the Boolean ones forced from the atom and
     F-subformula sets; the enumeration emits only candidates whose
-    whole-formula set contains vertex 0.
+    whole-formula set contains vertex 0.  The constraints are positive edge
+    variables x that row-stochastically sum per vertex, plus `blocks`, one
+    reach-variable block per F-subformula in the labeling's order.
     """
 
     succ: tuple[int, ...]
     labeling: dict[StateFormula, int]
-    formula: StateFormula
+    blocks: tuple[CorrectnessBlock, ...]
 
     @property
     def size(self) -> int:
         return len(self.succ)
+
+    @cached_property
+    def edges(self) -> tuple[tuple[int, int], ...]:
+        """The edges (i, j) ascending; edge k is the variable x{k+1}."""
+        return tuple((i, j) for i, mask in enumerate(self.succ)
+                     for j in indices(mask))
+
+
+def encode(succ: tuple[int, ...], labeling: dict[StateFormula, int],
+           ) -> ETRCandidate:
+    """The candidate of a graph and labeling, with one block per
+    F-subformula in the labeling's order: bottom-up when the labeling is
+    built in step order (`_choice_order`), as the enumeration builds it."""
+    return ETRCandidate(succ, labeling, tuple(
+        CorrectnessBlock(g, labeling[g.body], mask)
+        for g, mask in labeling.items() if isinstance(g, Prob)))
 
 
 def _graphs(size: int):
@@ -230,7 +264,8 @@ def enumerate_candidates(f: StateFormula, bound: int,
     lexicographically (atom sets before F-subformula sets, each a subset
     bitmask counting up).  One labeling is built as the sets are chosen, as
     a list of vertex bitmasks indexed by the integer slot of each
-    subformula; the formula dict is only built for an emitted candidate.
+    subformula; the formula dict, in step order, is only built for an
+    emitted candidate, which `encode` makes once.
     Vertex 0 is settled first, once per formula: when `_root_clash` finds
     the required subformulas (`_required`) contradictory, nothing is
     compiled or emitted.  Otherwise the compile step builds the step
@@ -239,21 +274,23 @@ def enumerate_candidates(f: StateFormula, bound: int,
     is completed, so every complete labeling puts the formula at vertex 0.
     An F-subformula's set is further only chosen among those its block
     screen lets through.  Every set a screen skips skips a whole subtree of
-    labelings and counts 1 in `_result.refuted`, as does a clash.  The
-    block screen depends only on the graph, the step and the body's set,
-    so each graph builds its predecessor masks once, calls `prob01` once
-    per (step, body set) and caches the sets m with bit 0 as required and
-    m & care == want (see `_screen`).  A model of at most `bound`
+    labelings and counts 1 in `_result.refuted` (a private result when
+    none is given), as does a clash.  The block screen depends only on the
+    graph, the step and the body's set, so each graph builds its
+    predecessor masks once, calls `prob01` once per (step, body set) and
+    caches the sets m with bit 0 as required and m & care == want (see
+    `_screen`).  A model of at most `bound`
     states, cut down to the states its entry reaches and relabeled with the
     entry as vertex 0, is a candidate of the stream, so every verdict is
     the one of the enumeration over all digraphs that emits every nonempty
     whole-formula set."""
     if bound < 1:
         raise ValueError("bound must be at least 1")
+    if _result is None:
+        _result = SatSearchResult("unknown")
     required = _required(f)
     if _root_clash(required):
-        if _result is not None:
-            _result.refuted += 1
+        _result.refuted += 1
         return
     steps = _choice_order(f)
     nodes = [g for node, completed in steps for g in (node, *completed)]
@@ -294,7 +331,7 @@ def enumerate_candidates(f: StateFormula, bound: int,
 
             def assign(index: int):
                 if index == len(compiled):
-                    yield ETRCandidate(succ, dict(zip(nodes, labels)), f)
+                    yield encode(succ, dict(zip(nodes, labels)))
                     return
                 target, screen, rules = compiled[index]
                 choices = rooted[index]
@@ -306,8 +343,7 @@ def enumerate_candidates(f: StateFormula, bound: int,
                         care, want = _screen(verdicts, *prob01(pred, key[1]), full)
                         choices = passed[key] = [
                             m for m in rooted[index] if m & care == want]
-                if _result is not None:
-                    _result.refuted += len(masks) - len(choices)
+                _result.refuted += len(masks) - len(choices)
                 for m in choices:
                     labels[target] = m
                     for g, op, args, tested in rules:
@@ -316,8 +352,7 @@ def enumerate_candidates(f: StateFormula, bound: int,
                             value = op(value, labels[a])
                         labels[g] = value
                         if tested and not value & 1:
-                            if _result is not None:
-                                _result.refuted += 1
+                            _result.refuted += 1
                             break
                     else:
                         yield from assign(index + 1)
@@ -326,60 +361,7 @@ def enumerate_candidates(f: StateFormula, bound: int,
 
 
 # ---------------------------------------------------------------------------
-# Constraint systems
-
-@dataclass(frozen=True)
-class CorrectnessBlock:
-    """The correctness constraints of one labeled F-subformula, as vertex
-    masks: the reach variables are 1 on the body's label set `body`, 0 on
-    the vertices with no path into it (derived by `smt_text`), and
-    compared against the bound inside/outside the formula's label set
-    `inside`."""
-
-    formula: Prob
-    body: int
-    inside: int
-
-
-@dataclass(frozen=True)
-class ETRSystem:
-    """Existential constraints for one candidate graph, given as its
-    successor masks: positive edge variables x that row-stochastically sum
-    per vertex, plus one reach-variable block per F-subformula.
-    `valuation` holds each vertex's atoms, read off the candidate's atom
-    sets: no constraint mentions them, but the chain an assignment defines
-    carries them, so a confirmed assignment is a model."""
-
-    succ: tuple[int, ...]
-    blocks: tuple[CorrectnessBlock, ...]
-    valuation: tuple[frozenset[str], ...]
-
-    @property
-    def size(self) -> int:
-        return len(self.succ)
-
-    @cached_property
-    def edges(self) -> tuple[tuple[int, int], ...]:
-        """The edges (i, j) ascending; edge k is the variable x{k+1}."""
-        return tuple((i, j) for i, mask in enumerate(self.succ)
-                     for j in indices(mask))
-
-
-def encode(candidate: ETRCandidate) -> ETRSystem:
-    """Builds the constraint system of a candidate from its labeling alone:
-    one block per F-subformula, bottom-up."""
-    labeling = candidate.labeling
-    blocks = [CorrectnessBlock(node, labeling[node.body], labeling[node])
-              for node, _ in _choice_order(candidate.formula)
-              if isinstance(node, Prob)]
-    valuation = [set() for _ in range(candidate.size)]
-    for g, mask in labeling.items():
-        if isinstance(g, Atom):
-            for v in indices(mask):
-                valuation[v].add(g.name)
-    return ETRSystem(candidate.succ, tuple(blocks),
-                     tuple(map(frozenset, valuation)))
-
+# Screening and confirming a candidate
 
 _ZERO, _HALF, _ONE = Fraction(0), Fraction(1, 2), Fraction(1)
 
@@ -406,15 +388,15 @@ def _screen(verdicts, prob0: int, prob1: int, full: int) -> tuple[int, int]:
     return care, want
 
 
-def interval_refuted(system: ETRSystem) -> bool:
-    """Whether the block screen (`_screen`) refutes some block of `system`
-    from its graph alone.  The enumeration only emits candidates the screen
-    lets through, so the search never calls this; it is the screen on an
-    encoded system, which the tests check for soundness and the benchmark
-    traces."""
-    pred = predecessor_masks(system.succ)
-    full = (1 << system.size) - 1
-    for block in system.blocks:
+def interval_refuted(candidate: ETRCandidate) -> bool:
+    """Whether the block screen (`_screen`) refutes some block of
+    `candidate` from its graph alone.  The enumeration only emits
+    candidates the screen lets through, so the search never calls this; it
+    is the screen on a whole candidate, which the tests check for soundness
+    and the benchmark traces."""
+    pred = predecessor_masks(candidate.succ)
+    full = (1 << candidate.size) - 1
+    for block in candidate.blocks:
         care, want = _screen(_verdicts(block.formula),
                              *prob01(pred, block.body), full)
         if block.inside & care != want:
@@ -422,30 +404,38 @@ def interval_refuted(system: ETRSystem) -> bool:
     return False
 
 
-def uniform_assignment(system: ETRSystem) -> dict[tuple[int, int], Fraction]:
+def uniform_assignment(candidate: ETRCandidate,
+                       ) -> dict[tuple[int, int], Fraction]:
     """Every vertex's outgoing edges share its probability mass equally."""
-    succ = system.succ
-    return {(i, j): Fraction(1, succ[i].bit_count()) for i, j in system.edges}
+    succ = candidate.succ
+    return {(i, j): Fraction(1, succ[i].bit_count())
+            for i, j in candidate.edges}
 
 
-def check_assignment(system: ETRSystem, assignment: dict[tuple[int, int], Fraction],
+def check_assignment(candidate: ETRCandidate,
+                     assignment: dict[tuple[int, int], Fraction],
                      ) -> ModelChecker | None:
     """Exact substitution oracle: builds the chain the edge probabilities
-    define, with states v1..v{size} carrying the system's valuation, takes
-    each block's reach values from its `ModelChecker` and evaluates every
-    comparison.  Returns that checker, whose `chain` is then a model of the
-    labeling, when every comparison holds and None otherwise.  Raises
-    ValueError on the problems `markov.validate` finds in that chain; a
-    missing edge has probability 0."""
-    names = [f"v{v + 1}" for v in range(system.size)]
+    define, with states v1..v{size} carrying the atoms whose label sets
+    contain them, takes each block's reach values from its `ModelChecker`
+    and evaluates every comparison.  Returns that checker, whose `chain` is
+    then a model of the labeling, when every comparison holds and None
+    otherwise.  Raises ValueError on the problems `markov.validate` finds
+    in that chain; a missing edge has probability 0."""
+    names = [f"v{v + 1}" for v in range(candidate.size)]
+    atoms: dict[str, list[str]] = {name: [] for name in names}
+    for g, mask in candidate.labeling.items():
+        if isinstance(g, Atom):
+            for v in indices(mask):
+                atoms[names[v]].append(g.name)
     chain = MarkovChain(names, {
         (names[i], names[j]): Fraction(assignment.get((i, j), 0))
-        for i, j in system.edges}, dict(zip(names, system.valuation)))
+        for i, j in candidate.edges}, atoms)
     problems = validate(chain)
     if problems:
         raise ValueError("; ".join(problems))
     mc = ModelChecker(chain)
-    for block in system.blocks:
+    for block in candidate.blocks:
         values = mc.reach_probabilities(*mc.prob01(block.body))
         cmp, r = block.formula.cmp, block.formula.bound
         if passing(values, cmp, r) != block.inside:
@@ -467,17 +457,17 @@ def _edge_var(index: int) -> str:
     return f"x{index + 1}"
 
 
-def smt_text(system: ETRSystem) -> str:
+def smt_text(candidate: ETRCandidate) -> str:
     """The candidate's constraints in SMT-LIB 2 text, logic QF_NRA, with a
     model request for the edge variables.  A block's cut-off set, where
     its reach variables are 0, is prob0 of its body set in the graph."""
-    size, edges = system.size, system.edges
-    pred = predecessor_masks(system.succ)
+    size, edges = candidate.size, candidate.edges
+    pred = predecessor_masks(candidate.succ)
     lines = ["(set-logic QF_NRA)"]
     for i in range(len(edges)):
         lines.append(f"(declare-const {_edge_var(i)} Real)")
     y_names: list[list[str]] = []
-    for b, block in enumerate(system.blocks):
+    for b, block in enumerate(candidate.blocks):
         names = [f"y{b + 1}_{v + 1}" for v in range(size)]
         y_names.append(names)
         for name in names:
@@ -487,7 +477,7 @@ def smt_text(system: ETRSystem) -> str:
     for v in range(size):
         outgoing = [_edge_var(k) for k, e in enumerate(edges) if e[0] == v]
         lines.append(f"(assert (= (+ {' '.join(outgoing)}) 1))")
-    for b, block in enumerate(system.blocks):
+    for b, block in enumerate(candidate.blocks):
         names = y_names[b]
         out = prob01(pred, block.body)[0]
         for v in indices(block.body):
@@ -673,8 +663,8 @@ def solve_bounded_sat(f: StateFormula, bound: int, *,
     to the backend, if any, whose answer is confirmed by `check_assignment`
     too.  The checker that confirms an assignment holds its chain, which is
     re-verified against the original formula at its entry, vertex 0,
-    before being returned.  With `emit_only` the systems are only written,
-    nothing is decided.  The result is unsat-up-to-n only when every
+    before being returned.  With `emit_only` the candidates are only
+    written, nothing is decided.  The result is unsat-up-to-n only when every
     candidate was refuted; unknown when no survivor's uniform assignment is
     a model and some survivor was left undecided by the backend, or there
     is none.
@@ -689,21 +679,20 @@ def solve_bounded_sat(f: StateFormula, bound: int, *,
     undecided = False
     for candidate in enumerate_candidates(normal, bound, _result=result):
         result.candidates += 1
-        system = encode(candidate)
         if dump_dir is not None:
             path = os.path.join(dump_dir, f"candidate-{result.candidates:06d}.smt2")
             with open(path, "w") as handle:
-                handle.write(smt_text(system))
+                handle.write(smt_text(candidate))
         if emit_only:
             undecided = True
             continue
-        mc = check_assignment(system, uniform_assignment(system))
+        mc = check_assignment(candidate, uniform_assignment(candidate))
         if mc is None:
             if backend is None:
                 undecided = True
                 continue
             result.solver_calls += 1
-            verdict, values = backend.solve(smt_text(system))
+            verdict, values = backend.solve(smt_text(candidate))
             if verdict == "timeout":
                 result.timeouts += 1
                 undecided = True
@@ -715,11 +704,11 @@ def solve_bounded_sat(f: StateFormula, bound: int, *,
                 continue
             try:
                 assignment = {e: values[_edge_var(i)]
-                              for i, e in enumerate(system.edges)}
+                              for i, e in enumerate(candidate.edges)}
             except KeyError as exc:
                 raise BackendError(f"solver model is missing {exc}") from exc
             try:
-                mc = check_assignment(system, assignment)
+                mc = check_assignment(candidate, assignment)
             except ValueError:
                 mc = None  # the rationalized values are not even a chain
             if mc is None:

@@ -215,7 +215,7 @@ class And(_StateNode):
     args: tuple["StateFormula", ...]
 
     def __str__(self) -> str:
-        return " & ".join(_wrap(a, in_and=True) for a in self.args)
+        return " & ".join(_wrap(a) for a in self.args)
 
 
 @_node
@@ -271,12 +271,10 @@ class PathFormula(_Node):
         return f"{self.op} {self.body}"
 
 
-def _wrap(f: StateFormula, in_and: bool = False) -> str:
+def _wrap(f: StateFormula) -> str:
     # '&' binds tighter than '|', so a disjunction inside a conjunction
     # needs parentheses; everything else prints bare.
-    if in_and and isinstance(f, Or):
-        return f"({f})"
-    return str(f)
+    return f"({f})" if isinstance(f, Or) else str(f)
 
 
 # ---------------------------------------------------------------------------

@@ -155,10 +155,11 @@ def loop_violations(mc: ModelChecker, state: str, X: frozenset[StateFormula],
         problems.extend(_local_rule_violations(i, sorted_formulas(level), loop))
 
     residue = exit_obligations(loop)
-    for f in sorted_formulas(residue):
+    ordered = sorted_formulas(residue)
+    for f in ordered:
         if not mc.holds(state, f):
             problems.append(f"condition (4): state {state!r} does not satisfy {f}")
-    for f in sorted_formulas(residue):
+    for f in ordered:
         if isinstance(f, Prob) and f.op is PathOp.F and mc.holds(state, f.body):
             problems.append(
                 f"condition (5): state {state!r} satisfies the body of {f}")

@@ -12,12 +12,13 @@ time, next to the block form of the enumeration's mask screen.  The
 reference bounded search enumerates every digraph and emits every nonempty
 whole-formula label set; the library's search is rooted at vertex 0 and
 tries one graph per isomorphism class.  `labeling_violations` and
-`constraint_count` are oracles on a candidate and on its system.  The
-reference constraint rules (trivial bounds, the parser's [0, 1] range, `!`
-on a comparison, core form) are the `Fraction` and recursive forms.  The
-reference loop family builds every subset of a universe as a frozenset and
-sorts them, and the reference loop search walks that family with the G
-bodies as a set; the library's enumerates and walks masks in order.
+`constraint_count` are oracles on a candidate's labeling and on its
+constraints.  The reference constraint rules (trivial bounds, the parser's
+[0, 1] range, `!` on a comparison, core form) are the `Fraction` and
+recursive forms.  The reference loop family builds every subset of a
+universe as a frozenset and sorts them, and the reference loop search walks
+that family with the G bodies as a set; the library's enumerates and walks
+masks in order.
 """
 
 from __future__ import annotations
@@ -33,8 +34,8 @@ from pctlfg.formula import (
     iter_subformulas, parse_formula,
 )
 from pctlfg.etr import (
-    ETRCandidate, ETRSystem, SatSearchResult, _choice_order, _screen,
-    _verdicts, check_assignment, encode, f_normal_form, uniform_assignment,
+    ETRCandidate, SatSearchResult, _choice_order, _screen, _verdicts,
+    check_assignment, encode, f_normal_form, uniform_assignment,
 )
 from pctlfg.linalg import SingularMatrixError
 from pctlfg.markov import (
@@ -358,14 +359,16 @@ def reference_sat_set(chain: MarkovChain, f: StateFormula) -> frozenset[str]:
     return frozenset(s for s in states if f.cmp.holds(vec[s], f.bound))
 
 
-def labeling_violations(candidate: ETRCandidate) -> list[str]:
-    """The Boolean labeling rules a candidate breaks: a negated atom's set
-    is the complement, a conjunction's the intersection and a disjunction's
-    the union of its parts' sets, and the whole-formula set is nonempty."""
+def labeling_violations(candidate: ETRCandidate,
+                        f: StateFormula) -> list[str]:
+    """The Boolean labeling rules a candidate for `f` breaks: a negated
+    atom's set is the complement, a conjunction's the intersection and a
+    disjunction's the union of its parts' sets, and the whole-formula set
+    is nonempty."""
     problems = []
     full = (1 << candidate.size) - 1
     labeling = candidate.labeling
-    for g in set(iter_subformulas(candidate.formula)):
+    for g in set(iter_subformulas(f)):
         have = labeling[g]
         if isinstance(g, NegAtom):
             if have != full & ~labeling.get(Atom(g.name), 0):
@@ -376,14 +379,15 @@ def labeling_violations(candidate: ETRCandidate) -> list[str]:
         elif isinstance(g, Or):
             if have != reduce(or_, (labeling[a] for a in g.args), 0):
                 problems.append(f"labeling of {g} is not the union")
-    if not labeling[candidate.formula]:
+    if not labeling[f]:
         problems.append("whole-formula label set is empty")
     return problems
 
 
-def constraint_count(system: ETRSystem) -> int:
+def constraint_count(candidate: ETRCandidate) -> int:
     """Row sums, plus an equation and a comparison per block and vertex."""
-    return len(system.edges) + system.size * (1 + 2 * len(system.blocks))
+    return (len(candidate.edges)
+            + candidate.size * (1 + 2 * len(candidate.blocks)))
 
 
 def all_graphs(size: int):
@@ -450,8 +454,8 @@ def reference_candidates(f: StateFormula, bound: int,
             def assign(index, labeling):
                 if index == len(steps):
                     if labeling[f]:
-                        yield ETRCandidate(succ, {
-                            g: _mask(s) for g, s in labeling.items()}, f)
+                        yield encode(succ, {
+                            g: _mask(s) for g, s in labeling.items()})
                     return
                 node, completed = steps[index]
                 choices = subsets
@@ -485,8 +489,8 @@ def reference_search(f: StateFormula, bound: int) -> SatSearchResult:
     result = SatSearchResult("unsat-up-to-n")
     for candidate in reference_candidates(f_normal_form(f), bound, result):
         result.candidates += 1
-        system = encode(candidate)
-        if check_assignment(system, uniform_assignment(system)) is not None:
+        if check_assignment(candidate,
+                            uniform_assignment(candidate)) is not None:
             result.status = "sat"
             return result
         result.status = "unknown"
@@ -495,10 +499,12 @@ def reference_search(f: StateFormula, bound: int) -> SatSearchResult:
 
 def candidate_from_chain(chain: MarkovChain, f: StateFormula) -> ETRCandidate:
     """The candidate a concrete chain induces for an F-normal formula: its
-    graph plus the true satisfaction sets as labeling."""
+    graph plus the true satisfaction sets as labeling, built in step order
+    (`etr._choice_order`) so that its blocks are bottom-up."""
     mc = ModelChecker(chain)
-    return ETRCandidate(tuple(chain.succ), {
-        g: mc.sat_mask(g) for g in set(iter_subformulas(f))}, f)
+    return encode(tuple(chain.succ), {
+        g: mc.sat_mask(g)
+        for node, completed in _choice_order(f) for g in (node, *completed)})
 
 
 # The formula layer's constraint rules as the `Fraction` comparisons and

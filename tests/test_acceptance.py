@@ -269,10 +269,10 @@ def test_criterion_10_encoding_faithfulness():
             labeling = dict(candidate.labeling)
             victim = f_nodes[rng.randrange(len(f_nodes))]
             labeling[victim] ^= 1 << rng.randrange(len(chain.states))
-            candidate = type(candidate)(candidate.succ, labeling, f)
+            candidate = encode(candidate.succ, labeling)
         labels_agree = all(candidate.labeling[g] == mc.sat_mask(g)
                            for g in f_nodes)
-        confirmed = check_assignment(encode(candidate), truth) is not None
+        confirmed = check_assignment(candidate, truth) is not None
         assert confirmed == labels_agree
         if labels_agree:
             agreeing += 1

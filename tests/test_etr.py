@@ -20,9 +20,10 @@ from helpers import (
 import pctlfg.etr
 from pctlfg.cli import main
 from pctlfg.etr import (
-    BackendError, CorrectnessBlock, ETRCandidate, ETRSystem, SatSearchResult,
-    SolverBackend, _graphs, _implies, _parse_sexprs, _rationalize,
-    _required, _root_clash, check_assignment, encode, enumerate_candidates,
+    BackendError, CorrectnessBlock, ETRCandidate, SatSearchResult,
+    SolverBackend, _choice_order, _graphs, _implies, _parse_sexprs,
+    _rationalize, _required, _root_clash, check_assignment, encode,
+    enumerate_candidates,
     f_normal_form, interval_refuted, read_solver_output, smt_text,
     solve_bounded_sat, uniform_assignment,
 )
@@ -84,7 +85,7 @@ def test_enumerate_atom_single_vertex():
     c = cands[0]
     assert c.succ == (1,)
     assert c.labeling[Atom("a")] == 1
-    assert labeling_violations(c) == []
+    assert labeling_violations(c, Atom("a")) == []
 
 
 def test_enumerate_simple_eventuality():
@@ -105,7 +106,7 @@ def test_enumerate_sizes():
 def test_enumerate_boolean_propagation():
     f = pf("a & !b")
     for c in enumerate_candidates(f, 2):
-        assert labeling_violations(c) == []
+        assert labeling_violations(c, f) == []
         want = c.labeling[Atom("a")] & ~c.labeling[Atom("b")]
         assert c.labeling[f] == want
         assert c.labeling[f]
@@ -117,15 +118,15 @@ def test_consistent_names_each_violated_rule():
     union = disj([a, NegAtom("b")])
     good = {a: 0b01, b: 0b01, NegAtom("b"): 0b10, union: 0b11, c: 0b01, f: 0b01}
     succ = (0b11, 0b10)
-    assert labeling_violations(ETRCandidate(succ, good, f)) == []
+    assert labeling_violations(encode(succ, good), f) == []
     for changed, problem in [
         ({NegAtom("b"): 0b11}, "labeling of !b is not the complement"),
         ({f: 0b11}, f"labeling of {f} is not the intersection"),
         ({union: 0b01}, f"labeling of {union} is not the union"),
         ({c: 0, f: 0}, "whole-formula label set is empty"),
     ]:
-        candidate = ETRCandidate(succ, {**good, **changed}, f)
-        assert labeling_violations(candidate) == [problem], changed
+        candidate = encode(succ, {**good, **changed})
+        assert labeling_violations(candidate, f) == [problem], changed
 
 
 def _edges(succ):
@@ -199,11 +200,10 @@ def test_enumeration_is_every_consistent_unrefuted_candidate():
             for sets in itertools.product(range(1 << size), repeat=len(keys)):
                 labeling = dict(zip(keys, sets))
                 # the Boolean rules read the graph's size, not its edges
-                if labeling_violations(ETRCandidate((0,) * size, labeling, f)):
+                if labeling_violations(encode((0,) * size, labeling), f):
                     continue
                 for succ in all_graphs(size):
-                    c = ETRCandidate(succ, labeling, f)
-                    if not interval_refuted(encode(c)):
+                    if not interval_refuted(encode(succ, labeling)):
                         want.add((succ, frozenset(labeling.items())))
         full = [(c.succ, frozenset(c.labeling.items()))
                 for c in reference_candidates(f, 2)]
@@ -273,6 +273,18 @@ def test_enumeration_deterministic():
     assert snapshot() == snapshot()
 
 
+def test_blocks_follow_the_step_order():
+    # every emitted candidate's blocks are its F-subformulas bottom-up, as
+    # the step order lists them
+    f = f_normal_form(pf("F>1/2[F>0[a] & b] & G>0[!b | a]"))
+    want = [node for node, _ in _choice_order(f) if isinstance(node, Prob)]
+    assert len(want) == 3
+    candidates = list(enumerate_candidates(f, 2))
+    assert candidates
+    for c in candidates:
+        assert [block.formula for block in c.blocks] == want
+
+
 # -- encoding and the exact assignment oracle --------------------------------
 
 def fig1_candidate_and_truth(formula):
@@ -286,15 +298,14 @@ def fig1_candidate_and_truth(formula):
 
 def test_encode_shape_running_example(psi):
     _, candidate, _ = fig1_candidate_and_truth(psi)
-    system = encode(candidate)
-    assert len(system.edges) == 4
-    assert len(system.blocks) == 5
-    assert constraint_count(system) >= 4 + 3 + 5 * 3
+    assert len(candidate.edges) == 4
+    assert len(candidate.blocks) == 5
+    assert constraint_count(candidate) >= 4 + 3 + 5 * 3
 
 
 def test_check_assignment_running_example(psi):
     _, candidate, truth = fig1_candidate_and_truth(psi)
-    assert check_assignment(encode(candidate), truth)
+    assert check_assignment(candidate, truth)
 
 
 def test_check_assignment_rejects_perturbed(psi):
@@ -303,16 +314,15 @@ def test_check_assignment_rejects_perturbed(psi):
     bad = dict(truth)
     bad[(pos["t"], pos["s"])] = Fraction(1, 100)
     bad[(pos["t"], pos["u"])] = Fraction(99, 100)
-    assert not check_assignment(encode(candidate), bad)
+    assert not check_assignment(candidate, bad)
 
 
 def test_check_assignment_validates_input(psi):
     _, candidate, truth = fig1_candidate_and_truth(psi)
-    system = encode(candidate)
     bad = dict(truth)
     bad[next(iter(bad))] = Fraction(2)
     with pytest.raises(ValueError):
-        check_assignment(system, bad)
+        check_assignment(candidate, bad)
 
 
 # vertex 0 has edges to 0 and 1, vertex 1 a self-loop
@@ -323,10 +333,10 @@ def test_check_assignment_validates_input(psi):
     {(0, 0): Fraction(1, 3), (0, 1): Fraction(1, 3), (1, 1): Fraction(1)},
 ], ids=["missing edge", "zero edge", "edge above one", "row sum"])
 def test_check_assignment_rejects_a_non_chain(assignment):
-    system = ETRSystem((0b11, 0b10), (), (frozenset(), frozenset()))
-    assert system.edges == ((0, 0), (0, 1), (1, 1))
+    candidate = ETRCandidate((0b11, 0b10), {}, ())
+    assert candidate.edges == ((0, 0), (0, 1), (1, 1))
     with pytest.raises(ValueError):
-        check_assignment(system, assignment)
+        check_assignment(candidate, assignment)
 
 
 def test_degenerate_block_everything_labeled():
@@ -334,14 +344,13 @@ def test_degenerate_block_everything_labeled():
     f = pf("F=1[a]")
     chain = MarkovChain(["s"], {("s", "s"): Fraction(1)}, {"s": ["a"]})
     candidate = candidate_from_chain(chain, f)
-    system = encode(candidate)
-    block = system.blocks[0]
+    block = candidate.blocks[0]
     assert (block.body, block.inside) == (1, 1)
     # the cut-off set is empty: no reach variable is pinned to 0
-    text = smt_text(system)
+    text = smt_text(candidate)
     assert "(assert (= y1_1 1))" in text
     assert not re.search(r"\(assert \(= y\d+_\d+ 0\)\)", text)
-    assert check_assignment(system, {(0, 0): Fraction(1)})
+    assert check_assignment(candidate, {(0, 0): Fraction(1)})
 
 
 def test_contradictory_block_interval_refuted():
@@ -357,8 +366,7 @@ def test_contradictory_block_interval_refuted():
     for g in list(labeling):
         if isinstance(g, Prob) or isinstance(g, And):
             labeling[g] = 1
-    forced = type(candidate)(candidate.succ, labeling, f)
-    assert interval_refuted(encode(forced))
+    assert interval_refuted(encode(candidate.succ, labeling))
 
 
 def test_encoding_faithfulness_randomized():
@@ -382,10 +390,10 @@ def test_encoding_faithfulness_randomized():
             victim = f_nodes[rng.randrange(len(f_nodes))]
             flip = rng.randrange(len(chain.states))
             labeling[victim] ^= 1 << flip
-            candidate = type(candidate)(candidate.succ, labeling, f)
+            candidate = encode(candidate.succ, labeling)
         labels_agree = all(candidate.labeling[g] == mc.sat_mask(g)
                            for g in f_nodes)
-        confirmed = check_assignment(encode(candidate), truth) is not None
+        confirmed = check_assignment(candidate, truth) is not None
         assert confirmed == labels_agree
         if labels_agree:
             agreeing += 1
@@ -403,8 +411,7 @@ def test_unique_block_solution_matches_model_checker():
         candidate = candidate_from_chain(chain, f)
         pos = {s: i for i, s in enumerate(chain.states)}
         truth = {(pos[a], pos[b]): p for a, b, p in chain.edges()}
-        system = encode(candidate)
-        assert check_assignment(system, truth)
+        assert check_assignment(candidate, truth)
 
 
 # -- bounded satisfiability --------------------------------------------------
@@ -452,6 +459,22 @@ def test_a_root_clash_compiles_no_step_table(monkeypatch):
     result = solve_bounded_sat(pf("F=1[a] & G=1[!a]"), 5)
     assert (result.status, result.candidates, result.refuted) == (
         "unsat-up-to-n", 0, 1)
+
+
+def test_the_step_order_is_built_once_per_search(monkeypatch):
+    # the candidates' blocks are read off their labelings, so a search that
+    # emits 16 candidates builds the step order once, to compile the steps
+    calls = []
+    order = pctlfg.etr._choice_order
+
+    def counting(f):
+        calls.append(f)
+        return order(f)
+
+    monkeypatch.setattr(pctlfg.etr, "_choice_order", counting)
+    result = solve_bounded_sat(pf(SOLVER_PATH_FORMULA), 3)
+    assert (result.status, result.candidates) == ("unknown", 16)
+    assert len(calls) == 1
 
 
 def test_bound_below_one_is_rejected():
@@ -666,9 +689,9 @@ def test_screen_never_refutes_a_real_model():
     for _ in range(400):
         chain = random_chain(rng, max_states=3)
         f = f_normal_form(random_core_formula(rng, depth=3))
-        system = encode(candidate_from_chain(chain, f))
-        blocks += len(system.blocks)
-        assert not interval_refuted(system), (chain.to_json(), f)
+        candidate = candidate_from_chain(chain, f)
+        blocks += len(candidate.blocks)
+        assert not interval_refuted(candidate), (chain.to_json(), f)
     assert blocks > 400
 
 
@@ -694,8 +717,8 @@ def test_qualitative_survivors_hold_uniformly():
     for _ in range(40):
         f = _qualitative_formula(rng, depth=3)
         for candidate in enumerate_candidates(f_normal_form(f), 2):
-            system = encode(candidate)
-            assert check_assignment(system, uniform_assignment(system)), f
+            assert check_assignment(candidate,
+                                    uniform_assignment(candidate)), f
             survivors += 1
         for n in (1, 2):
             assert solve_bounded_sat(f, n).status != "unknown", (f, n)
@@ -723,10 +746,27 @@ def test_planted_formulas_not_refuted():
     assert found > 0
 
 
+def test_a_confirmed_chain_carries_the_atom_sets():
+    # each state of a confirmed chain carries exactly the atoms whose label
+    # sets contain its vertex, also an atom that occurs only negated
+    f = f_normal_form(pf("!b & F>0[a & !c] & G>1/2[a | b]"))
+    confirmed = 0
+    for c in enumerate_candidates(f, 2):
+        mc = check_assignment(c, uniform_assignment(c))
+        if mc is None:
+            continue
+        confirmed += 1
+        want = [{g.name for g, mask in c.labeling.items()
+                 if isinstance(g, Atom) and mask >> v & 1}
+                for v in range(c.size)]
+        assert [mc.chain.atoms(s) for s in mc.chain.states] == want
+    assert confirmed > 0
+
+
 def test_reconstruction_round_trip(psi):
     # the confirming checker's chain is fig1 renamed v1..v3, atoms included
     chain, candidate, truth = fig1_candidate_and_truth(psi)
-    mc = check_assignment(encode(candidate), truth)
+    mc = check_assignment(candidate, truth)
     rebuilt = mc.chain
     assert validate(rebuilt) == []
     assert rebuilt.states == ("v1", "v2", "v3")
@@ -747,7 +787,7 @@ def test_dump_smt(tmp_path):
 
 def test_smt_text_structure(psi):
     _, candidate, _ = fig1_candidate_and_truth(psi)
-    text = smt_text(encode(candidate))
+    text = smt_text(candidate)
     assert text.count("declare-const x") == 4
     assert text.count("declare-const y") == 5 * 3
     assert "(assert (= (+ x2 x3) 1))" in text
@@ -762,7 +802,7 @@ def test_smt_text_pinned_at_bound_two():
     for _ in range(40):
         f = f_normal_form(random_core_formula(rng, depth=2))
         for candidate in enumerate_candidates(f, 2):
-            h.update(smt_text(encode(candidate)).encode())
+            h.update(smt_text(candidate).encode())
             count += 1
     assert (count, h.hexdigest()[:16]) == (972, "c994b95a2fe9b102")
 
@@ -1057,9 +1097,9 @@ def test_backend_verdicts_on_survivors(verdict, status, monkeypatch):
     not_chains = []
     check = pctlfg.etr.check_assignment
 
-    def recording_check(system, assignment):
+    def recording_check(candidate, assignment):
         try:
-            return check(system, assignment)
+            return check(candidate, assignment)
         except ValueError as exc:
             not_chains.append(str(exc))
             raise
