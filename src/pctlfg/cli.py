@@ -159,11 +159,12 @@ def _cmd_measure(args) -> int:
     X = _build_set(args, mc, state)
     value = progress_measure(mc, state, X)
     norms = {str(p): path_norm(p) for p in sorted(member_paths(X), key=str)}
+    pending = pending_globals(mc, state, X)
     data = {
         "set": _formula_list(X),
-        "pending_globals": sorted(str(p) for p in pending_globals(mc, state, X)),
+        "pending_globals": sorted(str(p) for p in pending),
         "reachable_eventualities": sorted(
-            str(p) for p in reachable_eventualities(mc, state, X)),
+            str(p) for p in reachable_eventualities(mc, state, X, pending)),
         "bound_base": bound_base(X),
         "path_norms": norms,
         "measure": value,

@@ -5,14 +5,16 @@ counted level by level: 1 for the formula itself plus the norms of the
 maximal path formulas inside its body.  `pending_globals` collects the G
 path formulas of a set that the state does not yet satisfy almost surely;
 `reachable_eventualities` the F obligations that are unsatisfied locally but
-witnessed by a reachable state that spoils none of the pending G formulas.
-The measure combines the first three and strictly decreases along the model
-compression recursion, which is what bounds its depth; `bound_base` is the
-base of the model-size bound.  Each is its own function, called directly by
-whoever needs it, and each derives the sets it reads from the formula set
-itself: sub(X) is `formula.subformulas_of`, psub(X) is `path_subformulas`,
-and the members' path formulas are `member_paths`.  Every function that
-asks about a model takes its `ModelChecker`; the chain is `mc.chain`.
+witnessed by a reachable state that spoils none of the G formulas of a
+pending set, which its caller names.  The measure combines the first three
+and strictly decreases along the model compression recursion, which is
+what bounds its depth; `bound_base` is the base of the model-size bound.
+Each is its own function, called directly by whoever needs it, and each
+derives the sets it reads from the formula set itself, apart from that
+pending set: sub(X) is `formula.subformulas_of`, psub(X) is
+`path_subformulas`, and the members' path formulas are `member_paths`,
+the one list of them.  Every function that asks about a model takes its
+`ModelChecker`; the chain is `mc.chain`.
 """
 
 from __future__ import annotations
@@ -36,9 +38,11 @@ def path_subformulas(formulas) -> frozenset[PathFormula]:
                      if isinstance(g, Prob))
 
 
-def member_paths(formulas) -> frozenset[PathFormula]:
-    """The path formulas of the set's own probabilistic members."""
-    return frozenset(f.path_formula for f in formulas if isinstance(f, Prob))
+def member_paths(formulas) -> tuple[PathFormula, ...]:
+    """The distinct path formulas of the set's own probabilistic members,
+    in the order the members come."""
+    return tuple(dict.fromkeys(f.path_formula for f in formulas
+                               if isinstance(f, Prob)))
 
 
 def pending_globals(mc: ModelChecker, state: str, formulas) -> frozenset[PathFormula]:
@@ -49,18 +53,14 @@ def pending_globals(mc: ModelChecker, state: str, formulas) -> frozenset[PathFor
                      if path.op is PathOp.G and not mc.path_masks(path)[1] & here)
 
 
-def reachable_eventualities(mc: ModelChecker, state: str, formulas, *,
-                            pending: frozenset[PathFormula] | None = None,
+def reachable_eventualities(mc: ModelChecker, state: str, formulas,
+                            pending: frozenset[PathFormula],
                             ) -> frozenset[PathFormula]:
     """F path formulas of the set's own F-members whose body fails at
     `state` but holds at some reachable witness that additionally fails
-    G=1 for every pending G formula of the set.  `pending` is the set's
-    `pending_globals` at `state`, for a caller that has it already; when it
-    is absent, it is computed here.  `progress_measure` reads both sets, and
-    without the option it would run `pending_globals` twice per compression
-    node (about 3% of a `compress` pass)."""
-    if pending is None:
-        pending = pending_globals(mc, state, formulas)
+    G=1 for every G formula of `pending`.  The caller names the pending set
+    the eventualities are read under; for the measure it is the set's own
+    `pending_globals` at `state`."""
     candidates = [f for f in formulas
                   if isinstance(f, Prob) and f.op is PathOp.F
                   and not mc.holds(state, f.body)]
@@ -93,7 +93,7 @@ def progress_measure(mc: ModelChecker, state: str, formulas) -> int:
         total += len(pending) * (1 + sum(path_norm(q)
                                          for q in member_paths(formulas)))
     total += sum(path_norm(q) for q in
-                 reachable_eventualities(mc, state, formulas, pending=pending))
+                 reachable_eventualities(mc, state, formulas, pending))
     return total
 
 

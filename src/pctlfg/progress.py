@@ -18,13 +18,15 @@ holds at the state, and X is closed and updated there) and the loop
 conditions (1)-(6), `loop_violations`.  Both searches check the hypothesis
 once, before they search, and each candidate against the loop conditions
 alone.  `loop_violations(mc, state, X, loop)` derives the facts about X it
-reads, sub(X) and X's reachable eventualities, itself, so `verify_loop` and
-both searches call it with the same four arguments.  Every s |= X guard
-is `closure.require_satisfied`, and L2 reads cached grammar kinds.  The
-generic search walks masks over its universe, the subformulas of X in
-`sort_key` order (bit k is the k-th); it enumerates the candidate sets in
-(size, index tuple) order, which is their (size, sorted sort keys) order,
-and builds frozensets only for a complete candidate.
+reads, sub(X) and X's pending set, itself, so `verify_loop` and both
+searches call it with the same four arguments; condition (6) reads the
+reachable eventualities of X and of the exit obligations alike under X's
+pending set.  Every s |= X guard is `closure.require_satisfied`, and L2
+reads cached grammar kinds.  The generic search walks masks over its
+universe, the subformulas of X in `sort_key` order (bit k is the k-th); it
+enumerates the candidate sets in (size, index tuple) order, which is their
+(size, sorted sort keys) order, and builds frozensets only for a complete
+candidate.
 """
 
 from __future__ import annotations
@@ -46,7 +48,8 @@ from .markov import (
     MarkovChain, first_passage, indices, scc_decompose, states_reachable_from,
 )
 from .measure import (
-    bound_base, model_size_bound, progress_measure, reachable_eventualities,
+    bound_base, member_paths, model_size_bound, pending_globals,
+    progress_measure, reachable_eventualities,
 )
 from .modelcheck import ModelChecker
 
@@ -77,26 +80,14 @@ ProgressLoop = tuple[frozenset[StateFormula], ...]
 def exit_obligations(loop: ProgressLoop) -> frozenset[StateFormula]:
     """Formulas the loop itself cannot discharge: every G formula; every
     F formula whose body appears nowhere in the loop; every F=1 formula
-    occurring in some L_i whose body is absent from L_i..Ln."""
-    union = frozenset().union(*loop)
-    out: set[StateFormula] = set()
-    for f in union:
-        if not isinstance(f, Prob):
-            continue
-        if f.op is PathOp.G:
-            out.add(f)
-            continue
-        if f.body not in union:
-            out.add(f)
-            continue
-        if f.cmp is Cmp.GE and f.bound == 1:
-            suffix: set[StateFormula] = set()
-            for level in reversed(loop):
-                suffix |= level
-                if f in level and f.body not in suffix:
-                    out.add(f)
-                    break
-    return frozenset(out)
+    occurring in some L_i whose body is absent from L_i..Ln, that is, whose
+    body's last level comes before its own."""
+    last = {f: i for i, level in enumerate(loop) for f in level}
+    return frozenset(
+        f for f in last
+        if isinstance(f, Prob)
+        and (f.op is PathOp.G or f.body not in last
+             or (f.cmp is Cmp.GE and f.bound == 1 and last[f.body] < last[f])))
 
 
 def _local_rule_violations(i: int, members, loop: ProgressLoop) -> Iterator[str]:
@@ -163,8 +154,11 @@ def loop_violations(mc: ModelChecker, state: str, X: frozenset[StateFormula],
         if isinstance(f, Prob) and f.op is PathOp.F and mc.holds(state, f.body):
             problems.append(
                 f"condition (5): state {state!r} satisfies the body of {f}")
-    spilled = (reachable_eventualities(mc, state, residue)
-               - reachable_eventualities(mc, state, X))
+    # both sides under X's pending set: a G in a dead part of the residue's
+    # subformulas must not bar witnesses that X's own eventualities may use
+    pending = pending_globals(mc, state, X)
+    spilled = (reachable_eventualities(mc, state, residue, pending)
+               - reachable_eventualities(mc, state, X, pending))
     for path in sorted(spilled, key=lambda p: sort_key(p.body)):
         problems.append(
             f"condition (6): {path} is a reachable eventuality of the exit "
@@ -438,20 +432,13 @@ def successor_selection(mc: ModelChecker, state: str,
     delta = frozenset(obligations)
     require_satisfied(mc, state, delta)
 
-    prob_members = [f for f in sorted_formulas(delta) if isinstance(f, Prob)]
-    f_paths = []
-    g_paths = []
-    for f in prob_members:
-        path = f.path_formula
-        if f.op is PathOp.F and path not in f_paths:
-            f_paths.append(path)
-        elif f.op is PathOp.G and path not in g_paths:
-            g_paths.append(path)
-    paths = f_paths + g_paths
+    # `sort_key` ranks every F member before every G member
+    paths = member_paths(sorted_formulas(delta))
 
     candidates = mc.sccs.bottom
-    for path in f_paths:
-        candidates |= mc.sat_mask(path.body)
+    for path in paths:
+        if path.op is PathOp.F:
+            candidates |= mc.sat_mask(path.body)
     passage = first_passage(mc, state, mc.chain.names(candidates))
 
     support = sorted(t for t, y in passage.items() if y > 0)
@@ -468,20 +455,17 @@ def verify_selection(mc: ModelChecker, state: str, obligations,
     problems = []
     if sum(selection.values(), Fraction(0)) != 1:
         problems.append("weights do not sum to 1")
-    member_paths = dict.fromkeys(f.path_formula
-                                 for f in sorted_formulas(obligations)
-                                 if isinstance(f, Prob))
-    if not 0 < len(selection) <= len(member_paths) + 1:
+    paths = member_paths(sorted_formulas(obligations))
+    if not 0 < len(selection) <= len(paths) + 1:
         problems.append(
-            f"support size {len(selection)} outside (0, {len(member_paths) + 1}]")
-    for path in member_paths:
+            f"support size {len(selection)} outside (0, {len(paths) + 1}]")
+    for path in paths:
         covered = sum((w * mc.probability(t, path) for t, w in selection.items()),
                       Fraction(0))
         if mc.probability(state, path) > covered:
             problems.append(f"probability of {path} at {state!r} not covered")
     region = states_reachable_from(mc.chain.succ, mc.chain.mask((state,)))
-    f_bodies = [f.body for f in obligations
-                if isinstance(f, Prob) and f.op is PathOp.F]
+    f_bodies = [p.body for p in paths if p.op is PathOp.F]
     for t in selection:
         bit = mc.chain.mask((t,))
         if not bit & region:
@@ -563,11 +547,11 @@ def build_loop_model(loop: ProgressLoop, submodels, entry_for,
     for i in range(n - 1):
         edges[(loop_ids[i], loop_ids[i + 1])] = Fraction(1)
     stay = loop_return_probability(loop)
-    edges[(loop_ids[-1], loop_ids[0])] = edges.get((loop_ids[-1], loop_ids[0]),
-                                                   Fraction(0)) + stay
-    for (sub, entry, w), new_entry in zip(submodels, renamed_entries):
-        key = (loop_ids[-1], new_entry)
-        edges[key] = edges.get(key, Fraction(0)) + (1 - stay) * Fraction(w)
+    # no submodel state keeps a loop id and no two submodels share an
+    # entry, so each exit edge is set once
+    edges[(loop_ids[-1], loop_ids[0])] = stay
+    for (_, _, w), new_entry in zip(submodels, renamed_entries):
+        edges[(loop_ids[-1], new_entry)] = (1 - stay) * Fraction(w)
 
     chain = MarkovChain(states, edges, valuation)
     wanted = frozenset(entry_for)

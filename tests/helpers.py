@@ -18,7 +18,8 @@ constraints.  The reference constraint rules (trivial bounds, the parser's
 recursive forms.  The reference loop family builds every subset of a
 universe as a frozenset and sorts them, and the reference loop search walks
 that family with the G bodies as a set; the library's enumerates and walks
-masks in order.
+masks in order.  The reference exit obligations scan a growing suffix of
+the loop per F=1 member; the library's compare last levels.
 """
 
 from __future__ import annotations
@@ -627,6 +628,29 @@ def reference_search_loop_generic(mc: ModelChecker, state: str, X, max_n: int,
         if found is not None:
             return found
     return None
+
+
+def reference_exit_obligations(loop) -> frozenset[StateFormula]:
+    """The suffix form of `progress.exit_obligations`: every G member;
+    every F member whose body appears nowhere in the loop; every F=1
+    member of some L_i whose body is absent from L_i..Ln, found by
+    growing the suffix from Ln back."""
+    union = frozenset().union(*loop)
+    out = set()
+    for f in union:
+        if not isinstance(f, Prob):
+            continue
+        if f.op is PathOp.G or f.body not in union:
+            out.add(f)
+            continue
+        if f.cmp is Cmp.GE and f.bound == 1:
+            suffix = set()
+            for level in reversed(loop):
+                suffix |= level
+                if f in level and f.body not in suffix:
+                    out.add(f)
+                    break
+    return frozenset(out)
 
 
 # ---------------------------------------------------------------------------

@@ -110,7 +110,8 @@ def test_criterion_04_measure_golden(fig1, psi):
     X = closure_update(mc, "s", {psi})
     assert pending_globals(mc, "s", X) == frozenset(
         {PathFormula(PathOp.G, Atom("a"))})
-    assert reachable_eventualities(mc, "s", X) == frozenset()
+    assert reachable_eventualities(mc, "s", X,
+                                   pending_globals(mc, "s", X)) == frozenset()
     g_path = PathFormula(PathOp.G, pf(PHI_OR_TEXT))
     f_path = PathFormula(PathOp.F, pf("G=1[a]"))
     assert path_norm(g_path) == _count_prob_nodes(g_path) == 3

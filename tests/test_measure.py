@@ -4,12 +4,14 @@ from fractions import Fraction
 import pytest
 
 from helpers import (
-    PHI_OR_TEXT, collect_loops, reference_reachable, satisfied_instance,
+    PHI_OR_TEXT, collect_loops, random_core_formula, reference_reachable,
+    satisfied_instance,
 )
 
 from pctlfg.closure import achieved_bounds, closure_update, update
 from pctlfg.formula import (
-    Atom, NegAtom, PathFormula, PathOp, Prob, parse_formula, subformulas_of,
+    Atom, NegAtom, PathFormula, PathOp, Prob, parse_formula, sorted_formulas,
+    subformulas, subformulas_of,
 )
 from pctlfg.markov import MarkovChain
 from pctlfg.measure import (
@@ -30,7 +32,8 @@ def test_measure_parts_running_example(fig1_checker, psi):
     X = closure_update(fig1_checker, "s", {psi})
     assert pending_globals(fig1_checker, "s", X) == frozenset(
         {PathFormula(PathOp.G, Atom("a"))})
-    assert reachable_eventualities(fig1_checker, "s", X) == frozenset()
+    assert reachable_eventualities(
+        fig1_checker, "s", X, pending_globals(fig1_checker, "s", X)) == frozenset()
     assert bound_base(X) == 21
 
 
@@ -38,22 +41,40 @@ def test_path_sets_running_example(fig1_checker, psi):
     X = closure_update(fig1_checker, "s", {psi})
     # the members' path formulas are the two obligations of X itself
     phi_or = parse_formula(PHI_OR_TEXT)
-    assert member_paths(X) == frozenset({
+    assert frozenset(member_paths(X)) == frozenset({
         PathFormula(PathOp.G, phi_or),
         PathFormula(PathOp.F, parse_formula("G=1[a]")),
     })
     # psub(X) holds all five path formulas of sub(X), the nested ones too
     psub = path_subformulas(X)
-    assert len(psub) == 5 and member_paths(X) < psub
+    assert len(psub) == 5 and frozenset(member_paths(X)) < psub
     assert PathFormula(PathOp.G, Atom("a")) in psub
     assert PathFormula(PathOp.F, NegAtom("a")) in psub
-    assert path_subformulas({Atom("a")}) == member_paths({Atom("a")}) == frozenset()
+    assert path_subformulas({Atom("a")}) == frozenset()
+    assert member_paths({Atom("a")}) == ()
+
+
+def test_member_paths_of_sorted_set_put_f_paths_first():
+    # in `sorted_formulas` order the members' distinct path formulas come F
+    # paths first, then G paths, each in member order: the order successor
+    # selection builds its probability vectors in
+    rng = random.Random(47)
+    for _ in range(300):
+        universe = sorted_formulas(subformulas(random_core_formula(rng, 4)))
+        X = sorted_formulas(rng.sample(universe, rng.randint(1, len(universe))))
+        f_paths, g_paths = [], []
+        for f in X:
+            if isinstance(f, Prob):
+                paths = f_paths if f.op is PathOp.F else g_paths
+                if f.path_formula not in paths:
+                    paths.append(f.path_formula)
+        assert member_paths(X) == tuple(f_paths + g_paths)
 
 
 def test_measure_parts_empty():
     mc = ModelChecker(MarkovChain(["s"], {("s", "s"): Fraction(1)}, {}))
     assert pending_globals(mc, "s", frozenset()) == frozenset()
-    assert reachable_eventualities(mc, "s", frozenset()) == frozenset()
+    assert reachable_eventualities(mc, "s", frozenset(), frozenset()) == frozenset()
     assert bound_base(frozenset()) == 2
 
 
@@ -180,4 +201,5 @@ def test_eventualities_respect_pending_filter(fig1_checker, psi):
     # F G=1[a] is not a reachable eventuality at s: the only G=1[a] witness
     # is u, which satisfies G=1[a] itself (the pending formula)
     X = closure_update(fig1_checker, "s", {psi})
-    assert reachable_eventualities(fig1_checker, "s", X) == frozenset()
+    assert reachable_eventualities(
+        fig1_checker, "s", X, pending_globals(fig1_checker, "s", X)) == frozenset()

@@ -7,8 +7,9 @@ import pytest
 
 from helpers import (
     PHI_OR_TEXT, bottom_state_instance, fig1_chain, random_core_formula,
-    reference_caratheodory_reduce, reference_locally_consistent_sets,
-    reference_search_loop_generic, satisfied_instance,
+    reference_caratheodory_reduce, reference_exit_obligations,
+    reference_locally_consistent_sets, reference_search_loop_generic,
+    satisfied_instance,
 )
 
 from pctlfg.closure import UnsatisfiedSetError, closure_update
@@ -18,13 +19,13 @@ from pctlfg.formula import (
     subformulas_of,
 )
 from pctlfg.markov import MarkovChain, indices, validate
-from pctlfg.measure import model_size_bound
+from pctlfg.measure import model_size_bound, pending_globals
 from pctlfg.modelcheck import ModelChecker
 from pctlfg.progress import (
     FragmentError, ProgressLoopError, SearchSpaceExceeded,
     _g_bodies, _locally_consistent_sets, bscc_reduce,
     build_loop_model, caratheodory_reduce, compress_model, exit_obligations,
-    loop_return_probability, search_loop_generic, search_loop_l2,
+    loop_return_probability, loop_violations, search_loop_generic, search_loop_l2,
     simple_loop_components, successor_selection, verify_loop,
     verify_selection,
 )
@@ -84,6 +85,37 @@ def test_exit_obligations_eventuality_after_the_fact():
     assert exit_obligations(loop) == frozenset({pf("F=1[a]")})
 
 
+def test_exit_obligations_body_between_two_homes():
+    # F=1[a] in L0 and L2, its body only in L1: L0's occurrence is served
+    # by L1, L2's is not, so the formula is an obligation
+    f = pf("F=1[a]")
+    loop = (frozenset({f}), frozenset({Atom("a")}), frozenset({f, Atom("b")}))
+    assert exit_obligations(loop) == reference_exit_obligations(loop) == {f}
+    served = (frozenset({f}), frozenset({f}), frozenset({Atom("a")}))
+    assert exit_obligations(served) == reference_exit_obligations(served) == set()
+
+
+def test_exit_obligations_equal_suffix_scan():
+    # the last-level rule agrees with the suffix scan on seeded sequences of
+    # subsets of a random formula's subformulas; some F=1 member with its
+    # body in the loop is an obligation, and some is served
+    rng = random.Random(31)
+    fired = served = 0
+    for _ in range(600):
+        universe = sorted_formulas(subformulas(random_core_formula(rng, 4)))
+        loop = tuple(frozenset(rng.sample(universe, rng.randint(1, len(universe))))
+                     for _ in range(rng.randint(1, 4)))
+        residue = exit_obligations(loop)
+        assert residue == reference_exit_obligations(loop)
+        union = frozenset().union(*loop)
+        for f in union:
+            if (isinstance(f, Prob) and f.op is PathOp.F and f.bound == 1
+                    and f.body in union):
+                fired += f in residue
+                served += f not in residue
+    assert fired and served
+
+
 # -- verify_loop -------------------------------------------------------------
 
 def test_verify_example_loop(running, psi):
@@ -97,6 +129,24 @@ def test_verify_detects_missing_g_body(running, psi):
     broken = (loop[0], loop[1] - {pf(PHI_OR_TEXT)}, loop[2])
     problems = verify_loop(mc, "s", X, broken)
     assert any("condition (3)" in p for p in problems)
+
+
+def test_condition_6_reads_x_pending_set():
+    # X = {G>=1/2[!b]} has the pending set {G !b} at s0, which bars s1 (where
+    # G=1[!b] holds) as a witness but not s2.  The exit obligations add
+    # F>0[b], whose body holds at s2: an eventuality reachable under X's own
+    # pending set that X does not have, so condition (6) fails
+    chain = MarkovChain(["s0", "s1", "s2"],
+                        {("s0", "s1"): Fraction(1, 2), ("s0", "s2"): Fraction(1, 2),
+                         ("s1", "s1"): Fraction(1), ("s2", "s2"): Fraction(1)},
+                        {"s1": ["a"], "s2": ["b"]})
+    mc = ModelChecker(chain)
+    X = frozenset({pf("G>=1/2[!b]")})
+    loop = (X | {pf("!b"), pf("F>0[b]")},)
+    assert exit_obligations(loop) == X | {pf("F>0[b]")}
+    assert pending_globals(mc, "s0", X) == {PathFormula(PathOp.G, pf("!b"))}
+    assert ("condition (6): F b is a reachable eventuality of the exit "
+            "obligations but not of X") in loop_violations(mc, "s0", X, loop)
 
 
 def test_verify_detects_duplicates(running, psi):
@@ -667,6 +717,20 @@ def test_build_loop_model_errors(psi):
         build_loop_model(loop, [(u, "u", Fraction(1))], {NegAtom("a")})
 
 
+def test_build_loop_model_same_submodel_twice():
+    # one chain passed twice: the second copy is renamed, and each entry
+    # gets its own exit edge carrying exactly its share of the exit mass
+    loop = (frozenset({Atom("a")}),)
+    u = u_submodel()
+    model, _ = build_loop_model(loop, [(u, "u", Fraction(1, 3)),
+                                       (u, "u", Fraction(2, 3))], loop[0])
+    stay = loop_return_probability(loop)
+    assert model.probability("L0", "L0") == stay
+    assert model.probability("L0", "u") == (1 - stay) / 3
+    assert model.probability("L0", "m1_u") == 2 * (1 - stay) / 3
+    assert validate(model) == []
+
+
 def test_build_loop_model_renames_collisions(psi):
     sub = MarkovChain(["L0"], {("L0", "L0"): Fraction(1)}, {"L0": ["a"]})
     loop = (frozenset({Atom("a")}),)
@@ -919,6 +983,34 @@ def test_compress_two_level_recursion():
     model2, entry2, _ = compress_model(chain, "s", nested, fragment="generic",
                                        max_n=3)
     assert ModelChecker(model2).holds(entry2, nested)
+
+
+@pytest.mark.parametrize("formula, model", [
+    # X's pending set holds the G of a dead disjunct, which bars every
+    # b-state (!c-state) as a witness, so X has no reachable eventuality;
+    # read under their own, empty pending set, the exit obligations had
+    # F b (F !c), and condition (6) rejected the loop
+    ("(F=1[b] | G=1[b])",
+     '{"states":[{"id":"s0","ap":["a","c"]},{"id":"s1","ap":["b"]},'
+     '{"id":"s2","ap":["b","c"]},{"id":"s3","ap":["c"]}],'
+     '"edges":[{"from":"s0","to":"s2","p":"1/7"},{"from":"s0","to":"s0","p":"3/7"},'
+     '{"from":"s0","to":"s1","p":"3/7"},{"from":"s1","to":"s2","p":"1"},'
+     '{"from":"s2","to":"s1","p":"1"},{"from":"s3","to":"s3","p":"1"}]}'),
+    ("F>=1/2[(G=1[(!a & !a)] | F=1[!c])]",
+     '{"states":[{"id":"s0","ap":["a","c"]},{"id":"s1","ap":["b","c"]},'
+     '{"id":"s2","ap":["b"]},{"id":"s3","ap":["b"]}],'
+     '"edges":[{"from":"s0","to":"s3","p":"1/8"},{"from":"s0","to":"s1","p":"9/16"},'
+     '{"from":"s0","to":"s0","p":"5/16"},{"from":"s1","to":"s2","p":"1"},'
+     '{"from":"s2","to":"s1","p":"1"},{"from":"s3","to":"s3","p":"1"}]}'),
+], ids=["seed0", "seed24"])
+def test_compress_l2_condition_6_regressions(formula, model):
+    # the `compress` bench instances that condition (6) used to reject when
+    # it read the exit obligations under their own pending set
+    chain = MarkovChain.from_json(model)
+    f = pf(formula)
+    built, entry, _ = compress_model(chain, "s0", f, fragment="l2")
+    assert simple_loop_components(built) == []
+    assert ModelChecker(built).holds(entry, f)
 
 
 def test_compress_randomized_other_fragments():
