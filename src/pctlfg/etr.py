@@ -37,14 +37,16 @@ masks, its labeling and its constraint system, one block per
 F-subformula holding its body set and its own set, read off the labeling
 by `encode` in the labeling's own (bottom-up) order; the cut-off set,
 where the block's reach variables are 0, is derived by `smt_text`, its
-one reader.  Each candidate is first tried with the uniform assignment;
-only a miss is shipped to a pluggable SMT backend.  An assignment fixes
-the chain, so it is confirmed by that chain's `ModelChecker`, the
-package's one exact evaluator: each block's reach values are its
-`reach_probabilities` between prob0 and prob1 of the body mask, held
-against the bound by `modelcheck.passing`.  The chain carries the atoms
-of the candidate's atom sets, so a confirmed assignment is a model, which
-the same checker re-verifies against the original formula at vertex 0.
+one reader.  Each candidate is decided on one path: it is tried with the
+uniform assignment, and only a miss is shipped to a pluggable SMT
+backend, whose answer is confirmed; its SMT text is built at most once,
+for the dump and the backend alike.  An assignment fixes the chain, so
+it is confirmed by that chain's `ModelChecker`, the package's one exact
+evaluator: each block's reach values are its `reach_probabilities`
+between prob0 and prob1 of the body mask, held against the bound by
+`modelcheck.passing`.  The chain carries the atoms of the candidate's
+atom sets, so a confirmed assignment is a model, which the same checker
+re-verifies against the original formula at vertex 0.
 """
 
 from __future__ import annotations
@@ -658,16 +660,16 @@ def solve_bounded_sat(f: StateFormula, bound: int, *,
     The candidates come from `enumerate_candidates`, already screened at
     vertex 0 (a root clash refutes the search before any graph, counting
     1) and with prob0/prob1 of each block's graph, so `refuted` counts the
-    labeling subtrees the screens skipped.  Each survivor is first tried
-    with the uniform assignment (one `check_assignment` call); a miss goes
-    to the backend, if any, whose answer is confirmed by `check_assignment`
-    too.  The checker that confirms an assignment holds its chain, which is
-    re-verified against the original formula at its entry, vertex 0,
-    before being returned.  With `emit_only` the candidates are only
-    written, nothing is decided.  The result is unsat-up-to-n only when every
-    candidate was refuted; unknown when no survivor's uniform assignment is
-    a model and some survivor was left undecided by the backend, or there
-    is none.
+    labeling subtrees the screens skipped.  Each survivor takes one path:
+    its SMT text is written to `dump_dir`, if given; with `emit_only`
+    nothing is decided; otherwise it is tried with the uniform assignment,
+    and a miss goes to the backend, if any, with the same text.  An unsat
+    answer moves on, a timeout is counted, and a sat answer is confirmed
+    by `check_assignment` too.  A survivor left without a confirming
+    checker makes the result unknown unless a later one is a model, whose
+    chain is re-verified against the original formula at its entry,
+    vertex 0, before being returned.  The result is unsat-up-to-n only
+    when every candidate was refuted.
     """
     if bound < 1:
         raise ValueError("bound must be at least 1")
@@ -676,44 +678,37 @@ def solve_bounded_sat(f: StateFormula, bound: int, *,
     if dump_dir is not None:
         os.makedirs(dump_dir, exist_ok=True)
 
-    undecided = False
     for candidate in enumerate_candidates(normal, bound, _result=result):
         result.candidates += 1
+        text = None
         if dump_dir is not None:
+            text = smt_text(candidate)
             path = os.path.join(dump_dir, f"candidate-{result.candidates:06d}.smt2")
             with open(path, "w") as handle:
-                handle.write(smt_text(candidate))
-        if emit_only:
-            undecided = True
-            continue
-        mc = check_assignment(candidate, uniform_assignment(candidate))
-        if mc is None:
-            if backend is None:
-                undecided = True
-                continue
+                handle.write(text)
+        mc = None
+        if not emit_only:
+            mc = check_assignment(candidate, uniform_assignment(candidate))
+        if mc is None and not emit_only and backend is not None:
             result.solver_calls += 1
-            verdict, values = backend.solve(smt_text(candidate))
-            if verdict == "timeout":
-                result.timeouts += 1
-                undecided = True
-                continue
-            if verdict == "unknown":
-                undecided = True
-                continue
+            verdict, values = backend.solve(text or smt_text(candidate))
             if verdict == "unsat":
                 continue
-            try:
-                assignment = {e: values[_edge_var(i)]
-                              for i, e in enumerate(candidate.edges)}
-            except KeyError as exc:
-                raise BackendError(f"solver model is missing {exc}") from exc
-            try:
-                mc = check_assignment(candidate, assignment)
-            except ValueError:
-                mc = None  # the rationalized values are not even a chain
-            if mc is None:
-                undecided = True  # exact confirmation failed
-                continue
+            if verdict == "timeout":
+                result.timeouts += 1
+            elif verdict == "sat":
+                try:
+                    assignment = {e: values[_edge_var(i)]
+                                  for i, e in enumerate(candidate.edges)}
+                except KeyError as exc:
+                    raise BackendError(f"solver model is missing {exc}") from exc
+                try:
+                    mc = check_assignment(candidate, assignment)
+                except ValueError:
+                    pass  # the rationalized values are not even a chain
+        if mc is None:
+            result.status = "unknown"
+            continue
         entry = mc.chain.states[0]
         if not mc.holds(entry, f):
             raise RuntimeError(
@@ -722,6 +717,4 @@ def solve_bounded_sat(f: StateFormula, bound: int, *,
         result.model = mc.chain
         result.entry = entry
         return result
-    if undecided:
-        result.status = "unknown"
     return result

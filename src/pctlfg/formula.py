@@ -32,6 +32,7 @@ F-normal form (`f_normal_form`, no G), which bounded satisfiability in
 
 from __future__ import annotations
 
+import operator
 import threading
 import weakref
 from dataclasses import dataclass, fields
@@ -80,13 +81,7 @@ class Cmp(Enum):
         return self.value
 
     def holds(self, value: Fraction, bound: Fraction) -> bool:
-        if self is Cmp.GE:
-            return value >= bound
-        if self is Cmp.GT:
-            return value > bound
-        if self is Cmp.LE:
-            return value <= bound
-        return value < bound
+        return _HOLDS[self](value, bound)
 
     def negated(self) -> "Cmp":
         return _NEGATED[self]
@@ -94,6 +89,8 @@ class Cmp(Enum):
 
 CORE_CMPS = (Cmp.GE, Cmp.GT)
 _NEGATED = {Cmp.GE: Cmp.LT, Cmp.GT: Cmp.LE, Cmp.LE: Cmp.GT, Cmp.LT: Cmp.GE}
+_HOLDS = {Cmp.GE: operator.ge, Cmp.GT: operator.gt,
+          Cmp.LE: operator.le, Cmp.LT: operator.lt}
 
 
 # One live node per structure: its `_intern` key -> the node.  Weak values, so

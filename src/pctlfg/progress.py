@@ -691,7 +691,11 @@ def compress_model(chain: MarkovChain, state: str, formula: StateFormula, *,
             node.selection = successor_selection(mc, at, node.obligations)
             submodels = []
             for t, w in node.selection.items():
-                X_t = closure_update(mc, t, achieved_bounds(mc, t, node.obligations))
+                # an F whose body holds at t is discharged at t: t owes the body
+                owed = frozenset(
+                    g.body if g.op is PathOp.F and mc.holds(t, g.body) else g
+                    for g in achieved_bounds(mc, t, node.obligations))
+                X_t = closure_update(mc, t, owed)
                 child_model, child_entry, child_node = build(t, X_t, m)
                 node.children.append(child_node)
                 submodels.append((child_model, child_entry, w))

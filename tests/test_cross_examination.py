@@ -18,11 +18,7 @@ def test_sat_and_compress_agree():
     # both directions ran, and a third of each through a progress loop
     assert counts["forward"] >= 250 and counts["reverse"] >= 250
     assert counts["forward loops"] >= 100 and counts["reverse loops"] >= 100
-    # one input at this seed hits the known "progress measure did not
-    # decrease" compression defect (ROADMAP item 1 (a)); fixing it tightens
-    # this to no failure
-    assert len(failures) <= 1
-    assert all("progress measure did not decrease" in f for f in failures)
+    assert failures == []
 
 
 def test_an_unsound_screen_fails_the_cross_examination(monkeypatch):

@@ -1117,6 +1117,31 @@ def test_backend_verdicts_on_survivors(verdict, status, monkeypatch):
         assert not_chains == []
 
 
+def test_one_smt_text_per_candidate(tmp_path, monkeypatch):
+    # each of the 16 survivors is dumped and, after its uniform miss, shipped
+    # to the backend as one text, built once
+    built = []
+    shipped = []
+    text_of = pctlfg.etr.smt_text
+
+    def counting(candidate):
+        built.append(candidate)
+        return text_of(candidate)
+
+    class Undecided:
+        def solve(self, text):
+            shipped.append(text)
+            return "unknown", {}
+
+    monkeypatch.setattr(pctlfg.etr, "smt_text", counting)
+    result = solve_bounded_sat(pf(SOLVER_PATH_FORMULA), 3, backend=Undecided(),
+                               dump_dir=str(tmp_path))
+    assert result.status == "unknown"
+    assert len(built) == result.candidates == result.solver_calls == 16
+    assert shipped == [path.read_text()
+                       for path in sorted(tmp_path.glob("*.smt2"))]
+
+
 def test_small_compressed_models_are_found_by_bounded_sat():
     # the small-model side meets the bounded search: a compressed model with
     # k <= 3 states is a model of size k, so the search up to k must not

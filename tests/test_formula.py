@@ -141,6 +141,17 @@ def test_negation_and_parser_tables_match_the_enum_mappings():
     assert _CMPS == {text: Cmp(text) for text in (">=", ">", "<=", "<")}
 
 
+def test_holds_matches_the_literal_comparisons():
+    # every pair of the grid, equal values written apart (1/2 and 2/4)
+    # included, against the comparison operators written out
+    grid = _RULE_BOUNDS + (Fraction(2, 4), Fraction(1, 3))
+    for value in grid:
+        for bound in grid:
+            assert [Cmp.GE.holds(value, bound), Cmp.GT.holds(value, bound),
+                    Cmp.LE.holds(value, bound), Cmp.LT.holds(value, bound)] == \
+                [value >= bound, value > bound, value <= bound, value < bound]
+
+
 def test_le_lt_dualities():
     # P(F b) <= r  iff  P(G !b) >= 1-r;  P(G b) < r  iff  P(F !b) > 1-r
     assert parse_formula("F<=0.3[a]") == Prob(PathOp.G, Cmp.GE, Fraction(7, 10),
