@@ -29,9 +29,14 @@ probabilities (and with them the ETR oracle's block values) and the
 first-passage distribution go through it.  It works on the chain's state
 indices: the unknown states, the rows `chain.row(i) -> (d, [(j, n), ...])`
 with P(i,j) = n/d, and one boundary mask per right-hand column (prob1 for
-reach, one target per column for first passage).  It hands `linalg.solve`
-integer rows, each equation of (I - P) x = b multiplied by its row's d,
-so no Fraction arithmetic builds the system.  Loading a chain checks and
+reach; for first passage, one column per target that the source can enter
+first).  Which targets those are is a graph fact, `first_entries`, the
+targets among the successors of the region the source reaches without
+entering a target; the others read 0 without a column, and
+`progress.successor_selection` reads the same mask when it has no
+weights to solve.  The kernel hands `linalg.solve` integer rows, each
+equation of (I - P) x = b multiplied by its row's d, so no Fraction
+arithmetic builds the system.  Loading a chain checks and
 converts each state and edge record in one pass, straight into the
 successor rows, and reads each distinct numeral text once per process.
 `first_passage` reads the checker's SCC decomposition only to name the
@@ -469,6 +474,20 @@ def absorption(chain: MarkovChain, unknown, columns) -> dict[int, list[Fraction]
 # ---------------------------------------------------------------------------
 # First-passage distribution
 
+def first_entries(succ, origin: int, targets: int) -> int:
+    """The mask of the `targets` states that a run from the `origin` state
+    enters first with positive probability, over successor masks: the
+    origin alone if it is a target, else the targets among the successors
+    of the region it reaches without entering a target.  A graph fact, as
+    every edge has positive probability."""
+    if origin & targets:
+        return origin
+    entered = 0
+    for i in indices(states_reachable_from(succ, origin, blocked=targets)):
+        entered |= succ[i]
+    return entered & targets
+
+
 def first_passage(mc: ModelChecker, source: str, targets) -> dict[str, Fraction]:
     """Distribution of the first visited target state, over runs from
     `source` in the checker's chain that reach `targets` before visiting
@@ -477,8 +496,10 @@ def first_passage(mc: ModelChecker, source: str, targets) -> dict[str, Fraction]
     Requires that `targets` is hit with probability one from `source`;
     otherwise raises FirstPassageError carrying a reachable bottom SCC
     disjoint from the targets as a certificate.  The returned values sum
-    to exactly 1 (all targets appear, unreached ones with 0).  A source or
-    target that is not a state of the chain raises KeyError.
+    to exactly 1 (all targets appear, in name order).  Which targets get a
+    positive value is a graph fact, `first_entries`; only their columns
+    are solved, and every other target reads 0.  A source or target that
+    is not a state of the chain raises KeyError.
     """
     chain = mc.chain
     targets = frozenset(targets)
@@ -505,9 +526,10 @@ def first_passage(mc: ModelChecker, source: str, targets) -> dict[str, Fraction]
             certificate=comp,
         )
 
-    tlist = sorted(targets)
-    columns = [chain.mask((t,)) for t in tlist]
+    entered = sorted(chain.names(first_entries(chain.succ, origin, target_mask)))
+    columns = [chain.mask((t,)) for t in entered]
     hit = absorption(chain, indices(region), columns)[origin.bit_length() - 1]
-    result = dict(zip(tlist, hit))
+    result = dict.fromkeys(sorted(targets), Fraction(0))
+    result.update(zip(entered, hit))
     assert sum(result.values()) == 1
     return result

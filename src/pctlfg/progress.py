@@ -8,10 +8,12 @@ recursive construction: find a loop, split the exit mass over a small
 support of successor states (exact Caratheodory reduction; the selection is
 a dict from each kept successor to its weight), recurse on strictly simpler
 formula sets, and stop at bottom SCCs, which collapse to
-satisfaction-signature cycles.  Diagnostics that name formulas of a set
-list them in `sorted_formulas` order.  Every function that asks about a
-model takes its `ModelChecker`; the chain is `mc.chain` and its SCC
-decomposition is `mc.sccs`, computed once per chain.
+satisfaction-signature cycles.  The successors a run can enter first are a
+graph fact (`markov.first_entries`); weights are solved only when the exit
+obligations hold a path formula to cover.  Diagnostics that name formulas
+of a set list them in `sorted_formulas` order.  Every function that asks
+about a model takes its `ModelChecker`; the chain is `mc.chain` and its
+SCC decomposition is `mc.sccs`, computed once per chain.
 
 `verify_loop` checks a loop in two parts: the hypothesis (every member of X
 holds at the state, and X is closed and updated there) and the loop
@@ -45,7 +47,8 @@ from .formula import (
     fragment_classify, sort_key, sorted_formulas, subformulas, subformulas_of,
 )
 from .markov import (
-    MarkovChain, first_passage, indices, scc_decompose, states_reachable_from,
+    MarkovChain, first_entries, first_passage, indices, scc_decompose,
+    states_reachable_from,
 )
 from .measure import (
     bound_base, member_paths, model_size_bound, pending_globals,
@@ -423,11 +426,15 @@ def successor_selection(mc: ModelChecker, state: str,
     weight, in state-name order; the weights sum to one.
 
     The candidate states are those inside bottom SCCs plus those satisfying
-    some F-obligation body; the first-passage distribution over them is then
-    reduced by exact Caratheodory steps on the achieved-probability vectors
-    (all obligations, F and G alike, F paths first), so the support size is
-    at most |path formulas| + 1 and every obligation's probability at
-    `state` is covered by the weighted successors.
+    some F-obligation body.  Which of them a run from `state` enters first
+    with positive probability is a graph fact (`first_entries`).  With no
+    path formula to cover, the first of those in name order takes weight
+    1, which is where the reduction below ends in dimension 0.  Otherwise
+    the first-passage distribution over the candidates is reduced by exact
+    Caratheodory steps on the achieved-probability vectors (all
+    obligations, F and G alike, F paths first), so the support size is at
+    most |path formulas| + 1 and every obligation's probability at `state`
+    is covered by the weighted successors.
     """
     delta = frozenset(obligations)
     require_satisfied(mc, state, delta)
@@ -436,6 +443,9 @@ def successor_selection(mc: ModelChecker, state: str,
     paths = member_paths(sorted_formulas(delta))
 
     candidates = mc.sccs.bottom
+    if not paths:
+        entered = first_entries(mc.chain.succ, mc.chain.mask((state,)), candidates)
+        return {min(mc.chain.names(entered)): Fraction(1)}
     for path in paths:
         if path.op is PathOp.F:
             candidates |= mc.sat_mask(path.body)

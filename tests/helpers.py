@@ -19,7 +19,10 @@ recursive forms.  The reference loop family builds every subset of a
 universe as a frozenset and sorts them, and the reference loop search walks
 that family with the G bodies as a set; the library's enumerates and walks
 masks in order.  The reference exit obligations scan a growing suffix of
-the loop per F=1 member; the library's compare last levels.
+the loop per F=1 member; the library's compare last levels.  The reference
+successor selection always solves the first-passage distribution over
+every candidate and reduces it; the library's reads the first-entry
+support off the graph when no path formula needs covering.
 """
 
 from __future__ import annotations
@@ -30,9 +33,10 @@ from fractions import Fraction
 from functools import reduce
 from operator import and_, or_
 
+from pctlfg.closure import require_satisfied
 from pctlfg.formula import (
     And, Atom, Cmp, NegAtom, Or, PathOp, Prob, StateFormula, conj, disj,
-    iter_subformulas, parse_formula,
+    iter_subformulas, parse_formula, sorted_formulas,
 )
 from pctlfg.etr import (
     ETRCandidate, SatSearchResult, _choice_order, _screen, _verdicts,
@@ -40,8 +44,10 @@ from pctlfg.etr import (
 )
 from pctlfg.linalg import SingularMatrixError
 from pctlfg.markov import (
-    MarkovChain, indices, predecessor_masks, prob01, scc_decompose,
+    MarkovChain, first_passage, indices, predecessor_masks, prob01,
+    scc_decompose,
 )
+from pctlfg.measure import member_paths
 from pctlfg.modelcheck import ModelChecker
 
 PSI_TEXT = "G=1[F>=0.5[a & F>=0.2[!a]] | a] & F=1[G=1[a]] & !a"
@@ -268,6 +274,24 @@ def reference_caratheodory_reduce(points, weights):
                    for i, lam in zip(active, dependency) if lam > 0)
         for i, lam in zip(active, dependency):
             weights[i] -= step * lam
+
+
+def reference_successor_selection(mc: ModelChecker, state: str, obligations):
+    """`progress.successor_selection` with the first-passage distribution
+    solved over every candidate, path formulas or not, and reduced by
+    `reference_caratheodory_reduce`."""
+    delta = frozenset(obligations)
+    require_satisfied(mc, state, delta)
+    paths = member_paths(sorted_formulas(delta))
+    candidates = mc.sccs.bottom
+    for path in paths:
+        if path.op is PathOp.F:
+            candidates |= mc.sat_mask(path.body)
+    passage = first_passage(mc, state, mc.chain.names(candidates))
+    support = sorted(t for t, y in passage.items() if y > 0)
+    vectors = [tuple(mc.probability(t, path) for path in paths) for t in support]
+    weights = reference_caratheodory_reduce(vectors, [passage[t] for t in support])
+    return {t: w for t, w in zip(support, weights) if w > 0}
 
 
 def reference_absorption(unknown, successors, boundary):

@@ -12,6 +12,7 @@ import pytest
 
 from helpers import (
     random_chain, reach_by_name, reference_absorption, reference_reach,
+    reference_reachable,
 )
 
 from pctlfg.linalg import null_vector
@@ -102,8 +103,11 @@ def test_reach_probabilities_equal_prob0_reference():
 
 
 def test_first_passage_rows_equal_reference():
+    # the reference solves a column for every target; the library only for
+    # the targets the source can enter first (the successors of the region
+    # it reaches without entering a target), and the others read exactly 0
     rng = random.Random(73)
-    raised = compared = 0
+    raised = compared = unentered = 0
     for _ in range(100):
         chain, targets = _chain_with_escape(rng)
         mc = ModelChecker(chain)
@@ -118,9 +122,16 @@ def test_first_passage_rows_equal_reference():
                     first_passage(mc, s, targets)
                 raised += 1
             elif s not in targets:
-                assert first_passage(mc, s, targets) == dict(zip(tlist, rows[s]))
+                hit = first_passage(mc, s, targets)
+                assert hit == dict(zip(tlist, rows[s]))
+                region = reference_reachable(chain, s, blocked=targets)
+                entered = {t for u in region for t in chain.successors(u)
+                           if t in targets}
+                assert all(hit[t] > 0 for t in entered)
+                assert all(hit[t] == 0 for t in targets - entered)
+                unentered += len(targets - entered)
                 compared += 1
-    assert raised > 100 and compared > 50
+    assert raised > 100 and compared > 50 and unentered > 20
 
 
 def test_elimination_golden():

@@ -7,19 +7,22 @@ from fractions import Fraction
 import pytest
 
 from helpers import (
-    PHI_OR_TEXT, bottom_state_instance, fig1_chain, random_core_formula,
-    reference_caratheodory_reduce, reference_exit_obligations,
-    reference_locally_consistent_sets, reference_search_loop_generic,
+    PHI_OR_TEXT, bottom_state_instance, fig1_chain, random_chain,
+    random_core_formula, reference_caratheodory_reduce,
+    reference_exit_obligations, reference_locally_consistent_sets,
+    reference_search_loop_generic, reference_successor_selection,
     satisfied_instance,
 )
 
+from pctlfg import linalg
+
 from pctlfg.closure import UnsatisfiedSetError, closure_update
 from pctlfg.formula import (
-    And, Atom, Cmp, NegAtom, Or, PathFormula, PathOp, Prob, conj,
+    And, Atom, Cmp, NegAtom, Or, PathFormula, PathOp, Prob, conj, disj,
     fragment_classify, parse_formula, sorted_formulas, subformulas,
     subformulas_of,
 )
-from pctlfg.markov import MarkovChain, indices, validate
+from pctlfg.markov import MarkovChain, first_passage, indices, validate
 from pctlfg.measure import model_size_bound, pending_globals
 from pctlfg.modelcheck import ModelChecker
 from pctlfg.progress import (
@@ -663,6 +666,84 @@ def test_selection_conditions_randomized():
         sel = successor_selection(mc, state, residue)
         assert verify_selection(mc, state, residue, sel) == []
         checked += 1
+
+
+def _held_obligations(rng, mc, state, kind):
+    """An obligation set holding at `state`: empty, literals and their
+    boolean combinations only, or 1-3 F/G members whose bound is the
+    path's probability there or a fraction of it."""
+    if kind == "empty":
+        return frozenset()
+    labels = mc.chain.atoms(state)
+    literals = [Atom(a) if a in labels else NegAtom(a) for a in ("a", "b")]
+    if kind == "boolean":
+        return frozenset({literals[0], disj([literals[1], Atom("c")]),
+                          conj(literals)})
+    count, members = rng.randint(1, 3), set()
+    while len(members) < count:
+        path = PathFormula(rng.choice((PathOp.F, PathOp.G)),
+                           random_core_formula(rng, 1))
+        p = mc.probability(state, path)
+        if p > 0:
+            bound = p * rng.choice((1, 1, Fraction(1, 2)))
+            members.add(Prob(path.op, Cmp.GE, bound, path.body))
+    return frozenset(members)
+
+
+def test_selection_equals_the_reference_randomized():
+    # every state, bottom-SCC states included, under obligation sets with
+    # no path formula (empty or boolean) and with 1-3 F/G members; the
+    # library reads the support off the graph where the reference solves
+    rng = random.Random(97)
+    seen = {"empty": 0, "boolean": 0, "paths": 0, "bottom": 0, "split": 0}
+    for _ in range(150):
+        chain = random_chain(rng, max_states=7)
+        mc = ModelChecker(chain)
+        bottom = mc.chain.names(mc.sccs.bottom)
+        for state in chain.states:
+            # states that enter two or more bottom states first, where the
+            # name order picks among them
+            passage = first_passage(mc, state, bottom)
+            seen["split"] += sum(y > 0 for y in passage.values()) > 1
+            seen["bottom"] += state in bottom
+            for kind in ("empty", "boolean", "paths"):
+                residue = _held_obligations(rng, mc, state, kind)
+                sel = successor_selection(mc, state, residue)
+                assert sel == reference_successor_selection(mc, state, residue), \
+                    (chain.to_dict(), state, sorted(map(str, residue)))
+                assert verify_selection(mc, state, residue, sel) == []
+                seen[kind] += 1
+                if state in bottom:
+                    assert sel == {state: Fraction(1)}
+    assert min(seen.values()) > 30, seen
+
+
+def test_selection_without_paths_solves_nothing(monkeypatch):
+    # with no path formula to cover, the support is a graph fact: neither
+    # a first-passage solve nor a Caratheodory step runs
+    def refuse(*args):
+        raise AssertionError("arithmetic on an obligation-free selection")
+
+    mc = ModelChecker(_SELECTION_CHAIN)
+    monkeypatch.setattr(linalg, "solve", refuse)
+    monkeypatch.setattr(linalg, "null_vector", refuse)
+    assert successor_selection(mc, "s", frozenset()) == {"w": Fraction(1)}
+
+
+def test_first_passage_solves_entered_targets_only(monkeypatch):
+    # y is a target that s never enters: it reads 0 without a column
+    widths = []
+    solve = linalg.solve
+
+    def counting_solve(a, rhs):
+        widths.append(len(rhs[0]))
+        return solve(a, rhs)
+
+    monkeypatch.setattr(linalg, "solve", counting_solve)
+    mc = ModelChecker(_SELECTION_CHAIN)
+    assert first_passage(mc, "s", {"x", "w", "y"}) == {
+        "w": Fraction(1, 2), "x": Fraction(1, 2), "y": Fraction(0)}
+    assert widths == [2]
 
 
 # -- model construction ------------------------------------------------------
