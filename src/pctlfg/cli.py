@@ -49,10 +49,12 @@ class UsageError(Exception):
 
 def _load_model(path: str) -> MarkovChain:
     try:
-        with open(path) as handle:
+        with open(path, encoding="utf-8") as handle:
             chain = MarkovChain.from_json(handle.read())
     except OSError as exc:
         raise UsageError(f"cannot read model {path!r}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise UsageError(f"model {path!r} is not UTF-8 text: {exc}") from exc
     except InvalidChainError as exc:
         raise UsageError(f"invalid model {path!r}: {exc}") from exc
     problems = validate(chain)
@@ -80,10 +82,12 @@ def _formula_list(formulas) -> list[str]:
 
 def _load_loop(path: str) -> ProgressLoop:
     try:
-        with open(path) as handle:
+        with open(path, encoding="utf-8") as handle:
             data = json.load(handle)
     except (OSError, json.JSONDecodeError, RecursionError) as exc:
         raise UsageError(f"cannot read loop {path!r}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise UsageError(f"loop {path!r} is not UTF-8 text: {exc}") from exc
     sets = data.get("sets") if isinstance(data, dict) else data
     if not (isinstance(sets, list) and all(
             isinstance(level, list) and all(isinstance(text, str) for text in level)

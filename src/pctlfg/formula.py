@@ -13,13 +13,23 @@ measure and progress code cheap.  The intern key is the node's class and
 fields: an atom's name, the child nodes, the `PathOp` and `Cmp`, and a
 `Prob` bound as its (numerator, denominator) pair.  The bound itself is
 always stored as a `Fraction`.  `PathOp` and `Cmp` members hash by identity
-too, so building a node hashes nothing in Python.  Derived data the hot
-paths ask for (`Prob.path_formula`, `sort_key`, `subformulas`, the core
-flag behind `is_core`, and the grammar kinds behind `fragment_classify`) is
-cached on the node and computed once per structure.  A formula set's
-subformulas, sub(X), are `subformulas_of(X)`, the union of its members'
-cached `subformulas`; every other fact about a set is derived by the
-function that reads it.
+too, so building a node hashes nothing in Python.
+
+The intern table `_NODES` is a plain dict from key to a weak reference to
+the node, so a lookup runs no Python frame and a formula no caller holds
+leaves the table.  A node's death callback removes its key's entry only
+while that entry is a dead reference, in one atomic dict operation, so a
+node built anew under the key in the meantime stays.  The callback takes
+no lock: a collection can run it inside an insert, on the thread that
+holds the insert lock, and a callback waiting for that lock would wait
+forever.
+
+Derived data the hot paths ask for (`Prob.path_formula`, `sort_key`,
+`subformulas`, the core flag behind `is_core`, and the grammar kinds behind
+`fragment_classify`) is cached on the node and computed once per
+structure.  A formula set's subformulas, sub(X), are
+`subformulas_of(X)`, the union of its members' cached `subformulas`; every
+other fact about a set is derived by the function that reads it.
 
 There is one tree: the parser builds core nodes directly, so
 `parse_formula` returns a core formula.  Both normal forms come from one
@@ -35,6 +45,7 @@ from __future__ import annotations
 import operator
 import threading
 import weakref
+from _weakref import _remove_dead_weakref
 from dataclasses import dataclass, fields
 from enum import Enum
 from fractions import Fraction
@@ -93,11 +104,26 @@ _HOLDS = {Cmp.GE: operator.ge, Cmp.GT: operator.gt,
           Cmp.LE: operator.le, Cmp.LT: operator.lt}
 
 
-# One live node per structure: its `_intern` key -> the node.  Weak values, so
-# a formula no caller holds any more leaves the table.  The lock makes
+# One live node per structure: its `_intern` key -> a `_NodeRef` to the node,
+# so a formula no caller holds any more leaves the table.  The lock makes
 # insertion atomic, so two threads building the same formula get one node.
-_NODES: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+# Removal takes no lock: `_forget` runs when a node dies, which can be
+# inside an insert on the thread holding the lock, and deletes the key's
+# entry only if it is still a dead reference (`_remove_dead_weakref`, the
+# atomic C helper `WeakValueDictionary` uses), so it never drops the live
+# node built again under the same key.
+_NODES: dict[tuple, weakref.ref] = {}
 _NODES_LOCK = threading.Lock()
+
+
+class _NodeRef(weakref.ref):
+    """A weak reference to an interned node that knows its table key."""
+
+    __slots__ = ("key",)
+
+
+def _forget(ref: _NodeRef) -> None:
+    _remove_dead_weakref(_NODES, ref.key)
 
 
 class _Node:
@@ -122,15 +148,21 @@ def _intern(cls, key: tuple, values: tuple) -> _Node:
     """The live node of `cls` stored under `key`, built from the field
     `values` when there is none.  The key is the class and the fields, with
     a `Prob` bound as its integer pair; every part hashes in C."""
-    node = _NODES.get(key)
+    ref = _NODES.get(key)
+    node = ref() if ref is not None else None
     if node is None:
         if len(values) != len(cls._fields):
             raise TypeError(f"{cls.__name__} takes fields {cls._fields}")
         node = object.__new__(cls)
-        for name, value in zip(cls._fields, values):
-            object.__setattr__(node, name, value)
+        node.__dict__.update(zip(cls._fields, values))
         with _NODES_LOCK:
-            node = _NODES.setdefault(key, node)
+            ref = _NODES.get(key)
+            live = ref() if ref is not None else None
+            if live is not None:
+                return live
+            ref = _NodeRef(node, _forget)
+            ref.key = key
+            _NODES[key] = ref
     return node
 
 

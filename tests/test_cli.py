@@ -295,6 +295,14 @@ def test_bad_model_is_usage_error(capsys, tmp_path):
     assert "sum" in err
 
 
+def _write_input(path, content):
+    """Writes raw bytes, text as it is, or anything else as JSON."""
+    if isinstance(content, bytes):
+        path.write_bytes(content)
+    else:
+        path.write_text(content if isinstance(content, str) else json.dumps(content))
+
+
 @pytest.mark.parametrize("model, message", [
     ({"states": [{"ap": []}], "edges": []}, "has no 'id'"),
     ({"states": [{"id": "s"}], "edges": [{"from": "s", "to": "s"}]}, "has no 'p'"),
@@ -312,10 +320,11 @@ def test_bad_model_is_usage_error(capsys, tmp_path):
     # two defects: the first in record order is reported
     ({"states": [{"id": "s", "ap": []}, {"id": "s", "ap": ["a"]}],
       "edges": [{"from": "s", "to": "s"}]}, "duplicate state ids"),
+    (b"\xff\xfe", "is not UTF-8 text"),
 ])
 def test_malformed_model_is_usage_error(capsys, tmp_path, model, message):
     path = tmp_path / "bad.json"
-    path.write_text(model if isinstance(model, str) else json.dumps(model))
+    _write_input(path, model)
     code, _, err = run(capsys, "check", "--model", str(path), "--formula", "a")
     assert code == 2
     assert message in err
@@ -327,11 +336,12 @@ def test_malformed_model_is_usage_error(capsys, tmp_path, model, message):
     ({"sets": ["a"]}, "list of formula lists"),
     ({"sets": [[1]]}, "list of formula lists"),
     ("[" * 100000, "cannot read loop"),
+    (b"\xff\xfe", "is not UTF-8 text"),
 ])
 def test_malformed_loop_file_is_usage_error(capsys, tmp_path, model_path, loop,
                                             message):
     loop_path = tmp_path / "loop.json"
-    loop_path.write_text(loop if isinstance(loop, str) else json.dumps(loop))
+    _write_input(loop_path, loop)
     code, _, err = run(capsys, "loop", "verify", "--model", model_path,
                        "--state", "s", "--formula", PSI_TEXT,
                        "--loop", str(loop_path))

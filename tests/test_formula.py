@@ -1,11 +1,17 @@
 import copy
+import gc
 import hashlib
+import importlib.util
+import itertools
+import pathlib
 import pickle
 import random
 import re
+import subprocess
 import sys
 import threading
 import time
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -16,9 +22,10 @@ from helpers import (
     reference_is_trivial_bound, reference_sat_set,
 )
 
+from pctlfg import formula
 from pctlfg.formula import (
     _CMPS, _PATH_OPS, And, Atom, Cmp, NegAtom, Or, PathFormula, PathOp,
-    PctlSyntaxError, Prob, NormalizationError, _is_probability, conj,
+    PctlSyntaxError, Prob, NormalizationError, _is_probability, conj, disj,
     f_normal_form,
     fragment_classify, is_core, is_trivial_bound, normalize, parse_formula,
     sorted_formulas, subformulas, subformulas_of,
@@ -584,3 +591,130 @@ def test_threads_building_one_formula_get_one_node():
     assert all(len(nodes) == rounds for nodes in built)
     for r in range(rounds):
         assert len({id(nodes[r]) for nodes in built}) == 1, r
+
+
+def _bench_workloads():
+    """The benchmark's instance generators and runners, `bench/workloads.py`."""
+    path = pathlib.Path(__file__).parents[1] / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_a_formula_nobody_holds_leaves_the_table():
+    # a seed-1 `sat` pass and a `compress` prefix, as the benchmark runs
+    # them; once their results are dropped, their nodes die and each death
+    # removes its own table entry
+    workloads = _bench_workloads()
+    results = [workloads.run_sat(inst) for inst in workloads.generate("sat", 1)]
+    results += [workloads.run_compress(inst) for inst in
+                itertools.islice(workloads.generate_compress(1), 20)]
+    dropped = weakref.ref(results[0][1])
+    del results
+    gc.collect()
+    assert dropped() is None
+    assert [key for key, ref in list(formula._NODES.items())
+            if ref() is None] == []
+
+
+def _build_amid_collections(threads: int, rounds: int = 150) -> list[list]:
+    """Each of `threads` threads builds, per round, formulas it drops and one
+    it keeps, all with `subformulas` read: a node's cached subformula set
+    holds the node, so only a collection frees it.  With
+    `gc.set_threshold(1)` collections run inside construction, and as the
+    dropped structure is the same in every thread, its nodes die while
+    other threads build it again.  Returns each thread's kept nodes, or
+    fails when a thread does not finish in time."""
+    barrier = threading.Barrier(threads, timeout=30)
+    kept = [[] for _ in range(threads)]
+
+    def build(name, r):
+        node = Prob(PathOp.F, Cmp.GE, Fraction(1, r + 2),
+                    disj([Atom(name), NegAtom("b")]))
+        assert node in subformulas(node)
+        return node
+
+    def work(k):
+        for r in range(rounds):
+            barrier.wait()
+            for _ in range(3):
+                dropped = build(f"d{r}", r)
+                assert build(f"d{r}", r) is dropped
+                del dropped
+            node = build(f"k{r}", r)
+            assert build(f"k{r}", r) is node
+            kept[k].append(node)
+
+    threshold = gc.get_threshold()
+    interval = sys.getswitchinterval()
+    gc.set_threshold(1)
+    sys.setswitchinterval(1e-6)
+    try:
+        # daemon threads, so a deadlocked one fails the test and not the run
+        workers = [threading.Thread(target=work, args=(k,), daemon=True)
+                   for k in range(threads)]
+        for w in workers:
+            w.start()
+        deadline = time.monotonic() + 60
+        for w in workers:
+            w.join(timeout=max(0.0, deadline - time.monotonic()))
+    finally:
+        sys.setswitchinterval(interval)
+        gc.set_threshold(*threshold)
+    assert not any(w.is_alive() for w in workers)
+    assert all(len(nodes) == rounds for nodes in kept)
+    return kept
+
+
+def _intern_key(node: Prob) -> tuple:
+    return (Prob, node.op, node.cmp, node.bound.as_integer_ratio(), node.body)
+
+
+def test_removal_does_not_wait_for_the_table_lock():
+    # a collection can run a death callback inside an insert, on the thread
+    # holding the table lock, so the callback must not take that lock.  In
+    # its own interpreter, so that a deadlock fails this test alone.
+    code = """if True:
+        import gc
+        from fractions import Fraction
+        from pctlfg import formula
+        from pctlfg.formula import Atom, Cmp, PathOp, Prob, subformulas
+        node = Prob(PathOp.G, Cmp.GT, Fraction(1, 7), Atom("held"))
+        assert node in subformulas(node)
+        key = (Prob, node.op, node.cmp, node.bound.as_integer_ratio(), node.body)
+        with formula._NODES_LOCK:
+            del node
+            gc.collect()
+            print(key in formula._NODES)
+    """
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False\n", "")
+
+
+def test_removal_keeps_a_node_built_again():
+    # a node built under a dead node's key before that node's callback runs
+    # (here by a weak-reference callback that runs first) keeps its entry
+    rebuilt = []
+
+    def build():
+        return Prob(PathOp.F, Cmp.GT, Fraction(1, 7), Atom("again"))
+
+    node = build()
+    first = weakref.ref(node, lambda _: rebuilt.append(build()))
+    del node
+    assert first() is None and len(rebuilt) == 1
+    assert formula._NODES[_intern_key(rebuilt[0])]() is rebuilt[0]
+    assert build() is rebuilt[0]
+
+
+@pytest.mark.parametrize("threads", [1, 8])
+def test_construction_amid_collections_gives_one_node(threads):
+    kept = _build_amid_collections(threads)
+    for r, nodes in enumerate(zip(*kept)):
+        assert len({id(node) for node in nodes}) == 1, r
+    gc.collect()
+    for nodes in kept:
+        for node in nodes:
+            assert formula._NODES[_intern_key(node)]() is node
