@@ -24,12 +24,14 @@ no lock: a collection can run it inside an insert, on the thread that
 holds the insert lock, and a callback waiting for that lock would wait
 forever.
 
-Derived data the hot paths ask for (`Prob.path_formula`, `sort_key`,
-`subformulas`, the core flag behind `is_core`, and the grammar kinds behind
-`fragment_classify`) is cached on the node and computed once per
-structure.  A formula set's subformulas, sub(X), are
-`subformulas_of(X)`, the union of its members' cached `subformulas`; every
-other fact about a set is derived by the function that reads it.
+Derived data the hot paths ask for (`Prob.path_formula`, `sort_key`, the
+proper subformulas behind `subformulas`, the core flag behind `is_core`,
+and the grammar kinds behind `fragment_classify`) is cached on the node
+and computed once per structure.  No cache holds the node itself, so a
+formula no caller holds is freed by reference counting alone.  A formula
+set's subformulas, sub(X), are `subformulas_of(X)`, the members and the
+union of their cached proper subformulas; every other fact about a set is
+derived by the function that reads it.
 
 There is one tree: the parser builds core nodes directly, so
 `parse_formula` returns a core formula.  Both normal forms come from one
@@ -179,8 +181,17 @@ class _StateNode(_Node):
     cached on the node: computed on first use, once per structure."""
 
     @cached_property
-    def _subformulas(self) -> frozenset[StateFormula]:
-        return frozenset(iter_subformulas(self))
+    def _proper(self) -> frozenset[StateFormula]:
+        # the proper subformulas, from the children's: without the node
+        # itself, so the cache makes no reference cycle and a dropped
+        # formula is freed at once
+        if isinstance(self, (And, Or)):
+            children = self.args
+        elif isinstance(self, Prob):
+            children = (self.body,)
+        else:
+            return frozenset()
+        return frozenset(children).union(*(c._proper for c in children))
 
     @cached_property
     def _sort_key(self) -> tuple:
@@ -365,13 +376,15 @@ def iter_subformulas(f: StateFormula) -> Iterator[StateFormula]:
 
 
 def subformulas(f: StateFormula) -> frozenset[StateFormula]:
-    """Every state subformula of f, including f; cached on the node."""
-    return f._subformulas
+    """Every state subformula of f, including f: its cached proper
+    subformulas and f."""
+    return f._proper | {f}
 
 
 def subformulas_of(X) -> frozenset[StateFormula]:
     """sub(X): every state subformula of every member of the set X."""
-    return frozenset().union(*map(subformulas, X))
+    X = frozenset(X)
+    return X.union(*(f._proper for f in X))
 
 
 def immediate_path_subformulas(f: StateFormula) -> frozenset[PathFormula]:

@@ -19,11 +19,15 @@ masks it is `states_with_path_to`, which `prob01`, the one qualitative
 kernel, calls twice to find the states that reach a target mask with
 probability 0 and with probability 1, and which `scc_decompose`
 (Kosaraju-Sharir) runs once per component, skipping the states already
-placed.  A chain owns its index form, state i being `states[i]`: `index`
-maps a name to its position, `succ` and `pred` are the masks, `row(i)`
-gives state i's transitions in integers, and `mask` and `names` convert
-between name sets and masks.  The index and the masks are built on first
-use, once per chain; bounded sat builds its masks once per enumerated
+placed.  A chain is held in index form only, state i being `states[i]`:
+`index` maps a name to its position, `succ` and `pred` are the masks,
+`atom_masks` gives each atom's mask, each state's transitions are one row
+keyed by successor index, `row(i)` gives them in integers, and `mask` and
+`names` convert between name sets and masks.  All of it is built at
+construction, in one pass over the records, by the one builder behind
+both constructors; names are views (`successors`, `probability`,
+`edges`, `atoms` and `valuation` are derived from the rows and the atom
+masks on each call).  Bounded sat builds its masks once per enumerated
 graph.  `absorption` is the one exact linear solve: the checker's reach
 probabilities (and with them the ETR oracle's block values) and the
 first-passage distribution go through it.  It works on the chain's state
@@ -37,8 +41,8 @@ entering a target; the others read 0 without a column, and
 weights to solve.  The kernel hands `linalg.solve` integer rows, each
 equation of (I - P) x = b multiplied by its row's d, so no Fraction
 arithmetic builds the system.  Loading a chain checks and
-converts each state and edge record in one pass, straight into the
-successor rows, and reads each distinct numeral text once per process.
+converts each state and edge record in that one pass, straight into the
+rows and masks, and reads each distinct numeral text once per process.
 `first_passage` reads the checker's SCC decomposition only to name the
 certificate of a failed precondition.
 """
@@ -49,8 +53,8 @@ import json
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from math import lcm
+from operator import itemgetter
 from typing import TYPE_CHECKING
 
 from . import linalg
@@ -130,16 +134,21 @@ def _check_record(rec, kind: str, i: int, keys) -> None:
             raise InvalidChainError(f"{kind} record {i} has no {key!r}")
 
 
-def _add_edge(succ: dict[str, dict[str, Fraction]], src: str, dst: str,
-              p: Fraction) -> None:
-    row = succ.get(src)
-    if row is None:
-        raise InvalidChainError(f"edge from unknown state {src!r}")
-    if dst not in succ:
-        raise InvalidChainError(f"edge to unknown state {dst!r}")
-    if dst in row:
-        raise InvalidChainError(f"duplicate edge {src!r} -> {dst!r}")
-    row[dst] = p
+def _state_records(records):
+    """The (id, atoms) pair of each JSON state record, checked in turn."""
+    for i, rec in enumerate(records):
+        if not isinstance(rec, dict) or "id" not in rec:
+            _check_record(rec, "state", i, ("id",))
+        ap = rec.get("ap", [])
+        if not (isinstance(ap, list) and all(isinstance(a, str) for a in ap)):
+            raise InvalidChainError(
+                f"state record {i}: 'ap' must be a list of atom names")
+        yield rec["id"], ap
+
+
+# An edge record's (src, dst, p) fields, read in C; KeyError or TypeError
+# on a record that is no object with all three keys.
+_EDGE_FIELDS = itemgetter("from", "to", "p")
 
 
 def _dot_string(text: str) -> str:
@@ -148,74 +157,111 @@ def _dot_string(text: str) -> str:
     return f'"{text}"'
 
 
+_ZERO = Fraction(0)
+
+
 class MarkovChain:
-    """Immutable-by-convention finite Markov chain."""
+    """Immutable-by-convention finite Markov chain, held in index form only:
+    state i is `states[i]`, `index` maps a name to its position, `succ` and
+    `pred` are the per-state successor and predecessor bitmasks, and
+    `atom_masks` maps each atom to the mask of the states it labels.  Each
+    state's transitions are kept once, keyed by successor index; every
+    name-keyed answer (`successors`, `probability`, `edges`, `atoms`,
+    `valuation`) is a view derived from them on each call."""
+
+    __slots__ = ("states", "index", "succ", "pred", "atom_masks", "_rows")
 
     def __init__(self, states, edges, valuation):
         """states: iterable of ids (order preserved);
         edges: {(src, dst): Fraction};
         valuation: {state: iterable of atomic propositions}."""
-        states = tuple(states)
-        succ: dict[str, dict[str, Fraction]] = {s: {} for s in states}
-        if len(succ) != len(states):
-            raise InvalidChainError("duplicate state ids")
-        for (src, dst), p in edges.items():
-            _add_edge(succ, src, dst, p)
-        self._fill(states, {s: frozenset(valuation.get(s, ())) for s in states}, succ)
+        self._build(((s, valuation.get(s, ())) for s in states),
+                    ((src, dst, p) for (src, dst), p in edges.items()))
 
-    def _fill(self, states: tuple[str, ...], valuation: dict[str, frozenset[str]],
-              succ: dict[str, dict[str, Fraction]]) -> None:
-        """The fields, from checked parts: `valuation` and `succ` are keyed
-        by exactly `states`, in its order."""
-        self.states = states
-        self.valuation = valuation
-        self._succ = succ
+    def _build(self, states, edges) -> None:
+        """Fills every field in one pass over the records: `states` yields
+        (id, atoms) pairs in state order, `edges` (src, dst, p) triples.
+        Ids are read through `str`, and a `p` that is not a Fraction is
+        read as a numeral (`parse_probability`, after a look in its
+        table).  Of a duplicate id, a malformed numeral, an unknown
+        endpoint or a duplicate edge, the first in record order is raised,
+        every state record coming before every edge record."""
+        index: dict[str, int] = {}
+        atom_masks: dict[str, int] = {}
+        for s, atoms in states:
+            if type(s) is not str:
+                s = str(s)
+            i = len(index)
+            if index.setdefault(s, i) != i:
+                raise InvalidChainError("duplicate state ids")
+            bit = 1 << i
+            for a in atoms:
+                atom_masks[a] = atom_masks.get(a, 0) | bit
+        n = len(index)
+        rows: list[dict[int, Fraction]] = [{} for _ in range(n)]
+        succ = [0] * n
+        pred = [0] * n
+        numerals = _NUMERALS
+        for src, dst, p in edges:
+            if type(p) is not Fraction:
+                value = numerals.get(p) if type(p) is str else None
+                p = value if value is not None else parse_probability(p)
+            i = index.get(src if type(src) is str else str(src))
+            if i is None:
+                raise InvalidChainError(f"edge from unknown state {str(src)!r}")
+            j = index.get(dst if type(dst) is str else str(dst))
+            if j is None:
+                raise InvalidChainError(f"edge to unknown state {str(dst)!r}")
+            bit = 1 << j
+            if succ[i] & bit:
+                raise InvalidChainError(
+                    f"duplicate edge {str(src)!r} -> {str(dst)!r}")
+            succ[i] |= bit
+            pred[j] |= 1 << i
+            rows[i][j] = p
+        self.states = tuple(index)
+        self.index = index
+        self.succ = succ
+        self.pred = pred
+        self.atom_masks = atom_masks
+        self._rows = rows
 
     def successors(self, s: str) -> dict[str, Fraction]:
-        return self._succ[s]
+        states = self.states
+        return {states[j]: p for j, p in self._rows[self.index[s]].items()}
 
     def probability(self, src: str, dst: str) -> Fraction:
-        return self._succ[src].get(dst, Fraction(0))
+        return self._rows[self.index[src]].get(self.index.get(dst), _ZERO)
 
     def edges(self):
-        for src in self.states:
-            for dst, p in self._succ[src].items():
-                yield src, dst, p
+        states = self.states
+        for src, row in zip(states, self._rows):
+            for j, p in row.items():
+                yield src, states[j], p
 
     def atoms(self, s: str) -> frozenset[str]:
-        return self.valuation[s]
+        i = self.index[s]
+        return frozenset(a for a, mask in self.atom_masks.items() if mask >> i & 1)
+
+    @property
+    def valuation(self) -> dict[str, frozenset[str]]:
+        """Each state's atoms, by name."""
+        return {s: self.atoms(s) for s in self.states}
 
     def __contains__(self, s: str) -> bool:
-        return s in self._succ
+        return s in self.index
 
     def __repr__(self) -> str:
         return f"MarkovChain({len(self.states)} states)"
 
     # -- the index form: state i is states[i], a state set is a bitmask ------
 
-    @cached_property
-    def index(self) -> dict[str, int]:
-        """Each state's position in `states`."""
-        return {s: i for i, s in enumerate(self.states)}
-
-    @cached_property
-    def succ(self) -> list[int]:
-        """Per-state successor bitmasks: bit i is the state states[i]."""
-        return [self.mask(self._succ[s]) for s in self.states]
-
-    @cached_property
-    def pred(self) -> list[int]:
-        """Per-state predecessor bitmasks, the transpose of `succ`."""
-        return predecessor_masks(self.succ)
-
     def row(self, i: int) -> tuple[int, list[tuple[int, int]]]:
         """State i's transitions as (d, [(j, n), ...]) with P(i,j) = n/d,
         d the LCM of the row's denominators; derived on each call."""
-        succ = self._succ[self.states[i]]
-        d = lcm(*(p.denominator for p in succ.values()))
-        index = self.index
-        return d, [(index[t], p.numerator * (d // p.denominator))
-                   for t, p in succ.items()]
+        row = self._rows[i]
+        d = lcm(*(p.denominator for p in row.values()))
+        return d, [(j, p.numerator * (d // p.denominator)) for j, p in row.items()]
 
     def mask(self, states) -> int:
         """The bitmask of the named states; KeyError on an unknown name."""
@@ -242,35 +288,18 @@ class MarkovChain:
         if not (isinstance(data, dict) and isinstance(data.get("states"), list)
                 and isinstance(data.get("edges"), list)):
             raise InvalidChainError("model must have 'states' and 'edges' lists")
-        succ: dict[str, dict[str, Fraction]] = {}
-        valuation = {}
-        for i, rec in enumerate(data["states"]):
-            _check_record(rec, "state", i, ("id",))
-            ap = rec.get("ap", [])
-            if not (isinstance(ap, list) and all(isinstance(a, str) for a in ap)):
-                raise InvalidChainError(
-                    f"state record {i}: 'ap' must be a list of atom names")
-            s = str(rec["id"])
-            if s in succ:
-                raise InvalidChainError("duplicate state ids")
-            succ[s] = {}
-            valuation[s] = frozenset(ap)
-        for i, rec in enumerate(data["edges"]):
-            try:
-                src, dst, value = rec["from"], rec["to"], rec["p"]
-            except (KeyError, TypeError):
-                _check_record(rec, "edge", i, ("from", "to", "p"))
-                raise
-            p = parse_probability(value)
-            src = src if type(src) is str else str(src)
-            dst = dst if type(dst) is str else str(dst)
-            row = succ.get(src)
-            if row is not None and dst in succ and dst not in row:
-                row[dst] = p
-            else:
-                _add_edge(succ, src, dst, p)  # raises, naming the defect
         chain = cls.__new__(cls)
-        chain._fill(tuple(succ), valuation, succ)
+        try:
+            chain._build(_state_records(data["states"]),
+                         map(_EDGE_FIELDS, data["edges"]))
+        except (KeyError, TypeError):
+            # the first edge record without the three fields is the defect
+            for i, rec in enumerate(data["edges"]):
+                try:
+                    _EDGE_FIELDS(rec)
+                except (KeyError, TypeError):
+                    _check_record(rec, "edge", i, ("from", "to", "p"))
+            raise
         return chain
 
     @classmethod
@@ -284,7 +313,7 @@ class MarkovChain:
     def to_dict(self) -> dict:
         return {
             "states": [
-                {"id": s, "ap": sorted(self.valuation[s])} for s in self.states
+                {"id": s, "ap": sorted(self.atoms(s))} for s in self.states
             ],
             "edges": [
                 {"from": src, "to": dst, "p": str(p)} for src, dst, p in self.edges()
@@ -298,8 +327,9 @@ class MarkovChain:
         lines = ["digraph chain {"]
         for s in self.states:
             label = s
-            if self.valuation[s]:
-                label += "\n{" + ",".join(sorted(self.valuation[s])) + "}"
+            atoms = self.atoms(s)
+            if atoms:
+                label += "\n{" + ",".join(sorted(atoms)) + "}"
             lines.append(f"  {_dot_string(s)} [label={_dot_string(label)}];")
         for src, dst, p in self.edges():
             lines.append(f'  {_dot_string(src)} -> {_dot_string(dst)} [label="{p}"];')

@@ -20,8 +20,7 @@ the one list of them.  Every function that asks about a model takes its
 from __future__ import annotations
 
 from .formula import (
-    PathFormula, PathOp, Prob, StateFormula, immediate_path_subformulas,
-    subformulas, subformulas_of,
+    PathFormula, PathOp, Prob, immediate_path_subformulas, subformulas_of,
 )
 from .markov import states_reachable_from
 from .modelcheck import ModelChecker
@@ -78,9 +77,7 @@ def bound_base(formulas) -> int:
     2 + |nsub| + |psub| + |union of proper subformulas of the members|,
     where nsub is the non-probabilistic part of sub(X)."""
     nsub = sum(not isinstance(g, Prob) for g in subformulas_of(formulas))
-    proper: set[StateFormula] = set()
-    for f in formulas:
-        proper |= subformulas(f) - {f}
+    proper = frozenset().union(*(f._proper for f in formulas))
     return 2 + nsub + len(path_subformulas(formulas)) + len(proper)
 
 

@@ -24,9 +24,11 @@ the operator's mask, and with it the one solve for all its maybe states.
 those of the full masks, since a maybe value lies strictly between 0 and 1.
 
 A `ModelChecker` is the per-chain context of the package; it evaluates
-formulas, and its chain owns the index form (`chain.index`, the masks
-`chain.succ` and `chain.pred`, `chain.row`, `chain.mask` and
-`chain.names`).  State sets are bitmasks (bit i is `chain.states[i]`):
+formulas, and its chain is held in index form, built at construction
+(`chain.index`, the masks `chain.succ` and `chain.pred`, one mask per atom
+in `chain.atom_masks`, `chain.row`, `chain.mask` and `chain.names`); the
+chain's names are views.  An atom's satisfaction mask is the chain's atom
+mask.  State sets are bitmasks (bit i is `chain.states[i]`):
 the reach targets and the satisfaction sets, which one recursion,
 `sat_mask`, memoizes per subformula, as `path_values` memoizes the triple
 per path formula.  Names appear only at the edge: `sat_set` is
@@ -155,10 +157,7 @@ class ModelChecker:
         if f in self._sat:
             return self._sat[f]
         if isinstance(f, Atom):
-            result = 0
-            for i, s in enumerate(self.chain.states):
-                if f.name in self.chain.valuation[s]:
-                    result |= 1 << i
+            result = self.chain.atom_masks.get(f.name, 0)
         elif isinstance(f, NegAtom):
             result = self.full & ~self.sat_mask(Atom(f.name))
         elif isinstance(f, And):

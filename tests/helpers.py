@@ -1,6 +1,11 @@
 """Shared fixtures-in-code: the running example, seeded random generators
 and the reference solvers the fast paths are compared against.
 
+The reference chain, `ReferenceChain`, is the name-keyed chain and loader
+that `MarkovChain`'s index form replaced: one {name: Fraction} row and one
+atom set per state, with the index form derived from them, so the loader,
+its errors and every view of a chain are checked against it.
+
 Random chains use small integer weight ratios so every probability is an
 exact small fraction; random formulas draw bounds from a fixed palette and
 only produce non-trivial core constraints.  The reference solvers are plain
@@ -27,8 +32,11 @@ support off the graph when no path formula needs covering.
 
 from __future__ import annotations
 
+import importlib.util
 import itertools
+import pathlib
 import random
+from math import lcm
 from fractions import Fraction
 from functools import reduce
 from operator import and_, or_
@@ -44,8 +52,8 @@ from pctlfg.etr import (
 )
 from pctlfg.linalg import SingularMatrixError
 from pctlfg.markov import (
-    MarkovChain, first_passage, indices, predecessor_masks, prob01,
-    scc_decompose,
+    InvalidChainError, MarkovChain, first_passage, indices, parse_probability,
+    predecessor_masks, prob01, scc_decompose,
 )
 from pctlfg.measure import member_paths
 from pctlfg.modelcheck import ModelChecker
@@ -85,6 +93,131 @@ def random_chain(rng: random.Random, max_states: int = 6,
             edges[(s, t)] = Fraction(w, total)
     valuation = {s: [a for a in aps if rng.random() < 0.5] for s in states}
     return MarkovChain(states, edges, valuation)
+
+
+class ReferenceChain:
+    """The name-keyed chain that `MarkovChain`'s index form replaced, kept
+    as the oracle of its loader and its views: one {name: Fraction} row and
+    one atom frozenset per state, checked and filled record by record, with
+    the index form derived from them."""
+
+    def __init__(self, states, edges, valuation):
+        states = tuple(states)
+        succ = {s: {} for s in states}
+        if len(succ) != len(states):
+            raise InvalidChainError("duplicate state ids")
+        for (src, dst), p in edges.items():
+            _reference_add_edge(succ, src, dst, p)
+        self.states = states
+        self.valuation = {s: frozenset(valuation.get(s, ())) for s in states}
+        self._succ = succ
+
+    @classmethod
+    def from_dict(cls, data) -> "ReferenceChain":
+        if not (isinstance(data, dict) and isinstance(data.get("states"), list)
+                and isinstance(data.get("edges"), list)):
+            raise InvalidChainError("model must have 'states' and 'edges' lists")
+        succ, valuation = {}, {}
+        for i, rec in enumerate(data["states"]):
+            _reference_check_record(rec, "state", i, ("id",))
+            ap = rec.get("ap", [])
+            if not (isinstance(ap, list) and all(isinstance(a, str) for a in ap)):
+                raise InvalidChainError(
+                    f"state record {i}: 'ap' must be a list of atom names")
+            s = str(rec["id"])
+            if s in succ:
+                raise InvalidChainError("duplicate state ids")
+            succ[s] = {}
+            valuation[s] = frozenset(ap)
+        for i, rec in enumerate(data["edges"]):
+            try:
+                src, dst, value = rec["from"], rec["to"], rec["p"]
+            except (KeyError, TypeError):
+                _reference_check_record(rec, "edge", i, ("from", "to", "p"))
+                raise
+            p = parse_probability(value)
+            _reference_add_edge(succ, str(src), str(dst), p)
+        chain = cls.__new__(cls)
+        chain.states, chain.valuation, chain._succ = tuple(succ), valuation, succ
+        return chain
+
+    def successors(self, s: str) -> dict[str, Fraction]:
+        return self._succ[s]
+
+    def probability(self, src: str, dst: str) -> Fraction:
+        return self._succ[src].get(dst, Fraction(0))
+
+    def edges(self):
+        for src in self.states:
+            for dst, p in self._succ[src].items():
+                yield src, dst, p
+
+    def atoms(self, s: str) -> frozenset[str]:
+        return self.valuation[s]
+
+    def __contains__(self, s: str) -> bool:
+        return s in self._succ
+
+    def to_dict(self) -> dict:
+        return {"states": [{"id": s, "ap": sorted(self.valuation[s])}
+                           for s in self.states],
+                "edges": [{"from": src, "to": dst, "p": str(p)}
+                          for src, dst, p in self.edges()]}
+
+    @property
+    def index(self) -> dict[str, int]:
+        return {s: i for i, s in enumerate(self.states)}
+
+    @property
+    def succ(self) -> list[int]:
+        index = self.index
+        return [_mask(index[t] for t in self._succ[s]) for s in self.states]
+
+    @property
+    def pred(self) -> list[int]:
+        return [_mask(i for i, s in enumerate(self.states) if t in self._succ[s])
+                for t in self.states]
+
+    @property
+    def atom_masks(self) -> dict[str, int]:
+        atoms = set().union(*self.valuation.values())
+        return {a: _mask(i for i, s in enumerate(self.states)
+                         if a in self.valuation[s]) for a in atoms}
+
+    def row(self, i: int) -> tuple[int, list[tuple[int, int]]]:
+        succ = self._succ[self.states[i]]
+        d = lcm(*(p.denominator for p in succ.values()))
+        index = self.index
+        return d, [(index[t], p.numerator * (d // p.denominator))
+                   for t, p in succ.items()]
+
+
+def _reference_check_record(rec, kind: str, i: int, keys) -> None:
+    if not isinstance(rec, dict):
+        raise InvalidChainError(f"{kind} record {i} must be an object")
+    for key in keys:
+        if key not in rec:
+            raise InvalidChainError(f"{kind} record {i} has no {key!r}")
+
+
+def _reference_add_edge(succ, src, dst, p) -> None:
+    row = succ.get(src)
+    if row is None:
+        raise InvalidChainError(f"edge from unknown state {src!r}")
+    if dst not in succ:
+        raise InvalidChainError(f"edge to unknown state {dst!r}")
+    if dst in row:
+        raise InvalidChainError(f"duplicate edge {src!r} -> {dst!r}")
+    row[dst] = p
+
+
+def bench_workloads():
+    """The benchmark's instance generators and runners, `bench/workloads.py`."""
+    path = pathlib.Path(__file__).parents[1] / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 _GE_BOUNDS = (Fraction(1, 5), Fraction(1, 4), Fraction(1, 2),

@@ -1,9 +1,7 @@
 import copy
 import gc
 import hashlib
-import importlib.util
 import itertools
-import pathlib
 import pickle
 import random
 import re
@@ -17,9 +15,9 @@ from fractions import Fraction
 import pytest
 
 from helpers import (
-    PSI_TEXT, REFERENCE_NEGATED, random_chain, random_core_formula,
-    reference_fragment_classify, reference_is_core, reference_is_probability,
-    reference_is_trivial_bound, reference_sat_set,
+    PSI_TEXT, REFERENCE_NEGATED, bench_workloads, random_chain,
+    random_core_formula, reference_fragment_classify, reference_is_core,
+    reference_is_probability, reference_is_trivial_bound, reference_sat_set,
 )
 
 from pctlfg import formula
@@ -28,7 +26,7 @@ from pctlfg.formula import (
     PctlSyntaxError, Prob, NormalizationError, _is_probability, conj, disj,
     f_normal_form,
     fragment_classify, is_core, is_trivial_bound, normalize, parse_formula,
-    sorted_formulas, subformulas, subformulas_of,
+    sort_key, sorted_formulas, subformulas, subformulas_of,
 )
 from pctlfg.modelcheck import ModelChecker
 
@@ -593,20 +591,11 @@ def test_threads_building_one_formula_get_one_node():
         assert len({id(nodes[r]) for nodes in built}) == 1, r
 
 
-def _bench_workloads():
-    """The benchmark's instance generators and runners, `bench/workloads.py`."""
-    path = pathlib.Path(__file__).parents[1] / "bench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("bench_workloads", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 def test_a_formula_nobody_holds_leaves_the_table():
     # a seed-1 `sat` pass and a `compress` prefix, as the benchmark runs
     # them; once their results are dropped, their nodes die and each death
     # removes its own table entry
-    workloads = _bench_workloads()
+    workloads = bench_workloads()
     results = [workloads.run_sat(inst) for inst in workloads.generate("sat", 1)]
     results += [workloads.run_compress(inst) for inst in
                 itertools.islice(workloads.generate_compress(1), 20)]
@@ -618,10 +607,29 @@ def test_a_formula_nobody_holds_leaves_the_table():
             if ref() is None] == []
 
 
+def test_a_dropped_formula_is_freed_without_a_collection():
+    # no cache on a node holds the node itself, so reference counting frees
+    # a formula whose derived data was read as soon as its last reference
+    # goes, with the cyclic collector off
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        f = parse_formula("F>=1/3[unheld_a & G>0[unheld_b | !unheld_c]]")
+        assert f in subformulas(f) and f in subformulas_of({f})
+        sort_key(f), is_core(f), fragment_classify(f), f.path_formula
+        refs = [weakref.ref(g) for g in subformulas(f)]
+        assert len(refs) == 7
+        del f
+        assert [ref() for ref in refs] == [None] * 7
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def _build_amid_collections(threads: int, rounds: int = 150) -> list[list]:
     """Each of `threads` threads builds, per round, formulas it drops and one
-    it keeps, all with `subformulas` read: a node's cached subformula set
-    holds the node, so only a collection frees it.  With
+    it keeps, each build leaving a garbage cycle that holds the node, so
+    only a collection frees a dropped one.  With
     `gc.set_threshold(1)` collections run inside construction, and as the
     dropped structure is the same in every thread, its nodes die while
     other threads build it again.  Returns each thread's kept nodes, or
@@ -632,7 +640,8 @@ def _build_amid_collections(threads: int, rounds: int = 150) -> list[list]:
     def build(name, r):
         node = Prob(PathOp.F, Cmp.GE, Fraction(1, r + 2),
                     disj([Atom(name), NegAtom("b")]))
-        assert node in subformulas(node)
+        cycle = [node]
+        cycle.append(cycle)
         return node
 
     def work(k):
@@ -679,12 +688,13 @@ def test_removal_does_not_wait_for_the_table_lock():
         import gc
         from fractions import Fraction
         from pctlfg import formula
-        from pctlfg.formula import Atom, Cmp, PathOp, Prob, subformulas
+        from pctlfg.formula import Atom, Cmp, PathOp, Prob
         node = Prob(PathOp.G, Cmp.GT, Fraction(1, 7), Atom("held"))
-        assert node in subformulas(node)
+        cycle = [node]  # a garbage cycle, so the collection frees the node
+        cycle.append(cycle)
         key = (Prob, node.op, node.cmp, node.bound.as_integer_ratio(), node.body)
         with formula._NODES_LOCK:
-            del node
+            del node, cycle
             gc.collect()
             print(key in formula._NODES)
     """

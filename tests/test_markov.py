@@ -1,3 +1,4 @@
+import json
 import random
 import sys
 import threading
@@ -5,7 +6,10 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import all_graphs, random_chain, reference_reach, reference_reachable
+from helpers import (
+    ReferenceChain, all_graphs, bench_workloads, random_chain, reference_reach,
+    reference_reachable,
+)
 
 from pctlfg import markov
 from pctlfg.markov import (
@@ -65,6 +69,128 @@ def test_from_dict_matches_constructor():
         assert again.valuation == chain.valuation
         for s in chain.states:
             assert list(again.successors(s).items()) == list(chain.successors(s).items())
+
+
+# -- the index form against the name-keyed reference loader ------------------
+
+_UNKNOWN = "no such state"
+
+
+def _views(chain, all_pairs=True):
+    """Every answer a chain gives about itself.  Probabilities are read for
+    every ordered pair, or else for each state's successors and two fixed
+    states, and always for a name that is no state."""
+    states = chain.states
+    pairs = []
+    for s in states:
+        targets = list(states) if all_pairs else (
+            list(chain.successors(s)) + [states[0], states[len(states) // 2]])
+        pairs += [(s, t, chain.probability(s, t)) for t in targets + [_UNKNOWN]]
+    return {
+        "states": states,
+        "successors": [list(chain.successors(s).items()) for s in states],
+        "probability": pairs,
+        "edges": list(chain.edges()),
+        "valuation": chain.valuation,
+        "atoms": [chain.atoms(s) for s in states],
+        "to_dict": chain.to_dict(),
+        "row": [chain.row(i) for i in range(len(states))],
+        "succ": list(chain.succ),
+        "pred": list(chain.pred),
+        "index": list(chain.index.items()),
+        "atom_masks": sorted(chain.atom_masks.items()),
+        "contains": [s in chain for s in states] + [_UNKNOWN in chain],
+    }
+
+
+def test_chain_matches_the_reference_loader():
+    # seeded random chains through both constructors and the loader, and
+    # the benchmark's seed-1 `check` models through the loader, against the
+    # name-keyed chain; `to_dict` loads back to the same chain
+    rng = random.Random(97)
+    for k in range(200):
+        chain = random_chain(rng, max_states=2 + k % 9, aps=("a", "b", "c"))
+        states = list(chain.states)
+        edges = {(src, dst): p for src, dst, p in chain.edges()}
+        valuation = {s: sorted(chain.atoms(s)) for s in states}
+        want = _views(ReferenceChain(states, edges, valuation))
+        assert _views(MarkovChain(states, edges, valuation)) == want
+        data = chain.to_dict()
+        assert _views(ReferenceChain.from_dict(data)) == want
+        loaded = MarkovChain.from_dict(data)
+        assert _views(loaded) == want
+        assert _views(MarkovChain.from_dict(loaded.to_dict())) == want
+        assert loaded.to_dot() == chain.to_dot()
+    for inst in bench_workloads().generate("check", 1):
+        data = json.loads(inst["model"])
+        chain = MarkovChain.from_dict(data)
+        assert _views(chain, all_pairs=False) == \
+            _views(ReferenceChain.from_dict(data), all_pairs=False)
+        assert chain.to_dict() == data
+
+
+def _corrupt(rng, data) -> str:
+    """Applies one seeded defect to the JSON model `data` in place; returns
+    its kind."""
+    states, edges = data["states"], data["edges"]
+    kind = rng.choice(("non-dict record", "missing key", "non-list ap",
+                       "non-str atom", "duplicate id", "unknown endpoint",
+                       "duplicate edge", "malformed numeral"))
+    records = edges if edges and rng.random() < 0.6 else states
+    k = rng.randrange(len(records))
+    if kind == "non-dict record":
+        records[k] = rng.choice((["s0", "s0", "1"], "s0->s0", None, 7))
+    elif kind == "missing key" and isinstance(records[k], dict):
+        keys = ("id",) if records is states else ("from", "to", "p")
+        records[k].pop(rng.choice(keys), None)
+    elif kind == "non-list ap" and isinstance(states[k % len(states)], dict):
+        states[k % len(states)]["ap"] = rng.choice(("a", None, {"a": 1}, ("a",)))
+    elif kind == "non-str atom" and isinstance(states[k % len(states)], dict):
+        states[k % len(states)]["ap"] = ["a", rng.choice((1, None, ["b"]))]
+    elif kind == "duplicate id" and len(states) > 1:
+        i, j = rng.sample(range(len(states)), 2)
+        if isinstance(states[i], dict) and isinstance(states[j], dict):
+            states[i]["id"] = states[j].get("id")
+    elif kind == "unknown endpoint" and edges and isinstance(edges[k % len(edges)], dict):
+        for key in rng.choice((("from",), ("to",), ("from", "to"))):
+            edges[k % len(edges)][key] = rng.choice(("nowhere", 3, None, ""))
+    elif kind == "duplicate edge" and edges:
+        copy = edges[k % len(edges)]
+        if isinstance(copy, dict):
+            copy = dict(copy, p=rng.choice((copy.get("p"), "1/2", "0")))
+        edges.insert(rng.randrange(len(edges) + 1), copy)
+    elif kind == "malformed numeral" and edges and isinstance(edges[k % len(edges)], dict):
+        edges[k % len(edges)]["p"] = rng.choice(
+            ("1/0", "x", None, True, [1], "1e5", " 1", "1/-2", 1.5, 2))
+    return kind
+
+
+def _load(loader, data):
+    """The loaded chain's answers, or the text of the InvalidChainError."""
+    try:
+        return _views(loader(data))
+    except InvalidChainError as exc:
+        return str(exc)
+
+
+def test_corrupted_records_raise_the_reference_error():
+    # one to three seeded defects per model, so several defects meet in
+    # one model: the first in record order is reported, in the reference's
+    # words, and a model that stays valid loads as the reference does
+    rng = random.Random(101)
+    raised = []
+    for _ in range(600):
+        data = random_chain(rng, max_states=5).to_dict()
+        kinds = [_corrupt(rng, data) for _ in range(rng.randint(1, 3))]
+        want = _load(ReferenceChain.from_dict, data)
+        assert _load(MarkovChain.from_dict, data) == want, (kinds, data)
+        if isinstance(want, str):
+            raised.append(want)
+    for family in ("must be an object", "has no", "'ap' must be a list",
+                   "duplicate state ids", "edge from unknown state",
+                   "edge to unknown state", "duplicate edge",
+                   "malformed rational"):
+        assert any(family in message for message in raised), family
 
 
 def test_first_defect_in_record_order_is_reported():
