@@ -21,9 +21,9 @@ bounds that clash, F>=r or F>r on a body implying the body of F<=s or
 F<s with r > s (or r = s and one bound open), or a required atom with its
 negation, refute the whole search before anything is compiled.  Vertex
 sets have one format from enumeration to confirmation, `markov`'s: a
-graph is its tuple of successor masks, and every label set and block set
-is a vertex bitmask; the edge list exists only as the order of the SMT
-edge variables, derived from the successor masks.  The enumeration
+graph is its tuple of successor masks, and every label set is a vertex
+bitmask; the edge list exists only as the order of the SMT edge
+variables, derived from the successor masks.  The enumeration
 builds one labeling, a vertex bitmask per subformula slot, as it chooses
 the label sets and screens each F-subformula's block from the graph
 alone, skipping the whole subtree of labelings on a contradiction: with
@@ -32,21 +32,21 @@ strictly inside (0, 1) elsewhere.  Each graph builds its predecessor
 masks once and calls `markov.prob01` on them once per step and body
 mask, turning the answer into a (care, want) mask pair: a label set m
 passes iff m & care == want.
-A candidate is one record from emission to confirmation: its successor
-masks, its labeling and its constraint system, one block per
-F-subformula holding its body set and its own set, read off the labeling
-by `encode` in the labeling's own (bottom-up) order; the cut-off set,
-where the block's reach variables are 0, is derived by `smt_text`, its
-one reader.  Each candidate is decided on one path: it is tried with the
-uniform assignment, and only a miss is shipped to a pluggable SMT
+A candidate is its graph and its labeling, from emission to confirmation,
+made by `encode`.  Its constraint system is read off the labeling, one
+block per F-subformula g, in the labeling's own (bottom-up) order: the
+body set `labeling[g.body]` and the own set `labeling[g]`; the cut-off
+set, where the block's reach variables are 0, is derived by `smt_text`,
+its one reader.  Each candidate is decided on one path: it is tried with
+the uniform assignment, and only a miss is shipped to a pluggable SMT
 backend, whose answer is confirmed; its SMT text is built at most once,
 for the dump and the backend alike.  An assignment fixes the chain, so
 it is confirmed by that chain's `ModelChecker`, the package's one exact
-evaluator: each block's reach values are its `reach_probabilities`
-between prob0 and prob1 of the body mask, held against the bound by
-`modelcheck.passing`.  The chain carries the atoms of the candidate's
-atom sets, so a confirmed assignment is a model, which the same checker
-re-verifies against the original formula at vertex 0.
+evaluator: the labeling must be the chain's truth, every label set the
+satisfaction mask (`sat_mask`) of its subformula.  The chain carries the
+atoms of the candidate's atom sets, so a confirmed assignment is a model,
+which the same checker re-verifies against the original formula at
+vertex 0.
 """
 
 from __future__ import annotations
@@ -69,7 +69,7 @@ from .markov import (
     InvalidChainError, MarkovChain, indices, parse_probability,
     predecessor_masks, prob01, states_reachable_from, validate,
 )
-from .modelcheck import ModelChecker, passing
+from .modelcheck import ModelChecker
 
 
 class BackendError(RuntimeError):
@@ -157,35 +157,23 @@ def _root_clash(required: set[StateFormula]) -> bool:
 # Candidates
 
 @dataclass(frozen=True)
-class CorrectnessBlock:
-    """The correctness constraints of one labeled F-subformula, as vertex
-    masks: the reach variables are 1 on the body's label set `body`, 0 on
-    the vertices with no path into it (derived by `smt_text`), and
-    compared against the bound inside/outside the formula's label set
-    `inside`."""
-
-    formula: Prob
-    body: int
-    inside: int
-
-
-@dataclass(frozen=True)
 class ETRCandidate:
-    """A guessed digraph with per-subformula vertex labelings and the
-    existential constraints they impose; built by `encode`.
+    """A guessed digraph with per-subformula vertex labelings; built by
+    `encode`.
 
     The graph is its tuple of successor masks over vertices 0..size-1
     (rendered as v1..v{size}), each of out-degree at least one; each label
     set is a vertex mask, the Boolean ones forced from the atom and
     F-subformula sets; the enumeration emits only candidates whose
-    whole-formula set contains vertex 0.  The constraints are positive edge
-    variables x that row-stochastically sum per vertex, plus `blocks`, one
-    reach-variable block per F-subformula in the labeling's order.
+    whole-formula set contains vertex 0.  The labeling, bottom-up, is the
+    constraint system too: positive edge variables x that row-stochastically
+    sum per vertex, plus one reach-variable block per F-subformula g, with
+    reach value 1 on its body set `labeling[g.body]` and compared against
+    the bound inside and outside its own set `labeling[g]`.
     """
 
     succ: tuple[int, ...]
     labeling: dict[StateFormula, int]
-    blocks: tuple[CorrectnessBlock, ...]
 
     @property
     def size(self) -> int:
@@ -200,12 +188,10 @@ class ETRCandidate:
 
 def encode(succ: tuple[int, ...], labeling: dict[StateFormula, int],
            ) -> ETRCandidate:
-    """The candidate of a graph and labeling, with one block per
-    F-subformula in the labeling's order: bottom-up when the labeling is
+    """The candidate of a graph and labeling, the one construction point.
+    Its blocks follow the labeling's order: bottom-up when the labeling is
     built in step order (`_choice_order`), as the enumeration builds it."""
-    return ETRCandidate(succ, labeling, tuple(
-        CorrectnessBlock(g, labeling[g.body], mask)
-        for g, mask in labeling.items() if isinstance(g, Prob)))
+    return ETRCandidate(succ, labeling)
 
 
 def _graphs(size: int):
@@ -398,11 +384,13 @@ def interval_refuted(candidate: ETRCandidate) -> bool:
     and the benchmark traces."""
     pred = predecessor_masks(candidate.succ)
     full = (1 << candidate.size) - 1
-    for block in candidate.blocks:
-        care, want = _screen(_verdicts(block.formula),
-                             *prob01(pred, block.body), full)
-        if block.inside & care != want:
-            return True
+    labeling = candidate.labeling
+    for g, inside in labeling.items():
+        if isinstance(g, Prob):
+            care, want = _screen(_verdicts(g),
+                                 *prob01(pred, labeling[g.body]), full)
+            if inside & care != want:
+                return True
     return False
 
 
@@ -419,9 +407,10 @@ def check_assignment(candidate: ETRCandidate,
                      ) -> ModelChecker | None:
     """Exact substitution oracle: builds the chain the edge probabilities
     define, with states v1..v{size} carrying the atoms whose label sets
-    contain them, takes each block's reach values from its `ModelChecker`
-    and evaluates every comparison.  Returns that checker, whose `chain` is
-    then a model of the labeling, when every comparison holds and None
+    contain them, and asks its `ModelChecker` for the satisfaction mask of
+    every labeled subformula, bottom-up, stopping at the first that differs
+    from its label set.  Returns that checker, whose `chain` is then a
+    model of the labeling, when the labeling is the chain's truth and None
     otherwise.  Raises ValueError on the problems `markov.validate` finds
     in that chain; a missing edge has probability 0."""
     names = [f"v{v + 1}" for v in range(candidate.size)]
@@ -437,12 +426,9 @@ def check_assignment(candidate: ETRCandidate,
     if problems:
         raise ValueError("; ".join(problems))
     mc = ModelChecker(chain)
-    for block in candidate.blocks:
-        values = mc.reach_probabilities(*mc.prob01(block.body))
-        cmp, r = block.formula.cmp, block.formula.bound
-        if passing(values, cmp, r) != block.inside:
-            return None
-    return mc
+    if all(mc.sat_mask(g) == mask for g, mask in candidate.labeling.items()):
+        return mc
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -461,39 +447,40 @@ def _edge_var(index: int) -> str:
 
 def smt_text(candidate: ETRCandidate) -> str:
     """The candidate's constraints in SMT-LIB 2 text, logic QF_NRA, with a
-    model request for the edge variables.  A block's cut-off set, where
-    its reach variables are 0, is prob0 of its body set in the graph."""
-    size, edges = candidate.size, candidate.edges
+    model request for the edge variables: one block of reach variables
+    y{b}_{v} per F-subformula, in the labeling's order.  A block's cut-off
+    set, where its reach variables are 0, is prob0 of its body set in the
+    graph."""
+    size, edges, labeling = candidate.size, candidate.edges, candidate.labeling
     pred = predecessor_masks(candidate.succ)
+    blocks = [g for g in labeling if isinstance(g, Prob)]
     lines = ["(set-logic QF_NRA)"]
     for i in range(len(edges)):
         lines.append(f"(declare-const {_edge_var(i)} Real)")
-    y_names: list[list[str]] = []
-    for b, block in enumerate(candidate.blocks):
-        names = [f"y{b + 1}_{v + 1}" for v in range(size)]
-        y_names.append(names)
-        for name in names:
-            lines.append(f"(declare-const {name} Real)")
+    for b in range(len(blocks)):
+        for v in range(size):
+            lines.append(f"(declare-const y{b + 1}_{v + 1} Real)")
     for i in range(len(edges)):
         lines.append(f"(assert (and (> {_edge_var(i)} 0) (<= {_edge_var(i)} 1)))")
     for v in range(size):
         outgoing = [_edge_var(k) for k, e in enumerate(edges) if e[0] == v]
         lines.append(f"(assert (= (+ {' '.join(outgoing)}) 1))")
-    for b, block in enumerate(candidate.blocks):
-        names = y_names[b]
-        out = prob01(pred, block.body)[0]
-        for v in indices(block.body):
+    for b, g in enumerate(blocks):
+        names = [f"y{b + 1}_{v + 1}" for v in range(size)]
+        body, inside = labeling[g.body], labeling[g]
+        out = prob01(pred, body)[0]
+        for v in indices(body):
             lines.append(f"(assert (= {names[v]} 1))")
         for v in indices(out):
             lines.append(f"(assert (= {names[v]} 0))")
-        for v in indices((1 << size) - 1 & ~(block.body | out)):
+        for v in indices((1 << size) - 1 & ~(body | out)):
             terms = [f"(* {_edge_var(k)} {names[j]})"
                      for k, (i, j) in enumerate(edges) if i == v]
             summed = terms[0] if len(terms) == 1 else f"(+ {' '.join(terms)})"
             lines.append(f"(assert (= {names[v]} {summed}))")
-        cmp, r = block.formula.cmp, _smt_rational(block.formula.bound)
+        cmp, r = g.cmp, _smt_rational(g.bound)
         for v in range(size):
-            op = cmp if block.inside >> v & 1 else cmp.negated()
+            op = cmp if inside >> v & 1 else cmp.negated()
             lines.append(f"(assert ({op} {names[v]} {r}))")
     lines.append("(check-sat)")
     if edges:

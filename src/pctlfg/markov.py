@@ -538,7 +538,7 @@ def first_passage(mc: ModelChecker, source: str, targets) -> dict[str, Fraction]
         raise ValueError("empty target set")
     target_mask = chain.mask(targets)
     if source in targets:
-        return {t: Fraction(int(t == source)) for t in targets}
+        return {t: Fraction(int(t == source)) for t in sorted(targets)}
 
     # Region explorable from the source without crossing a target.
     region = states_reachable_from(chain.succ, origin, blocked=target_mask)

@@ -12,7 +12,7 @@ value} for the maybe states).  `path_masks` gives a path formula's two
 masks alone, without a solve (a G formula's are those of reaching the
 body's complement, swapped), and `path_values` solves between them, for
 F and G alike.  A `Prob` node's satisfaction mask takes the 1 and 0
-masks whole when the bound admits 1 and 0 (`passing`) and compares only
+masks whole when the bound admits 1 and 0 (`_passing`) and compares only
 the maybe values.
 
 A question about one state costs only what that state needs: `holds`
@@ -35,10 +35,12 @@ per path formula.  Names appear only at the edge: `sat_set` is
 `chain.names(sat_mask(f))`, and `path_probabilities` and `probability`
 give probabilities by state name.  The checker also holds the chain's SCC
 decomposition (`sccs`: one mask per component and the bottom mask, found
-by the one backward search on successor masks); decomposition and memo
-entries are built on first use.  It is the one exact evaluator of a
-fixed chain: bounded sat confirms an edge assignment by the reach
-probabilities of the chain it defines (`etr.check_assignment`).
+by Kosaraju-Sharir, a depth-first pass over successor masks and then
+`markov.states_with_path_to` over predecessor masks); decomposition and
+memo entries are built on first use.  It is the one exact evaluator of a
+fixed chain: bounded sat confirms an edge assignment by the satisfaction
+masks of the chain it defines, which must equal the candidate's label
+sets (`etr.check_assignment`).
 """
 
 from __future__ import annotations
@@ -61,7 +63,7 @@ _ZERO, _ONE = Fraction(0), Fraction(1)
 Values = tuple[int, int, dict[int, Fraction]]
 
 
-def passing(values: Values, cmp: Cmp, bound: Fraction) -> int:
+def _passing(values: Values, cmp: Cmp, bound: Fraction) -> int:
     """The mask of the states whose value in `values` satisfies `cmp bound`:
     the 0 and 1 masks pass whole or not at all, the rest state by state."""
     zero, one, maybe = values
@@ -165,7 +167,7 @@ class ModelChecker:
         elif isinstance(f, Or):
             result = reduce(or_, map(self.sat_mask, f.args), 0)
         else:
-            result = passing(self.path_values(f.path_formula), f.cmp, f.bound)
+            result = _passing(self.path_values(f.path_formula), f.cmp, f.bound)
         self._sat[f] = result
         return result
 

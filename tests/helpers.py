@@ -13,8 +13,11 @@ Gauss-Jordan elimination on Fractions and reach probabilities that pin only
 the states with no path to the targets; the reference satisfaction sets
 are built on them by recursion over name sets; the reference block screen
 compares each vertex's reach value against the bound one `Fraction` at a
-time, next to the block form of the enumeration's mask screen.  The
-reference bounded search enumerates every digraph and emits every nonempty
+time, next to the block form of the enumeration's mask screen, and the
+reference confirmation (`reference_check_assignment`) holds each labeled
+F-subformula's reach values on its labeled body set against its bound,
+block by block, where the library asks the checker for every label set.
+The reference bounded search enumerates every digraph and emits every nonempty
 whole-formula label set; the library's search is rooted at vertex 0 and
 tries one graph per isomorphism class.  `labeling_violations` and
 `constraint_count` are oracles on a candidate's labeling and on its
@@ -53,7 +56,7 @@ from pctlfg.etr import (
 from pctlfg.linalg import SingularMatrixError
 from pctlfg.markov import (
     InvalidChainError, MarkovChain, first_passage, indices, parse_probability,
-    predecessor_masks, prob01, scc_decompose,
+    predecessor_masks, prob01, scc_decompose, validate,
 )
 from pctlfg.measure import member_paths
 from pctlfg.modelcheck import ModelChecker
@@ -543,9 +546,10 @@ def labeling_violations(candidate: ETRCandidate,
 
 
 def constraint_count(candidate: ETRCandidate) -> int:
-    """Row sums, plus an equation and a comparison per block and vertex."""
-    return (len(candidate.edges)
-            + candidate.size * (1 + 2 * len(candidate.blocks)))
+    """Row sums, plus an equation and a comparison per vertex and labeled
+    F-subformula."""
+    blocks = sum(isinstance(g, Prob) for g in candidate.labeling)
+    return len(candidate.edges) + candidate.size * (1 + 2 * blocks)
 
 
 def all_graphs(size: int):
@@ -565,22 +569,24 @@ def sure_vertices(pred, body: int) -> int:
     return prob01(pred, body)[1] & ~body
 
 
-def block_interval_contradiction(size, block, out: int, sure: int) -> bool:
-    """The enumeration's mask screen (`etr._screen`) on one block: prob1 is
+def block_interval_contradiction(size, node: Prob, body: int, inside: int,
+                                 out: int, sure: int) -> bool:
+    """The enumeration's mask screen (`etr._screen`) on the block of the
+    F-subformula `node` with body set `body` and own set `inside`: prob1 is
     the body set plus `sure`, prob0 the cut-off set `out`."""
-    care, want = _screen(_verdicts(block.formula), out,
-                         block.body | sure, (1 << size) - 1)
-    return block.inside & care != want
+    care, want = _screen(_verdicts(node), out, body | sure, (1 << size) - 1)
+    return inside & care != want
 
 
-def reference_block_refuted(size, block, out: int, sure: int):
+def reference_block_refuted(size, node: Prob, body: int, inside: int,
+                            out: int, sure: int):
     """`block_interval_contradiction` vertex by vertex on Fractions: a
     reach value is exactly 1 on the body set and `sure`, exactly 0 on the
     cut-off set `out` and strictly inside (0, 1) elsewhere."""
-    cmp, r = block.formula.cmp, block.formula.bound
+    cmp, r = node.cmp, node.bound
     for v in range(size):
-        inside = bool(block.inside >> v & 1)
-        if (block.body | sure) >> v & 1:
+        labeled = bool(inside >> v & 1)
+        if (body | sure) >> v & 1:
             value = Fraction(1)
         elif out >> v & 1:
             value = Fraction(0)
@@ -588,9 +594,41 @@ def reference_block_refuted(size, block, out: int, sure: int):
             continue  # a value in (0, 1) can lie on either side of r
         else:
             value = Fraction(1, 2)  # all of (0, 1) compares alike with 0 or 1
-        if cmp.holds(value, r) != inside:
+        if cmp.holds(value, r) != labeled:
             return True
     return False
+
+
+def reference_check_assignment(candidate: ETRCandidate,
+                               assignment: dict[tuple[int, int], Fraction],
+                               ) -> ModelChecker | None:
+    """`etr.check_assignment` as the per-block rule it replaced: on the
+    chain the assignment defines, each labeled F-subformula's reach values
+    between prob0 and prob1 of its labeled body set, compared with the
+    bound vertex by vertex, must give its own label set; the Boolean label
+    sets are not read.  Returns the chain's checker when every block
+    passes and None otherwise."""
+    names = [f"v{v + 1}" for v in range(candidate.size)]
+    atoms = {name: [g.name for g, mask in candidate.labeling.items()
+                    if isinstance(g, Atom) and mask >> v & 1]
+             for v, name in enumerate(names)}
+    chain = MarkovChain(names, {
+        (names[i], names[j]): Fraction(assignment.get((i, j), 0))
+        for i, j in candidate.edges}, atoms)
+    problems = validate(chain)
+    if problems:
+        raise ValueError("; ".join(problems))
+    mc = ModelChecker(chain)
+    for g, inside in candidate.labeling.items():
+        if not isinstance(g, Prob):
+            continue
+        _, one, maybe = mc.reach_probabilities(
+            *mc.prob01(candidate.labeling[g.body]))
+        for v in range(candidate.size):
+            value = maybe.get(v, Fraction(one >> v & 1))
+            if g.cmp.holds(value, g.bound) != bool(inside >> v & 1):
+                return None
+    return mc
 
 
 def reference_candidates(f: StateFormula, bound: int,
@@ -658,7 +696,7 @@ def reference_search(f: StateFormula, bound: int) -> SatSearchResult:
 def candidate_from_chain(chain: MarkovChain, f: StateFormula) -> ETRCandidate:
     """The candidate a concrete chain induces for an F-normal formula: its
     graph plus the true satisfaction sets as labeling, built in step order
-    (`etr._choice_order`) so that its blocks are bottom-up."""
+    (`etr._choice_order`) so that its F-subformulas come bottom-up."""
     mc = ModelChecker(chain)
     return encode(tuple(chain.succ), {
         g: mc.sat_mask(g)

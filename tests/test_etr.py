@@ -14,13 +14,14 @@ from helpers import (
     PSI_TEXT, all_graphs, block_interval_contradiction, candidate_from_chain,
     constraint_count, fig1_chain, labeling_violations, random_chain,
     random_core_formula, reference_block_refuted, reference_candidates,
-    reference_search, satisfied_instance, sure_vertices,
+    reference_check_assignment, reference_search, satisfied_instance,
+    sure_vertices,
 )
 
 import pctlfg.etr
 from pctlfg.cli import main
 from pctlfg.etr import (
-    BackendError, CorrectnessBlock, ETRCandidate, SatSearchResult,
+    BackendError, ETRCandidate, SatSearchResult,
     SolverBackend, _choice_order, _graphs, _implies, _parse_sexprs,
     _rationalize, _required, _root_clash, check_assignment, encode,
     enumerate_candidates,
@@ -274,15 +275,15 @@ def test_enumeration_deterministic():
 
 
 def test_blocks_follow_the_step_order():
-    # every emitted candidate's blocks are its F-subformulas bottom-up, as
-    # the step order lists them
+    # every emitted candidate's labeling lists its F-subformulas, the
+    # blocks, bottom-up, as the step order does
     f = f_normal_form(pf("F>1/2[F>0[a] & b] & G>0[!b | a]"))
     want = [node for node, _ in _choice_order(f) if isinstance(node, Prob)]
     assert len(want) == 3
     candidates = list(enumerate_candidates(f, 2))
     assert candidates
     for c in candidates:
-        assert [block.formula for block in c.blocks] == want
+        assert [g for g in c.labeling if isinstance(g, Prob)] == want
 
 
 # -- encoding and the exact assignment oracle --------------------------------
@@ -299,7 +300,7 @@ def fig1_candidate_and_truth(formula):
 def test_encode_shape_running_example(psi):
     _, candidate, _ = fig1_candidate_and_truth(psi)
     assert len(candidate.edges) == 4
-    assert len(candidate.blocks) == 5
+    assert sum(isinstance(g, Prob) for g in candidate.labeling) == 5
     assert constraint_count(candidate) >= 4 + 3 + 5 * 3
 
 
@@ -333,7 +334,7 @@ def test_check_assignment_validates_input(psi):
     {(0, 0): Fraction(1, 3), (0, 1): Fraction(1, 3), (1, 1): Fraction(1)},
 ], ids=["missing edge", "zero edge", "edge above one", "row sum"])
 def test_check_assignment_rejects_a_non_chain(assignment):
-    candidate = ETRCandidate((0b11, 0b10), {}, ())
+    candidate = ETRCandidate((0b11, 0b10), {})
     assert candidate.edges == ((0, 0), (0, 1), (1, 1))
     with pytest.raises(ValueError):
         check_assignment(candidate, assignment)
@@ -344,8 +345,8 @@ def test_degenerate_block_everything_labeled():
     f = pf("F=1[a]")
     chain = MarkovChain(["s"], {("s", "s"): Fraction(1)}, {"s": ["a"]})
     candidate = candidate_from_chain(chain, f)
-    block = candidate.blocks[0]
-    assert (block.body, block.inside) == (1, 1)
+    (g,) = [g for g in candidate.labeling if isinstance(g, Prob)]
+    assert (candidate.labeling[g.body], candidate.labeling[g]) == (1, 1)
     # the cut-off set is empty: no reach variable is pinned to 0
     text = smt_text(candidate)
     assert "(assert (= y1_1 1))" in text
@@ -402,6 +403,7 @@ def test_encoding_faithfulness_randomized():
 
 
 def test_unique_block_solution_matches_model_checker():
+    # a chain's own labeling is confirmed, as the per-block rule confirms it
     rng = random.Random(113)
     for _ in range(60):
         chain = random_chain(rng, max_states=4)
@@ -412,6 +414,81 @@ def test_unique_block_solution_matches_model_checker():
         pos = {s: i for i, s in enumerate(chain.states)}
         truth = {(pos[a], pos[b]): p for a, b, p in chain.edges()}
         assert check_assignment(candidate, truth)
+        assert reference_check_assignment(candidate, truth)
+
+
+_A, _B = Atom("a"), Atom("b")
+_REACH_A = Prob(PathOp.F, Cmp.GT, Fraction(0), _A)
+
+
+@pytest.mark.parametrize("succ, labeling, wrong", [
+    # one self-looping vertex labeled a: !a is false there
+    ((0b1,), {_A: 0b1, NegAtom("a"): 0b1}, {NegAtom("a"): 0b0}),
+    # v1 -> v2, v2 loops; b holds at v1 and a at v2, so F>0[a] holds at
+    # both and b & F>0[a] at v1 alone; the F-subformula's own set is right
+    ((0b10, 0b10), {_A: 0b10, _B: 0b01, _REACH_A: 0b11,
+                    conj([_B, _REACH_A]): 0b11},
+     {conj([_B, _REACH_A]): 0b01}),
+], ids=["negated atom", "conjunction"])
+def test_confirming_means_the_labeling_is_the_chains_truth(
+        succ, labeling, wrong):
+    # a wrong Boolean label set is not confirmed, though every F-subformula
+    # block passes; with the set corrected the same chain confirms
+    candidate = encode(succ, labeling)
+    assignment = uniform_assignment(candidate)
+    assert check_assignment(candidate, assignment) is None
+    assert reference_check_assignment(candidate, assignment) is not None
+    fixed = encode(succ, {**labeling, **wrong})
+    assert check_assignment(fixed, assignment) is not None
+
+
+def _perturbed_assignment(rng, candidate):
+    # positive weights 1..4 on each vertex's edges, normalized per vertex
+    weights = {e: rng.randint(1, 4) for e in candidate.edges}
+    totals = [0] * candidate.size
+    for (i, _), w in weights.items():
+        totals[i] += w
+    return {(i, j): Fraction(w, totals[i]) for (i, j), w in weights.items()}
+
+
+def _equivalence_streams():
+    # the ROOTED_STREAM formulas' streams at bound 3 and those of 100
+    # seeded core formulas with an F-subformula and some candidate at
+    # bound 2, which keeps the test to a few seconds
+    for text in ROOTED_STREAM:
+        f = f_normal_form(pf(text))
+        yield f, enumerate_candidates(f, 3)
+    rng = random.Random(157)
+    seen = set()
+    taken = 0
+    while taken < 100:
+        f = f_normal_form(random_core_formula(rng, depth=3))
+        if f in seen or not any(isinstance(g, Prob)
+                                for g in iter_subformulas(f)):
+            continue
+        seen.add(f)
+        stream = list(enumerate_candidates(f, 2))
+        if stream:
+            taken += 1
+            yield f, stream
+
+
+def test_check_assignment_agrees_with_the_per_block_rule():
+    # on enumerated candidates every Boolean set is derived from the atom
+    # and F-subformula sets, so asking the checker for every label set
+    # confirms exactly what comparing each F block's reach values did
+    rng = random.Random(163)
+    candidates = confirmed = 0
+    for f, stream in _equivalence_streams():
+        for candidate in stream:
+            candidates += 1
+            for assignment in (uniform_assignment(candidate),
+                               _perturbed_assignment(rng, candidate)):
+                verdict = check_assignment(candidate, assignment) is not None
+                assert verdict == (reference_check_assignment(
+                    candidate, assignment) is not None), (f, candidate)
+                confirmed += verdict
+    assert 0 < confirmed < 2 * candidates
 
 
 # -- bounded satisfiability --------------------------------------------------
@@ -673,10 +750,10 @@ def test_mask_screen_matches_vertex_reference():
                     continue
                 seen.add((size, body, out, sure))
                 for node, inside in itertools.product(nodes, masks):
-                    block = CorrectnessBlock(node, body, inside)
-                    want = reference_block_refuted(size, block, out, sure)
-                    assert block_interval_contradiction(
-                        size, block, out, sure) == want, (size, succ, block)
+                    block = (size, node, body, inside, out, sure)
+                    want = reference_block_refuted(*block)
+                    assert block_interval_contradiction(*block) == want, \
+                        (succ, block)
                     refuted += want
                     kept += not want
     assert refuted > 0 and kept > 0
@@ -690,7 +767,7 @@ def test_screen_never_refutes_a_real_model():
         chain = random_chain(rng, max_states=3)
         f = f_normal_form(random_core_formula(rng, depth=3))
         candidate = candidate_from_chain(chain, f)
-        blocks += len(candidate.blocks)
+        blocks += sum(isinstance(g, Prob) for g in candidate.labeling)
         assert not interval_refuted(candidate), (chain.to_json(), f)
     assert blocks > 400
 

@@ -1,5 +1,7 @@
 import json
+import os
 import random
+import subprocess
 import sys
 import threading
 from fractions import Fraction
@@ -487,6 +489,24 @@ def test_first_passage_fig1(fig1_checker):
 def test_first_passage_source_in_targets(fig1_checker):
     result = first_passage(fig1_checker, "t", {"t", "u"})
     assert result == {"t": Fraction(1), "u": Fraction(0)}
+
+
+def test_first_passage_from_a_target_lists_targets_in_name_order():
+    # a source among the targets reads its answer off the target set; the
+    # keys still come in name order, whatever the set's hash order
+    code = """if True:
+        from pctlfg.markov import MarkovChain, first_passage
+        from pctlfg.modelcheck import ModelChecker
+        names = ["s", "t", "u", "v", "w"]
+        chain = MarkovChain(names, {(n, n): 1 for n in names}, {})
+        print(list(first_passage(ModelChecker(chain), "s", names)))
+    """
+    for hash_seed in ("0", "1", "7"):
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True,
+            env={**os.environ, "PYTHONHASHSEED": hash_seed}, timeout=60)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout == "['s', 't', 'u', 'v', 'w']\n"
 
 
 def test_first_passage_coin():
