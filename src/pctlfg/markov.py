@@ -29,22 +29,23 @@ both constructors; names are views (`successors`, `probability`,
 `edges`, `atoms` and `valuation` are derived from the rows and the atom
 masks on each call).  Bounded sat builds its masks once per enumerated
 graph.  `absorption` is the one exact linear solve: the checker's reach
-probabilities (and with them the ETR oracle's block values) and the
-first-passage distribution go through it.  It works on the chain's state
-indices: the unknown states, the rows `chain.row(i) -> (d, [(j, n), ...])`
-with P(i,j) = n/d, and one boundary mask per right-hand column (prob1 for
-reach; for first passage, one column per target that the source can enter
-first).  Which targets those are is a graph fact, `first_entries`, the
-targets among the successors of the region the source reaches without
-entering a target; the others read 0 without a column, and
-`progress.successor_selection` reads the same mask when it has no
-weights to solve.  The kernel hands `linalg.solve` integer rows, each
-equation of (I - P) x = b multiplied by its row's d, so no Fraction
-arithmetic builds the system.  Loading a chain checks and
+probabilities (and with them the masks that confirm bounded sat's
+candidates) and the first-passage distribution go through it.  It works
+on the chain's state indices: the unknown states, the rows
+`chain.row(i) -> (d, [(j, n), ...])` with P(i,j) = n/d, and one boundary
+mask per right-hand column (prob1 for reach; for first passage, one
+column per target that the source can enter first).  Which targets those
+are is a graph fact, `first_entries`, the targets among the successors of
+the region the source reaches without entering a target; the others read
+0 without a column, and `progress.successor_selection` reads the same
+mask when it has no weights to solve.  The kernel hands `linalg.solve`
+integer rows, each equation of (I - P) x = b multiplied by its row's d,
+so no Fraction arithmetic builds the system.  Loading a chain checks and
 converts each state and edge record in that one pass, straight into the
 rows and masks, and reads each distinct numeral text once per process.
-`first_passage` reads the checker's SCC decomposition only to name the
-certificate of a failed precondition.
+`first_passage` takes the chain alone: its one solve is singular exactly
+when a bottom SCC lies in its region, and only then is the chain
+decomposed, to name that SCC as the certificate.
 """
 
 from __future__ import annotations
@@ -55,12 +56,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from operator import itemgetter
-from typing import TYPE_CHECKING
 
 from . import linalg
-
-if TYPE_CHECKING:  # modelcheck imports this module
-    from .modelcheck import ModelChecker
 
 
 class InvalidChainError(ValueError):
@@ -518,10 +515,10 @@ def first_entries(succ, origin: int, targets: int) -> int:
     return entered & targets
 
 
-def first_passage(mc: ModelChecker, source: str, targets) -> dict[str, Fraction]:
+def first_passage(chain: MarkovChain, source: str, targets) -> dict[str, Fraction]:
     """Distribution of the first visited target state, over runs from
-    `source` in the checker's chain that reach `targets` before visiting
-    any other target.
+    `source` in `chain` that reach `targets` before visiting any other
+    target.
 
     Requires that `targets` is hit with probability one from `source`;
     otherwise raises FirstPassageError carrying a reachable bottom SCC
@@ -531,7 +528,6 @@ def first_passage(mc: ModelChecker, source: str, targets) -> dict[str, Fraction]
     are solved, and every other target reads 0.  A source or target that
     is not a state of the chain raises KeyError.
     """
-    chain = mc.chain
     targets = frozenset(targets)
     origin = chain.mask((source,))
     if not targets:
@@ -542,11 +538,15 @@ def first_passage(mc: ModelChecker, source: str, targets) -> dict[str, Fraction]
 
     # Region explorable from the source without crossing a target.
     region = states_reachable_from(chain.succ, origin, blocked=target_mask)
-    _, prob1 = mc.prob01(target_mask)
-    if not prob1 & origin:
-        # Then some bottom SCC lies inside the region: it can never reach
-        # the targets, and it is the certificate.
-        sccs = mc.sccs
+    entered = sorted(chain.names(first_entries(chain.succ, origin, target_mask)))
+    columns = [chain.mask((t,)) for t in entered]
+    try:
+        hit = absorption(chain, indices(region), columns)[origin.bit_length() - 1]
+    except linalg.SingularMatrixError:
+        # I - P over the region is singular exactly when some bottom SCC
+        # lies inside it: that SCC never reaches the targets, and it is the
+        # certificate.
+        sccs = scc_decompose(chain)
         comp = chain.names(next(comp for comp in sccs.components
                                 if comp & sccs.bottom and not comp & ~region))
         raise FirstPassageError(
@@ -554,11 +554,7 @@ def first_passage(mc: ModelChecker, source: str, targets) -> dict[str, Fraction]
             f"bottom SCC {{{', '.join(sorted(comp))}}} is reachable and "
             "disjoint from the targets",
             certificate=comp,
-        )
-
-    entered = sorted(chain.names(first_entries(chain.succ, origin, target_mask)))
-    columns = [chain.mask((t,)) for t in entered]
-    hit = absorption(chain, indices(region), columns)[origin.bit_length() - 1]
+        ) from None
     result = dict.fromkeys(sorted(targets), Fraction(0))
     result.update(zip(entered, hit))
     assert sum(result.values()) == 1

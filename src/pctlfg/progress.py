@@ -316,7 +316,8 @@ def search_loop_l2(mc: ModelChecker, state: str, formulas) -> ProgressLoop:
     repeatedly serves an F obligation that entered through the loop (not
     through X) and whose body appears nowhere yet: a reachable witness
     satisfying the body and all G-bodies is located breadth-first (smallest
-    state id first) and a new set is closed at that witness.  The result is
+    state id first) and a new set is closed at that witness.  An F with no
+    such witness is left to the exit obligations.  The result is
     re-checked with `loop_violations` before being returned (the hypothesis
     is checked once, before the search).
     """
@@ -332,12 +333,14 @@ def search_loop_l2(mc: ModelChecker, state: str, formulas) -> ProgressLoop:
     witnesses = [state]
     # bodies of every G member of L0 must appear in every later set
     invariant = _g_bodies(level0)
+    unservable = set()
 
     while True:
         unserved = None
         for f in sorted_formulas(union):
             if (isinstance(f, Prob) and f.op is PathOp.F
-                    and f not in X and f.body not in union
+                    and f not in X and f not in unservable
+                    and f.body not in union
                     and not _g_bodies(subformulas(f.body))):
                 # F obligations with a G inside must not be served in-loop:
                 # closing their body in a later set would introduce a G whose
@@ -350,9 +353,8 @@ def search_loop_l2(mc: ModelChecker, state: str, formulas) -> ProgressLoop:
         home = next(i for i, level in enumerate(sets) if unserved in level)
         witness = _find_witness(mc, witnesses[home], unserved.body, invariant)
         if witness is None:
-            raise ProgressLoopError(
-                f"no reachable state satisfies the body of {unserved} "
-                "together with all G-bodies")
+            unservable.add(unserved)
+            continue
         new_level = least_closed_set(mc, witness, {unserved.body} | invariant,
                                      unfold_g=False)
         sets.append(new_level)
@@ -449,7 +451,7 @@ def successor_selection(mc: ModelChecker, state: str,
     for path in paths:
         if path.op is PathOp.F:
             candidates |= mc.sat_mask(path.body)
-    passage = first_passage(mc, state, mc.chain.names(candidates))
+    passage = first_passage(mc.chain, state, mc.chain.names(candidates))
 
     support = sorted(t for t, y in passage.items() if y > 0)
     vectors = [tuple(mc.probability(t, path) for path in paths) for t in support]

@@ -423,7 +423,7 @@ def reference_successor_selection(mc: ModelChecker, state: str, obligations):
     for path in paths:
         if path.op is PathOp.F:
             candidates |= mc.sat_mask(path.body)
-    passage = first_passage(mc, state, mc.chain.names(candidates))
+    passage = first_passage(mc.chain, state, mc.chain.names(candidates))
     support = sorted(t for t, y in passage.items() if y > 0)
     vectors = [tuple(mc.probability(t, path) for path in paths) for t in support]
     weights = reference_caratheodory_reduce(vectors, [passage[t] for t in support])

@@ -60,10 +60,9 @@ def test_first_passage_satisfies_its_equations():
     rng = random.Random(43)
     for _ in range(60):
         chain = random_chain(rng, max_states=7)
-        mc = ModelChecker(chain)
         targets = set(scc_decompose(chain).bottom_states())
         targets |= {s for s in chain.states if rng.random() < 0.2}
-        hit = {s: first_passage(mc, s, targets) for s in chain.states}
+        hit = {s: first_passage(chain, s, targets) for s in chain.states}
         for s in chain.states:
             assert sum(hit[s].values()) == 1
             for t in targets:
@@ -110,7 +109,6 @@ def test_first_passage_rows_equal_reference():
     raised = compared = unentered = 0
     for _ in range(100):
         chain, targets = _chain_with_escape(rng)
-        mc = ModelChecker(chain)
         tlist = sorted(targets)
         one_hot = {t: [int(t == u) for u in tlist] for t in tlist}
         reach = reference_reach(chain.states, chain.successors, targets)
@@ -119,10 +117,10 @@ def test_first_passage_rows_equal_reference():
         for s in chain.states:
             if reach[s] != 1:
                 with pytest.raises(FirstPassageError):
-                    first_passage(mc, s, targets)
+                    first_passage(chain, s, targets)
                 raised += 1
             elif s not in targets:
-                hit = first_passage(mc, s, targets)
+                hit = first_passage(chain, s, targets)
                 assert hit == dict(zip(tlist, rows[s]))
                 region = reference_reachable(chain, s, blocked=targets)
                 entered = {t for u in region for t in chain.successors(u)

@@ -482,12 +482,12 @@ def test_scc_against_reachability_oracle():
             assert position[dst] <= position[src]
 
 
-def test_first_passage_fig1(fig1_checker):
-    assert first_passage(fig1_checker, "s", {"u"}) == {"u": Fraction(1)}
+def test_first_passage_fig1(fig1):
+    assert first_passage(fig1, "s", {"u"}) == {"u": Fraction(1)}
 
 
-def test_first_passage_source_in_targets(fig1_checker):
-    result = first_passage(fig1_checker, "t", {"t", "u"})
+def test_first_passage_source_in_targets(fig1):
+    result = first_passage(fig1, "t", {"t", "u"})
     assert result == {"t": Fraction(1), "u": Fraction(0)}
 
 
@@ -496,10 +496,9 @@ def test_first_passage_from_a_target_lists_targets_in_name_order():
     # keys still come in name order, whatever the set's hash order
     code = """if True:
         from pctlfg.markov import MarkovChain, first_passage
-        from pctlfg.modelcheck import ModelChecker
         names = ["s", "t", "u", "v", "w"]
         chain = MarkovChain(names, {(n, n): 1 for n in names}, {})
-        print(list(first_passage(ModelChecker(chain), "s", names)))
+        print(list(first_passage(chain, "s", names)))
     """
     for hash_seed in ("0", "1", "7"):
         proc = subprocess.run(
@@ -516,15 +515,23 @@ def test_first_passage_coin():
          ("b1", "b1"): Fraction(1), ("b2", "b2"): Fraction(1)},
         {},
     )
-    assert first_passage(ModelChecker(chain), "s", {"b1", "b2"}) == \
+    assert first_passage(chain, "s", {"b1", "b2"}) == \
         {"b1": Fraction(1, 2), "b2": Fraction(1, 2)}
 
 
-def test_first_passage_certificate(fig1_checker):
+def test_first_passage_certificate(fig1):
     # from t the run escapes to u with probability 2/5, never reaching s
     with pytest.raises(FirstPassageError) as err:
-        first_passage(fig1_checker, "t", {"s"})
+        first_passage(fig1, "t", {"s"})
     assert err.value.certificate == frozenset({"u"})
+    # u is absorbing: no target can be entered first, so the solve over the
+    # region {u} has no right-hand column
+    with pytest.raises(FirstPassageError) as err:
+        first_passage(fig1, "u", {"s"})
+    assert err.value.certificate == frozenset({"u"})
+    assert str(err.value) == (
+        "targets not reached almost surely from 'u': bottom SCC {u} is "
+        "reachable and disjoint from the targets")
 
 
 def test_first_passage_certificate_against_oracle():
@@ -541,7 +548,7 @@ def test_first_passage_certificate_against_oracle():
         if source in targets or not any(comp <= region for comp in bottoms):
             continue  # the targets are reached almost surely
         with pytest.raises(FirstPassageError) as err:
-            first_passage(ModelChecker(chain), source, targets)
+            first_passage(chain, source, targets)
         certificate = err.value.certificate
         assert certificate in bottoms
         assert certificate <= region and not certificate & targets
@@ -555,7 +562,7 @@ def test_first_passage_sums_to_one():
         mc = ModelChecker(chain)
         bottoms = mc.sccs.bottom_states()
         source = chain.states[rng.randrange(len(chain.states))]
-        result = first_passage(mc, source, bottoms)
+        result = first_passage(chain, source, bottoms)
         assert sum(result.values()) == 1
 
 
@@ -566,20 +573,20 @@ def test_runs_enter_bottom_sccs():
         mc = ModelChecker(random_chain(rng))
         bottoms = mc.sccs.bottom_states()
         for s in mc.chain.states:
-            assert sum(first_passage(mc, s, bottoms).values()) == 1
+            assert sum(first_passage(mc.chain, s, bottoms).values()) == 1
 
 
-def test_first_passage_empty_target(fig1_checker):
+def test_first_passage_empty_target(fig1):
     with pytest.raises(ValueError, match="empty target set"):
-        first_passage(fig1_checker, "s", set())
+        first_passage(fig1, "s", set())
 
 
-def test_first_passage_unknown_target(fig1_checker):
+def test_first_passage_unknown_target(fig1):
     for targets in ({"t", "ghost"}, {"ghost"}):
         with pytest.raises(KeyError):
-            first_passage(fig1_checker, "s", targets)
+            first_passage(fig1, "s", targets)
     with pytest.raises(KeyError):
-        first_passage(fig1_checker, "t", {"t", "ghost"})
+        first_passage(fig1, "t", {"t", "ghost"})
 
 
 def test_reach_probabilities_unknown_target(fig1):

@@ -1,7 +1,6 @@
 import hashlib
 import json
 import random
-import re
 from fractions import Fraction
 
 import pytest
@@ -220,9 +219,10 @@ def test_searches_reject_a_failed_hypothesis(running, psi, search, case):
         assert str(err.value) == "X is not closed and updated"
 
 
-def test_l2_search_without_a_witness_for_an_f_body():
+def test_l2_search_leaves_an_f_without_a_witness_to_the_exit():
     # from s, the only c-state is u, where b (the body of the G member) fails,
-    # so the L2 search finds no state to serve F>0[c] in the loop
+    # so the L2 search finds no state to serve F>0[c] in the loop: it stays
+    # an exit obligation, and the one-level loop is valid
     chain = MarkovChain(
         ["s", "t", "u"],
         {("s", "t"): Fraction(1, 2), ("s", "u"): Fraction(1, 2),
@@ -232,10 +232,11 @@ def test_l2_search_without_a_witness_for_an_f_body():
     mc = ModelChecker(chain)
     X = closure_update(mc, "s", {pf("G>=1/2[b]"), pf("a & F>0[c]")})
     assert all(fragment_classify(f).in_l2 for f in X)
-    with pytest.raises(ProgressLoopError, match=re.escape(
-            "no reachable state satisfies the body of F>0[c] together with "
-            "all G-bodies")):
-        search_loop_l2(mc, "s", X)
+    loop = search_loop_l2(mc, "s", X)
+    assert loop == search_loop_generic(mc, "s", X, 3) == (frozenset(map(pf, [
+        "a", "b", "a & F>0[c]", "F>=1/2[c]", "F>0[c]", "G>=1/2[b]"])),)
+    assert pf("F>0[c]") in exit_obligations(loop)
+    assert verify_loop(mc, "s", X, loop) == []
 
 
 @pytest.mark.parametrize("step", [
@@ -703,7 +704,7 @@ def test_selection_equals_the_reference_randomized():
         for state in chain.states:
             # states that enter two or more bottom states first, where the
             # name order picks among them
-            passage = first_passage(mc, state, bottom)
+            passage = first_passage(chain, state, bottom)
             seen["split"] += sum(y > 0 for y in passage.values()) > 1
             seen["bottom"] += state in bottom
             for kind in ("empty", "boolean", "paths"):
@@ -740,8 +741,7 @@ def test_first_passage_solves_entered_targets_only(monkeypatch):
         return solve(a, rhs)
 
     monkeypatch.setattr(linalg, "solve", counting_solve)
-    mc = ModelChecker(_SELECTION_CHAIN)
-    assert first_passage(mc, "s", {"x", "w", "y"}) == {
+    assert first_passage(_SELECTION_CHAIN, "s", {"x", "w", "y"}) == {
         "w": Fraction(1, 2), "x": Fraction(1, 2), "y": Fraction(0)}
     assert widths == [2]
 

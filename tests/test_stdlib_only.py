@@ -1,7 +1,8 @@
 """The package stays stdlib-only: every import in `src/pctlfg` names a
-standard-library module or a module of the package itself.  And each
+standard-library module or a module of the package itself.  Each
 module keeps its private names: none imports a `_`-prefixed name from
-another package module."""
+another package module.  And the imports between package modules form no
+cycle."""
 
 import ast
 import pathlib
@@ -44,3 +45,41 @@ def test_no_module_imports_a_private_name_of_another():
                     private.append(f"{path.name}: {alias.name} from "
                                    f"{'.' * node.level}{node.module or ''}")
     assert private == []
+
+
+def _package_imports(root: pathlib.Path) -> dict[str, set[str]]:
+    """Each module of the package, `__init__` and `__main__` left out, to
+    the package modules it imports relatively, wherever the import stands
+    (inside a function or under `if TYPE_CHECKING:` too)."""
+    modules = {path.stem for path in root.glob("*.py")} - {"__init__", "__main__"}
+    graph = {}
+    for name in sorted(modules):
+        path = root / f"{name}.py"
+        imported = set()
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                if node.module is None:  # `from . import linalg`
+                    imported.update(alias.name for alias in node.names)
+                else:
+                    imported.add(node.module.split(".")[0])
+        graph[name] = imported & modules
+    return graph
+
+
+def test_package_import_graph_has_no_cycle():
+    graph = _package_imports(pathlib.Path(pctlfg.__file__).parent)
+    done, cycles = set(), []
+
+    def visit(name, path):
+        if name in path:
+            cycles.append(" -> ".join(path[path.index(name):] + [name]))
+            return
+        if name in done:
+            return
+        for nxt in sorted(graph[name]):
+            visit(nxt, path + [name])
+        done.add(name)
+
+    for name in sorted(graph):
+        visit(name, [])
+    assert cycles == []
