@@ -76,6 +76,19 @@ class BackendError(RuntimeError):
     """The external solver failed to launch or violated the protocol."""
 
 
+def _postorder(g: StateFormula, nodes: dict[StateFormula, None]) -> None:
+    """Adds the distinct subformulas of `g` that `nodes` lacks to its keys,
+    children before parents, in argument order."""
+    if g in nodes:
+        return
+    if isinstance(g, (And, Or)):
+        for a in g.args:
+            _postorder(a, nodes)
+    elif isinstance(g, Prob):
+        _postorder(g.body, nodes)
+    nodes[g] = None
+
+
 def _choice_order(f: StateFormula,
                   ) -> list[tuple[StateFormula, tuple[StateFormula, ...]]]:
     """The distinct subformulas of `f` in the order the enumeration labels
@@ -85,18 +98,7 @@ def _choice_order(f: StateFormula,
     node's body before it.  The NegAtom/And/Or nodes a choice completes
     follow it, children before parents."""
     nodes: dict[StateFormula, None] = {}
-
-    def walk(g: StateFormula):
-        if g in nodes:
-            return
-        if isinstance(g, (And, Or)):
-            for a in g.args:
-                walk(a)
-        elif isinstance(g, Prob):
-            walk(g.body)
-        nodes[g] = None
-
-    walk(f)
+    _postorder(f, nodes)
     names = sorted({g.name for g in nodes if isinstance(g, (Atom, NegAtom))})
     choices = [Atom(name) for name in names]
     choices += [g for g in nodes if isinstance(g, Prob)]
@@ -214,33 +216,39 @@ def _graphs(size: int):
             image = [sum(1 << p[v] for v in range(size) if m >> v & 1)
                      for m in range(full + 1)]
             relabelings.append((image, [p.index(k) for k in range(size)]))
-    rows: list[int] = []
+    yield from _orderly(size, relabelings, [])
 
-    def beaten() -> bool:
-        fixed = len(rows)
-        for image, inverse in relabelings:
-            for k in range(fixed):
-                if inverse[k] >= fixed:
-                    break
-                row = image[rows[inverse[k]]]
-                if row != rows[k]:
-                    if row < rows[k]:
-                        return True
-                    break
-        return False
 
-    def extend():
-        if len(rows) == size:
-            if states_reachable_from(rows, 1) == full:
-                yield tuple(rows)
-            return
-        for row in range(1, full + 1):
-            rows.append(row)
-            if not beaten():
-                yield from extend()
-            rows.pop()
+def _orderly(size: int, relabelings, rows: list[int]):
+    """The graphs of `_graphs` whose first rows are `rows`: each row is
+    chosen counting up, and a prefix is extended only while `_beaten`
+    finds no relabeling smaller on it."""
+    full = (1 << size) - 1
+    if len(rows) == size:
+        if states_reachable_from(rows, 1) == full:
+            yield tuple(rows)
+        return
+    for row in range(1, full + 1):
+        rows.append(row)
+        if not _beaten(relabelings, rows):
+            yield from _orderly(size, relabelings, rows)
+        rows.pop()
 
-    yield from extend()
+
+def _beaten(relabelings, rows: list[int]) -> bool:
+    """Whether some relabeling of `_graphs` makes the prefix `rows`
+    smaller, compared on the rows that both fix."""
+    fixed = len(rows)
+    for image, inverse in relabelings:
+        for k in range(fixed):
+            if inverse[k] >= fixed:
+                break
+            row = image[rows[inverse[k]]]
+            if row != rows[k]:
+                if row < rows[k]:
+                    return True
+                break
+    return False
 
 
 def enumerate_candidates(f: StateFormula, bound: int,
@@ -317,12 +325,11 @@ def enumerate_candidates(f: StateFormula, bound: int,
             # block screen let through
             passed: dict[tuple[int, int], list[int]] = {}
 
-            def assign(index: int):
-                if index == len(compiled):
-                    yield encode(succ, dict(zip(nodes, labels)))
-                    return
-                target, screen, rules = compiled[index]
+            def allowed(index: int) -> list[int]:
+                """The label masks step `index` may take: vertex 0's, and
+                for an F-subformula those its block screen lets through."""
                 choices = rooted[index]
+                screen = compiled[index][1]
                 if screen is not None:
                     body, verdicts = screen
                     key = (index, labels[body])
@@ -332,20 +339,36 @@ def enumerate_candidates(f: StateFormula, bound: int,
                         choices = passed[key] = [
                             m for m in rooted[index] if m & care == want]
                 _result.refuted += len(masks) - len(choices)
-                for m in choices:
-                    labels[target] = m
-                    for g, op, args, tested in rules:
-                        value = 0 if op is or_ else full
-                        for a in args:
-                            value = op(value, labels[a])
-                        labels[g] = value
-                        if tested and not value & 1:
-                            _result.refuted += 1
-                            break
-                    else:
-                        yield from assign(index + 1)
+                return choices
 
-            yield from assign(0)
+            for _ in _labelings(compiled, 0, labels, allowed, full, _result):
+                yield encode(succ, dict(zip(nodes, labels)))
+
+
+def _labelings(compiled, index: int, labels: list[int], allowed, full: int,
+               result: SatSearchResult):
+    """The labeling search of `enumerate_candidates` from step `index` on:
+    fills `labels` in place and yields each time it is complete.  The
+    step's chosen slot takes each mask of `allowed(index)` in turn, and
+    its completion rules fill their slots; a tested (required) Or that
+    misses vertex 0 counts 1 in `result.refuted` and skips the mask."""
+    if index == len(compiled):
+        yield
+        return
+    target, _, rules = compiled[index]
+    for m in allowed(index):
+        labels[target] = m
+        for g, op, args, tested in rules:
+            value = 0 if op is or_ else full
+            for a in args:
+                value = op(value, labels[a])
+            labels[g] = value
+            if tested and not value & 1:
+                result.refuted += 1
+                break
+        else:
+            yield from _labelings(compiled, index + 1, labels, allowed, full,
+                                  result)
 
 
 # ---------------------------------------------------------------------------

@@ -431,10 +431,13 @@ def sorted_formulas(X) -> list[StateFormula]:
 #           digits only:
 #           integer | integer "." digits | integer "/" integer
 #
-# "=" is allowed only as "=1".  Whitespace is insignificant.  A token
-# keeps only its character offset; an error turns it into a 1-based line
-# and column, where only "\n" starts a line and every other character is
-# one column.  The parser builds core nodes as it goes: a unit is core
+# "=" is allowed only as "=1".  Whitespace is insignificant.  The
+# tokenizer dispatches on each token's first character, with the character
+# classes of `str.isspace`, `isdigit`, `isalpha` and `isalnum`, and yields
+# plain (kind, text, offset) tuples that the parser reads by index.  A
+# token keeps only its character offset; an error turns it into a 1-based
+# line and column, where only "\n" starts a line and every other character
+# is one column.  The parser builds core nodes as it goes: a unit is core
 # when it is returned, so "!" and a "<=", "<" or trivial bound hand their
 # already core operand to the normalization pass below, and a trivial
 # bound is reported as soon as its "]" is read.  Nesting of "!", "(" and
@@ -454,13 +457,9 @@ _CMPS = {cmp.value: cmp for cmp in Cmp}
 _SYMBOLS = frozenset("<>=!&|()[]/")
 
 
-class _Token:
-    __slots__ = ("kind", "text", "offset")
-
-    def __init__(self, kind: str, text: str, offset: int):
-        self.kind = kind
-        self.text = text
-        self.offset = offset
+# A token is a (kind, text, offset) tuple, read by index: kind is "sym",
+# "num", "name" or "eof", and offset the position of its first character.
+_KIND, _TEXT, _OFFSET = 0, 1, 2
 
 
 def _syntax_error(message: str, text: str, offset: int) -> PctlSyntaxError:
@@ -469,7 +468,7 @@ def _syntax_error(message: str, text: str, offset: int) -> PctlSyntaxError:
                            offset - text.rfind("\n", 0, offset))
 
 
-def _tokenize(text: str) -> list[_Token]:
+def _tokenize(text: str) -> list[tuple[str, str, int]]:
     tokens = []
     i = 0
     while i < len(text):
@@ -480,25 +479,25 @@ def _tokenize(text: str) -> list[_Token]:
         if ch in _SYMBOLS:
             # the only two-character symbols are >= and <=
             sym = ch + "=" if ch in "<>" and text.startswith("=", i + 1) else ch
-            tokens.append(_Token("sym", sym, i))
+            tokens.append(("sym", sym, i))
             i += len(sym)
             continue
         if ch.isdigit():
             j = i
             while j < len(text) and (text[j].isdigit() or text[j] == "."):
                 j += 1
-            tokens.append(_Token("num", text[i:j], i))
+            tokens.append(("num", text[i:j], i))
             i = j
             continue
         if ch.isalpha() or ch == "_":
             j = i
             while j < len(text) and (text[j].isalnum() or text[j] == "_"):
                 j += 1
-            tokens.append(_Token("name", text[i:j], i))
+            tokens.append(("name", text[i:j], i))
             i = j
             continue
         raise _syntax_error(f"unexpected character {ch!r}", text, i)
-    tokens.append(_Token("eof", "", len(text)))
+    tokens.append(("eof", "", len(text)))
     return tokens
 
 
@@ -509,35 +508,36 @@ class _Parser:
         self.i = 0
         self.depth = 0
 
-    def peek(self) -> _Token:
+    def peek(self) -> tuple[str, str, int]:
         return self.tokens[self.i]
 
-    def next(self) -> _Token:
+    def next(self) -> tuple[str, str, int]:
         tok = self.tokens[self.i]
         self.i += 1
         return tok
 
-    def error(self, message: str, tok: _Token | None = None):
+    def error(self, message: str, tok: tuple[str, str, int] | None = None):
         tok = tok or self.peek()
-        raise _syntax_error(message, self.text, tok.offset)
+        raise _syntax_error(message, self.text, tok[_OFFSET])
 
-    def expect(self, text: str) -> _Token:
+    def expect(self, text: str) -> tuple[str, str, int]:
         tok = self.next()
-        if tok.text != text:
-            self.error(f"expected {text!r}, found {tok.text!r}", tok)
+        if tok[_TEXT] != text:
+            self.error(f"expected {text!r}, found {tok[_TEXT]!r}", tok)
         return tok
 
     def parse(self) -> StateFormula:
         f = self.disj()
-        if self.peek().kind != "eof":
-            self.error(f"unexpected trailing input {self.peek().text!r}")
+        kind, text, _ = self.peek()
+        if kind != "eof":
+            self.error(f"unexpected trailing input {text!r}")
         return f
 
     def disj(self) -> StateFormula:
         first = self.conj()
         args = [first]
-        while self.peek().text == "|":
-            self.next()
+        while self.peek()[_TEXT] == "|":
+            self.i += 1
             args.append(self.conj())
         if len(args) == 1:
             return first
@@ -546,30 +546,30 @@ class _Parser:
     def conj(self) -> StateFormula:
         first = self.unit()
         args = [first]
-        while self.peek().text == "&":
-            self.next()
+        while self.peek()[_TEXT] == "&":
+            self.i += 1
             args.append(self.unit())
         if len(args) == 1:
             return first
         return conj(args)
 
     def unit(self) -> StateFormula:
-        tok = self.peek()
-        is_prob = (tok.text in ("F", "G")
-                   and self.tokens[self.i + 1].text in (">=", ">", "<=", "<", "="))
-        if tok.kind == "name" and not is_prob:
-            self.next()
-            return Atom(tok.text)
-        if tok.text not in ("!", "(") and not is_prob:
-            self.error(f"expected a formula, found {tok.text!r}")
+        kind, text, _ = self.tokens[self.i]
+        is_prob = (text in ("F", "G")
+                   and self.tokens[self.i + 1][_TEXT] in (">=", ">", "<=", "<", "="))
+        if kind == "name" and not is_prob:
+            self.i += 1
+            return Atom(text)
+        if text not in ("!", "(") and not is_prob:
+            self.error(f"expected a formula, found {text!r}")
         if self.depth == MAX_NESTING:
             self.error(f"formula nested deeper than {MAX_NESTING} levels")
         self.depth += 1
-        if tok.text == "!":
-            self.next()
+        if text == "!":
+            self.i += 1
             f = _norm(self.unit(), False, _UPPER_BOUNDS)
-        elif tok.text == "(":
-            self.next()
+        elif text == "(":
+            self.i += 1
             f = self.disj()
             self.expect(")")
         else:
@@ -578,15 +578,15 @@ class _Parser:
         return f
 
     def prob_unit(self) -> StateFormula:
-        op = _PATH_OPS[self.next().text]
+        op = _PATH_OPS[self.next()[_TEXT]]
         cmp_tok = self.next()
         bound = self.number()
-        if cmp_tok.text == "=":
+        if cmp_tok[_TEXT] == "=":
             if bound != 1:
                 self.error("'=' is allowed only as '=1'", cmp_tok)
             cmp = Cmp.GE
         else:
-            cmp = _CMPS[cmp_tok.text]
+            cmp = _CMPS[cmp_tok[_TEXT]]
         if not _is_probability(bound):
             self.error(f"probability bound {bound} outside [0,1]", cmp_tok)
         self.expect("[")
@@ -598,14 +598,14 @@ class _Parser:
 
     def number(self) -> Fraction:
         tok = self.next()
-        if tok.kind != "num":
-            self.error(f"expected a number, found {tok.text!r}", tok)
-        text = tok.text
-        if self.peek().text == "/":
-            self.next()
+        if tok[_KIND] != "num":
+            self.error(f"expected a number, found {tok[_TEXT]!r}", tok)
+        text = tok[_TEXT]
+        if self.peek()[_TEXT] == "/":
+            self.i += 1
             text += "/"
-            if self.peek().kind == "num":
-                text += self.next().text
+            if self.peek()[_KIND] == "num":
+                text += self.next()[_TEXT]
         try:
             return parse_probability(text)
         except InvalidChainError:

@@ -13,7 +13,8 @@ JSON model format (rationals are strings, bit-exact):
 
 Graph questions are answered on one format, per-vertex successor and
 predecessor bitmasks (bit i is vertex i, a vertex set is one int), by one
-search, `states_reachable_from`.  Over successor masks it gives the
+search, `states_reachable_from`, which expands a whole level per step.
+Over successor masks it gives the
 measure's witness region and first passage's region; over predecessor
 masks it is `states_with_path_to`, which `prob01`, the one qualitative
 kernel, calls twice to find the states that reach a target mask with
@@ -24,8 +25,9 @@ placed.  A chain is held in index form only, state i being `states[i]`:
 `atom_masks` gives each atom's mask, each state's transitions are one row
 keyed by successor index, `row(i)` gives them in integers, and `mask` and
 `names` convert between name sets and masks.  All of it is built at
-construction, in one pass over the records, by the one builder behind
-both constructors; names are views (`successors`, `probability`,
+construction, from columns, by the one builder behind both constructors:
+a loop over the edges sets the masks and rows, one over the states the
+atom masks; names are views (`successors`, `probability`,
 `edges`, `atoms` and `valuation` are derived from the rows and the atom
 masks on each call).  Bounded sat builds its masks once per enumerated
 graph.  `absorption` is the one exact linear solve: the checker's reach
@@ -40,9 +42,10 @@ the region the source reaches without entering a target; the others read
 0 without a column, and `progress.successor_selection` reads the same
 mask when it has no weights to solve.  The kernel hands `linalg.solve`
 integer rows, each equation of (I - P) x = b multiplied by its row's d,
-so no Fraction arithmetic builds the system.  Loading a chain checks and
-converts each state and edge record in that one pass, straight into the
-rows and masks, and reads each distinct numeral text once per process.
+so no Fraction arithmetic builds the system.  Loading a JSON model reads
+its records a field at a time, in column passes that run in C, and reads
+each distinct numeral text once per process; only a model with a defect
+is walked record by record, to name its first defect.
 `first_passage` takes the chain alone: its one solve is singular exactly
 when a bottom SCC lies in its region, and only then is the chain
 decomposed, to name that SCC as the certificate.
@@ -50,10 +53,12 @@ decomposed, to name that SCC as the certificate.
 
 from __future__ import annotations
 
+import itertools
 import json
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
 from math import lcm
 from operator import itemgetter
 
@@ -131,21 +136,71 @@ def _check_record(rec, kind: str, i: int, keys) -> None:
             raise InvalidChainError(f"{kind} record {i} has no {key!r}")
 
 
-def _state_records(records):
-    """The (id, atoms) pair of each JSON state record, checked in turn."""
-    for i, rec in enumerate(records):
-        if not isinstance(rec, dict) or "id" not in rec:
-            _check_record(rec, "state", i, ("id",))
+def _first_defect(states, edges) -> None:
+    """Raises the InvalidChainError of the first defect of a JSON model's
+    records, checked one at a time in record order: every state record
+    before every edge record, and within an edge record its keys, then its
+    probability, then its endpoints, then its duplication.  Builds nothing,
+    and returns when no record has a defect."""
+    names = set()
+    for i, rec in enumerate(states):
+        _check_record(rec, "state", i, ("id",))
         ap = rec.get("ap", [])
         if not (isinstance(ap, list) and all(isinstance(a, str) for a in ap)):
             raise InvalidChainError(
                 f"state record {i}: 'ap' must be a list of atom names")
-        yield rec["id"], ap
+        s = str(rec["id"])
+        if s in names:
+            raise InvalidChainError("duplicate state ids")
+        names.add(s)
+    pairs = set()
+    for i, rec in enumerate(edges):
+        _check_record(rec, "edge", i, ("from", "to", "p"))
+        parse_probability(rec["p"])
+        src, dst = str(rec["from"]), str(rec["to"])
+        if src not in names:
+            raise InvalidChainError(f"edge from unknown state {src!r}")
+        if dst not in names:
+            raise InvalidChainError(f"edge to unknown state {dst!r}")
+        if (src, dst) in pairs:
+            raise InvalidChainError(f"duplicate edge {src!r} -> {dst!r}")
+        pairs.add((src, dst))
 
 
-# An edge record's (src, dst, p) fields, read in C; KeyError or TypeError
-# on a record that is no object with all three keys.
-_EDGE_FIELDS = itemgetter("from", "to", "p")
+def _endpoint_indices(index, sources, targets) -> tuple[list[int], list[int]]:
+    """The state indices of the edges' endpoints read through `str`, for
+    endpoints that are not all id text; raises InvalidChainError on the
+    first unknown endpoint in edge order."""
+    sources, targets = list(map(str, sources)), list(map(str, targets))
+    for src, dst in zip(sources, targets):
+        if src not in index:
+            raise InvalidChainError(f"edge from unknown state {src!r}")
+        if dst not in index:
+            raise InvalidChainError(f"edge to unknown state {dst!r}")
+    lookup = index.__getitem__
+    return list(map(lookup, sources)), list(map(lookup, targets))
+
+
+def _raise_duplicate_edge(states, sources, targets) -> None:
+    """Raises the InvalidChainError of the first edge, in edge order, whose
+    (source index, target index) pair an earlier edge has."""
+    pairs = set()
+    for i, j in zip(sources, targets):
+        if (i, j) in pairs:
+            raise InvalidChainError(
+                f"duplicate edge {states[i]!r} -> {states[j]!r}")
+        pairs.add((i, j))
+
+
+# The fields of the JSON records, read a column at a time in C: KeyError or
+# TypeError on a record that is no object or lacks the field.
+_ID = itemgetter("id")
+_FROM = itemgetter("from")
+_TO = itemgetter("to")
+_P = itemgetter("p")
+
+# the atom list of a state record without "ap"; shared, and never mutated
+_NO_ATOMS: list = []
 
 
 def _dot_string(text: str) -> str:
@@ -172,51 +227,49 @@ class MarkovChain:
         """states: iterable of ids (order preserved);
         edges: {(src, dst): Fraction};
         valuation: {state: iterable of atomic propositions}."""
-        self._build(((s, valuation.get(s, ())) for s in states),
-                    ((src, dst, p) for (src, dst), p in edges.items()))
+        states = list(states)
+        self._build(states, [valuation.get(s, ()) for s in states],
+                    [src for src, _ in edges], [dst for _, dst in edges],
+                    [p if type(p) is Fraction else parse_probability(p)
+                     for p in edges.values()])
 
-    def _build(self, states, edges) -> None:
-        """Fills every field in one pass over the records: `states` yields
-        (id, atoms) pairs in state order, `edges` (src, dst, p) triples.
-        Ids are read through `str`, and a `p` that is not a Fraction is
-        read as a numeral (`parse_probability`, after a look in its
-        table).  Of a duplicate id, a malformed numeral, an unknown
-        endpoint or a duplicate edge, the first in record order is raised,
-        every state record coming before every edge record."""
-        index: dict[str, int] = {}
+    def _build(self, ids, atoms, sources, targets, values) -> None:
+        """The one builder behind both constructors.  It fills every field
+        from columns: the state ids in order and each state's atom names,
+        and edge by edge the source id, the target id and the Fraction.
+        Ids are read through `str`.  Endpoints become indices by the
+        index's lookup, run in C, and are read through `str` first only
+        when some endpoint is no id text (`_endpoint_indices`).  Then one
+        loop over the states sets the atom masks, and one over the edges
+        sets `succ`, `pred` and the rows.  Raises InvalidChainError on a
+        duplicate id, on the first unknown endpoint in edge order, and on
+        a duplicate edge."""
+        states = tuple(map(str, ids))
+        n = len(states)
+        index = dict(zip(states, range(n)))
+        if len(index) != n:
+            raise InvalidChainError("duplicate state ids")
+        lookup = index.__getitem__
+        try:
+            rows_of = list(map(lookup, sources))
+            cols_of = list(map(lookup, targets))
+        except (KeyError, TypeError):
+            rows_of, cols_of = _endpoint_indices(index, sources, targets)
+        bits = list(map((1).__lshift__, range(n)))
         atom_masks: dict[str, int] = {}
-        for s, atoms in states:
-            if type(s) is not str:
-                s = str(s)
-            i = len(index)
-            if index.setdefault(s, i) != i:
-                raise InvalidChainError("duplicate state ids")
-            bit = 1 << i
-            for a in atoms:
+        for bit, names in zip(bits, atoms):
+            for a in names:
                 atom_masks[a] = atom_masks.get(a, 0) | bit
-        n = len(index)
         rows: list[dict[int, Fraction]] = [{} for _ in range(n)]
         succ = [0] * n
         pred = [0] * n
-        numerals = _NUMERALS
-        for src, dst, p in edges:
-            if type(p) is not Fraction:
-                value = numerals.get(p) if type(p) is str else None
-                p = value if value is not None else parse_probability(p)
-            i = index.get(src if type(src) is str else str(src))
-            if i is None:
-                raise InvalidChainError(f"edge from unknown state {str(src)!r}")
-            j = index.get(dst if type(dst) is str else str(dst))
-            if j is None:
-                raise InvalidChainError(f"edge to unknown state {str(dst)!r}")
-            bit = 1 << j
-            if succ[i] & bit:
-                raise InvalidChainError(
-                    f"duplicate edge {str(src)!r} -> {str(dst)!r}")
-            succ[i] |= bit
-            pred[j] |= 1 << i
+        for i, j, p in zip(rows_of, cols_of, values):
+            succ[i] |= bits[j]
+            pred[j] |= bits[i]
             rows[i][j] = p
-        self.states = tuple(index)
+        if sum(map(len, rows)) != len(rows_of):  # a row key set twice
+            _raise_duplicate_edge(states, rows_of, cols_of)
+        self.states = states
         self.index = index
         self.succ = succ
         self.pred = pred
@@ -276,26 +329,37 @@ class MarkovChain:
 
     @classmethod
     def from_dict(cls, data) -> "MarkovChain":
-        """The chain of a JSON model (see the module docstring), checked and
-        converted record by record in one pass.  Of several defects the
-        first in record order is reported: every state record comes before
+        """The chain of a JSON model (see the module docstring).  The
+        records are read in column passes that run in C: each field through
+        an `itemgetter`, the optional "ap" through `dict.get`, the atom
+        names' types through `isinstance`, and the probabilities through
+        the numeral table, every text through `parse_probability` when the
+        table misses one.  The columns go to the one builder.  When a pass
+        or the builder fails, `_first_defect` walks the records and raises
+        the first defect in record order: every state record comes before
         every edge record, and an edge record's keys are checked before its
         probability, that before its endpoints, and those before its
         duplication."""
         if not (isinstance(data, dict) and isinstance(data.get("states"), list)
                 and isinstance(data.get("edges"), list)):
             raise InvalidChainError("model must have 'states' and 'edges' lists")
+        states, edges = data["states"], data["edges"]
         chain = cls.__new__(cls)
         try:
-            chain._build(_state_records(data["states"]),
-                         map(_EDGE_FIELDS, data["edges"]))
-        except (KeyError, TypeError):
-            # the first edge record without the three fields is the defect
-            for i, rec in enumerate(data["edges"]):
-                try:
-                    _EDGE_FIELDS(rec)
-                except (KeyError, TypeError):
-                    _check_record(rec, "edge", i, ("from", "to", "p"))
+            atoms = list(map(dict.get, states, repeat("ap"), repeat(_NO_ATOMS)))
+            if not (all(map(isinstance, atoms, repeat(list)))
+                    and all(map(isinstance, itertools.chain.from_iterable(atoms),
+                                repeat(str)))):
+                raise TypeError("'ap' must be a list of atom names")
+            texts = list(map(_P, edges))
+            try:
+                values = list(map(_NUMERALS.__getitem__, texts))
+            except KeyError:  # a text the table does not hold
+                values = list(map(parse_probability, texts))
+            chain._build(map(_ID, states), atoms, list(map(_FROM, edges)),
+                         list(map(_TO, edges)), values)
+        except (KeyError, TypeError, InvalidChainError):
+            _first_defect(states, edges)
             raise
         return chain
 
@@ -335,20 +399,27 @@ class MarkovChain:
 
 
 def validate(chain: MarkovChain) -> list[str]:
-    """Checks the chain invariants; returns diagnostics (empty means ok)."""
+    """Checks the chain invariants; returns diagnostics (empty means ok).
+    Reads each state's integer row, `chain.row(i)`: P(i,j) = n/d lies in
+    (0,1] iff 0 < n <= d, and the row sums to 1 iff its numerators sum to
+    d.  A Fraction is built only for a diagnostic."""
     problems = []
-    for s in chain.states:
-        succ = chain.successors(s)
-        for dst, p in succ.items():
-            if p == 0:
+    states = chain.states
+    for i, s in enumerate(states):
+        d, entries = chain.row(i)
+        total = 0
+        for j, n in entries:
+            if n == 0:
                 problems.append(
-                    f"state {s!r}: zero-probability edge to {dst!r} "
+                    f"state {s!r}: zero-probability edge to {states[j]!r} "
                     "(zero edges must be absent, not explicit)")
-            elif not 0 < p <= 1:
-                problems.append(f"state {s!r}: probability {p} to {dst!r} outside (0,1]")
-        total = sum(succ.values(), Fraction(0))
-        if total != 1:
-            problems.append(f"state {s!r}: outgoing probabilities sum to {total}, not 1")
+            elif not 0 < n <= d:
+                problems.append(f"state {s!r}: probability {Fraction(n, d)} "
+                                f"to {states[j]!r} outside (0,1]")
+            total += n
+        if total != d:
+            problems.append(f"state {s!r}: outgoing probabilities sum to "
+                            f"{Fraction(total, d)}, not 1")
     return problems
 
 
@@ -424,14 +495,18 @@ def states_reachable_from(succ, seeds: int, blocked: int = 0) -> int:
     """The mask of the states reachable from the `seeds` mask (seeds
     included) without entering a `blocked` state, over successor masks.
     Over predecessor masks it is the backward search: the states with a
-    path into the seeds."""
+    path into the seeds.  Breadth-first, a level at a time: the successor
+    masks of a level's states are ORed together, highest state first, and
+    the states seen or blocked are removed once per level."""
     seen = frontier = seeds
     while frontier:
-        low = frontier & -frontier
-        frontier ^= low
-        new = succ[low.bit_length() - 1] & ~(seen | blocked)
-        seen |= new
-        frontier |= new
+        reached = 0
+        while frontier:
+            i = frontier.bit_length() - 1
+            reached |= succ[i]
+            frontier ^= 1 << i
+        frontier = reached & ~(seen | blocked)
+        seen |= frontier
     return seen
 
 

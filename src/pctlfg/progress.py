@@ -272,41 +272,44 @@ def search_loop_generic(mc: ModelChecker, state: str, formulas, max_n: int, *,
 
     for length in range(1, cap + 2):
         chosen: list[int] = []
-
-        def extend(required: int, has_anchor: bool):
-            nonlocal budget
-            if len(chosen) == length:
-                if has_anchor:
-                    candidate = tuple(
-                        frozenset(universe[k] for k in indices(level))
-                        for level in chosen)
-                    if not loop_violations(mc, state, X, candidate):
-                        return candidate
-                return None
-            for level, bodies in family:
-                if level in chosen:
-                    continue
-                if required & ~level:
-                    continue
-                new_bodies = bodies & ~required
-                if new_bodies and any(new_bodies & ~prev for prev in chosen):
-                    continue
-                if budget <= 0:
-                    raise SearchSpaceExceeded(
-                        f"loop search exceeded the node budget ({node_budget})")
-                budget -= 1
-                chosen.append(level)
-                found = extend(required | new_bodies,
-                               has_anchor or not anchor & ~level)
-                chosen.pop()
-                if found is not None:
-                    return found
-            return None
-
-        found = extend(0, False)
-        if found is not None:
-            return found
+        for complete in _level_sequences(family, length, anchor, chosen):
+            if budget <= 0:
+                raise SearchSpaceExceeded(
+                    f"loop search exceeded the node budget ({node_budget})")
+            budget -= 1
+            if complete:
+                candidate = tuple(frozenset(universe[k] for k in indices(level))
+                                  for level in chosen)
+                if not loop_violations(mc, state, X, candidate):
+                    return candidate
     return None
+
+
+def _level_sequences(family, length: int, anchor: int, chosen: list[int],
+                     required: int = 0, has_anchor: bool = False):
+    """The walk of `search_loop_generic`: extends `chosen`, in place and in
+    canonical order, by distinct levels of `family` that hold the G bodies
+    `required` so far and carry their own new bodies into no earlier
+    level, up to `length` levels.  Yields once per level appended, True
+    when `chosen` is then a whole sequence and some level (or `has_anchor`)
+    holds the `anchor` mask, and False otherwise."""
+    for level, bodies in family:
+        if level in chosen:
+            continue
+        if required & ~level:
+            continue
+        new_bodies = bodies & ~required
+        if new_bodies and any(new_bodies & ~prev for prev in chosen):
+            continue
+        chosen.append(level)
+        anchored = has_anchor or not anchor & ~level
+        if len(chosen) == length:
+            yield anchored
+        else:
+            yield False
+            yield from _level_sequences(family, length, anchor, chosen,
+                                        required | new_bodies, anchored)
+        chosen.pop()
 
 
 def search_loop_l2(mc: ModelChecker, state: str, formulas) -> ProgressLoop:
@@ -671,59 +674,62 @@ def compress_model(chain: MarkovChain, state: str, formula: StateFormula, *,
     if fragment == "l2" and not fragment_classify(formula).in_l2:
         raise FragmentError(f"not in fragment L2: {formula}")
 
-    bottoms = mc.sccs.bottom
-
-    def build(at: str, X: frozenset[StateFormula],
-              parent_measure: int | None) -> tuple[MarkovChain, str, CompressionNode]:
-        m = progress_measure(mc, at, X)
-        base = bound_base(X)
-        node = CompressionNode(state=at, formulas=X, measure=m, base=base,
-                               bound=model_size_bound(base, m + 1), mode="")
-
-        if mc.chain.mask((at,)) & bottoms:
-            node.mode = "bscc"
-            model, entry = bscc_reduce(mc, at, X)
-        else:
-            # only recursive children must make progress; bottom-SCC children
-            # are collapsed directly and need no induction
-            if parent_measure is not None and m >= parent_measure:
-                raise CompressionError(
-                    f"progress measure did not decrease at {at!r}: "
-                    f"{m} >= {parent_measure}")
-            node.mode = "loop"
-            if fragment == "l2":
-                loop = search_loop_l2(mc, at, X)
-            else:
-                loop = search_loop_generic(mc, at, X, max_n)
-                if loop is None:
-                    raise ProgressLoopError(
-                        f"no progress loop found for {at!r} within max_n={max_n}")
-            node.loop = loop
-            node.obligations = exit_obligations(loop)
-            node.selection = successor_selection(mc, at, node.obligations)
-            submodels = []
-            for t, w in node.selection.items():
-                # an F whose body holds at t is discharged at t: t owes the body
-                owed = frozenset(
-                    g.body if g.op is PathOp.F and mc.holds(t, g.body) else g
-                    for g in achieved_bounds(mc, t, node.obligations))
-                X_t = closure_update(mc, t, owed)
-                child_model, child_entry, child_node = build(t, X_t, m)
-                node.children.append(child_node)
-                submodels.append((child_model, child_entry, w))
-            model, entry = build_loop_model(loop, submodels, entry_for=X)
-
-        node.size = len(model.states)
-        if node.size > node.bound:
-            raise CompressionError(
-                f"constructed model exceeds the size bound at {at!r}: "
-                f"{node.size} > {node.bound}")
-        return model, entry, node
-
-    model, entry, trace = build(state, root_set, None)
+    model, entry, trace = _compress(mc, state, root_set, None, fragment, max_n)
     if not ModelChecker(model).holds(entry, formula):
         raise CompressionError("compressed model fails to satisfy the formula")
     return model, entry, trace
+
+
+def _compress(mc: ModelChecker, at: str, X: frozenset[StateFormula],
+              parent_measure: int | None, fragment: str,
+              max_n: int) -> tuple[MarkovChain, str, CompressionNode]:
+    """The model, entry and trace `compress_model` builds for the set `X`
+    at state `at`, recursing into each selected successor."""
+    m = progress_measure(mc, at, X)
+    base = bound_base(X)
+    node = CompressionNode(state=at, formulas=X, measure=m, base=base,
+                           bound=model_size_bound(base, m + 1), mode="")
+
+    if mc.chain.mask((at,)) & mc.sccs.bottom:
+        node.mode = "bscc"
+        model, entry = bscc_reduce(mc, at, X)
+    else:
+        # only recursive children must make progress; bottom-SCC children
+        # are collapsed directly and need no induction
+        if parent_measure is not None and m >= parent_measure:
+            raise CompressionError(
+                f"progress measure did not decrease at {at!r}: "
+                f"{m} >= {parent_measure}")
+        node.mode = "loop"
+        if fragment == "l2":
+            loop = search_loop_l2(mc, at, X)
+        else:
+            loop = search_loop_generic(mc, at, X, max_n)
+            if loop is None:
+                raise ProgressLoopError(
+                    f"no progress loop found for {at!r} within max_n={max_n}")
+        node.loop = loop
+        node.obligations = exit_obligations(loop)
+        node.selection = successor_selection(mc, at, node.obligations)
+        submodels = []
+        for t, w in node.selection.items():
+            # an F whose body holds at t is discharged at t: t owes the body
+            owed = frozenset(
+                g.body if g.op is PathOp.F and mc.holds(t, g.body) else g
+                for g in achieved_bounds(mc, t, node.obligations))
+            X_t = closure_update(mc, t, owed)
+            child_model, child_entry, child_node = _compress(
+                mc, t, X_t, m, fragment, max_n)
+            node.children.append(child_node)
+            submodels.append((child_model, child_entry, w))
+        model, entry = build_loop_model(loop, submodels, entry_for=X)
+
+    node.size = len(model.states)
+    if node.size > node.bound:
+        raise CompressionError(
+            f"constructed model exceeds the size bound at {at!r}: "
+            f"{node.size} > {node.bound}")
+    return model, entry, node
 
 
 def simple_loop_components(chain: MarkovChain) -> list[str]:

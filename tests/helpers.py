@@ -8,7 +8,8 @@ its errors and every view of a chain are checked against it.
 
 Random chains use small integer weight ratios so every probability is an
 exact small fraction; random formulas draw bounds from a fixed palette and
-only produce non-trivial core constraints.  The reference solvers are plain
+only produce non-trivial core constraints.  The reference validation sums
+each row's `Fraction`s.  The reference solvers are plain
 Gauss-Jordan elimination on Fractions and reach probabilities that pin only
 the states with no path to the targets; the reference satisfaction sets
 are built on them by recursion over name sets; the reference block screen
@@ -475,6 +476,26 @@ def reference_reachable(chain: MarkovChain, start: str,
                 reached.add(t)
                 frontier.append(t)
     return frozenset(reached)
+
+
+def reference_validate(chain) -> list[str]:
+    """The chain invariants checked on `Fraction`s over the name-keyed
+    `successors` views, summing each row; `markov.validate` reads the
+    integer rows instead, and must give these diagnostics word for word."""
+    problems = []
+    for s in chain.states:
+        succ = chain.successors(s)
+        for dst, p in succ.items():
+            if p == 0:
+                problems.append(
+                    f"state {s!r}: zero-probability edge to {dst!r} "
+                    "(zero edges must be absent, not explicit)")
+            elif not 0 < p <= 1:
+                problems.append(f"state {s!r}: probability {p} to {dst!r} outside (0,1]")
+        total = sum(succ.values(), Fraction(0))
+        if total != 1:
+            problems.append(f"state {s!r}: outgoing probabilities sum to {total}, not 1")
+    return problems
 
 
 def reference_reach(states, successors, targets):

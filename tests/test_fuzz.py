@@ -233,7 +233,8 @@ def _positioned_tokens(text: str) -> list[tuple[str, str, int, int]]:
     for offset, ch in enumerate(text + " "):  # " " places the end of input
         positions[offset] = line, col
         line, col = (line + 1, 1) if ch == "\n" else (line, col + 1)
-    return [(t.kind, t.text, *positions[t.offset]) for t in tokens]
+    return [(kind, token, *positions[offset])
+            for kind, token, offset in tokens]
 
 
 # symbol prefixes and their neighbours, positions after newlines and tabs,

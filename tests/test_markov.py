@@ -10,14 +10,14 @@ import pytest
 
 from helpers import (
     ReferenceChain, all_graphs, bench_workloads, random_chain, reference_reach,
-    reference_reachable,
+    reference_reachable, reference_validate,
 )
 
 from pctlfg import markov
 from pctlfg.markov import (
     FirstPassageError, InvalidChainError, MarkovChain, first_passage, indices,
     parse_probability, predecessor_masks, prob01, scc_decompose,
-    states_with_path_to, validate,
+    states_reachable_from, states_with_path_to, validate,
 )
 from pctlfg.modelcheck import ModelChecker
 
@@ -39,6 +39,36 @@ def test_validate_zero_edge():
         {},
     )
     assert any("zero" in p for p in validate(chain))
+
+
+def test_validate_equals_fraction_reference():
+    # seeded chains with zero, negative and above-1 entries, dropped edges
+    # and rows that no longer sum to 1: the integer rows give the Fraction
+    # reference's diagnostics word for word and in the same order
+    rng = random.Random(211)
+    seen = set()
+    for _ in range(400):
+        chain = random_chain(rng, max_states=5)
+        edges = {(src, dst): p for src, dst, p in chain.edges()}
+        for _ in range(rng.randint(0, 3)):
+            key = rng.choice(sorted(edges))
+            damage = rng.choice(("zero", "negative", "above 1", "halved", "drop"))
+            if damage == "drop":
+                del edges[key]
+                if not edges:
+                    break
+            else:
+                edges[key] = {"zero": Fraction(0), "negative": Fraction(-1, 3),
+                              "above 1": Fraction(4, 3),
+                              "halved": edges[key] / 2}[damage]
+        damaged = MarkovChain(chain.states, edges, {})
+        want = reference_validate(damaged)
+        assert validate(damaged) == want
+        seen.update(kind for kind in ("zero-probability", "probability -",
+                                      "outside (0,1]", "sum to 0,", "sum to")
+                    if any(kind in problem for problem in want))
+    assert seen == {"zero-probability", "probability -", "outside (0,1]",
+                    "sum to 0,", "sum to"}
 
 
 def test_constructor_rejects_duplicate_states():
@@ -193,6 +223,32 @@ def test_corrupted_records_raise_the_reference_error():
                    "edge to unknown state", "duplicate edge",
                    "malformed rational"):
         assert any(family in message for message in raised), family
+
+
+def test_valid_models_load_without_the_record_walk(monkeypatch):
+    # the column passes read every valid model, so the walk that names a
+    # defect never runs on one: a model without "ap", one with integer ids
+    # and probabilities, and seeded models each loaded on an empty numeral
+    # table; a defective model does enter the walk
+    def walk(states, edges):
+        raise AssertionError("the record walk ran")
+
+    monkeypatch.setattr(markov, "_first_defect", walk)
+    no_ap = {"states": [{"id": "s"}, {"id": "t", "ap": ["a"]}],
+             "edges": [{"from": "s", "to": "t", "p": "1"},
+                       {"from": "t", "to": "t", "p": "1"}]}
+    integers = {"states": [{"id": 0, "ap": []}, {"id": 1}],
+                "edges": [{"from": 0, "to": 1, "p": 1},
+                          {"from": 1, "to": 0, "p": 1}]}
+    models = [no_ap, integers]
+    rng = random.Random(227)
+    models += [random_chain(rng, aps=("a", "b", "c")).to_dict() for _ in range(40)]
+    for data in models:
+        markov._NUMERALS.clear()
+        loaded = _views(MarkovChain.from_dict(data))
+        assert loaded == _views(ReferenceChain.from_dict(data))
+    with pytest.raises(AssertionError, match="the record walk ran"):
+        MarkovChain.from_dict(dict(no_ap, states=[{"id": "s"}, {"id": "s"}]))
 
 
 def test_first_defect_in_record_order_is_reported():
@@ -619,6 +675,28 @@ def test_states_with_path_to(fig1):
 def _prob01(chain, targets):
     prob0, prob1 = prob01(chain.pred, chain.mask(targets))
     return chain.names(prob0), chain.names(prob1)
+
+
+def test_states_reachable_from_equals_reference():
+    # seeded graphs, seeds of one to three states and blocked sets, over
+    # the successor masks and, as the backward search, the predecessor
+    # masks: the level-by-level search reaches what the name-keyed
+    # worklist reaches from each seed, unioned over the seeds
+    rng = random.Random(229)
+    for _ in range(300):
+        chain = random_chain(rng, max_states=9)
+        states = list(chain.states)
+        reverse = MarkovChain(states, {(dst, src): p for src, dst, p in chain.edges()}, {})
+        assert reverse.succ == chain.pred
+        for _ in range(3):
+            seeds = rng.sample(states, rng.randint(1, min(3, len(states))))
+            blocked = frozenset(rng.sample(states, rng.randint(0, len(states) // 2)))
+            for graph, masks in ((chain, chain.succ), (reverse, chain.pred)):
+                want = frozenset().union(
+                    *(reference_reachable(graph, s, blocked) for s in seeds))
+                got = states_reachable_from(masks, chain.mask(seeds),
+                                            blocked=chain.mask(blocked))
+                assert chain.names(got) == want
 
 
 def test_prob01_fig1(fig1):

@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import json
 import random
@@ -6,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from helpers import (
-    PHI_OR_TEXT, bottom_state_instance, fig1_chain, random_chain,
+    PHI_OR_TEXT, bench_workloads, bottom_state_instance, fig1_chain, random_chain,
     random_core_formula, reference_caratheodory_reduce,
     reference_exit_obligations, reference_locally_consistent_sets,
     reference_search_loop_generic, reference_successor_selection,
@@ -1055,6 +1056,31 @@ def test_compress_randomized_l2(fragment):
         _output_digest(h, entry, model, trace)
         done += 1
     assert h.hexdigest()[:16] == "9da1e6937c083dc8"
+
+
+def test_jobs_leave_no_reference_cycles():
+    # a finished job leaves nothing to the cyclic collector: its checker,
+    # chains, memo tables and formula nodes are freed by reference counting
+    # alone, as no recursive helper refers to itself through a closure cell.
+    # Each `compress` fragment and `sat` is run over the benchmark's seed-1
+    # jobs with the collector off, then collected
+    workloads = bench_workloads()
+    compress = list(workloads.generate("compress", 1))
+    jobs = {fragment: (workloads.run_compress,
+                       [inst for inst in compress if inst["fragment"] == fragment])
+            for fragment in ("l2", "generic")}
+    jobs["sat"] = (workloads.run_sat, list(workloads.generate("sat", 1)))
+    left = {}
+    gc.collect()
+    gc.disable()
+    try:
+        for kind, (run, instances) in jobs.items():
+            for inst in instances:
+                run(inst)
+            left[kind] = gc.collect()
+    finally:
+        gc.enable()
+    assert left == {"l2": 0, "generic": 0, "sat": 0}
 
 
 def test_compress_two_level_recursion():
