@@ -291,7 +291,8 @@ def _cmd_export_dot(args) -> int:
     chain = _load_model(args.model)
     text = chain.to_dot()
     if args.out:
-        with open(args.out, "w") as handle:
+        # UTF-8, as the loaders read, whatever the locale
+        with open(args.out, "w", encoding="utf-8") as handle:
             handle.write(text + "\n")
     else:
         print(text)
@@ -392,14 +393,23 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     # Python 3.11+ (and 3.10.7+) cap int <-> str conversions at 4300 digits
     # by default, which exact rationals pass; lift the cap for this call.
-    if not hasattr(sys, "set_int_max_str_digits"):
-        return _run(argv)
-    limit = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)
+    # A state name stdout cannot encode is printed with backslash escapes,
+    # so the exit code stays the answer's.  Both are restored afterwards.
+    limit = sys.get_int_max_str_digits() \
+        if hasattr(sys, "set_int_max_str_digits") else None
+    stdout = sys.stdout
+    errors = stdout.errors if hasattr(stdout, "reconfigure") else None
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
+    if errors is not None:
+        stdout.reconfigure(errors="backslashreplace")
     try:
         return _run(argv)
     finally:
-        sys.set_int_max_str_digits(limit)
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
+        if errors is not None:
+            stdout.reconfigure(errors=errors)
 
 
 def _run(argv) -> int:

@@ -17,21 +17,27 @@ too, so building a node hashes nothing in Python.
 
 The intern table `_NODES` is a plain dict from key to a weak reference to
 the node, so a lookup runs no Python frame and a formula no caller holds
-leaves the table.  A node's death callback removes its key's entry only
-while that entry is a dead reference, in one atomic dict operation, so a
-node built anew under the key in the meantime stays.  The callback takes
-no lock: a collection can run it inside an insert, on the thread that
-holds the insert lock, and a callback waiting for that lock would wait
-forever.
+leaves the table.  It takes no lock.  A new node is inserted with one
+`setdefault`, which is atomic because every part of the key hashes and
+compares in C: of several threads building one structure, the first to
+insert wins and the others return its node.  A node's death callback
+removes its key's entry only while that entry is a dead reference, in one
+atomic dict operation, so a node built anew under the key in the meantime
+stays; a collection may run the callback inside an insert.
 
-Derived data the hot paths ask for (`Prob.path_formula`, `sort_key`, the
-proper subformulas behind `subformulas`, the core flag behind `is_core`,
-and the grammar kinds behind `fragment_classify`) is cached on the node
-and computed once per structure.  No cache holds the node itself, so a
-formula no caller holds is freed by reference counting alone.  A formula
-set's subformulas, sub(X), are `subformulas_of(X)`, the members and the
-union of their cached proper subformulas; every other fact about a set is
-derived by the function that reads it.
+Every state node carries an operator mask, `_ops`, set when it is built
+from its children's: the (op, cmp) pairs of its subtree and one bit for
+anything the normalization pass would reshape.  `is_core` reads it, and
+the pass returns a node that needs no rewrite as it is, so both normal
+forms keep unchanged subtrees without building or looking up a node.
+Other derived data the hot paths ask for (`Prob.path_formula`,
+`sort_key`, the proper subformulas behind `subformulas`, and the grammar
+kinds behind `fragment_classify`) is cached on the node and computed once
+per structure.  No cache holds the node itself, so a formula no caller
+holds is freed by reference counting alone.  A formula set's subformulas,
+sub(X), are `subformulas_of(X)`, the members and the union of their
+cached proper subformulas; every other fact about a set is derived by the
+function that reads it.
 
 There is one tree: the parser builds core nodes directly, so
 `parse_formula` returns a core formula.  Both normal forms come from one
@@ -45,13 +51,13 @@ F-normal form (`f_normal_form`, no G), which bounded satisfiability in
 from __future__ import annotations
 
 import operator
-import threading
 import weakref
 from _weakref import _remove_dead_weakref
 from dataclasses import dataclass, fields
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
+from itertools import product
 from typing import Iterator, Union
 
 from .markov import InvalidChainError, parse_probability
@@ -107,15 +113,14 @@ _HOLDS = {Cmp.GE: operator.ge, Cmp.GT: operator.gt,
 
 
 # One live node per structure: its `_intern` key -> a `_NodeRef` to the node,
-# so a formula no caller holds any more leaves the table.  The lock makes
-# insertion atomic, so two threads building the same formula get one node.
-# Removal takes no lock: `_forget` runs when a node dies, which can be
-# inside an insert on the thread holding the lock, and deletes the key's
-# entry only if it is still a dead reference (`_remove_dead_weakref`, the
-# atomic C helper `WeakValueDictionary` uses), so it never drops the live
-# node built again under the same key.
+# so a formula no caller holds any more leaves the table.  Insertion is one
+# `setdefault`, atomic because every part of the key hashes and compares in
+# C, so two threads building the same formula get one node.  `_forget` runs
+# when a node dies and deletes the key's entry only if it is still a dead
+# reference (`_remove_dead_weakref`, the atomic C helper
+# `WeakValueDictionary` uses), so it never drops the live node built again
+# under the same key.
 _NODES: dict[tuple, weakref.ref] = {}
-_NODES_LOCK = threading.Lock()
 
 
 class _NodeRef(weakref.ref):
@@ -151,21 +156,29 @@ def _intern(cls, key: tuple, values: tuple) -> _Node:
     `values` when there is none.  The key is the class and the fields, with
     a `Prob` bound as its integer pair; every part hashes in C."""
     ref = _NODES.get(key)
-    node = ref() if ref is not None else None
-    if node is None:
-        if len(values) != len(cls._fields):
-            raise TypeError(f"{cls.__name__} takes fields {cls._fields}")
-        node = object.__new__(cls)
-        node.__dict__.update(zip(cls._fields, values))
-        with _NODES_LOCK:
-            ref = _NODES.get(key)
-            live = ref() if ref is not None else None
-            if live is not None:
-                return live
-            ref = _NodeRef(node, _forget)
-            ref.key = key
-            _NODES[key] = ref
-    return node
+    if ref is not None:
+        node = ref()
+        if node is not None:
+            return node
+    if len(values) != len(cls._fields):
+        raise TypeError(f"{cls.__name__} takes fields {cls._fields}")
+    node = object.__new__(cls)
+    attrs = node.__dict__
+    attrs.update(zip(cls._fields, values))
+    if cls is not PathFormula:
+        attrs["_ops"] = _operator_mask(cls, values)
+    fresh = _NodeRef(node, _forget)
+    fresh.key = key
+    while True:
+        ref = _NODES.setdefault(key, fresh)
+        if ref is fresh:
+            return node
+        live = ref()
+        if live is not None:
+            # another thread inserted the node first
+            return live
+        # a dead node whose callback has not run yet
+        _remove_dead_weakref(_NODES, key)
 
 
 def _node(cls):
@@ -177,8 +190,9 @@ def _node(cls):
 
 
 class _StateNode(_Node):
-    """A state formula node, with the derived data the hot paths ask for
-    cached on the node: computed on first use, once per structure."""
+    """A state formula node.  Its operator mask `_ops` is set when it is
+    built (`_operator_mask`); the other derived data the hot paths ask for
+    is cached on the node: computed on first use, once per structure."""
 
     @cached_property
     def _proper(self) -> frozenset[StateFormula]:
@@ -218,15 +232,6 @@ class _StateNode(_Node):
             kinds = frozenset(kind for kind, (literal, _) in _GRAMMARS.items()
                               if literal)
         return _KIND_SETS.setdefault(kinds, kinds)
-
-    @cached_property
-    def _core(self) -> bool:
-        # `is_core`, from the children's flags
-        if isinstance(self, (And, Or)):
-            return all(a._core for a in self.args)
-        if isinstance(self, Prob):
-            return self.cmp in CORE_CMPS and self.body._core
-        return True
 
     @cached_property
     def _fragments(self) -> FragmentMembership:
@@ -332,12 +337,17 @@ def disj(args) -> StateFormula:
 
 def _merge(node_type, args) -> StateFormula:
     # nodes are interned, so a dict keeps the first occurrence of each
-    flat = list(dict.fromkeys(
-        p for a in args for p in (a.args if isinstance(a, node_type) else (a,))))
+    flat = {}
+    for a in args:
+        if type(a) is node_type:
+            for p in a.args:
+                flat[p] = None
+        else:
+            flat[a] = None
     if not flat:
         raise ValueError("empty connective")
     if len(flat) == 1:
-        return flat[0]
+        return next(iter(flat))
     return node_type(tuple(flat))
 
 
@@ -355,9 +365,42 @@ def is_trivial_bound(cmp: Cmp, bound: Fraction) -> bool:
 
 def is_core(f: StateFormula) -> bool:
     """Core form: negation on atoms only and comparisons from {>=, >}.
-    A flag cached on the node, built from its children's flags, so each
-    node is checked once."""
-    return f._core
+    Read on the node's operator mask: no '<=' or '<' anywhere below."""
+    return not f._ops & _UPPER_BOUNDS
+
+
+# ---------------------------------------------------------------------------
+# Operator masks
+#
+# Every state node carries `_ops`, set when it is built from its children's
+# masks: one bit per (op, cmp) pair that occurs in its subtree, and the
+# `_RESHAPE` bit when `_norm` would rebuild some node of the subtree even
+# at positive polarity, with no pair to dualize: a connective with fewer
+# than two, repeated, or same-kind arguments (which `conj`/`disj` flatten),
+# or a trivial bound (which `_norm` rejects).
+
+_PAIR_BITS = {pair: 1 << i for i, pair in enumerate(product(PathOp, Cmp))}
+_RESHAPE = 1 << len(_PAIR_BITS)
+# the (op, cmp) pairs each normal form rewrites through the duality
+_UPPER_BOUNDS = sum(_PAIR_BITS[pair] for pair in product(PathOp, (Cmp.LE, Cmp.LT)))
+_GLOBALLY = sum(_PAIR_BITS[pair] for pair in product((PathOp.G,), Cmp))
+
+
+def _operator_mask(cls, values: tuple) -> int:
+    """The `_ops` of a `cls` node with the field `values`."""
+    if cls is Prob:
+        op, cmp, bound, body = values
+        ops = body._ops | _PAIR_BITS[op, cmp]
+        return ops | _RESHAPE if is_trivial_bound(cmp, bound) else ops
+    if cls is And or cls is Or:
+        (args,) = values
+        ops = 0 if 1 < len(args) == len(set(args)) else _RESHAPE
+        for a in args:
+            ops |= a._ops
+            if type(a) is cls:
+                ops |= _RESHAPE
+        return ops
+    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -655,28 +698,30 @@ def f_normal_form(f: StateFormula) -> StateFormula:
 
 _DUAL_OP = {PathOp.F: PathOp.G, PathOp.G: PathOp.F}
 _MIRROR = {Cmp.GE: Cmp.LE, Cmp.GT: Cmp.LT, Cmp.LE: Cmp.GE, Cmp.LT: Cmp.GT}
-# the (op, cmp) pairs each normal form rewrites through the duality
-_UPPER_BOUNDS = frozenset((op, cmp) for op in PathOp for cmp in (Cmp.LE, Cmp.LT))
-_GLOBALLY = frozenset((PathOp.G, cmp) for cmp in Cmp)
 
 
-def _norm(f: StateFormula, positive: bool, dual: frozenset) -> StateFormula:
+def _norm(f: StateFormula, positive: bool, dual: int) -> StateFormula:
     """Pushes negation to atoms and rewrites every P(op b) cmp r whose
-    (op, cmp) is in `dual` as P(op' !b) cmp' 1-r, op' the other path
-    operator and cmp' the mirrored comparison."""
+    (op, cmp) is in the mask `dual` as P(op' !b) cmp' 1-r, op' the other
+    path operator and cmp' the mirrored comparison.  A node at positive
+    polarity whose operator mask meets neither `dual` nor `_RESHAPE` is
+    returned as it is: nothing below it would change."""
+    if not isinstance(f, _StateNode):
+        raise TypeError(f"not a formula: {f!r}")
+    if positive and not f._ops & (dual | _RESHAPE):
+        return f
     if isinstance(f, Atom):
-        return f if positive else NegAtom(f.name)
+        # a positive literal was returned above
+        return NegAtom(f.name)
     if isinstance(f, NegAtom):
-        return f if positive else Atom(f.name)
+        return Atom(f.name)
     if isinstance(f, And):
         make = conj if positive else disj
         return make(_norm(a, positive, dual) for a in f.args)
     if isinstance(f, Or):
         make = disj if positive else conj
         return make(_norm(a, positive, dual) for a in f.args)
-    if isinstance(f, Prob):
-        return _norm_prob(f.op, f.cmp, f.bound, f.body, positive, dual)
-    raise TypeError(f"not a formula: {f!r}")
+    return _norm_prob(f.op, f.cmp, f.bound, f.body, positive, dual)
 
 
 def _norm_prob(op, cmp, bound, body, positive, dual) -> Prob:
@@ -685,7 +730,7 @@ def _norm_prob(op, cmp, bound, body, positive, dual) -> Prob:
     written = (op, cmp, bound, body)
     if not positive:
         cmp = cmp.negated()
-    dualize = (op, cmp) in dual
+    dualize = _PAIR_BITS[op, cmp] & dual
     if dualize:
         op, cmp, bound = _DUAL_OP[op], _MIRROR[cmp], 1 - bound
     body = _norm(body, not dualize, dual)

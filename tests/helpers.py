@@ -24,7 +24,9 @@ tries one graph per isomorphism class.  `labeling_violations` and
 `constraint_count` are oracles on a candidate's labeling and on its
 constraints.  The reference constraint rules (trivial bounds, the parser's
 [0, 1] range, `!` on a comparison, core form) are the `Fraction` and
-recursive forms.  The reference loop family builds every subset of a
+recursive forms, and the reference normalization (`reference_norm`) walks
+every node where the library's keeps a subtree its operator mask says
+needs no rewrite.  The reference loop family builds every subset of a
 universe as a frozenset and sorts them, and the reference loop search walks
 that family with the G bodies as a set; the library's enumerates and walks
 masks in order.  The reference exit obligations scan a growing suffix of
@@ -47,8 +49,8 @@ from operator import and_, or_
 
 from pctlfg.closure import require_satisfied
 from pctlfg.formula import (
-    And, Atom, Cmp, NegAtom, Or, PathOp, Prob, StateFormula, conj, disj,
-    iter_subformulas, parse_formula, sorted_formulas,
+    And, Atom, Cmp, NegAtom, NormalizationError, Or, PathOp, Prob,
+    StateFormula, conj, disj, iter_subformulas, parse_formula, sorted_formulas,
 )
 from pctlfg.etr import (
     ETRCandidate, SatSearchResult, _choice_order, _screen, _verdicts,
@@ -748,6 +750,62 @@ def reference_is_core(f: StateFormula) -> bool:
     if isinstance(f, (And, Or)):
         return all(reference_is_core(a) for a in f.args)
     return f.cmp in (Cmp.GE, Cmp.GT) and reference_is_core(f.body)
+
+
+# The normalization pass as it was before operator masks: it walks every
+# node, finds each (op, cmp) pair in a set, and rebuilds every connective
+# through the generator form of `conj`/`disj`.
+
+REFERENCE_UPPER_BOUNDS = frozenset(
+    (op, cmp) for op in PathOp for cmp in (Cmp.LE, Cmp.LT))
+REFERENCE_GLOBALLY = frozenset((PathOp.G, cmp) for cmp in Cmp)
+_REFERENCE_DUAL_OP = {PathOp.F: PathOp.G, PathOp.G: PathOp.F}
+_REFERENCE_MIRROR = {Cmp.GE: Cmp.LE, Cmp.GT: Cmp.LT, Cmp.LE: Cmp.GE,
+                     Cmp.LT: Cmp.GT}
+
+
+def _reference_merge(node_type, args) -> StateFormula:
+    flat = list(dict.fromkeys(
+        p for a in args for p in (a.args if isinstance(a, node_type) else (a,))))
+    if not flat:
+        raise ValueError("empty connective")
+    if len(flat) == 1:
+        return flat[0]
+    return node_type(tuple(flat))
+
+
+def reference_norm(f: StateFormula, positive: bool = True,
+                   dual: frozenset = REFERENCE_UPPER_BOUNDS) -> StateFormula:
+    """`normalize` by default; `dual=REFERENCE_GLOBALLY` for the F-normal
+    form of a core formula."""
+    if isinstance(f, Atom):
+        return f if positive else NegAtom(f.name)
+    if isinstance(f, NegAtom):
+        return f if positive else Atom(f.name)
+    if isinstance(f, And):
+        return _reference_merge(And if positive else Or,
+                                (reference_norm(a, positive, dual) for a in f.args))
+    if isinstance(f, Or):
+        return _reference_merge(Or if positive else And,
+                                (reference_norm(a, positive, dual) for a in f.args))
+    if isinstance(f, Prob):
+        return _reference_norm_prob(f.op, f.cmp, f.bound, f.body, positive, dual)
+    raise TypeError(f"not a formula: {f!r}")
+
+
+def _reference_norm_prob(op, cmp, bound, body, positive, dual) -> Prob:
+    written = (op, cmp, bound, body)
+    if not positive:
+        cmp = REFERENCE_NEGATED[cmp]
+    dualize = (op, cmp) in dual
+    if dualize:
+        op, cmp, bound = _REFERENCE_DUAL_OP[op], _REFERENCE_MIRROR[cmp], 1 - bound
+    body = reference_norm(body, not dualize, dual)
+    if reference_is_trivial_bound(cmp, bound):
+        raise NormalizationError(
+            f"normalizing produced the trivial constraint "
+            f"'{op}{cmp}{bound}' in {Prob(*written)}; such bounds are forbidden")
+    return Prob(op, cmp, bound, body)
 
 
 def reference_fragment_classify(f: StateFormula):

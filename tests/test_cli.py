@@ -431,6 +431,61 @@ def test_module_entry_point(model_path):
     assert proc.stdout.strip() == "true"
 
 
+# an ASCII-only stdout, and an ASCII locale without UTF-8 mode or locale
+# coercion, under which the default file encoding is ASCII too
+ASCII_STREAM = {"PYTHONIOENCODING": "ascii"}
+ASCII_LOCALE = {"LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"}
+_ENCODING_VARS = ("PYTHONIOENCODING", "PYTHONUTF8", "PYTHONCOERCECLOCALE",
+                  "LC_ALL", "LC_CTYPE", "LANG")
+
+
+def _run_under(env: dict, *argv) -> subprocess.CompletedProcess:
+    base = {k: v for k, v in os.environ.items() if k not in _ENCODING_VARS}
+    return subprocess.run([sys.executable, "-m", "pctlfg", *argv],
+                          capture_output=True, env={**base, **env})
+
+
+@pytest.mark.parametrize("env", [ASCII_STREAM, ASCII_LOCALE],
+                         ids=["ascii-stream", "ascii-locale"])
+def test_names_the_output_cannot_encode_print_escaped(tmp_path, env):
+    # stdout escapes what it cannot encode, so every exit code is the
+    # answer's, and a written DOT file is UTF-8, as the loaders read
+    model = tmp_path / "m.json"
+    model.write_text(json.dumps(
+        {"states": [{"id": "\u2200s", "ap": ["a"]}],
+         "edges": [{"from": "\u2200s", "to": "\u2200s", "p": "1"}]}))
+    dot = tmp_path / "x.dot"
+    check = _run_under(env, "check", "--model", str(model), "--formula", "a")
+    held = _run_under(env, "check", "--model", str(model), "--formula", "!a",
+                      "--state", "\u2200s")
+    compress = _run_under(env, "compress", "--model", str(model),
+                          "--state", "\u2200s", "--formula", "a")
+    export = _run_under(env, "export-dot", "--model", str(model),
+                        "--out", str(dot))
+    for proc in (check, held, compress, export):
+        assert b"Traceback" not in proc.stderr, proc.stderr
+    assert (check.returncode, check.stdout) == (0, b"sat set: {\\u2200s}\n")
+    assert export.returncode == 0
+    assert dot.read_text(encoding="utf-8") == \
+        MarkovChain.from_json(model.read_text()).to_dot() + "\n"
+    if env is ASCII_STREAM:
+        assert (held.returncode, held.stdout) == (1, b"false\n")
+        assert compress.returncode == 0
+        assert compress.stdout.startswith(b"entry: \\u2200s\nstates: 1\n")
+    else:
+        # the locale decodes the name's UTF-8 bytes in argv as surrogates,
+        # so the state is not found: a usage error, printed escaped
+        for proc in (held, compress):
+            assert proc.returncode == 2
+            assert proc.stderr.startswith(b"error: state '\\udce2")
+
+
+def test_main_restores_the_stdout_error_handler(capsys, model_path):
+    errors = sys.stdout.errors
+    assert run(capsys, "check", "--model", model_path, "--formula", "a")[0] == 0
+    assert sys.stdout.errors == errors
+
+
 def _outputs_under_hash_seeds(argv, *written) -> set:
     """The distinct (exit code, stdout, stderr, *contents of `written`) of
     `python -m pctlfg *argv` under PYTHONHASHSEED 0, 1 and 7; the exit code

@@ -15,9 +15,10 @@ from fractions import Fraction
 import pytest
 
 from helpers import (
-    PSI_TEXT, REFERENCE_NEGATED, bench_workloads, random_chain,
-    random_core_formula, reference_fragment_classify, reference_is_core,
-    reference_is_probability, reference_is_trivial_bound, reference_sat_set,
+    PSI_TEXT, REFERENCE_GLOBALLY, REFERENCE_NEGATED, bench_workloads,
+    random_chain, random_core_formula, reference_fragment_classify,
+    reference_is_core, reference_is_probability, reference_is_trivial_bound,
+    reference_norm, reference_sat_set,
 )
 
 from pctlfg import formula
@@ -253,6 +254,104 @@ def test_normalize_matches_direct_semantics():
         assert ModelChecker(chain).sat_set(core) == reference_sat_set(chain, tree)
         checked += 1
     assert checked > 80
+
+
+# mostly non-trivial bounds, so that most trees normalize
+_TREE_BOUNDS = _ANY_BOUNDS + (Fraction(1, 3), Fraction(2, 3), Fraction(1, 4))
+
+
+def _reshaped_tree(rng: random.Random, depth: int):
+    """A random tree built through the constructors, with what `_norm`
+    reshapes: one-argument, repeated-argument and nested same-kind
+    connectives, every comparison and both path operators, trivial bounds
+    included."""
+    if depth <= 0 or rng.random() < 0.25:
+        name = rng.choice("ab")
+        return Atom(name) if rng.random() < 0.6 else NegAtom(name)
+    kind = rng.choice(("and", "or", "prob", "prob"))
+    if kind != "prob":
+        args = [_reshaped_tree(rng, depth - 1)
+                for _ in range(rng.choice((1, 2, 2, 3)))]
+        if rng.random() < 0.2:
+            args.append(rng.choice(args))
+        return (And if kind == "and" else Or)(tuple(args))
+    return Prob(rng.choice(list(PathOp)), rng.choice(list(Cmp)),
+                rng.choice(_TREE_BOUNDS), _reshaped_tree(rng, depth - 1))
+
+
+def _outcome(function, arg):
+    """The node `function(arg)` returns, or the type and message of the
+    exception it raises."""
+    try:
+        return function(arg)
+    except (ValueError, TypeError) as exc:
+        return type(exc), str(exc)
+
+
+def _reference_f_normal_form(f):
+    if not reference_is_core(f):
+        raise ValueError("f_normal_form expects a core formula")
+    return reference_norm(f, True, REFERENCE_GLOBALLY)
+
+
+def _assert_same_outcome(got, want, tree):
+    if isinstance(want, tuple):
+        assert got == want, tree
+    else:
+        assert got is want, tree
+
+
+def test_normal_forms_match_the_reference_pass():
+    # both normal forms and the parser against the pass without operator
+    # masks, on trees with everything the masks must notice.  The parser
+    # rejects the first trivial bound it reads, as written, where the pass
+    # rejects the first one it produces, so only the error types compare.
+    rng = random.Random(59)
+    nodes = raised = kept = 0
+    for _ in range(1000):
+        tree = _reshaped_tree(rng, rng.choice((2, 3, 4)))
+        want = _outcome(reference_norm, tree)
+        _assert_same_outcome(_outcome(normalize, tree), want, tree)
+        parsed = _outcome(parse_formula, str(tree))
+        if isinstance(want, tuple):
+            assert isinstance(parsed, tuple) and parsed[0] is want[0], tree
+        else:
+            assert parsed is want, tree
+        f_want = _outcome(_reference_f_normal_form, tree)
+        _assert_same_outcome(_outcome(f_normal_form, tree), f_want, tree)
+        nodes += not isinstance(want, tuple)
+        raised += isinstance(want, tuple)
+        kept += want is tree
+    assert nodes > 300 and raised > 100 and kept > 50
+
+
+def test_unchanged_formulas_are_kept_without_building_a_node(monkeypatch):
+    # a flat core formula is its own core form, and a G-free one its own
+    # F-normal form too: both are returned from the operator mask, with no
+    # node built or looked up
+    calls = []
+    intern = formula._intern
+
+    def counting(*args):
+        calls.append(args[0])
+        return intern(*args)
+
+    rng = random.Random(61)
+    kept = 0
+    for _ in range(300):
+        f = random_core_formula(rng, depth=4)
+        g_free = all(not isinstance(g, Prob) or g.op is PathOp.F
+                     for g in subformulas(f))
+        monkeypatch.setattr(formula, "_intern", counting)
+        assert normalize(f) is f and calls == [], f
+        if g_free:
+            assert f_normal_form(f) is f and calls == [], f
+            kept += 1
+        else:
+            assert f_normal_form(f) is not f and calls, f
+        monkeypatch.setattr(formula, "_intern", intern)
+        calls.clear()
+    assert kept > 50
 
 
 def test_normalization_error_shows_the_subformula_as_written():
@@ -680,27 +779,53 @@ def _intern_key(node: Prob) -> tuple:
     return (Prob, node.op, node.cmp, node.bound.as_integer_ratio(), node.body)
 
 
-def test_removal_does_not_wait_for_the_table_lock():
-    # a collection can run a death callback inside an insert, on the thread
-    # holding the table lock, so the callback must not take that lock.  In
-    # its own interpreter, so that a deadlock fails this test alone.
+def test_removal_runs_inside_an_insert():
+    # a collection inside an insert runs death callbacks in the middle of
+    # it; they must neither hang nor leave a dead key behind, and a node
+    # built again keeps its entry.  Each new node's mask is computed inside
+    # its insert, so collecting there puts every collection inside one.  In
+    # its own interpreter, so that a hang fails this test alone.
     code = """if True:
         import gc
         from fractions import Fraction
         from pctlfg import formula
         from pctlfg.formula import Atom, Cmp, PathOp, Prob
-        node = Prob(PathOp.G, Cmp.GT, Fraction(1, 7), Atom("held"))
-        cycle = [node]  # a garbage cycle, so the collection frees the node
-        cycle.append(cycle)
-        key = (Prob, node.op, node.cmp, node.bound.as_integer_ratio(), node.body)
-        with formula._NODES_LOCK:
-            del node, cycle
+        forget, mask = formula._forget, formula._operator_mask
+        inserting, inside = [], []
+
+        def watched(ref):
+            inside.append(bool(inserting))
+            forget(ref)
+
+        def collecting(cls, values):
+            inserting.append(cls)
             gc.collect()
-            print(key in formula._NODES)
+            inserting.pop()
+            return mask(cls, values)
+
+        def build(name):
+            node = Prob(PathOp.G, Cmp.GT, Fraction(1, 7), Atom(name))
+            cycle = [node]  # a garbage cycle, so only a collection frees it
+            cycle.append(cycle)
+            return node
+
+        def key(node):
+            return (Prob, node.op, node.cmp, node.bound.as_integer_ratio(),
+                    node.body)
+
+        formula._forget, formula._operator_mask = watched, collecting
+        dropped = [key(build(f"d{r}")) for r in range(100)]
+        node = build("d0")
+        gc.collect()
+        print(len(inside) >= 99 and all(inside),
+              [k for k, ref in list(formula._NODES.items()) if ref() is None],
+              sum(k in formula._NODES for k in dropped),
+              formula._NODES[key(node)]() is node)
     """
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, timeout=60)
-    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False\n", "")
+    assert (proc.returncode, proc.stdout, proc.stderr) == \
+        (0, "True [] 1 True\n", "")
 
 
 def test_removal_keeps_a_node_built_again():
