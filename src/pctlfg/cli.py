@@ -5,6 +5,11 @@ unsat-up-to-n, 2 usage or input error (an unwritable output path too),
 3 backend failure or unknown.
 Rationals are read and printed exactly, as p/q, however many digits they
 have; diagnostics go to stderr.
+
+Only the checker core is imported with this module; each subcommand
+imports the layers it uses, so `check` loads no compression or bounded-sat
+code, and `sat` none of the closure, measure and compression layers.  The
+layers' errors are mapped to exit codes once one is raised.
 """
 
 from __future__ import annotations
@@ -15,25 +20,12 @@ import math
 import os
 import sys
 
-from .closure import (
-    achieved_bounds, closure, closure_update, update, UnsatisfiedSetError,
-)
-from .etr import BackendError, SolverBackend, solve_bounded_sat
 from .formula import (
     NormalizationError, PctlSyntaxError, StateFormula, fragment_classify,
     parse_formula, sorted_formulas,
 )
 from .markov import InvalidChainError, MarkovChain, validate
-from .measure import (
-    bound_base, member_paths, path_norm, path_subformulas, pending_globals,
-    progress_measure, reachable_eventualities,
-)
 from .modelcheck import ModelChecker
-from .progress import (
-    CompressionError, FragmentError, ProgressLoop, ProgressLoopError,
-    SearchSpaceExceeded, compress_model, exit_obligations, search_loop_generic,
-    search_loop_l2, verify_loop,
-)
 
 SOLVER_ENV = "PCTLFG_SOLVER"
 
@@ -71,16 +63,26 @@ def _parse_formula_arg(text: str) -> StateFormula:
 
 
 def _require_state(chain: MarkovChain, state: str) -> str:
-    if state not in chain:
+    """The model's name for `state`.  Under a locale that cannot decode the
+    name's bytes, argv holds them as surrogate escapes, while the model
+    file is read as UTF-8: such a name is looked up again as its bytes
+    decoded as UTF-8."""
+    if state in chain:
+        return state
+    try:
+        decoded = os.fsencode(state).decode("utf-8")
+    except UnicodeError:
+        decoded = None
+    if decoded not in chain:
         raise UsageError(f"state {state!r} not in the model")
-    return state
+    return decoded
 
 
 def _formula_list(formulas) -> list[str]:
     return [str(f) for f in sorted_formulas(formulas)]
 
 
-def _load_loop(path: str) -> ProgressLoop:
+def _load_loop(path: str) -> tuple[frozenset[StateFormula], ...]:
     try:
         with open(path, encoding="utf-8") as handle:
             data = json.load(handle)
@@ -107,6 +109,7 @@ def _emit(args, human: str, data: dict) -> None:
 # -- subcommands -------------------------------------------------------------
 
 def _cmd_check(args) -> int:
+    from .measure import path_subformulas
     chain = _load_model(args.model)
     f = _parse_formula_arg(args.formula)
     mc = ModelChecker(chain)
@@ -127,6 +130,7 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_closure(args) -> int:
+    from .closure import achieved_bounds, closure, update
     chain = _load_model(args.model)
     f = _parse_formula_arg(args.formula)
     state = _require_state(chain, args.state)
@@ -148,6 +152,7 @@ def _cmd_closure(args) -> int:
 
 
 def _build_set(args, mc: ModelChecker, state: str):
+    from .closure import closure, closure_update
     f = _parse_formula_arg(args.formula)
     if args.set == "uc":
         return closure_update(mc, state, {f})
@@ -157,6 +162,10 @@ def _build_set(args, mc: ModelChecker, state: str):
 
 
 def _cmd_measure(args) -> int:
+    from .measure import (
+        bound_base, member_paths, path_norm, pending_globals, progress_measure,
+        reachable_eventualities,
+    )
     chain = _load_model(args.model)
     state = _require_state(chain, args.state)
     mc = ModelChecker(chain)
@@ -186,6 +195,10 @@ def _cmd_measure(args) -> int:
 
 
 def _cmd_loop(args) -> int:
+    from .closure import closure_update
+    from .progress import (
+        exit_obligations, search_loop_generic, search_loop_l2, verify_loop,
+    )
     chain = _load_model(args.model)
     state = _require_state(chain, args.state)
     mc = ModelChecker(chain)
@@ -221,6 +234,7 @@ def _cmd_loop(args) -> int:
 
 
 def _cmd_compress(args) -> int:
+    from .progress import compress_model
     chain = _load_model(args.model)
     state = _require_state(chain, args.state)
     f = _parse_formula_arg(args.formula)
@@ -243,6 +257,7 @@ def _cmd_compress(args) -> int:
 
 
 def _cmd_sat(args) -> int:
+    from .etr import SolverBackend, solve_bounded_sat
     f = _parse_formula_arg(args.formula)
     backend = None
     command = args.solver_cmd or os.environ.get(SOLVER_ENV)
@@ -423,16 +438,32 @@ def _run(argv) -> int:
     except (UsageError, OSError) as exc:  # OSError: an output path is unwritable
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (UnsatisfiedSetError, ProgressLoopError, FragmentError,
-            CompressionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FAIL
-    except SearchSpaceExceeded as exc:
-        print(f"search space exceeded: {exc}", file=sys.stderr)
-        return EXIT_BACKEND
-    except BackendError as exc:
-        print(f"backend error: {exc}", file=sys.stderr)
-        return EXIT_BACKEND
+    except Exception as exc:
+        mapped = _layer_error_exit(exc)
+        if mapped is None:
+            raise
+        code, prefix = mapped
+        print(f"{prefix}: {exc}", file=sys.stderr)
+        return code
+
+
+def _layer_error_exit(exc: Exception) -> tuple[int, str] | None:
+    """The exit code and message prefix of a layer's error, None for any
+    other exception.  The layers are imported here, once an error is
+    raised, not by every subcommand."""
+    from .closure import UnsatisfiedSetError
+    from .etr import BackendError
+    from .progress import (
+        CompressionError, FragmentError, ProgressLoopError, SearchSpaceExceeded,
+    )
+    if isinstance(exc, (UnsatisfiedSetError, ProgressLoopError, FragmentError,
+                        CompressionError)):
+        return EXIT_FAIL, "error"
+    if isinstance(exc, SearchSpaceExceeded):
+        return EXIT_BACKEND, "search space exceeded"
+    if isinstance(exc, BackendError):
+        return EXIT_BACKEND, "backend error"
+    return None
 
 
 if __name__ == "__main__":

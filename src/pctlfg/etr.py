@@ -54,9 +54,6 @@ from __future__ import annotations
 import itertools
 import os
 import re
-import shlex
-import subprocess
-import tempfile
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -608,17 +605,22 @@ class SolverBackend:
 
     `command` is a template whose `{file}` placeholder receives the SMT file
     path, split shell-style once, on construction: ValueError on unbalanced
-    quoting or an empty command.  `read_solver_output` reads the output."""
+    quoting or an empty command.  `read_solver_output` reads the output.
+    Its methods import `shlex`, `subprocess` and `tempfile`, so a search
+    without a solver loads none of them."""
 
     command: str
     timeout: float = 10.0
 
     def __post_init__(self):
+        import shlex
         self.argv = shlex.split(self.command)
         if not self.argv:
             raise ValueError("the solver command is empty")
 
     def solve(self, text: str) -> tuple[str, dict[str, Fraction]]:
+        import subprocess
+        import tempfile
         path = None
         try:
             fd, path = tempfile.mkstemp(suffix=".smt2")

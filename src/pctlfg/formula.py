@@ -53,12 +53,12 @@ from __future__ import annotations
 import operator
 import weakref
 from _weakref import _remove_dead_weakref
-from dataclasses import dataclass, fields
+from collections import namedtuple
+from collections.abc import Iterator
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
 from itertools import product
-from typing import Iterator, Union
 
 from .markov import InvalidChainError, parse_probability
 
@@ -139,11 +139,27 @@ class _Node:
     Construction returns the live node with the same class and fields when
     there is one (`_intern`), so `==` and `hash` can be the identity ones
     inherited from `object`.  Only construction hashes fields, to look the
-    node up; a set or memo keyed by nodes never looks inside them.
+    node up; a set or memo keyed by nodes never looks inside them.  A node
+    type's fields, `_fields`, are its annotated names, in order; a node is
+    immutable: assigning or deleting an attribute raises AttributeError.
     """
+
+    def __init_subclass__(cls):
+        super().__init_subclass__()
+        cls._fields = tuple(cls.__annotations__)
 
     def __new__(cls, *values):
         return _intern(cls, (cls, *values), values)
+
+    def __repr__(self) -> str:
+        return f"{type(self).__qualname__}(" + ", ".join(
+            f"{name}={getattr(self, name)!r}" for name in self._fields) + ")"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
     def __reduce__(self):
         # copy, deepcopy and unpickling rebuild through __new__, so they
@@ -179,14 +195,6 @@ def _intern(cls, key: tuple, values: tuple) -> _Node:
             return live
         # a dead node whose callback has not run yet
         _remove_dead_weakref(_NODES, key)
-
-
-def _node(cls):
-    """Makes `cls` a frozen dataclass with identity equality whose
-    construction goes through `_Node.__new__`."""
-    cls = dataclass(frozen=True, eq=False, init=False)(cls)
-    cls._fields = tuple(f.name for f in fields(cls))
-    return cls
 
 
 class _StateNode(_Node):
@@ -239,7 +247,6 @@ class _StateNode(_Node):
         return _classify(self)
 
 
-@_node
 class Atom(_StateNode):
     name: str
 
@@ -247,7 +254,6 @@ class Atom(_StateNode):
         return self.name
 
 
-@_node
 class NegAtom(_StateNode):
     name: str
 
@@ -255,7 +261,6 @@ class NegAtom(_StateNode):
         return "!" + self.name
 
 
-@_node
 class And(_StateNode):
     args: tuple["StateFormula", ...]
 
@@ -263,7 +268,6 @@ class And(_StateNode):
         return " & ".join(_wrap(a) for a in self.args)
 
 
-@_node
 class Or(_StateNode):
     args: tuple["StateFormula", ...]
 
@@ -271,7 +275,6 @@ class Or(_StateNode):
         return " | ".join(str(a) for a in self.args)
 
 
-@_node
 class Prob(_StateNode):
     op: PathOp
     cmp: Cmp
@@ -300,10 +303,9 @@ class Prob(_StateNode):
         return PathFormula(self.op, self.body)
 
 
-StateFormula = Union[Atom, NegAtom, And, Or, Prob]
+StateFormula = Atom | NegAtom | And | Or | Prob
 
 
-@_node
 class PathFormula(_Node):
     """A bare F/G path formula, i.e. a probabilistic operator with the bound
     stripped.  Two Prob nodes that differ only in their constraint share one
@@ -753,12 +755,7 @@ def _norm_prob(op, cmp, bound, body, positive, dual) -> Prob:
 # when its body matches a kind of phik's G entry.  (Relaxing F bounds never
 # enlarges the languages: every phik allows any constraint on F.)
 
-@dataclass(frozen=True)
-class FragmentMembership:
-    in_l1: bool
-    in_l2: bool
-    in_l3: bool
-    in_l4: bool
+FragmentMembership = namedtuple("FragmentMembership", "in_l1 in_l2 in_l3 in_l4")
 
 
 def _is_any(f: Prob) -> bool:

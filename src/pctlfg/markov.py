@@ -56,7 +56,7 @@ from __future__ import annotations
 import itertools
 import json
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from itertools import repeat
 from math import lcm
@@ -437,15 +437,14 @@ def predecessor_masks(succ) -> list[int]:
     return pred
 
 
-@dataclass(frozen=True)
-class SccDecomposition:
+class SccDecomposition(namedtuple("SccDecomposition",
+                                  "states components bottom")):
     """SCCs as state masks (bit i is `states[i]`) in reverse topological
     order (successors before predecessors), and the mask of the states in
-    bottom SCCs."""
+    bottom SCCs: a named tuple of the state names (`states`, a tuple), the
+    component masks (`components`, a tuple) and the `bottom` mask."""
 
-    states: tuple[str, ...]
-    components: tuple[int, ...]
-    bottom: int
+    __slots__ = ()
 
     def bottom_states(self) -> frozenset[str]:
         return frozenset(self.states[i] for i in indices(self.bottom))

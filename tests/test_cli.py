@@ -449,7 +449,9 @@ def _run_under(env: dict, *argv) -> subprocess.CompletedProcess:
                          ids=["ascii-stream", "ascii-locale"])
 def test_names_the_output_cannot_encode_print_escaped(tmp_path, env):
     # stdout escapes what it cannot encode, so every exit code is the
-    # answer's, and a written DOT file is UTF-8, as the loaders read
+    # answer's, and a written DOT file is UTF-8, as the loaders read.  The
+    # locale decodes the name's UTF-8 bytes in argv as surrogates; the state
+    # is found by its bytes decoded as UTF-8, as the model file is read.
     model = tmp_path / "m.json"
     model.write_text(json.dumps(
         {"states": [{"id": "\u2200s", "ap": ["a"]}],
@@ -468,16 +470,9 @@ def test_names_the_output_cannot_encode_print_escaped(tmp_path, env):
     assert export.returncode == 0
     assert dot.read_text(encoding="utf-8") == \
         MarkovChain.from_json(model.read_text()).to_dot() + "\n"
-    if env is ASCII_STREAM:
-        assert (held.returncode, held.stdout) == (1, b"false\n")
-        assert compress.returncode == 0
-        assert compress.stdout.startswith(b"entry: \\u2200s\nstates: 1\n")
-    else:
-        # the locale decodes the name's UTF-8 bytes in argv as surrogates,
-        # so the state is not found: a usage error, printed escaped
-        for proc in (held, compress):
-            assert proc.returncode == 2
-            assert proc.stderr.startswith(b"error: state '\\udce2")
+    assert (held.returncode, held.stdout) == (1, b"false\n")
+    assert compress.returncode == 0
+    assert compress.stdout.startswith(b"entry: \\u2200s\nstates: 1\n")
 
 
 def test_main_restores_the_stdout_error_handler(capsys, model_path):
@@ -696,3 +691,35 @@ def test_loop_search_beyond_generic_range(capsys, model_path):
                        "--model", model_path, "--state", "t", "--formula", formula)
     assert code == 3
     assert err.startswith("search space exceeded")
+
+
+def test_compress_outside_l2_exits_one(capsys, model_path):
+    # F>0[G>0[a]] holds at s but is not in L2 (a G inside takes only =1)
+    code, out, err = run(capsys, "compress", "--fragment", "l2", "--model",
+                         model_path, "--state", "s", "--formula", "F>0[G>0[a]]")
+    assert code == 1
+    assert out == ""
+    assert err == "error: not in fragment L2: F>0[G>0[a]]\n"
+
+
+def test_layer_errors_map_to_exit_codes_once_raised(capsys, monkeypatch,
+                                                   model_path):
+    # `compress` imports `compress_model` when it runs, and the CLI imports
+    # the layers' error classes only once one is raised: a compression
+    # error exits 1, and an exception no layer defines propagates
+    from pctlfg import progress
+
+    def failing(error):
+        def compress_model(*args, **kwargs):
+            raise error
+        return compress_model
+
+    argv = ("compress", "--model", model_path, "--state", "s",
+            "--formula", PSI_TEXT)
+    monkeypatch.setattr(progress, "compress_model",
+                        failing(progress.CompressionError("inconsistent")))
+    assert run(capsys, *argv) == (1, "", "error: inconsistent\n")
+    monkeypatch.setattr(progress, "compress_model",
+                        failing(LookupError("unmapped")))
+    with pytest.raises(LookupError, match="unmapped"):
+        main(list(argv))
