@@ -66,7 +66,7 @@ from .markov import (
     InvalidChainError, MarkovChain, indices, parse_probability,
     predecessor_masks, prob01, states_reachable_from, validate,
 )
-from .modelcheck import ModelChecker
+from .modelcheck import ModelChecker, verdicts
 
 
 class BackendError(RuntimeError):
@@ -302,7 +302,8 @@ def enumerate_candidates(f: StateFormula, bound: int,
     ops = {NegAtom: xor, And: and_, Or: or_}
     compiled = [
         (slot[node],
-         (slot[node.body], _verdicts(node)) if isinstance(node, Prob) else None,
+         (slot[node.body], verdicts(node.cmp, node.bound))
+         if isinstance(node, Prob) else None,
          [(slot[g], ops[type(g)],
            (slot[Atom(g.name)],) if isinstance(g, NegAtom)
            else [slot[a] for a in g.args],
@@ -371,19 +372,6 @@ def _labelings(compiled, index: int, labels: list[int], allowed, full: int,
 # ---------------------------------------------------------------------------
 # Screening and confirming a candidate
 
-_ZERO, _HALF, _ONE = Fraction(0), Fraction(1, 2), Fraction(1)
-
-
-def _verdicts(node: Prob) -> tuple[bool, bool, bool | None]:
-    """Whether a reach value of 1, of 0 and of anything strictly inside
-    (0, 1) satisfies `node`'s comparison.  The last is None when 0 < r < 1,
-    since such a value can lie on either side of the bound r; otherwise all
-    of (0, 1) compares alike with r, so 1/2 stands for it."""
-    cmp, r = node.cmp, node.bound
-    inside = None if 0 < r < 1 else cmp.holds(_HALF, r)
-    return cmp.holds(_ONE, r), cmp.holds(_ZERO, r), inside
-
-
 def _screen(verdicts, prob0: int, prob1: int, full: int) -> tuple[int, int]:
     """The block screen as a (care, want) pair of vertex masks: a label set
     m is consistent with the graph iff m & care == want.  A reach value is
@@ -407,7 +395,7 @@ def interval_refuted(candidate: ETRCandidate) -> bool:
     labeling = candidate.labeling
     for g, inside in labeling.items():
         if isinstance(g, Prob):
-            care, want = _screen(_verdicts(g),
+            care, want = _screen(verdicts(g.cmp, g.bound),
                                  *prob01(pred, labeling[g.body]), full)
             if inside & care != want:
                 return True

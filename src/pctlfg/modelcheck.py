@@ -12,14 +12,18 @@ value} for the maybe states).  `path_masks` gives a path formula's two
 masks alone, without a solve (a G formula's are those of reaching the
 body's complement, swapped), and `path_values` solves between them, for
 F and G alike.  A `Prob` node's satisfaction mask takes the 1 and 0
-masks whole when the bound admits 1 and 0 (`_passing`) and compares only
-the maybe values.
+masks whole when the bound admits 1 and 0 (`_passing`).  Every maybe
+value lies strictly between 0 and 1, so against a bound of 0 or 1 the
+maybe states pass whole or not at all too (`verdicts`), and a qualitative
+operator needs no solve; only a bound strictly between 0 and 1 solves and
+compares the maybe values.
 
 A question about one state costs only what that state needs: `holds`
 stops a conjunction or disjunction at the first argument that decides,
 and answers a `Prob` at a state in its path formula's 0 or 1 mask by
 comparing that value with the bound; only at a maybe state does it build
-the operator's mask, and with it the one solve for all its maybe states.
+the operator's mask, and with it, for a bound strictly between 0 and 1,
+the one solve for all its maybe states.
 `probability` likewise reads 0 and 1 off the masks.  The answers equal
 those of the full masks, since a maybe value lies strictly between 0 and 1.
 
@@ -63,16 +67,16 @@ _ZERO, _ONE = Fraction(0), Fraction(1)
 Values = tuple[int, int, dict[int, Fraction]]
 
 
-def _passing(values: Values, cmp: Cmp, bound: Fraction) -> int:
-    """The mask of the states whose value in `values` satisfies `cmp bound`:
-    the 0 and 1 masks pass whole or not at all, the rest state by state."""
-    zero, one, maybe = values
-    mask = ((one if cmp.holds(1, bound) else 0)
-            | (zero if cmp.holds(0, bound) else 0))
-    for i, p in maybe.items():
-        if cmp.holds(p, bound):
-            mask |= 1 << i
-    return mask
+def verdicts(cmp: Cmp, bound: Fraction) -> tuple[bool, bool, bool | None]:
+    """Whether a value of 1, of 0 and of anything strictly between 0 and 1
+    satisfies `cmp bound`.  The last is None for a bound strictly between 0
+    and 1, since such a value can lie on either side of it; otherwise all
+    of (0, 1) compares alike with the bound, so 1/2 stands for it.  Read on
+    the bound's integers n/d, d > 0: a value v compares with n/d as v*d
+    compares with n."""
+    n, d = bound.as_integer_ratio()
+    inside = None if 0 < n < d else cmp.holds(d, 2 * n)
+    return cmp.holds(d, n), cmp.holds(0, n), inside
 
 
 def _value(values: Values, i: int) -> Fraction:
@@ -155,7 +159,9 @@ class ModelChecker:
     # -- state formulas -----------------------------------------------------
 
     def sat_mask(self, f: StateFormula) -> int:
-        """The mask of the states satisfying `f`, memoized per subformula."""
+        """The mask of the states satisfying `f`, memoized per subformula.
+        A `Prob` node's mask (`_passing`) solves its path formula's maybe
+        values only for a bound strictly between 0 and 1."""
         if f in self._sat:
             return self._sat[f]
         if isinstance(f, Atom):
@@ -167,9 +173,27 @@ class ModelChecker:
         elif isinstance(f, Or):
             result = reduce(or_, map(self.sat_mask, f.args), 0)
         else:
-            result = _passing(self.path_values(f.path_formula), f.cmp, f.bound)
+            result = self._passing(f)
         self._sat[f] = result
         return result
+
+    def _passing(self, f: Prob) -> int:
+        """A `Prob` node's satisfaction mask: its path formula's 0 and 1
+        masks pass whole or not at all, and so do the maybe states in
+        between unless the bound lies strictly between 0 and 1 (`verdicts`);
+        only then are their exact values solved and compared state by
+        state."""
+        at1, at0, inside = verdicts(f.cmp, f.bound)
+        if inside is None:
+            zero, one, maybe = self.path_values(f.path_formula)
+            between = 0
+            for i, p in maybe.items():
+                if f.cmp.holds(p, f.bound):
+                    between |= 1 << i
+        else:
+            zero, one = self.path_masks(f.path_formula)
+            between = self.full & ~(zero | one) if inside else 0
+        return (one if at1 else 0) | (zero if at0 else 0) | between
 
     def sat_set(self, f: StateFormula) -> frozenset[str]:
         """The names of the states satisfying `f`."""

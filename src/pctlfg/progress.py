@@ -312,7 +312,8 @@ def _level_sequences(family, length: int, anchor: int, chosen: list[int],
         chosen.pop()
 
 
-def search_loop_l2(mc: ModelChecker, state: str, formulas) -> ProgressLoop:
+def search_loop_l2(mc: ModelChecker, state: str, formulas, *,
+                   node_budget: int = 10_000) -> ProgressLoop:
     """Constructive loop search for the L2 fragment.
 
     Builds L0 as the closure of X at `state` with G-bodies unfolded, then
@@ -320,9 +321,16 @@ def search_loop_l2(mc: ModelChecker, state: str, formulas) -> ProgressLoop:
     through X) and whose body appears nowhere yet: a reachable witness
     satisfying the body and all G-bodies is located breadth-first (smallest
     state id first) and a new set is closed at that witness.  An F with no
-    such witness is left to the exit obligations.  The result is
-    re-checked with `loop_violations` before being returned (the hypothesis
-    is checked once, before the search).
+    such witness is left to the exit obligations.  The hypothesis is checked
+    once, before the search; the built sequence is checked with
+    `loop_violations`, and only when it fails does the search backtrack,
+    depth first, over each served F's later witnesses in the same
+    breadth-first order (`_l2_sequences`), so the sequence of the first
+    witnesses is always tried first.  Raises ProgressLoopError with the
+    first sequence's violations when no sequence is a loop, and
+    SearchSpaceExceeded when it would try more than `node_budget`
+    witnesses: the backtracking is exponential at worst in the number of
+    served F's.
     """
     X = frozenset(formulas)
     outside = [f for f in sorted_formulas(X) if not fragment_classify(f).in_l2]
@@ -331,61 +339,81 @@ def search_loop_l2(mc: ModelChecker, state: str, formulas) -> ProgressLoop:
     _require_loop_start(mc, state, X)
 
     level0 = least_closed_set(mc, state, X, unfold_g=True)
-    sets: list[frozenset[StateFormula]] = [level0]
-    union = set(level0)
-    witnesses = [state]
     # bodies of every G member of L0 must appear in every later set
     invariant = _g_bodies(level0)
-    unservable = set()
-
-    while True:
-        unserved = None
-        for f in sorted_formulas(union):
-            if (isinstance(f, Prob) and f.op is PathOp.F
-                    and f not in X and f not in unservable
-                    and f.body not in union
-                    and not _g_bodies(subformulas(f.body))):
-                # F obligations with a G inside must not be served in-loop:
-                # closing their body in a later set would introduce a G whose
-                # body cannot retroactively join every earlier set.  They fall
-                # through to the exit obligations instead.
-                unserved = f
-                break
-        if unserved is None:
-            break
-        home = next(i for i, level in enumerate(sets) if unserved in level)
-        witness = _find_witness(mc, witnesses[home], unserved.body, invariant)
-        if witness is None:
-            unservable.add(unserved)
+    first_problems = None
+    budget = node_budget
+    for loop in _l2_sequences(mc, X, invariant, [level0], level0, [state],
+                              frozenset()):
+        if loop is None:
+            if budget <= 0:
+                raise SearchSpaceExceeded(
+                    f"loop search exceeded the node budget ({node_budget})")
+            budget -= 1
             continue
-        new_level = least_closed_set(mc, witness, {unserved.body} | invariant,
-                                     unfold_g=False)
-        sets.append(new_level)
-        union |= new_level
-        witnesses.append(witness)
-
-    loop = tuple(sets)
-    problems = loop_violations(mc, state, X, loop)
-    if problems:
-        raise ProgressLoopError(
-            "constructed sequence is not a progress loop: " + "; ".join(problems))
-    return loop
+        problems = loop_violations(mc, state, X, loop)
+        if not problems:
+            return loop
+        if first_problems is None:
+            first_problems = problems
+    raise ProgressLoopError("constructed sequence is not a progress loop: "
+                            + "; ".join(first_problems))
 
 
-def _find_witness(mc: ModelChecker, start: str, body: StateFormula,
-                  invariant: frozenset[StateFormula]) -> str | None:
-    # breadth-first, successors visited in state-id order: deterministic
+def _l2_sequences(mc: ModelChecker, X: frozenset[StateFormula],
+                  invariant: frozenset[StateFormula],
+                  sets: list[frozenset[StateFormula]],
+                  union: frozenset[StateFormula], witnesses: list[str],
+                  unservable: frozenset[StateFormula]):
+    """The walk of `search_loop_l2` below the partial sequence `sets`, whose
+    levels hold the formulas `union` and were closed at `witnesses`: yields
+    None before each served F's witness is tried, and a whole sequence at
+    each leaf, depth first, witnesses in breadth-first order."""
+    while True:
+        unserved = next((
+            f for f in sorted_formulas(union)
+            if isinstance(f, Prob) and f.op is PathOp.F
+            and f not in X and f not in unservable
+            and f.body not in union
+            # F obligations with a G inside must not be served in-loop:
+            # closing their body in a later set would introduce a G whose
+            # body cannot retroactively join every earlier set.  They fall
+            # through to the exit obligations instead.
+            and not _g_bodies(subformulas(f.body))), None)
+        if unserved is None:
+            yield tuple(sets)
+            return
+        home = next(i for i, level in enumerate(sets) if unserved in level)
+        served = False
+        body = unserved.body
+        for witness in _witnesses(mc, witnesses[home], body, invariant):
+            served = True
+            yield None
+            new_level = least_closed_set(mc, witness, {body} | invariant,
+                                         unfold_g=False)
+            yield from _l2_sequences(mc, X, invariant, sets + [new_level],
+                                     union | new_level, witnesses + [witness],
+                                     unservable)
+        if served:
+            return
+        unservable = unservable | {unserved}
+
+
+def _witnesses(mc: ModelChecker, start: str, body: StateFormula,
+               invariant: frozenset[StateFormula]) -> Iterator[str]:
+    """The states reachable from `start` that satisfy `body` and every
+    formula of `invariant`, breadth-first, successors visited in state-id
+    order: deterministic."""
     seen = {start}
     queue = deque([start])
     while queue:
         current = queue.popleft()
         if mc.holds(current, body) and mc.check(current, invariant):
-            return current
+            yield current
         for nxt in sorted(mc.chain.successors(current)):
             if nxt not in seen:
                 seen.add(nxt)
                 queue.append(nxt)
-    return None
 
 
 # ---------------------------------------------------------------------------

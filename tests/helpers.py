@@ -53,7 +53,7 @@ from pctlfg.formula import (
     StateFormula, conj, disj, iter_subformulas, parse_formula, sorted_formulas,
 )
 from pctlfg.etr import (
-    ETRCandidate, SatSearchResult, _choice_order, _screen, _verdicts,
+    ETRCandidate, SatSearchResult, _choice_order, _screen,
     check_assignment, encode, f_normal_form, uniform_assignment,
 )
 from pctlfg.linalg import SingularMatrixError
@@ -62,7 +62,7 @@ from pctlfg.markov import (
     predecessor_masks, prob01, scc_decompose, validate,
 )
 from pctlfg.measure import member_paths
-from pctlfg.modelcheck import ModelChecker
+from pctlfg.modelcheck import ModelChecker, verdicts
 
 PSI_TEXT = "G=1[F>=0.5[a & F>=0.2[!a]] | a] & F=1[G=1[a]] & !a"
 PHI_OR_TEXT = "F>=0.5[a & F>=0.2[!a]] | a"
@@ -597,7 +597,8 @@ def block_interval_contradiction(size, node: Prob, body: int, inside: int,
     """The enumeration's mask screen (`etr._screen`) on the block of the
     F-subformula `node` with body set `body` and own set `inside`: prob1 is
     the body set plus `sure`, prob0 the cut-off set `out`."""
-    care, want = _screen(_verdicts(node), out, body | sure, (1 << size) - 1)
+    care, want = _screen(verdicts(node.cmp, node.bound), out, body | sure,
+                         (1 << size) - 1)
     return inside & care != want
 
 
@@ -680,8 +681,8 @@ def reference_candidates(f: StateFormula, bound: int,
                 choices = subsets
                 if isinstance(node, Prob):
                     body = _mask(labeling[node.body])
-                    care, want = _screen(_verdicts(node), *prob01(pred, body),
-                                         full)
+                    care, want = _screen(verdicts(node.cmp, node.bound),
+                                         *prob01(pred, body), full)
                     choices = [m for m in subsets if _mask(m) & care == want]
                     if result is not None:
                         result.refuted += len(subsets) - len(choices)

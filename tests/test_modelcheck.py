@@ -184,9 +184,10 @@ def _strongly_connected_chain(rng, n):
 
 
 def test_prob_sat_mask_equals_per_state_comparison():
-    # the Prob branch reads the prob0 and prob1 masks whole and compares
-    # only the states in between; the reference compares every state's
-    # value, at bounds 0 and 1, at 1/2 and at a value that occurs
+    # the Prob branch reads the prob0 and prob1 masks whole, decides the
+    # states in between alike at a bound of 0 or 1, and compares their
+    # values only at a bound strictly between; the reference compares every
+    # state's value, at bounds 0 and 1, at 1/2 and at a value that occurs
     rng = random.Random(61)
     qualitative = quantitative = 0
     for k in range(120):
@@ -297,6 +298,66 @@ def test_holds_solves_only_at_a_maybe_state(solves):
     assert mc.holds("s3", f_a)
     assert mc.probability("s3", f_a.path_formula) == Fraction(1, 2)
     assert solves == [1]
+
+
+def test_bounds_of_zero_and_one_make_no_solve(solves):
+    # s0 is a maybe state of F a and G !a (both 1/2 there); against a bound
+    # of 0 or 1 every maybe value compares as 1/2 does, so neither `holds`
+    # nor `sat_set` solves, and a bound strictly in between still does
+    qualitative = {
+        parse_formula("F>0[a]"): True, parse_formula("F=1[a]"): False,
+        parse_formula("G>0[!a]"): True, parse_formula("G=1[!a]"): False,
+        Prob(PathOp.F, Cmp.LE, Fraction(0), Atom("a")): False,
+        Prob(PathOp.F, Cmp.LT, Fraction(1), Atom("a")): True,
+    }
+    for f, expected in qualitative.items():
+        assert ModelChecker(_two_sinks()).holds("s0", f) is expected, f
+        assert ("s0" in ModelChecker(_two_sinks()).sat_set(f)) is expected, f
+    assert solves == [0]
+    half = parse_formula("F>=1/2[a]")
+    assert ModelChecker(_two_sinks()).holds("s0", half)
+    assert solves == [1]
+    assert "s0" in ModelChecker(_two_sinks()).sat_set(half)
+    assert solves == [2]
+
+
+def _chain_with_sinks(rng, n):
+    """A random chain of n + 2 states whose last two are absorbing, so that
+    many states reach a target with a probability strictly in between."""
+    states = [f"s{i}" for i in range(n + 2)]
+    edges = {(s, s): Fraction(1) for s in states[n:]}
+    for s in states[:n]:
+        succ = rng.sample(states, rng.randint(1, 3))
+        weights = [rng.randint(1, 3) for _ in succ]
+        edges.update(((s, t), Fraction(w, sum(weights)))
+                     for t, w in zip(succ, weights))
+    valuation = {s: [a for a in ("a", "b") if rng.random() < 0.5]
+                 for s in states}
+    return MarkovChain(states, edges, valuation)
+
+
+def test_bounds_of_zero_and_one_equal_reference_on_fresh_checkers():
+    # every comparison at bounds 0 and 1, on checkers that have solved
+    # nothing before: the maybe states are decided from the prob0/prob1
+    # masks alone, and must agree with the reference at every state
+    rng = random.Random(71)
+    maybe_states = 0
+    for _ in range(60):
+        chain = _chain_with_sinks(rng, rng.randint(1, 5))
+        for body, op in itertools.product((Atom("a"), NegAtom("b")),
+                                          (PathOp.F, PathOp.G)):
+            zero, one = ModelChecker(chain).path_masks(PathFormula(op, body))
+            full = (1 << len(chain.states)) - 1
+            maybe_states += (full & ~(zero | one)).bit_count()
+            for bound, cmp in itertools.product((Fraction(0), Fraction(1)), Cmp):
+                f = Prob(op, cmp, bound, body)
+                expected = reference_sat_set(chain, f)
+                assert ModelChecker(chain).sat_set(f) == expected, (
+                    chain.to_dict(), f)
+                mc = ModelChecker(chain)
+                assert {s for s in chain.states if mc.holds(s, f)} == expected, (
+                    chain.to_dict(), f)
+    assert maybe_states > 60
 
 
 def test_holds_short_circuits_connectives(solves):

@@ -1219,6 +1219,38 @@ def test_compress_discharged_f_regressions(formula, state, model):
     assert ModelChecker(built).holds(entry, f)
 
 
+_LATER_WITNESS = (
+    '{"states":[{"id":"s2","ap":["a","b"]},{"id":"s3","ap":[]},'
+    '{"id":"s4","ap":["a"]}],'
+    '"edges":[{"from":"s2","to":"s3","p":"1"},{"from":"s3","to":"s2","p":"1/2"},'
+    '{"from":"s3","to":"s4","p":"1/2"},{"from":"s4","to":"s4","p":"1"}]}')
+
+
+def test_l2_search_backtracks_to_a_later_witness():
+    # the first breadth-first witness of F>3/4[a & F=1[!b]] from s3 is s2,
+    # where !b fails: the level closed there holds F=1[!b] without its
+    # body, so the loop owes it, and condition (5) rejects that since !b
+    # holds at s3.  The next witness, s4, closes a level that holds !b
+    chain = MarkovChain.from_json(_LATER_WITNESS)
+    f = pf("!b & F>3/4[a & F=1[!b]]")
+    built, entry, trace = compress_model(chain, "s3", f, fragment="l2")
+    assert ModelChecker(built).holds(entry, f)
+    assert simple_loop_components(built) == []
+    assert any(pf("!b") in level and pf("a") in level for level in trace.loop)
+
+
+def test_l2_backtracking_is_bounded_by_the_node_budget():
+    # the first sequence tries one witness and fails; the budget of one
+    # witness stops the search before the second
+    chain = MarkovChain.from_json(_LATER_WITNESS)
+    mc = ModelChecker(chain)
+    X = closure_update(mc, "s3", {pf("!b & F>3/4[a & F=1[!b]]")})
+    with pytest.raises(SearchSpaceExceeded):
+        search_loop_l2(mc, "s3", X, node_budget=1)
+    loop = search_loop_l2(mc, "s3", X, node_budget=2)
+    assert verify_loop(mc, "s3", X, loop) == []
+
+
 def test_compress_randomized_other_fragments():
     # formulas outside L2 (or in any family) go through the generic search
     rng = random.Random(131)
