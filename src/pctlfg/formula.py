@@ -33,19 +33,23 @@ forms keep unchanged subtrees without building or looking up a node.
 Other derived data the hot paths ask for (`Prob.path_formula`,
 `sort_key`, the proper subformulas behind `subformulas`, and the grammar
 kinds behind `fragment_classify`) is cached on the node and computed once
-per structure.  No cache holds the node itself, so a formula no caller
+per structure.  A `Prob` node's kinds come from one bounded table keyed by
+what the grammar guards read (the operator, whether the bound is '=1' or
+'>0') and the body's kinds, so each entry is matched against the grammars
+once per process.  No cache holds the node itself, so a formula no caller
 holds is freed by reference counting alone.  A formula set's subformulas,
 sub(X), are `subformulas_of(X)`, the members and the union of their
 cached proper subformulas; every other fact about a set is derived by the
 function that reads it.
 
-There is one tree: the parser builds core nodes directly, so
-`parse_formula` returns a core formula.  Both normal forms come from one
-pass, `_norm`, which pushes negation to atoms and applies the F/G duality
-P(G b) ~ r iff P(F !b) ~' 1-r: the core form (`normalize`, no <= or <),
-which the parser, model checking and the fragment grammars read, and the
-F-normal form (`f_normal_form`, no G), which bounded satisfiability in
-`etr` reads.
+There is one tree: the parser reads each subformula at the polarity it
+sits under and builds its core node directly, so every node it builds is a
+node of the core formula `parse_formula` returns.  Both normal forms come
+from one pass, `_norm`, which pushes negation to atoms and applies the F/G
+duality P(G b) ~ r iff P(F !b) ~' 1-r: the core form (`normalize`, no <=
+or <), which the parser builds and model checking and the fragment
+grammars read, and the F-normal form (`f_normal_form`, no G), which
+bounded satisfiability in `etr` reads.
 """
 
 from __future__ import annotations
@@ -106,7 +110,6 @@ class Cmp(Enum):
         return _NEGATED[self]
 
 
-CORE_CMPS = (Cmp.GE, Cmp.GT)
 _NEGATED = {Cmp.GE: Cmp.LT, Cmp.GT: Cmp.LE, Cmp.LE: Cmp.GT, Cmp.LT: Cmp.GE}
 _HOLDS = {Cmp.GE: operator.ge, Cmp.GT: operator.gt,
           Cmp.LE: operator.le, Cmp.LT: operator.lt}
@@ -232,10 +235,16 @@ class _StateNode(_Node):
         if isinstance(self, (And, Or)):
             kinds = frozenset.intersection(*(a._kinds for a in self.args))
         elif isinstance(self, Prob):
-            kinds = frozenset(
-                kind for kind, (_, rules) in _GRAMMARS.items()
-                if self.op in rules and rules[self.op][0](self)
-                and not self.body._kinds.isdisjoint(rules[self.op][1]))
+            # what the guards read of the node, and the body's kinds
+            n, d = self.bound.as_integer_ratio()
+            key = (self.op, self.cmp is Cmp.GE and n == d,
+                   self.cmp is Cmp.GT and n == 0, self.body._kinds)
+            kinds = _PROB_KINDS.get(key)
+            if kinds is None:
+                kinds = _PROB_KINDS[key] = frozenset(
+                    kind for kind, (_, rules) in _GRAMMARS.items()
+                    if self.op in rules and rules[self.op][0](self)
+                    and not self.body._kinds.isdisjoint(rules[self.op][1]))
         else:
             kinds = frozenset(kind for kind, (literal, _) in _GRAMMARS.items()
                               if literal)
@@ -482,13 +491,15 @@ def sorted_formulas(X) -> list[StateFormula]:
 # plain (kind, text, offset) tuples that the parser reads by index.  A
 # token keeps only its character offset; an error turns it into a 1-based
 # line and column, where only "\n" starts a line and every other character
-# is one column.  The parser builds core nodes as it goes: a unit is core
-# when it is returned, so "!" and a "<=", "<" or trivial bound hand their
-# already core operand to the normalization pass below, and a trivial
-# bound is reported as soon as its "]" is read.  Nesting of "!", "(" and
-# "F/G...[" together is capped at MAX_NESTING levels, so that the
-# recursive passes over a parsed formula, normalization inside the parser
-# among them, stay inside Python's recursion limit.
+# is one column.  The parser builds core nodes as it goes, reading each
+# unit at its polarity: "!" flips it, "&" and "|" swap under negative
+# polarity, and a bound is negated there.  A bound that is then "<=" or "<"
+# is dualized before its body is read: the other operator, the mirrored
+# comparison, bound 1-r, and the body read at negative polarity.  A trivial
+# bound is reported as soon as its "]" is read, named as written.  Nesting
+# of "!", "(" and "F/G...[" together is capped at MAX_NESTING levels, so
+# that the recursive passes over a parsed formula stay inside Python's
+# recursion limit.
 
 MAX_NESTING = 100
 
@@ -515,38 +526,42 @@ def _syntax_error(message: str, text: str, offset: int) -> PctlSyntaxError:
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
     tokens = []
+    end = len(text)
     i = 0
-    while i < len(text):
+    while i < end:
         ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
         if ch in _SYMBOLS:
             # the only two-character symbols are >= and <=
             sym = ch + "=" if ch in "<>" and text.startswith("=", i + 1) else ch
             tokens.append(("sym", sym, i))
             i += len(sym)
-            continue
-        if ch.isdigit():
-            j = i
-            while j < len(text) and (text[j].isdigit() or text[j] == "."):
+        elif ch.isspace():
+            i += 1
+        elif ch.isdigit():
+            j = i + 1
+            while j < end and (text[j].isdigit() or text[j] == "."):
                 j += 1
             tokens.append(("num", text[i:j], i))
             i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < len(text) and (text[j].isalnum() or text[j] == "_"):
+        elif ch.isalpha() or ch == "_":
+            j = i + 1
+            while j < end and (text[j].isalnum() or text[j] == "_"):
                 j += 1
             tokens.append(("name", text[i:j], i))
             i = j
-            continue
-        raise _syntax_error(f"unexpected character {ch!r}", text, i)
-    tokens.append(("eof", "", len(text)))
+        else:
+            raise _syntax_error(f"unexpected character {ch!r}", text, i)
+    tokens.append(("eof", "", end))
     return tokens
 
 
 class _Parser:
+    """Reads each unit at the polarity it sits under: `positive`, or
+    negated by an odd number of enclosing "!".  `disj`, `conj` and `unit`
+    return a core node, or a connective not built yet as its class and its
+    argument list, so that an operand of the same connective is spliced
+    into its enclosing argument list rather than built and flattened."""
+
     def __init__(self, text: str):
         self.text = text
         self.tokens = _tokenize(text)
@@ -572,39 +587,47 @@ class _Parser:
         return tok
 
     def parse(self) -> StateFormula:
-        f = self.disj()
+        f = self.formula(True)
         kind, text, _ = self.peek()
         if kind != "eof":
             self.error(f"unexpected trailing input {text!r}")
         return f
 
-    def disj(self) -> StateFormula:
-        first = self.conj()
-        args = [first]
-        while self.peek()[_TEXT] == "|":
-            self.i += 1
-            args.append(self.conj())
-        if len(args) == 1:
-            return first
-        return disj(args)
+    def formula(self, positive: bool) -> StateFormula:
+        f = self.disj(positive)
+        return _merge(*f) if type(f) is tuple else f
 
-    def conj(self) -> StateFormula:
-        first = self.unit()
-        args = [first]
-        while self.peek()[_TEXT] == "&":
-            self.i += 1
-            args.append(self.unit())
-        if len(args) == 1:
+    def disj(self, positive: bool):
+        first = self.conj(positive)
+        if self.tokens[self.i][_TEXT] != "|":
             return first
-        return conj(args)
+        cls = Or if positive else And
+        args = []
+        _gather(args, first, cls)
+        while self.tokens[self.i][_TEXT] == "|":
+            self.i += 1
+            _gather(args, self.conj(positive), cls)
+        return cls, args
 
-    def unit(self) -> StateFormula:
+    def conj(self, positive: bool):
+        first = self.unit(positive)
+        if self.tokens[self.i][_TEXT] != "&":
+            return first
+        cls = And if positive else Or
+        args = []
+        _gather(args, first, cls)
+        while self.tokens[self.i][_TEXT] == "&":
+            self.i += 1
+            _gather(args, self.unit(positive), cls)
+        return cls, args
+
+    def unit(self, positive: bool):
         kind, text, _ = self.tokens[self.i]
         is_prob = (text in ("F", "G")
                    and self.tokens[self.i + 1][_TEXT] in (">=", ">", "<=", "<", "="))
         if kind == "name" and not is_prob:
             self.i += 1
-            return Atom(text)
+            return Atom(text) if positive else NegAtom(text)
         if text not in ("!", "(") and not is_prob:
             self.error(f"expected a formula, found {text!r}")
         if self.depth == MAX_NESTING:
@@ -612,34 +635,42 @@ class _Parser:
         self.depth += 1
         if text == "!":
             self.i += 1
-            f = _norm(self.unit(), False, _UPPER_BOUNDS)
+            f = self.unit(not positive)
         elif text == "(":
             self.i += 1
-            f = self.disj()
+            f = self.disj(positive)
             self.expect(")")
         else:
-            f = self.prob_unit()
+            f = self.prob_unit(positive)
         self.depth -= 1
         return f
 
-    def prob_unit(self) -> StateFormula:
+    def prob_unit(self, positive: bool) -> Prob:
         op = _PATH_OPS[self.next()[_TEXT]]
         cmp_tok = self.next()
         bound = self.number()
         if cmp_tok[_TEXT] == "=":
             if bound != 1:
                 self.error("'=' is allowed only as '=1'", cmp_tok)
-            cmp = Cmp.GE
+            written = Cmp.GE
         else:
-            cmp = _CMPS[cmp_tok[_TEXT]]
+            written = _CMPS[cmp_tok[_TEXT]]
         if not _is_probability(bound):
             self.error(f"probability bound {bound} outside [0,1]", cmp_tok)
         self.expect("[")
-        body = self.disj()
+        cmp = written if positive else _NEGATED[written]
+        # a '<=' or '<' is dualized, so its body is read negated
+        dualize = cmp is Cmp.LE or cmp is Cmp.LT
+        body = self.formula(not dualize)
         self.expect("]")
-        if cmp in CORE_CMPS and not is_trivial_bound(cmp, bound):
-            return Prob(op, cmp, bound, body)
-        return _norm_prob(op, cmp, bound, body, True, _UPPER_BOUNDS)
+        if is_trivial_bound(written, bound):
+            # the error names the node as written, its body read positively
+            if dualize:
+                body = _norm(body, False, _UPPER_BOUNDS)
+            return _norm(Prob(op, written, bound, body), True, _UPPER_BOUNDS)
+        if dualize:
+            return Prob(_DUAL_OP[op], _MIRROR[cmp], _complement(bound), body)
+        return Prob(op, cmp, bound, body)
 
     def number(self) -> Fraction:
         tok = self.next()
@@ -657,6 +688,18 @@ class _Parser:
             self.error(f"malformed rational {text!r}", tok)
 
 
+def _gather(args: list, operand, cls) -> None:
+    """Appends a parsed operand to the argument list of a `cls` connective:
+    the arguments of a `cls` operand not built yet, else the operand, built
+    if it is not yet."""
+    if type(operand) is tuple:
+        if operand[0] is cls:
+            args += operand[1]
+            return
+        operand = _merge(*operand)
+    args.append(operand)
+
+
 def _is_probability(bound: Fraction) -> bool:
     """0 <= bound <= 1, read on the bound's integers n/d, d > 0: 0 <= n <= d."""
     n, d = bound.as_integer_ratio()
@@ -667,9 +710,11 @@ def parse_formula(text: str) -> StateFormula:
     """Parses surface syntax into a core formula.
 
     The surface language permits negation on arbitrary subformulas and all
-    four comparisons on F/G; the parser brings each into core form as it
-    reads it, as `normalize` would.  Raises `PctlSyntaxError` on malformed
-    text and `NormalizationError` on a trivial bound.
+    four comparisons on F/G; the parser reads each subformula at the
+    polarity it sits under and builds its core form directly, the node
+    `normalize` would return.  Raises `PctlSyntaxError` on malformed text
+    and `NormalizationError` on a trivial bound: the first one read, named
+    as written, so `F<=0[G>=0[b & !a]]` names 'G>=0' in G>=0[b & !a].
     """
     return _Parser(text).parse()
 
@@ -683,7 +728,9 @@ def normalize(f: StateFormula) -> StateFormula:
     P(F b) <= r  iff  P(G !b) >= 1-r        P(G b) <= r  iff  P(F !b) >= 1-r
     P(F b) <  r  iff  P(G !b) >  1-r        P(G b) <  r  iff  P(F !b) >  1-r
 
-    Rejects results that would carry a trivial bound ('>=0' or '>1').
+    Rejects results that would carry a trivial bound ('>=0' or '>1'),
+    naming the first one the pass produces: for F<=0[G>=0[b & !a]] it names
+    'F>1', the G>=0 node under the dualized F.
     """
     return _norm(f, True, _UPPER_BOUNDS)
 
@@ -708,39 +755,35 @@ def _norm(f: StateFormula, positive: bool, dual: int) -> StateFormula:
     path operator and cmp' the mirrored comparison.  A node at positive
     polarity whose operator mask meets neither `dual` nor `_RESHAPE` is
     returned as it is: nothing below it would change."""
-    if not isinstance(f, _StateNode):
+    cls = type(f)
+    if cls not in _TAG_RANK:  # the five state node types
         raise TypeError(f"not a formula: {f!r}")
     if positive and not f._ops & (dual | _RESHAPE):
         return f
-    if isinstance(f, Atom):
+    if cls is Prob:
+        op, cmp, bound = f.op, f.cmp if positive else _NEGATED[f.cmp], f.bound
+        dualize = _PAIR_BITS[op, cmp] & dual
+        if dualize:
+            op, cmp, bound = _DUAL_OP[op], _MIRROR[cmp], _complement(bound)
+        body = _norm(f.body, not dualize, dual)
+        if is_trivial_bound(cmp, bound):
+            raise NormalizationError(
+                f"normalizing produced the trivial constraint "
+                f"'{op}{cmp}{bound}' in {f}; such bounds are forbidden")
+        return Prob(op, cmp, bound, body)
+    if cls is Atom:
         # a positive literal was returned above
         return NegAtom(f.name)
-    if isinstance(f, NegAtom):
+    if cls is NegAtom:
         return Atom(f.name)
-    if isinstance(f, And):
-        make = conj if positive else disj
-        return make(_norm(a, positive, dual) for a in f.args)
-    if isinstance(f, Or):
-        make = disj if positive else conj
-        return make(_norm(a, positive, dual) for a in f.args)
-    return _norm_prob(f.op, f.cmp, f.bound, f.body, positive, dual)
+    make = cls if positive else Or if cls is And else And
+    return _merge(make, [_norm(a, positive, dual) for a in f.args])
 
 
-def _norm_prob(op, cmp, bound, body, positive, dual) -> Prob:
-    """`_norm` of Prob(op, cmp, bound, body), taking the fields, so that the
-    parser need not build a node it rewrites at once."""
-    written = (op, cmp, bound, body)
-    if not positive:
-        cmp = cmp.negated()
-    dualize = _PAIR_BITS[op, cmp] & dual
-    if dualize:
-        op, cmp, bound = _DUAL_OP[op], _MIRROR[cmp], 1 - bound
-    body = _norm(body, not dualize, dual)
-    if is_trivial_bound(cmp, bound):
-        raise NormalizationError(
-            f"normalizing produced the trivial constraint "
-            f"'{op}{cmp}{bound}' in {Prob(*written)}; such bounds are forbidden")
-    return Prob(op, cmp, bound, body)
+def _complement(bound: Fraction) -> Fraction:
+    """1 - bound, from the bound's integers n/d: (d - n)/d."""
+    n, d = bound.as_integer_ratio()
+    return Fraction(d - n, d)
 
 
 # ---------------------------------------------------------------------------
@@ -790,6 +833,10 @@ _GRAMMARS = {
     "psi4": (True, {_F: (_is_positive, ("psi4",)), _G: (_is_eq1, ("psi4",))}),
 }
 _KIND_SETS: dict[frozenset[str], frozenset[str]] = {}  # at most 2**9 of them
+# The kinds of a Prob node from what the guards read of it: (op, whether the
+# bound is '=1', whether it is '>0', the body's kinds).  The bound classes
+# exclude each other, so it holds at most 2 * 3 * len(_KIND_SETS) entries.
+_PROB_KINDS: dict[tuple, frozenset[str]] = {}
 
 
 def fragment_classify(f: StateFormula) -> FragmentMembership:

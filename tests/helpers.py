@@ -26,7 +26,10 @@ constraints.  The reference constraint rules (trivial bounds, the parser's
 [0, 1] range, `!` on a comparison, core form) are the `Fraction` and
 recursive forms, and the reference normalization (`reference_norm`) walks
 every node where the library's keeps a subtree its operator mask says
-needs no rewrite.  The reference loop family builds every subset of a
+needs no rewrite.  The reference parser (`reference_parse`) reads every
+unit positively and rewrites it through `reference_norm` at "!", at a
+'<=' or '<' bound and at a trivial bound, where the library's reads each
+unit at its polarity.  The reference loop family builds every subset of a
 universe as a frozenset and sorts them, and the reference loop search walks
 that family with the G bodies as a set; the library's enumerates and walks
 masks in order.  The reference exit obligations scan a growing suffix of
@@ -49,8 +52,9 @@ from operator import and_, or_
 
 from pctlfg.closure import require_satisfied
 from pctlfg.formula import (
-    And, Atom, Cmp, NegAtom, NormalizationError, Or, PathOp, Prob,
-    StateFormula, conj, disj, iter_subformulas, parse_formula, sorted_formulas,
+    MAX_NESTING, And, Atom, Cmp, NegAtom, NormalizationError, Or, PathOp,
+    PctlSyntaxError, Prob, StateFormula, conj, disj, iter_subformulas,
+    parse_formula, sorted_formulas,
 )
 from pctlfg.etr import (
     ETRCandidate, SatSearchResult, _choice_order, _screen,
@@ -807,6 +811,159 @@ def _reference_norm_prob(op, cmp, bound, body, positive, dual) -> Prob:
             f"normalizing produced the trivial constraint "
             f"'{op}{cmp}{bound}' in {Prob(*written)}; such bounds are forbidden")
     return Prob(op, cmp, bound, body)
+
+
+# The parser as it was before it read each unit at its polarity: it builds
+# every unit positively, as a core node, and rewrites it at once through
+# the reference pass at "!", at a '<=' or '<' bound and at a trivial bound.
+
+def _reference_tokenize(text: str) -> list[tuple[str, str, int]]:
+    tokens = []
+    i = 0
+    while i < len(text):
+        ch = text[i]
+        if ch.isspace():
+            i += 1
+            continue
+        if ch in "<>=!&|()[]/":
+            sym = ch + "=" if ch in "<>" and text.startswith("=", i + 1) else ch
+            tokens.append(("sym", sym, i))
+            i += len(sym)
+            continue
+        if ch.isdigit():
+            j = i
+            while j < len(text) and (text[j].isdigit() or text[j] == "."):
+                j += 1
+            tokens.append(("num", text[i:j], i))
+            i = j
+            continue
+        if ch.isalpha() or ch == "_":
+            j = i
+            while j < len(text) and (text[j].isalnum() or text[j] == "_"):
+                j += 1
+            tokens.append(("name", text[i:j], i))
+            i = j
+            continue
+        raise _reference_syntax_error(f"unexpected character {ch!r}", text, i)
+    tokens.append(("eof", "", len(text)))
+    return tokens
+
+
+def _reference_syntax_error(message: str, text: str, offset: int):
+    return PctlSyntaxError(message, text.count("\n", 0, offset) + 1,
+                           offset - text.rfind("\n", 0, offset))
+
+
+class _ReferenceParser:
+    def __init__(self, text: str):
+        self.text = text
+        self.tokens = _reference_tokenize(text)
+        self.i = 0
+        self.depth = 0
+
+    def peek(self):
+        return self.tokens[self.i]
+
+    def next(self):
+        tok = self.tokens[self.i]
+        self.i += 1
+        return tok
+
+    def error(self, message: str, tok=None):
+        tok = tok or self.peek()
+        raise _reference_syntax_error(message, self.text, tok[2])
+
+    def expect(self, text: str):
+        tok = self.next()
+        if tok[1] != text:
+            self.error(f"expected {text!r}, found {tok[1]!r}", tok)
+        return tok
+
+    def parse(self) -> StateFormula:
+        f = self.disj()
+        kind, text, _ = self.peek()
+        if kind != "eof":
+            self.error(f"unexpected trailing input {text!r}")
+        return f
+
+    def disj(self) -> StateFormula:
+        args = [self.conj()]
+        while self.peek()[1] == "|":
+            self.i += 1
+            args.append(self.conj())
+        return _reference_merge(Or, args)
+
+    def conj(self) -> StateFormula:
+        args = [self.unit()]
+        while self.peek()[1] == "&":
+            self.i += 1
+            args.append(self.unit())
+        return _reference_merge(And, args)
+
+    def unit(self) -> StateFormula:
+        kind, text, _ = self.peek()
+        is_prob = (text in ("F", "G")
+                   and self.tokens[self.i + 1][1] in (">=", ">", "<=", "<", "="))
+        if kind == "name" and not is_prob:
+            self.i += 1
+            return Atom(text)
+        if text not in ("!", "(") and not is_prob:
+            self.error(f"expected a formula, found {text!r}")
+        if self.depth == MAX_NESTING:
+            self.error(f"formula nested deeper than {MAX_NESTING} levels")
+        self.depth += 1
+        if text == "!":
+            self.i += 1
+            f = reference_norm(self.unit(), False)
+        elif text == "(":
+            self.i += 1
+            f = self.disj()
+            self.expect(")")
+        else:
+            f = self.prob_unit()
+        self.depth -= 1
+        return f
+
+    def prob_unit(self) -> StateFormula:
+        op = PathOp(self.next()[1])
+        cmp_tok = self.next()
+        bound = self.number()
+        if cmp_tok[1] == "=":
+            if bound != 1:
+                self.error("'=' is allowed only as '=1'", cmp_tok)
+            cmp = Cmp.GE
+        else:
+            cmp = Cmp(cmp_tok[1])
+        if not reference_is_probability(bound):
+            self.error(f"probability bound {bound} outside [0,1]", cmp_tok)
+        self.expect("[")
+        body = self.disj()
+        self.expect("]")
+        if cmp in (Cmp.GE, Cmp.GT) and not reference_is_trivial_bound(cmp, bound):
+            return Prob(op, cmp, bound, body)
+        return _reference_norm_prob(op, cmp, bound, body, True,
+                                    REFERENCE_UPPER_BOUNDS)
+
+    def number(self) -> Fraction:
+        tok = self.next()
+        if tok[0] != "num":
+            self.error(f"expected a number, found {tok[1]!r}", tok)
+        text = tok[1]
+        if self.peek()[1] == "/":
+            self.i += 1
+            text += "/"
+            if self.peek()[0] == "num":
+                text += self.next()[1]
+        try:
+            return parse_probability(text)
+        except InvalidChainError:
+            self.error(f"malformed rational {text!r}", tok)
+
+
+def reference_parse(text: str) -> StateFormula:
+    """`parse_formula` as two stages: each unit is read positively, then
+    rewritten by the reference pass."""
+    return _ReferenceParser(text).parse()
 
 
 def reference_fragment_classify(f: StateFormula):

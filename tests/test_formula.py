@@ -18,14 +18,14 @@ from helpers import (
     PSI_TEXT, REFERENCE_GLOBALLY, REFERENCE_NEGATED, bench_workloads,
     random_chain, random_core_formula, reference_fragment_classify,
     reference_is_core, reference_is_probability, reference_is_trivial_bound,
-    reference_norm, reference_sat_set,
+    reference_norm, reference_parse, reference_sat_set,
 )
 
 from pctlfg import formula
 from pctlfg.formula import (
     _CMPS, _PATH_OPS, And, Atom, Cmp, NegAtom, Or, PathFormula, PathOp,
-    PctlSyntaxError, Prob, NormalizationError, _is_probability, conj, disj,
-    f_normal_form,
+    PctlSyntaxError, Prob, NormalizationError, StateFormula, _is_probability,
+    conj, disj, f_normal_form,
     fragment_classify, is_core, is_trivial_bound, normalize, parse_formula,
     sort_key, sorted_formulas, subformulas, subformulas_of,
 )
@@ -359,6 +359,22 @@ def test_normalization_error_shows_the_subformula_as_written():
         parse_formula("a & !F>=0[b]")
     with pytest.raises(NormalizationError, match=re.escape("in F<=1[a & !b];")):
         parse_formula("G>1/2[F<=1[a & !b]]")
+    # the parser names the first trivial bound it reads, as written, in its
+    # body read positively; `normalize` names the first one it produces.
+    # Here the inner G>=0 is read under a dualized F<=0, so the pass
+    # produces it as F>1.
+    text = "F<=0[G>=0[b & !b & !a]]"
+    with pytest.raises(NormalizationError) as parsed:
+        parse_formula(text)
+    assert str(parsed.value) == (
+        "normalizing produced the trivial constraint 'G>=0' in "
+        "G>=0[b & !b & !a]; such bounds are forbidden")
+    inner = Prob(PathOp.G, Cmp.GE, Fraction(0), parse_formula("b & !b & !a"))
+    with pytest.raises(NormalizationError) as normalized:
+        normalize(Prob(PathOp.F, Cmp.LE, Fraction(0), inner))
+    assert str(normalized.value) == (
+        "normalizing produced the trivial constraint 'F>1' in "
+        "G>=0[b & !b & !a]; such bounds are forbidden")
 
 
 def test_subformula_closure():
@@ -485,6 +501,9 @@ def test_cached_kinds_match_the_per_call_classifier(order):
             assert fragment_classify(g) == reference_fragment_classify(g), g
             compared += 1
     assert compared > 1000
+    # a Prob node's kinds come from one table keyed by its operator, its
+    # bound's class ('=1', '>0' or neither) and its body's kinds
+    assert len(formula._PROB_KINDS) <= 2 * 3 * len(formula._KIND_SETS)
 
 
 def test_nodes_with_equal_kinds_share_one_kind_set():
@@ -600,6 +619,95 @@ def test_parsed_surface_formulas_pinned():
             rejected += 1
         h.update(f"{text}\t{out}\n".encode())
     assert (rejected, h.hexdigest()[:16]) == (305, "51ce549f9caa942e")
+
+
+def _mutations(rng: random.Random, text: str, count: int):
+    """`count` one-character edits of `text`: a deletion, an insertion or a
+    replacement, with characters of the surface syntax and a few others."""
+    alphabet = "ab_!&|()[]FG<>=01/.9 \n?"
+    for _ in range(count):
+        i = rng.randrange(len(text) + 1)
+        edit = rng.choice(("delete", "insert", "replace"))
+        if edit == "insert" or i == len(text):
+            yield text[:i] + rng.choice(alphabet) + text[i:]
+        elif edit == "delete":
+            yield text[:i] + text[i + 1:]
+        else:
+            yield text[:i] + rng.choice(alphabet) + text[i + 1:]
+
+
+def _parse_outcome(parse, text):
+    """The node `parse(text)` returns, or the type, message and position of
+    the error it raises."""
+    try:
+        return parse(text)
+    except PctlSyntaxError as exc:
+        return type(exc), str(exc), exc.line, exc.column
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+def test_parser_matches_the_two_stage_reference():
+    # each unit read at its polarity gives the node that reading it
+    # positively and rewriting it gives, and every error is the same
+    rng = random.Random(47)
+    outcomes = {}
+    for k in range(2000):
+        text = _surface_text(rng, 1 + k % 4)
+        for t in [text, *_mutations(rng, text, 2)]:
+            want = _parse_outcome(reference_parse, t)
+            got = _parse_outcome(parse_formula, t)
+            if isinstance(want, tuple):
+                assert got == want, t
+            else:
+                assert got is want, t
+            kind = want[0] if isinstance(want, tuple) else StateFormula
+            outcomes[kind] = outcomes.get(kind, 0) + 1
+    assert outcomes[StateFormula] > 2000 and outcomes[PctlSyntaxError] > 2000
+    assert outcomes[NormalizationError] > 300
+
+
+def _built_while_parsing(monkeypatch, text):
+    """The result of `parse_formula(text)` and every node `_intern`
+    returned meanwhile."""
+    built = []
+    intern = formula._intern
+
+    def recording(*args):
+        node = intern(*args)
+        built.append(node)
+        return node
+
+    monkeypatch.setattr(formula, "_intern", recording)
+    f = parse_formula(text)
+    monkeypatch.setattr(formula, "_intern", intern)
+    return f, built
+
+
+def test_parsing_builds_only_nodes_of_the_result(monkeypatch):
+    # '!', '<=' and '<' are read at their polarity, and an operand of the
+    # same connective is spliced into its argument list, so no node is
+    # built and then rewritten or flattened away
+    for text, want in (("!(a & F<=1/2[b])", "!a | F>1/2[b]"),
+                       ("G=1[!((a & !b))]", "G=1[!a | b]"),
+                       ("((a & !(b | c)) & (d | !(e & a)))",
+                        "a & !b & !c & (d | !e | !a)"),
+                       ("!(G<1/4[!(a | b)] | !(c & F>=1/2[a]))",
+                        "G>=1/4[!a & !b] & c & F>=1/2[a]")):
+        f, built = _built_while_parsing(monkeypatch, text)
+        assert str(f) == want
+        assert set(built) <= subformulas(f), text
+    rng = random.Random(53)
+    checked = 0
+    for _ in range(500):
+        text = _surface_text(rng, 4)
+        try:
+            f, built = _built_while_parsing(monkeypatch, text)
+        except NormalizationError:
+            continue
+        assert set(built) <= subformulas(f), text
+        checked += 1
+    assert checked > 300
 
 
 def test_sorted_formulas_deterministic():

@@ -389,6 +389,20 @@ def test_table_never_stores_a_failure(fresh_table):
     assert markov._NUMERALS == {}
 
 
+def test_one_numeral_read_per_distinct_text(fresh_table):
+    """The process-wide numeral table makes loading the 400 `check` models
+    of bench seed 1 in one process read each distinct edge text once (102
+    texts over 56,056 edges).  The reads past the table are counted by
+    wrapping the reader behind it, `markov._read_numeral`; more reads than
+    distinct texts means some text is read once per chain again."""
+    models = [inst["model"] for inst in bench_workloads().generate("check", 1)]
+    texts = [edge["p"] for model in models for edge in json.loads(model)["edges"]]
+    for model in models:
+        MarkovChain.from_json(model)
+    assert (len(fresh_table), len(set(texts)), len(texts)) == (102, 102, 56_056)
+    assert set(fresh_table) == set(texts)
+
+
 def test_table_stays_bounded(fresh_table):
     for k in range(10_000):
         assert parse_probability(f"{k}/7") == Fraction(k, 7)
