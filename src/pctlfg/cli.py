@@ -339,14 +339,15 @@ def _build_parser() -> argparse.ArgumentParser:
                     "bounded satisfiability for quantitative F/G formulas.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, model=True, state=False, formula=True):
+    def common(p, model=True, state=False, formula=True, json_flag=True):
         if model:
             p.add_argument("--model", required=True, help="model JSON file")
         if state:
             p.add_argument("--state", required=True, help="state id")
         if formula:
             p.add_argument("--formula", required=True, help="formula text")
-        p.add_argument("--json", action="store_true", help="machine output")
+        if json_flag:
+            p.add_argument("--json", action="store_true", help="machine output")
 
     p = sub.add_parser("check", help="satisfaction sets and exact probabilities")
     common(p)
@@ -398,7 +399,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_fragment)
 
     p = sub.add_parser("export-dot", help="DOT rendering of a model")
-    common(p, formula=False)
+    common(p, formula=False, json_flag=False)
     p.add_argument("--out", help="write the DOT text here")
     p.set_defaults(func=_cmd_export_dot)
 

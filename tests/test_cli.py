@@ -160,6 +160,24 @@ def test_sat_contradiction(capsys):
     assert out.strip() == "unsat-up-to-n"
 
 
+@pytest.mark.parametrize("formula", ["F=1[a] & G=1[!a]", "G=1[a] & G=1[F>0[!a]]"],
+                         ids=["root-clash", "every-graph"])
+def test_sat_at_bound_four_is_refuted_in_time(formula):
+    """Both unsat formulas exit 1 (unsat-up-to-n) at bound 4 within 120 s
+    each, in a real process.  The README's example F=1[a] & G=1[!a]
+    clashes at vertex 0 and is refuted before any graph.  G=1[a] &
+    G=1[F>0[!a]] clashes nowhere at vertex 0, so the enumeration walks the
+    5,856 rooted canonical graphs on 4 vertices and the block screen
+    refutes every labeling (about half a second).  This gates the verdicts
+    and a blow-up past the timeout; the graph counts themselves are pinned
+    by `test_etr.py::test_graph_counts_pinned`."""
+    proc = subprocess.run(
+        [sys.executable, "-m", "pctlfg", "sat", "--formula", formula,
+         "--bound", "4"], capture_output=True, text=True, timeout=120)
+    assert (proc.returncode, proc.stdout, proc.stderr) == \
+        (1, "unsat-up-to-n\n", "")
+
+
 def test_sat_contradiction_at_bound_one_with_a_solver_timeout(capsys):
     code, out, _ = run(capsys, "sat", "--formula", "F=1[a] & G=1[!a]",
                        "--bound", "1", "--solver-timeout", "2.5")
@@ -286,6 +304,13 @@ def test_export_dot_out_writes_the_file(capsys, tmp_path, model_path):
     assert dot_path.read_text() == out
 
 
+def test_export_dot_takes_no_json_flag(capsys, model_path):
+    # DOT is its only output, so a --json flag would be ignored
+    code, out, err = run(capsys, "export-dot", "--model", model_path, "--json")
+    assert (code, out) == (2, "")
+    assert "unrecognized arguments: --json" in err
+
+
 def test_bad_model_is_usage_error(capsys, tmp_path):
     path = tmp_path / "bad.json"
     path.write_text('{"states": [{"id": "s", "ap": []}], '
@@ -347,6 +372,38 @@ def test_malformed_loop_file_is_usage_error(capsys, tmp_path, model_path, loop,
                        "--loop", str(loop_path))
     assert code == 2
     assert message in err
+
+
+def test_unreadable_input_files_exit_two_in_a_real_process(tmp_path):
+    """A model or loop file the loaders cannot read is a usage error: the
+    real process exits 2 with one `error: ...` line, and no exception
+    escapes as a traceback."""
+    model = tmp_path / "model.json"
+    _write_input(model, {"states": [{"id": "s", "ap": ["a"]}],
+                         "edges": [{"from": "s", "to": "s", "p": "1"}]})
+    not_utf8 = tmp_path / "not_utf8.json"
+    _write_input(not_utf8, b"\xff\xfe")
+    truncated = tmp_path / "truncated.json"
+    _write_input(truncated, b'{"states": [{"id": "s"')
+    loop = ["loop", "verify", "--model", str(model), "--state", "s",
+            "--formula", "a", "--loop"]
+    cases = {
+        "non-UTF-8 model": ["check", "--model", str(not_utf8), "--formula", "a"],
+        "non-UTF-8 loop file": loop + [str(not_utf8)],
+        "truncated JSON model": ["check", "--model", str(truncated),
+                                 "--formula", "a"],
+        "truncated JSON loop file": loop + [str(truncated)],
+        "directory as the model": ["check", "--model", str(tmp_path),
+                                   "--formula", "a"],
+    }
+    for case, argv in cases.items():
+        proc = subprocess.run([sys.executable, "-m", "pctlfg", *argv],
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 2, (case, proc.stderr)
+        assert "Traceback" not in proc.stderr, (case, proc.stderr)
+        assert proc.stderr.startswith("error: ") and \
+            proc.stderr.count("\n") == 1, (case, proc.stderr)
+        assert proc.stdout == "", case
 
 
 NESTINGS = {

@@ -2,6 +2,8 @@ import copy
 import gc
 import hashlib
 import itertools
+import os
+import pathlib
 import pickle
 import random
 import re
@@ -952,12 +954,38 @@ def test_removal_keeps_a_node_built_again():
     assert build() is rebuilt[0]
 
 
-@pytest.mark.parametrize("threads", [1, 8])
-def test_construction_amid_collections_gives_one_node(threads):
-    kept = _build_amid_collections(threads)
+def _one_node_per_structure(threads: int, rounds: int = 150) -> int:
+    """Runs `_build_amid_collections` and checks that every structure is
+    one live node with its own table entry; returns the rounds checked."""
+    kept = _build_amid_collections(threads, rounds)
     for r, nodes in enumerate(zip(*kept)):
         assert len({id(node) for node in nodes}) == 1, r
     gc.collect()
     for nodes in kept:
         for node in nodes:
             assert formula._NODES[_intern_key(node)]() is node
+    return len(kept[0])
+
+
+@pytest.mark.parametrize("threads", [1, 8])
+def test_construction_amid_collections_gives_one_node(threads):
+    assert _one_node_per_structure(threads) == 150
+
+
+@pytest.mark.parametrize("hash_seed", ["0", "1", "7"])
+def test_construction_amid_collections_under_hash_seeds(hash_seed):
+    """The intern table's insert takes no lock (one `setdefault`, atomic
+    because the key hashes and compares in C), and collections run death
+    callbacks inside inserts.  Eight threads build the same formulas for
+    600 rounds amid collections, in a fresh interpreter under each of three
+    hash seeds: every structure must stay one live node with its own table
+    entry."""
+    code = ("from test_formula import _one_node_per_structure\n"
+            "print(_one_node_per_structure(8, 600))")
+    tests = pathlib.Path(__file__).resolve().parent
+    path = os.pathsep.join([str(tests.parent / "src"), str(tests)])
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        timeout=300, env={**os.environ, "PYTHONPATH": path,
+                          "PYTHONHASHSEED": hash_seed})
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "600\n", "")

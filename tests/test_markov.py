@@ -1,3 +1,4 @@
+import gc
 import json
 import os
 import random
@@ -137,8 +138,9 @@ def _views(chain, all_pairs=True):
 
 def test_chain_matches_the_reference_loader():
     # seeded random chains through both constructors and the loader, and
-    # the benchmark's seed-1 `check` models through the loader, against the
-    # name-keyed chain; `to_dict` loads back to the same chain
+    # the benchmark's `check` and `compress` models of seeds 1-3 through the
+    # loader, against the name-keyed chain; `to_dict` loads back to the same
+    # chain
     rng = random.Random(97)
     for k in range(200):
         chain = random_chain(rng, max_states=2 + k % 9, aps=("a", "b", "c"))
@@ -153,12 +155,34 @@ def test_chain_matches_the_reference_loader():
         assert _views(loaded) == want
         assert _views(MarkovChain.from_dict(loaded.to_dict())) == want
         assert loaded.to_dot() == chain.to_dot()
-    for inst in bench_workloads().generate("check", 1):
-        data = json.loads(inst["model"])
-        chain = MarkovChain.from_dict(data)
-        assert _views(chain, all_pairs=False) == \
-            _views(ReferenceChain.from_dict(data), all_pairs=False)
-        assert chain.to_dict() == data
+    workloads = bench_workloads()
+    for seed in (1, 2, 3):
+        for workload in ("check", "compress"):
+            for inst in workloads.generate(workload, seed):
+                data = json.loads(inst["model"])
+                chain = MarkovChain.from_json(inst["model"])
+                assert _views(chain, all_pairs=False) == \
+                    _views(ReferenceChain.from_dict(data), all_pairs=False), \
+                    (workload, seed, inst["state"])
+                assert chain.to_dict() == data
+
+
+def test_loaded_chains_keep_one_container_per_state():
+    """A chain is held in index form only: per state, its successor row (a
+    dict keyed by successor index) is the one object the cyclic collector
+    tracks; the masks, the index and the atom masks are one object each per
+    chain.  Loading the 400 `check` models of bench seed 1 adds at most 1.25
+    tracked objects per state (about 1.09 now); a name-keyed copy of the
+    rows and one valuation set per state, as chains held before, gave 2.07
+    (2.09 on Python 3.10)."""
+    models = [inst["model"] for inst in bench_workloads().generate("check", 1)]
+    states = sum(len(json.loads(model)["states"]) for model in models)
+    gc.collect()
+    before = len(gc.get_objects())
+    chains = [MarkovChain.from_json(model) for model in models]
+    gc.collect()
+    per_state = (len(gc.get_objects()) - before) / states
+    assert len(chains) == 400 and per_state <= 1.25, per_state
 
 
 def _corrupt(rng, data) -> str:
@@ -208,21 +232,26 @@ def _load(loader, data):
 def test_corrupted_records_raise_the_reference_error():
     # one to three seeded defects per model, so several defects meet in
     # one model: the first in record order is reported, in the reference's
-    # words, and a model that stays valid loads as the reference does
-    rng = random.Random(101)
-    raised = []
-    for _ in range(600):
-        data = random_chain(rng, max_states=5).to_dict()
-        kinds = [_corrupt(rng, data) for _ in range(rng.randint(1, 3))]
-        want = _load(ReferenceChain.from_dict, data)
-        assert _load(MarkovChain.from_dict, data) == want, (kinds, data)
-        if isinstance(want, str):
-            raised.append(want)
-    for family in ("must be an object", "has no", "'ap' must be a list",
-                   "duplicate state ids", "edge from unknown state",
-                   "edge to unknown state", "duplicate edge",
-                   "malformed rational"):
-        assert any(family in message for message in raised), family
+    # words, and a model that stays valid loads as the reference does.  Two
+    # seeded runs: 600 models of up to 5 states, and 5,000 of up to 6 states
+    # over three atoms
+    for seed, models, options in ((101, 600, {"max_states": 5}),
+                                  (307, 5000, {"max_states": 6,
+                                               "aps": ("a", "b", "c")})):
+        rng = random.Random(seed)
+        raised = []
+        for _ in range(models):
+            data = random_chain(rng, **options).to_dict()
+            kinds = [_corrupt(rng, data) for _ in range(rng.randint(1, 3))]
+            want = _load(ReferenceChain.from_dict, data)
+            assert _load(MarkovChain.from_dict, data) == want, (seed, kinds, data)
+            if isinstance(want, str):
+                raised.append(want)
+        for family in ("must be an object", "has no", "'ap' must be a list",
+                       "duplicate state ids", "edge from unknown state",
+                       "edge to unknown state", "duplicate edge",
+                       "malformed rational"):
+            assert any(family in message for message in raised), (seed, family)
 
 
 def test_valid_models_load_without_the_record_walk(monkeypatch):

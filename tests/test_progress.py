@@ -1206,7 +1206,17 @@ def test_compress_l2_condition_6_regressions(formula, model):
         marks=pytest.mark.xfail(strict=True, raises=CompressionError,
                                 reason="progress measure did not decrease "
                                        "at 's3': 7 >= 7")),
-], ids=["seed23", "readme", "l1", "cross1", "cross3"])
+    # the seed-20 cross-examination input, shrunk to 3 states: a second
+    # case of the same open step (ROADMAP item 1, step C)
+    pytest.param(
+        "F>=1/2[b] & G>=1/5[F>1/5[G>1/2[!b]]]", "s1",
+        '{"states":[{"id":"s1","ap":[]},{"id":"s2","ap":[]},{"id":"s3","ap":["b"]}],'
+        '"edges":[{"from":"s1","to":"s3","p":"1"},{"from":"s2","to":"s2","p":"1"},'
+        '{"from":"s3","to":"s2","p":"1"}]}',
+        marks=pytest.mark.xfail(strict=True, raises=CompressionError,
+                                reason="progress measure did not decrease "
+                                       "at 's3': 7 >= 7")),
+], ids=["seed23", "readme", "l1", "cross1", "cross3", "seed20"])
 def test_compress_discharged_f_regressions(formula, state, model):
     # a child where an achieved F obligation's body holds owes that body,
     # not the F: with the F, its closure could raise the child's progress
