@@ -6,10 +6,12 @@ unsat-up-to-n, 2 usage or input error (an unwritable output path too),
 Rationals are read and printed exactly, as p/q, however many digits they
 have; diagnostics go to stderr.
 
-Only the checker core is imported with this module; each subcommand
-imports the layers it uses, so `check` loads no compression or bounded-sat
-code, and `sat` none of the closure, measure and compression layers.  The
-layers' errors are mapped to exit codes once one is raised.
+Only the package core (`formula`, `markov`, `linalg`, `modelcheck` and
+`closure`) is imported with this module; each subcommand imports the other
+layers it uses, so `check`, `closure`, `fragment` and `export-dot` run on
+the core alone, `measure` adds `measure`, `loop` and `compress` add
+`measure` and `progress`, and `sat` adds `etr` only.  The errors of
+`progress` and `etr` are mapped to exit codes once one is raised.
 """
 
 from __future__ import annotations
@@ -20,9 +22,12 @@ import math
 import os
 import sys
 
+from .closure import (
+    UnsatisfiedSetError, achieved_bounds, closure, closure_update, update,
+)
 from .formula import (
     NormalizationError, PctlSyntaxError, StateFormula, fragment_classify,
-    parse_formula, sorted_formulas,
+    parse_formula, path_subformulas, sorted_formulas,
 )
 from .markov import InvalidChainError, MarkovChain, validate
 from .modelcheck import ModelChecker
@@ -109,7 +114,6 @@ def _emit(args, human: str, data: dict) -> None:
 # -- subcommands -------------------------------------------------------------
 
 def _cmd_check(args) -> int:
-    from .measure import path_subformulas
     chain = _load_model(args.model)
     f = _parse_formula_arg(args.formula)
     mc = ModelChecker(chain)
@@ -130,7 +134,6 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_closure(args) -> int:
-    from .closure import achieved_bounds, closure, update
     chain = _load_model(args.model)
     f = _parse_formula_arg(args.formula)
     state = _require_state(chain, args.state)
@@ -152,7 +155,6 @@ def _cmd_closure(args) -> int:
 
 
 def _build_set(args, mc: ModelChecker, state: str):
-    from .closure import closure, closure_update
     f = _parse_formula_arg(args.formula)
     if args.set == "uc":
         return closure_update(mc, state, {f})
@@ -195,7 +197,6 @@ def _cmd_measure(args) -> int:
 
 
 def _cmd_loop(args) -> int:
-    from .closure import closure_update
     from .progress import (
         exit_obligations, search_loop_generic, search_loop_l2, verify_loop,
     )
@@ -450,9 +451,8 @@ def _run(argv) -> int:
 
 def _layer_error_exit(exc: Exception) -> tuple[int, str] | None:
     """The exit code and message prefix of a layer's error, None for any
-    other exception.  The layers are imported here, once an error is
-    raised, not by every subcommand."""
-    from .closure import UnsatisfiedSetError
+    other exception.  `progress` and `etr` are imported here, once an error
+    is raised, not by every subcommand."""
     from .etr import BackendError
     from .progress import (
         CompressionError, FragmentError, ProgressLoopError, SearchSpaceExceeded,

@@ -626,7 +626,10 @@ class SolverBackend:
             raise BackendError(f"cannot write the SMT file: {exc}") from exc
         finally:
             if path is not None:
-                os.unlink(path)
+                try:
+                    os.unlink(path)
+                except FileNotFoundError:  # the solver removed it
+                    pass
         output = proc.stdout.strip()
         if not output:
             raise BackendError(

@@ -27,9 +27,10 @@ stays; a collection may run the callback inside an insert.
 
 Every state node carries an operator mask, `_ops`, set when it is built
 from its children's: the (op, cmp) pairs of its subtree and one bit for
-anything the normalization pass would reshape.  `is_core` reads it, and
-the pass returns a node that needs no rewrite as it is, so both normal
-forms keep unchanged subtrees without building or looking up a node.
+anything the normalization pass would reshape.  `is_core` and
+`has_globally` read it, and the pass returns a node that needs no rewrite
+as it is, so both normal forms keep unchanged subtrees without building or
+looking up a node.
 Other derived data the hot paths ask for (`Prob.path_formula`,
 `sort_key`, the proper subformulas behind `subformulas`, and the grammar
 kinds behind `fragment_classify`) is cached on the node and computed once
@@ -39,7 +40,8 @@ what the grammar guards read (the operator, whether the bound is '=1' or
 once per process.  No cache holds the node itself, so a formula no caller
 holds is freed by reference counting alone.  A formula set's subformulas,
 sub(X), are `subformulas_of(X)`, the members and the union of their
-cached proper subformulas; every other fact about a set is derived by the
+cached proper subformulas, and its path subformulas, psub(X), are
+`path_subformulas(X)`; every other fact about a set is derived by the
 function that reads it.
 
 There is one tree: the parser reads each subformula at the polarity it
@@ -380,6 +382,12 @@ def is_core(f: StateFormula) -> bool:
     return not f._ops & _UPPER_BOUNDS
 
 
+def has_globally(f: StateFormula) -> bool:
+    """Whether a G operator occurs in f, f itself included.  Read on the
+    node's operator mask."""
+    return bool(f._ops & _GLOBALLY)
+
+
 # ---------------------------------------------------------------------------
 # Operator masks
 #
@@ -439,6 +447,12 @@ def subformulas_of(X) -> frozenset[StateFormula]:
     """sub(X): every state subformula of every member of the set X."""
     X = frozenset(X)
     return X.union(*(f._proper for f in X))
+
+
+def path_subformulas(formulas) -> frozenset[PathFormula]:
+    """psub(X): the path formulas of the probabilistic formulas in sub(X)."""
+    return frozenset(g.path_formula for g in subformulas_of(formulas)
+                     if isinstance(g, Prob))
 
 
 def immediate_path_subformulas(f: StateFormula) -> frozenset[PathFormula]:

@@ -153,11 +153,23 @@ def _first_defect(states, edges) -> None:
         if s in names:
             raise InvalidChainError("duplicate state ids")
         names.add(s)
+
+    def ends():
+        for i, rec in enumerate(edges):
+            _check_record(rec, "edge", i, ("from", "to", "p"))
+            parse_probability(rec["p"])
+            yield str(rec["from"]), str(rec["to"])
+
+    _first_edge_defect(names, ends())
+
+
+def _first_edge_defect(names, ends) -> None:
+    """Raises the InvalidChainError of the first defective edge of `ends`,
+    (source, target) name pairs in edge order, each checked as it comes:
+    its source, then its target, against `names`, then whether an earlier
+    edge has its pair.  Returns when no edge has a defect."""
     pairs = set()
-    for i, rec in enumerate(edges):
-        _check_record(rec, "edge", i, ("from", "to", "p"))
-        parse_probability(rec["p"])
-        src, dst = str(rec["from"]), str(rec["to"])
+    for src, dst in ends:
         if src not in names:
             raise InvalidChainError(f"edge from unknown state {src!r}")
         if dst not in names:
@@ -165,31 +177,6 @@ def _first_defect(states, edges) -> None:
         if (src, dst) in pairs:
             raise InvalidChainError(f"duplicate edge {src!r} -> {dst!r}")
         pairs.add((src, dst))
-
-
-def _endpoint_indices(index, sources, targets) -> tuple[list[int], list[int]]:
-    """The state indices of the edges' endpoints read through `str`, for
-    endpoints that are not all id text; raises InvalidChainError on the
-    first unknown endpoint in edge order."""
-    sources, targets = list(map(str, sources)), list(map(str, targets))
-    for src, dst in zip(sources, targets):
-        if src not in index:
-            raise InvalidChainError(f"edge from unknown state {src!r}")
-        if dst not in index:
-            raise InvalidChainError(f"edge to unknown state {dst!r}")
-    lookup = index.__getitem__
-    return list(map(lookup, sources)), list(map(lookup, targets))
-
-
-def _raise_duplicate_edge(states, sources, targets) -> None:
-    """Raises the InvalidChainError of the first edge, in edge order, whose
-    (source index, target index) pair an earlier edge has."""
-    pairs = set()
-    for i, j in zip(sources, targets):
-        if (i, j) in pairs:
-            raise InvalidChainError(
-                f"duplicate edge {states[i]!r} -> {states[j]!r}")
-        pairs.add((i, j))
 
 
 # The fields of the JSON records, read a column at a time in C: KeyError or
@@ -239,11 +226,11 @@ class MarkovChain:
         and edge by edge the source id, the target id and the Fraction.
         Ids are read through `str`.  Endpoints become indices by the
         index's lookup, run in C, and are read through `str` first only
-        when some endpoint is no id text (`_endpoint_indices`).  Then one
-        loop over the states sets the atom masks, and one over the edges
-        sets `succ`, `pred` and the rows.  Raises InvalidChainError on a
-        duplicate id, on the first unknown endpoint in edge order, and on
-        a duplicate edge."""
+        when some endpoint is no id text.  Then one loop over the states
+        sets the atom masks, and one over the edges sets `succ`, `pred` and
+        the rows.  Raises InvalidChainError on a duplicate id, and else on
+        the first defective edge in edge order, as the loader names it
+        (`_first_edge_defect`): an unknown endpoint or a duplicate edge."""
         states = tuple(map(str, ids))
         n = len(states)
         index = dict(zip(states, range(n)))
@@ -254,7 +241,10 @@ class MarkovChain:
             rows_of = list(map(lookup, sources))
             cols_of = list(map(lookup, targets))
         except (KeyError, TypeError):
-            rows_of, cols_of = _endpoint_indices(index, sources, targets)
+            sources, targets = list(map(str, sources)), list(map(str, targets))
+            _first_edge_defect(index, zip(sources, targets))
+            rows_of = list(map(lookup, sources))
+            cols_of = list(map(lookup, targets))
         bits = list(map((1).__lshift__, range(n)))
         atom_masks: dict[str, int] = {}
         for bit, names in zip(bits, atoms):
@@ -268,7 +258,8 @@ class MarkovChain:
             pred[j] |= bits[i]
             rows[i][j] = p
         if sum(map(len, rows)) != len(rows_of):  # a row key set twice
-            _raise_duplicate_edge(states, rows_of, cols_of)
+            _first_edge_defect(index, zip(map(states.__getitem__, rows_of),
+                                          map(states.__getitem__, cols_of)))
         self.states = states
         self.index = index
         self.succ = succ

@@ -12,15 +12,16 @@ what bounds its depth; `bound_base` is the base of the model-size bound.
 Each is its own function, called directly by whoever needs it, and each
 derives the sets it reads from the formula set itself, apart from that
 pending set: sub(X) is `formula.subformulas_of`, psub(X) is
-`path_subformulas`, and the members' path formulas are `member_paths`,
-the one list of them.  Every function that asks about a model takes its
-`ModelChecker`; the chain is `mc.chain`.
+`formula.path_subformulas`, and the members' path formulas are
+`member_paths`, the one list of them.  Every function that asks about a
+model takes its `ModelChecker`; the chain is `mc.chain`.
 """
 
 from __future__ import annotations
 
 from .formula import (
-    PathFormula, PathOp, Prob, immediate_path_subformulas, subformulas_of,
+    PathFormula, PathOp, Prob, immediate_path_subformulas, path_subformulas,
+    subformulas_of,
 )
 from .markov import states_reachable_from
 from .modelcheck import ModelChecker
@@ -29,12 +30,6 @@ from .modelcheck import ModelChecker
 def path_norm(path: PathFormula) -> int:
     """1 + the norms of the maximal path formulas of the body."""
     return 1 + sum(path_norm(q) for q in immediate_path_subformulas(path.body))
-
-
-def path_subformulas(formulas) -> frozenset[PathFormula]:
-    """psub(X): the path formulas of the probabilistic formulas in sub(X)."""
-    return frozenset(g.path_formula for g in subformulas_of(formulas)
-                     if isinstance(g, Prob))
 
 
 def member_paths(formulas) -> tuple[PathFormula, ...]:

@@ -44,7 +44,7 @@ from .closure import (UnsatisfiedSetError, achieved_bounds, closure_update,
                       least_closed_set, require_satisfied)
 from .formula import (
     And, Atom, Cmp, NegAtom, Or, PathOp, Prob, StateFormula,
-    fragment_classify, sort_key, sorted_formulas, subformulas, subformulas_of,
+    fragment_classify, has_globally, sort_key, sorted_formulas, subformulas_of,
 )
 from .markov import (
     MarkovChain, first_entries, first_passage, indices, scc_decompose,
@@ -379,7 +379,7 @@ def _l2_sequences(mc: ModelChecker, X: frozenset[StateFormula],
             # closing their body in a later set would introduce a G whose
             # body cannot retroactively join every earlier set.  They fall
             # through to the exit obligations instead.
-            and not _g_bodies(subformulas(f.body))), None)
+            and not has_globally(f.body)), None)
         if unserved is None:
             yield tuple(sets)
             return

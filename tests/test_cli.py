@@ -742,6 +742,17 @@ def test_unwritable_solver_file_is_backend_error(capsys, monkeypatch, tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_solver_that_removes_its_input_file(capsys, monkeypatch, tmp_path):
+    # the SMT file is gone when the search cleans up: that is no error
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    solver = "import os, sys; os.unlink(sys.argv[1]); print('unsat')"
+    code, out, err = run(capsys, "sat", "--formula",
+                         "!a & F>1/3[a] & G>1/2[!a]", "--bound", "3",
+                         "--solver-cmd", f'{sys.executable} -c "{solver}" {{file}}')
+    assert (code, out, err) == (1, "unsat-up-to-n\n", "")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_loop_search_beyond_generic_range(capsys, model_path):
     formula = " | ".join(["a"] + [f"x{i}" for i in range(1, 21)])
     code, _, err = run(capsys, "loop", "search", "--method", "generic",

@@ -28,8 +28,8 @@ from pctlfg.formula import (
     _CMPS, _PATH_OPS, And, Atom, Cmp, NegAtom, Or, PathFormula, PathOp,
     PctlSyntaxError, Prob, NormalizationError, StateFormula, _is_probability,
     conj, disj, f_normal_form,
-    fragment_classify, is_core, is_trivial_bound, normalize, parse_formula,
-    sort_key, sorted_formulas, subformulas, subformulas_of,
+    fragment_classify, has_globally, is_core, is_trivial_bound, normalize,
+    parse_formula, sort_key, sorted_formulas, subformulas, subformulas_of,
 )
 from pctlfg.modelcheck import ModelChecker
 
@@ -549,6 +549,24 @@ def test_cached_core_flag_matches_the_recursive_check():
             compared += 1
             non_core += not reference_is_core(g)
     assert non_core > 1000 and compared - non_core > 1000
+
+
+def test_globally_flag_matches_a_search_of_the_subformulas():
+    # the sample's nodes, plus '<'/'<=' nodes over them, so that a G that
+    # only dualizing would make or remove is counted as written
+    rng = random.Random(89)
+    compared = with_g = 0
+    for f, subs, variants in _classification_sample(rng, ("s", "t")):
+        upper = [Prob(rng.choice((PathOp.F, PathOp.G)),
+                      rng.choice((Cmp.LE, Cmp.LT)),
+                      Fraction(rng.randint(1, 6), 7), g) for g in subs]
+        for g in [f] + subs + variants + upper:
+            some_g = any(isinstance(h, Prob) and h.op is PathOp.G
+                         for h in subformulas(g))
+            assert has_globally(g) == some_g, g
+            compared += 1
+            with_g += some_g
+    assert with_g > 1000 and compared - with_g > 1000
 
 
 def test_fragment_bound_variants_stay_inside():

@@ -296,6 +296,21 @@ def test_first_defect_in_record_order_is_reported():
                                "edges": [{"from": "t", "to": "s", "p": "1"}]})
 
 
+def test_both_constructors_name_the_same_first_edge_defect():
+    # the second edge repeats the first once its source is read as text;
+    # the third has an unknown source, and comes later
+    half = Fraction(1, 2)
+    edges = {(1, "a"): half, ("1", "a"): half, ("x", "a"): Fraction(1)}
+    with pytest.raises(InvalidChainError) as built:
+        MarkovChain(["1", "a"], edges, {})
+    with pytest.raises(InvalidChainError) as loaded:
+        MarkovChain.from_dict({
+            "states": [{"id": "1"}, {"id": "a"}],
+            "edges": [{"from": src, "to": dst, "p": str(p)}
+                      for (src, dst), p in edges.items()]})
+    assert str(built.value) == str(loaded.value) == "duplicate edge '1' -> 'a'"
+
+
 @pytest.mark.parametrize("edge, message", [
     (["s", "s", "1"], "edge record 1 must be an object"),
     ("s->s", "edge record 1 must be an object"),

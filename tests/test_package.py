@@ -1,13 +1,15 @@
 """The package's cold start and public surface.  `import pctlfg` loads the
-checker core only, and each CLI subcommand only the layers it uses, each
-seen in a fresh interpreter; every public name resolves to its layer's own
-object, however the layer was loaded; and the node and record types keep
-their reprs, equality and immutability."""
+core only (`formula`, `markov`, `linalg`, `modelcheck` and `closure`), and
+each CLI subcommand only the layers it uses, each seen in a fresh
+interpreter; the package is a plain module, and every public name resolves
+to its layer's own object, however the layer was loaded; and the node and
+record types keep their reprs, equality and immutability."""
 
 import importlib
 import os
 import subprocess
 import sys
+import types
 from fractions import Fraction
 from pathlib import Path
 
@@ -24,8 +26,8 @@ from pctlfg.markov import MarkovChain, SccDecomposition, scc_decompose
 
 SRC = str(Path(pctlfg.__file__).resolve().parent.parent)
 
-CORE = ["pctlfg", "pctlfg.formula", "pctlfg.linalg", "pctlfg.markov",
-        "pctlfg.modelcheck"]
+CORE = ["pctlfg", "pctlfg.closure", "pctlfg.formula", "pctlfg.linalg",
+        "pctlfg.markov", "pctlfg.modelcheck"]
 
 # what `from pctlfg import *` bound before the layers loaded lazily: the
 # public names and the seven submodules (`closure` is the function)
@@ -48,8 +50,10 @@ EXPORTED = [
     "validate", "verify_loop", "verify_selection",
 ]
 
-# the public names of the layers that load on first use
-LAZY = {
+# the public names of the layers outside the checker: `closure` loads with
+# the package, and its own name there is the function `closure.closure`;
+# the others load on first use
+LAYERS = {
     "closure": ["UnsatisfiedSetError", "achieved_bounds", "closure",
                 "closure_update", "update"],
     "measure": ["bound_base", "model_size_bound", "path_norm",
@@ -99,9 +103,9 @@ print(code, *sorted(name for name in sys.modules if name.startswith("pctlfg.")))
 
 @pytest.mark.parametrize("argv, code, loaded, absent", [
     (["check", "--model", "{model}", "--state", "s", "--formula", PSI_TEXT],
-     0, {"modelcheck", "measure"}, {"etr", "progress", "closure"}),
+     0, {"modelcheck"}, {"etr", "progress", "measure"}),
     (["sat", "--formula", "F=1[a] & G=1[!a]", "--bound", "2"],
-     1, {"etr"}, {"progress", "closure", "measure"}),
+     1, {"etr"}, {"progress", "measure"}),
     (["compress", "--model", "{model}", "--state", "s", "--formula", PSI_TEXT],
      0, {"progress", "closure", "measure"}, {"etr"}),
 ], ids=["check", "sat", "compress"])
@@ -128,7 +132,7 @@ def test_exported_names_are_pinned():
 
 
 def test_each_lazy_name_is_its_layers_object():
-    for layer, names in LAZY.items():
+    for layer, names in LAYERS.items():
         module = importlib.import_module(f"pctlfg.{layer}")
         for name in names:
             assert getattr(pctlfg, name) is getattr(module, name), name
@@ -137,6 +141,19 @@ def test_each_lazy_name_is_its_layers_object():
     assert pctlfg.compress_model is pctlfg.progress.compress_model
     with pytest.raises(AttributeError):
         pctlfg.no_such_name
+
+
+def test_the_package_is_a_plain_module():
+    # no custom module type: the lazy layers resolve through the module
+    # `__getattr__` alone, before and after every layer has loaded
+    out = _fresh(
+        "import sys, types\n"
+        "import pctlfg\n"
+        "plain = type(sys.modules['pctlfg']) is types.ModuleType\n"
+        "from pctlfg import *\n"
+        "print(plain, type(sys.modules['pctlfg']) is types.ModuleType)\n")
+    assert out == "True True\n"
+    assert type(pctlfg) is types.ModuleType
 
 
 @pytest.mark.parametrize("first", [
@@ -148,7 +165,8 @@ def test_each_lazy_name_is_its_layers_object():
 ])
 def test_names_resolve_however_a_layer_loads_first(first):
     # the import system binds a submodule on its package once it has run,
-    # under its own name; `pctlfg.closure` stays the function
+    # under its own name; `closure` has run with the package, so
+    # `pctlfg.closure` stays the function
     out = _fresh(
         "import sys\n"
         "import pctlfg\n"
